@@ -16,7 +16,7 @@ use drc_gf::{slice, Matrix, ReedSolomon};
 const BUF: usize = 1024 * 1024;
 
 fn make_src(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    drc_core::experiments::harness::pattern_payload(len).to_vec()
 }
 
 fn bench_slice_ops(c: &mut Criterion) {

@@ -13,6 +13,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use drc_codes::{CodeKind, StripeEncoder};
+use drc_hdfs::Bytes;
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -56,12 +57,20 @@ pub struct EncodingReport {
 pub fn run_encoding(block_bytes: usize, stripes: usize) -> Result<EncodingReport, DrcError> {
     let mut kinds = vec![CodeKind::TWO_REP];
     kinds.extend(CodeKind::table1_set());
-    // One cell per code. Each cell owns its data, encoder and timer; the
+    // One stripe of the widest code, shared: each cell slices its `k`
+    // blocks from it.
+    let mut widest = 0;
+    for kind in &kinds {
+        widest = widest.max(kind.build()?.data_blocks());
+    }
+    let payload = harness::pattern_payload(widest * block_bytes);
+    let payload = &payload;
+    // One cell per code. Each cell owns its encoder and timer; the
     // throughput / elapsed fields are wall-clock measurements, so only the
     // structural fields are expected to be width-invariant.
     let cells = kinds
         .into_iter()
-        .map(|kind| move || encoding_row(kind, block_bytes, stripes))
+        .map(|kind| move || encoding_row(kind, block_bytes, stripes, payload))
         .collect();
     Ok(EncodingReport {
         block_bytes,
@@ -76,15 +85,16 @@ fn encoding_row(
     kind: CodeKind,
     block_bytes: usize,
     stripes: usize,
+    payload: &Bytes,
 ) -> Result<EncodingRow, DrcError> {
     let code = kind.build()?;
     let k = code.data_blocks();
-    let data: Vec<Vec<u8>> = (0..k)
-        .map(|i| (0..block_bytes).map(|j| (i * 31 + j * 7) as u8).collect())
+    let data: Vec<Bytes> = (0..k)
+        .map(|i| payload.slice(i * block_bytes..(i + 1) * block_bytes))
         .collect();
     // Measure the production encode path: buffer-reusing, fused,
-    // zero-allocation parity computation (the write path of the
-    // simulated HDFS uses exactly this).
+    // zero-allocation parity computation (`encode_parities_into`, which
+    // the simulated HDFS write path calls on its own pooled buffers).
     let mut encoder = StripeEncoder::new();
     let start = Instant::now();
     let mut parity_bytes = 0usize;

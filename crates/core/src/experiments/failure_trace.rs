@@ -26,9 +26,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{Cluster, ClusterSpec, FailureEvent, FailureTrace};
+use drc_cluster::{Cluster, FailureEvent, FailureTrace};
 use drc_codes::CodeKind;
-use drc_hdfs::DistributedFileSystem;
+use drc_hdfs::{Bytes, DistributedFileSystem};
 use drc_mapreduce::{run_job_traced, FailureModel, JobSite, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
 use drc_sim::SimDuration;
@@ -161,22 +161,30 @@ pub fn run_failure_trace(
     // reliability model's real per-node rate.
     let mean_arrivals = [1.0, 3.0];
 
+    // ~`target_tasks` blocks in whole stripes, per code; every window of
+    // both stages ingests a view of the one payload.
+    let stripes_of = |k: usize| target_tasks.div_ceil(k).max(1);
+    let (payload, lens) = harness::stripe_files(&codes, block_bytes, stripes_of)?;
+    let payload = &payload;
+
     // Stage 1: one failure-free baseline cell per code. The traced points
     // need the measured map-phase length, so this stage joins first.
     let baseline_cells = codes
         .into_iter()
-        .map(|code| {
-            move || -> Result<(CodeKind, Baseline), DrcError> {
-                Ok((code, run_window(code, block_bytes, target_tasks, None)?.0))
+        .zip(lens.iter().copied())
+        .map(|(code, len)| {
+            move || -> Result<Baseline, DrcError> {
+                let data = payload.slice(..len);
+                Ok(run_window(code, block_bytes, target_tasks, data, None)?.0)
             }
         })
         .collect();
-    let baselines: Vec<(CodeKind, Baseline)> = harness::run_cells(baseline_cells)?;
+    let baselines: Vec<Baseline> = harness::run_cells(baseline_cells)?;
 
     // Stage 2: one traced cell per (code, timeout fraction, arrival rate)
     // point, in the report's fixed row order.
     let mut cells = Vec::new();
-    for (code, baseline) in baselines {
+    for ((code, len), baseline) in codes.into_iter().zip(lens).zip(baselines) {
         for &frac in &timeout_fracs {
             for &arrivals in &mean_arrivals {
                 let baseline = baseline.clone();
@@ -186,6 +194,7 @@ pub fn run_failure_trace(
                         code,
                         block_bytes,
                         target_tasks,
+                        payload.slice(..len),
                         Some(TracedConfig {
                             baseline: &baseline,
                             timeout_s,
@@ -221,20 +230,14 @@ fn run_window(
     code: CodeKind,
     block_bytes: usize,
     target_tasks: usize,
+    data: Bytes,
     traced: Option<TracedConfig<'_>>,
 ) -> Result<(Baseline, Option<FailureTracePoint>), DrcError> {
-    let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
-    let block_size = spec.block_size_bytes() as usize;
+    let spec = harness::byte_cluster_spec(block_bytes);
     let mut fs = DistributedFileSystem::new(spec, 0xFA11 ^ code_salt(code));
 
     let built = code.build()?;
-    let k = built.data_blocks();
-    let stripes = target_tasks.div_ceil(k).max(1);
-    let data: Vec<u8> = (0..stripes * k * block_size)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
-    let id = fs.write_file("/failure-trace", &data, code)?;
+    let id = fs.write_file_bytes("/failure-trace", data, code)?;
     fs.sync();
     let meta = fs.namenode().file(id)?.clone();
     let cluster = Cluster::new(fs.cluster().spec().clone());

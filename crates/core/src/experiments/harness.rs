@@ -35,11 +35,82 @@
 //! `DRC_REPRO_JOBS=1` (or `with_jobs(1, …)`) is the fully serial path: the
 //! cells run inline on the caller, in order. Invalid values of the
 //! environment variable are diagnosed once on stderr and ignored.
+//!
+//! # Payload bytes
+//!
+//! Real bytes exist in the experiments only to prove the codes and repairs
+//! correct; every reported figure is virtual time or a byte count. A driver
+//! therefore builds **one** [`pattern_payload`] as long as its largest
+//! cell's file, and each cell ingests a zero-copy `payload.slice(0..n)`
+//! through `write_file_bytes`. The driver owns the payload and the cells
+//! borrow it ([`run_cells`] has no `'static` bound), so it is freed when
+//! the driver returns: immutable data shared for the length of one
+//! experiment, never process-wide state.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use drc_cluster::ClusterSpec;
+use drc_codes::CodeKind;
+use drc_hdfs::Bytes;
+
 use crate::DrcError;
+
+/// The byte experiments' deployment: the paper's 25-node simulation cluster
+/// with `block_bytes` blocks (whole MiB, at least one).
+pub fn byte_cluster_spec(block_bytes: usize) -> ClusterSpec {
+    let mut spec = ClusterSpec::simulation_25(4);
+    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
+    spec
+}
+
+/// The deterministic test pattern every byte experiment stores: byte `i` is
+/// the old period-256 ramp `(i * 31 + 7) as u8` XORed with a hash of its
+/// 256-byte line index `i >> 8`.
+///
+/// The line salt makes block-aligned windows pairwise distinct — with the
+/// bare ramp every block of every file was identical, so a repair or
+/// degraded read that restored the *wrong* block still passed every byte
+/// comparison. Byte `i` depends on `i` alone, so a prefix of a long payload
+/// equals the short payload: cells of different sizes slice one buffer.
+pub fn pattern_payload(len: usize) -> Bytes {
+    let ramp: [u8; 256] = std::array::from_fn(|i| (i * 31 + 7) as u8);
+    let mut buf = vec![0u8; len];
+    for (line, chunk) in buf.chunks_mut(ramp.len()).enumerate() {
+        // Fibonacci hashing: the top byte of line × 2^32/φ.
+        let salt = ((line as u32).wrapping_mul(0x9E37_79B1) >> 24) as u8;
+        // One broadcast XOR per line: auto-vectorises at memory speed.
+        for (byte, r) in chunk.iter_mut().zip(&ramp) {
+            *byte = r ^ salt;
+        }
+    }
+    Bytes::from(buf)
+}
+
+/// Sizes one experiment's files and builds its shared payload: per code, a
+/// file of `stripes_of(k)` whole stripes of `block_bytes` blocks (`k` being
+/// the code's data blocks per stripe), and one [`pattern_payload`] as long
+/// as the longest of them. Cell `i` ingests `payload.slice(..lens[i])`.
+///
+/// # Errors
+///
+/// Returns an error only if a code fails to build.
+pub fn stripe_files(
+    codes: &[CodeKind],
+    block_bytes: usize,
+    stripes_of: impl Fn(usize) -> usize,
+) -> Result<(Bytes, Vec<usize>), DrcError> {
+    let block_size = byte_cluster_spec(block_bytes).block_size_bytes() as usize;
+    let lens = codes
+        .iter()
+        .map(|code| {
+            let k = code.build()?.data_blocks();
+            Ok(stripes_of(k) * k * block_size)
+        })
+        .collect::<Result<Vec<usize>, DrcError>>()?;
+    let payload = pattern_payload(lens.iter().copied().max().unwrap_or(0));
+    Ok((payload, lens))
+}
 
 /// Environment variable naming the harness fan-out width.
 pub const REPRO_JOBS_ENV: &str = "DRC_REPRO_JOBS";
@@ -212,6 +283,41 @@ mod tests {
             assert_eq!(current_jobs(), 3);
         });
         assert_eq!(current_jobs(), ambient);
+    }
+
+    #[test]
+    fn cells_borrow_the_drivers_payload() {
+        let payload = pattern_payload(4096);
+        let payload = &payload;
+        let cells = (1..=4usize)
+            .map(|i| move || -> Result<Bytes, DrcError> { Ok(payload.slice(0..i * 1024)) })
+            .collect::<Vec<_>>();
+        let views = with_jobs(2, || run_cells(cells)).unwrap();
+        for (i, view) in views.iter().enumerate() {
+            assert_eq!(view.as_ptr(), payload.as_ptr(), "zero-copy");
+            assert_eq!(view.len(), (i + 1) * 1024);
+        }
+    }
+
+    #[test]
+    fn no_two_block_aligned_windows_of_a_payload_are_equal() {
+        // 512 windows is past the 256 a one-byte per-block offset could
+        // ever tell apart; 1 MiB is the experiments' block size.
+        let payload = pattern_payload(32 << 20);
+        for block in [64 << 10, 1 << 20] {
+            let windows: std::collections::BTreeSet<&[u8]> = payload.chunks(block).collect();
+            assert_eq!(windows.len(), payload.len() / block, "block size {block}");
+        }
+    }
+
+    #[test]
+    fn a_payload_prefix_is_the_shorter_payload() {
+        let long = pattern_payload(70_000);
+        for len in [0, 1, 255, 256, 257, 65_536, 69_999] {
+            assert_eq!(pattern_payload(len), long.slice(..len), "len {len}");
+        }
+        // The first line keeps the historical ramp.
+        assert_eq!(&long[..3], &[7, 38, 69]);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{ClusterSpec, NodeId};
+use drc_cluster::NodeId;
 use drc_codes::CodeKind;
-use drc_hdfs::DistributedFileSystem;
+use drc_hdfs::{Bytes, DistributedFileSystem};
 use drc_sim::{Phase, SimTime};
 
 use crate::experiments::harness;
@@ -88,17 +88,21 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
         CodeKind::Heptagon,
         CodeKind::HeptagonLocal,
     ];
+    let (payload, lens) = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
+    let payload = &payload;
     // One cell per code; the concurrent run and its measured serial baseline
     // share a cell because the row combines both.
     let cells = codes
         .into_iter()
-        .map(|code| {
+        .zip(lens)
+        .map(|(code, len)| {
             move || -> Result<OverlapRow, DrcError> {
-                let concurrent = run_failure_window(code, block_bytes, stripes, false)?;
+                let data = payload.slice(..len);
+                let concurrent = run_failure_window(code, block_bytes, data.clone(), false)?;
                 // The serial baseline is *measured*, not derived: the identical
                 // scenario with a `sync` between the read and the repair, i.e.
                 // the pre-substrate back-to-back execution model.
-                let serial = run_failure_window(code, block_bytes, stripes, true)?;
+                let serial = run_failure_window(code, block_bytes, data, true)?;
                 Ok(OverlapRow {
                     serial_s: serial.makespan_s,
                     ..concurrent
@@ -120,20 +124,14 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
 fn run_failure_window(
     code: CodeKind,
     block_bytes: usize,
-    stripes: usize,
+    data: Bytes,
     serialise: bool,
 ) -> Result<OverlapRow, DrcError> {
-    let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
-    let block_size = spec.block_size_bytes();
+    let spec = harness::byte_cluster_spec(block_bytes);
     let mut fs = DistributedFileSystem::new(spec, 0x5EED ^ code.to_string().len() as u64);
 
-    // Enough payload for the requested stripe count.
-    let k = code.build()?.data_blocks();
-    let data: Vec<u8> = (0..stripes * k * block_size as usize)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
-    let id = fs.write_file("/overlap", &data, code)?;
+    let len = data.len();
+    let id = fs.write_file_bytes("/overlap", data, code)?;
     let write_done = fs.sync();
     let write_s = write_done.as_secs_f64();
 
@@ -146,7 +144,7 @@ fn run_failure_window(
 
     let window_start = fs.now();
     let back = fs.read_file(id)?;
-    debug_assert_eq!(back.len(), data.len());
+    debug_assert_eq!(back.len(), len);
     if serialise {
         fs.sync();
     }

@@ -21,9 +21,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{ClusterSpec, NodeId};
+use drc_cluster::NodeId;
 use drc_codes::CodeKind;
-use drc_hdfs::DistributedFileSystem;
+use drc_hdfs::{Bytes, DistributedFileSystem, FileId, RepairReport};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -101,25 +101,24 @@ pub fn run_repair_pipeline(
         CodeKind::Heptagon,
         CodeKind::HeptagonLocal,
     ];
+    let (payload, lens) = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
+    let payload = &payload;
     // Stage 1: the serial baselines are *measured* on identical fresh
     // deployments, not derived — one cell per code, joined before the
     // pipelined stage because every chunked row compares against them.
     let serial_cells = codes
         .into_iter()
-        .map(|code| {
-            move || -> Result<(CodeKind, (f64, u64, usize)), DrcError> {
-                Ok((code, run_repair(code, block_bytes, stripes, u64::MAX)?))
-            }
-        })
+        .zip(lens.iter().copied())
+        .map(|(code, len)| move || run_repair(code, block_bytes, payload.slice(..len), u64::MAX))
         .collect();
-    let serials: Vec<(CodeKind, (f64, u64, usize))> = harness::run_cells(serial_cells)?;
+    let serials: Vec<(f64, u64, usize)> = harness::run_cells(serial_cells)?;
 
     // Stage 2: one cell per code × chunk size, in the report's row order.
     let mut cells = Vec::new();
-    for (code, serial) in serials {
+    for ((code, len), serial) in codes.into_iter().zip(lens).zip(serials) {
         for &chunk in chunk_sizes {
             cells.push(move || -> Result<PipelineRow, DrcError> {
-                let pipelined = run_repair(code, block_bytes, stripes, chunk)?;
+                let pipelined = run_repair(code, block_bytes, payload.slice(..len), chunk)?;
                 debug_assert_eq!(pipelined.1, serial.1, "traffic must not depend on chunking");
                 debug_assert_eq!(
                     pipelined.2, serial.2,
@@ -144,41 +143,45 @@ pub fn run_repair_pipeline(
     })
 }
 
-/// Writes a `stripes`-stripe file, permanently fails one stripe-0 host,
-/// repairs it under the given chunk size, and returns the pass's virtual
-/// duration, network bytes and restored-block count.
+/// Writes `data` as one file, permanently fails one stripe-0 host, repairs
+/// it under the given chunk size, and returns the pass's virtual duration,
+/// network bytes and restored-block count.
 fn run_repair(
     code: CodeKind,
     block_bytes: usize,
-    stripes: usize,
+    data: Bytes,
     chunk: u64,
 ) -> Result<(f64, u64, usize), DrcError> {
-    let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
-    let block_size = spec.block_size_bytes();
-    let mut fs = DistributedFileSystem::new(spec, 0x9147 ^ code.to_string().len() as u64);
-    fs.set_repair_chunk_bytes(chunk);
-
-    let k = code.build()?.data_blocks();
-    let data: Vec<u8> = (0..stripes * k * block_size as usize)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
-    let id = fs.write_file("/pipeline", &data, code)?;
-    fs.sync();
-
-    // Fail the node holding the first replica of data block 0 of stripe 0 —
-    // a single permanent loss every code tolerates.
-    let meta = fs.namenode().file(id)?.clone();
-    let victim: NodeId = meta.block_locations(0, 0)?.to_vec()[0];
-    fs.fail_node_permanently(victim);
-    let report = fs.repair_nodes(&[victim])?;
+    let (_, _, report) = repaired_fs(code, block_bytes, data, chunk)?;
     debug_assert_eq!(report.unrecoverable_stripes, 0);
-    debug_assert_eq!(fs.read_file(id)?, data, "repair must restore real bytes");
     Ok((
         report.completed_at.since(report.issued_at).as_secs_f64(),
         report.network_bytes,
         report.blocks_restored,
     ))
+}
+
+/// The scenario behind [`run_repair`], handing back the repaired deployment
+/// so the tests can hold its stored blocks against the payload.
+fn repaired_fs(
+    code: CodeKind,
+    block_bytes: usize,
+    data: Bytes,
+    chunk: u64,
+) -> Result<(DistributedFileSystem, FileId, RepairReport), DrcError> {
+    let spec = harness::byte_cluster_spec(block_bytes);
+    let mut fs = DistributedFileSystem::new(spec, 0x9147 ^ code.to_string().len() as u64);
+    fs.set_repair_chunk_bytes(chunk);
+
+    let id = fs.write_file_bytes("/pipeline", data, code)?;
+    fs.sync();
+
+    // Fail the node holding the first replica of data block 0 of stripe 0 —
+    // a single permanent loss every code tolerates.
+    let victim: NodeId = fs.namenode().file(id)?.block_locations(0, 0)?.to_vec()[0];
+    fs.fail_node_permanently(victim);
+    let report = fs.repair_nodes(&[victim])?;
+    Ok((fs, id, report))
 }
 
 impl std::fmt::Display for RepairPipelineReport {
@@ -244,5 +247,41 @@ mod tests {
         }
         let worst = report.worst_erasure_ratio().unwrap();
         assert!(worst < 1.0, "headline ratio {worst:.4}");
+    }
+
+    /// The repair restores real bytes: after the pass, every replica of
+    /// every data block — the victim's rebuilt ones included — is the
+    /// payload window it was written from. Handles are compared against
+    /// payload views in place (no timed read, no file-sized copy), and the
+    /// payload being block-distinct, a right-looking block in the wrong
+    /// slot fails too.
+    #[test]
+    fn repair_restores_the_payload_bytes_on_every_replica() {
+        let block = 1024 * 1024;
+        let codes = [
+            CodeKind::TWO_REP,
+            CodeKind::Pentagon,
+            CodeKind::Heptagon,
+            CodeKind::HeptagonLocal,
+        ];
+        let (payload, lens) = harness::stripe_files(&codes, block, |_| 2).unwrap();
+        for (code, len) in codes.into_iter().zip(lens) {
+            for chunk in [u64::MAX, 256 * 1024] {
+                let (fs, id, report) =
+                    repaired_fs(code, block, payload.slice(..len), chunk).unwrap();
+                assert_eq!(report.unrecoverable_stripes, 0, "{code}");
+                assert!(report.blocks_restored > 0, "{code}");
+                let meta = fs.namenode().file(id).unwrap();
+                for (index, key) in meta.content_block_keys().into_iter().enumerate() {
+                    let want = payload.slice(index * block..(index + 1) * block);
+                    let hosts = meta.block_locations(key.stripe, key.block).unwrap();
+                    assert_eq!(hosts.len(), 2, "{code}: double replication");
+                    for &node in &hosts {
+                        let stored = fs.datanode(node).unwrap().peek(&key);
+                        assert_eq!(stored.as_ref(), Some(&want), "{code} {key:?} on {node}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,9 +25,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{Cluster, ClusterSpec, NodeId};
+use drc_cluster::{Cluster, NodeId};
 use drc_codes::CodeKind;
-use drc_hdfs::DistributedFileSystem;
+use drc_hdfs::{Bytes, DistributedFileSystem};
 use drc_mapreduce::{run_job_on, JobSite, JobSpec, LinkContention, SchedulerKind};
 
 use crate::experiments::harness;
@@ -114,11 +114,18 @@ pub fn run_shuffle_contention(
         CodeKind::Heptagon,
         CodeKind::HeptagonLocal,
     ];
+    // ~`target_tasks` blocks in whole stripes, per code.
+    let stripes_of = |k: usize| target_tasks.div_ceil(k).max(1);
+    let (payload, lens) = harness::stripe_files(&codes, block_bytes, stripes_of)?;
+    let payload = &payload;
     // One cell per code; the solo baseline and the contended run share a
     // cell because the row compares them.
     let cells = codes
         .into_iter()
-        .map(|code| move || contention_row(code, block_bytes, target_tasks))
+        .zip(lens)
+        .map(|(code, len)| {
+            move || contention_row(code, block_bytes, target_tasks, payload.slice(..len))
+        })
         .collect();
     Ok(ShuffleContentionReport {
         block_bytes: block_bytes as u64,
@@ -132,10 +139,11 @@ fn contention_row(
     code: CodeKind,
     block_bytes: usize,
     target_tasks: usize,
+    data: Bytes,
 ) -> Result<ShuffleContentionRow, DrcError> {
     let failed = code.build()?.fault_tolerance().min(2);
-    let solo = run_window(code, block_bytes, target_tasks, failed, false)?;
-    let contended = run_window(code, block_bytes, target_tasks, failed, true)?;
+    let solo = run_window(code, block_bytes, target_tasks, data.clone(), failed, false)?;
+    let contended = run_window(code, block_bytes, target_tasks, data, failed, true)?;
     // The headline slowdown is only meaningful if contention moved the
     // time axis and nothing else — enforce the byte identity in every
     // build, including the release runs that publish the number.
@@ -171,20 +179,14 @@ fn run_window(
     code: CodeKind,
     block_bytes: usize,
     target_tasks: usize,
+    data: Bytes,
     failed: usize,
     with_repair: bool,
 ) -> Result<Window, DrcError> {
-    let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
-    let block_size = spec.block_size_bytes() as usize;
+    let spec = harness::byte_cluster_spec(block_bytes);
     let mut fs = DistributedFileSystem::new(spec, 0xC0DE ^ code.to_string().len() as u64);
 
-    let k = code.build()?.data_blocks();
-    let stripes = target_tasks.div_ceil(k).max(1);
-    let data: Vec<u8> = (0..stripes * k * block_size)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
-    let id = fs.write_file("/shuffle-contention", &data, code)?;
+    let id = fs.write_file_bytes("/shuffle-contention", data, code)?;
     fs.sync();
     let meta = fs.namenode().file(id)?.clone();
 

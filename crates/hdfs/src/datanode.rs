@@ -137,8 +137,9 @@ impl DataNode {
     /// Removes every block (simulates a disk wipe on permanent failure).
     ///
     /// Sole-owner payloads go back to the block pool (see
-    /// [`drc_gf::bufpool`]); replicas still referenced elsewhere just drop
-    /// their handle here.
+    /// [`drc_gf::bufpool`]); replicas still referenced elsewhere — and
+    /// zero-copy views of a caller's buffer, which this node never owned —
+    /// just drop their handle here.
     pub fn wipe(&self) {
         let blocks = std::mem::take(&mut *self.blocks.write());
         recycle_payloads(blocks);
@@ -184,7 +185,9 @@ impl Drop for DataNode {
 ///
 /// A block replicated on several nodes is the same `Bytes` handle on each;
 /// only the last handle standing unwraps, so every allocation is recycled
-/// exactly once.
+/// exactly once. A view stored by `write_file_bytes` never unwraps (its
+/// allocation is the writer's whole payload, not a block), so views are
+/// simply dropped and the payload is freed by whoever built it.
 fn recycle_payloads(blocks: BTreeMap<BlockKey, Bytes>) {
     for (_, payload) in blocks {
         if let Ok(buf) = payload.try_unwrap() {
@@ -244,6 +247,35 @@ mod tests {
         assert_eq!(dn.bytes_served(), 200);
         dn.record_served(50);
         assert_eq!(dn.bytes_served(), 250);
+    }
+
+    #[test]
+    fn wipe_drops_views_and_shelves_only_what_it_solely_owns() {
+        // Capacities no other test uses, so the shelf lookups below cannot
+        // be served by (or lose their buffer to) a concurrent test.
+        let block = drc_gf::bufpool::MIN_POOLED_CAPACITY + 4099;
+        let dn = node(0);
+        // Two views of a writer's payload, a sole-owner parity buffer, and
+        // a replica whose handle a second holder (another node) keeps.
+        let payload = Bytes::from(vec![5u8; 2 * block]);
+        dn.store(key(0, 0), payload.slice(..block));
+        dn.store(key(0, 1), payload.slice(block..));
+        let parity = vec![6u8; block];
+        let parity_ptr = parity.as_ptr();
+        dn.store(key(0, 2), Bytes::from(parity));
+        let replica = Bytes::from(vec![7u8; block + 1]);
+        dn.store(key(0, 3), replica.clone());
+
+        dn.wipe();
+        assert_eq!(dn.block_count(), 0);
+        // The sole-owner buffer is on the shelf …
+        let reused = drc_gf::bufpool::take(block);
+        assert_eq!(reused.as_ptr(), parity_ptr, "parity buffer recycled");
+        // … the shared replica is not (its other holder still reads it) …
+        assert_eq!(replica.try_unwrap().unwrap(), vec![7u8; block + 1]);
+        // … and the views are gone without the payload having moved: the
+        // writer is its sole owner again.
+        assert_eq!(payload.try_unwrap().unwrap(), vec![5u8; 2 * block]);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use serde::{Deserialize, Serialize};
 use drc_cluster::{
     Cluster, ClusterSpec, FailureEventKind, FailureTrace, NodeId, PlacementMap, PlacementPolicy,
 };
-use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeEncoder, StripeReconstructor};
+use drc_codes::{encode_parities_into, CodeKind, ErasureCode, ReadSource, StripeReconstructor};
 use drc_gf::slice::{matrix_mul_batch, MatrixMulTask};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, Schedule, SimDuration, SimTime, Timeline, VirtualClock,
@@ -189,9 +189,6 @@ pub struct DistributedFileSystem {
     namenode: NameNode,
     datanodes: BTreeMap<NodeId, DataNode>,
     code_cache: BTreeMap<CodeKind, Arc<dyn ErasureCode>>,
-    /// Reusable parity scratch: stripe encodes allocate nothing in steady
-    /// state (the write path and the RaidNode encode stripe after stripe).
-    encoder: StripeEncoder,
     /// The cluster-wide resource model (per-node disks and NICs plus the
     /// shared LAN fabric). The DataNodes hold clones of this `Arc`, and
     /// [`DistributedFileSystem::cluster_net`] hands the same model to other
@@ -204,6 +201,10 @@ pub struct DistributedFileSystem {
     write_network_bytes: u64,
     read_network_bytes: u64,
     repair_network_bytes: u64,
+    /// Running sum of the bytes on every `degraded-read:` phase recorded so
+    /// far, so a read takes the delta it spawned in O(1) instead of
+    /// re-scanning the timeline.
+    degraded_read_bytes: u64,
     /// The failure engine's pending timed events (trace events and
     /// detection boundaries), drained by
     /// [`DistributedFileSystem::process_events_until`].
@@ -242,7 +243,6 @@ impl DistributedFileSystem {
             namenode: NameNode::new(),
             datanodes,
             code_cache: BTreeMap::new(),
-            encoder: StripeEncoder::new(),
             net,
             clock: VirtualClock::new(),
             timeline: Timeline::new(),
@@ -250,6 +250,7 @@ impl DistributedFileSystem {
             write_network_bytes: 0,
             read_network_bytes: 0,
             repair_network_bytes: 0,
+            degraded_read_bytes: 0,
             events: EventQueue::new(),
             detection_timeout: DEFAULT_DETECTION_TIMEOUT,
             repair_chunk_bytes: DEFAULT_REPAIR_CHUNK_BYTES,
@@ -311,7 +312,8 @@ impl DistributedFileSystem {
     }
 
     /// Writes `data` as a new file protected by `code`, striping it into
-    /// blocks of the cluster's configured block size.
+    /// blocks of the cluster's configured block size. Every data block is
+    /// copied into a pooled buffer of its own.
     ///
     /// Every replica store is a timed event (client → node NIC → disk over
     /// the shared fabric); stores to different nodes overlap.
@@ -326,7 +328,49 @@ impl DistributedFileSystem {
         data: &[u8],
         code_kind: CodeKind,
     ) -> Result<FileId, HdfsError> {
-        if data.is_empty() {
+        self.write_stripes(name, data.len(), code_kind, |start, block_size| {
+            pooled_block(data, start, block_size)
+        })
+    }
+
+    /// [`DistributedFileSystem::write_file`] for a caller that already holds
+    /// the file as a shared [`Bytes`]: every full block is stored as a
+    /// zero-copy view of `data` (which therefore stays allocated until the
+    /// last such replica is wiped or dropped); only a short tail block is
+    /// copied, into a pooled zero-padded buffer. Placement, timed events,
+    /// accounting and stored bytes are identical to `write_file`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`DistributedFileSystem::write_file`].
+    pub fn write_file_bytes(
+        &mut self,
+        name: &str,
+        data: Bytes,
+        code_kind: CodeKind,
+    ) -> Result<FileId, HdfsError> {
+        self.write_stripes(name, data.len(), code_kind, |start, block_size| {
+            if start + block_size <= data.len() {
+                data.slice(start..start + block_size)
+            } else {
+                pooled_block(&data, start, block_size)
+            }
+        })
+    }
+
+    /// The one stripe loop behind both write entry points: registers a
+    /// `len`-byte file, then stripes, encodes and distributes it.
+    /// `data_block(start, block_size)` yields the block of file content at
+    /// byte offset `start` (zero-padded to the block size; all zeros past
+    /// the end of the file) — the only thing the entry points differ in.
+    fn write_stripes(
+        &mut self,
+        name: &str,
+        len: usize,
+        code_kind: CodeKind,
+        data_block: impl Fn(usize, usize) -> Bytes,
+    ) -> Result<FileId, HdfsError> {
+        if len == 0 {
             return Err(HdfsError::InvalidRequest {
                 reason: "cannot write an empty file".to_string(),
             });
@@ -334,7 +378,7 @@ impl DistributedFileSystem {
         let code = self.code(code_kind)?;
         let block_size = self.cluster.spec().block_size_bytes() as usize;
         let k = code.data_blocks();
-        let content_blocks = data.len().div_ceil(block_size);
+        let content_blocks = len.div_ceil(block_size);
         let stripes = content_blocks.div_ceil(k);
         let placement = PlacementMap::place(
             code.as_ref(),
@@ -346,7 +390,7 @@ impl DistributedFileSystem {
         let issued = self.clock.now();
         let id = self.namenode.register(
             name,
-            data.len() as u64,
+            len as u64,
             block_size as u64,
             code_kind,
             k,
@@ -359,42 +403,19 @@ impl DistributedFileSystem {
         let mut bytes_moved = 0u64;
         let mut write_end = issued;
         for stripe in 0..stripes {
-            let mut stripe_data: Vec<Vec<u8>> = Vec::with_capacity(k);
-            for b in 0..k {
-                let index = stripe * k + b;
-                let start = index * block_size;
-                // Pooled and pre-zeroed: a short tail block keeps its zero
-                // padding without an explicit fill.
-                let mut block = drc_gf::bufpool::take(block_size);
-                if start < data.len() {
-                    let end = (start + block_size).min(data.len());
-                    block[..end - start].copy_from_slice(&data[start..end]);
-                }
-                stripe_data.push(block);
-            }
-            // Shard-parallel encode into pooled scratch reused across
-            // stripes (and across files).
-            let parities = self.encoder.encode(code.as_ref(), &stripe_data)?;
-            // The parity scratch is reused next stripe, so parities are
-            // copied out — into pooled buffers; the data blocks move into
-            // their `Bytes` handles without a copy. Every payload returns
-            // to the pool when its last DataNode replica drops.
-            let parity_payloads: Vec<Bytes> = parities
-                .iter()
-                .map(|p| {
-                    let mut buf = drc_gf::bufpool::take(p.len());
-                    buf.copy_from_slice(p);
-                    Bytes::from(buf)
-                })
+            let mut payloads: Vec<Bytes> = (stripe * k..(stripe + 1) * k)
+                .map(|index| data_block(index * block_size, block_size))
                 .collect();
-            let data_payloads: Vec<Bytes> = stripe_data.into_iter().map(Bytes::from).collect();
-            for block_index in 0..code.distinct_blocks() {
+            // Shard-parallel encode straight into the pooled buffers that
+            // become the parity payloads. Every pooled payload returns to
+            // the pool when its last DataNode replica drops.
+            let mut parities: Vec<Vec<u8>> = (k..code.distinct_blocks())
+                .map(|_| drc_gf::bufpool::take(block_size))
+                .collect();
+            encode_parities_into(code.as_ref(), &payloads, &mut parities)?;
+            payloads.extend(parities.into_iter().map(Bytes::from));
+            for (block_index, content) in payloads.iter().enumerate() {
                 let key = BlockKey::new(id, stripe, block_index);
-                let content = if block_index < k {
-                    data_payloads[block_index].clone()
-                } else {
-                    parity_payloads[block_index - k].clone()
-                };
                 for &node in &meta.block_locations(stripe, block_index)? {
                     self.write_network_bytes += content.len() as u64;
                     bytes_moved += content.len() as u64;
@@ -427,7 +448,7 @@ impl DistributedFileSystem {
         let meta = self.namenode.file(id)?.clone();
         let issued = self.clock.now();
         let bytes_before = self.read_network_bytes;
-        let degraded_before = self.timeline.bytes_with_prefix("degraded-read:");
+        let degraded_before = self.degraded_read_bytes;
         let mut out = Vec::with_capacity(meta.size as usize);
         let mut read_end = issued;
         for key in meta.content_block_keys() {
@@ -440,7 +461,7 @@ impl DistributedFileSystem {
         // `degraded-read:` phases this read spawned, so the aggregate phase
         // carries only the replica-read bytes (summing both prefixes equals
         // the stats counter delta).
-        let degraded_bytes = self.timeline.bytes_with_prefix("degraded-read:") - degraded_before;
+        let degraded_bytes = self.degraded_read_bytes - degraded_before;
         self.timeline.record(
             format!("read:f{}", id.0),
             issued,
@@ -465,11 +486,11 @@ impl DistributedFileSystem {
     ) -> Result<Bytes, HdfsError> {
         let issued = self.clock.now();
         let bytes_before = self.read_network_bytes;
-        let degraded_before = self.timeline.bytes_with_prefix("degraded-read:");
+        let degraded_before = self.degraded_read_bytes;
         let (data, done) = self.read_block_at(meta, stripe, block, issued)?;
         // As in `read_file`: reconstruction bytes live on the degraded-read
         // phase; this phase carries only replica-read traffic.
-        let degraded_bytes = self.timeline.bytes_with_prefix("degraded-read:") - degraded_before;
+        let degraded_bytes = self.degraded_read_bytes - degraded_before;
         self.timeline.record(
             format!("read:f{}:s{stripe}:b{block}", meta.id.0),
             issued,
@@ -582,6 +603,7 @@ impl DistributedFileSystem {
             done,
             bytes,
         );
+        self.degraded_read_bytes += bytes;
         Ok((content, done))
     }
 
@@ -1209,6 +1231,18 @@ impl DistributedFileSystem {
     }
 }
 
+/// A pooled copy of the `block_size` bytes of `data` at `start`, zero-padded
+/// where `data` ends short (or before `start`).
+fn pooled_block(data: &[u8], start: usize, block_size: usize) -> Bytes {
+    let tail = data.get(start..).unwrap_or(&[]);
+    // Pooled buffers arrive zeroed: a short tail keeps its padding without
+    // an explicit fill.
+    let mut block = drc_gf::bufpool::take(block_size);
+    let n = tail.len().min(block_size);
+    block[..n].copy_from_slice(&tail[..n]);
+    Bytes::from(block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1224,8 +1258,12 @@ mod tests {
         s
     }
 
+    /// Block-distinct content: with a short-period pattern every block is
+    /// identical and a misplaced block passes the byte comparisons.
     fn sample_data(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+        (0..len)
+            .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
     }
 
     #[test]

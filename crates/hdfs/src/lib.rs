@@ -49,6 +49,10 @@ mod error;
 mod fs;
 mod namenode;
 
+/// The shared, cheaply cloneable byte container block payloads are held in
+/// (what [`DistributedFileSystem::write_file_bytes`] ingests without a copy).
+pub use bytes::Bytes;
+
 pub use block::BlockKey;
 pub use datanode::DataNode;
 pub use error::HdfsError;

@@ -1,11 +1,12 @@
 //! Property-based tests on the simulated file system: write/read round-trips
 //! survive any tolerated failure pattern, repairs restore full redundancy,
-//! and the trace-driven failure engine is byte-identical at every worker
-//! pool width.
+//! the trace-driven failure engine is byte-identical at every worker pool
+//! width, and the copying and zero-copy write entry points are
+//! indistinguishable from outside.
 
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId};
 use drc_codes::CodeKind;
-use drc_hdfs::{DistributedFileSystem, FsStats, RepairReport};
+use drc_hdfs::{BlockKey, Bytes, DistributedFileSystem, FsStats, RepairReport};
 use drc_sim::{SimDuration, Timeline};
 use proptest::prelude::*;
 
@@ -201,6 +202,123 @@ proptest! {
         prop_assert_eq!(w1.1, w4.1);
         prop_assert_eq!(w1.2, w4.2);
         prop_assert_eq!(w1.3, w4.3);
+    }
+}
+
+/// Everything observable about one ingest → read → fail → repair → read
+/// run: the blocks each node stored (and the bytes it received) at ingest,
+/// then stats, timeline, read-backs and the repair report.
+#[derive(Debug, PartialEq)]
+struct IngestOutcome {
+    stored: Vec<(NodeId, BlockKey, Bytes)>,
+    received: Vec<u64>,
+    stats_after_write: FsStats,
+    healthy_read: Vec<u8>,
+    report: RepairReport,
+    repaired_read: Vec<u8>,
+    stats: FsStats,
+    timeline: Timeline,
+}
+
+fn ingest_outcome(
+    code: CodeKind,
+    seed: u64,
+    ingest: impl FnOnce(&mut DistributedFileSystem) -> drc_hdfs::FileId,
+) -> IngestOutcome {
+    let mut fs = DistributedFileSystem::new(tiny_spec(), seed);
+    let id = ingest(&mut fs);
+    let nodes: Vec<_> = (0..fs.cluster().spec().data_nodes)
+        .map(|n| fs.datanode(NodeId(n)).unwrap())
+        .collect();
+    let stored = nodes
+        .iter()
+        .flat_map(|dn| {
+            dn.block_keys()
+                .into_iter()
+                .map(move |key| (dn.id(), key, dn.peek(&key).unwrap()))
+        })
+        .collect();
+    let received = nodes.iter().map(|dn| dn.bytes_received()).collect();
+    let stats_after_write = fs.stats();
+    fs.sync();
+    let healthy_read = fs.read_file(id).unwrap();
+    fs.sync();
+    let meta = fs.namenode().file(id).unwrap().clone();
+    let tolerance = code.build().unwrap().fault_tolerance();
+    let victims: Vec<_> = meta.placement.stripe_hosts(0).unwrap()[..tolerance].to_vec();
+    for &v in &victims {
+        fs.fail_node_permanently(v);
+    }
+    let report = fs.repair_nodes(&victims).unwrap();
+    fs.sync();
+    let repaired_read = fs.read_file(id).unwrap();
+    IngestOutcome {
+        stored,
+        received,
+        stats_after_write,
+        healthy_read,
+        report,
+        repaired_read,
+        stats: fs.stats(),
+        timeline: fs.timeline().clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// `write_file(&[u8])` and `write_file_bytes(Bytes)` differ only in
+    /// where a data block's handle comes from. For one code of every kind
+    /// and the three file shapes — whole stripes, whole blocks short of a
+    /// stripe, and a short tail block — they store the same bytes under the
+    /// same keys on the same nodes, issue the same timed events and account
+    /// the same traffic, and the deployments stay indistinguishable through
+    /// a read, a tolerance-sized permanent failure, its repair and a
+    /// read-back.
+    #[test]
+    fn write_file_bytes_is_indistinguishable_from_write_file(
+        stripes in 1usize..3,
+        extra in any::<usize>(),
+        tail in 1usize..(1 << 20),
+        seed in any::<u64>(),
+    ) {
+        const BLOCK: usize = 1 << 20;
+        const CODES: [CodeKind; 7] = [
+            CodeKind::TWO_REP,
+            CodeKind::THREE_REP,
+            CodeKind::Pentagon,
+            CodeKind::Heptagon,
+            CodeKind::HeptagonLocal,
+            CodeKind::RAID_M_10_9,
+            CodeKind::ReedSolomon { data: 6, parity: 3 },
+        ];
+        // One payload for the whole case, as an experiment driver holds it:
+        // every file is a prefix — a borrowed slice on one side, a
+        // zero-copy view on the other.
+        let widest = CODES.iter().map(|c| c.build().unwrap().data_blocks()).max().unwrap();
+        let payload: Bytes = (0..(stripes + 1) * widest * BLOCK)
+            .map(|i| ((i as u64 ^ seed).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        for code in CODES {
+            let k = code.build().unwrap().data_blocks();
+            let whole_stripes = stripes * k * BLOCK;
+            // A partial last stripe of whole blocks (none to add at k = 1).
+            let whole_blocks = whole_stripes + extra % k * BLOCK;
+            for len in [whole_stripes, whole_blocks, whole_blocks + tail] {
+                let copied = ingest_outcome(code, seed, |fs| {
+                    fs.write_file("/diff/ingest", &payload[..len], code).unwrap()
+                });
+                let viewed = ingest_outcome(code, seed, |fs| {
+                    fs.write_file_bytes("/diff/ingest", payload.slice(..len), code).unwrap()
+                });
+                prop_assert_eq!(&copied.healthy_read[..], &payload[..len], "{} len={}", code, len);
+                prop_assert_eq!(&copied.repaired_read[..], &payload[..len], "{} len={}", code, len);
+                prop_assert_eq!(copied.report.unrecoverable_stripes, 0);
+                prop_assert!(copied == viewed, "{} len={}:\n{:?}\nvs\n{:?}",
+                    code, len, copied.report, viewed.report);
+            }
+        }
     }
 }
 

@@ -1,23 +1,29 @@
 //! Steady-state allocation proof for the block-payload pool: running the
 //! same write → fail → repair cell twice must allocate **zero** new
 //! block-sized buffers on the second run. The first run populates the pool
-//! (every payload, parity copy, encoder scratch and rebuilt block comes
+//! (every copied data block, parity and rebuilt block comes
 //! from `drc_gf::bufpool`); dropping the file system recycles each
 //! allocation exactly once, so the second, identical cell is served
 //! entirely from the shelf. Before the pool, every repeated cell of the
 //! repro harness malloc/freed GiBs of 1 MiB buffers.
 //!
+//! The zero-copy ingest path gets the complementary proof on a *cold*
+//! pool: `write_file_bytes` of whole blocks allocates block-sized buffers
+//! for the parities only — every data block is a view of the caller's
+//! payload.
+//!
 //! A counting global allocator tallies allocations at or above the block
 //! size inside an explicit window. Counters cover all threads (the worker
-//! pool's shard work included); this binary runs exactly one test, so
-//! nothing else allocates concurrently.
+//! pool's shard work included); the tests of this binary take [`SERIAL`],
+//! so nothing else allocates concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
-use drc_hdfs::DistributedFileSystem;
+use drc_hdfs::{Bytes, DistributedFileSystem};
 
 /// Block size of the measured deployment; also the counting threshold —
 /// every payload, parity and rebuild buffer is exactly this large.
@@ -84,15 +90,31 @@ unsafe impl GlobalAlloc for BigAllocCounter {
 #[global_allocator]
 static ALLOCATOR: BigAllocCounter = BigAllocCounter;
 
+/// Held by each test for its whole body: the allocation window and the
+/// buffer pool are process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn spec() -> ClusterSpec {
+    let mut spec = ClusterSpec::simulation_25(4);
+    spec.block_size_mb = BLOCK / (1024 * 1024);
+    spec
+}
+
+/// `stripes` whole pentagon stripes of non-repeating content.
+fn stripes_of_data(stripes: usize) -> Vec<u8> {
+    let k = CodeKind::Pentagon.build().unwrap().data_blocks();
+    (0..stripes * k * BLOCK as usize)
+        .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+        .collect()
+}
+
 /// One complete experiment cell: deploy, write, double-fail, repair. The
 /// file system drop at the end hands every block-sized allocation back to
 /// the payload pool.
 fn run_cell(data: &[u8]) -> usize {
     let code = CodeKind::Pentagon;
     let built = code.build().unwrap();
-    let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = BLOCK / (1024 * 1024);
-    let mut fs = DistributedFileSystem::new(spec, 0xB00F);
+    let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
 
     let id = fs.write_file("/pool/reuse", data, code).unwrap();
     fs.sync();
@@ -112,12 +134,8 @@ fn run_cell(data: &[u8]) -> usize {
 /// every take is a pool hit against the buffers the first run recycled.
 #[test]
 fn second_identical_cell_allocates_no_block_payloads() {
-    let code = CodeKind::Pentagon;
-    let built = code.build().unwrap();
-    let stripes = 2usize;
-    let data: Vec<u8> = (0..stripes * built.data_blocks() * BLOCK as usize)
-        .map(|i| (i * 31 + 7) as u8)
-        .collect();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let data = stripes_of_data(2);
 
     // Start from a clean shelf so the hit/miss accounting below is this
     // test's own, then let the cold run populate it.
@@ -146,4 +164,41 @@ fn second_identical_cell_allocates_no_block_payloads() {
         drc_gf::bufpool::hits() > 0,
         "the warm run's takes must register as pool hits"
     );
+}
+
+/// On a cold pool, ingesting N whole blocks through `write_file_bytes`
+/// allocates one block-sized buffer per *parity* and none for data, where
+/// `write_file` allocates one per distinct block.
+#[test]
+fn write_file_bytes_allocates_no_data_block_buffers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let code = CodeKind::Pentagon;
+    let built = code.build().unwrap();
+    let stripes = 2usize;
+    let k = built.data_blocks();
+    let parities = built.distinct_blocks() - k;
+    let data = stripes_of_data(stripes);
+    let payload = Bytes::from(data.clone());
+
+    let big_allocs_of = |ingest: &dyn Fn(&mut DistributedFileSystem)| {
+        let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
+        drc_gf::bufpool::drain();
+        open_window();
+        ingest(&mut fs);
+        let big_allocs = close_window();
+        assert_eq!(fs.stats().stored_blocks, stripes * built.stored_blocks());
+        big_allocs
+    };
+    let copied = big_allocs_of(&|fs| {
+        fs.write_file("/pool/copied", &data, code).unwrap();
+    });
+    let viewed = big_allocs_of(&|fs| {
+        fs.write_file_bytes("/pool/viewed", payload.clone(), code)
+            .unwrap();
+    });
+    assert_eq!(copied, stripes * (k + parities), "one buffer per block");
+    assert_eq!(viewed, stripes * parities, "parities only");
+    // Every view is gone with its file system; the payload is the
+    // caller's again, unmoved.
+    assert_eq!(payload.try_unwrap().unwrap(), data);
 }
