@@ -2,23 +2,20 @@
 //! peeling on identical task–node graphs (the §3.2 comment that maximum
 //! matching is "computationally intensive" compared with delay scheduling).
 
-use std::collections::BTreeMap;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use drc_core::cluster::{Cluster, ClusterSpec, NodeId, PlacementMap, PlacementPolicy};
+use drc_core::cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_core::codes::CodeKind;
 use drc_core::mapreduce::{MapTask, SchedulerKind, TaskId, TaskNodeGraph};
 
-fn build_graph(
-    code: CodeKind,
-    nodes: usize,
-    mu: usize,
-    load: f64,
-) -> (TaskNodeGraph, BTreeMap<NodeId, usize>) {
-    let cluster = Cluster::new(ClusterSpec::custom(nodes, 3, mu));
+/// The scheduling input of a job's first wave: the map tasks of a random
+/// placement sized for `load` percent of the cluster's slots, every slot
+/// free. Above 100 % the scheduler fills the slots and leaves the rest.
+fn build_graph(code: CodeKind, spec: ClusterSpec, load: f64) -> (TaskNodeGraph, Vec<usize>) {
+    let mu = spec.map_slots_per_node;
+    let cluster = Cluster::new(spec);
     let built = code.build().expect("builds");
     let tasks = cluster.spec().tasks_for_load(load);
     let stripes = tasks.div_ceil(built.data_blocks());
@@ -42,16 +39,23 @@ fn build_graph(
         })
         .collect();
     let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-    let caps = graph.nodes().iter().map(|&n| (n, mu)).collect();
+    let caps = vec![mu; graph.nodes().len()];
     (graph, caps)
 }
 
 fn bench_schedulers(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedulers");
     group.sample_size(30);
-    // A 100-node cluster at full load stresses the assignment algorithms.
-    for (label, nodes) in [("25_nodes", 25usize), ("100_nodes", 100)] {
-        let (graph, caps) = build_graph(CodeKind::Heptagon, nodes, 4, 100.0);
+    // A 100-node cluster at full load stresses the assignment algorithms;
+    // `datacenter(120)` at 400 % is the shape the repo's benchmark sweeps
+    // (`mr_sweep`): four times more tasks than slots, so every heartbeat
+    // sweep runs against full local-task lists.
+    for (label, spec, load) in [
+        ("25_nodes", ClusterSpec::custom(25, 3, 4), 100.0),
+        ("100_nodes", ClusterSpec::custom(100, 3, 4), 100.0),
+        ("120_nodes_400pct", ClusterSpec::datacenter(120), 400.0),
+    ] {
+        let (graph, caps) = build_graph(CodeKind::Heptagon, spec, load);
         for kind in SchedulerKind::all() {
             let scheduler = kind.build();
             group.bench_function(BenchmarkId::new(kind.to_string(), label), |b| {

@@ -27,6 +27,12 @@
 //! cell harness at 1 job versus the default width (`repro_wall_s`,
 //! `repro_serial_wall_s`, `repro_cell_speedup`), asserting the results are
 //! identical at both widths for every experiment without wall-clock fields.
+//! Finally it stamps the MapReduce scheduling plane on the shape the repo's
+//! benchmark sweeps (`datacenter(120)` at 400 % load): `mr_tasks_per_s`
+//! (map tasks per wall second through `run_job`), `delay_assign_ns_per_task`
+//! (`DelayScheduler::assign` per placed task) and `transfer_issue_ns` (one
+//! shuffle-fetch-shaped `Transfer`) — present and positive on every host,
+//! per `check_speedup`.
 //!
 //! Run with a `repro` argument (`cargo bench -p drc_bench --bench
 //! sim_throughput -- repro`) to emit `BENCH_sim.json`: provenance (git SHA,
@@ -53,8 +59,10 @@ use drc_cluster::{
     Cluster, ClusterSpec, GlobalBlockId, IndexKind, NodeId, PlacementMap, PlacementPolicy,
 };
 use drc_codes::{CodeKind, StripeEncoder};
+use drc_core::mapreduce::{run_job, DelayScheduler, TaskNodeGraph, TaskScheduler};
+use drc_core::workloads::{provision_workload, WorkloadKind};
 use drc_gf::kernel;
-use drc_sim::{ClusterNet, EventQueue, SimTime};
+use drc_sim::{ClusterNet, EventQueue, SimTime, Transfer};
 
 // ---------------------------------------------------------------------------
 // Counting allocator: the `meta_bytes_per_block` headline reports bytes the
@@ -398,6 +406,95 @@ fn float_value(v: Option<f64>) -> serde_json::Value {
     }
 }
 
+/// The MapReduce scheduling plane's wall-clock headlines:
+/// `(mr_tasks_per_s, delay_assign_ns_per_task, transfer_issue_ns)`.
+///
+/// Measured on the shape the repo's benchmark sweeps (`mr_sweep`: Terasort
+/// at 400 % load on `datacenter(120)`, delay scheduling), so a change to
+/// the schedulers, the engine's slot tables or `Transfer` moves these and
+/// the benchmark together.
+fn mr_ledger() -> (f64, f64, f64) {
+    const ROUNDS: usize = 10;
+    const TRANSFERS: usize = 200_000;
+    let spec = ClusterSpec::datacenter(120);
+    let cluster = Cluster::new(spec.clone());
+    let scheduler = DelayScheduler::default();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_2014);
+
+    // Engine: whole jobs, provisioning excluded.
+    let mut engine_s = 0.0;
+    let mut engine_tasks = 0usize;
+    for kind in [
+        CodeKind::THREE_REP,
+        CodeKind::TWO_REP,
+        CodeKind::Pentagon,
+        CodeKind::Heptagon,
+        CodeKind::HeptagonLocal,
+    ] {
+        let code = kind.build().expect("code builds");
+        let workload = provision_workload(WorkloadKind::Terasort, kind, &cluster, 400.0, &mut rng)
+            .expect("the paper codes fit 120 nodes");
+        let started = std::time::Instant::now();
+        for _ in 0..ROUNDS {
+            let metrics = run_job(
+                &workload.job,
+                code.as_ref(),
+                &workload.placement,
+                &cluster,
+                &scheduler,
+                &mut rng,
+            )
+            .expect("a healthy cluster runs the job");
+            criterion::black_box(metrics);
+        }
+        engine_s += started.elapsed().as_secs_f64();
+        engine_tasks += ROUNDS * workload.job.map_tasks().len();
+    }
+
+    // Delay scheduling: a job's first wave — four times more pending tasks
+    // than slots — for the heptagon, whose six blocks per node make it the
+    // sweep-heaviest of the five codes. One wave costs 10 µs or 800 µs
+    // depending on whether the placement left a node without local tasks
+    // (it then waits out a full sweep of skips per slot), so the figure is
+    // a mean over fresh placements, not one draw.
+    let mut assign_s = 0.0;
+    let mut placed = 0usize;
+    for _ in 0..4 * ROUNDS {
+        let workload = provision_workload(
+            WorkloadKind::Terasort,
+            CodeKind::Heptagon,
+            &cluster,
+            400.0,
+            &mut rng,
+        )
+        .expect("the heptagon fits 120 nodes");
+        let graph = TaskNodeGraph::build(workload.job.map_tasks(), &workload.placement, &cluster);
+        let capacities = vec![spec.map_slots_per_node; graph.nodes().len()];
+        let started = std::time::Instant::now();
+        placed += scheduler.assign(&graph, &capacities, &mut rng).len();
+        assign_s += started.elapsed().as_secs_f64();
+    }
+
+    // One shuffle fetch: source NIC + destination NIC + the fabric.
+    let net = ClusterNet::new(&spec);
+    let nodes = net.len();
+    let started = std::time::Instant::now();
+    for i in 0..TRANSFERS {
+        let fetch = Transfer::new(net.fabric(), 1 << 20)
+            .via(&net.node(NodeId(i % nodes)).nic)
+            .via(&net.node(NodeId((i + 1) % nodes)).nic)
+            .issue(SimTime::ZERO);
+        criterion::black_box(fetch);
+    }
+    let transfer_s = started.elapsed().as_secs_f64();
+
+    (
+        engine_tasks as f64 / engine_s.max(1e-9),
+        1e9 * assign_s / placed.max(1) as f64,
+        1e9 * transfer_s / TRANSFERS as f64,
+    )
+}
+
 fn repro() {
     let mut criterion = Criterion::default();
     bench_stripe_encode(&mut criterion);
@@ -518,6 +615,8 @@ fn repro() {
         }
     }
     let repro_cell_speedup = repro_serial_wall_s / repro_wall_s;
+
+    let (mr_tasks_per_s, delay_assign_ns_per_task, transfer_issue_ns) = mr_ledger();
 
     let points = thread_points();
     let multi = *points.last().expect("at least one thread point");
@@ -659,6 +758,18 @@ fn repro() {
         (
             "repro_cell_speedup".to_string(),
             serde_json::Value::Float(repro_cell_speedup),
+        ),
+        (
+            "mr_tasks_per_s".to_string(),
+            serde_json::Value::Float(mr_tasks_per_s),
+        ),
+        (
+            "delay_assign_ns_per_task".to_string(),
+            serde_json::Value::Float(delay_assign_ns_per_task),
+        ),
+        (
+            "transfer_issue_ns".to_string(),
+            serde_json::Value::Float(transfer_issue_ns),
         ),
     ]);
     let json = serde_json::to_string_pretty(&doc).expect("serializable");

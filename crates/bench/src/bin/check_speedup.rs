@@ -33,7 +33,10 @@
 //! headline (`meta_bytes_per_block`, a deterministic layout property) is
 //! likewise enforced unconditionally against
 //! [`META_MAX_BYTES_PER_BLOCK`]; the metadata query *rates* are wall-clock
-//! and only advisory. The quick-repro wall time (`repro_wall_s`) must be
+//! and only advisory. The MapReduce scheduling-plane ledger
+//! (`mr_tasks_per_s`, `delay_assign_ns_per_task`, `transfer_issue_ns`) must
+//! be present and positive on any host; its values are wall-clock and
+//! advisory beyond that. The quick-repro wall time (`repro_wall_s`) must be
 //! present and positive on any host, and the cell-harness
 //! `repro_cell_speedup` (quick repro at 1 harness job vs the default width)
 //! follows the same three hardware tiers as the stripe-encode gate.
@@ -212,6 +215,31 @@ fn main() {
             Some(v) if v > 0.0 => println!("OK:   {name} = {v:.3e} (advisory)"),
             Some(v) => println!("WARN: {name} = {v:.3e} — expected a positive rate"),
             None => println!("WARN: `{name}` missing from {SIM_BENCH_JSON_PATH}"),
+        }
+    }
+    // The MapReduce scheduling-plane ledger (engine tasks/s, delay-scheduler
+    // ns per placed task, ns per shuffle-fetch `Transfer`) is wall-clock, so
+    // its values are advisory — but every snapshot must carry all three, and
+    // a non-positive one means the probe measured nothing.
+    for (name, unit) in [
+        ("mr_tasks_per_s", "map tasks/s"),
+        ("delay_assign_ns_per_task", "ns"),
+        ("transfer_issue_ns", "ns"),
+    ] {
+        match json_lookup(&doc, name).and_then(json_f64) {
+            Some(v) if v > 0.0 => println!("OK:   {name} = {v:.4e} {unit} (advisory)"),
+            Some(v) => {
+                eprintln!("FAIL: {name} = {v} — expected a positive measurement");
+                failed = true;
+            }
+            None => {
+                eprintln!(
+                    "FAIL: `{name}` missing from {SIM_BENCH_JSON_PATH} \
+                     (stale snapshot? re-run `cargo bench -p drc_bench --bench \
+                     sim_throughput -- repro`)"
+                );
+                failed = true;
+            }
         }
     }
     // The CPUs of the host the *snapshot was measured on* — the gate may run

@@ -57,7 +57,7 @@
 //! `shuffle_bytes` / `network_traffic_bytes` as the closed-form accounting,
 //! whatever the substrate's congestion state.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -298,15 +298,15 @@ struct FailureState {
     events: Vec<(SimTime, bool, NodeId)>,
     /// Index of the first event not yet applied.
     cursor: usize,
-    /// Fail-stopped nodes and their failure instants.
-    actual_down: BTreeMap<NodeId, SimTime>,
-    /// Fail-stopped nodes whose detection boundary has passed.
-    detected: BTreeSet<NodeId>,
-    /// Every node that ever fail-stopped during the job: its disk was
-    /// wiped, so its replicas stay unreadable even after a `NodeUp`
+    /// `down_at[n]`: when node `n` fail-stopped, while it is down.
+    down_at: Vec<Option<SimTime>>,
+    /// `detected[n]`: node `n` is down and its detection boundary has passed.
+    detected: Vec<bool>,
+    /// `wiped[n]`: node `n` fail-stopped at some point during the job: its
+    /// disk was wiped, so its replicas stay unreadable even after a `NodeUp`
     /// re-admits the node for task execution (the engine does not model
     /// the storage layer's repairs restoring them mid-job).
-    wiped: BTreeSet<NodeId>,
+    wiped: Vec<bool>,
     /// Detection lag: boundary = failure instant + timeout.
     timeout: SimDuration,
 }
@@ -329,13 +329,17 @@ impl FailureState {
                 FailureEventKind::Slowdown { .. } => {}
             }
         }
+        // Events naming nodes outside the cluster never did anything (a
+        // down needs an up node, an up only clears state); dropping them here
+        // keeps every per-node table below in bounds.
+        events.retain(|&(_, _, node)| node.0 < cluster.len());
         events.sort_by_key(|&(at, _, _)| at);
         FailureState {
             events,
             cursor: 0,
-            actual_down: BTreeMap::new(),
-            detected: BTreeSet::new(),
-            wiped: BTreeSet::new(),
+            down_at: vec![None; cluster.len()],
+            detected: vec![false; cluster.len()],
+            wiped: vec![false; cluster.len()],
             timeout: model.timeout(),
         }
     }
@@ -355,10 +359,13 @@ impl FailureState {
                 .then(|| self.events[self.cursor].0)
                 .filter(|&at| at <= t);
             let next_boundary = self
-                .actual_down
+                .down_at
                 .iter()
-                .filter(|(node, _)| !self.detected.contains(node))
-                .map(|(&node, &down_at)| (down_at + self.timeout, node))
+                .enumerate()
+                .filter_map(|(n, down_at)| match down_at {
+                    Some(at) if !self.detected[n] => Some((*at + self.timeout, NodeId(n))),
+                    _ => None,
+                })
                 .min()
                 .filter(|&(boundary, _)| boundary <= t);
             match (next_event, next_boundary) {
@@ -383,13 +390,13 @@ impl FailureState {
         let (at, down, node) = self.events[self.cursor];
         self.cursor += 1;
         if down {
-            if view.is_up(node) && !self.actual_down.contains_key(&node) {
-                self.actual_down.insert(node, at);
-                self.wiped.insert(node);
+            if view.is_up(node) && self.down_at[node.0].is_none() {
+                self.down_at[node.0] = Some(at);
+                self.wiped[node.0] = true;
             }
         } else {
-            self.actual_down.remove(&node);
-            self.detected.remove(&node);
+            self.down_at[node.0] = None;
+            self.detected[node.0] = false;
             view.set_up(node);
         }
     }
@@ -403,10 +410,9 @@ impl FailureState {
         view: &mut Cluster,
         timeline: &mut Timeline,
     ) {
-        let down_at = self.actual_down[&node];
-        self.detected.insert(node);
+        self.detected[node.0] = true;
         view.set_down(node);
-        if boundary > down_at {
+        if let Some(down_at) = self.down_at[node.0].filter(|&down_at| boundary > down_at) {
             timeline.record(drc_sim::detection_lag_label(node.0), down_at, boundary, 0);
         }
     }
@@ -416,7 +422,7 @@ impl FailureState {
     /// never wiped by an earlier fail-stop (a `NodeUp` re-admits the node
     /// for task execution, but it comes back with an empty disk).
     fn replica_alive(&self, node: NodeId, view: &Cluster) -> bool {
-        view.is_up(node) && !self.wiped.contains(&node)
+        view.is_up(node) && !self.wiped[node.0]
     }
 
     /// When the scheduler gives up on an attempt lost to `node`'s fail-stop
@@ -438,7 +444,7 @@ impl FailureState {
     /// (its past failure instant is returned), or the first not-yet-applied
     /// down event for it falls before `end`.
     fn first_failure_before(&self, node: NodeId, end: SimTime) -> Option<SimTime> {
-        if let Some(&down_at) = self.actual_down.get(&node) {
+        if let Some(down_at) = self.down_at[node.0] {
             return Some(down_at);
         }
         self.events[self.cursor..]
@@ -508,9 +514,16 @@ pub fn run_job_traced(
     // Map slots as unit-capacity virtual-time resources, one per slot: a
     // task's duration is *consumed* as a reservation, so slot contention and
     // wave pipelining fall out of the substrate instead of hand-rolled
-    // availability arrays. Populated lazily so nodes revived by `NodeUp`
-    // events mid-job get slots too.
-    let mut node_slots: BTreeMap<NodeId, Vec<Resource>> = BTreeMap::new();
+    // availability arrays. One flat table over the whole cluster — node `n`
+    // owns `map_slots[n * slots..(n + 1) * slots]` — so nodes revived by
+    // `NodeUp` events mid-job have slots too.
+    let map_slots: Vec<Resource> = (0..cluster.len() * slots)
+        .map(|_| Resource::new(0.0))
+        .collect();
+    // Per-wave scratch, reused across waves: the scheduler's capacities
+    // (parallel to the wave graph's nodes) and which pending tasks completed.
+    let mut capacities: Vec<usize> = Vec::new();
+    let mut completed: Vec<bool> = Vec::new();
     // The scheduler's view of the cluster: it learns about fail-stops only
     // at their detection boundaries, while `failure_state` tracks the truth.
     let mut view = cluster.clone();
@@ -537,8 +550,8 @@ pub fn run_job_traced(
         // dead.
         failure_state.advance(wave_start, &mut view, &mut timeline);
         let graph = TaskNodeGraph::build(&pending, placement, &view);
-        let capacities: BTreeMap<NodeId, usize> =
-            graph.nodes().iter().map(|&n| (n, slots)).collect();
+        capacities.clear();
+        capacities.resize(graph.nodes().len(), slots);
         let assignment: Assignment = scheduler.assign(&graph, &capacities, rng);
         if assignment.is_empty() {
             return Err(MapReduceError::InvalidConfig {
@@ -547,7 +560,8 @@ pub fn run_job_traced(
         }
         // Tasks whose attempt completes this wave; failed attempts stay
         // pending and re-execute after their node's detection boundary.
-        let mut completed_ids: BTreeSet<usize> = BTreeSet::new();
+        completed.clear();
+        completed.resize(pending.len(), false);
         let mut wave_network_bytes = 0u64;
         let mut wave_degraded_bytes = 0u64;
         let mut wave_end = wave_start;
@@ -578,14 +592,6 @@ pub fn run_job_traced(
             let (read_s, remote_bytes, degraded_bytes, degraded) = if local {
                 (block_mb / spec.disk_bandwidth_mbps, 0u64, 0u64, false)
             } else {
-                // Which stripe-local nodes are down for this block's stripe?
-                let stripe_nodes = placement.stripe_hosts(task.block.stripe())?;
-                let down_local: BTreeSet<usize> = stripe_nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, n)| !failure_state.replica_alive(**n, &view))
-                    .map(|(i, _)| i)
-                    .collect();
                 let replicas_alive = placement
                     .locations(task.block)?
                     .iter()
@@ -599,7 +605,16 @@ pub fn run_job_traced(
                         false,
                     )
                 } else {
-                    // Degraded read: rebuild from the code's plan.
+                    // Degraded read: rebuild from the code's plan, given
+                    // which stripe-local nodes are down for this block's
+                    // stripe (the set type is the codes crate's interface).
+                    let stripe_nodes = placement.stripe_hosts(task.block.stripe())?;
+                    let down_local: BTreeSet<usize> = stripe_nodes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, n)| !failure_state.replica_alive(**n, &view))
+                        .map(|(i, _)| i)
+                        .collect();
                     let plan = code
                         .degraded_read_plan(task.block.block(), &down_local)
                         .map_err(|source| MapReduceError::UnreadableBlock {
@@ -619,10 +634,7 @@ pub fn run_job_traced(
             let run_s = job.task_overhead_s() + read_s + block_mb * job.map_cpu_s_per_mb();
             // Consume the task's duration on the earliest-free slot of the
             // assigned node.
-            let slot_times = node_slots
-                .entry(a.node)
-                .or_insert_with(|| (0..slots).map(|_| Resource::new(0.0)).collect());
-            let slot = slot_times
+            let slot = map_slots[a.node.0 * slots..(a.node.0 + 1) * slots]
                 .iter()
                 .min_by_key(|s| s.next_free())
                 .ok_or_else(|| MapReduceError::InvalidConfig {
@@ -653,7 +665,7 @@ pub fn run_job_traced(
             degraded_read_bytes += degraded_bytes;
             wave_network_bytes += remote_bytes + degraded_bytes;
             wave_degraded_bytes += degraded_bytes;
-            completed_ids.insert(a.task.0);
+            completed[a.task.0] = true;
             wave_end = wave_end.max(res.end);
         }
         // The cluster's LAN is shared: if the wave's remote reads exceed what
@@ -685,12 +697,11 @@ pub fn run_job_traced(
 
         // Remove completed tasks (lost attempts stay pending and re-execute
         // once their node's death is detected); renumber for the next wave.
-        pending = pending
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !completed_ids.contains(i))
-            .map(|(_, t)| *t)
-            .collect();
+        let mut index = 0;
+        pending.retain(|_| {
+            index += 1;
+            !completed[index - 1]
+        });
         for (i, t) in pending.iter_mut().enumerate() {
             t.id = crate::job::TaskId(i);
         }
@@ -722,9 +733,11 @@ pub fn run_job_traced(
         // Reducers are placed round-robin over the up nodes and occupy one
         // of their node's reduce slots from task start to output write.
         let slots_per_node = spec.reduce_slots_per_node.max(1);
-        let reduce_slots: BTreeMap<NodeId, Vec<Resource>> = up
-            .iter()
-            .map(|&n| (n, (0..slots_per_node).map(|_| Resource::new(0.0)).collect()))
+        // Reducer `r` runs on `up[r % up.len()]`, whose reduce slots are
+        // `reduce_slots[i * slots_per_node..(i + 1) * slots_per_node]` for
+        // `i = r % up.len()`.
+        let reduce_slots: Vec<Resource> = (0..up.len() * slots_per_node)
+            .map(|_| Resource::new(0.0))
             .collect();
         let reducers = job.reduce_tasks();
         let per_reducer_bytes = map_output_bytes as f64 / reducers as f64;
@@ -748,8 +761,10 @@ pub fn run_job_traced(
         let mut wave_spans: Vec<(SimTime, SimTime)> = Vec::new();
 
         for r in 0..reducers {
-            let dest = up[r % up.len()];
-            let slot = reduce_slots[&dest]
+            let at = r % up.len();
+            let dest = up[at];
+            let dest_io = net.node(dest);
+            let slot = reduce_slots[at * slots_per_node..(at + 1) * slots_per_node]
                 .iter()
                 .min_by_key(|s| s.next_free())
                 .ok_or_else(|| MapReduceError::InvalidConfig {
@@ -764,12 +779,13 @@ pub fn run_job_traced(
                 if src == dest || per_source_bytes == 0 {
                     continue;
                 }
-                let fetch = Transfer::new(net.fabric(), per_source_bytes)
+                let fetch = Transfer::new(lan, per_source_bytes)
                     .via(&net.node(src).nic)
-                    .via(&net.node(dest).nic)
+                    .via(&dest_io.nic)
                     .issue(fetch_start);
-                shuffle_contention.source_nic_wait_s += fetch.pipe_waits[0].as_secs_f64();
-                shuffle_contention.dest_nic_wait_s += fetch.pipe_waits[1].as_secs_f64();
+                let waits = fetch.pipe_waits();
+                shuffle_contention.source_nic_wait_s += waits[0].as_secs_f64();
+                shuffle_contention.dest_nic_wait_s += waits[1].as_secs_f64();
                 shuffle_contention.fabric_wait_s += fetch.fabric_delay.as_secs_f64();
                 fetch_done = fetch_done.max(fetch.reservation.end);
                 fetch_span = Some(match fetch_span {
@@ -779,8 +795,7 @@ pub fn run_job_traced(
             }
             // Merge CPU after the last fetch lands, then the output write on
             // the node's disk (shared with any storage-layer traffic).
-            let write_res = net
-                .node(dest)
+            let write_res = dest_io
                 .disk
                 .reserve_bytes(fetch_done + merge_cpu, write_bytes);
             slot.occupy_until(write_res.end);

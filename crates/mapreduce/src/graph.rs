@@ -7,24 +7,33 @@
 //! structure: with the pentagon code all blocks of one stripe-node map onto
 //! one cluster node (Fig. 2), concentrating edges.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, GlobalBlockId, NodeId, NodeList, PlacementMap};
 
 use crate::job::{MapTask, TaskId};
 
+/// `position` entry of a node that is down or outside the cluster.
+const ABSENT: u32 = u32::MAX;
+
 /// The bipartite graph between map tasks and the cluster nodes that can run
 /// them locally.
 ///
 /// Only *up* nodes appear in the graph; a task whose every replica is on a
 /// down node has no edges and can only run remotely (with a degraded read).
+///
+/// The right-hand side is dense: a node is addressed by its **position** in
+/// [`nodes`](Self::nodes) (ascending id order), and everything per-node —
+/// the local-task lists here, the schedulers' capacities and cursors — is a
+/// `Vec` parallel to that slice. See `INTERNALS.md` for why.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskNodeGraph {
     tasks: Vec<TaskVertex>,
     nodes: Vec<NodeId>,
-    node_tasks: BTreeMap<NodeId, Vec<TaskId>>,
+    /// `node_tasks[i]`: the tasks with a replica on `nodes[i]`, ascending.
+    node_tasks: Vec<Vec<TaskId>>,
+    /// `position[n.0]`: where node `n` sits in `nodes`, or [`ABSENT`].
+    position: Vec<u32>,
 }
 
 /// A task vertex together with its adjacency (the up nodes holding a replica
@@ -39,24 +48,38 @@ pub struct TaskVertex {
     pub local_nodes: NodeList,
 }
 
+/// Looks `node` up in an id → position table.
+fn position_in(position: &[u32], node: NodeId) -> Option<usize> {
+    position
+        .get(node.0)
+        .filter(|&&i| i != ABSENT)
+        .map(|&i| i as usize)
+}
+
 impl TaskNodeGraph {
     /// Builds the graph for `tasks` given the block placement and the current
     /// cluster liveness.
     pub fn build(tasks: &[MapTask], placement: &PlacementMap, cluster: &Cluster) -> Self {
         let nodes: Vec<NodeId> = cluster.up_nodes();
-        let mut node_tasks: BTreeMap<NodeId, Vec<TaskId>> =
-            nodes.iter().map(|&n| (n, Vec::new())).collect();
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "id order");
+        let mut position = vec![ABSENT; cluster.len()];
+        for (i, n) in nodes.iter().enumerate() {
+            position[n.0] = i as u32;
+        }
+        let mut node_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); nodes.len()];
         let mut vertices = Vec::with_capacity(tasks.len());
         for task in tasks {
             // The engine validates every job block against the placement up
             // front, so an unknown block here (graphs are also built from
             // raw task lists in tests) simply gets no edges and runs remote.
-            let local_nodes: NodeList = placement
-                .locations(task.block)
-                .map(|locs| locs.iter().copied().filter(|n| cluster.is_up(*n)).collect())
-                .unwrap_or_default();
-            for &n in &local_nodes {
-                node_tasks.entry(n).or_default().push(task.id);
+            let mut local_nodes = NodeList::new();
+            if let Ok(locs) = placement.locations(task.block) {
+                for &n in locs.iter() {
+                    if let Some(i) = position_in(&position, n) {
+                        local_nodes.push(n);
+                        node_tasks[i].push(task.id);
+                    }
+                }
             }
             vertices.push(TaskVertex {
                 task: task.id,
@@ -68,6 +91,7 @@ impl TaskNodeGraph {
             tasks: vertices,
             nodes,
             node_tasks,
+            position,
         }
     }
 
@@ -81,9 +105,26 @@ impl TaskNodeGraph {
         self.tasks.len()
     }
 
-    /// The up nodes (right-hand vertices), in id order.
+    /// The up nodes (right-hand vertices), in ascending id order. A node's
+    /// index in this slice is its position for every per-node table.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
+    }
+
+    /// The position of `node` in [`nodes`](Self::nodes), or `None` if it is
+    /// down or not part of the cluster.
+    pub fn position_of(&self, node: NodeId) -> Option<usize> {
+        position_in(&self.position, node)
+    }
+
+    /// The tasks that could run locally on the node at `position`, in
+    /// ascending task order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not an index into [`nodes`](Self::nodes).
+    pub fn tasks_local_at(&self, position: usize) -> &[TaskId] {
+        &self.node_tasks[position]
     }
 
     /// The vertex for a task.
@@ -97,7 +138,8 @@ impl TaskNodeGraph {
 
     /// The tasks that could run locally on `node`.
     pub fn tasks_local_to(&self, node: NodeId) -> &[TaskId] {
-        self.node_tasks.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.position_of(node)
+            .map_or(&[], |i| self.tasks_local_at(i))
     }
 
     /// Left-hand degree of a task (number of nodes that can serve it locally).
@@ -203,6 +245,55 @@ mod tests {
         // Task 0 lost one of its two candidate nodes.
         assert_eq!(graph.task_degree(TaskId(0)), 1);
         assert!(graph.tasks_local_to(victim).is_empty());
+    }
+
+    #[test]
+    fn down_nodes_and_unknown_blocks_keep_the_map_keyed_edges() {
+        // The edge set is defined by the placement and the liveness alone:
+        // a task's edges are its block's locations that are up, in location
+        // order, and a node's list is the inverse, in task order — whatever
+        // the storage behind `tasks_local_to`.
+        let (mut cluster, placement, mut tasks) = setup(CodeKind::Heptagon, 6);
+        let down = [NodeId(0), NodeId(7), NodeId(24)];
+        for n in down {
+            cluster.set_down(n);
+        }
+        let unknown = TaskId(tasks.len());
+        tasks.push(MapTask {
+            id: unknown,
+            block: GlobalBlockId::new(placement.stripe_count() + 3, 0),
+        });
+        let graph = TaskNodeGraph::build(&tasks, &placement, &cluster);
+
+        assert_eq!(graph.nodes(), cluster.up_nodes());
+        for (i, &n) in graph.nodes().iter().enumerate() {
+            assert_eq!(graph.position_of(n), Some(i));
+        }
+        for n in down.into_iter().chain([NodeId(25), NodeId(usize::MAX)]) {
+            assert_eq!(graph.position_of(n), None);
+            assert!(graph.tasks_local_to(n).is_empty());
+        }
+        assert!(graph.task(unknown).local_nodes.is_empty());
+        for t in &tasks[..tasks.len() - 1] {
+            let expected: Vec<NodeId> = placement
+                .locations(t.block)
+                .unwrap()
+                .iter()
+                .copied()
+                .filter(|n| cluster.is_up(*n))
+                .collect();
+            assert_eq!(graph.task(t.id).local_nodes.as_slice(), expected);
+        }
+        for node in cluster.nodes() {
+            let expected: Vec<TaskId> = graph
+                .tasks()
+                .iter()
+                .filter(|t| t.local_nodes.contains(&node))
+                .map(|t| t.task)
+                .collect();
+            assert_eq!(graph.tasks_local_to(node), expected);
+            assert_eq!(graph.node_degree(node), expected.len());
+        }
     }
 
     #[test]

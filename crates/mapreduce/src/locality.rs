@@ -139,11 +139,7 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
             })
             .collect();
         let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-        let capacities = graph
-            .nodes()
-            .iter()
-            .map(|&n| (n, config.cluster.map_slots_per_node))
-            .collect();
+        let capacities = vec![config.cluster.map_slots_per_node; graph.nodes().len()];
         let assignment = scheduler.assign(&graph, &capacities, &mut rng);
         debug_assert!(assignment
             .validate(&graph, config.cluster.map_slots_per_node)

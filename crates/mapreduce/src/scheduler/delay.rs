@@ -8,17 +8,13 @@
 //! (four) local map tasks" — i.e. on the order of a full sweep of the
 //! cluster's heartbeats — which is the default here.
 
-use std::collections::BTreeMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
-
-use drc_cluster::NodeId;
 
 use crate::assignment::{Assignment, TaskAssignment};
 use crate::graph::TaskNodeGraph;
 use crate::job::TaskId;
-use crate::scheduler::{fill_remote, TaskScheduler};
+use crate::scheduler::{fill_remote, free_slots, TaskScheduler};
 
 /// The delay-scheduling heuristic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -51,83 +47,77 @@ impl TaskScheduler for DelayScheduler {
     fn assign(
         &self,
         graph: &TaskNodeGraph,
-        capacities: &BTreeMap<NodeId, usize>,
+        capacities: &[usize],
         rng: &mut dyn RngCore,
     ) -> Assignment {
-        let mut capacities = capacities.clone();
-        let max_skips = self.max_skips.unwrap_or_else(|| graph.nodes().len().max(1));
+        let nodes = graph.nodes();
+        let mut free = free_slots(graph, capacities);
+        let mut total_free: usize = free.iter().sum();
+        let max_skips = self.max_skips.unwrap_or_else(|| nodes.len().max(1));
         let mut pending: Vec<bool> = vec![true; graph.task_count()];
         let mut pending_count = graph.task_count();
+        // `pending` only ever flips to `false`, so "the first pending task
+        // local to node i" and "the first pending task" never move backwards:
+        // each is a cursor that skips settled entries once instead of a
+        // rescan per heartbeat.
+        let mut local_cursor: Vec<usize> = vec![0; nodes.len()];
+        let mut first_pending = 0usize;
         let mut out: Vec<TaskAssignment> = Vec::with_capacity(graph.task_count());
         let mut skip_count = 0usize;
 
         // Heartbeat loop: repeatedly sweep the nodes (in random order per
         // sweep, as heartbeat arrival order is arbitrary) while there is both
-        // pending work and free capacity.
-        let mut heartbeat_order: Vec<NodeId> = graph.nodes().to_vec();
+        // pending work and free capacity. Exactly one `shuffle` of the
+        // carried-over order per sweep — the draws are part of the output.
+        let mut heartbeat_order: Vec<u32> = (0..nodes.len() as u32).collect();
         'outer: loop {
-            if pending_count == 0 {
-                break;
-            }
-            let total_capacity: usize = capacities.values().sum();
-            if total_capacity == 0 {
+            if pending_count == 0 || total_free == 0 {
                 break;
             }
             heartbeat_order.shuffle(rng);
             let mut progressed = false;
-            for &node in &heartbeat_order {
+            for &at in &heartbeat_order {
+                let at = at as usize;
                 if pending_count == 0 {
                     break 'outer;
                 }
-                let free = capacities.get(&node).copied().unwrap_or(0);
-                if free == 0 {
+                if free[at] == 0 {
                     continue;
                 }
                 // Look for a pending task with a replica on this node.
-                let local_task = graph
-                    .tasks_local_to(node)
-                    .iter()
-                    .copied()
-                    .find(|t| pending[t.0]);
-                match local_task {
-                    Some(task) => {
-                        pending[task.0] = false;
-                        pending_count -= 1;
-                        // drc-lint: allow(panic-hygiene): `node` was drawn from the capacities
-                        // map entries with spare slots just above.
-                        *capacities.get_mut(&node).expect("node exists") -= 1;
-                        out.push(TaskAssignment {
-                            task,
-                            node,
-                            local: true,
-                        });
-                        skip_count = 0;
-                        progressed = true;
-                    }
+                let local = graph.tasks_local_at(at);
+                let cursor = &mut local_cursor[at];
+                while local.get(*cursor).is_some_and(|t| !pending[t.0]) {
+                    *cursor += 1;
+                }
+                let (task, is_local) = match local.get(*cursor) {
+                    Some(&task) => (task, true),
                     None => {
                         skip_count += 1;
-                        if skip_count > max_skips {
-                            // Give up on locality for one task.
-                            let task = TaskId(
-                                pending
-                                    .iter()
-                                    .position(|p| *p)
-                                    // drc-lint: allow(panic-hygiene): the enclosing branch runs only while
-                                    // pending_count > 0, so a pending entry exists.
-                                    .expect("pending_count > 0 implies a pending task"),
-                            );
-                            pending[task.0] = false;
-                            pending_count -= 1;
-                            // drc-lint: allow(panic-hygiene): `node` was drawn from the capacities
-                            // map entries with spare slots just above.
-                            *capacities.get_mut(&node).expect("node exists") -= 1;
-                            let local = graph.task(task).local_nodes.contains(&node);
-                            out.push(TaskAssignment { task, node, local });
-                            skip_count = 0;
-                            progressed = true;
+                        if skip_count <= max_skips {
+                            continue;
                         }
+                        // Give up on locality for one task: the first
+                        // pending one (`pending_count > 0` here, so the
+                        // cursor stops inside the vector).
+                        while !pending[first_pending] {
+                            first_pending += 1;
+                        }
+                        let task = TaskId(first_pending);
+                        (task, graph.task(task).local_nodes.contains(&nodes[at]))
                     }
-                }
+                };
+                pending[task.0] = false;
+                pending_count -= 1;
+                free[at] -= 1;
+                total_free -= 1;
+                out.push(TaskAssignment {
+                    task,
+                    node: nodes[at],
+                    local: is_local,
+                });
+                skip_count = 0;
+                progressed = true;
             }
             if !progressed && skip_count == 0 {
                 // Nothing could be scheduled at all this sweep (should not
@@ -138,14 +128,12 @@ impl TaskScheduler for DelayScheduler {
         // Any tasks still pending once capacity is exhausted stay unassigned;
         // if capacity remains (only possible when every remaining task is
         // remote-only), spread them as remote tasks.
-        let leftover: Vec<TaskId> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p)
-            .map(|(i, _)| TaskId(i))
-            .collect();
-        if !leftover.is_empty() {
-            fill_remote(graph, &leftover, &mut capacities, &mut out);
+        if pending_count > 0 && total_free > 0 {
+            let leftover: Vec<TaskId> = (first_pending..pending.len())
+                .filter(|&i| pending[i])
+                .map(TaskId)
+                .collect();
+            fill_remote(graph, &leftover, &mut free, &mut out);
         }
         Assignment::new(out)
     }
@@ -185,8 +173,8 @@ mod tests {
         TaskNodeGraph::build(&map_tasks, &placement, &cluster)
     }
 
-    fn capacities(graph: &TaskNodeGraph, slots: usize) -> BTreeMap<NodeId, usize> {
-        graph.nodes().iter().map(|&n| (n, slots)).collect()
+    fn capacities(graph: &TaskNodeGraph, slots: usize) -> Vec<usize> {
+        vec![slots; graph.nodes().len()]
     }
 
     #[test]

@@ -11,17 +11,13 @@
 //! the capacity-expanded graph: each node contributes as many right-hand
 //! vertices as it has free slots.
 
-use std::collections::BTreeMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
-
-use drc_cluster::NodeId;
 
 use crate::assignment::{Assignment, TaskAssignment};
 use crate::graph::TaskNodeGraph;
 use crate::job::TaskId;
-use crate::scheduler::{fill_remote, TaskScheduler};
+use crate::scheduler::{fill_remote, free_slots, TaskScheduler};
 
 /// Maximum-matching task assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,101 +31,118 @@ impl TaskScheduler for MaxMatchingScheduler {
     fn assign(
         &self,
         graph: &TaskNodeGraph,
-        capacities: &BTreeMap<NodeId, usize>,
+        capacities: &[usize],
         rng: &mut dyn RngCore,
     ) -> Assignment {
-        let mut capacities = capacities.clone();
+        let nodes = graph.nodes();
+        let mut free = free_slots(graph, capacities);
+        let tasks = graph.task_count();
 
-        // Build the capacity-expanded right-hand side: one vertex per free slot.
-        let mut slot_owner: Vec<NodeId> = Vec::new();
-        let mut node_slots: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (&node, &cap) in &capacities {
-            for _ in 0..cap {
-                node_slots.entry(node).or_default().push(slot_owner.len());
-                slot_owner.push(node);
-            }
+        // The capacity-expanded right-hand side: one vertex per free slot,
+        // numbered node by node, so the slots of `nodes[i]` are the range
+        // `slot_base[i]..slot_base[i + 1]` — no per-node slot lists.
+        let mut slot_base: Vec<usize> = Vec::with_capacity(nodes.len() + 1);
+        let mut slot_owner: Vec<u32> = Vec::new();
+        for (at, &cap) in free.iter().enumerate() {
+            slot_base.push(slot_owner.len());
+            slot_owner.extend(std::iter::repeat_n(at as u32, cap));
         }
+        slot_base.push(slot_owner.len());
 
-        // Adjacency: task -> candidate slot indices (all slots of its local nodes).
-        let mut adjacency: Vec<Vec<usize>> = Vec::with_capacity(graph.task_count());
+        // Adjacency in one flat vector: task `t`'s candidate slots (all slots
+        // of its local nodes, in replica order) are
+        // `adjacency[adjacency_base[t]..adjacency_base[t + 1]]`.
+        let mut adjacency: Vec<u32> = Vec::new();
+        let mut adjacency_base: Vec<usize> = Vec::with_capacity(tasks + 1);
         for t in graph.tasks() {
-            let mut slots: Vec<usize> = t
-                .local_nodes
-                .iter()
-                .flat_map(|n| node_slots.get(n).cloned().unwrap_or_default())
-                .collect();
+            let start = adjacency.len();
+            adjacency_base.push(start);
+            for at in t.local_nodes.iter().filter_map(|&n| graph.position_of(n)) {
+                adjacency.extend(slot_base[at] as u32..slot_base[at + 1] as u32);
+            }
             // Randomising candidate order makes ties unbiased across trials.
-            slots.shuffle(rng);
-            adjacency.push(slots);
+            // One shuffle per task, empty lists included: the draws are part
+            // of the output.
+            adjacency[start..].shuffle(rng);
         }
+        adjacency_base.push(adjacency.len());
 
         // Kuhn's algorithm.
-        let mut slot_match: Vec<Option<TaskId>> = vec![None; slot_owner.len()];
-        let mut task_match: Vec<Option<usize>> = vec![None; graph.task_count()];
+        let mut matching = Matching {
+            adjacency: &adjacency,
+            adjacency_base: &adjacency_base,
+            slot_match: vec![UNMATCHED; slot_owner.len()],
+            task_match: vec![UNMATCHED; tasks],
+            visited: vec![0; slot_owner.len()],
+            generation: 0,
+        };
         // Processing tasks in random order avoids systematic bias.
-        let mut order: Vec<usize> = (0..graph.task_count()).collect();
+        let mut order: Vec<u32> = (0..tasks as u32).collect();
         order.shuffle(rng);
         for &task in &order {
-            let mut visited = vec![false; slot_owner.len()];
-            try_augment(
-                task,
-                &adjacency,
-                &mut slot_match,
-                &mut task_match,
-                &mut visited,
-            );
+            // A fresh generation un-visits every slot without touching them.
+            matching.generation += 1;
+            matching.try_augment(task);
         }
 
         // Emit local assignments from the matching.
-        let mut out: Vec<TaskAssignment> = Vec::with_capacity(graph.task_count());
+        let mut out: Vec<TaskAssignment> = Vec::with_capacity(tasks);
         let mut unmatched: Vec<TaskId> = Vec::new();
-        for (task_idx, slot) in task_match.iter().enumerate() {
+        for (task_idx, &slot) in matching.task_match.iter().enumerate() {
             let task = TaskId(task_idx);
-            match slot {
-                Some(s) => {
-                    let node = slot_owner[*s];
-                    // drc-lint: allow(panic-hygiene): `slot_owner` maps matched slots back
-                    // to the capacities entries they were built from.
-                    *capacities.get_mut(&node).expect("node exists") -= 1;
-                    out.push(TaskAssignment {
-                        task,
-                        node,
-                        local: true,
-                    });
-                }
-                None => unmatched.push(task),
+            if slot == UNMATCHED {
+                unmatched.push(task);
+                continue;
             }
+            let at = slot_owner[slot as usize] as usize;
+            free[at] -= 1;
+            out.push(TaskAssignment {
+                task,
+                node: nodes[at],
+                local: true,
+            });
         }
         // Whatever could not be matched locally is spread over the remaining slots.
-        fill_remote(graph, &unmatched, &mut capacities, &mut out);
+        fill_remote(graph, &unmatched, &mut free, &mut out);
         Assignment::new(out)
     }
 }
 
-/// Attempts to find an augmenting path from `task`; returns `true` on success.
-fn try_augment(
-    task: usize,
-    adjacency: &[Vec<usize>],
-    slot_match: &mut Vec<Option<TaskId>>,
-    task_match: &mut Vec<Option<usize>>,
-    visited: &mut Vec<bool>,
-) -> bool {
-    for &slot in &adjacency[task] {
-        if visited[slot] {
-            continue;
+/// `slot_match` / `task_match` entry of a vertex with no partner.
+const UNMATCHED: u32 = u32::MAX;
+
+/// The state of one augmenting-path search.
+struct Matching<'a> {
+    adjacency: &'a [u32],
+    adjacency_base: &'a [usize],
+    /// `slot_match[s]`: the task holding slot `s`.
+    slot_match: Vec<u32>,
+    /// `task_match[t]`: the slot task `t` holds.
+    task_match: Vec<u32>,
+    /// `visited[s] == generation` ⇔ slot `s` was tried for the current task.
+    visited: Vec<u32>,
+    generation: u32,
+}
+
+impl Matching<'_> {
+    /// Attempts to find an augmenting path from `task`; returns `true` on success.
+    fn try_augment(&mut self, task: u32) -> bool {
+        let t = task as usize;
+        for i in self.adjacency_base[t]..self.adjacency_base[t + 1] {
+            let slot = self.adjacency[i] as usize;
+            if self.visited[slot] == self.generation {
+                continue;
+            }
+            self.visited[slot] = self.generation;
+            let holder = self.slot_match[slot];
+            if holder == UNMATCHED || self.try_augment(holder) {
+                self.slot_match[slot] = task;
+                self.task_match[t] = slot as u32;
+                return true;
+            }
         }
-        visited[slot] = true;
-        let free = match slot_match[slot] {
-            None => true,
-            Some(other) => try_augment(other.0, adjacency, slot_match, task_match, visited),
-        };
-        if free {
-            slot_match[slot] = Some(TaskId(task));
-            task_match[task] = Some(slot);
-            return true;
-        }
+        false
     }
-    false
 }
 
 #[cfg(test)]
@@ -147,7 +160,7 @@ mod tests {
         tasks: usize,
         seed: u64,
         slots: usize,
-    ) -> (TaskNodeGraph, BTreeMap<NodeId, usize>) {
+    ) -> (TaskNodeGraph, Vec<usize>) {
         let cluster = Cluster::new(ClusterSpec::simulation_25(slots));
         let code = kind.build().unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -171,7 +184,7 @@ mod tests {
             })
             .collect();
         let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-        let caps = graph.nodes().iter().map(|&n| (n, slots)).collect();
+        let caps = vec![slots; graph.nodes().len()];
         (graph, caps)
     }
 
@@ -250,7 +263,7 @@ mod tests {
             },
         ];
         let graph = TaskNodeGraph::build(&tasks, &placement, &cluster);
-        let caps: BTreeMap<NodeId, usize> = cluster.nodes().map(|n| (n, 1)).collect();
+        let caps = vec![1; graph.nodes().len()];
         let a = MaxMatchingScheduler.assign(&graph, &caps, &mut rng);
         assert_eq!(a.len(), 2);
         assert_eq!(a.local_tasks(), 1);

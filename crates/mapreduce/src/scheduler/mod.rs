@@ -26,11 +26,7 @@ mod delay;
 mod matching;
 mod peeling;
 
-use std::collections::BTreeMap;
-
 use rand::RngCore;
-
-use drc_cluster::NodeId;
 
 use crate::assignment::{Assignment, TaskAssignment};
 use crate::graph::TaskNodeGraph;
@@ -46,14 +42,25 @@ pub trait TaskScheduler: std::fmt::Debug + Send + Sync {
     /// Short human-readable name (used in experiment output).
     fn name(&self) -> &str;
 
-    /// Assigns as many tasks as the capacities allow.
+    /// Assigns as many tasks as the capacities allow. `capacities` is
+    /// parallel to [`TaskNodeGraph::nodes`]: `capacities[i]` free slots on
+    /// `graph.nodes()[i]`.
     ///
     /// Implementations must never assign a task twice nor exceed any node's
     /// capacity; tasks left over when every slot is full remain unassigned.
+    ///
+    /// The draws an implementation takes from `rng` are part of its output:
+    /// callers keep using the same generator afterwards, so the number,
+    /// order and bounds of the draws must not depend on anything but the
+    /// arguments (see `INTERNALS.md`, "rng-stream contract").
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities.len() != graph.nodes().len()`.
     fn assign(
         &self,
         graph: &TaskNodeGraph,
-        capacities: &BTreeMap<NodeId, usize>,
+        capacities: &[usize],
         rng: &mut dyn RngCore,
     ) -> Assignment;
 }
@@ -101,27 +108,42 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
+/// The scheduler's working copy of the per-node free-slot counts.
+///
+/// # Panics
+///
+/// Panics if `capacities` is not parallel to `graph.nodes()`.
+pub(crate) fn free_slots(graph: &TaskNodeGraph, capacities: &[usize]) -> Vec<usize> {
+    assert_eq!(
+        capacities.len(),
+        graph.nodes().len(),
+        "capacities must be parallel to graph.nodes()"
+    );
+    capacities.to_vec()
+}
+
 /// Assigns the remaining (non-local) tasks to whatever slots are left,
 /// spreading them over the least-loaded nodes first. Shared by all
-/// schedulers.
+/// schedulers. `free` is parallel to `graph.nodes()`.
 pub(crate) fn fill_remote(
     graph: &TaskNodeGraph,
     pending: &[TaskId],
-    capacities: &mut BTreeMap<NodeId, usize>,
+    free: &mut [usize],
     out: &mut Vec<TaskAssignment>,
 ) {
     for &task in pending {
-        // Pick the node with the largest remaining capacity (ties broken by id).
-        let Some((&node, _)) = capacities
+        // Pick the node with the largest remaining capacity (ties broken by
+        // id, i.e. by position).
+        let Some((at, _)) = free
             .iter()
+            .enumerate()
             .filter(|(_, &c)| c > 0)
-            .max_by_key(|(n, &c)| (c, std::cmp::Reverse(n.0)))
+            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
         else {
             return; // no capacity anywhere; leave the rest unassigned
         };
-        // drc-lint: allow(panic-hygiene): `node` is the argmax over entries of
-        // this very map, selected in the let-else above.
-        *capacities.get_mut(&node).expect("node exists") -= 1;
+        free[at] -= 1;
+        let node = graph.nodes()[at];
         let local = graph.task(task).local_nodes.contains(&node);
         out.push(TaskAssignment { task, node, local });
     }

@@ -11,16 +11,12 @@
 //! several blocks of a stripe on the same node (Fig. 2); the capacity
 //! bookkeeping below handles that directly.
 
-use std::collections::BTreeMap;
-
 use rand::RngCore;
-
-use drc_cluster::NodeId;
 
 use crate::assignment::{Assignment, TaskAssignment};
 use crate::graph::TaskNodeGraph;
 use crate::job::TaskId;
-use crate::scheduler::{fill_remote, TaskScheduler};
+use crate::scheduler::{fill_remote, free_slots, TaskScheduler};
 
 /// Degree-guided peeling task assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,106 +30,102 @@ impl TaskScheduler for PeelingScheduler {
     fn assign(
         &self,
         graph: &TaskNodeGraph,
-        capacities: &BTreeMap<NodeId, usize>,
+        capacities: &[usize],
         rng: &mut dyn RngCore,
     ) -> Assignment {
         let _ = rng; // deterministic given the graph; kept for interface symmetry
-        let mut capacities = capacities.clone();
-        let mut out: Vec<TaskAssignment> = Vec::with_capacity(graph.task_count());
-        // remaining[t] = candidate nodes of task t that still have capacity.
-        let mut remaining: Vec<Option<Vec<NodeId>>> = graph
-            .tasks()
-            .iter()
-            .map(|t| {
-                Some(
-                    t.local_nodes
-                        .iter()
-                        .copied()
-                        .filter(|n| capacities.get(n).copied().unwrap_or(0) > 0)
-                        .collect(),
-                )
-            })
-            .collect();
-        // node -> pending local demand (for picking the least-contended node).
-        let mut node_demand: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for cand in remaining.iter().flatten() {
-            for &n in cand {
-                *node_demand.entry(n).or_insert(0) += 1;
+        let nodes = graph.nodes();
+        let mut free = free_slots(graph, capacities);
+        let tasks = graph.task_count();
+        let mut out: Vec<TaskAssignment> = Vec::with_capacity(tasks);
+        // The candidate nodes (positions) of every task that still have
+        // capacity, in one flat vector: task `t` owns
+        // `candidates[base[t]..base[t] + degree[t]]`, and an exhausted node is
+        // squeezed out of that window in place.
+        let mut candidates: Vec<u32> = Vec::new();
+        let mut base: Vec<usize> = Vec::with_capacity(tasks);
+        let mut degree: Vec<usize> = Vec::with_capacity(tasks);
+        // node position -> pending local demand (for picking the
+        // least-contended node).
+        let mut node_demand: Vec<usize> = vec![0; nodes.len()];
+        for t in graph.tasks() {
+            base.push(candidates.len());
+            for at in t.local_nodes.iter().filter_map(|&n| graph.position_of(n)) {
+                if free[at] > 0 {
+                    candidates.push(at as u32);
+                    node_demand[at] += 1;
+                }
             }
+            degree.push(candidates.len() - base[base.len() - 1]);
         }
+        // `open[t]`: task `t` has not been peeled yet.
+        let mut open: Vec<bool> = vec![true; tasks];
 
         let mut leftovers: Vec<TaskId> = Vec::new();
         loop {
             // Find the unassigned task with the smallest positive degree.
             let mut best: Option<(usize, usize)> = None; // (degree, task index)
-            for (idx, cand) in remaining.iter().enumerate() {
-                if let Some(c) = cand {
-                    if c.is_empty() {
-                        continue;
-                    }
-                    let d = c.len();
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, idx));
-                        if d == 1 {
-                            break; // cannot do better than a forced task
-                        }
+            for (idx, &d) in degree.iter().enumerate() {
+                if !open[idx] || d == 0 {
+                    continue;
+                }
+                if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, idx));
+                    if d == 1 {
+                        break; // cannot do better than a forced task
                     }
                 }
             }
-            let Some((_, task_idx)) = best else {
+            let Some((d, task_idx)) = best else {
                 break;
             };
-            // drc-lint: allow(panic-hygiene): `best` only ranks indices whose
-            // candidate list is still `Some` in the scan above.
-            let candidates = remaining[task_idx].take().expect("candidate list exists");
+            open[task_idx] = false;
+            let window = &candidates[base[task_idx]..base[task_idx] + d];
             // Degree-guided choice: the candidate node with the fewest other
             // pending local tasks per unit of remaining capacity.
-            let node = candidates
+            let choice = window
                 .iter()
-                .copied()
-                .filter(|n| capacities.get(n).copied().unwrap_or(0) > 0)
-                .min_by_key(|n| {
-                    let demand = node_demand.get(n).copied().unwrap_or(0);
-                    let cap = capacities.get(n).copied().unwrap_or(0).max(1);
+                .map(|&at| at as usize)
+                .filter(|&at| free[at] > 0)
+                .min_by_key(|&at| {
                     // Scale to compare demand-per-slot without floating point.
-                    (demand * 1024 / cap, n.0)
+                    (node_demand[at] * 1024 / free[at], at)
                 });
-            let Some(node) = node else {
+            let Some(at) = choice else {
                 // All candidates filled up in the meantime; defer to remote fill.
                 leftovers.push(TaskId(task_idx));
                 continue;
             };
             out.push(TaskAssignment {
                 task: TaskId(task_idx),
-                node,
+                node: nodes[at],
                 local: true,
             });
             // Update bookkeeping.
-            for &n in &candidates {
-                if let Some(d) = node_demand.get_mut(&n) {
-                    *d = d.saturating_sub(1);
-                }
+            for &c in window {
+                let demand = &mut node_demand[c as usize];
+                *demand = demand.saturating_sub(1);
             }
-            // drc-lint: allow(panic-hygiene): `node` came from `candidates`, which
-            // is filtered against capacities entries with spare slots.
-            let cap = capacities.get_mut(&node).expect("node exists");
-            *cap -= 1;
-            if *cap == 0 {
+            free[at] -= 1;
+            if free[at] == 0 {
                 // Remove the exhausted node from every remaining candidate list.
-                for cand in remaining.iter_mut().flatten() {
-                    cand.retain(|&n| n != node);
+                for t in (0..tasks).filter(|&t| open[t]) {
+                    let window = &mut candidates[base[t]..base[t] + degree[t]];
+                    let mut kept = 0;
+                    for i in 0..window.len() {
+                        if window[i] as usize != at {
+                            window[kept] = window[i];
+                            kept += 1;
+                        }
+                    }
+                    degree[t] = kept;
                 }
             }
         }
         // Tasks with no (remaining) local candidates are assigned remotely.
-        for (idx, cand) in remaining.iter().enumerate() {
-            if cand.is_some() {
-                leftovers.push(TaskId(idx));
-            }
-        }
+        leftovers.extend((0..tasks).filter(|&t| open[t]).map(TaskId));
         leftovers.sort_unstable();
-        leftovers.dedup();
-        fill_remote(graph, &leftovers, &mut capacities, &mut out);
+        fill_remote(graph, &leftovers, &mut free, &mut out);
         Assignment::new(out)
     }
 }
@@ -153,7 +145,7 @@ mod tests {
         tasks: usize,
         slots: usize,
         seed: u64,
-    ) -> (TaskNodeGraph, BTreeMap<NodeId, usize>) {
+    ) -> (TaskNodeGraph, Vec<usize>) {
         let cluster = Cluster::new(ClusterSpec::simulation_25(slots));
         let code = kind.build().unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -177,7 +169,7 @@ mod tests {
             })
             .collect();
         let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-        let caps = graph.nodes().iter().map(|&n| (n, slots)).collect();
+        let caps = vec![slots; graph.nodes().len()];
         (graph, caps)
     }
 

@@ -1,15 +1,22 @@
 //! Property-based tests on the task schedulers: every scheduler must produce
-//! valid assignments, and the three schedulers must respect their known
-//! quality ordering in aggregate.
+//! valid assignments, the three schedulers must respect their known quality
+//! ordering in aggregate, and the dense node-indexed implementations must
+//! reproduce the map-keyed ones they replaced — rng stream included.
 
 use std::collections::BTreeMap;
 
 use drc_cluster::{Cluster, ClusterSpec, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
-use drc_mapreduce::{MapTask, SchedulerKind, TaskId, TaskNodeGraph};
+use drc_mapreduce::{
+    Assignment, DelayScheduler, MapTask, MaxMatchingScheduler, PeelingScheduler, SchedulerKind,
+    TaskId, TaskNodeGraph, TaskScheduler,
+};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn paper_code() -> impl Strategy<Value = CodeKind> {
     prop_oneof![
@@ -21,14 +28,35 @@ fn paper_code() -> impl Strategy<Value = CodeKind> {
     ]
 }
 
-fn build_instance(
+/// Every code family, including the ones whose tasks have a single local
+/// node (1-rep, Reed–Solomon) or wide stripes (RAID+m spans 20–24 nodes).
+fn any_code() -> impl Strategy<Value = CodeKind> {
+    prop_oneof![
+        paper_code(),
+        Just(CodeKind::Replication { replicas: 1 }),
+        Just(CodeKind::Polygon { nodes: 6 }),
+        Just(CodeKind::RAID_M_10_9),
+        Just(CodeKind::RAID_M_12_11),
+        Just(CodeKind::ReedSolomon { data: 6, parity: 3 }),
+        Just(CodeKind::ReedSolomon {
+            data: 10,
+            parity: 4
+        }),
+    ]
+}
+
+/// A random placement of `tasks` map tasks of `code` on a `nodes`-node
+/// cluster with `down` taken out after placement; `None` if the code's
+/// stripe does not fit.
+fn build_graph(
     code: CodeKind,
     nodes: usize,
     slots: usize,
     tasks: usize,
+    down: &[usize],
     seed: u64,
-) -> (TaskNodeGraph, BTreeMap<NodeId, usize>) {
-    let cluster = Cluster::new(ClusterSpec::custom(nodes, 3, slots));
+) -> Option<TaskNodeGraph> {
+    let mut cluster = Cluster::new(ClusterSpec::custom(nodes, 3, slots));
     let built = code.build().unwrap();
     let stripes = tasks.div_ceil(built.data_blocks()).max(1);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -39,7 +67,10 @@ fn build_instance(
         PlacementPolicy::Random,
         &mut rng,
     )
-    .unwrap();
+    .ok()?;
+    for &n in down {
+        cluster.set_down(NodeId(n));
+    }
     let map_tasks: Vec<MapTask> = placement
         .data_blocks()
         .into_iter()
@@ -50,9 +81,38 @@ fn build_instance(
             block,
         })
         .collect();
-    let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-    let caps = graph.nodes().iter().map(|&n| (n, slots)).collect();
+    Some(TaskNodeGraph::build(&map_tasks, &placement, &cluster))
+}
+
+fn build_instance(
+    code: CodeKind,
+    nodes: usize,
+    slots: usize,
+    tasks: usize,
+    seed: u64,
+) -> (TaskNodeGraph, Vec<usize>) {
+    let graph = build_graph(code, nodes, slots, tasks, &[], seed).expect("paper codes fit");
+    let caps = vec![slots; graph.nodes().len()];
     (graph, caps)
+}
+
+/// One scheduler, both ways: the library's `assign` and the oracle's body.
+type Pair = (
+    Box<dyn TaskScheduler>,
+    fn(&TaskNodeGraph, &BTreeMap<NodeId, usize>, &mut dyn RngCore) -> Assignment,
+);
+
+fn scheduler_pairs() -> Vec<Pair> {
+    vec![
+        (Box::new(DelayScheduler::full_sweep()), |g, c, r| {
+            oracle::delay(None, g, c, r)
+        }),
+        (Box::new(DelayScheduler::new(3)), |g, c, r| {
+            oracle::delay(Some(3), g, c, r)
+        }),
+        (Box::new(MaxMatchingScheduler), oracle::max_matching),
+        (Box::new(PeelingScheduler), oracle::peeling),
+    ]
 }
 
 proptest! {
@@ -70,7 +130,7 @@ proptest! {
     ) {
         // A cluster large enough for every paper code's stripe (>= 15 nodes).
         let (graph, caps) = build_instance(code, 25, slots, tasks, seed);
-        let capacity_total: usize = caps.values().sum();
+        let capacity_total: usize = caps.iter().sum();
         for kind in SchedulerKind::all() {
             let scheduler = kind.build();
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
@@ -115,5 +175,53 @@ proptest! {
         // 8 slots x 25 nodes = 200 >> tasks, and every task has 2 candidates:
         // by Hall's theorem a perfect local matching exists.
         prop_assert_eq!(mm.local_tasks(), tasks);
+    }
+}
+
+proptest! {
+    // 11 code families × 4 loads × {uniform, ragged}: enough cases to land
+    // on every combination a few times.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense schedulers against the map-keyed bodies they replaced: the
+    /// same assignments in the same order, and the generator left in the
+    /// same state — over every code family that fits, under- and over-load,
+    /// down nodes, and capacities that are uniform or ragged (zeros
+    /// included).
+    #[test]
+    fn dense_schedulers_match_the_map_keyed_oracle(
+        code in any_code(),
+        slots in 1usize..5,
+        load in prop_oneof![Just(50usize), Just(100), Just(250), Just(400)],
+        down in prop::collection::vec(0usize..25, 0..4),
+        ragged in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let tasks = (25 * slots * load / 100).max(1);
+        let Some(graph) = build_graph(code, 25, slots, tasks, &down, seed) else {
+            return Ok(()); // the stripe is wider than the cluster
+        };
+        let mut cap_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xCA95);
+        let caps: Vec<usize> = graph
+            .nodes()
+            .iter()
+            .map(|_| if ragged { cap_rng.next_u64() as usize % (slots + 2) } else { slots })
+            .collect();
+        let keyed: BTreeMap<NodeId, usize> =
+            graph.nodes().iter().copied().zip(caps.iter().copied()).collect();
+        for (scheduler, oracle) in scheduler_pairs() {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
+            let mut oracle_rng = rng.clone();
+            let got = scheduler.assign(&graph, &caps, &mut rng);
+            let want = oracle(&graph, &keyed, &mut oracle_rng);
+            prop_assert_eq!(&got, &want, "{} on {}", scheduler.name(), code);
+            prop_assert_eq!(
+                rng.next_u64(),
+                oracle_rng.next_u64(),
+                "{} on {}: rng streams diverged",
+                scheduler.name(),
+                code
+            );
+        }
     }
 }

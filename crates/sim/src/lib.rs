@@ -72,7 +72,7 @@ mod timeline;
 pub use event::{EventQueue, Schedule};
 pub use net::{
     chunk_sizes, fabric, pull_from, pull_train, push_to, push_train, transfer_between, ClusterNet,
-    NodeIo, NodeState, Transfer, TransferOutcome,
+    NodeIo, NodeState, Transfer, TransferOutcome, MAX_PIPES,
 };
 pub use resource::{Reservation, Resource};
 pub use time::{SimDuration, SimTime, VirtualClock};

@@ -56,6 +56,10 @@ pub fn fabric(spec: &ClusterSpec) -> Resource {
     Resource::new(spec.network_bandwidth_mbps * spec.data_nodes as f64)
 }
 
+/// The most pipes one [`Transfer`] can hold: the widest path in the model is
+/// a node-to-node copy (source disk + NIC, destination NIC + disk).
+pub const MAX_PIPES: usize = 4;
+
 /// A multi-resource transfer in the making: the operation must hold several
 /// pipes (NICs, disks) at once and queue its bytes through the shared fabric.
 ///
@@ -65,6 +69,11 @@ pub fn fabric(spec: &ClusterSpec) -> Resource {
 /// and reports *per-pipe wait time*, so callers can attribute queueing delay
 /// to the link that caused it (the contention accounting behind the MapReduce
 /// engine's shuffle metrics).
+///
+/// A transfer holds at most [`MAX_PIPES`] pipes, stored inline: building and
+/// issuing one never touches the heap (a shuffle issues one per reducer ×
+/// source node). [`Transfer::via`] panics on a fifth pipe rather than
+/// dropping it.
 ///
 /// Multi-pipe reservation is read-then-occupy, not atomic: it assumes a
 /// single thread issues the virtual-time operations of one simulation (the
@@ -87,31 +96,41 @@ pub fn fabric(spec: &ClusterSpec) -> Resource {
 ///     .via(&src)
 ///     .via(&dst)
 ///     .issue(SimTime::ZERO);
-/// assert_eq!(out.pipe_waits[0].as_secs_f64(), 1.0); // src was busy
-/// assert_eq!(out.pipe_waits[1].as_secs_f64(), 0.0); // dst was free
+/// assert_eq!(out.pipe_waits()[0].as_secs_f64(), 1.0); // src was busy
+/// assert_eq!(out.pipe_waits()[1].as_secs_f64(), 0.0); // dst was free
 /// assert_eq!(out.reservation.start.as_secs_f64(), 1.0);
 /// ```
 #[derive(Debug)]
 pub struct Transfer<'a> {
     fabric: &'a Resource,
     bytes: u64,
-    pipes: Vec<&'a Resource>,
+    /// The first `held` entries are the pipes; the rest is filler.
+    pipes: [&'a Resource; MAX_PIPES],
+    held: usize,
 }
 
 /// What [`Transfer::issue`] granted, plus where the operation queued.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TransferOutcome {
     /// The virtual-time window the transfer occupies end-to-end.
     pub reservation: Reservation,
+    /// Extra completion delay the saturated shared fabric added beyond the
+    /// bottleneck pipe's service time (zero when the fabric kept up).
+    pub fabric_delay: SimDuration,
+    /// The first `held` entries are the per-pipe waits.
+    waits: [SimDuration; MAX_PIPES],
+    held: usize,
+}
+
+impl TransferOutcome {
     /// Per-pipe wait, in [`Transfer::via`] order: how long each pipe's
     /// earlier reservations pushed this transfer's start past its issue
     /// instant. Waits on different pipes cover the same wall-clock window
     /// when several pipes are busy simultaneously; each entry answers "how
     /// long would this pipe alone have delayed the start".
-    pub pipe_waits: Vec<SimDuration>,
-    /// Extra completion delay the saturated shared fabric added beyond the
-    /// bottleneck pipe's service time (zero when the fabric kept up).
-    pub fabric_delay: SimDuration,
+    pub fn pipe_waits(&self) -> &[SimDuration] {
+        &self.waits[..self.held]
+    }
 }
 
 impl<'a> Transfer<'a> {
@@ -121,14 +140,24 @@ impl<'a> Transfer<'a> {
         Transfer {
             fabric,
             bytes,
-            pipes: Vec::new(),
+            pipes: [fabric; MAX_PIPES],
+            held: 0,
         }
     }
 
     /// Adds a pipe the transfer must hold for its whole duration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transfer already holds [`MAX_PIPES`] pipes.
     #[must_use]
     pub fn via(mut self, pipe: &'a Resource) -> Self {
-        self.pipes.push(pipe);
+        assert!(
+            self.held < MAX_PIPES,
+            "a Transfer holds at most {MAX_PIPES} pipes"
+        );
+        self.pipes[self.held] = pipe;
+        self.held += 1;
         self
     }
 
@@ -136,41 +165,32 @@ impl<'a> Transfer<'a> {
     /// through the fabric, and reports the granted window plus per-link
     /// waits.
     pub fn issue(self, now: SimTime) -> TransferOutcome {
+        let pipes = &self.pipes[..self.held];
         let mut start = now;
-        let mut pipe_waits = Vec::with_capacity(self.pipes.len());
-        for pipe in &self.pipes {
+        let mut waits = [SimDuration::ZERO; MAX_PIPES];
+        for (wait, pipe) in waits.iter_mut().zip(pipes) {
             let free = pipe.next_free();
-            pipe_waits.push(free.since(now));
+            *wait = free.since(now);
             start = start.max(free);
         }
         let fabric_res = self.fabric.reserve_bytes(start, self.bytes);
-        let slowest = self
-            .pipes
+        let slowest = pipes
             .iter()
             .map(|pipe| pipe.service_time(self.bytes))
             .max()
             .unwrap_or_default();
         let pipe_end = start + slowest;
         let end = pipe_end.max(fabric_res.end);
-        for pipe in &self.pipes {
+        for pipe in pipes {
             pipe.occupy_until(end);
         }
         TransferOutcome {
             reservation: Reservation { start, end },
-            pipe_waits,
             fabric_delay: end.since(pipe_end),
+            waits,
+            held: self.held,
         }
     }
-}
-
-/// Reserves a set of pipes plus the shared fabric for one `bytes`-sized
-/// operation issued at `now` (the [`Transfer`] path minus the wait report).
-fn reserve_pipes(now: SimTime, pipes: &[&Resource], fabric: &Resource, bytes: u64) -> Reservation {
-    let mut transfer = Transfer::new(fabric, bytes);
-    for pipe in pipes {
-        transfer = transfer.via(pipe);
-    }
-    transfer.issue(now).reservation
 }
 
 /// A node-to-node transfer: source disk + NIC, destination NIC + disk, and
@@ -182,25 +202,34 @@ pub fn transfer_between(
     fabric: &Resource,
     bytes: u64,
 ) -> Reservation {
-    reserve_pipes(
-        now,
-        &[&src.disk, &src.nic, &dst.nic, &dst.disk],
-        fabric,
-        bytes,
-    )
+    Transfer::new(fabric, bytes)
+        .via(&src.disk)
+        .via(&src.nic)
+        .via(&dst.nic)
+        .via(&dst.disk)
+        .issue(now)
+        .reservation
 }
 
 /// An inbound transfer from outside the modeled cluster (a client write, a
 /// decoded block landing on a replacement): destination NIC + disk + fabric.
 pub fn push_to(now: SimTime, dst: &NodeIo, fabric: &Resource, bytes: u64) -> Reservation {
-    reserve_pipes(now, &[&dst.nic, &dst.disk], fabric, bytes)
+    Transfer::new(fabric, bytes)
+        .via(&dst.nic)
+        .via(&dst.disk)
+        .issue(now)
+        .reservation
 }
 
 /// An outbound transfer to a consumer outside the modeled cluster (a client
 /// read, a helper block streaming to a reconstruction): source disk + NIC +
 /// fabric.
 pub fn pull_from(now: SimTime, src: &NodeIo, fabric: &Resource, bytes: u64) -> Reservation {
-    reserve_pipes(now, &[&src.disk, &src.nic], fabric, bytes)
+    Transfer::new(fabric, bytes)
+        .via(&src.disk)
+        .via(&src.nic)
+        .issue(now)
+        .reservation
 }
 
 /// Splits a payload into `chunk`-byte pieces for a streamed, pipelined
@@ -570,9 +599,9 @@ mod tests {
             .via(&dst)
             .issue(SimTime::ZERO);
         // The transfer waited 2 s on the source and none on the destination.
-        assert_eq!(out.pipe_waits.len(), 2);
-        assert_eq!(out.pipe_waits[0].as_secs_f64(), 2.0);
-        assert_eq!(out.pipe_waits[1].as_secs_f64(), 0.0);
+        assert_eq!(out.pipe_waits().len(), 2);
+        assert_eq!(out.pipe_waits()[0].as_secs_f64(), 2.0);
+        assert_eq!(out.pipe_waits()[1].as_secs_f64(), 0.0);
         assert_eq!(out.reservation.start, SimTime(2_000_000_000));
         // Pipes and fabric run at the same rate and the fabric freed up
         // before the start, so it adds no completion delay here.
@@ -594,13 +623,54 @@ mod tests {
             .issue(SimTime::ZERO);
         assert_eq!(out.reservation.duration().as_secs_f64(), 2.0);
         assert_eq!(out.fabric_delay.as_secs_f64(), 1.0);
-        assert_eq!(out.pipe_waits[0], SimDuration::ZERO);
+        assert_eq!(out.pipe_waits(), [SimDuration::ZERO]);
     }
 
     #[test]
-    fn transfer_matches_reserve_pipes_semantics() {
-        // The public Transfer and the internal reserve_pipes path must grant
-        // identical windows for identical traffic.
+    fn a_pipeless_transfer_only_queues_through_the_fabric() {
+        let fabric = Resource::new(100.0);
+        let a = Transfer::new(&fabric, 100 << 20).issue(SimTime::ZERO);
+        assert!(a.pipe_waits().is_empty());
+        assert_eq!(a.reservation.start, SimTime::ZERO);
+        // No pipe bounds the service time, so the fabric's 1 s is all delay.
+        assert_eq!(a.fabric_delay.as_secs_f64(), 1.0);
+        let b = Transfer::new(&fabric, 100 << 20).issue(SimTime::ZERO);
+        assert_eq!(b.reservation.start, SimTime::ZERO);
+        assert_eq!(b.reservation.end.as_secs_f64(), 2.0);
+    }
+
+    #[test]
+    fn four_pipes_report_four_waits_in_via_order() {
+        let fabric = Resource::new(1000.0);
+        let pipes: Vec<Resource> = (0..MAX_PIPES).map(|_| Resource::new(100.0)).collect();
+        for (i, pipe) in pipes.iter().enumerate() {
+            pipe.occupy_until(SimTime(i as u64 * 1_000_000_000));
+        }
+        let out = pipes
+            .iter()
+            .fold(Transfer::new(&fabric, 100 << 20), Transfer::via)
+            .issue(SimTime::ZERO);
+        let waits: Vec<f64> = out.pipe_waits().iter().map(|w| w.as_secs_f64()).collect();
+        assert_eq!(waits, [0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(out.reservation.start.as_secs_f64(), 3.0);
+        assert_eq!(out.reservation.end.as_secs_f64(), 4.0);
+        for pipe in &pipes {
+            assert_eq!(pipe.next_free(), out.reservation.end);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 pipes")]
+    fn a_fifth_pipe_is_rejected_not_dropped() {
+        let fabric = Resource::new(100.0);
+        let pipe = Resource::new(100.0);
+        let _ = (0..=MAX_PIPES).fold(Transfer::new(&fabric, 1), |t, _| t.via(&pipe));
+    }
+
+    #[test]
+    fn cluster_transfer_holds_source_disk_nic_and_destination_nic_disk() {
+        // `ClusterNet::transfer` is the four-pipe Transfer over both
+        // endpoints' disk and NIC: identical windows for identical traffic.
         let a = net();
         let b = net();
         let block = 128 << 20;
