@@ -112,9 +112,10 @@ impl PlacementMap {
             });
         }
         let up = cluster.up_nodes();
-        if code.node_count() > up.len() {
+        let arity = code.node_count();
+        if arity > up.len() {
             return Err(ClusterError::InsufficientNodes {
-                needed: code.node_count(),
+                needed: arity,
                 available: up.len(),
             });
         }
@@ -122,18 +123,25 @@ impl PlacementMap {
         let mut builder = ArenaBuilder::new(code.name().to_string(), shape, stripes, cluster.len());
         // One scratch row reused across stripes: placing 10M stripes must not
         // make 10M transient allocations.
-        let mut scratch: Vec<NodeId> = Vec::with_capacity(code.node_count());
-        for stripe in 0..stripes {
+        let mut scratch: Vec<NodeId> = Vec::with_capacity(arity);
+        // Round-robin position in `up`: element `i` of stripe `s` is
+        // `up[(s * arity + i) % up.len()]`, walked as a wrapping cursor so
+        // the 10M-block placements pay no division per element.
+        let mut cursor = 0;
+        for _ in 0..stripes {
             match policy {
                 PlacementPolicy::Random => {
                     scratch = Self::random_stripe_nodes(code, cluster, &up, rng);
                 }
                 PlacementPolicy::RoundRobin => {
                     scratch.clear();
-                    scratch.extend(
-                        (0..code.node_count())
-                            .map(|i| up[(stripe * code.node_count() + i) % up.len()]),
-                    );
+                    for _ in 0..arity {
+                        scratch.push(up[cursor]);
+                        cursor += 1;
+                        if cursor == up.len() {
+                            cursor = 0;
+                        }
+                    }
                 }
             }
             builder.push_stripe(&scratch);
@@ -497,6 +505,41 @@ mod tests {
                 .filter(|b| b.stripe() == 0)
                 .count();
             assert_eq!(count, 4);
+        }
+    }
+
+    #[test]
+    fn round_robin_walks_the_up_nodes_modulo_their_count() {
+        // Arities that divide the pool, wrap mid-stripe, and nearly fill it,
+        // on a pool with a hole (the cursor indexes `up`, not node ids).
+        let mut cluster = Cluster::new(ClusterSpec::simulation_25(4));
+        cluster.set_down(NodeId(3));
+        let up = cluster.up_nodes();
+        for kind in [
+            CodeKind::TWO_REP,
+            CodeKind::Pentagon,
+            CodeKind::HeptagonLocal,
+        ] {
+            let code = kind.build().unwrap();
+            let arity = code.node_count();
+            let placement = PlacementMap::place(
+                code.as_ref(),
+                &cluster,
+                60,
+                PlacementPolicy::RoundRobin,
+                &mut rng(1),
+            )
+            .unwrap();
+            for stripe in 0..60 {
+                let want: Vec<NodeId> = (0..arity)
+                    .map(|i| up[(stripe * arity + i) % up.len()])
+                    .collect();
+                assert_eq!(
+                    &placement.stripe_hosts(stripe).unwrap()[..],
+                    &want[..],
+                    "{kind}"
+                );
+            }
         }
     }
 

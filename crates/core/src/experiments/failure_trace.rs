@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, FailureEvent, FailureTrace};
 use drc_codes::CodeKind;
-use drc_hdfs::{Bytes, DistributedFileSystem};
+use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_mapreduce::{run_job_traced, FailureModel, JobSite, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
 use drc_sim::SimDuration;
@@ -162,21 +162,16 @@ pub fn run_failure_trace(
     let mean_arrivals = [1.0, 3.0];
 
     // ~`target_tasks` blocks in whole stripes, per code; every window of
-    // both stages ingests a view of the one payload.
+    // both stages ingests its code's one encoded file.
     let stripes_of = |k: usize| target_tasks.div_ceil(k).max(1);
-    let (payload, lens) = harness::stripe_files(&codes, block_bytes, stripes_of)?;
-    let payload = &payload;
+    let files = harness::stripe_files(&codes, block_bytes, stripes_of)?;
 
     // Stage 1: one failure-free baseline cell per code. The traced points
     // need the measured map-phase length, so this stage joins first.
-    let baseline_cells = codes
-        .into_iter()
-        .zip(lens.iter().copied())
-        .map(|(code, len)| {
-            move || -> Result<Baseline, DrcError> {
-                let data = payload.slice(..len);
-                Ok(run_window(code, block_bytes, target_tasks, data, None)?.0)
-            }
+    let baseline_cells = files
+        .iter()
+        .map(|file| {
+            move || -> Result<Baseline, DrcError> { Ok(run_window(file, target_tasks, None)?.0) }
         })
         .collect();
     let baselines: Vec<Baseline> = harness::run_cells(baseline_cells)?;
@@ -184,17 +179,15 @@ pub fn run_failure_trace(
     // Stage 2: one traced cell per (code, timeout fraction, arrival rate)
     // point, in the report's fixed row order.
     let mut cells = Vec::new();
-    for ((code, len), baseline) in codes.into_iter().zip(lens).zip(baselines) {
+    for (file, baseline) in files.iter().zip(baselines) {
         for &frac in &timeout_fracs {
             for &arrivals in &mean_arrivals {
                 let baseline = baseline.clone();
                 cells.push(move || -> Result<FailureTracePoint, DrcError> {
                     let timeout_s = frac * baseline.map_phase_s;
                     let (_, point) = run_window(
-                        code,
-                        block_bytes,
+                        file,
                         target_tasks,
-                        payload.slice(..len),
                         Some(TracedConfig {
                             baseline: &baseline,
                             timeout_s,
@@ -227,17 +220,16 @@ struct TracedConfig<'a> {
 /// system's detection/auto-repair engine *and* the job's mid-run failure
 /// handling on the same shared `ClusterNet`.
 fn run_window(
-    code: CodeKind,
-    block_bytes: usize,
+    file: &EncodedFile,
     target_tasks: usize,
-    data: Bytes,
     traced: Option<TracedConfig<'_>>,
 ) -> Result<(Baseline, Option<FailureTracePoint>), DrcError> {
-    let spec = harness::byte_cluster_spec(block_bytes);
+    let code = file.code();
+    let spec = harness::byte_cluster_spec(file.block_size());
     let mut fs = DistributedFileSystem::new(spec, 0xFA11 ^ code_salt(code));
 
     let built = code.build()?;
-    let id = fs.write_file_bytes("/failure-trace", data, code)?;
+    let id = fs.write_encoded("/failure-trace", file)?;
     fs.sync();
     let meta = fs.namenode().file(id)?.clone();
     let cluster = Cluster::new(fs.cluster().spec().clone());

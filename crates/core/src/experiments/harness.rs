@@ -39,20 +39,23 @@
 //! # Payload bytes
 //!
 //! Real bytes exist in the experiments only to prove the codes and repairs
-//! correct; every reported figure is virtual time or a byte count. A driver
-//! therefore builds **one** [`pattern_payload`] as long as its largest
-//! cell's file, and each cell ingests a zero-copy `payload.slice(0..n)`
-//! through `write_file_bytes`. The driver owns the payload and the cells
-//! borrow it ([`run_cells`] has no `'static` bound), so it is freed when
-//! the driver returns: immutable data shared for the length of one
-//! experiment, never process-wide state.
+//! correct; every reported figure is virtual time or a byte count. As in
+//! the paper's deployment, a file is therefore striped and encoded **once
+//! per experiment**, not once per cell: a driver calls [`stripe_files`],
+//! which builds one [`pattern_payload`] as long as its largest file and one
+//! [`EncodedFile`] per code over a zero-copy prefix of it, and every cell
+//! of that code ingests the same file through `write_encoded` — handle
+//! clones, no payload byte touched. The driver owns the files and the
+//! cells borrow them ([`run_cells`] has no `'static` bound), so payload and
+//! parities are released when the driver returns: immutable data shared
+//! for the length of one experiment, never process-wide state.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
-use drc_hdfs::Bytes;
+use drc_hdfs::{Bytes, EncodedFile};
 
 use crate::DrcError;
 
@@ -87,10 +90,11 @@ pub fn pattern_payload(len: usize) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Sizes one experiment's files and builds its shared payload: per code, a
-/// file of `stripes_of(k)` whole stripes of `block_bytes` blocks (`k` being
-/// the code's data blocks per stripe), and one [`pattern_payload`] as long
-/// as the longest of them. Cell `i` ingests `payload.slice(..lens[i])`.
+/// Builds one experiment's files: per code, `stripes_of(k)` whole stripes
+/// of `block_bytes` blocks (`k` being the code's data blocks per stripe) of
+/// the [`pattern_payload`], striped and encoded once. All files are prefixes
+/// of one shared payload, so the data blocks of every file are views of the
+/// same allocation.
 ///
 /// # Errors
 ///
@@ -99,7 +103,7 @@ pub fn stripe_files(
     codes: &[CodeKind],
     block_bytes: usize,
     stripes_of: impl Fn(usize) -> usize,
-) -> Result<(Bytes, Vec<usize>), DrcError> {
+) -> Result<Vec<EncodedFile>, DrcError> {
     let block_size = byte_cluster_spec(block_bytes).block_size_bytes() as usize;
     let lens = codes
         .iter()
@@ -109,7 +113,11 @@ pub fn stripe_files(
         })
         .collect::<Result<Vec<usize>, DrcError>>()?;
     let payload = pattern_payload(lens.iter().copied().max().unwrap_or(0));
-    Ok((payload, lens))
+    codes
+        .iter()
+        .zip(lens)
+        .map(|(&code, len)| Ok(EncodedFile::encode(payload.slice(..len), code, block_size)?))
+        .collect()
 }
 
 /// Environment variable naming the harness fan-out width.

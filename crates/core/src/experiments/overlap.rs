@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::NodeId;
 use drc_codes::CodeKind;
-use drc_hdfs::{Bytes, DistributedFileSystem};
+use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_sim::{Phase, SimTime};
 
 use crate::experiments::harness;
@@ -88,21 +88,18 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
         CodeKind::Heptagon,
         CodeKind::HeptagonLocal,
     ];
-    let (payload, lens) = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
-    let payload = &payload;
+    let files = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
     // One cell per code; the concurrent run and its measured serial baseline
     // share a cell because the row combines both.
-    let cells = codes
-        .into_iter()
-        .zip(lens)
-        .map(|(code, len)| {
+    let cells = files
+        .iter()
+        .map(|file| {
             move || -> Result<OverlapRow, DrcError> {
-                let data = payload.slice(..len);
-                let concurrent = run_failure_window(code, block_bytes, data.clone(), false)?;
+                let concurrent = run_failure_window(file, false)?;
                 // The serial baseline is *measured*, not derived: the identical
                 // scenario with a `sync` between the read and the repair, i.e.
                 // the pre-substrate back-to-back execution model.
-                let serial = run_failure_window(code, block_bytes, data, true)?;
+                let serial = run_failure_window(file, true)?;
                 Ok(OverlapRow {
                     serial_s: serial.makespan_s,
                     ..concurrent
@@ -121,17 +118,12 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
 /// and measures its failure-handling window. With `serialise` the repair is
 /// only issued after the read has fully drained (the old execution model);
 /// without it both are issued at the same virtual instant and overlap.
-fn run_failure_window(
-    code: CodeKind,
-    block_bytes: usize,
-    data: Bytes,
-    serialise: bool,
-) -> Result<OverlapRow, DrcError> {
-    let spec = harness::byte_cluster_spec(block_bytes);
+fn run_failure_window(file: &EncodedFile, serialise: bool) -> Result<OverlapRow, DrcError> {
+    let code = file.code();
+    let spec = harness::byte_cluster_spec(file.block_size());
     let mut fs = DistributedFileSystem::new(spec, 0x5EED ^ code.to_string().len() as u64);
 
-    let len = data.len();
-    let id = fs.write_file_bytes("/overlap", data, code)?;
+    let id = fs.write_encoded("/overlap", file)?;
     let write_done = fs.sync();
     let write_s = write_done.as_secs_f64();
 
@@ -143,8 +135,10 @@ fn run_failure_window(
     }
 
     let window_start = fs.now();
-    let back = fs.read_file(id)?;
-    debug_assert_eq!(back.len(), len);
+    // Only the timed events and accounting of the whole-file read matter
+    // here: take the block handles, not a file-sized copy.
+    let back = fs.read_file_blocks(id)?;
+    debug_assert_eq!(back.iter().map(|b| b.len()).sum::<usize>(), file.len());
     if serialise {
         fs.sync();
     }

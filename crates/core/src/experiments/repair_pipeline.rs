@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::NodeId;
 use drc_codes::CodeKind;
-use drc_hdfs::{Bytes, DistributedFileSystem, FileId, RepairReport};
+use drc_hdfs::{DistributedFileSystem, EncodedFile, FileId, RepairReport};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -101,31 +101,29 @@ pub fn run_repair_pipeline(
         CodeKind::Heptagon,
         CodeKind::HeptagonLocal,
     ];
-    let (payload, lens) = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
-    let payload = &payload;
+    let files = harness::stripe_files(&codes, block_bytes, |_| stripes)?;
     // Stage 1: the serial baselines are *measured* on identical fresh
     // deployments, not derived — one cell per code, joined before the
     // pipelined stage because every chunked row compares against them.
-    let serial_cells = codes
-        .into_iter()
-        .zip(lens.iter().copied())
-        .map(|(code, len)| move || run_repair(code, block_bytes, payload.slice(..len), u64::MAX))
+    let serial_cells = files
+        .iter()
+        .map(|file| move || run_repair(file, u64::MAX))
         .collect();
     let serials: Vec<(f64, u64, usize)> = harness::run_cells(serial_cells)?;
 
     // Stage 2: one cell per code × chunk size, in the report's row order.
     let mut cells = Vec::new();
-    for ((code, len), serial) in codes.into_iter().zip(lens).zip(serials) {
+    for (file, serial) in files.iter().zip(serials) {
         for &chunk in chunk_sizes {
             cells.push(move || -> Result<PipelineRow, DrcError> {
-                let pipelined = run_repair(code, block_bytes, payload.slice(..len), chunk)?;
+                let pipelined = run_repair(file, chunk)?;
                 debug_assert_eq!(pipelined.1, serial.1, "traffic must not depend on chunking");
                 debug_assert_eq!(
                     pipelined.2, serial.2,
                     "restores must not depend on chunking"
                 );
                 Ok(PipelineRow {
-                    code,
+                    code: file.code(),
                     chunk_bytes: chunk,
                     serial_s: serial.0,
                     pipelined_s: pipelined.0,
@@ -143,16 +141,11 @@ pub fn run_repair_pipeline(
     })
 }
 
-/// Writes `data` as one file, permanently fails one stripe-0 host, repairs
-/// it under the given chunk size, and returns the pass's virtual duration,
-/// network bytes and restored-block count.
-fn run_repair(
-    code: CodeKind,
-    block_bytes: usize,
-    data: Bytes,
-    chunk: u64,
-) -> Result<(f64, u64, usize), DrcError> {
-    let (_, _, report) = repaired_fs(code, block_bytes, data, chunk)?;
+/// Ingests `file`, permanently fails one stripe-0 host, repairs it under the
+/// given chunk size, and returns the pass's virtual duration, network bytes
+/// and restored-block count.
+fn run_repair(file: &EncodedFile, chunk: u64) -> Result<(f64, u64, usize), DrcError> {
+    let (_, _, report) = repaired_fs(file, chunk)?;
     debug_assert_eq!(report.unrecoverable_stripes, 0);
     Ok((
         report.completed_at.since(report.issued_at).as_secs_f64(),
@@ -164,16 +157,14 @@ fn run_repair(
 /// The scenario behind [`run_repair`], handing back the repaired deployment
 /// so the tests can hold its stored blocks against the payload.
 fn repaired_fs(
-    code: CodeKind,
-    block_bytes: usize,
-    data: Bytes,
+    file: &EncodedFile,
     chunk: u64,
 ) -> Result<(DistributedFileSystem, FileId, RepairReport), DrcError> {
-    let spec = harness::byte_cluster_spec(block_bytes);
-    let mut fs = DistributedFileSystem::new(spec, 0x9147 ^ code.to_string().len() as u64);
+    let spec = harness::byte_cluster_spec(file.block_size());
+    let mut fs = DistributedFileSystem::new(spec, 0x9147 ^ file.code().to_string().len() as u64);
     fs.set_repair_chunk_bytes(chunk);
 
-    let id = fs.write_file_bytes("/pipeline", data, code)?;
+    let id = fs.write_encoded("/pipeline", file)?;
     fs.sync();
 
     // Fail the node holding the first replica of data block 0 of stripe 0 —
@@ -264,11 +255,11 @@ mod tests {
             CodeKind::Heptagon,
             CodeKind::HeptagonLocal,
         ];
-        let (payload, lens) = harness::stripe_files(&codes, block, |_| 2).unwrap();
-        for (code, len) in codes.into_iter().zip(lens) {
+        for file in harness::stripe_files(&codes, block, |_| 2).unwrap() {
+            let code = file.code();
+            let payload = harness::pattern_payload(file.len());
             for chunk in [u64::MAX, 256 * 1024] {
-                let (fs, id, report) =
-                    repaired_fs(code, block, payload.slice(..len), chunk).unwrap();
+                let (fs, id, report) = repaired_fs(&file, chunk).unwrap();
                 assert_eq!(report.unrecoverable_stripes, 0, "{code}");
                 assert!(report.blocks_restored > 0, "{code}");
                 let meta = fs.namenode().file(id).unwrap();

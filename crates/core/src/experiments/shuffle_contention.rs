@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, NodeId};
 use drc_codes::CodeKind;
-use drc_hdfs::{Bytes, DistributedFileSystem};
+use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_mapreduce::{run_job_on, JobSite, JobSpec, LinkContention, SchedulerKind};
 
 use crate::experiments::harness;
@@ -116,16 +116,12 @@ pub fn run_shuffle_contention(
     ];
     // ~`target_tasks` blocks in whole stripes, per code.
     let stripes_of = |k: usize| target_tasks.div_ceil(k).max(1);
-    let (payload, lens) = harness::stripe_files(&codes, block_bytes, stripes_of)?;
-    let payload = &payload;
+    let files = harness::stripe_files(&codes, block_bytes, stripes_of)?;
     // One cell per code; the solo baseline and the contended run share a
     // cell because the row compares them.
-    let cells = codes
-        .into_iter()
-        .zip(lens)
-        .map(|(code, len)| {
-            move || contention_row(code, block_bytes, target_tasks, payload.slice(..len))
-        })
+    let cells = files
+        .iter()
+        .map(|file| move || contention_row(file, target_tasks))
         .collect();
     Ok(ShuffleContentionReport {
         block_bytes: block_bytes as u64,
@@ -136,14 +132,13 @@ pub fn run_shuffle_contention(
 
 /// Measures one code's solo and contended windows and builds its row.
 fn contention_row(
-    code: CodeKind,
-    block_bytes: usize,
+    file: &EncodedFile,
     target_tasks: usize,
-    data: Bytes,
 ) -> Result<ShuffleContentionRow, DrcError> {
+    let code = file.code();
     let failed = code.build()?.fault_tolerance().min(2);
-    let solo = run_window(code, block_bytes, target_tasks, data.clone(), failed, false)?;
-    let contended = run_window(code, block_bytes, target_tasks, data, failed, true)?;
+    let solo = run_window(file, target_tasks, failed, false)?;
+    let contended = run_window(file, target_tasks, failed, true)?;
     // The headline slowdown is only meaningful if contention moved the
     // time axis and nothing else — enforce the byte identity in every
     // build, including the release runs that publish the number.
@@ -176,17 +171,16 @@ fn contention_row(
 /// behind the reconstruction traffic on the shared links — the contended
 /// ordering the paper's failure experiments describe.
 fn run_window(
-    code: CodeKind,
-    block_bytes: usize,
+    file: &EncodedFile,
     target_tasks: usize,
-    data: Bytes,
     failed: usize,
     with_repair: bool,
 ) -> Result<Window, DrcError> {
-    let spec = harness::byte_cluster_spec(block_bytes);
+    let code = file.code();
+    let spec = harness::byte_cluster_spec(file.block_size());
     let mut fs = DistributedFileSystem::new(spec, 0xC0DE ^ code.to_string().len() as u64);
 
-    let id = fs.write_file_bytes("/shuffle-contention", data, code)?;
+    let id = fs.write_encoded("/shuffle-contention", file)?;
     fs.sync();
     let meta = fs.namenode().file(id)?.clone();
 

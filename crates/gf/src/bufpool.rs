@@ -12,7 +12,8 @@
 //! # Determinism
 //!
 //! A recycled buffer is indistinguishable from a fresh one: [`take`] always
-//! returns `len` zeroed bytes, so stale contents can never leak between
+//! returns `len` zeroed bytes and [`take_copy`] the caller's bytes then
+//! zeros, so stale contents can never leak between
 //! cells and simulation output is byte-identical whether a buffer was
 //! pooled or not. Which allocation backs a buffer is the only thing that
 //! varies (and races, under a parallel harness) — never the bytes.
@@ -49,10 +50,13 @@ fn shelf() -> std::sync::MutexGuard<'static, Shelf> {
     SHELF.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Returns a buffer of exactly `len` zeroed bytes, reusing a shelved
-/// allocation when one of sufficient capacity is available.
-pub fn take(len: usize) -> Vec<u8> {
-    let reused = if len >= MIN_POOLED_CAPACITY {
+/// Pops the smallest shelved allocation that holds `len` bytes, counting
+/// the hit or (for a pool-eligible `len`) the miss.
+fn take_shelved(len: usize) -> Option<Vec<u8>> {
+    if len < MIN_POOLED_CAPACITY {
+        return None;
+    }
+    let reused = {
         let mut shelf = shelf();
         // Prefer the smallest shelved buffer that fits, so a small request
         // does not pin an oversized allocation.
@@ -71,23 +75,45 @@ pub fn take(len: usize) -> Vec<u8> {
             shelf.bytes -= b.capacity();
             b
         })
-    } else {
-        None
     };
-    match reused {
+    let counter = if reused.is_some() { &HITS } else { &MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+    reused
+}
+
+/// Returns a buffer of exactly `len` zeroed bytes, reusing a shelved
+/// allocation when one of sufficient capacity is available.
+pub fn take(len: usize) -> Vec<u8> {
+    match take_shelved(len) {
         Some(mut b) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
             b.clear();
             b.resize(len, 0);
             b
         }
-        None => {
-            if len >= MIN_POOLED_CAPACITY {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-            }
-            vec![0u8; len]
-        }
+        None => vec![0u8; len],
     }
+}
+
+/// Returns a buffer of exactly `len` bytes holding `src` followed by zero
+/// padding, reusing a shelved allocation like [`take`]. Every byte is
+/// written exactly once — where `take` + `copy_from_slice` zeroes the whole
+/// buffer first and then overwrites it — and every byte is defined by
+/// `src` and `len` alone, so the result never depends on what a recycled
+/// allocation held.
+///
+/// # Panics
+///
+/// Panics if `src` is longer than `len`.
+pub fn take_copy(src: &[u8], len: usize) -> Vec<u8> {
+    assert!(
+        src.len() <= len,
+        "take_copy source exceeds the buffer length"
+    );
+    let mut b = take_shelved(len).unwrap_or_else(|| Vec::with_capacity(len));
+    b.clear();
+    b.extend_from_slice(src);
+    b.resize(len, 0);
+    b
 }
 
 /// Shelves an allocation for a later [`take`]. Buffers below
@@ -152,6 +178,38 @@ mod tests {
         let b = take(len);
         assert_eq!(b.len(), len);
         assert!(b.iter().all(|&x| x == 0), "recycled buffer must be zeroed");
+    }
+
+    #[test]
+    fn take_copy_is_the_source_then_zero_padding() {
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let len = MIN_POOLED_CAPACITY + 29;
+        let src: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+        // Full, short and empty sources, each into a dirty recycled buffer
+        // and (after a drain) into a fresh one.
+        for n in [len, len / 3, 1, 0] {
+            let mut want = src[..n].to_vec();
+            want.resize(len, 0);
+            recycle(vec![0xA5u8; len]);
+            let (hits_before, misses_before) = (hits(), misses());
+            let warm = take_copy(&src[..n], len);
+            assert_eq!(warm, want, "recycled buffer, {n} source bytes");
+            assert_eq!(hits(), hits_before + 1, "served from the shelf");
+            drain();
+            let cold = take_copy(&src[..n], len);
+            assert_eq!(cold, want, "fresh buffer, {n} source bytes");
+            assert_eq!(misses(), misses_before + 1, "a cold take_copy is a miss");
+        }
+        // Tiny buffers bypass the pool and its counters, as with `take`.
+        let (hits_before, misses_before) = (hits(), misses());
+        assert_eq!(take_copy(&[9, 8], 5), vec![9, 8, 0, 0, 0]);
+        assert_eq!((hits(), misses()), (hits_before, misses_before));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the buffer length")]
+    fn take_copy_rejects_an_oversized_source() {
+        take_copy(&[1, 2, 3], 2);
     }
 
     #[test]

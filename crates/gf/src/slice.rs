@@ -255,13 +255,16 @@ where
         matrix_mul_into_parallel(coeffs, k, blocks, outs, len, workers);
         return;
     }
-    for o in outs.iter_mut() {
-        o.as_mut().fill(0);
-    }
     let kern = kernel::active();
     let mut start = 0;
     while start < len {
         let end = (start + TILE).min(len);
+        // Zero one output tile at a time, right before the accumulations
+        // that fill it: the stores land in L1, where a whole-buffer fill up
+        // front would be a DRAM pass of its own over every output.
+        for out in outs.iter_mut() {
+            out.as_mut()[start..end].fill(0);
+        }
         for (j, block) in blocks.iter().enumerate() {
             let src = &block.as_ref()[start..end];
             for (p, out) in outs.iter_mut().enumerate() {
@@ -455,12 +458,13 @@ fn matrix_mul_window(
     window: &mut [&mut [u8]],
 ) {
     let kern = kernel::active();
-    for o in window.iter_mut() {
-        o.fill(0);
-    }
     let mut start = offset;
     while start < limit {
         let end = (start + TILE).min(limit);
+        // Per-tile zeroing, as in `matrix_mul_into`'s serial loop.
+        for out in window.iter_mut() {
+            out[start - offset..end - offset].fill(0);
+        }
         for (j, block) in blocks.iter().enumerate() {
             let src = &block[start..end];
             for (p, out) in window.iter_mut().enumerate() {
@@ -641,6 +645,42 @@ mod tests {
             linear_combination_into(&coeffs[..k], &blocks, &mut lin_parallel)
         });
         assert_eq!(lin_serial, lin_parallel);
+    }
+
+    /// The outputs are zeroed tile by tile inside the product, never by the
+    /// caller: every path — serial, parallel arm, batch at either width —
+    /// fully overwrites `0xAB`-prefilled buffers, ragged last tile included.
+    #[test]
+    fn dirty_outputs_are_fully_overwritten_on_every_path() {
+        let k = 4;
+        let rows = 3;
+        let len = PAR_ENGAGE_MIN + 2 * PAR_MIN_LEN + 77;
+        let blocks: Vec<Vec<u8>> = (0..k)
+            .map(|j| (0..len).map(|i| (i * 17 + j * 41 + 3) as u8).collect())
+            .collect();
+        // Zero and one coefficients take the skip and XOR branches.
+        let coeffs: Vec<Gf256> = (0..rows * k)
+            .map(|i| Gf256::new([0, 1, 0x53, 0xca, 2][i % 5]))
+            .collect();
+        let want: Vec<Vec<u8>> = (0..rows)
+            .map(|p| linear_combination(&coeffs[p * k..(p + 1) * k], &blocks, len))
+            .collect();
+        for threads in [1, 4] {
+            let mut outs = vec![vec![0xABu8; len]; rows];
+            rayon::with_num_threads(threads, || matrix_mul_into(&coeffs, k, &blocks, &mut outs));
+            assert_eq!(outs, want, "matrix_mul_into at {threads} threads");
+
+            let mut outs = vec![vec![0xABu8; len]; rows];
+            rayon::with_num_threads(threads, || {
+                matrix_mul_batch(&mut [MatrixMulTask {
+                    coeffs: &coeffs,
+                    k,
+                    sources: blocks.iter().map(|b| b.as_slice()).collect(),
+                    outs: outs.iter_mut().map(|o| o.as_mut_slice()).collect(),
+                }]);
+            });
+            assert_eq!(outs, want, "matrix_mul_batch at {threads} threads");
+        }
     }
 
     #[test]

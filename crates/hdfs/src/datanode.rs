@@ -12,6 +12,7 @@ use drc_cluster::NodeId;
 use drc_sim::{ClusterNet, NodeIo, Reservation, Resource, SimTime};
 
 use crate::block::BlockKey;
+use crate::encoded::recycle_if_sole;
 
 /// A DataNode holding block replicas in memory.
 ///
@@ -137,9 +138,10 @@ impl DataNode {
     /// Removes every block (simulates a disk wipe on permanent failure).
     ///
     /// Sole-owner payloads go back to the block pool (see
-    /// [`drc_gf::bufpool`]); replicas still referenced elsewhere — and
-    /// zero-copy views of a caller's buffer, which this node never owned —
-    /// just drop their handle here.
+    /// [`drc_gf::bufpool`]); replicas still referenced elsewhere (another
+    /// node, a live [`crate::EncodedFile`]) — and zero-copy views of a
+    /// caller's buffer, which this node never owned — just drop their
+    /// handle here.
     pub fn wipe(&self) {
         let blocks = std::mem::take(&mut *self.blocks.write());
         recycle_payloads(blocks);
@@ -183,17 +185,16 @@ impl Drop for DataNode {
 
 /// Recycles the sole-owner payloads of a drained block map.
 ///
-/// A block replicated on several nodes is the same `Bytes` handle on each;
-/// only the last handle standing unwraps, so every allocation is recycled
-/// exactly once. A view stored by `write_file_bytes` never unwraps (its
-/// allocation is the writer's whole payload, not a block), so views are
-/// simply dropped and the payload is freed by whoever built it.
+/// A block replicated on several nodes is the same `Bytes` handle on each,
+/// and a block ingested from an [`crate::EncodedFile`] is additionally held
+/// by that file (and by every other file system it was written to); only
+/// the last handle standing unwraps, so every allocation is recycled
+/// exactly once and a DataNode never shelves a buffer someone else still
+/// reads. A view of a writer's payload never unwraps at all (its allocation
+/// is the whole payload, not a block): views are simply dropped and the
+/// payload is freed by whoever built it.
 fn recycle_payloads(blocks: BTreeMap<BlockKey, Bytes>) {
-    for (_, payload) in blocks {
-        if let Ok(buf) = payload.try_unwrap() {
-            drc_gf::bufpool::recycle(buf);
-        }
-    }
+    blocks.into_values().for_each(recycle_if_sole);
 }
 
 #[cfg(test)]

@@ -1,0 +1,213 @@
+//! A file striped and encoded once, ready to be ingested any number of times.
+//!
+//! In the paper's HDFS-RAID deployment a file is striped and encoded *once*;
+//! the experiments then vary what happens to it. [`EncodedFile`] is that
+//! artefact: every stripe's distinct blocks as shared [`Bytes`] handles,
+//! which [`crate::DistributedFileSystem::write_encoded`] distributes without
+//! touching a payload byte. The stripe encode itself ([`encode_stripe`]) is
+//! the one `write_file(&[u8])` runs per stripe — the two write entry points
+//! differ only in *when* it runs and where a data block's handle comes from.
+
+use bytes::Bytes;
+
+use drc_codes::{encode_parities_into, CodeKind, ErasureCode};
+
+use crate::HdfsError;
+
+/// One file's stripes, encoded with one code at one block size.
+///
+/// Full data blocks are zero-copy views of the payload handed to
+/// [`EncodedFile::encode`]; a short tail block is one pooled zero-padded
+/// copy, blocks of the last stripe past the end of the file are pooled zero
+/// blocks, and parities are pooled buffers filled by
+/// [`drc_codes::encode_parities_into`].
+///
+/// # Ownership
+///
+/// Ingesting the file clones these handles onto DataNodes, so a pooled block
+/// is shared between the `EncodedFile` and every replica of every file
+/// system it was written to. Whoever drops the **last** handle returns the
+/// buffer to [`drc_gf::bufpool`] — `Bytes::try_unwrap` succeeds for nobody
+/// else — so a DataNode wipe or drop never shelves a block a live
+/// `EncodedFile` still holds, and each buffer is recycled exactly once: by
+/// this type's `Drop` when it outlives the file systems (the experiment
+/// drivers' case), by the last DataNode otherwise.
+#[derive(Debug)]
+pub struct EncodedFile {
+    code: CodeKind,
+    block_size: usize,
+    len: usize,
+    /// Per stripe, the code's distinct blocks in block-index order (data
+    /// first, then parities).
+    stripes: Vec<Vec<Bytes>>,
+}
+
+impl EncodedFile {
+    /// Stripes `data` into `block_size`-byte blocks and encodes every
+    /// stripe with `code`, reading each payload byte once.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the code fails to build or `block_size` is zero.
+    pub fn encode(data: Bytes, code: CodeKind, block_size: usize) -> Result<Self, HdfsError> {
+        if block_size == 0 {
+            return Err(HdfsError::InvalidRequest {
+                reason: "block size must be positive".to_string(),
+            });
+        }
+        let built = code.build()?;
+        let stripes = data
+            .len()
+            .div_ceil(block_size)
+            .div_ceil(built.data_blocks());
+        let stripes = (0..stripes)
+            .map(|stripe| {
+                encode_stripe(built.as_ref(), stripe, block_size, |start| {
+                    if start + block_size <= data.len() {
+                        data.slice(start..start + block_size)
+                    } else {
+                        pooled_block(&data, start, block_size)
+                    }
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(EncodedFile {
+            code,
+            block_size,
+            len: data.len(),
+            stripes,
+        })
+    }
+
+    /// The code the stripes were encoded with.
+    pub fn code(&self) -> CodeKind {
+        self.code
+    }
+
+    /// The block size the file was striped at, in bytes.
+    pub fn block_size(&self) -> usize {
+        self.block_size
+    }
+
+    /// The file's length in bytes (the payload's, without padding).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the file holds no bytes (and therefore no stripes).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Handles to the distinct blocks of stripe `stripe`.
+    pub(crate) fn stripe_blocks(&self, stripe: usize) -> Vec<Bytes> {
+        self.stripes[stripe].clone()
+    }
+}
+
+impl Drop for EncodedFile {
+    fn drop(&mut self) {
+        self.stripes.drain(..).flatten().for_each(recycle_if_sole);
+    }
+}
+
+/// Returns a payload's buffer to the block pool if `payload` is the last
+/// handle to it. A view never unwraps (its allocation is a writer's whole
+/// payload, not a block) and neither does a handle shared with another
+/// holder, so every allocation is shelved exactly once, by its last owner.
+pub(crate) fn recycle_if_sole(payload: Bytes) {
+    if let Ok(buf) = payload.try_unwrap() {
+        drc_gf::bufpool::recycle(buf);
+    }
+}
+
+/// The distinct blocks of stripe `stripe` of a file: its `k` data blocks —
+/// `data_block(start)` yields the block of file content at byte offset
+/// `start`, zero-padded to `block_size` — followed by the parities, encoded
+/// shard-parallel straight into the pooled buffers that become their
+/// payloads.
+pub(crate) fn encode_stripe(
+    code: &dyn ErasureCode,
+    stripe: usize,
+    block_size: usize,
+    data_block: impl Fn(usize) -> Bytes,
+) -> Result<Vec<Bytes>, HdfsError> {
+    let k = code.data_blocks();
+    let mut blocks: Vec<Bytes> = (stripe * k..(stripe + 1) * k)
+        .map(|index| data_block(index * block_size))
+        .collect();
+    let mut parities: Vec<Vec<u8>> = (k..code.distinct_blocks())
+        .map(|_| drc_gf::bufpool::take(block_size))
+        .collect();
+    encode_parities_into(code, &blocks, &mut parities)?;
+    blocks.extend(parities.into_iter().map(Bytes::from));
+    Ok(blocks)
+}
+
+/// A pooled copy of the `block_size` bytes of `data` at `start`, zero-padded
+/// where `data` ends short (or before `start`). One pass: every byte of the
+/// buffer is written once.
+pub(crate) fn pooled_block(data: &[u8], start: usize, block_size: usize) -> Bytes {
+    let tail = data.get(start..).unwrap_or(&[]);
+    let n = tail.len().min(block_size);
+    Bytes::from(drc_gf::bufpool::take_copy(&tail[..n], block_size))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BLOCK: usize = drc_gf::bufpool::MIN_POOLED_CAPACITY;
+
+    fn payload(len: usize) -> Bytes {
+        Bytes::from((0..len).map(|i| (i * 13 + 5) as u8).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn full_blocks_are_views_and_the_rest_is_padded() {
+        let code = CodeKind::Pentagon;
+        let built = code.build().unwrap();
+        let k = built.data_blocks();
+        // One whole stripe, then two whole blocks and a 100-byte tail.
+        let len = (k + 2) * BLOCK + 100;
+        let data = payload(len);
+        let file = EncodedFile::encode(data.clone(), code, BLOCK).unwrap();
+        assert_eq!(
+            (file.code(), file.block_size(), file.len()),
+            (code, BLOCK, len)
+        );
+        assert!(!file.is_empty());
+        assert_eq!(file.stripes.len(), 2);
+        for (stripe, blocks) in file.stripes.iter().enumerate() {
+            assert_eq!(blocks.len(), built.distinct_blocks());
+            for (b, block) in blocks[..k].iter().enumerate() {
+                let start = (stripe * k + b) * BLOCK;
+                assert_eq!(block.len(), BLOCK);
+                if start + BLOCK <= len {
+                    assert_eq!(block.as_ptr(), data[start..].as_ptr(), "zero-copy view");
+                } else {
+                    let have = len.saturating_sub(start).min(BLOCK);
+                    assert_eq!(&block[..have], &data[len - have..]);
+                    assert!(block[have..].iter().all(|&x| x == 0), "zero padding");
+                }
+            }
+            let want = built
+                .encode(&blocks[..k].iter().map(|b| b.to_vec()).collect::<Vec<_>>())
+                .unwrap();
+            for (b, block) in blocks.iter().enumerate() {
+                assert_eq!(&block[..], &want[b][..], "stripe {stripe} block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_payload_and_zero_block_size() {
+        let file = EncodedFile::encode(Bytes::new(), CodeKind::TWO_REP, BLOCK).unwrap();
+        assert!(file.is_empty());
+        assert!(file.stripes.is_empty());
+        assert!(matches!(
+            EncodedFile::encode(payload(10), CodeKind::TWO_REP, 0),
+            Err(HdfsError::InvalidRequest { .. })
+        ));
+    }
+}

@@ -66,7 +66,7 @@ use serde::{Deserialize, Serialize};
 use drc_cluster::{
     Cluster, ClusterSpec, FailureEventKind, FailureTrace, NodeId, PlacementMap, PlacementPolicy,
 };
-use drc_codes::{encode_parities_into, CodeKind, ErasureCode, ReadSource, StripeReconstructor};
+use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeReconstructor};
 use drc_gf::slice::{matrix_mul_batch, MatrixMulTask};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, Schedule, SimDuration, SimTime, Timeline, VirtualClock,
@@ -74,6 +74,7 @@ use drc_sim::{
 
 use crate::block::BlockKey;
 use crate::datanode::DataNode;
+use crate::encoded::{encode_stripe, pooled_block, EncodedFile};
 use crate::namenode::{FileId, FileMetadata, NameNode};
 use crate::HdfsError;
 
@@ -313,7 +314,8 @@ impl DistributedFileSystem {
 
     /// Writes `data` as a new file protected by `code`, striping it into
     /// blocks of the cluster's configured block size. Every data block is
-    /// copied into a pooled buffer of its own.
+    /// copied into a pooled buffer of its own and every stripe is encoded
+    /// as it is written.
     ///
     /// Every replica store is a timed event (client → node NIC → disk over
     /// the shared fabric); stores to different nodes overlap.
@@ -328,47 +330,55 @@ impl DistributedFileSystem {
         data: &[u8],
         code_kind: CodeKind,
     ) -> Result<FileId, HdfsError> {
-        self.write_stripes(name, data.len(), code_kind, |start, block_size| {
-            pooled_block(data, start, block_size)
+        let block_size = self.block_size();
+        self.write_stripes(name, data.len(), code_kind, |code, stripe| {
+            encode_stripe(code, stripe, block_size, |start| {
+                pooled_block(data, start, block_size)
+            })
         })
     }
 
-    /// [`DistributedFileSystem::write_file`] for a caller that already holds
-    /// the file as a shared [`Bytes`]: every full block is stored as a
-    /// zero-copy view of `data` (which therefore stays allocated until the
-    /// last such replica is wiped or dropped); only a short tail block is
-    /// copied, into a pooled zero-padded buffer. Placement, timed events,
-    /// accounting and stored bytes are identical to `write_file`'s.
+    /// [`DistributedFileSystem::write_file`] for a file that was striped
+    /// and encoded ahead of time: every stored block is a clone of one of
+    /// `file`'s handles, so ingesting it touches no payload byte and the
+    /// same [`EncodedFile`] can be written to any number of file systems.
+    /// Placement, timed events, accounting and stored bytes are identical
+    /// to `write_file`'s of the same bytes under the same code.
     ///
     /// # Errors
     ///
-    /// As [`DistributedFileSystem::write_file`].
-    pub fn write_file_bytes(
-        &mut self,
-        name: &str,
-        data: Bytes,
-        code_kind: CodeKind,
-    ) -> Result<FileId, HdfsError> {
-        self.write_stripes(name, data.len(), code_kind, |start, block_size| {
-            if start + block_size <= data.len() {
-                data.slice(start..start + block_size)
-            } else {
-                pooled_block(&data, start, block_size)
-            }
+    /// As [`DistributedFileSystem::write_file`], and if `file` was striped
+    /// at a block size other than this cluster's.
+    pub fn write_encoded(&mut self, name: &str, file: &EncodedFile) -> Result<FileId, HdfsError> {
+        if file.block_size() != self.block_size() {
+            return Err(HdfsError::InvalidRequest {
+                reason: format!(
+                    "file encoded with {}-byte blocks, the cluster stores {}-byte blocks",
+                    file.block_size(),
+                    self.block_size()
+                ),
+            });
+        }
+        self.write_stripes(name, file.len(), file.code(), |_, stripe| {
+            Ok(file.stripe_blocks(stripe))
         })
     }
 
+    fn block_size(&self) -> usize {
+        self.cluster.spec().block_size_bytes() as usize
+    }
+
     /// The one stripe loop behind both write entry points: registers a
-    /// `len`-byte file, then stripes, encodes and distributes it.
-    /// `data_block(start, block_size)` yields the block of file content at
-    /// byte offset `start` (zero-padded to the block size; all zeros past
-    /// the end of the file) — the only thing the entry points differ in.
+    /// `len`-byte file, then places and distributes it stripe by stripe.
+    /// `stripe_blocks(code, stripe)` yields that stripe's distinct blocks
+    /// (data zero-padded to the block size, then parities) — encoded on the
+    /// spot or ahead of time, the only thing the entry points differ in.
     fn write_stripes(
         &mut self,
         name: &str,
         len: usize,
         code_kind: CodeKind,
-        data_block: impl Fn(usize, usize) -> Bytes,
+        stripe_blocks: impl Fn(&dyn ErasureCode, usize) -> Result<Vec<Bytes>, HdfsError>,
     ) -> Result<FileId, HdfsError> {
         if len == 0 {
             return Err(HdfsError::InvalidRequest {
@@ -376,7 +386,7 @@ impl DistributedFileSystem {
             });
         }
         let code = self.code(code_kind)?;
-        let block_size = self.cluster.spec().block_size_bytes() as usize;
+        let block_size = self.block_size();
         let k = code.data_blocks();
         let content_blocks = len.div_ceil(block_size);
         let stripes = content_blocks.div_ceil(k);
@@ -399,22 +409,13 @@ impl DistributedFileSystem {
         )?;
         let meta = self.namenode.file(id)?.clone();
 
-        // Stripe, encode and distribute.
+        // Distribute. Every pooled payload returns to the pool when its
+        // last holder drops it.
         let mut bytes_moved = 0u64;
         let mut write_end = issued;
         for stripe in 0..stripes {
-            let mut payloads: Vec<Bytes> = (stripe * k..(stripe + 1) * k)
-                .map(|index| data_block(index * block_size, block_size))
-                .collect();
-            // Shard-parallel encode straight into the pooled buffers that
-            // become the parity payloads. Every pooled payload returns to
-            // the pool when its last DataNode replica drops.
-            let mut parities: Vec<Vec<u8>> = (k..code.distinct_blocks())
-                .map(|_| drc_gf::bufpool::take(block_size))
-                .collect();
-            encode_parities_into(code.as_ref(), &payloads, &mut parities)?;
-            payloads.extend(parities.into_iter().map(Bytes::from));
-            for (block_index, content) in payloads.iter().enumerate() {
+            let blocks = stripe_blocks(code.as_ref(), stripe)?;
+            for (block_index, content) in blocks.into_iter().enumerate() {
                 let key = BlockKey::new(id, stripe, block_index);
                 for &node in &meta.block_locations(stripe, block_index)? {
                     self.write_network_bytes += content.len() as u64;
@@ -434,7 +435,8 @@ impl DistributedFileSystem {
     }
 
     /// Reads back a whole file, transparently performing degraded reads for
-    /// blocks whose replicas are all unreachable.
+    /// blocks whose replicas are all unreachable, into one caller-owned
+    /// buffer.
     ///
     /// All block reads are issued at the same virtual instant (HDFS clients
     /// fetch stripes in parallel); reads hitting the same disk queue behind
@@ -445,18 +447,50 @@ impl DistributedFileSystem {
     /// Returns [`HdfsError::BlockUnavailable`] if a block cannot be read even
     /// with reconstruction.
     pub fn read_file(&mut self, id: FileId) -> Result<Vec<u8>, HdfsError> {
+        let mut out = Vec::with_capacity(self.namenode.file(id)?.size as usize);
+        self.read_content_blocks(id, |block| out.extend_from_slice(&block))?;
+        Ok(out)
+    }
+
+    /// [`DistributedFileSystem::read_file`] without the file-sized copy:
+    /// the file's content blocks in order, each the replica's (or the
+    /// reconstruction's) own handle, the last one cut to the file's length.
+    /// Timed events, phases and accounting are `read_file`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`DistributedFileSystem::read_file`].
+    pub fn read_file_blocks(&mut self, id: FileId) -> Result<Vec<Bytes>, HdfsError> {
+        let mut blocks = Vec::new();
+        self.read_content_blocks(id, |block| blocks.push(block))?;
+        Ok(blocks)
+    }
+
+    /// The one whole-file read loop: hands every content block to `sink` in
+    /// file order (the last one truncated to the file's length) and records
+    /// the `read:` phase.
+    fn read_content_blocks(
+        &mut self,
+        id: FileId,
+        mut sink: impl FnMut(Bytes),
+    ) -> Result<(), HdfsError> {
         let meta = self.namenode.file(id)?.clone();
         let issued = self.clock.now();
         let bytes_before = self.read_network_bytes;
         let degraded_before = self.degraded_read_bytes;
-        let mut out = Vec::with_capacity(meta.size as usize);
+        let mut remaining = meta.size as usize;
         let mut read_end = issued;
         for key in meta.content_block_keys() {
             let (block, done) = self.read_block_at(&meta, key.stripe, key.block, issued)?;
             read_end = read_end.max(done);
-            out.extend_from_slice(&block);
+            let take = remaining.min(block.len());
+            remaining -= take;
+            sink(if take < block.len() {
+                block.slice(..take)
+            } else {
+                block
+            });
         }
-        out.truncate(meta.size as usize);
         // Phase bytes are disjoint: reconstruction traffic is already on the
         // `degraded-read:` phases this read spawned, so the aggregate phase
         // carries only the replica-read bytes (summing both prefixes equals
@@ -468,7 +502,7 @@ impl DistributedFileSystem {
             read_end,
             self.read_network_bytes - bytes_before - degraded_bytes,
         );
-        Ok(out)
+        Ok(())
     }
 
     /// Reads one data block of a file, using a surviving replica when possible
@@ -1229,18 +1263,6 @@ impl DistributedFileSystem {
             repair_network_bytes: self.repair_network_bytes,
         }
     }
-}
-
-/// A pooled copy of the `block_size` bytes of `data` at `start`, zero-padded
-/// where `data` ends short (or before `start`).
-fn pooled_block(data: &[u8], start: usize, block_size: usize) -> Bytes {
-    let tail = data.get(start..).unwrap_or(&[]);
-    // Pooled buffers arrive zeroed: a short tail keeps its padding without
-    // an explicit fill.
-    let mut block = drc_gf::bufpool::take(block_size);
-    let n = tail.len().min(block_size);
-    block[..n].copy_from_slice(&tail[..n]);
-    Bytes::from(block)
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 //!   encoding, degraded reads) and the RaidNode repair pass, all of which
 //!   operate on real block payloads so every reconstruction is verified
 //!   byte-for-byte,
+//! * [`EncodedFile`] — a file striped and encoded once, ingested by
+//!   [`DistributedFileSystem::write_encoded`] into any number of
+//!   deployments without touching a payload byte again,
 //! * network-byte accounting that follows the codes' repair and degraded-read
 //!   plans (including the partial-parity savings of §2.1/§3.1).
 //!
@@ -45,16 +48,19 @@
 
 mod block;
 mod datanode;
+mod encoded;
 mod error;
 mod fs;
 mod namenode;
 
 /// The shared, cheaply cloneable byte container block payloads are held in
-/// (what [`DistributedFileSystem::write_file_bytes`] ingests without a copy).
+/// (what [`EncodedFile::encode`] stripes without a copy and
+/// [`DistributedFileSystem::read_file_blocks`] hands back).
 pub use bytes::Bytes;
 
 pub use block::BlockKey;
 pub use datanode::DataNode;
+pub use encoded::EncodedFile;
 pub use error::HdfsError;
 pub use fs::{
     DistributedFileSystem, FsStats, RepairReport, DEFAULT_DETECTION_TIMEOUT,

@@ -1,12 +1,13 @@
 //! Property-based tests on the simulated file system: write/read round-trips
 //! survive any tolerated failure pattern, repairs restore full redundancy,
 //! the trace-driven failure engine is byte-identical at every worker pool
-//! width, and the copying and zero-copy write entry points are
-//! indistinguishable from outside.
+//! width, the encode-on-write and encoded-ahead write entry points are
+//! indistinguishable from outside, and so are the copying and handle forms
+//! of the whole-file read.
 
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId};
 use drc_codes::CodeKind;
-use drc_hdfs::{BlockKey, Bytes, DistributedFileSystem, FsStats, RepairReport};
+use drc_hdfs::{BlockKey, Bytes, DistributedFileSystem, EncodedFile, FsStats, RepairReport};
 use drc_sim::{SimDuration, Timeline};
 use proptest::prelude::*;
 
@@ -19,6 +20,18 @@ fn paper_code() -> impl Strategy<Value = CodeKind> {
         Just(CodeKind::HeptagonLocal),
     ]
 }
+
+/// One code of every kind the file system stores: replication, the three
+/// double-replicated array codes, RAID+m and Reed–Solomon.
+const EVERY_KIND: [CodeKind; 7] = [
+    CodeKind::TWO_REP,
+    CodeKind::THREE_REP,
+    CodeKind::Pentagon,
+    CodeKind::Heptagon,
+    CodeKind::HeptagonLocal,
+    CodeKind::RAID_M_10_9,
+    CodeKind::ReedSolomon { data: 6, parity: 3 },
+];
 
 fn tiny_spec() -> ClusterSpec {
     let mut spec = ClusterSpec::simulation_25(4);
@@ -267,40 +280,33 @@ fn ingest_outcome(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// `write_file(&[u8])` and `write_file_bytes(Bytes)` differ only in
-    /// where a data block's handle comes from. For one code of every kind
-    /// and the three file shapes — whole stripes, whole blocks short of a
-    /// stripe, and a short tail block — they store the same bytes under the
-    /// same keys on the same nodes, issue the same timed events and account
-    /// the same traffic, and the deployments stay indistinguishable through
-    /// a read, a tolerance-sized permanent failure, its repair and a
-    /// read-back.
+    /// `write_file(&[u8])` and `write_encoded(&EncodedFile)` differ only in
+    /// when a stripe is encoded and where a data block's handle comes from.
+    /// For one code of every kind and the three file shapes — whole
+    /// stripes, whole blocks short of a stripe, and a short tail block —
+    /// they store the same bytes under the same keys on the same nodes,
+    /// issue the same timed events and account the same traffic, and the
+    /// deployments stay indistinguishable through a read, a tolerance-sized
+    /// permanent failure, its repair and a read-back. And one `EncodedFile`
+    /// is ingested twice: whatever the first deployment did to the shared
+    /// handles (wipes, repairs, its drop), the second sees the same file.
     #[test]
-    fn write_file_bytes_is_indistinguishable_from_write_file(
+    fn write_encoded_is_indistinguishable_from_write_file(
         stripes in 1usize..3,
         extra in any::<usize>(),
         tail in 1usize..(1 << 20),
         seed in any::<u64>(),
     ) {
         const BLOCK: usize = 1 << 20;
-        const CODES: [CodeKind; 7] = [
-            CodeKind::TWO_REP,
-            CodeKind::THREE_REP,
-            CodeKind::Pentagon,
-            CodeKind::Heptagon,
-            CodeKind::HeptagonLocal,
-            CodeKind::RAID_M_10_9,
-            CodeKind::ReedSolomon { data: 6, parity: 3 },
-        ];
         // One payload for the whole case, as an experiment driver holds it:
         // every file is a prefix — a borrowed slice on one side, a
         // zero-copy view on the other.
-        let widest = CODES.iter().map(|c| c.build().unwrap().data_blocks()).max().unwrap();
+        let widest = EVERY_KIND.iter().map(|c| c.build().unwrap().data_blocks()).max().unwrap();
         let payload: Bytes = (0..(stripes + 1) * widest * BLOCK)
             .map(|i| ((i as u64 ^ seed).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
             .collect::<Vec<u8>>()
             .into();
-        for code in CODES {
+        for code in EVERY_KIND {
             let k = code.build().unwrap().data_blocks();
             let whole_stripes = stripes * k * BLOCK;
             // A partial last stripe of whole blocks (none to add at k = 1).
@@ -309,14 +315,20 @@ proptest! {
                 let copied = ingest_outcome(code, seed, |fs| {
                     fs.write_file("/diff/ingest", &payload[..len], code).unwrap()
                 });
-                let viewed = ingest_outcome(code, seed, |fs| {
-                    fs.write_file_bytes("/diff/ingest", payload.slice(..len), code).unwrap()
+                let file = EncodedFile::encode(payload.slice(..len), code, BLOCK).unwrap();
+                let encoded = ingest_outcome(code, seed, |fs| {
+                    fs.write_encoded("/diff/ingest", &file).unwrap()
+                });
+                let again = ingest_outcome(code, seed, |fs| {
+                    fs.write_encoded("/diff/ingest", &file).unwrap()
                 });
                 prop_assert_eq!(&copied.healthy_read[..], &payload[..len], "{} len={}", code, len);
                 prop_assert_eq!(&copied.repaired_read[..], &payload[..len], "{} len={}", code, len);
                 prop_assert_eq!(copied.report.unrecoverable_stripes, 0);
-                prop_assert!(copied == viewed, "{} len={}:\n{:?}\nvs\n{:?}",
-                    code, len, copied.report, viewed.report);
+                prop_assert!(copied == encoded, "{} len={}:\n{:?}\nvs\n{:?}",
+                    code, len, copied.report, encoded.report);
+                prop_assert!(encoded == again, "{} len={}: second ingest of one EncodedFile:\n{:?}\nvs\n{:?}",
+                    code, len, encoded.report, again.report);
             }
         }
     }
@@ -360,15 +372,7 @@ fn repair_scenario(
 /// agree.
 #[test]
 fn repair_served_bytes_match_the_plan_for_every_code() {
-    for code in [
-        CodeKind::TWO_REP,
-        CodeKind::THREE_REP,
-        CodeKind::Pentagon,
-        CodeKind::Heptagon,
-        CodeKind::HeptagonLocal,
-        CodeKind::RAID_M_10_9,
-        CodeKind::ReedSolomon { data: 6, parity: 3 },
-    ] {
+    for code in EVERY_KIND {
         let mut fs = DistributedFileSystem::new(tiny_spec(), 0xACC0);
         let built = code.build().unwrap();
         let data = vec![42u8; 2 * built.data_blocks() * 1024 * 1024 + 777];
@@ -397,4 +401,71 @@ fn repair_served_bytes_match_the_plan_for_every_code() {
         assert!(report.network_bytes > 0, "{code}: a repair moves bytes");
         assert_eq!(fs.read_file(id).unwrap(), data, "{code}: bytes restored");
     }
+}
+
+/// `read_file_blocks` is `read_file` without the file-sized copy: for every
+/// code kind, on a file with a short tail, whether its stripe-0 hosts are
+/// healthy, transiently down (data intact, nodes dark) or permanently
+/// failed (degraded reads), the handles concatenate to the bytes
+/// `read_file` returns — the last one cut to the file's length — and the
+/// two deployments end with the same timeline, `FsStats` and per-node
+/// served bytes.
+#[test]
+fn read_file_blocks_is_read_file_without_the_copy() {
+    #[derive(Debug, Clone, Copy)]
+    enum Stripe0 {
+        Healthy,
+        TransientDown,
+        Degraded,
+    }
+    let mut degraded_reads = 0;
+    for code in EVERY_KIND {
+        let built = code.build().unwrap();
+        // One whole stripe, one whole block of the next, and a ragged tail.
+        let len = (built.data_blocks() + 1) * (1 << 20) + 4321;
+        let data: Vec<u8> = (0..len)
+            .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
+            .collect();
+        for scenario in [Stripe0::Healthy, Stripe0::TransientDown, Stripe0::Degraded] {
+            let deploy = || {
+                let mut fs = DistributedFileSystem::new(tiny_spec(), 0xB10C);
+                let id = fs.write_file("/read/blocks", &data, code).unwrap();
+                fs.sync();
+                let meta = fs.namenode().file(id).unwrap().clone();
+                let victims: Vec<_> =
+                    meta.placement.stripe_hosts(0).unwrap()[..built.fault_tolerance()].to_vec();
+                for &v in &victims {
+                    match scenario {
+                        Stripe0::Healthy => {}
+                        Stripe0::TransientDown => fs.fail_node(v),
+                        Stripe0::Degraded => fs.fail_node_permanently(v),
+                    }
+                }
+                (fs, id)
+            };
+            let observe = |fs: &DistributedFileSystem| {
+                let served: Vec<u64> = (0..fs.cluster().spec().data_nodes)
+                    .map(|n| fs.datanode(NodeId(n)).unwrap().bytes_served())
+                    .collect();
+                (fs.stats(), fs.timeline().clone(), served)
+            };
+            let (mut copying, id) = deploy();
+            let copied = copying.read_file(id).unwrap();
+            let (mut handles, id) = deploy();
+            let blocks = handles.read_file_blocks(id).unwrap();
+
+            assert_eq!(copied, data, "{code} {scenario:?}");
+            let joined: Vec<u8> = blocks.iter().flat_map(|b| b.iter().copied()).collect();
+            assert_eq!(joined, data, "{code} {scenario:?}");
+            assert_eq!(
+                blocks.len(),
+                len.div_ceil(1 << 20),
+                "{code}: content blocks only"
+            );
+            assert_eq!(blocks.last().unwrap().len(), 4321, "{code}: truncated tail");
+            assert_eq!(observe(&copying), observe(&handles), "{code} {scenario:?}");
+            degraded_reads += handles.timeline().with_prefix("degraded-read:").count();
+        }
+    }
+    assert!(degraded_reads > 0, "some scenario must reconstruct a block");
 }

@@ -7,10 +7,12 @@
 //! entirely from the shelf. Before the pool, every repeated cell of the
 //! repro harness malloc/freed GiBs of 1 MiB buffers.
 //!
-//! The zero-copy ingest path gets the complementary proof on a *cold*
-//! pool: `write_file_bytes` of whole blocks allocates block-sized buffers
-//! for the parities only — every data block is a view of the caller's
-//! payload.
+//! The encode-once ingest path gets the complementary proof on a *cold*
+//! pool: `EncodedFile::encode` allocates block-sized buffers for the
+//! parities only — every data block is a view of the caller's payload —
+//! and any number of cells ingesting that file allocate none at all. The
+//! parities are shared with the DataNodes, never shelved by them while the
+//! file lives, and go back to the pool exactly once, when it drops.
 //!
 //! A counting global allocator tallies allocations at or above the block
 //! size inside an explicit window. Counters cover all threads (the worker
@@ -23,7 +25,7 @@ use std::sync::Mutex;
 
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
-use drc_hdfs::{Bytes, DistributedFileSystem};
+use drc_hdfs::{Bytes, DistributedFileSystem, EncodedFile};
 
 /// Block size of the measured deployment; also the counting threshold —
 /// every payload, parity and rebuild buffer is exactly this large.
@@ -166,39 +168,98 @@ fn second_identical_cell_allocates_no_block_payloads() {
     );
 }
 
-/// On a cold pool, ingesting N whole blocks through `write_file_bytes`
-/// allocates one block-sized buffer per *parity* and none for data, where
-/// `write_file` allocates one per distinct block.
+/// On a cold pool, `write_file` allocates one block-sized buffer per
+/// distinct block, per cell. `EncodedFile::encode` allocates one per
+/// *parity* and none for data — and that is all an experiment pays: every
+/// cell ingesting the file afterwards takes nothing from the pool and
+/// allocates nothing block-sized, i.e. the encode ran once for the file, not
+/// once per cell.
 #[test]
-fn write_file_bytes_allocates_no_data_block_buffers() {
+fn cells_over_one_encoded_file_allocate_its_parities_once() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let code = CodeKind::Pentagon;
     let built = code.build().unwrap();
     let stripes = 2usize;
+    let cells = 3usize;
     let k = built.data_blocks();
     let parities = built.distinct_blocks() - k;
     let data = stripes_of_data(stripes);
     let payload = Bytes::from(data.clone());
+    let takes = || drc_gf::bufpool::hits() + drc_gf::bufpool::misses();
 
-    let big_allocs_of = |ingest: &dyn Fn(&mut DistributedFileSystem)| {
-        let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
-        drc_gf::bufpool::drain();
-        open_window();
-        ingest(&mut fs);
-        let big_allocs = close_window();
+    let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
+    drc_gf::bufpool::drain();
+    open_window();
+    fs.write_file("/pool/copied", &data, code).unwrap();
+    assert_eq!(close_window(), stripes * (k + parities), "one per block");
+    drop(fs);
+
+    drc_gf::bufpool::drain();
+    let takes_before = takes();
+    open_window();
+    let file = EncodedFile::encode(payload.clone(), code, BLOCK as usize).unwrap();
+    assert_eq!(close_window(), stripes * parities, "parities only");
+    assert_eq!(takes() - takes_before, (stripes * parities) as u64);
+
+    open_window();
+    for cell in 0..cells {
+        let mut fs = DistributedFileSystem::new(spec(), 0xB00F + cell as u64);
+        let id = fs.write_encoded("/pool/encoded", &file).unwrap();
         assert_eq!(fs.stats().stored_blocks, stripes * built.stored_blocks());
-        big_allocs
-    };
-    let copied = big_allocs_of(&|fs| {
-        fs.write_file("/pool/copied", &data, code).unwrap();
-    });
-    let viewed = big_allocs_of(&|fs| {
-        fs.write_file_bytes("/pool/viewed", payload.clone(), code)
-            .unwrap();
-    });
-    assert_eq!(copied, stripes * (k + parities), "one buffer per block");
-    assert_eq!(viewed, stripes * parities, "parities only");
-    // Every view is gone with its file system; the payload is the
-    // caller's again, unmoved.
+        // Wiping a node mid-cell releases handles, never the buffers.
+        let host = fs
+            .namenode()
+            .file(id)
+            .unwrap()
+            .block_locations(0, k)
+            .unwrap()[0];
+        fs.fail_node_permanently(host);
+    }
+    assert_eq!(
+        close_window(),
+        0,
+        "ingesting an encoded file allocates nothing"
+    );
+    assert_eq!(
+        takes() - takes_before,
+        (stripes * parities) as u64,
+        "no cell encoded anything"
+    );
+    // Every file system is gone, the file is not: no DataNode shelved a
+    // parity it shared with it.
+    assert_eq!(drc_gf::bufpool::pooled_bytes(), 0);
+    drop(file);
+    // Now each parity is back on the shelf, once.
+    assert_eq!(
+        drc_gf::bufpool::pooled_bytes(),
+        stripes * parities * BLOCK as usize
+    );
+    // Every view is gone with the file; the payload is the caller's again,
+    // unmoved.
     assert_eq!(payload.try_unwrap().unwrap(), data);
+}
+
+/// The converse ownership case: a file system that outlives the
+/// `EncodedFile` it ingested is the parities' last holder, and its drop
+/// shelves each of them exactly once however many replicas held the handle.
+#[test]
+fn a_file_system_outliving_the_encoded_file_recycles_its_parities() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let code = CodeKind::Pentagon;
+    let built = code.build().unwrap();
+    let stripes = 2usize;
+    let parities = built.distinct_blocks() - built.data_blocks();
+    let payload = Bytes::from(stripes_of_data(stripes));
+
+    drc_gf::bufpool::drain();
+    let file = EncodedFile::encode(payload, code, BLOCK as usize).unwrap();
+    let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
+    fs.write_encoded("/pool/outlived", &file).unwrap();
+    drop(file);
+    assert_eq!(drc_gf::bufpool::pooled_bytes(), 0, "the replicas hold them");
+    drop(fs);
+    assert_eq!(
+        drc_gf::bufpool::pooled_bytes(),
+        stripes * parities * BLOCK as usize
+    );
 }
