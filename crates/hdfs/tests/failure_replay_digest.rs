@@ -1,0 +1,189 @@
+//! The storage side of the failure replay, pinned: one composed trace — a
+//! fail-stop, an early rejoin, a rejoin exactly at the detection boundary, a
+//! `Slowdown`, a rack burst, the detection timeout raised mid-flight and a
+//! second `schedule_trace` (with instants already in the past) after partial
+//! draining — must reproduce, bit for bit, the timeline, every
+//! `RepairReport` and the `FsStats` recorded before the file system's
+//! private event queue and the NameNode's heartbeat maps were replaced by
+//! the replay `drc_sim` shares with the MapReduce engine
+//! (`crates/mapreduce/tests/engine_digest.rs` is the engine-side twin).
+
+use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, RackId};
+use drc_codes::CodeKind;
+use drc_hdfs::{DistributedFileSystem, RepairReport};
+use drc_sim::{SimDuration, SimTime};
+
+/// FNV-1a, 64-bit.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn reports(&mut self, reports: &[RepairReport]) {
+        self.u64(reports.len() as u64);
+        for r in reports {
+            self.u64(r.stripes_repaired as u64);
+            self.u64(r.blocks_restored as u64);
+            self.u64(r.network_bytes);
+            self.u64(r.unrecoverable_stripes as u64);
+            self.u64(r.issued_at.0);
+            self.u64(r.completed_at.0);
+        }
+    }
+}
+
+fn payload(len: usize, salt: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| ((i + salt).wrapping_mul(2654435761) >> 8) as u8)
+        .collect()
+}
+
+fn secs(s: f64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs_f64(s)
+}
+
+#[test]
+fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
+    let down = |at_s: f64, n: usize| {
+        FailureEvent::at_secs(at_s, FailureEventKind::NodeDown { node: NodeId(n) })
+    };
+    let up = |at_s: f64, n: usize| {
+        FailureEvent::at_secs(at_s, FailureEventKind::NodeUp { node: NodeId(n) })
+    };
+    let slow = |at_s: f64, n: usize, factor: f64| {
+        FailureEvent::at_secs(
+            at_s,
+            FailureEventKind::Slowdown {
+                node: NodeId(n),
+                factor,
+            },
+        )
+    };
+
+    // 25 nodes round-robin over 12 racks: rack 1 is {node 1, node 13}.
+    let mut spec = ClusterSpec::simulation_25(4);
+    spec.block_size_mb = 1;
+    spec.racks = 12;
+    let mut fs = DistributedFileSystem::new(spec, 0xD16E);
+    let files: Vec<_> = [
+        CodeKind::Pentagon,
+        CodeKind::ReedSolomon {
+            data: 10,
+            parity: 4,
+        },
+        CodeKind::THREE_REP,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, kind)| {
+        let data = payload(20 * 1024 * 1024 + 123 * (i + 1), i);
+        let id = fs.write_file(&format!("/pin/{i}"), &data, kind).unwrap();
+        (id, data)
+    })
+    .collect();
+    fs.sync();
+
+    let mut d = Digest::new();
+    fs.set_detection_timeout(SimDuration::from_secs_f64(2.0));
+    fs.schedule_trace(&FailureTrace::from_events(vec![
+        down(1.0, 3),
+        // Early rejoin: back before any boundary, never detected.
+        down(1.5, 6),
+        up(2.5, 6),
+        // Rejoin exactly at the boundary in force when it fires (2 s + 3 s).
+        down(2.0, 9),
+        up(5.0, 9),
+        slow(3.0, 12, 4.0),
+        FailureEvent::at_secs(6.0, FailureEventKind::RackDown { rack: RackId(1) }),
+    ]));
+    d.reports(&fs.process_events_until(secs(2.2)).unwrap());
+    // Nodes 3, 6 and 9 are dark and undetected: this read goes degraded.
+    assert_eq!(fs.read_file(files[0].0).unwrap(), files[0].1);
+
+    // Raised mid-flight: node 3's boundary moves from 3 s to 4 s, node 9's
+    // from 4 s to 5 s — where its rejoin lands.
+    fs.set_detection_timeout(SimDuration::from_secs_f64(3.0));
+    d.reports(&fs.process_events_until(secs(6.5)).unwrap());
+
+    // A second trace after partial draining. Its first two instants are in
+    // the past and fire at the processing frontier (6 s, the rack burst), so
+    // node 20's boundary (9 s) coincides with the rack's: one batched pass.
+    // Node 13 rejoins before that boundary and drops out of the batch.
+    fs.schedule_trace(&FailureTrace::from_events(vec![
+        down(0.5, 20),
+        slow(1.0, 12, 1.0),
+        down(7.0, 22),
+        up(8.0, 13),
+    ]));
+    d.reports(&fs.process_events_until(secs(9.0)).unwrap());
+    fs.sync();
+    assert_eq!(fs.read_file(files[1].0).unwrap(), files[1].1);
+    d.reports(&fs.process_all_events().unwrap());
+    assert_eq!(fs.pending_events(), 0);
+    fs.sync();
+    assert_eq!(fs.read_file(files[2].0).unwrap(), files[2].1);
+
+    d.reports(fs.auto_repair_reports());
+    d.u64(fs.timeline().phases.len() as u64);
+    for phase in &fs.timeline().phases {
+        d.str(&phase.label);
+        d.u64(phase.start.0);
+        d.u64(phase.end.0);
+        d.u64(phase.bytes);
+    }
+    let stats = fs.stats();
+    d.u64(stats.files as u64);
+    d.u64(stats.stored_blocks as u64);
+    d.u64(stats.stored_bytes);
+    d.u64(stats.write_network_bytes);
+    d.u64(stats.read_network_bytes);
+    d.u64(stats.repair_network_bytes);
+    for node in fs.cluster().down_nodes() {
+        d.u64(node.0 as u64);
+    }
+
+    // Blind windows, in detection order: node 3 under the raised timeout,
+    // then the batch at 9 s (rack member 1, then the clamped node 20), then
+    // node 22. Nodes 6, 9 and 13 rejoined in time and have none.
+    let lags: Vec<(&str, SimTime, SimTime)> = fs
+        .timeline()
+        .with_prefix("detection-lag:")
+        .map(|p| (p.label.as_str(), p.start, p.end))
+        .collect();
+    assert_eq!(
+        lags,
+        [
+            ("detection-lag:node3", secs(1.0), secs(4.0)),
+            ("detection-lag:node1", secs(6.0), secs(9.0)),
+            ("detection-lag:node20", secs(6.0), secs(9.0)),
+            ("detection-lag:node22", secs(7.0), secs(10.0)),
+        ]
+    );
+    let issued: Vec<SimTime> = fs
+        .auto_repair_reports()
+        .iter()
+        .map(|r| r.issued_at)
+        .collect();
+    assert_eq!(issued, [secs(4.0), secs(9.0), secs(10.0)]);
+
+    // Recorded at commit 1093746 (the parent of the shared failure replay).
+    let want = 0x4e43_ccd8_7085_3923u64;
+    assert_eq!(d.0, want, "got {:#018x}, recorded {want:#018x}", d.0);
+}

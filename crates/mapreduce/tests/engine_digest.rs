@@ -7,10 +7,22 @@
 //! `shuffle_contention` floats by `to_bits` — so a reordered rng draw, a
 //! slot picked differently or a fetch issued in another order all show up
 //! here, not three layers up in a `repro` diff.
+//!
+//! The second half pins the *failure* paths the same way — a mid-map
+//! fail-stop under zero and non-zero detection timeouts, rejoins before and
+//! exactly at the detection boundary, a rack burst, and a shared substrate
+//! at a non-zero start — recorded before the engine's private failure
+//! replay was replaced by the one `drc_sim` shares with the file system.
 
-use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
+use drc_cluster::{
+    Cluster, ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, PlacementMap,
+    PlacementPolicy, RackId,
+};
 use drc_codes::CodeKind;
-use drc_mapreduce::{run_job, DelayScheduler, JobMetrics, JobSpec};
+use drc_mapreduce::{
+    run_job, run_job_traced, DelayScheduler, FailureModel, JobMetrics, JobSite, JobSpec,
+};
+use drc_sim::{ClusterNet, SimDuration, SimTime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -111,5 +123,145 @@ fn datacenter_120_at_400_percent_reproduces_the_recorded_job_metrics() {
     for (code, want) in recorded {
         let got = digest(&run(code));
         assert_eq!(got, want, "{code}: got {got:#018x}, recorded {want:#018x}");
+    }
+}
+
+/// A pentagon job of 54 map tasks on `simulation_25(2)` (50 map slots, so
+/// two waves) under `trace` and `timeout_s`, on `net` from `start`.
+fn run_failing(
+    trace: &FailureTrace,
+    timeout_s: f64,
+    net: &ClusterNet,
+    start: SimTime,
+) -> JobMetrics {
+    let cluster = Cluster::new(ClusterSpec::simulation_25(2));
+    let code = CodeKind::Pentagon.build().unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let placement = PlacementMap::place(
+        code.as_ref(),
+        &cluster,
+        6,
+        PlacementPolicy::Random,
+        &mut rng,
+    )
+    .unwrap();
+    let job = JobSpec::new("failing", placement.data_blocks()).with_reduce_tasks(8);
+    let mut rng = ChaCha8Rng::seed_from_u64(43);
+    run_job_traced(
+        &job,
+        code.as_ref(),
+        &placement,
+        &cluster,
+        &DelayScheduler::default(),
+        &mut rng,
+        JobSite { net, start },
+        FailureModel::new(trace, SimDuration::from_secs_f64(timeout_s)),
+    )
+    .unwrap()
+}
+
+#[test]
+fn failure_paths_reproduce_the_recorded_job_metrics() {
+    let spec = ClusterSpec::simulation_25(2);
+    let idle = || ClusterNet::new(&spec);
+    let secs = |s: f64| SimTime::ZERO + SimDuration::from_secs_f64(s);
+    let victim = NodeId(5);
+    let down = |at_s: f64| FailureEvent::at_secs(at_s, FailureEventKind::NodeDown { node: victim });
+    let up = |at_s: f64| FailureEvent::at_secs(at_s, FailureEventKind::NodeUp { node: victim });
+    // The healthy first wave ends past t = 5 s: a fail-stop at 1 s is
+    // mid-map, and a 12 s timeout puts the boundary (13 s) past the wave, so
+    // when a lost attempt resolves decides when the next wave starts.
+    let healthy = run_failing(&FailureTrace::new(), 3.0, &idle(), SimTime::ZERO);
+    assert!(healthy.map_phase_s > 10.0 && healthy.tasks_reexecuted == 0);
+
+    // A shared substrate: every NIC busy until t = 30 s, job issued at 5 s.
+    let busy = || {
+        let net = idle();
+        for n in 0..spec.data_nodes {
+            net.node(NodeId(n)).nic.occupy_until(secs(30.0));
+        }
+        net
+    };
+    let shifted_down = FailureTrace::from_events(vec![down(6.0)]);
+
+    // Recorded at commit 1093746 (the parent of the shared failure replay).
+    let recorded: [(&str, JobMetrics, u64); 8] = [
+        (
+            "mid-map NodeDown, 0 s timeout",
+            run_failing(
+                &FailureTrace::from_events(vec![down(1.0)]),
+                0.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0xaf84_a929_7ec4_5ece,
+        ),
+        (
+            "mid-map NodeDown, 3 s timeout",
+            run_failing(
+                &FailureTrace::from_events(vec![down(1.0)]),
+                3.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0x9c8e_5851_b784_8ed5,
+        ),
+        (
+            "NodeUp before the boundary",
+            run_failing(
+                &FailureTrace::from_events(vec![down(1.0), up(9.0)]),
+                12.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0x590c_c91c_8faf_baa2,
+        ),
+        (
+            "NodeUp exactly at the boundary",
+            run_failing(
+                &FailureTrace::from_events(vec![down(1.0), up(13.0)]),
+                12.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0x4dc2_625c_fb4d_df9b,
+        ),
+        (
+            "NodeUp after the boundary",
+            run_failing(
+                &FailureTrace::from_events(vec![down(1.0), up(14.0)]),
+                12.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0x9f85_b388_cce7_96ea,
+        ),
+        (
+            "RackDown, 1 s timeout",
+            run_failing(
+                &FailureTrace::from_events(vec![FailureEvent::at_secs(
+                    1.0,
+                    FailureEventKind::RackDown { rack: RackId(1) },
+                )]),
+                1.0,
+                &idle(),
+                SimTime::ZERO,
+            ),
+            0x7339_9a79_0928_0345,
+        ),
+        (
+            "shared net, start 5 s, healthy",
+            run_failing(&FailureTrace::new(), 3.0, &busy(), secs(5.0)),
+            0xc163_c043_73f7_7c29,
+        ),
+        (
+            "shared net, start 5 s, NodeDown at 6 s",
+            run_failing(&shifted_down, 3.0, &busy(), secs(5.0)),
+            0x2141_fce1_c766_bd5e,
+        ),
+    ];
+    for (what, metrics, want) in &recorded {
+        let got = digest(metrics);
+        assert_eq!(got, *want, "{what}: got {got:#018x}, recorded {want:#018x}");
     }
 }
