@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 
 use drc_core::cluster::{Cluster, ClusterSpec};
 use drc_core::codes::CodeKind;
-use drc_core::mapreduce::{run_job, SchedulerKind};
+use drc_core::mapreduce::{JobRun, SchedulerKind};
 use drc_core::workloads::{provision_workload, WorkloadKind};
 
 fn bench_fig4_jobs(c: &mut Criterion) {
@@ -27,14 +27,14 @@ fn bench_fig4_jobs(c: &mut Criterion) {
             |b, workload| {
                 b.iter(|| {
                     let mut rng = ChaCha8Rng::seed_from_u64(1);
-                    run_job(
+                    JobRun::new(
                         &workload.job,
                         code.as_ref(),
                         &workload.placement,
                         &cluster,
                         scheduler.as_ref(),
-                        &mut rng,
                     )
+                    .run(&mut rng)
                     .expect("runs")
                 })
             },

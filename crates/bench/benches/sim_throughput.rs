@@ -29,7 +29,7 @@
 //! identical at both widths for every experiment without wall-clock fields.
 //! Finally it stamps the MapReduce scheduling plane on the shape the repo's
 //! benchmark sweeps (`datacenter(120)` at 400 % load): `mr_tasks_per_s`
-//! (map tasks per wall second through `run_job`), `delay_assign_ns_per_task`
+//! (map tasks per wall second through `JobRun`), `delay_assign_ns_per_task`
 //! (`DelayScheduler::assign` per placed task) and `transfer_issue_ns` (one
 //! shuffle-fetch-shaped `Transfer`) — present and positive on every host,
 //! per `check_speedup`.
@@ -59,7 +59,7 @@ use drc_cluster::{
     Cluster, ClusterSpec, GlobalBlockId, IndexKind, NodeId, PlacementMap, PlacementPolicy,
 };
 use drc_codes::{CodeKind, StripeEncoder};
-use drc_core::mapreduce::{run_job, DelayScheduler, TaskNodeGraph, TaskScheduler};
+use drc_core::mapreduce::{DelayScheduler, JobRun, TaskNodeGraph, TaskScheduler};
 use drc_core::workloads::{provision_workload, WorkloadKind};
 use drc_gf::kernel;
 use drc_sim::{ClusterNet, EventQueue, SimTime, Transfer};
@@ -436,14 +436,14 @@ fn mr_ledger() -> (f64, f64, f64) {
             .expect("the paper codes fit 120 nodes");
         let started = std::time::Instant::now();
         for _ in 0..ROUNDS {
-            let metrics = run_job(
+            let metrics = JobRun::new(
                 &workload.job,
                 code.as_ref(),
                 &workload.placement,
                 &cluster,
                 &scheduler,
-                &mut rng,
             )
+            .run(&mut rng)
             .expect("a healthy cluster runs the job");
             criterion::black_box(metrics);
         }

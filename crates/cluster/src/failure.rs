@@ -1,20 +1,17 @@
-//! Failure injection: static scenarios and trace-driven timed failures.
+//! Failure injection: timed failure traces.
 //!
-//! Two models live here:
-//!
-//! * [`FailureScenario`] — the original *static* model: a fixed set of nodes
-//!   that are down for the whole duration of an experiment. Used by the
-//!   degraded-MapReduce experiments (§5 future work: "MR performance in the
-//!   presence of node failures") and by the Monte-Carlo reliability
-//!   cross-checks.
-//! * [`FailureTrace`] — the *timed* generalisation: a sorted sequence of
-//!   [`FailureEvent`]s (node down/up, correlated rack bursts, slowdowns) at
-//!   virtual instants. Layers that execute on the `drc_sim` substrate (the
-//!   simulated HDFS's detection/auto-repair engine, the MapReduce engine's
-//!   mid-job failure handling) consume the trace event by event, so
-//!   detection lag, repair traffic and job execution interleave in virtual
-//!   time instead of being fixed configuration. A static scenario is the
-//!   trivial trace with every failure at t = 0 ([`FailureScenario::to_trace`]).
+//! One model lives here: [`FailureTrace`], a sorted sequence of
+//! [`FailureEvent`]s (node down/up, correlated rack bursts, slowdowns) at
+//! virtual instants. A trace only *describes* failures; `drc_sim`'s
+//! `FailureReplay` executes it — expanding rack bursts, ordering events and
+//! interleaving the detection boundaries a heartbeat timeout implies — and
+//! the layers on the substrate (the simulated HDFS's auto-repair engine, the
+//! MapReduce engine's mid-job failure handling) each consume one replay, so
+//! detection lag, repair traffic and job execution interleave in virtual
+//! time. The static failure pattern of the degraded-MapReduce experiments
+//! (§5 future work: "MR performance in the presence of node failures") is
+//! the trivial trace with every failure at t = 0
+//! ([`FailureTrace::down_at_t0`], victims drawn with [`sample_nodes`]).
 //!
 //! # Interval semantics
 //!
@@ -32,76 +29,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::topology::{Cluster, NodeId, RackId};
 
-/// A failure scenario: which nodes are down for the duration of an experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FailureScenario {
-    /// The nodes that are down.
-    pub down: Vec<NodeId>,
-}
-
-impl FailureScenario {
-    /// No failures.
-    pub fn none() -> Self {
-        FailureScenario::default()
-    }
-
-    /// Marks exactly the given nodes as down.
-    pub fn nodes(down: Vec<NodeId>) -> Self {
-        FailureScenario { down }
-    }
-
-    /// Samples distinct down nodes uniformly at random.
-    ///
-    /// The sample is **capped at the cluster size**: asking for more
-    /// failures than there are nodes yields a scenario with every node down,
-    /// not an error. The second return value is the count actually sampled
-    /// (`count.min(cluster.len())`), so callers can detect truncation
-    /// without re-deriving the cap.
-    pub fn random<R: Rng + ?Sized>(cluster: &Cluster, count: usize, rng: &mut R) -> (Self, usize) {
-        let mut nodes: Vec<NodeId> = cluster.nodes().collect();
-        nodes.shuffle(rng);
-        nodes.truncate(count.min(cluster.len()));
-        nodes.sort_unstable();
-        let sampled = nodes.len();
-        (FailureScenario { down: nodes }, sampled)
-    }
-
-    /// Applies the scenario to a cluster (marks the nodes down).
-    pub fn apply(&self, cluster: &mut Cluster) {
-        for &n in &self.down {
-            cluster.set_down(n);
-        }
-    }
-
-    /// Reverts the scenario (marks the nodes up again).
-    pub fn revert(&self, cluster: &mut Cluster) {
-        for &n in &self.down {
-            cluster.set_up(n);
-        }
-    }
-
-    /// Number of failed nodes in the scenario.
-    pub fn len(&self) -> usize {
-        self.down.len()
-    }
-
-    /// Returns `true` if no node is down.
-    pub fn is_empty(&self) -> bool {
-        self.down.is_empty()
-    }
-
-    /// The equivalent timed trace: every node of the scenario fails at
-    /// t = 0 and nothing recovers. With a zero detection timeout this trace
-    /// reproduces the static model exactly (the differential tests lock
-    /// that identity byte-for-byte).
-    pub fn to_trace(&self) -> FailureTrace {
-        FailureTrace::from_events(
-            self.down
-                .iter()
-                .map(|&node| FailureEvent::at_ns(0, FailureEventKind::NodeDown { node }))
-                .collect(),
-        )
-    }
+/// Samples `count` distinct nodes of `cluster` uniformly at random, in id
+/// order — the victims of a static failure pattern.
+///
+/// The sample is **capped at the cluster size**: asking for more nodes than
+/// there are yields every node, not an error; compare the result's length
+/// with `count` to detect the truncation.
+pub fn sample_nodes<R: Rng + ?Sized>(cluster: &Cluster, count: usize, rng: &mut R) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = cluster.nodes().collect();
+    nodes.shuffle(rng);
+    nodes.truncate(count.min(cluster.len()));
+    nodes.sort_unstable();
+    nodes
 }
 
 /// What happens at one instant of a [`FailureTrace`].
@@ -202,6 +141,19 @@ impl FailureTrace {
     /// An empty trace (nothing ever fails).
     pub fn new() -> Self {
         FailureTrace::default()
+    }
+
+    /// The static failure pattern as a trace: every node of `nodes` fails at
+    /// t = 0 and nothing recovers. Replayed under a zero detection timeout
+    /// this reproduces a cluster whose `nodes` start down exactly (the
+    /// differential tests lock that identity byte-for-byte).
+    pub fn down_at_t0(nodes: &[NodeId]) -> Self {
+        FailureTrace::from_events(
+            nodes
+                .iter()
+                .map(|&node| FailureEvent::at_ns(0, FailureEventKind::NodeDown { node }))
+                .collect(),
+        )
     }
 
     /// Builds a trace from events in any order (stable-sorted by instant).
@@ -327,41 +279,23 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn apply_and_revert() {
-        let mut cluster = Cluster::new(ClusterSpec::setup1());
-        let scenario = FailureScenario::nodes(vec![NodeId(1), NodeId(5)]);
-        assert_eq!(scenario.len(), 2);
-        assert!(!scenario.is_empty());
-        scenario.apply(&mut cluster);
-        assert!(!cluster.is_up(NodeId(1)));
-        assert!(!cluster.is_up(NodeId(5)));
-        scenario.revert(&mut cluster);
-        assert!(cluster.is_up(NodeId(1)));
-        assert!(FailureScenario::none().is_empty());
-    }
-
-    #[test]
-    fn random_scenarios_are_distinct_nodes_and_deterministic() {
+    fn sampled_nodes_are_distinct_sorted_and_deterministic() {
         let cluster = Cluster::new(ClusterSpec::setup1());
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        let (s, sampled) = FailureScenario::random(&cluster, 5, &mut rng);
-        assert_eq!(s.len(), 5);
-        assert_eq!(sampled, 5);
-        let unique: std::collections::BTreeSet<_> = s.down.iter().collect();
-        assert_eq!(unique.len(), 5);
-        // Requesting more failures than nodes caps at the cluster size, and
-        // the returned count makes the truncation detectable.
+        let sample = sample_nodes(&cluster, 5, &mut rng);
+        assert_eq!(sample.len(), 5);
+        assert!(sample.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
         let mut rng2 = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        let (all, sampled) = FailureScenario::random(&cluster, 100, &mut rng2);
-        assert_eq!(all.len(), 25);
-        assert_eq!(sampled, 25);
+        assert_eq!(sample, sample_nodes(&cluster, 5, &mut rng2));
+        // Requesting more nodes than there are caps at the cluster size,
+        // and the length makes the truncation detectable.
+        assert_eq!(sample_nodes(&cluster, 100, &mut rng2).len(), 25);
     }
 
     #[test]
-    fn scenario_to_trace_is_all_node_downs_at_t0() {
+    fn down_at_t0_is_all_node_downs_at_t0() {
         let cluster = Cluster::new(ClusterSpec::setup1());
-        let scenario = FailureScenario::nodes(vec![NodeId(2), NodeId(9)]);
-        let trace = scenario.to_trace();
+        let trace = FailureTrace::down_at_t0(&[NodeId(2), NodeId(9)]);
         assert_eq!(trace.len(), 2);
         assert!(trace.events().iter().all(|e| e.at_ns == 0));
         assert_eq!(trace.nodes_taken_down(&cluster), vec![NodeId(2), NodeId(9)]);

@@ -248,18 +248,10 @@ thread_local! {
 
 impl IndexKind {
     /// The backend new placements on this thread use: a scoped
-    /// [`with_index_kind`] override if one is active, else the
-    /// `DRC_BLOCK_INDEX` environment variable (`map` or `compact`), else
+    /// [`with_index_kind`] override if one is active, else
     /// [`IndexKind::Compact`].
     pub fn current() -> IndexKind {
-        if let Some(kind) = INDEX_OVERRIDE.with(Cell::get) {
-            return kind;
-        }
-        match std::env::var("DRC_BLOCK_INDEX").ok().as_deref() {
-            Some("map") => IndexKind::Map,
-            Some("compact") => IndexKind::Compact,
-            _ => IndexKind::Compact,
-        }
+        INDEX_OVERRIDE.with(Cell::get).unwrap_or(IndexKind::Compact)
     }
 }
 
@@ -267,7 +259,7 @@ impl IndexKind {
 /// restoring the previous selection afterwards (also on panic).
 ///
 /// This is how the differential tests run the same experiment under both
-/// backends in one process without racing on an environment variable.
+/// backends in one process.
 pub fn with_index_kind<T>(kind: IndexKind, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<IndexKind>);
     impl Drop for Restore {

@@ -13,11 +13,11 @@
 //!   [`BlockIndex`] (the default [`CompactIndex`] stores a placement as one
 //!   flat arena of `u32` node ids — a few bytes per block, which is what
 //!   allows 1000-node / 10M-block experiments),
-//! * [`FailureScenario`] — static failure injection for degraded-mode
-//!   experiments (every failure in force for the whole run),
 //! * [`FailureTrace`] — timed failure injection: a sorted sequence of
 //!   [`FailureEvent`]s (node down/up, rack bursts, slowdowns) the
-//!   event-driven layers replay in virtual time.
+//!   event-driven layers replay in virtual time; a static failure pattern
+//!   is the trace with every failure at t = 0
+//!   ([`FailureTrace::down_at_t0`] over [`sample_nodes`]).
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@ mod spec;
 mod topology;
 
 pub use error::ClusterError;
-pub use failure::{FailureEvent, FailureEventKind, FailureScenario, FailureTrace};
+pub use failure::{sample_nodes, FailureEvent, FailureEventKind, FailureTrace};
 pub use index::{
     with_index_kind, BlockIndex, CodeShape, CompactIndex, GlobalBlockId, IndexKind, MapIndex,
     NodeList, PlacementIndex,

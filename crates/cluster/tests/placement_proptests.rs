@@ -71,10 +71,11 @@ proptest! {
     ) {
         let mut cluster = Cluster::new(ClusterSpec::custom(30, 3, 4));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (scenario, sampled) =
-            drc_cluster::FailureScenario::random(&cluster, down_count, &mut rng);
-        prop_assert_eq!(sampled, down_count.min(cluster.len()));
-        scenario.apply(&mut cluster);
+        let down = drc_cluster::sample_nodes(&cluster, down_count, &mut rng);
+        prop_assert_eq!(down.len(), down_count.min(cluster.len()));
+        for &node in &down {
+            cluster.set_down(node);
+        }
         let code = CodeKind::HeptagonLocal.build().unwrap();
         let result = PlacementMap::place(code.as_ref(), &cluster, 5, PlacementPolicy::Random, &mut rng);
         if cluster.up_nodes().len() >= code.node_count() {

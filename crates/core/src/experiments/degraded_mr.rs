@@ -13,9 +13,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{Cluster, ClusterSpec, FailureScenario};
+use drc_cluster::{sample_nodes, Cluster, ClusterSpec};
 use drc_codes::CodeKind;
-use drc_mapreduce::{run_job, SchedulerKind};
+use drc_mapreduce::{JobRun, SchedulerKind};
 use drc_workloads::{provision_workload, WorkloadKind};
 
 use crate::experiments::{harness, Effort, DEFAULT_SEED};
@@ -116,17 +116,20 @@ fn degraded_point(
         // Failures strike after the data was written. The sampled
         // count always equals the request here (`failed_nodes` is
         // far below the cluster size, so the cap never truncates).
-        let (scenario, sampled) = FailureScenario::random(&cluster, failed_nodes, &mut rng);
-        debug_assert_eq!(sampled, failed_nodes);
-        scenario.apply(&mut cluster);
-        match run_job(
+        let victims = sample_nodes(&cluster, failed_nodes, &mut rng);
+        debug_assert_eq!(victims.len(), failed_nodes);
+        for &node in &victims {
+            cluster.set_down(node);
+        }
+        match JobRun::new(
             &workload.job,
             code.as_ref(),
             &workload.placement,
             &cluster,
             scheduler.as_ref(),
-            &mut rng,
-        ) {
+        )
+        .run(&mut rng)
+        {
             Ok(metrics) => {
                 completed += 1;
                 job_time += metrics.job_time_s;

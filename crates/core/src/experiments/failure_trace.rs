@@ -11,7 +11,7 @@
 //!    (heartbeats stop → the NameNode declares the nodes dead one detection
 //!    timeout later → the auto-repair queue rebuilds their blocks on the
 //!    shared `ClusterNet`), and
-//! 2. handed to the MapReduce engine (`run_job_traced`), whose scheduler
+//! 2. handed to the MapReduce engine (`JobRun::failures`), whose scheduler
 //!    keeps assigning onto silently-dead nodes during the blind window,
 //!    re-executes the lost attempts after detection, and serves reads of
 //!    failed replicas as degraded reads.
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use drc_cluster::{Cluster, FailureEvent, FailureTrace};
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
-use drc_mapreduce::{run_job_traced, FailureModel, JobSite, JobSpec, SchedulerKind};
+use drc_mapreduce::{JobRun, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
 use drc_sim::SimDuration;
 
@@ -301,19 +301,16 @@ fn run_window(
     // the repair-first ordering the contention experiments use.
     let failures_injected = trace.nodes_taken_down(&cluster).len();
     let repair_reports = fs.process_all_events()?;
-    let metrics = run_job_traced(
+    let metrics = JobRun::new(
         &job,
         built.as_ref(),
         &meta.placement,
         &cluster,
         scheduler.as_ref(),
-        &mut ChaCha8Rng::seed_from_u64(0x5EED ^ code_salt(code)),
-        JobSite {
-            net: fs.cluster_net(),
-            start,
-        },
-        FailureModel::new(&trace, timeout),
-    )?;
+    )
+    .on(fs.cluster_net(), start)
+    .failures(&trace, timeout)
+    .run(&mut ChaCha8Rng::seed_from_u64(0x5EED ^ code_salt(code)))?;
 
     let baseline = Baseline {
         job_s: metrics.job_time_s,

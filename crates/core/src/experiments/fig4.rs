@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, ClusterSpec};
 use drc_codes::CodeKind;
-use drc_mapreduce::{run_job, SchedulerKind};
+use drc_mapreduce::{JobRun, SchedulerKind};
 use drc_workloads::{provision_workload, setup1_loads, LoadPoint, WorkloadKind};
 
 use crate::experiments::{harness, Effort, DEFAULT_SEED};
@@ -125,14 +125,14 @@ fn terasort_point(
             load_percent,
             &mut rng,
         )?;
-        let metrics = run_job(
+        let metrics = JobRun::new(
             &workload.job,
             code.as_ref(),
             &workload.placement,
             &cluster,
             scheduler.as_ref(),
-            &mut rng,
-        )?;
+        )
+        .run(&mut rng)?;
         job_time += metrics.job_time_s;
         traffic += metrics.network_traffic_gb();
         locality += metrics.data_locality_percent();

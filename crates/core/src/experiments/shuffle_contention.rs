@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use drc_cluster::{Cluster, NodeId};
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
-use drc_mapreduce::{run_job_on, JobSite, JobSpec, LinkContention, SchedulerKind};
+use drc_mapreduce::{JobRun, JobSpec, LinkContention, SchedulerKind};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -230,18 +230,15 @@ fn run_window(
     let scheduler = SchedulerKind::Delay.build();
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED ^ failed as u64);
     let built = code.build()?;
-    let metrics = run_job_on(
+    let metrics = JobRun::new(
         &job,
         built.as_ref(),
         &meta.placement,
         &cluster,
         scheduler.as_ref(),
-        &mut rng,
-        JobSite {
-            net: fs.cluster_net(),
-            start,
-        },
-    )?;
+    )
+    .on(fs.cluster_net(), start)
+    .run(&mut rng)?;
 
     // Merge the storage-layer and job timelines (they share the virtual
     // time base) to measure how long shuffle and repair ran concurrently.

@@ -30,7 +30,7 @@
 //! The resources themselves live in one cluster-wide
 //! [`drc_sim::ClusterNet`], shared by every DataNode and exposed through
 //! [`DistributedFileSystem::cluster_net`]: hand it to the MapReduce
-//! engine's `run_job_on` and a job's shuffle fetches queue on the same NICs
+//! engine's `JobRun::on` and a job's shuffle fetches queue on the same NICs
 //! and fabric as a concurrent repair pass (the `shuffle_contention`
 //! experiment measures exactly that).
 //!
@@ -39,11 +39,13 @@
 //! Failures need not be static configuration: schedule a
 //! [`drc_cluster::FailureTrace`] with
 //! [`DistributedFileSystem::schedule_trace`] and drive it with
-//! [`DistributedFileSystem::process_events_until`]. Nodes fail-stop at their
-//! trace instants, the NameNode misses their heartbeats, and — one
-//! [`DistributedFileSystem::detection_timeout`] later — declares them dead
-//! and executes the enqueued repairs as timed events on the same shared
-//! [`ClusterNet`] everything else contends on. Failure intervals are
+//! [`DistributedFileSystem::process_events_until`]. The trace runs through a
+//! [`FailureReplay`] — the same replay the MapReduce engine consumes, so both
+//! layers agree on when a failure is noticed: nodes fail-stop at their trace
+//! instants and go silent, and — one
+//! [`DistributedFileSystem::detection_timeout`] later — are declared dead,
+//! at which point this layer executes their repairs as timed events on the
+//! same shared [`ClusterNet`] everything else contends on. Failure intervals are
 //! half-open like [`Timeline`] phases: a node down at `t` and restored at
 //! `t'` is unavailable over `[t, t')`, and the detection-lag window
 //! `[t, t + timeout)` appears on the timeline as a `detection-lag:` phase.
@@ -63,13 +65,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{
-    Cluster, ClusterSpec, FailureEventKind, FailureTrace, NodeId, PlacementMap, PlacementPolicy,
-};
+use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeReconstructor};
 use drc_gf::slice::{matrix_mul_batch, MatrixMulTask};
 use drc_sim::{
-    chunk_sizes, ClusterNet, EventQueue, Schedule, SimDuration, SimTime, Timeline, VirtualClock,
+    chunk_sizes, ClusterNet, EventQueue, FailureReplay, ReplayStep, SimDuration, SimTime, Timeline,
+    VirtualClock,
 };
 
 use crate::block::BlockKey;
@@ -113,9 +114,9 @@ pub struct RepairReport {
     pub completed_at: SimTime,
 }
 
-/// The default heartbeat detection timeout: the NameNode declares a silent
-/// node dead (and enqueues its repairs) this much virtual time after its
-/// heartbeats stop. Three seconds is the real HDFS heartbeat *interval*;
+/// The default heartbeat detection timeout: a silent node is declared dead
+/// (and its repairs launched) this much virtual time after its heartbeats
+/// stop. Three seconds is the real HDFS heartbeat *interval*;
 /// the production dead-node interval (10.5 minutes) would dwarf the
 /// second-scale virtual experiments, so the simulated NameNode detects at
 /// heartbeat granularity. Configure per instance with
@@ -173,17 +174,6 @@ struct PendingStores {
     dests: Vec<NodeId>,
 }
 
-/// A timed event the file system's failure engine executes: either a
-/// failure-trace event replayed at its instant, or the detection boundary
-/// of a silent node.
-#[derive(Debug, Clone, Copy)]
-enum FsEvent {
-    /// A [`FailureTrace`] event due at its trace instant.
-    Trace(FailureEventKind),
-    /// The detection timeout of a silent node elapses.
-    Detect(NodeId),
-}
-
 /// The simulated HDFS deployment.
 pub struct DistributedFileSystem {
     cluster: Cluster,
@@ -206,12 +196,9 @@ pub struct DistributedFileSystem {
     /// far, so a read takes the delta it spawned in O(1) instead of
     /// re-scanning the timeline.
     degraded_read_bytes: u64,
-    /// The failure engine's pending timed events (trace events and
-    /// detection boundaries), drained by
-    /// [`DistributedFileSystem::process_events_until`].
-    events: EventQueue<FsEvent>,
-    /// How long after a node goes silent the NameNode declares it dead.
-    detection_timeout: SimDuration,
+    /// The scheduled failure traces and the detection boundaries they
+    /// imply, drained by [`DistributedFileSystem::process_events_until`].
+    replay: FailureReplay,
     /// Streaming granularity for repair and degraded-read transfers (see
     /// [`DEFAULT_REPAIR_CHUNK_BYTES`]).
     repair_chunk_bytes: u64,
@@ -235,6 +222,7 @@ impl DistributedFileSystem {
     pub fn new(spec: ClusterSpec, seed: u64) -> Self {
         let net = Arc::new(ClusterNet::new(&spec));
         let cluster = Cluster::new(spec);
+        let replay = FailureReplay::new(cluster.len(), DEFAULT_DETECTION_TIMEOUT);
         let datanodes = cluster
             .nodes()
             .map(|n| (n, DataNode::new(n, Arc::clone(&net))))
@@ -252,8 +240,7 @@ impl DistributedFileSystem {
             read_network_bytes: 0,
             repair_network_bytes: 0,
             degraded_read_bytes: 0,
-            events: EventQueue::new(),
-            detection_timeout: DEFAULT_DETECTION_TIMEOUT,
+            replay,
             repair_chunk_bytes: DEFAULT_REPAIR_CHUNK_BYTES,
             auto_repairs: Vec::new(),
         }
@@ -277,7 +264,7 @@ impl DistributedFileSystem {
     /// The cluster-wide resource model this file system's traffic runs on.
     ///
     /// Hand the same `Arc` to other layers (e.g. the MapReduce engine's
-    /// `run_job_on`) to make their traffic contend with writes, repairs and
+    /// `JobRun::on`) to make their traffic contend with writes, repairs and
     /// degraded reads for the same per-node disks, NICs and the shared LAN
     /// fabric — the contention the paper's experiments are about.
     pub fn cluster_net(&self) -> &Arc<ClusterNet> {
@@ -674,7 +661,6 @@ impl DistributedFileSystem {
     /// Marks a node as down (transient failure: its data stays on disk).
     pub fn fail_node(&mut self, node: NodeId) {
         self.cluster.set_down(node);
-        self.net.take_node_down(node);
     }
 
     /// Marks a node as permanently failed: it is down and its blocks are gone.
@@ -683,35 +669,33 @@ impl DistributedFileSystem {
         if let Some(dn) = self.datanodes.get(&node) {
             dn.wipe();
         }
-        self.net.take_node_down(node);
     }
 
     /// Brings a transiently-failed node back up (its data is intact).
     pub fn restore_node(&mut self, node: NodeId) {
         self.cluster.set_up(node);
         self.net.restore_node(self.clock.now(), node);
-        self.namenode.heartbeat_restored(node);
+        self.replay.heard_from(node);
     }
 
-    /// How long after a node's heartbeats stop the NameNode declares it
-    /// dead and the failure engine launches the auto-repair.
+    /// How long after a node's heartbeats stop it is declared dead and the
+    /// failure engine launches the auto-repair.
     pub fn detection_timeout(&self) -> SimDuration {
-        self.detection_timeout
+        self.replay.detection_timeout()
     }
 
     /// Sets the heartbeat detection timeout (see
     /// [`DEFAULT_DETECTION_TIMEOUT`]). A zero timeout detects failures the
     /// instant they occur — the configuration under which a t = 0 trace
-    /// reproduces the old static failure model byte-for-byte.
+    /// reproduces a cluster whose victims start down byte-for-byte.
     ///
-    /// Detection always honours the timeout in force when the boundary
-    /// *fires*: raising the timeout pushes already-queued boundaries out
-    /// (they reschedule to `silent_since + new_timeout` instead of firing
-    /// early), while lowering it cannot accelerate a boundary that was
-    /// already queued further out — it takes effect at that boundary's
-    /// original instant at the earliest.
+    /// A detection boundary is `silent instant + timeout`, evaluated with
+    /// the timeout in force when the engine reaches it: changing the timeout
+    /// after scheduling moves the boundary of every node not yet declared
+    /// dead, out or in. A boundary a lowered timeout moves behind what the
+    /// engine has already processed fires at that frontier.
     pub fn set_detection_timeout(&mut self, timeout: SimDuration) {
-        self.detection_timeout = timeout;
+        self.replay.set_detection_timeout(timeout);
     }
 
     /// The streaming granularity of repair and degraded-read transfers.
@@ -733,37 +717,23 @@ impl DistributedFileSystem {
         self.repair_chunk_bytes = chunk;
     }
 
-    /// Schedules a failure trace for the engine to replay: every trace event
-    /// becomes a timed event at its instant, and every `NodeDown` (or
-    /// rack-burst member) additionally schedules its detection boundary one
-    /// [`DistributedFileSystem::detection_timeout`] later. Nothing executes
-    /// until [`DistributedFileSystem::process_events_until`] drains the
-    /// queue.
+    /// Schedules a failure trace for the engine to replay. Nothing executes
+    /// until [`DistributedFileSystem::process_events_until`] drains it.
     ///
     /// Traces compose: scheduling a second trace merges its events into the
-    /// pending queue in time order. The past cannot be rewritten, though —
+    /// pending ones in time order. The past cannot be rewritten, though —
     /// an event whose instant precedes what the engine has already
-    /// processed is clamped to the processing frontier and fires there
-    /// (the [`EventQueue`]'s documented clamp), so inject traces before
-    /// draining past their instants if exact timing matters.
+    /// processed fires at that processing frontier, so inject traces before
+    /// draining past their instants if exact timing matters. Events naming
+    /// nodes (or racks) this cluster does not have are dropped.
     pub fn schedule_trace(&mut self, trace: &FailureTrace) {
-        self.events.extend(
-            trace
-                .events()
-                .iter()
-                .map(|ev| Schedule::at(SimTime(ev.at_ns), FsEvent::Trace(ev.kind))),
-        );
+        self.replay.schedule(trace, &self.cluster);
     }
 
-    /// The instant of the next pending failure-engine event, if any.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.events.peek_time()
-    }
-
-    /// Number of pending failure-engine events (trace events plus detection
-    /// boundaries).
+    /// Number of pending failure-engine steps: per-node trace events not yet
+    /// applied plus one detection boundary per silent, undetected node.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.replay.pending()
     }
 
     /// Every auto-repair pass the failure engine has executed so far, in
@@ -772,29 +742,25 @@ impl DistributedFileSystem {
         &self.auto_repairs
     }
 
-    /// Drives the failure engine up to (and including) `horizon`: replays
-    /// every due trace event, declares silent nodes dead once their
-    /// detection timeout elapses, and executes the enqueued repairs as
-    /// timed events contending on the shared [`ClusterNet`].
+    /// Drives the failure engine up to (and including) `horizon`: drains
+    /// the [`FailureReplay`] — which decides *when* nodes fail, rejoin and
+    /// are declared dead (expansion, ordering, the half-open same-instant
+    /// rule; see its docs) — and gives each step its storage meaning:
     ///
-    /// Failure semantics:
-    ///
-    /// * `NodeDown` / `RackDown` — the nodes fail-stop and their disks are
-    ///   wiped (the repair-relevant permanent failure); the NameNode starts
-    ///   missing their heartbeats. The outage interval is half-open: the
-    ///   node is dark *at* the event instant.
-    /// * Detection — `detection_timeout` later, still-silent nodes are
-    ///   declared dead; a `detection-lag:node<N>` phase (zero bytes) records
-    ///   the blind window on the timeline when the lag is non-zero. All
-    ///   nodes detected at the same instant are repaired as **one batched
-    ///   pass** (exactly what [`DistributedFileSystem::repair_nodes`] would
-    ///   do for that set), so multi-node repair plans see the full failure
-    ///   pattern.
-    /// * `NodeUp` — the node rejoins (empty, unless a repair already
-    ///   re-provisioned it); a node that recovers before its detection
-    ///   boundary is never declared dead and no repair runs.
-    /// * `Slowdown` — the node's disk and NIC bandwidth are divided by the
-    ///   factor from that instant on.
+    /// * [`ReplayStep::Down`] — the node fail-stops: it is down and its disk
+    ///   is wiped (the repair-relevant permanent failure).
+    /// * [`ReplayStep::Detected`] — the node stayed silent for a whole
+    ///   `detection_timeout`: a `detection-lag:node<N>` phase (zero bytes)
+    ///   records the blind window on the timeline when the lag is non-zero,
+    ///   and all nodes detected at the same instant are repaired as **one
+    ///   batched pass** (exactly what
+    ///   [`DistributedFileSystem::repair_nodes`] would do for that set), so
+    ///   multi-node repair plans see the full failure pattern.
+    /// * [`ReplayStep::Up`] — the node rejoins (empty, unless a repair
+    ///   already re-provisioned it); a node that recovers before its
+    ///   detection boundary is never declared dead and no repair runs.
+    /// * [`ReplayStep::Slowdown`] — the node's disk and NIC bandwidth are
+    ///   divided by the factor from that instant on.
     ///
     /// Returns the repair passes this call executed (also appended to
     /// [`DistributedFileSystem::auto_repair_reports`]). The virtual clock is
@@ -811,58 +777,43 @@ impl DistributedFileSystem {
         horizon: SimTime,
     ) -> Result<Vec<RepairReport>, HdfsError> {
         let mut new_reports = Vec::new();
-        while let Some(at) = self.events.peek_time().filter(|&a| a <= horizon) {
-            // Drain everything due at this instant (the queue is sorted, so
-            // `pop_due(at)` yields exactly the events sharing it — plus any
-            // zero-timeout detection boundary a just-applied failure
-            // schedules back onto the same instant). Trace events apply as
-            // they pop; detection boundaries are *deferred* until the whole
-            // instant has drained, so a same-instant recovery cancels its
-            // node's detection regardless of queue insertion order (the
-            // half-open rule: a node serving again *at* its boundary is
-            // never declared dead — the same tie-break the MR engine's
-            // FailureState uses).
-            let mut boundaries: Vec<NodeId> = Vec::new();
-            while let Some((_, ev)) = self.events.pop_due(at) {
-                match ev {
-                    FsEvent::Trace(kind) => self.apply_trace_event(at, kind),
-                    FsEvent::Detect(node) => boundaries.push(node),
-                }
-            }
-            let mut detected: Vec<NodeId> = Vec::new();
-            for node in boundaries {
-                // A boundary for a node that recovered (or was already
-                // declared dead and repaired) is stale.
-                if self.cluster.is_up(node) || self.namenode.is_dead(node) {
-                    continue;
-                }
-                let Some(silent) = self.namenode.silent_since(node) else {
-                    continue;
-                };
-                let boundary = silent + self.detection_timeout;
-                if at >= boundary {
-                    self.namenode.declare_dead(node, at);
-                    if at > silent {
-                        self.timeline
-                            .record(drc_sim::detection_lag_label(node.0), silent, at, 0);
-                    }
-                    detected.push(node);
-                } else {
-                    // The detection timeout was raised after this boundary
-                    // was scheduled (or the node failed again): the node is
-                    // still silent, so push the boundary out instead of
-                    // dropping detection.
-                    self.events
-                        .schedule(Schedule::at(boundary, FsEvent::Detect(node)));
-                }
-            }
-            if !detected.is_empty() {
-                let report = self.repair_pass(&detected, at)?;
+        // The nodes declared dead at `detected_at`. Boundaries sharing an
+        // instant come out back to back, so the batch is complete — and is
+        // repaired, re-provisioning its nodes — before anything at a later
+        // instant is even looked at.
+        let mut detected: Vec<NodeId> = Vec::new();
+        let mut detected_at = SimTime::ZERO;
+        loop {
+            if !detected.is_empty() && self.replay.next_at() != Some(detected_at) {
+                let report = self.repair_pass(&detected, detected_at)?;
                 self.auto_repairs.push(report.clone());
                 new_reports.push(report);
+                detected.clear();
+            }
+            let Some((at, step)) = self.replay.next_due(horizon, &self.cluster) else {
+                return Ok(new_reports);
+            };
+            match step {
+                ReplayStep::Down(node) => self.fail_node_permanently(node),
+                // A recovery for a node that is already serving (e.g. an
+                // auto-repair re-provisioned it before the trace's own
+                // recovery instant) must not occupy its resources through
+                // `at` — that would phantom-delay every later I/O on a node
+                // that never stopped serving.
+                ReplayStep::Up(node) => {
+                    if !self.cluster.is_up(node) {
+                        self.cluster.set_up(node);
+                        self.net.restore_node(at, node);
+                    }
+                }
+                ReplayStep::Slowdown(node, factor) => self.net.set_node_slowdown(node, factor),
+                ReplayStep::Detected { node, silent_since } => {
+                    self.timeline.record_detection_lag(node, silent_since, at);
+                    detected.push(node);
+                    detected_at = at;
+                }
             }
         }
-        Ok(new_reports)
     }
 
     /// Drives the failure engine until no pending event remains (including
@@ -873,51 +824,6 @@ impl DistributedFileSystem {
     /// As [`DistributedFileSystem::process_events_until`].
     pub fn process_all_events(&mut self) -> Result<Vec<RepairReport>, HdfsError> {
         self.process_events_until(SimTime(u64::MAX))
-    }
-
-    /// Applies one failure-trace event at its instant.
-    fn apply_trace_event(&mut self, at: SimTime, kind: FailureEventKind) {
-        match kind {
-            FailureEventKind::NodeDown { node } => self.node_fail_stop(at, node),
-            FailureEventKind::RackDown { rack } => {
-                for node in self.cluster.nodes_in_rack(rack) {
-                    self.node_fail_stop(at, node);
-                }
-            }
-            FailureEventKind::NodeUp { node } => {
-                // Symmetric with `node_fail_stop`'s already-down guard: a
-                // recovery for a node that is already serving (e.g. an
-                // auto-repair re-provisioned it before the trace's own
-                // recovery instant) must not occupy its resources through
-                // `at` — that would phantom-delay every later I/O on a node
-                // that never stopped serving.
-                if self.cluster.is_up(node) {
-                    return;
-                }
-                self.cluster.set_up(node);
-                self.net.restore_node(at, node);
-                self.namenode.heartbeat_restored(node);
-            }
-            FailureEventKind::Slowdown { node, factor } => {
-                self.net.set_node_slowdown(node, factor);
-            }
-        }
-    }
-
-    /// One node fail-stops at `at`: its disk is wiped, its resources go
-    /// dark, its heartbeats stop, and its detection boundary is scheduled.
-    fn node_fail_stop(&mut self, at: SimTime, node: NodeId) {
-        if !self.cluster.is_up(node) {
-            return; // already down: a duplicate failure changes nothing
-        }
-        self.cluster.set_down(node);
-        if let Some(dn) = self.datanodes.get(&node) {
-            dn.wipe();
-        }
-        self.net.take_node_down(node);
-        self.namenode.heartbeat_lost(node, at);
-        self.events
-            .schedule_at(at + self.detection_timeout, FsEvent::Detect(node));
     }
 
     /// The RaidNode's repair pass: for every stripe that lost replicas on
@@ -1166,12 +1072,10 @@ impl DistributedFileSystem {
         self.repair_network_bytes += report.network_bytes;
         for &node in replacements {
             self.cluster.set_up(node);
-            // The replacement is re-provisioned and heartbeating again; the
-            // occupy-through-`issued` is a no-op for timing (nothing issues
-            // before `issued` after this) but keeps the availability signal
-            // honest for layers that only see the net.
+            // The replacement is re-provisioned and heartbeating again from
+            // `issued` on: nothing may be granted a window on it before.
             self.net.restore_node(issued, node);
-            self.namenode.heartbeat_restored(node);
+            self.replay.heard_from(node);
         }
         Ok(report)
     }
@@ -1504,7 +1408,6 @@ mod tests {
 
     #[test]
     fn t0_trace_with_zero_timeout_reproduces_the_static_repair() {
-        use drc_cluster::FailureScenario;
         // Static path: permanent failures + caller-invoked repair.
         let mut static_fs = DistributedFileSystem::new(tiny_spec(), 21);
         let data = sample_data(9 * 1024 * 1024);
@@ -1525,7 +1428,7 @@ mod tests {
             .unwrap();
         assert_eq!(id, id2, "same seed, same namespace");
         traced_fs.set_detection_timeout(SimDuration::ZERO);
-        traced_fs.schedule_trace(&FailureScenario::nodes(victims.clone()).to_trace());
+        traced_fs.schedule_trace(&FailureTrace::down_at_t0(&victims));
         let reports = traced_fs.process_all_events().unwrap();
 
         // One batched pass, byte-for-byte equal to the static one.
@@ -1560,14 +1463,14 @@ mod tests {
             at_ns: fail_at.0,
             kind: FailureEventKind::NodeDown { node: victim },
         }]));
-        assert_eq!(fs.next_event_at(), Some(fail_at));
+        assert_eq!(fs.pending_events(), 1);
 
         // Before the horizon reaches the detection boundary nothing repairs,
         // but the failure itself has been applied.
         let before = fs.process_events_until(fail_at).unwrap();
         assert!(before.is_empty());
         assert!(!fs.cluster().is_up(victim));
-        assert!(!fs.namenode().is_dead(victim));
+        assert_eq!(fs.pending_events(), 1, "silent, not yet declared dead");
         assert_eq!(fs.datanode(victim).unwrap().block_count(), 0, "wiped");
 
         let detect_at = fail_at + SimDuration::from_secs_f64(2.0);
@@ -1591,41 +1494,75 @@ mod tests {
         assert_eq!(lag.bytes, 0);
         // The node is re-provisioned and the data intact.
         assert!(fs.cluster().is_up(victim));
-        assert!(!fs.namenode().is_dead(victim));
+        assert_eq!(fs.pending_events(), 0);
         assert_eq!(fs.read_file(id).unwrap(), data);
     }
 
     #[test]
-    fn raising_the_timeout_after_scheduling_delays_detection_instead_of_dropping_it() {
+    fn changing_the_timeout_after_scheduling_moves_the_boundary_in_both_directions() {
         use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
-        let mut fs = DistributedFileSystem::new(tiny_spec(), 26);
+        // Raised: detection must happen at the *new* boundary, not never.
+        // Lowered: the one rule is `silent instant + timeout in force`, in
+        // this direction too.
+        for (scheduled_under_s, changed_to_s) in [(1.0, 4.0), (10.0, 2.0)] {
+            let mut fs = DistributedFileSystem::new(tiny_spec(), 26);
+            let data = sample_data(9 * 1024 * 1024);
+            let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
+            fs.sync();
+            let meta = fs.namenode().file(id).unwrap().clone();
+            let victim = meta.placement.stripe_hosts(0).unwrap()[1];
+
+            fs.set_detection_timeout(SimDuration::from_secs_f64(scheduled_under_s));
+            let fail_at = fs.now();
+            fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
+                at_ns: fail_at.0,
+                kind: FailureEventKind::NodeDown { node: victim },
+            }]));
+            // The node is already silent when the timeout changes.
+            assert!(fs.process_events_until(fail_at).unwrap().is_empty());
+            fs.set_detection_timeout(SimDuration::from_secs_f64(changed_to_s));
+            let reports = fs.process_all_events().unwrap();
+            assert_eq!(reports.len(), 1, "detection must not be dropped");
+            let detect_at = fail_at + SimDuration::from_secs_f64(changed_to_s);
+            assert_eq!(reports[0].issued_at, detect_at);
+            let lag = fs
+                .timeline()
+                .with_prefix("detection-lag:")
+                .next()
+                .expect("a detection-lag phase")
+                .clone();
+            assert_eq!(lag.end, detect_at);
+            assert!(fs.cluster().is_up(victim));
+            assert_eq!(fs.read_file(id).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn a_node_that_fails_again_after_its_repair_is_detected_and_repaired_again() {
+        use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
+        let mut fs = DistributedFileSystem::new(tiny_spec(), 29);
         let data = sample_data(9 * 1024 * 1024);
         let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
         fs.sync();
         let meta = fs.namenode().file(id).unwrap().clone();
         let victim = meta.placement.stripe_hosts(0).unwrap()[1];
-
-        // The failure is scheduled under a 1 s timeout …
-        fs.set_detection_timeout(SimDuration::from_secs_f64(1.0));
-        let fail_at = fs.now();
-        fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
-            at_ns: fail_at.0,
+        let down = |at: SimTime| FailureEvent {
+            at_ns: at.0,
             kind: FailureEventKind::NodeDown { node: victim },
-        }]));
-        // … and the timeout is raised before the boundary fires: detection
-        // must happen at the *new* boundary, not never.
-        fs.set_detection_timeout(SimDuration::from_secs_f64(4.0));
+        };
+
+        fs.set_detection_timeout(SimDuration::from_secs_f64(1.0));
+        let first = fs.now();
+        // The second fail-stop lands after the first one's repair
+        // re-provisioned the node (1 s later), so it is a fresh failure —
+        // not a duplicate of a node that is still down.
+        let second = first + SimDuration::from_secs_f64(3.0);
+        fs.schedule_trace(&FailureTrace::from_events(vec![down(first), down(second)]));
         let reports = fs.process_all_events().unwrap();
-        assert_eq!(reports.len(), 1, "detection must not be dropped");
-        let detect_at = fail_at + SimDuration::from_secs_f64(4.0);
-        assert_eq!(reports[0].issued_at, detect_at);
-        let lag = fs
-            .timeline()
-            .with_prefix("detection-lag:")
-            .next()
-            .expect("a detection-lag phase")
-            .clone();
-        assert_eq!(lag.end, detect_at);
+        let issued: Vec<SimTime> = reports.iter().map(|r| r.issued_at).collect();
+        let lag = SimDuration::from_secs_f64(1.0);
+        assert_eq!(issued, [first + lag, second + lag]);
+        assert!(reports.iter().all(|r| r.blocks_restored > 0));
         assert!(fs.cluster().is_up(victim));
         assert_eq!(fs.read_file(id).unwrap(), data);
     }
@@ -1656,7 +1593,7 @@ mod tests {
         let reports = fs.process_all_events().unwrap();
         assert!(reports.is_empty(), "a recovered node is never repaired");
         assert!(fs.cluster().is_up(victim));
-        assert!(!fs.namenode().is_dead(victim));
+        assert_eq!(fs.pending_events(), 0);
         assert_eq!(fs.timeline().with_prefix("detection-lag:").count(), 0);
         // The node came back empty (fail-stop wiped it), so reads of its
         // blocks go degraded — but the file survives.
@@ -1716,11 +1653,11 @@ mod tests {
         fs.set_detection_timeout(SimDuration::from_secs_f64(2.0));
         let fail_at = fs.now();
         let boundary = fail_at + SimDuration::from_secs_f64(2.0);
-        // The failure is scheduled (queueing its Detect) *before* the
+        // The failure is applied (its boundary now pending) *before* the
         // recovery trace arrives with a NodeUp at the exact boundary
         // instant: per the half-open rule the node is serving again at
         // that instant and must never be declared dead, whatever the
-        // queue's insertion order.
+        // scheduling order.
         fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
             at_ns: fail_at.0,
             kind: FailureEventKind::NodeDown { node: victim },
@@ -1734,7 +1671,7 @@ mod tests {
         let reports = fs.process_all_events().unwrap();
         assert!(reports.is_empty(), "recovery at the boundary cancels");
         assert!(fs.cluster().is_up(victim));
-        assert!(!fs.namenode().is_dead(victim));
+        assert_eq!(fs.pending_events(), 0);
         assert_eq!(fs.timeline().with_prefix("detection-lag:").count(), 0);
         assert_eq!(fs.read_file(id).unwrap(), data);
     }

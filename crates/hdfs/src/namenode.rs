@@ -1,14 +1,9 @@
-//! The simulated NameNode: the file namespace, the block→location map and
-//! heartbeat-based liveness detection.
+//! The simulated NameNode: the file namespace and the block→location map.
 //!
-//! Failure *detection* is distinct from failure *occurrence*: a node that
-//! fail-stops at virtual instant `t` only stops heartbeating at `t`; the
-//! NameNode declares it dead once a configurable timeout has elapsed without
-//! a heartbeat (the file-system facade drives that as a timed event). The
-//! window `[t, t + timeout)` is the **detection lag** — half-open, like every
-//! interval on the substrate's `Timeline`: the node is silent *at* `t` and
-//! declared dead *at* `t + timeout`, at which instant repairs are already
-//! being enqueued.
+//! Liveness detection (which node is silent, since when, and when it is
+//! declared dead) is not NameNode state: the file-system facade holds a
+//! `drc_sim::FailureReplay` for that, the same one the MapReduce engine
+//! consumes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -84,19 +79,12 @@ impl FileMetadata {
     }
 }
 
-/// The file namespace plus block-location and liveness bookkeeping.
+/// The file namespace plus block-location bookkeeping.
 #[derive(Debug, Default)]
 pub struct NameNode {
     files: BTreeMap<FileId, FileMetadata>,
     by_name: BTreeMap<String, FileId>,
     next_id: u64,
-    /// Nodes whose heartbeats stopped, keyed to the instant of the first
-    /// missed heartbeat. Cleared when the node heartbeats again or is
-    /// declared dead and repaired.
-    silent_since: BTreeMap<NodeId, SimTime>,
-    /// Nodes declared dead (detection timeout elapsed), keyed to the
-    /// detection instant.
-    dead_since: BTreeMap<NodeId, SimTime>,
 }
 
 impl NameNode {
@@ -198,43 +186,6 @@ impl NameNode {
     /// Returns `true` if the namespace is empty.
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
-    }
-
-    /// Records that `node`'s heartbeats stopped arriving at `at` (the
-    /// node failed, but the NameNode does not *know* yet — detection only
-    /// happens once the timeout elapses). A node already silent keeps its
-    /// original silence instant.
-    pub fn heartbeat_lost(&mut self, node: NodeId, at: SimTime) {
-        self.silent_since.entry(node).or_insert(at);
-    }
-
-    /// Records that `node` is heartbeating again (it recovered, or a repair
-    /// re-provisioned it): it is no longer silent nor dead.
-    pub fn heartbeat_restored(&mut self, node: NodeId) {
-        self.silent_since.remove(&node);
-        self.dead_since.remove(&node);
-    }
-
-    /// The instant `node` went silent, if its heartbeats are still missing.
-    pub fn silent_since(&self, node: NodeId) -> Option<SimTime> {
-        self.silent_since.get(&node).copied()
-    }
-
-    /// Declares `node` dead at `at` (its detection timeout elapsed with no
-    /// heartbeat). Repairs for its blocks are now enqueueable.
-    pub fn declare_dead(&mut self, node: NodeId, at: SimTime) {
-        self.dead_since.entry(node).or_insert(at);
-    }
-
-    /// Returns `true` if the NameNode has declared `node` dead (and no
-    /// heartbeat or repair has revived it since).
-    pub fn is_dead(&self, node: NodeId) -> bool {
-        self.dead_since.contains_key(&node)
-    }
-
-    /// The nodes currently declared dead, in id order.
-    pub fn dead_nodes(&self) -> Vec<NodeId> {
-        self.dead_since.keys().copied().collect()
     }
 
     /// Every block key (of every file) whose replica set includes `node` —
@@ -345,26 +296,6 @@ mod tests {
         assert!(keys.iter().all(|k| k.stripe == 0 && k.block < 9));
         assert_eq!(meta.block_locations(0, 0).unwrap().len(), 2);
         assert!(meta.block_locations(99, 0).is_err());
-    }
-
-    #[test]
-    fn heartbeat_lifecycle_tracks_silence_and_death() {
-        let mut nn = NameNode::new();
-        let n = NodeId(4);
-        assert_eq!(nn.silent_since(n), None);
-        assert!(!nn.is_dead(n));
-        nn.heartbeat_lost(n, SimTime(100));
-        // A repeated loss keeps the original silence instant.
-        nn.heartbeat_lost(n, SimTime(500));
-        assert_eq!(nn.silent_since(n), Some(SimTime(100)));
-        nn.declare_dead(n, SimTime(700));
-        assert!(nn.is_dead(n));
-        assert_eq!(nn.dead_nodes(), vec![n]);
-        // A heartbeat (recovery or repair) clears both states.
-        nn.heartbeat_restored(n);
-        assert_eq!(nn.silent_since(n), None);
-        assert!(!nn.is_dead(n));
-        assert!(nn.dead_nodes().is_empty());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The workspace pass: file collection, cross-file rule wiring,
 //! suppression application, the unsafe budget and the `LINT.json` report.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::rules::{
     self, check_file, check_target_feature_calls, suppressions, Finding, Suppression,
     TargetFeatureFn, UnsafeSite, MIN_JUSTIFICATION, RULE_IDS,
 };
-use crate::scan::scan;
+use crate::scan::{scan, Scan, TokKind};
 
 /// One source file handed to the engine (path is workspace-relative with
 /// forward slashes).
@@ -28,6 +29,20 @@ pub struct SuppressedFinding {
     pub justification: String,
 }
 
+/// The size of one crate's `src/` tree — the design-quality headline
+/// `LINT.json` tracks next to the unsafe inventory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CrateSize {
+    /// Lines in `crates/<name>/src/**/*.rs`, as `wc -l` counts them (code,
+    /// comments, blanks and unit tests alike).
+    pub src_lines: usize,
+    /// `pub` declarations outside test code: every `pub` keyword not
+    /// followed by a `(crate)`-style restriction — items, re-exports and
+    /// fields. A lexical count, comparable between commits rather than an
+    /// exact API surface.
+    pub pub_items: usize,
+}
+
 /// Everything one whole-workspace pass produces.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -41,6 +56,9 @@ pub struct Report {
     pub unsafe_inventory: Vec<UnsafeSite>,
     /// Every `#[target_feature]` function definition.
     pub target_feature_fns: Vec<TargetFeatureFn>,
+    /// Source lines and `pub` declarations per crate, keyed by the crate's
+    /// directory under `crates/`.
+    pub crate_sizes: BTreeMap<String, CrateSize>,
 }
 
 impl Report {
@@ -69,6 +87,11 @@ pub fn run_files(files: &[FileInput]) -> Report {
             .target_feature_fns
             .extend(checked.target_feature_fns.clone());
         per_file_findings.push(checked.findings);
+        if let Some(name) = crate_of_src_file(&f.path) {
+            let size = report.crate_sizes.entry(name.to_string()).or_default();
+            size.src_lines += f.source.lines().count();
+            size.pub_items += pub_items(&s);
+        }
         scans.push(s);
     }
 
@@ -123,6 +146,27 @@ pub fn run_files(files: &[FileInput]) -> Report {
         .unsafe_inventory
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     report
+}
+
+/// `Some("hdfs")` for `crates/hdfs/src/fs.rs`; `None` for tests, benches and
+/// everything outside `crates/`.
+fn crate_of_src_file(path: &str) -> Option<&str> {
+    let (name, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    rest.starts_with("src/").then_some(name)
+}
+
+/// `pub` keywords outside test code that are not `pub(…)`-restricted.
+fn pub_items(scan: &Scan) -> usize {
+    scan.tokens
+        .iter()
+        .enumerate()
+        .filter(|(i, t)| {
+            t.kind == TokKind::Ident
+                && t.text == "pub"
+                && !scan.is_test_line(t.line)
+                && scan.tokens.get(i + 1).is_none_or(|next| next.text != "(")
+        })
+        .count()
 }
 
 fn matching_suppression(sups: &[Suppression], finding: &Finding) -> Option<usize> {
@@ -374,6 +418,32 @@ pub fn to_json(report: &Report, budget: &UnsafeBudget) -> serde_json::Value {
             ),
         ),
         ("unsafe_count".to_string(), u(report.unsafe_inventory.len())),
+        (
+            "crate_sizes".to_string(),
+            serde_json::Value::Map(
+                report
+                    .crate_sizes
+                    .iter()
+                    .map(|(name, c)| {
+                        (
+                            name.clone(),
+                            serde_json::Value::Map(vec![
+                                ("src_lines".to_string(), u(c.src_lines)),
+                                ("pub_items".to_string(), u(c.pub_items)),
+                            ]),
+                        )
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "src_lines".to_string(),
+            u(report.crate_sizes.values().map(|c| c.src_lines).sum()),
+        ),
+        (
+            "pub_items".to_string(),
+            u(report.crate_sizes.values().map(|c| c.pub_items).sum()),
+        ),
         ("unsafe_budget".to_string(), u(budget.max)),
         (
             "unsafe_budget_justification".to_string(),
@@ -484,6 +554,31 @@ mod tests {
     }
 
     #[test]
+    fn crate_sizes_count_src_lines_and_unrestricted_pub_outside_tests() {
+        let files = vec![
+            file(
+                "crates/sim/src/lib.rs",
+                "pub mod a;\npub(crate) fn hidden() {}\n// pub in a comment\npub struct S {\n    pub f: u8,\n    g: u8,\n}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+            ),
+            file("crates/sim/src/net.rs", "pub fn n() {}\n"),
+            // Not under src/: tests and benches are not the crate's surface.
+            file("crates/sim/tests/t.rs", "pub fn t() {}\n"),
+            file("vendor/rand/src/lib.rs", "pub fn v() {}\n"),
+        ];
+        let report = run_files(&files);
+        assert_eq!(
+            report.crate_sizes.iter().collect::<Vec<_>>(),
+            [(
+                &"sim".to_string(),
+                &CrateSize {
+                    src_lines: 12,
+                    pub_items: 4,
+                }
+            )]
+        );
+    }
+
+    #[test]
     fn budget_parsing() {
         let b = parse_budget("# comment\n40 initial inventory after the SAFETY audit\n").unwrap();
         assert_eq!(b.max, 40);
@@ -520,6 +615,9 @@ mod tests {
             "unsafe_inventory",
             "unsafe_count",
             "unsafe_budget",
+            "crate_sizes",
+            "src_lines",
+            "pub_items",
             "target_feature_fns",
         ] {
             assert!(keys.contains(&expected), "missing {expected} in {keys:?}");

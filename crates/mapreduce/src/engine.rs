@@ -35,13 +35,23 @@
 //!   [`Resource`]s from fetch start through merge CPU and the output write,
 //!   which reserves the node's *disk* in the same [`ClusterNet`].
 //!
-//! [`run_job`] executes against a private, idle [`ClusterNet`];
-//! [`run_job_on`] executes against a **shared** one (e.g.
+//! # One entry point
+//!
+//! [`JobRun`] is the only way in. By default a job executes against a
+//! private, idle [`ClusterNet`] from the virtual epoch with nothing failing;
+//! [`JobRun::on`] puts it on a **shared** net (e.g.
 //! `DistributedFileSystem::cluster_net`), which is where the paper's
 //! headline contention appears: a repair pass or a batch of degraded reads
 //! issued in the same virtual window reserves the same NICs, disks and
 //! fabric, so shuffle fetches queue behind reconstruction traffic and the
 //! job visibly slows down (the `shuffle-contention` experiment).
+//! [`JobRun::failures`] adds a timed [`FailureTrace`] consumed *mid-job*
+//! through a [`FailureReplay`] — the same replay the simulated HDFS drains,
+//! so both layers notice a failure at the same instant. The replay decides
+//! when nodes go silent, rejoin and are declared dead; the engine keeps what
+//! is its own: the scheduler's stale view of the cluster, which disks a
+//! fail-stop wiped, and the look-ahead that tells whether an attempt will
+//! be lost to a failure still in the trace's future.
 //!
 //! [`JobMetrics::timeline`] records the per-wave phases — `map:wave<i>`
 //! (plus `degraded-read:wave<i>` spans), `shuffle:fetch` and
@@ -62,9 +72,11 @@ use std::collections::BTreeSet;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{Cluster, FailureEventKind, FailureTrace, NodeId, PlacementMap};
+use drc_cluster::{Cluster, FailureTrace, NodeId, PlacementMap};
 use drc_codes::ErasureCode;
-use drc_sim::{ClusterNet, Resource, SimDuration, SimTime, Timeline, Transfer};
+use drc_sim::{
+    ClusterNet, FailureReplay, ReplayStep, Resource, SimDuration, SimTime, Timeline, Transfer,
+};
 
 use crate::assignment::Assignment;
 use crate::graph::TaskNodeGraph;
@@ -98,49 +110,6 @@ impl LinkContention {
     }
 }
 
-/// Where and when a job executes: the resource substrate its traffic
-/// reserves and the virtual instant it is issued.
-#[derive(Debug, Clone, Copy)]
-pub struct JobSite<'a> {
-    /// The cluster resource model (per-node NICs and disks plus the shared
-    /// LAN fabric). Pass a file system's `cluster_net()` to make the job
-    /// contend with storage-layer traffic issued in the same window.
-    pub net: &'a ClusterNet,
-    /// The virtual instant the job starts (reservations never begin
-    /// earlier).
-    pub start: SimTime,
-}
-
-/// The failure model a traced job execution consumes: *when* nodes fail or
-/// recover ([`FailureTrace`], absolute virtual instants on the same epoch as
-/// the job's [`JobSite::start`]) and how long the NameNode takes to notice
-/// ([`FailureModel::detection_timeout`]).
-///
-/// The engine interprets the trace's liveness events only (`NodeDown`,
-/// `RackDown`, `NodeUp`); `Slowdown` events belong to the substrate and are
-/// applied by whichever layer owns the [`ClusterNet`] (the file system's
-/// failure engine), so a shared trace is never applied twice.
-#[derive(Debug, Clone, Copy)]
-pub struct FailureModel<'a> {
-    /// The timed failure events, on the job's virtual epoch.
-    pub trace: &'a FailureTrace,
-    /// How long after a node fail-stops the scheduler learns about it. A
-    /// failed attempt only resolves (and its task becomes re-schedulable)
-    /// at the detection boundary — the mechanism that makes job slowdown
-    /// detection-lag-dependent.
-    pub detection_timeout: SimDuration,
-}
-
-impl<'a> FailureModel<'a> {
-    /// A model over `trace` with the given detection timeout.
-    pub fn new(trace: &'a FailureTrace, detection_timeout: SimDuration) -> Self {
-        FailureModel {
-            trace,
-            detection_timeout,
-        }
-    }
-}
-
 /// Measurements from one simulated job execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobMetrics {
@@ -169,8 +138,8 @@ pub struct JobMetrics {
     /// Number of map tasks that needed a degraded read (no live replica).
     pub degraded_reads: usize,
     /// Map-task attempts lost to mid-job node failures and executed again
-    /// on surviving nodes (zero unless the job ran under a
-    /// [`FailureModel`] whose trace fired during the map phase).
+    /// on surviving nodes (zero unless [`JobRun::failures`] supplied a
+    /// trace that fired during the map phase).
     pub tasks_reexecuted: usize,
     /// Per-phase virtual-time record: one `map:wave<i>` phase per scheduling
     /// wave (plus a `degraded-read:wave<i>` span when reconstruction traffic
@@ -219,210 +188,64 @@ fn scale_bytes(bytes: u64, ratio: f64, what: &str) -> Result<u64, MapReduceError
     Ok(scaled.round() as u64)
 }
 
-/// Runs `job` on `cluster` against `placement`, scheduling map tasks with
-/// `scheduler`. `code` must be the code the placement was built with; it is
-/// used to plan degraded reads when every replica of a block is unreachable.
-///
-/// The job executes on a private, idle [`ClusterNet`] built from the
-/// cluster's spec, starting at the virtual epoch; use [`run_job_on`] to
-/// execute on a shared substrate instead.
-///
-/// # Errors
-///
-/// Returns [`MapReduceError::InvalidConfig`] if a task references a block that
-/// is not in the placement, or [`MapReduceError::UnreadableBlock`] if a block
-/// cannot be served at all (more failures than the code tolerates).
-pub fn run_job(
-    job: &JobSpec,
-    code: &dyn ErasureCode,
-    placement: &PlacementMap,
-    cluster: &Cluster,
-    scheduler: &dyn TaskScheduler,
-    rng: &mut dyn RngCore,
-) -> Result<JobMetrics, MapReduceError> {
-    let net = ClusterNet::new(cluster.spec());
-    run_job_on(
-        job,
-        code,
-        placement,
-        cluster,
-        scheduler,
-        rng,
-        JobSite {
-            net: &net,
-            start: SimTime::ZERO,
-        },
-    )
-}
-
-/// Runs `job` like [`run_job`], but issues every event against the
-/// [`ClusterNet`] and start instant in `site`.
-///
-/// This is the entry point for contention studies: hand in a file system's
-/// shared net and a repair pass or degraded reads issued in the same virtual
-/// window will compete with the job's map-wave traffic and shuffle fetches
-/// for the same NICs, disks and LAN fabric.
-///
-/// # Errors
-///
-/// As [`run_job`].
-pub fn run_job_on(
-    job: &JobSpec,
-    code: &dyn ErasureCode,
-    placement: &PlacementMap,
-    cluster: &Cluster,
-    scheduler: &dyn TaskScheduler,
-    rng: &mut dyn RngCore,
-    site: JobSite<'_>,
-) -> Result<JobMetrics, MapReduceError> {
-    let empty = FailureTrace::new();
-    run_job_traced(
-        job,
-        code,
-        placement,
-        cluster,
-        scheduler,
-        rng,
-        site,
-        FailureModel::new(&empty, SimDuration::ZERO),
-    )
-}
-
-/// The liveness the engine tracks while consuming a [`FailureModel`]:
-/// which nodes have *actually* fail-stopped (and when), and which of those
-/// the scheduler has *detected* (and therefore stopped scheduling onto).
-/// Between a fail-stop and its detection boundary the two views disagree —
-/// that window is exactly where attempts are lost and re-executed.
-struct FailureState {
-    /// Liveness events expanded from the trace (`true` = down), sorted.
-    events: Vec<(SimTime, bool, NodeId)>,
-    /// Index of the first event not yet applied.
-    cursor: usize,
-    /// `down_at[n]`: when node `n` fail-stopped, while it is down.
-    down_at: Vec<Option<SimTime>>,
-    /// `detected[n]`: node `n` is down and its detection boundary has passed.
-    detected: Vec<bool>,
+/// The liveness the engine tracks while consuming a failure trace: the
+/// [`FailureReplay`] knows which nodes have *actually* fail-stopped (and
+/// when); `view` is what the scheduler has been told. Between a fail-stop
+/// and its detection boundary the two disagree — that window is exactly
+/// where attempts are lost and re-executed.
+struct Liveness {
+    replay: FailureReplay,
+    /// The scheduler's view of the cluster: it learns about a fail-stop
+    /// only at its detection boundary.
+    view: Cluster,
     /// `wiped[n]`: node `n` fail-stopped at some point during the job: its
     /// disk was wiped, so its replicas stay unreadable even after a `NodeUp`
     /// re-admits the node for task execution (the engine does not model
     /// the storage layer's repairs restoring them mid-job).
     wiped: Vec<bool>,
-    /// Detection lag: boundary = failure instant + timeout.
-    timeout: SimDuration,
 }
 
-impl FailureState {
-    fn new(model: &FailureModel<'_>, cluster: &Cluster) -> Self {
-        let mut events: Vec<(SimTime, bool, NodeId)> = Vec::new();
-        for ev in model.trace.events() {
-            let at = SimTime(ev.at_ns);
-            match ev.kind {
-                FailureEventKind::NodeDown { node } => events.push((at, true, node)),
-                FailureEventKind::RackDown { rack } => {
-                    for node in cluster.nodes_in_rack(rack) {
-                        events.push((at, true, node));
-                    }
-                }
-                FailureEventKind::NodeUp { node } => events.push((at, false, node)),
+impl Liveness {
+    fn new(cluster: &Cluster, failures: Option<(&FailureTrace, SimDuration)>) -> Self {
+        let timeout = failures.map_or(SimDuration::ZERO, |(_, timeout)| timeout);
+        let mut replay = FailureReplay::new(cluster.len(), timeout);
+        if let Some((trace, _)) = failures {
+            replay.schedule(trace, cluster);
+        }
+        Liveness {
+            replay,
+            view: cluster.clone(),
+            wiped: vec![false; cluster.len()],
+        }
+    }
+
+    /// Brings the engine's state up to `t`: every replay step due by then,
+    /// in the replay's order (so detection never depends on where the job's
+    /// wave boundaries happen to fall). Crossed boundaries mark the
+    /// scheduler's `view` down and put each non-zero blind window on the
+    /// timeline as a `detection-lag:` phase.
+    fn advance(&mut self, t: SimTime, timeline: &mut Timeline) {
+        while let Some((at, step)) = self.replay.next_due(t, &self.view) {
+            match step {
+                ReplayStep::Down(node) => self.wiped[node.0] = true,
+                ReplayStep::Up(node) => self.view.set_up(node),
                 // Substrate-level: the layer owning the ClusterNet applies
                 // slowdowns; the engine only consumes liveness.
-                FailureEventKind::Slowdown { .. } => {}
-            }
-        }
-        // Events naming nodes outside the cluster never did anything (a
-        // down needs an up node, an up only clears state); dropping them here
-        // keeps every per-node table below in bounds.
-        events.retain(|&(_, _, node)| node.0 < cluster.len());
-        events.sort_by_key(|&(at, _, _)| at);
-        FailureState {
-            events,
-            cursor: 0,
-            down_at: vec![None; cluster.len()],
-            detected: vec![false; cluster.len()],
-            wiped: vec![false; cluster.len()],
-            timeout: model.timeout(),
-        }
-    }
-
-    /// Advances the model to `t`, interleaving trace events and detection
-    /// boundaries **in time order** — the same strict replay the storage
-    /// engine's event queue does, so detection never depends on where the
-    /// job's wave boundaries happen to fall. A recovery at or before a
-    /// node's boundary cancels its detection; a recovery after it does not
-    /// (the node was already declared dead). Crossed boundaries mark the
-    /// scheduler's `view` down and put each non-zero blind window on the
-    /// timeline as a `detection-lag:` phase (half-open
-    /// `[failure, boundary)`, zero bytes).
-    fn advance(&mut self, t: SimTime, view: &mut Cluster, timeline: &mut Timeline) {
-        loop {
-            let next_event = (self.cursor < self.events.len())
-                .then(|| self.events[self.cursor].0)
-                .filter(|&at| at <= t);
-            let next_boundary = self
-                .down_at
-                .iter()
-                .enumerate()
-                .filter_map(|(n, down_at)| match down_at {
-                    Some(at) if !self.detected[n] => Some((*at + self.timeout, NodeId(n))),
-                    _ => None,
-                })
-                .min()
-                .filter(|&(boundary, _)| boundary <= t);
-            match (next_event, next_boundary) {
-                // Same-instant ties go to the trace event, matching the
-                // storage engine's FIFO queue: a node restored *at* its
-                // boundary is serving again at that instant (half-open
-                // outage) and is never declared dead.
-                (Some(event_at), Some((boundary, node))) if boundary < event_at => {
-                    self.cross_boundary(node, boundary, view, timeline);
+                ReplayStep::Slowdown(..) => {}
+                ReplayStep::Detected { node, silent_since } => {
+                    self.view.set_down(node);
+                    timeline.record_detection_lag(node, silent_since, at);
                 }
-                (Some(_), _) => self.apply_next_event(view),
-                (None, Some((boundary, node))) => {
-                    self.cross_boundary(node, boundary, view, timeline);
-                }
-                (None, None) => break,
             }
-        }
-    }
-
-    /// Applies the next trace event to the actual-liveness map.
-    fn apply_next_event(&mut self, view: &mut Cluster) {
-        let (at, down, node) = self.events[self.cursor];
-        self.cursor += 1;
-        if down {
-            if view.is_up(node) && self.down_at[node.0].is_none() {
-                self.down_at[node.0] = Some(at);
-                self.wiped[node.0] = true;
-            }
-        } else {
-            self.down_at[node.0] = None;
-            self.detected[node.0] = false;
-            view.set_up(node);
-        }
-    }
-
-    /// Crosses one node's detection boundary: the scheduler finally sees it
-    /// as dead.
-    fn cross_boundary(
-        &mut self,
-        node: NodeId,
-        boundary: SimTime,
-        view: &mut Cluster,
-        timeline: &mut Timeline,
-    ) {
-        self.detected[node.0] = true;
-        view.set_down(node);
-        if let Some(down_at) = self.down_at[node.0].filter(|&down_at| boundary > down_at) {
-            timeline.record(drc_sim::detection_lag_label(node.0), down_at, boundary, 0);
         }
     }
 
     /// Returns `true` if `node` can serve a replica read right now: it is
-    /// up in the scheduler's view, has not silently fail-stopped, and was
-    /// never wiped by an earlier fail-stop (a `NodeUp` re-admits the node
-    /// for task execution, but it comes back with an empty disk).
-    fn replica_alive(&self, node: NodeId, view: &Cluster) -> bool {
-        view.is_up(node) && !self.wiped[node.0]
+    /// up in the scheduler's view, and was never wiped by a fail-stop (a
+    /// silent node is wiped; a `NodeUp` re-admits the node for task
+    /// execution, but it comes back with an empty disk).
+    fn replica_alive(&self, node: NodeId) -> bool {
+        self.view.is_up(node) && !self.wiped[node.0]
     }
 
     /// When the scheduler gives up on an attempt lost to `node`'s fail-stop
@@ -431,71 +254,143 @@ impl FailureState {
     /// gone, so a recovery that cancels detection never stretches the job
     /// by a blind window that ends in nothing).
     fn attempt_resolution(&self, node: NodeId, fail_at: SimTime) -> SimTime {
-        let boundary = fail_at + self.timeout;
-        self.events[self.cursor..]
-            .iter()
-            .find(|&&(at, down, n)| !down && n == node && at >= fail_at)
-            .map(|&(at, _, _)| at.min(boundary))
-            .unwrap_or(boundary)
+        let boundary = fail_at + self.replay.detection_timeout();
+        self.replay
+            .upcoming()
+            .find(|&(at, step)| step == ReplayStep::Up(node) && at >= fail_at)
+            .map_or(boundary, |(at, _)| at.min(boundary))
     }
 
     /// The instant `node` fail-stops, if an attempt in the window ending at
     /// `end` would be lost to it: either the node is already silently down
-    /// (its past failure instant is returned), or the first not-yet-applied
-    /// down event for it falls before `end`.
+    /// (its past failure instant is returned), or the first upcoming
+    /// fail-stop for it falls before `end`.
     fn first_failure_before(&self, node: NodeId, end: SimTime) -> Option<SimTime> {
-        if let Some(down_at) = self.down_at[node.0] {
-            return Some(down_at);
+        self.replay.silent_since(node).or_else(|| {
+            self.replay
+                .upcoming()
+                .find(|&(at, step)| step == ReplayStep::Down(node) && at < end)
+                .map(|(at, _)| at)
+        })
+    }
+}
+
+/// One MapReduce job execution, configured then [`run`](JobRun::run).
+///
+/// `code` must be the code `placement` was built with; it plans the degraded
+/// reads of blocks whose every replica is unreachable. Left at its defaults
+/// the job executes on a private, idle [`ClusterNet`] built from the
+/// cluster's spec, starting at the virtual epoch, with nothing failing.
+#[derive(Clone, Copy)]
+pub struct JobRun<'a> {
+    job: &'a JobSpec,
+    code: &'a dyn ErasureCode,
+    placement: &'a PlacementMap,
+    cluster: &'a Cluster,
+    scheduler: &'a dyn TaskScheduler,
+    site: Option<(&'a ClusterNet, SimTime)>,
+    failures: Option<(&'a FailureTrace, SimDuration)>,
+}
+
+impl<'a> JobRun<'a> {
+    /// `job` on `cluster` against `placement`, map tasks scheduled by
+    /// `scheduler`.
+    pub fn new(
+        job: &'a JobSpec,
+        code: &'a dyn ErasureCode,
+        placement: &'a PlacementMap,
+        cluster: &'a Cluster,
+        scheduler: &'a dyn TaskScheduler,
+    ) -> Self {
+        JobRun {
+            job,
+            code,
+            placement,
+            cluster,
+            scheduler,
+            site: None,
+            failures: None,
         }
-        self.events[self.cursor..]
-            .iter()
-            .find(|&&(at, down, n)| down && n == node && at < end)
-            .map(|&(at, _, _)| at)
+    }
+
+    /// Issues every event against `net` (per-node NICs and disks plus the
+    /// shared LAN fabric), starting at `start` — reservations never begin
+    /// earlier. This is the entry for contention studies: hand in a file
+    /// system's `cluster_net()` and a repair pass or degraded reads issued
+    /// in the same virtual window compete with the job's map-wave traffic
+    /// and shuffle fetches for the same links.
+    #[must_use]
+    pub fn on(mut self, net: &'a ClusterNet, start: SimTime) -> Self {
+        self.site = Some((net, start));
+        self
+    }
+
+    /// Consumes a timed failure trace *mid-job*. `trace` instants are
+    /// absolute, on the same virtual epoch as the job's start;
+    /// `detection_timeout` is how long after a node fail-stops the
+    /// scheduler learns about it.
+    ///
+    /// * a node that fail-stops takes every map attempt running (or
+    ///   scheduled) on it with it — the attempt resolves at the node's
+    ///   **detection boundary** (failure instant + `detection_timeout`) and
+    ///   the task re-executes on a surviving node in a later wave
+    ///   ([`JobMetrics::tasks_reexecuted`] counts the lost attempts); this
+    ///   is the mechanism that makes job slowdown detection-lag-dependent,
+    /// * during the blind window the scheduler keeps scheduling onto the
+    ///   dead node (its view is stale) and reads treat the node's replicas
+    ///   as unreachable: reads issued after the failure go degraded exactly
+    ///   as if the replica set had shrunk,
+    /// * each non-zero blind window appears on [`JobMetrics::timeline`] as
+    ///   a `detection-lag:node<N>` phase (half-open `[failure, boundary)`),
+    /// * `NodeUp` events re-admit nodes for scheduling from their instant
+    ///   on, with an empty disk; `Slowdown` events are ignored here — they
+    ///   belong to the layer that owns the shared [`ClusterNet`] (the file
+    ///   system's failure engine), so a shared trace is never applied
+    ///   twice.
+    ///
+    /// An empty trace is byte- and time-identical to no trace at all.
+    #[must_use]
+    pub fn failures(mut self, trace: &'a FailureTrace, detection_timeout: SimDuration) -> Self {
+        self.failures = Some((trace, detection_timeout));
+        self
+    }
+
+    /// Executes the job.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapReduceError::InvalidConfig`] if a task references a
+    /// block that is not in the placement, or
+    /// [`MapReduceError::UnreadableBlock`] if a block cannot be served at
+    /// all (more failures, static or traced, than the code tolerates).
+    pub fn run(self, rng: &mut dyn RngCore) -> Result<JobMetrics, MapReduceError> {
+        match self.site {
+            Some((net, start)) => execute(self, net, start, rng),
+            None => {
+                let private_net = ClusterNet::new(self.cluster.spec());
+                execute(self, &private_net, SimTime::ZERO, rng)
+            }
+        }
     }
 }
 
-impl FailureModel<'_> {
-    fn timeout(&self) -> SimDuration {
-        self.detection_timeout
-    }
-}
-
-/// Runs `job` like [`run_job_on`], additionally consuming a timed failure
-/// model *mid-job*:
-///
-/// * a node that fail-stops takes every map attempt running (or scheduled)
-///   on it with it — the attempt resolves at the node's **detection
-///   boundary** (failure instant + [`FailureModel::detection_timeout`]) and
-///   the task re-executes on a surviving node in a later wave
-///   ([`JobMetrics::tasks_reexecuted`] counts the lost attempts),
-/// * during the blind window the scheduler keeps scheduling onto the dead
-///   node (its view is stale) and reads treat the node's replicas as
-///   unreachable: reads issued after the failure go degraded exactly as if
-///   the replica set had shrunk,
-/// * each non-zero blind window appears on [`JobMetrics::timeline`] as a
-///   `detection-lag:node<N>` phase (half-open `[failure, boundary)`),
-/// * `NodeUp` events re-admit nodes (for scheduling and reads) from their
-///   instant on; `Slowdown` events are ignored here — they belong to the
-///   layer that owns the shared [`ClusterNet`].
-///
-/// An empty trace makes this byte- and time-identical to [`run_job_on`]
-/// (the differential tests lock that).
-///
-/// # Errors
-///
-/// As [`run_job`], plus [`MapReduceError::UnreadableBlock`] when failures
-/// push a block past its code's tolerance.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_traced(
-    job: &JobSpec,
-    code: &dyn ErasureCode,
-    placement: &PlacementMap,
-    cluster: &Cluster,
-    scheduler: &dyn TaskScheduler,
+/// Executes `run` against `net` from `start`.
+fn execute(
+    run: JobRun<'_>,
+    net: &ClusterNet,
+    start: SimTime,
     rng: &mut dyn RngCore,
-    site: JobSite<'_>,
-    failures: FailureModel<'_>,
 ) -> Result<JobMetrics, MapReduceError> {
+    let JobRun {
+        job,
+        code,
+        placement,
+        cluster,
+        scheduler,
+        failures,
+        ..
+    } = run;
+    let mut liveness = Liveness::new(cluster, failures);
     let spec = cluster.spec();
     let block_mb = spec.block_size_mb as f64;
     let block_bytes = spec.block_size_bytes();
@@ -524,19 +419,14 @@ pub fn run_job_traced(
     // (parallel to the wave graph's nodes) and which pending tasks completed.
     let mut capacities: Vec<usize> = Vec::new();
     let mut completed: Vec<bool> = Vec::new();
-    // The scheduler's view of the cluster: it learns about fail-stops only
-    // at their detection boundaries, while `failure_state` tracks the truth.
-    let mut view = cluster.clone();
-    let mut failure_state = FailureState::new(&failures, cluster);
     let mut tasks_reexecuted = 0usize;
     // The shared LAN fabric of the execution site: aggregate remote traffic
     // queues through it at cluster-wide bandwidth, behind whatever other
     // traffic (repairs, degraded reads) already reserved it.
-    let net = site.net;
     let lan = net.fabric();
     let mut timeline = Timeline::new();
-    let mut wave_start = site.start;
-    let mut map_phase_end = site.start;
+    let mut wave_start = start;
+    let mut map_phase_end = start;
     let mut wave_index = 0usize;
 
     let mut remote_input_bytes = 0u64;
@@ -548,8 +438,8 @@ pub fn run_job_traced(
         // Everything that happened up to this wave's start is now in force;
         // boundaries crossed mean the scheduler finally sees those nodes as
         // dead.
-        failure_state.advance(wave_start, &mut view, &mut timeline);
-        let graph = TaskNodeGraph::build(&pending, placement, &view);
+        liveness.advance(wave_start, &mut timeline);
+        let graph = TaskNodeGraph::build(&pending, placement, &liveness.view);
         capacities.clear();
         capacities.resize(graph.nodes().len(), slots);
         let assignment: Assignment = scheduler.assign(&graph, &capacities, rng);
@@ -572,10 +462,8 @@ pub fn run_job_traced(
             // detected nodes are out of the graph) is lost outright: it
             // resolves when the scheduler gives up on the node and the task
             // becomes re-schedulable.
-            if let Some(fail_at) = failure_state.first_failure_before(a.node, wave_start) {
-                let resolve = failure_state
-                    .attempt_resolution(a.node, fail_at)
-                    .max(wave_start);
+            if let Some(fail_at) = liveness.first_failure_before(a.node, wave_start) {
+                let resolve = liveness.attempt_resolution(a.node, fail_at).max(wave_start);
                 wave_end = wave_end.max(resolve);
                 tasks_reexecuted += 1;
                 continue;
@@ -588,14 +476,14 @@ pub fn run_job_traced(
             // scheduler's placement edge points at data its fail-stop
             // destroyed, so the read falls through to the remote/degraded
             // path like any other dead replica.
-            let local = a.local && failure_state.replica_alive(a.node, &view);
+            let local = a.local && liveness.replica_alive(a.node);
             let (read_s, remote_bytes, degraded_bytes, degraded) = if local {
                 (block_mb / spec.disk_bandwidth_mbps, 0u64, 0u64, false)
             } else {
                 let replicas_alive = placement
                     .locations(task.block)?
                     .iter()
-                    .any(|n| failure_state.replica_alive(*n, &view));
+                    .any(|n| liveness.replica_alive(*n));
                 if replicas_alive {
                     // Plain remote read of one block.
                     (
@@ -612,7 +500,7 @@ pub fn run_job_traced(
                     let down_local: BTreeSet<usize> = stripe_nodes
                         .iter()
                         .enumerate()
-                        .filter(|(_, n)| !failure_state.replica_alive(**n, &view))
+                        .filter(|(_, n)| !liveness.replica_alive(**n))
                         .map(|(i, _)| i)
                         .collect();
                     let plan = code
@@ -646,10 +534,8 @@ pub fn run_job_traced(
             // slot time is burnt, nothing is read or produced, and the task
             // resolves (for rescheduling) once the scheduler gives up on
             // the node.
-            if let Some(fail_at) = failure_state.first_failure_before(a.node, res.end) {
-                let resolve = failure_state
-                    .attempt_resolution(a.node, fail_at)
-                    .max(wave_start);
+            if let Some(fail_at) = liveness.first_failure_before(a.node, res.end) {
+                let resolve = liveness.attempt_resolution(a.node, fail_at).max(wave_start);
                 wave_end = wave_end.max(resolve);
                 tasks_reexecuted += 1;
                 continue;
@@ -709,7 +595,7 @@ pub fn run_job_traced(
     }
     // Failures that landed during the final wave (or detection boundaries
     // crossed by its end) are in force before reducers are placed.
-    failure_state.advance(map_phase_end, &mut view, &mut timeline);
+    liveness.advance(map_phase_end, &mut timeline);
 
     // ---- Shuffle + reduce phase -------------------------------------------
     //
@@ -722,7 +608,7 @@ pub fn run_job_traced(
     // Reducers land on the nodes the scheduler believes are up at the end
     // of the map phase (identical to the caller's cluster when no trace
     // event fired).
-    let up = view.up_nodes();
+    let up = liveness.view.up_nodes();
     let n_up = up.len().max(1);
     let network_fraction = 1.0 - 1.0 / n_up as f64;
     let shuffle_bytes = scale_bytes(map_output_bytes, network_fraction, "shuffle volume")?;
@@ -830,8 +716,8 @@ pub fn run_job_traced(
     Ok(JobMetrics {
         job: job.name().to_string(),
         code: placement.code_name().to_string(),
-        job_time_s: job_end.since(site.start).as_secs_f64(),
-        map_phase_s: map_phase_end.since(site.start).as_secs_f64(),
+        job_time_s: job_end.since(start).as_secs_f64(),
+        map_phase_s: map_phase_end.since(start).as_secs_f64(),
         reduce_phase_s,
         network_traffic_bytes,
         remote_input_bytes,
@@ -880,14 +766,14 @@ mod tests {
         }
         let blocks: Vec<_> = placement.data_blocks().into_iter().take(tasks).collect();
         let job = JobSpec::new("terasort", blocks).with_reduce_tasks(8);
-        run_job(
+        JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap()
     }
 
@@ -975,14 +861,14 @@ mod tests {
             cluster.set_down(n);
         }
         let job = JobSpec::new("degraded", vec![block]);
-        let metrics = run_job(
+        let metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap();
         assert_eq!(metrics.degraded_reads, 1);
         assert_eq!(metrics.degraded_read_bytes, 3 * 128 * 1024 * 1024);
@@ -1007,14 +893,14 @@ mod tests {
             cluster.set_down(n);
         }
         let job = JobSpec::new("doomed", vec![block]);
-        let err = run_job(
+        let err = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
-        );
+        )
+        .run(&mut rng);
         assert!(matches!(err, Err(MapReduceError::UnreadableBlock { .. })));
     }
 
@@ -1033,14 +919,14 @@ mod tests {
         .unwrap();
         let job = JobSpec::new("bogus", vec![drc_cluster::GlobalBlockId::new(7, 0)]);
         assert!(matches!(
-            run_job(
+            JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
-                &DelayScheduler::default(),
-                &mut rng
-            ),
+                &DelayScheduler::default()
+            )
+            .run(&mut rng),
             Err(MapReduceError::InvalidConfig { .. })
         ));
     }
@@ -1071,23 +957,23 @@ mod tests {
         let blocks = placement.data_blocks();
         let narrow = JobSpec::new("sort", blocks.clone()).with_reduce_tasks(1);
         let wide = JobSpec::new("sort", blocks).with_reduce_tasks(18);
-        let m_narrow = run_job(
+        let m_narrow = JobRun::new(
             &narrow,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap();
-        let m_wide = run_job(
+        let m_wide = JobRun::new(
             &wide,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap();
         assert!(m_wide.reduce_phase_s < m_narrow.reduce_phase_s);
     }
@@ -1138,18 +1024,15 @@ mod tests {
         .unwrap();
         let job = JobSpec::new("contend", placement.data_blocks()).with_reduce_tasks(25);
         let run_at = |net: &drc_sim::ClusterNet, rng: &mut ChaCha8Rng| {
-            run_job_on(
+            JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
                 &DelayScheduler::default(),
-                rng,
-                JobSite {
-                    net,
-                    start: SimTime::ZERO,
-                },
             )
+            .on(net, SimTime::ZERO)
+            .run(rng)
             .unwrap()
         };
         // Idle substrate: reducers still compete with *each other* for NICs,
@@ -1181,74 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn t0_trace_with_zero_timeout_matches_the_static_failure_model() {
-        use drc_cluster::FailureScenario;
-        // Static path: the cluster starts with the victims down. Traced
-        // path: a healthy cluster plus a t = 0 trace under a zero detection
-        // timeout. The two must produce identical metrics, timeline
-        // included.
-        for kind in [CodeKind::Pentagon, CodeKind::Heptagon] {
-            let code = kind.build().unwrap();
-            let cluster = Cluster::new(ClusterSpec::simulation_25(4));
-            let mut rng = ChaCha8Rng::seed_from_u64(31);
-            let placement = PlacementMap::place(
-                code.as_ref(),
-                &cluster,
-                3,
-                PlacementPolicy::Random,
-                &mut rng,
-            )
-            .unwrap();
-            let victims: Vec<NodeId> = placement
-                .locations(drc_cluster::GlobalBlockId::new(0, 0))
-                .unwrap()
-                .to_vec();
-            let job = JobSpec::new("diff", placement.data_blocks()).with_reduce_tasks(6);
-
-            let mut down_cluster = cluster.clone();
-            for &v in &victims {
-                down_cluster.set_down(v);
-            }
-            let mut rng_a = ChaCha8Rng::seed_from_u64(77);
-            let net_a = drc_sim::ClusterNet::new(cluster.spec());
-            let static_metrics = run_job_on(
-                &job,
-                code.as_ref(),
-                &placement,
-                &down_cluster,
-                &DelayScheduler::default(),
-                &mut rng_a,
-                JobSite {
-                    net: &net_a,
-                    start: SimTime::ZERO,
-                },
-            )
-            .unwrap();
-
-            let trace = FailureScenario::nodes(victims).to_trace();
-            let mut rng_b = ChaCha8Rng::seed_from_u64(77);
-            let net_b = drc_sim::ClusterNet::new(cluster.spec());
-            let traced_metrics = run_job_traced(
-                &job,
-                code.as_ref(),
-                &placement,
-                &cluster,
-                &DelayScheduler::default(),
-                &mut rng_b,
-                JobSite {
-                    net: &net_b,
-                    start: SimTime::ZERO,
-                },
-                FailureModel::new(&trace, SimDuration::ZERO),
-            )
-            .unwrap();
-
-            assert_eq!(static_metrics, traced_metrics, "{kind}");
-            assert_eq!(traced_metrics.tasks_reexecuted, 0, "{kind}");
-        }
-    }
-
-    #[test]
     fn mid_job_failure_reexecutes_tasks_and_slowdown_grows_with_detection_lag() {
         use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
         let code = CodeKind::Pentagon.build().unwrap();
@@ -1266,19 +1081,16 @@ mod tests {
         let run = |trace: &FailureTrace, timeout_s: f64| {
             let net = drc_sim::ClusterNet::new(cluster.spec());
             let mut rng = ChaCha8Rng::seed_from_u64(43);
-            run_job_traced(
+            JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
                 &DelayScheduler::default(),
-                &mut rng,
-                JobSite {
-                    net: &net,
-                    start: SimTime::ZERO,
-                },
-                FailureModel::new(trace, SimDuration::from_secs_f64(timeout_s)),
             )
+            .on(&net, SimTime::ZERO)
+            .failures(trace, SimDuration::from_secs_f64(timeout_s))
+            .run(&mut rng)
             .unwrap()
         };
 
@@ -1339,47 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn detection_depends_on_event_order_not_on_when_the_engine_looks() {
-        use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
-        let cluster = Cluster::new(ClusterSpec::simulation_25(4));
-        let node = NodeId(9);
-        let t = |s: f64| SimTime::ZERO + SimDuration::from_secs_f64(s);
-        let state_after = |up_at_s: f64, advance_to_s: f64| {
-            let trace = FailureTrace::from_events(vec![
-                FailureEvent::at_secs(1.0, FailureEventKind::NodeDown { node }),
-                FailureEvent::at_secs(up_at_s, FailureEventKind::NodeUp { node }),
-            ]);
-            let model = FailureModel::new(&trace, SimDuration::from_secs_f64(2.0));
-            let mut state = FailureState::new(&model, &cluster);
-            let mut view = cluster.clone();
-            let mut timeline = Timeline::new();
-            state.advance(t(advance_to_s), &mut view, &mut timeline);
-            (state, view, timeline)
-        };
-
-        // Recovery *after* the boundary (down@1s, boundary@3s, up@5s): one
-        // big advance to 6s must still cross the boundary — detection is
-        // replayed in time order, not sampled at the advance instant.
-        let (state, view, timeline) = state_after(5.0, 6.0);
-        let lag = timeline
-            .with_prefix("detection-lag:")
-            .next()
-            .expect("the boundary was crossed before the recovery");
-        assert_eq!(lag.start, t(1.0));
-        assert_eq!(lag.end, t(3.0));
-        // The NodeUp then re-admitted the node for tasks — but its wiped
-        // replicas stay unreadable.
-        assert!(view.is_up(node));
-        assert!(!state.replica_alive(node, &view));
-
-        // Recovery exactly *at* the boundary (half-open outage: serving
-        // again at 3s) cancels detection entirely.
-        let (_, view, timeline) = state_after(3.0, 6.0);
-        assert!(view.is_up(node));
-        assert_eq!(timeline.with_prefix("detection-lag:").count(), 0);
-    }
-
-    #[test]
     fn a_quick_rejoin_resolves_lost_attempts_before_the_detection_boundary() {
         use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
         // A node hosting map tasks blips out for one second under an
@@ -1401,19 +1172,16 @@ mod tests {
         let run = |trace: &FailureTrace| {
             let net = drc_sim::ClusterNet::new(cluster.spec());
             let mut rng = ChaCha8Rng::seed_from_u64(43);
-            run_job_traced(
+            JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
                 &DelayScheduler::default(),
-                &mut rng,
-                JobSite {
-                    net: &net,
-                    start: SimTime::ZERO,
-                },
-                FailureModel::new(trace, SimDuration::from_secs_f64(300.0)),
             )
+            .on(&net, SimTime::ZERO)
+            .failures(trace, SimDuration::from_secs_f64(300.0))
+            .run(&mut rng)
             .unwrap()
         };
         let healthy = run(&FailureTrace::new());
@@ -1464,19 +1232,16 @@ mod tests {
         let trace = FailureTrace::from_events(events);
         let job = JobSpec::new("revived", vec![block]);
         let net = drc_sim::ClusterNet::new(cluster.spec());
-        let metrics = run_job_traced(
+        let metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
-            JobSite {
-                net: &net,
-                start: SimTime::ZERO + SimDuration::from_secs_f64(1.0),
-            },
-            FailureModel::new(&trace, SimDuration::ZERO),
         )
+        .on(&net, SimTime::ZERO + SimDuration::from_secs_f64(1.0))
+        .failures(&trace, SimDuration::ZERO)
+        .run(&mut rng)
         .unwrap();
         assert_eq!(metrics.local_map_tasks, 0, "wiped data cannot be local");
         assert_eq!(metrics.degraded_reads, 1);
@@ -1513,19 +1278,16 @@ mod tests {
         // task cannot land on a victim or the attempt would just die.
         let job = JobSpec::new("blind-degraded", vec![block]);
         let net = drc_sim::ClusterNet::new(cluster.spec());
-        let metrics = run_job_traced(
+        let metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
-            JobSite {
-                net: &net,
-                start: SimTime::ZERO,
-            },
-            FailureModel::new(&trace, SimDuration::from_secs_f64(1e6)),
         )
+        .on(&net, SimTime::ZERO)
+        .failures(&trace, SimDuration::from_secs_f64(1e6))
+        .run(&mut rng)
         .unwrap();
         assert_eq!(metrics.degraded_reads, 1);
         assert_eq!(metrics.degraded_read_bytes, 3 * 128 * 1024 * 1024);
@@ -1566,14 +1328,14 @@ mod tests {
             cluster.set_down(n);
         }
         let job = JobSpec::new("degraded", vec![block]);
-        let metrics = run_job(
+        let metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap();
         assert_eq!(
             metrics.timeline.bytes_with_prefix("degraded-read:"),
@@ -1599,14 +1361,14 @@ mod tests {
         let job = JobSpec::new("sweep", placement.data_blocks());
         for kind in SchedulerKind::all() {
             let scheduler = kind.build();
-            let m = run_job(
+            let m = JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
                 scheduler.as_ref(),
-                &mut rng,
             )
+            .run(&mut rng)
             .unwrap();
             assert_eq!(m.map_tasks, 100);
             assert!(m.job_time_s.is_finite());

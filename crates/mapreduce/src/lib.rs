@@ -11,13 +11,14 @@
 //!   [`MaxMatchingScheduler`], [`PeelingScheduler`]) behind the common
 //!   [`TaskScheduler`] trait,
 //! * the **locality simulation** ([`simulate_locality`], Fig. 3) and the
-//!   **discrete-event execution engine** ([`run_job`], Fig. 4/5) that report
+//!   **discrete-event execution engine** ([`JobRun`], Fig. 4/5) that report
 //!   data locality, job time and network traffic. Every phase — map waves,
 //!   shuffle fetches, reduce merges and output writes — is discrete events
-//!   on the `drc_sim` substrate; [`run_job_on`] executes against a *shared*
+//!   on the `drc_sim` substrate; [`JobRun::on`] executes against a *shared*
 //!   `ClusterNet` so the job contends with storage-layer repair and
 //!   degraded-read traffic for the same NICs, disks and LAN fabric
-//!   (per-link queueing is reported in [`LinkContention`]).
+//!   (per-link queueing is reported in [`LinkContention`]), and
+//!   [`JobRun::failures`] replays a timed failure trace mid-job.
 //!
 //! # Example: one Fig. 3 point
 //!
@@ -46,9 +47,7 @@ mod locality;
 mod scheduler;
 
 pub use assignment::{Assignment, TaskAssignment};
-pub use engine::{
-    run_job, run_job_on, run_job_traced, FailureModel, JobMetrics, JobSite, LinkContention,
-};
+pub use engine::{JobMetrics, JobRun, LinkContention};
 pub use error::MapReduceError;
 pub use graph::{TaskNodeGraph, TaskVertex};
 pub use job::{JobSpec, MapTask, TaskId};

@@ -1,4 +1,4 @@
-//! The engine's full output, pinned: `run_job` on the shape the repo's
+//! The engine's full output, pinned: a `JobRun` on the shape the repo's
 //! benchmark sweeps (`datacenter(120)` at 400 % load, delay scheduling) must
 //! reproduce, bit for bit, the `JobMetrics` recorded before the scheduling
 //! plane went from `BTreeMap<NodeId, _>` to index-addressed `Vec`s.
@@ -19,9 +19,7 @@ use drc_cluster::{
     PlacementPolicy, RackId,
 };
 use drc_codes::CodeKind;
-use drc_mapreduce::{
-    run_job, run_job_traced, DelayScheduler, FailureModel, JobMetrics, JobSite, JobSpec,
-};
+use drc_mapreduce::{DelayScheduler, JobMetrics, JobRun, JobSpec};
 use drc_sim::{ClusterNet, SimDuration, SimTime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -99,14 +97,14 @@ fn run(code: CodeKind) -> JobMetrics {
     .unwrap();
     let blocks: Vec<_> = placement.data_blocks().into_iter().take(tasks).collect();
     let job = JobSpec::new("terasort-400pct", blocks).with_reduce_tasks(spec.total_reduce_slots());
-    run_job(
+    JobRun::new(
         &job,
         built.as_ref(),
         &placement,
         &cluster,
         &DelayScheduler::default(),
-        &mut rng,
     )
+    .run(&mut rng)
     .unwrap()
 }
 
@@ -147,16 +145,16 @@ fn run_failing(
     .unwrap();
     let job = JobSpec::new("failing", placement.data_blocks()).with_reduce_tasks(8);
     let mut rng = ChaCha8Rng::seed_from_u64(43);
-    run_job_traced(
+    JobRun::new(
         &job,
         code.as_ref(),
         &placement,
         &cluster,
         &DelayScheduler::default(),
-        &mut rng,
-        JobSite { net, start },
-        FailureModel::new(trace, SimDuration::from_secs_f64(timeout_s)),
     )
+    .on(net, start)
+    .failures(trace, SimDuration::from_secs_f64(timeout_s))
+    .run(&mut rng)
     .unwrap()
 }
 

@@ -10,7 +10,7 @@
 
 use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
-use drc_mapreduce::{run_job, run_job_on, DelayScheduler, JobSite, JobSpec};
+use drc_mapreduce::{DelayScheduler, JobRun, JobSpec};
 use drc_sim::{ClusterNet, SimDuration, SimTime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -63,14 +63,14 @@ fn event_driven_shuffle_reproduces_closed_form_bytes_for_every_code_kind() {
                 .with_shuffle_ratio(0.7)
                 .unwrap()
                 .with_reduce_tasks(8);
-            let metrics = run_job(
+            let metrics = JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
                 &DelayScheduler::default(),
-                &mut rng,
             )
+            .run(&mut rng)
             .unwrap();
 
             let block_bytes = cluster.spec().block_size_bytes();
@@ -109,18 +109,15 @@ fn byte_accounting_is_identical_on_idle_and_congested_substrates() {
     let job = JobSpec::new("idle-vs-busy", placement.data_blocks()).with_reduce_tasks(12);
     let run_on = |net: &ClusterNet| {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        run_job_on(
+        JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
-            JobSite {
-                net,
-                start: SimTime::ZERO,
-            },
         )
+        .on(net, SimTime::ZERO)
+        .run(&mut rng)
         .unwrap()
     };
     let idle_net = ClusterNet::new(cluster.spec());
@@ -160,18 +157,15 @@ fn saturated_lan_strictly_delays_reduce_completion() {
     let job = JobSpec::new("lan-sat", blocks).with_reduce_tasks(8);
     let run_on = |net: &ClusterNet| {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        run_job_on(
+        JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             &DelayScheduler::default(),
-            &mut rng,
-            JobSite {
-                net,
-                start: SimTime::ZERO,
-            },
         )
+        .on(net, SimTime::ZERO)
+        .run(&mut rng)
         .unwrap()
     };
     let idle_net = ClusterNet::new(cluster.spec());

@@ -31,40 +31,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// One timed event in the making: [`Schedule::at`] pairs a virtual instant
-/// with a payload, so layers can describe *when* something should happen
-/// separately from the queue that will eventually execute it (the simulated
-/// HDFS's failure engine turns each trace event into a `Schedule` and feeds
-/// batches in through [`EventQueue::extend`]).
-///
-/// # Example
-///
-/// ```
-/// use drc_sim::{EventQueue, Schedule, SimTime};
-///
-/// let plan = vec![
-///     Schedule::at(SimTime(30), "node3 restored"),
-///     Schedule::at(SimTime(10), "node3 fails"),
-/// ];
-/// let mut q = EventQueue::new();
-/// q.extend(plan);
-/// assert_eq!(q.pop(), Some((SimTime(10), "node3 fails")));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Schedule<E> {
-    /// The absolute virtual instant the event fires.
-    pub at: SimTime,
-    /// The event payload.
-    pub event: E,
-}
-
-impl<E> Schedule<E> {
-    /// Pairs an instant with an event.
-    pub fn at(at: SimTime, event: E) -> Self {
-        Schedule { at, event }
-    }
-}
-
 /// A discrete-event queue over a virtual clock.
 ///
 /// Events are scheduled at absolute instants (or relative to *now*) and
@@ -124,41 +90,11 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
-    /// The instant of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Schedules one prepared [`Schedule`] entry.
-    pub fn schedule(&mut self, s: Schedule<E>) {
-        self.schedule_at(s.at, s.event);
-    }
-
-    /// Schedules a batch of prepared [`Schedule`] entries in order.
-    pub fn extend(&mut self, entries: impl IntoIterator<Item = Schedule<E>>) {
-        for s in entries {
-            self.schedule(s);
-        }
-    }
-
     /// Pops the next event, advancing the clock to its instant.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;
         self.now = self.now.max(s.at);
         Some((s.at, s.event))
-    }
-
-    /// Pops the next event only if it is due at or before `horizon`
-    /// (advancing the clock to its instant); later events stay queued.
-    ///
-    /// This is the drain primitive for layers that interleave event
-    /// processing with other work: "apply everything that happened up to
-    /// this virtual instant, leave the future alone".
-    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > horizon {
-            return None;
-        }
-        self.pop()
     }
 
     /// Number of pending events.
@@ -183,25 +119,9 @@ mod tests {
         q.schedule_at(SimTime(5), "c");
         q.schedule_at(SimTime(1), "a");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ["a", "b", "c"]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn schedule_entries_and_pop_due() {
-        let mut q = EventQueue::new();
-        q.extend([
-            Schedule::at(SimTime(9), "late"),
-            Schedule::at(SimTime(2), "early"),
-        ]);
-        q.schedule(Schedule::at(SimTime(5), "mid"));
-        assert_eq!(q.pop_due(SimTime(1)), None, "nothing due yet");
-        assert_eq!(q.pop_due(SimTime(5)), Some((SimTime(2), "early")));
-        assert_eq!(q.pop_due(SimTime(5)), Some((SimTime(5), "mid")));
-        assert_eq!(q.pop_due(SimTime(5)), None, "'late' is beyond the horizon");
-        assert_eq!(q.pop(), Some((SimTime(9), "late")));
     }
 
     #[test]

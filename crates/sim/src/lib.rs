@@ -9,16 +9,17 @@
 //!   ordering and accumulation are exactly deterministic,
 //! * [`VirtualClock`] — the per-simulation clock operations advance,
 //! * [`EventQueue`] — a time-ordered queue with deterministic FIFO
-//!   tie-breaking, the execution core every timed subsystem drains;
-//!   [`Schedule::at`] pairs instants with payloads so plans (failure
-//!   traces) can be described before any queue executes them,
+//!   tie-breaking, for completions a layer drains in virtual-time order,
+//! * [`FailureReplay`] — a [`drc_cluster::FailureTrace`] replayed as timed
+//!   [`ReplayStep`]s with heartbeat-timeout detection boundaries
+//!   interleaved; the one failure clock the simulated HDFS and the
+//!   MapReduce engine both consume,
 //! * [`Resource`] — a bandwidth server (disk, NIC, shared LAN fabric) whose
 //!   reservations serialise contending transfers; lock-free so shared
 //!   components (DataNodes) can reserve through `&self`,
 //! * [`ClusterNet`] — per-node disk + NIC resources and the shared fabric,
-//!   built from [`drc_cluster::ClusterSpec`] bandwidth figures, with a
-//!   per-node [`NodeState`] availability signal so timed failure/recovery
-//!   events can take a node's resources dark and restore them mid-run,
+//!   built from [`drc_cluster::ClusterSpec`] bandwidth figures;
+//!   [`ClusterNet::restore_node`] blocks a recovered node's outage window,
 //! * [`Transfer`] — sequences one operation's acquisition of several pipes
 //!   plus the fabric and reports per-link wait time, so layers that share
 //!   the fabric (shuffle, repair, degraded reads) can attribute their
@@ -64,16 +65,18 @@
 #![warn(missing_docs)]
 
 mod event;
+mod failure;
 mod net;
 mod resource;
 mod time;
 mod timeline;
 
-pub use event::{EventQueue, Schedule};
+pub use event::EventQueue;
+pub use failure::{FailureReplay, ReplayStep};
 pub use net::{
     chunk_sizes, fabric, pull_from, pull_train, push_to, push_train, transfer_between, ClusterNet,
-    NodeIo, NodeState, Transfer, TransferOutcome, MAX_PIPES,
+    NodeIo, Transfer, TransferOutcome, MAX_PIPES,
 };
 pub use resource::{Reservation, Resource};
 pub use time::{SimDuration, SimTime, VirtualClock};
-pub use timeline::{detection_lag_label, Phase, Timeline, DETECTION_LAG_PREFIX};
+pub use timeline::{Phase, Timeline, DETECTION_LAG_PREFIX};

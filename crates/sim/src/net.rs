@@ -1,31 +1,10 @@
 //! The modeled cluster I/O fabric: per-node disks and NICs plus the shared
 //! LAN, with bandwidths drawn from [`ClusterSpec`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use drc_cluster::{ClusterSpec, NodeId};
 
 use crate::resource::{Reservation, Resource};
 use crate::time::{SimDuration, SimTime};
-
-/// Availability of one modeled node's I/O resources.
-///
-/// This is the substrate-level signal a failure engine flips when a timed
-/// failure or recovery event fires: layers that only hold the [`ClusterNet`]
-/// (not the topology-level `Cluster`) can still ask whether a node is
-/// serving. The flag is advisory for *issuance* — nothing stops a caller
-/// from reserving a down node's disk, exactly as nothing stops a packet
-/// being sent to a dead host — but [`ClusterNet::restore_node`] occupies the
-/// node's resources through the outage window, so no reservation granted
-/// after a recovery can pretend it ran while the node was dark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeState {
-    /// The node's disk and NIC are serving.
-    Up,
-    /// The node is dark: a failure event took it down and no recovery has
-    /// fired yet.
-    Down,
-}
 
 /// The I/O resources of one data node.
 #[derive(Debug)]
@@ -349,20 +328,14 @@ pub fn push_train(
 #[derive(Debug)]
 pub struct ClusterNet {
     nodes: Vec<NodeIo>,
-    /// Per-node availability (`true` = up). Atomics so the shared model can
-    /// be flipped behind `&self` by whichever layer drives failure events.
-    up: Vec<AtomicBool>,
     fabric: Resource,
 }
 
 impl ClusterNet {
-    /// Builds the resource model for a cluster spec (all nodes up).
+    /// Builds the resource model for a cluster spec.
     pub fn new(spec: &ClusterSpec) -> Self {
-        let nodes: Vec<NodeIo> = (0..spec.data_nodes).map(|_| NodeIo::new(spec)).collect();
-        let up = (0..nodes.len()).map(|_| AtomicBool::new(true)).collect();
         ClusterNet {
-            nodes,
-            up,
+            nodes: (0..spec.data_nodes).map(|_| NodeIo::new(spec)).collect(),
             fabric: fabric(spec),
         }
     }
@@ -391,41 +364,17 @@ impl ClusterNet {
         &self.fabric
     }
 
-    /// The availability signal of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not part of the modeled cluster.
-    pub fn node_state(&self, node: NodeId) -> NodeState {
-        if self.up[node.0].load(Ordering::Acquire) {
-            NodeState::Up
-        } else {
-            NodeState::Down
-        }
-    }
-
-    /// Returns `true` if the node's resources are currently serving.
-    pub fn is_node_up(&self, node: NodeId) -> bool {
-        self.node_state(node) == NodeState::Up
-    }
-
-    /// Takes a node's disk and NIC out of service (a timed failure event
-    /// fired). Reservations the node already granted are untouched — in a
-    /// fail-stop model the bytes already "moved" in those windows are the
-    /// issuing layer's to account for.
-    pub fn take_node_down(&self, node: NodeId) {
-        self.up[node.0].store(false, Ordering::Release);
-    }
-
     /// Restores a node's disk and NIC at virtual instant `at` (a timed
-    /// recovery event fired): the node is marked [`NodeState::Up`] and both
-    /// resources are occupied through `at`, so no later reservation can be
-    /// granted a window inside the outage.
+    /// recovery event fired): both resources are occupied through `at`, so
+    /// no later reservation can be granted a window inside the outage —
+    /// nothing issued after a recovery can pretend it ran while the node
+    /// was dark. (Nothing stops a caller from reserving a down node's disk
+    /// *during* the outage, exactly as nothing stops a packet being sent to
+    /// a dead host; who is down is the issuing layer's knowledge.)
     pub fn restore_node(&self, at: SimTime, node: NodeId) {
         let io = self.node(node);
         io.disk.occupy_until(at);
         io.nic.occupy_until(at);
-        self.up[node.0].store(true, Ordering::Release);
     }
 
     /// Slows a node's disk and NIC down by `factor` (2.0 = half speed,
@@ -453,15 +402,12 @@ impl ClusterNet {
         transfer_between(now, self.node(from), self.node(to), &self.fabric, bytes)
     }
 
-    /// Forgets every reservation, slowdown and availability flag (all
-    /// resources idle and up at the epoch).
+    /// Forgets every reservation and slowdown (all resources idle at the
+    /// epoch).
     pub fn reset(&self) {
         for n in &self.nodes {
             n.disk.reset();
             n.nic.reset();
-        }
-        for flag in &self.up {
-            flag.store(true, Ordering::Release);
         }
         self.fabric.reset();
     }
@@ -691,30 +637,23 @@ mod tests {
     fn reset_clears_reservations() {
         let net = net();
         net.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30);
-        net.take_node_down(NodeId(2));
         net.set_node_slowdown(NodeId(3), 8.0);
         net.reset();
         assert_eq!(net.node(NodeId(0)).disk.next_free(), SimTime::ZERO);
         assert_eq!(net.fabric().next_free(), SimTime::ZERO);
-        assert!(net.is_node_up(NodeId(2)));
         assert_eq!(net.node(NodeId(3)).disk.slowdown(), 1.0);
         assert_eq!(net.len(), 25);
         assert!(!net.is_empty());
     }
 
     #[test]
-    fn availability_flips_and_restore_blocks_the_outage_window() {
+    fn restore_blocks_the_outage_window() {
         let net = net();
-        assert_eq!(net.node_state(NodeId(7)), NodeState::Up);
-        net.take_node_down(NodeId(7));
-        assert_eq!(net.node_state(NodeId(7)), NodeState::Down);
-        assert!(!net.is_node_up(NodeId(7)));
         // Recovery at t=30s: nothing can be granted a window inside the
         // outage, so a transfer issued "at the epoch" afterwards starts at
         // the recovery instant.
         let up_at = SimTime(30_000_000_000);
         net.restore_node(up_at, NodeId(7));
-        assert!(net.is_node_up(NodeId(7)));
         let r = net.transfer(SimTime::ZERO, NodeId(7), NodeId(8), 1 << 20);
         assert!(r.start >= up_at);
     }

@@ -3,20 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 
+use drc_cluster::NodeId;
+
 use crate::time::{SimDuration, SimTime};
 
-/// The label prefix both failure engines (the simulated HDFS's
-/// detection/auto-repair queue and the MapReduce engine's traced execution)
-/// use for blind-window phases, so experiments matching
+/// The label prefix of blind-window phases (see
+/// [`Timeline::record_detection_lag`]), so experiments matching
 /// [`Timeline::with_prefix`] see the same spans whichever layer recorded
 /// them.
 pub const DETECTION_LAG_PREFIX: &str = "detection-lag:";
-
-/// The canonical label of one node's detection blind window — the phase
-/// covering `[failure, detection boundary)` with zero bytes.
-pub fn detection_lag_label(node_index: usize) -> String {
-    format!("{DETECTION_LAG_PREFIX}node{node_index}")
-}
 
 /// One labelled span of virtual time (a write pass, a repair, a degraded
 /// read, a map wave, …) plus the bytes it moved.
@@ -68,6 +63,26 @@ impl Timeline {
             end,
             bytes,
         });
+    }
+
+    /// Records `node`'s detection blind window `[silent_since, detected_at)`
+    /// as a zero-byte `detection-lag:node<N>` phase — what every consumer of
+    /// a `FailureReplay` does with a `Detected` step. A failure detected the
+    /// instant it happens has no blind window and leaves no phase.
+    pub fn record_detection_lag(
+        &mut self,
+        node: NodeId,
+        silent_since: SimTime,
+        detected_at: SimTime,
+    ) {
+        if detected_at > silent_since {
+            self.record(
+                format!("{DETECTION_LAG_PREFIX}node{}", node.0),
+                silent_since,
+                detected_at,
+                0,
+            );
+        }
     }
 
     /// The instant the last phase finishes (the epoch when empty).

@@ -1,10 +1,10 @@
 //! End-to-end integration tests spanning the whole stack: codes → placement →
 //! simulated HDFS → MapReduce engine.
 
-use drc_core::cluster::{Cluster, ClusterSpec, FailureScenario, NodeId};
+use drc_core::cluster::{Cluster, ClusterSpec, NodeId};
 use drc_core::codes::CodeKind;
 use drc_core::hdfs::DistributedFileSystem;
-use drc_core::mapreduce::{run_job, SchedulerKind};
+use drc_core::mapreduce::{JobRun, SchedulerKind};
 use drc_core::workloads::{provision_workload, WorkloadKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -78,14 +78,14 @@ fn engine_locality_is_consistent_with_placement_structure() {
         let code = kind.build().unwrap();
         let workload =
             provision_workload(WorkloadKind::Terasort, kind, &cluster, 50.0, &mut rng).unwrap();
-        let metrics = run_job(
+        let metrics = JobRun::new(
             &workload.job,
             code.as_ref(),
             &workload.placement,
             &cluster,
             scheduler.as_ref(),
-            &mut rng,
         )
+        .run(&mut rng)
         .unwrap();
         assert_eq!(metrics.map_tasks, 100);
         localities.push(metrics.data_locality_percent());
@@ -108,18 +108,19 @@ fn transient_failures_trigger_degraded_reads_with_partial_parity_cost() {
     // Fail both hosts of the first task's block.
     let first_block = workload.job.map_tasks()[0].block;
     let hosts: Vec<NodeId> = workload.placement.locations(first_block).unwrap().to_vec();
-    let scenario = FailureScenario::nodes(hosts);
-    scenario.apply(&mut cluster);
+    for &host in &hosts {
+        cluster.set_down(host);
+    }
 
     let scheduler = SchedulerKind::Delay.build();
-    let metrics = run_job(
+    let metrics = JobRun::new(
         &workload.job,
         code.as_ref(),
         &workload.placement,
         &cluster,
         scheduler.as_ref(),
-        &mut rng,
     )
+    .run(&mut rng)
     .unwrap();
     assert!(metrics.degraded_reads >= 1);
     // Each pentagon degraded read fetches 3 blocks of 1 MiB.

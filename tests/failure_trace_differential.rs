@@ -11,12 +11,10 @@
 //! differ (the two paths issue events in different orders); the bytes may
 //! not.
 
-use drc_core::cluster::{Cluster, ClusterSpec, FailureScenario, NodeId};
+use drc_core::cluster::{Cluster, ClusterSpec, FailureTrace, NodeId};
 use drc_core::codes::CodeKind;
 use drc_core::hdfs::DistributedFileSystem;
-use drc_core::mapreduce::{
-    run_job_on, run_job_traced, FailureModel, JobSite, JobSpec, SchedulerKind,
-};
+use drc_core::mapreduce::{JobRun, JobSpec, SchedulerKind};
 use drc_core::sim::{SimDuration, SimTime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -80,7 +78,7 @@ fn t0_trace_reproduces_static_repair_bytes_for_every_code_kind() {
         assert_eq!(id, id2, "{kind}: same seed, same namespace");
         assert_eq!(victims, victims_of(&traced_fs, id2), "{kind}");
         traced_fs.set_detection_timeout(SimDuration::ZERO);
-        traced_fs.schedule_trace(&FailureScenario::nodes(victims.clone()).to_trace());
+        traced_fs.schedule_trace(&FailureTrace::down_at_t0(&victims));
         let reports = traced_fs.process_all_events().unwrap();
         assert_eq!(reports.len(), 1, "{kind}: one batched auto-repair pass");
         assert_eq!(traced_fs.read_file(id2).unwrap(), data, "{kind}");
@@ -128,7 +126,7 @@ fn undetected_t0_trace_reproduces_static_degraded_read_bytes() {
         // Detection far in the future: the failure engine applies the
         // fail-stops but never repairs inside this window.
         traced_fs.set_detection_timeout(SimDuration::from_secs_f64(1e6));
-        traced_fs.schedule_trace(&FailureScenario::nodes(victims).to_trace());
+        traced_fs.schedule_trace(&FailureTrace::down_at_t0(&victims));
         let reports = traced_fs.process_events_until(traced_fs.now()).unwrap();
         assert!(reports.is_empty(), "{kind}: nothing detected yet");
         assert_eq!(traced_fs.read_file(id2).unwrap(), data, "{kind}");
@@ -138,8 +136,8 @@ fn undetected_t0_trace_reproduces_static_degraded_read_bytes() {
     }
 }
 
-/// MapReduce layer: `run_job_traced` with the t = 0 trace and zero timeout
-/// must equal `run_job_on` with the victims statically down — the full
+/// MapReduce layer: a `JobRun` with the t = 0 trace and zero timeout must
+/// equal one with the victims statically down — the full
 /// `JobMetrics`, timeline included — for every code kind.
 #[test]
 fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
@@ -171,36 +169,30 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
         }
         let net_a = drc_core::sim::ClusterNet::new(cluster.spec());
         let mut rng_a = ChaCha8Rng::seed_from_u64(17);
-        let static_metrics = run_job_on(
+        let static_metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &down_cluster,
             scheduler.as_ref(),
-            &mut rng_a,
-            JobSite {
-                net: &net_a,
-                start: SimTime::ZERO,
-            },
         )
+        .on(&net_a, SimTime::ZERO)
+        .run(&mut rng_a)
         .unwrap();
 
-        let trace = FailureScenario::nodes(victims).to_trace();
+        let trace = FailureTrace::down_at_t0(&victims);
         let net_b = drc_core::sim::ClusterNet::new(cluster.spec());
         let mut rng_b = ChaCha8Rng::seed_from_u64(17);
-        let traced_metrics = run_job_traced(
+        let traced_metrics = JobRun::new(
             &job,
             code.as_ref(),
             &placement,
             &cluster,
             scheduler.as_ref(),
-            &mut rng_b,
-            JobSite {
-                net: &net_b,
-                start: SimTime::ZERO,
-            },
-            FailureModel::new(&trace, SimDuration::ZERO),
         )
+        .on(&net_b, SimTime::ZERO)
+        .failures(&trace, SimDuration::ZERO)
+        .run(&mut rng_b)
         .unwrap();
 
         assert_eq!(
@@ -209,4 +201,72 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
         );
         assert_eq!(traced_metrics.tasks_reexecuted, 0, "{kind}");
     }
+}
+
+/// Hostile input: every event kind naming a node (or rack) the 25-node
+/// cluster does not have. The shared replay drops them at scheduling, so
+/// both consumers behave exactly as under an empty trace — the file system
+/// used to index `nodes[999]` and panic on the `NodeUp` and the `Slowdown`.
+#[test]
+fn events_naming_nodes_outside_the_cluster_change_nothing_in_either_consumer() {
+    use drc_core::cluster::{
+        FailureEvent, FailureEventKind, PlacementMap, PlacementPolicy, RackId,
+    };
+    let ghost = NodeId(999);
+    let hostile = FailureTrace::from_events(vec![
+        FailureEvent::at_ns(5, FailureEventKind::NodeDown { node: ghost }),
+        FailureEvent::at_ns(5, FailureEventKind::NodeUp { node: ghost }),
+        FailureEvent::at_ns(
+            5,
+            FailureEventKind::Slowdown {
+                node: ghost,
+                factor: 4.0,
+            },
+        ),
+        FailureEvent::at_ns(5, FailureEventKind::RackDown { rack: RackId(999) }),
+    ]);
+    let kind = CodeKind::Pentagon;
+    let data = payload(2 * 1024 * 1024 + 5);
+
+    // Storage consumer.
+    let run_fs = |trace: &FailureTrace| {
+        let mut fs = DistributedFileSystem::new(small_cluster(), 31);
+        let id = fs.write_file("/hostile", &data, kind).unwrap();
+        fs.set_detection_timeout(SimDuration::ZERO);
+        fs.schedule_trace(trace);
+        assert_eq!(fs.pending_events(), 0);
+        let reports = fs.process_all_events().unwrap();
+        assert!(reports.is_empty());
+        assert_eq!(fs.read_file(id).unwrap(), data);
+        (fs.stats(), fs.timeline().clone())
+    };
+    assert_eq!(run_fs(&hostile), run_fs(&FailureTrace::new()));
+
+    // MapReduce consumer.
+    let code = kind.build().unwrap();
+    let cluster = Cluster::new(small_cluster());
+    let mut rng = ChaCha8Rng::seed_from_u64(92);
+    let placement = PlacementMap::place(
+        code.as_ref(),
+        &cluster,
+        3,
+        PlacementPolicy::Random,
+        &mut rng,
+    )
+    .unwrap();
+    let job = JobSpec::new("hostile", placement.data_blocks()).with_reduce_tasks(5);
+    let scheduler = SchedulerKind::Delay.build();
+    let run_mr = |trace: &FailureTrace| {
+        JobRun::new(
+            &job,
+            code.as_ref(),
+            &placement,
+            &cluster,
+            scheduler.as_ref(),
+        )
+        .failures(trace, SimDuration::from_secs_f64(1.0))
+        .run(&mut ChaCha8Rng::seed_from_u64(18))
+        .unwrap()
+    };
+    assert_eq!(run_mr(&hostile), run_mr(&FailureTrace::new()));
 }
