@@ -48,9 +48,6 @@
 //! the `check_speedup` gate tell that apart from a real multi-core
 //! measurement; only multi-core hosts show the real scaling.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-
 use criterion::{criterion_group, Criterion, Throughput};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -63,89 +60,14 @@ use drc_core::mapreduce::{DelayScheduler, JobRun, TaskNodeGraph, TaskScheduler};
 use drc_core::workloads::{provision_workload, WorkloadKind};
 use drc_gf::kernel;
 use drc_sim::{ClusterNet, EventQueue, SimTime, Transfer};
+use drc_testalloc::{close_window, open_window, CountingAlloc, Threads};
 
-// ---------------------------------------------------------------------------
-// Counting allocator: the `meta_bytes_per_block` headline reports bytes the
-// allocator actually handed out for the placement index, not the index's own
-// (floor-estimate) accounting. Same thread-marker pattern as the gf crate's
-// alloc_free test: only the registered thread's traffic counts, so criterion
+// The `meta_bytes_per_block` headline reports bytes the allocator actually
+// handed out for the placement index, not the index's own (floor-estimate)
+// accounting. Only the thread that opens a window counts, so criterion
 // timers and the rayon pool cannot skew the measurement.
-// ---------------------------------------------------------------------------
-
-struct CountingAllocator;
-
-/// Net live bytes allocated by the measured thread (signed: frees of
-/// pre-registration memory would otherwise underflow).
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// Marker address of the thread whose allocations are counted (0 = none).
-static MEASURED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// A per-thread address identifying the thread inside `alloc` without
-    /// allocating (const-initialised TLS never lazily allocates).
-    static THREAD_MARKER: u8 = const { 0 };
-}
-
-fn on_measured_thread() -> bool {
-    THREAD_MARKER
-        .try_with(|m| m as *const u8 as usize)
-        .map(|addr| MEASURED.load(Ordering::Relaxed) == addr)
-        .unwrap_or(false)
-}
-
-fn measure_this_thread() {
-    THREAD_MARKER.with(|m| MEASURED.store(m as *const u8 as usize, Ordering::Relaxed));
-}
-
-fn unmeasure_thread() {
-    MEASURED.store(0, Ordering::Relaxed);
-}
-
-fn live_bytes() -> isize {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
-
-// SAFETY: `unsafe` is required by the `GlobalAlloc` contract; every call
-// forwards to `System` with the caller's layout and pointer unchanged, so
-// the contract is upheld verbatim and the counters touch no allocator state.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Shard/block size for the encode benches: large enough that the parallel
 /// split engages (several `PAR_MIN_LEN`s per worker).
@@ -306,8 +228,7 @@ fn build_meta_placement(index: IndexKind) -> (PlacementMap, isize) {
     let code = CodeKind::TWO_REP.build().expect("code builds");
     let cluster = Cluster::new(ClusterSpec::datacenter(nodes));
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_2014);
-    measure_this_thread();
-    let before = live_bytes();
+    open_window(Threads::Current, 0);
     let placement = drc_cluster::with_index_kind(index, || {
         PlacementMap::place(
             code.as_ref(),
@@ -318,8 +239,7 @@ fn build_meta_placement(index: IndexKind) -> (PlacementMap, isize) {
         )
     })
     .expect("placement fits the datacenter cluster");
-    let resident = live_bytes() - before;
-    unmeasure_thread();
+    let resident = close_window().live;
     assert!(resident > 0, "a fresh index must hold live memory");
     (placement, resident)
 }

@@ -12,88 +12,18 @@
 //! Lives in its own integration-test binary so the `#[global_allocator]`
 //! does not leak into other tests, and only the measured thread's
 //! allocations count (the libtest harness's main thread allocates at
-//! nondeterministic moments — see `crates/gf/tests/alloc_free.rs`, where
-//! the thread-marker pattern originates).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+//! nondeterministic moments — see `drc_testalloc::Threads::Current`).
 
 use drc_cluster::{
     with_index_kind, Cluster, ClusterSpec, IndexKind, PlacementMap, PlacementPolicy,
 };
 use drc_codes::CodeKind;
+use drc_testalloc::{close_window, open_window, CountingAlloc, Threads};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-struct CountingAllocator;
-
-/// Net bytes currently allocated by the measured thread (alloc − dealloc).
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// Marker address of the thread whose allocations are counted (0 = none).
-static MEASURED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// A per-thread address that identifies the thread inside `alloc`
-    /// without allocating (const-initialised TLS never lazily allocates).
-    static THREAD_MARKER: u8 = const { 0 };
-}
-
-fn on_measured_thread() -> bool {
-    THREAD_MARKER
-        .try_with(|m| m as *const u8 as usize)
-        .map(|addr| MEASURED.load(Ordering::Relaxed) == addr)
-        .unwrap_or(false)
-}
-
-fn measure_this_thread() {
-    THREAD_MARKER.with(|m| MEASURED.store(m as *const u8 as usize, Ordering::Relaxed));
-}
-
-// SAFETY: `unsafe` is required by the `GlobalAlloc` contract; every call
-// forwards to `System` with the caller's layout and pointer unchanged, so
-// the contract is upheld verbatim and the counters touch no allocator state.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if on_measured_thread() {
-            LIVE_BYTES.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn live_bytes() -> isize {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Builds a placement on `index` and returns it with the net bytes the
 /// build left resident.
@@ -106,7 +36,7 @@ fn build_measured(
     let code = kind.build().unwrap();
     let cluster = Cluster::new(ClusterSpec::datacenter(nodes));
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_2014);
-    let before = live_bytes();
+    open_window(Threads::Current, 0);
     let placement = with_index_kind(index, || {
         PlacementMap::place(
             code.as_ref(),
@@ -117,7 +47,7 @@ fn build_measured(
         )
     })
     .unwrap();
-    let resident = live_bytes() - before;
+    let resident = close_window().live;
     assert!(
         resident > 0,
         "{kind}/{index}: building the index must leave bytes resident"
@@ -126,10 +56,9 @@ fn build_measured(
 }
 
 /// Serialised entry point: one `#[test]` drives every comparison so the
-/// single measured-thread slot is never contended.
+/// single measurement window is never contended.
 #[test]
 fn map_reference_spends_strictly_more_memory_than_compact() {
-    measure_this_thread();
     for kind in [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,

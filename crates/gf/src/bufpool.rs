@@ -1,4 +1,6 @@
-//! Process-wide free list of reusable block-sized byte buffers.
+//! Buffer policy for block- and file-sized byte buffers: a process-wide
+//! free list of reusable block buffers, and the constructor for caller-owned
+//! bulk buffers.
 //!
 //! The experiment layer runs many independent simulation cells back to back
 //! (and, with the cell harness, in parallel); each cell writes, repairs and
@@ -24,6 +26,18 @@
 //! vectors are cheap to allocate and would only churn the shelf), and the
 //! shelf retains at most [`MAX_POOLED_BYTES`] in total — recycling beyond
 //! the cap simply frees the buffer.
+//!
+//! # Caller-owned bulk buffers
+//!
+//! A buffer that leaves the product for good — `read_file`'s file-sized
+//! output — cannot come from the shelf: the caller owns it and frees it, so
+//! every one is fresh memory whose first touch the kernel must fault in.
+//! [`bulk_with_capacity`] is the constructor for those: on Linux it asks for
+//! transparent huge pages over the buffer's aligned interior, so filling it
+//! front to back takes one fault per 2 MiB instead of one per 4 KiB. It is
+//! this crate's second audited `unsafe` exception (one `madvise` call; see
+//! the function's docs), and the advice changes nothing but how the kernel
+//! backs the pages — never a byte, a length or a capacity.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -132,6 +146,80 @@ pub fn recycle(buf: Vec<u8>) {
     shelf.bufs.push(buf);
 }
 
+/// Size and alignment of a transparent huge page on the targets the advice
+/// is compiled for (x86-64, and aarch64 with 4 KiB base pages). On an
+/// aarch64 kernel with larger base pages the huge page is larger too; a
+/// 2 MiB-aligned range is still page-aligned there, so the advice stays
+/// valid and merely covers less than a whole huge page at each end.
+const HUGE_PAGE: usize = 2 * 1024 * 1024;
+
+/// The largest [`HUGE_PAGE`]-aligned range inside the allocation
+/// `[start, start + capacity)`, as `(offset from start, length)`; `None`
+/// when the allocation holds no whole huge page.
+fn aligned_interior(start: usize, capacity: usize) -> Option<(usize, usize)> {
+    let end = start.checked_add(capacity)?;
+    let lo = start.checked_next_multiple_of(HUGE_PAGE)?;
+    let hi = end - end % HUGE_PAGE;
+    (lo < hi).then(|| (lo - start, hi - lo))
+}
+
+/// An empty buffer of capacity at least `len` for a caller that is about to
+/// fill it front to back and keep it (a whole file's bytes, say).
+///
+/// Exactly `Vec::with_capacity(len)`, plus — on Linux, when the capacity
+/// holds at least one whole aligned 2 MiB page — a request that the kernel
+/// back that aligned interior with transparent huge pages. First-touching
+/// `len` fresh bytes then costs one page fault per 2 MiB instead of one per
+/// 4 KiB, which is most of what a file-sized copy costs. The request is
+/// honoured when the host runs transparent huge pages in `madvise` or
+/// `always` mode and has a free huge page; otherwise (mode `never`, a
+/// fragmented host, another platform, Miri) the buffer is an ordinary one.
+/// Smaller buffers never make the system call.
+pub fn bulk_with_capacity(len: usize) -> Vec<u8> {
+    let mut buf = Vec::<u8>::with_capacity(len);
+    if let Some((offset, length)) = aligned_interior(buf.as_ptr() as usize, buf.capacity()) {
+        advise_huge_pages(buf.as_mut_ptr().wrapping_add(offset), length);
+    }
+    buf
+}
+
+/// Asks the kernel to back `[addr, addr + length)` with transparent huge
+/// pages; a no-op off Linux and under Miri.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+))]
+#[allow(unsafe_code)]
+fn advise_huge_pages(addr: *mut u8, length: usize) {
+    use std::ffi::{c_int, c_void};
+
+    extern "C" {
+        /// `madvise(2)` of the libc `std` already links.
+        fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
+    }
+    /// `asm-generic/mman-common.h`; the value on both gated architectures.
+    const MADV_HUGEPAGE: c_int = 14;
+
+    // SAFETY: the one caller passes the aligned interior of a `Vec` it
+    // exclusively owns, so no other mapping is named — and the call would
+    // be harmless on any range: `MADV_HUGEPAGE` only sets a flag on the
+    // mapping that steers how the kernel backs its pages from now on. It
+    // reads, writes, unmaps and moves nothing, so it cannot invalidate an
+    // allocation, its (here uninitialised) contents or a pointer into it.
+    // The result is ignored because the advice is advisory: on failure
+    // (`EINVAL` on a kernel built without transparent huge pages, `ENOMEM`)
+    // the buffer is simply an ordinary one.
+    let _ = unsafe { madvise(addr.cast(), length, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+)))]
+fn advise_huge_pages(_addr: *mut u8, _length: usize) {}
+
 /// Total capacity currently shelved.
 pub fn pooled_bytes() -> usize {
     shelf().bytes
@@ -160,6 +248,7 @@ pub fn drain() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // The pool is process-global and libtest runs tests on parallel
     // threads; serialize the tests so one test's take cannot steal the
@@ -236,5 +325,114 @@ mod tests {
             hits() > hits_before,
             "a matching shelved buffer must be reused"
         );
+    }
+
+    /// An offset within a huge page, biased to its edges.
+    fn page_offset() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(HUGE_PAGE - 1),
+            0usize..HUGE_PAGE,
+        ]
+    }
+
+    proptest! {
+        /// The advised range is the allocation's maximal huge-page-aligned
+        /// interior: aligned at both ends, inside `[start, start + capacity)`,
+        /// less than one huge page short of it on either side — and absent
+        /// exactly when no whole aligned huge page fits.
+        #[test]
+        fn aligned_interior_is_the_maximal_aligned_subrange(
+            start_page in 0usize..(1 << 20),
+            start_off in page_offset(),
+            cap_pages in 0usize..20,
+            cap_off in page_offset(),
+        ) {
+            let start = start_page * HUGE_PAGE + start_off;
+            let capacity = cap_pages * HUGE_PAGE + cap_off;
+            let end = start + capacity;
+            match aligned_interior(start, capacity) {
+                Some((offset, length)) => {
+                    let (lo, hi) = (start + offset, start + offset + length);
+                    prop_assert!(length > 0);
+                    prop_assert_eq!(lo % HUGE_PAGE, 0);
+                    prop_assert_eq!(hi % HUGE_PAGE, 0);
+                    prop_assert!(hi <= end, "inside the allocation");
+                    prop_assert!(offset < HUGE_PAGE && end - hi < HUGE_PAGE, "maximal");
+                }
+                None => {
+                    let first_page_end = start.next_multiple_of(HUGE_PAGE) + HUGE_PAGE;
+                    prop_assert!(first_page_end > end, "a whole aligned page was missed");
+                }
+            }
+            if capacity < HUGE_PAGE {
+                prop_assert_eq!(aligned_interior(start, capacity), None);
+            }
+            if capacity >= 2 * HUGE_PAGE - 1 {
+                prop_assert!(aligned_interior(start, capacity).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn aligned_interior_of_degenerate_allocations_is_empty() {
+        // The dangling pointer of a zero-capacity `Vec`.
+        let empty = Vec::<u8>::new();
+        assert_eq!(
+            aligned_interior(empty.as_ptr() as usize, empty.capacity()),
+            None
+        );
+        // Ranges whose end, or whose rounded-up start, does not fit a usize.
+        assert_eq!(aligned_interior(usize::MAX - 5, 10), None);
+        assert_eq!(aligned_interior(usize::MAX - 5, 5), None);
+        // Exactly one aligned page, and one byte short of it.
+        assert_eq!(
+            aligned_interior(3 * HUGE_PAGE, HUGE_PAGE),
+            Some((0, HUGE_PAGE))
+        );
+        assert_eq!(aligned_interior(3 * HUGE_PAGE + 1, HUGE_PAGE - 1), None);
+    }
+
+    /// On either side of the selection the constructor is an empty `Vec` of
+    /// at least the requested capacity that fills like any other.
+    #[test]
+    fn bulk_with_capacity_is_an_ordinary_empty_vec() {
+        // Under Miri every byte written is interpreted; one huge page's
+        // worth is enough to cross the selection there.
+        let largest = if cfg!(miri) { 2 } else { 8 } * HUGE_PAGE + 5;
+        for len in [0, 1, HUGE_PAGE - 1, 2 * HUGE_PAGE - 1, largest] {
+            let mut buf = bulk_with_capacity(len);
+            assert!(buf.is_empty());
+            assert!(buf.capacity() >= len);
+            let before = buf.as_ptr();
+            buf.resize(len, 0xA5);
+            assert_eq!(buf.as_ptr(), before, "filling to `len` never reallocates");
+            assert!(buf.iter().all(|&b| b == 0xA5));
+        }
+    }
+
+    /// Report only, never asserted: whether the advice took on this host. A
+    /// host in THP mode `never`, or one too fragmented to have a free huge
+    /// page, shows 0 kB and is still correct.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn bulk_buffer_huge_page_report() {
+        let read = |path: &str| std::fs::read_to_string(path).unwrap_or_default();
+        let anon_huge = || {
+            read("/proc/self/smaps_rollup")
+                .lines()
+                .find(|l| l.starts_with("AnonHugePages:"))
+                .map_or("AnonHugePages: unavailable".to_string(), str::to_string)
+        };
+        let before = anon_huge();
+        let mut buf = bulk_with_capacity(8 * HUGE_PAGE);
+        buf.resize(8 * HUGE_PAGE, 1);
+        println!(
+            "transparent_hugepage/enabled: {}\nbefore a 16 MiB bulk buffer: {before}\nafter filling it:            {}",
+            read("/sys/kernel/mm/transparent_hugepage/enabled").trim(),
+            anon_huge()
+        );
+        assert_eq!(std::hint::black_box(&buf)[buf.len() - 1], 1);
     }
 }

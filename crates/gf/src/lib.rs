@@ -17,7 +17,9 @@
 //!   interpolation,
 //! * [`ReedSolomon`] — a systematic Reed–Solomon erasure codec built on the
 //!   matrix machinery; it backs both the stand-alone RS baseline and the
-//!   global-parity computation of the heptagon-local code.
+//!   global-parity computation of the heptagon-local code,
+//! * [`bufpool`] — buffer policy for the layers above: the shelf of reusable
+//!   block buffers and the constructor for caller-owned bulk buffers.
 //!
 //! # Kernel dispatch and performance
 //!
@@ -50,11 +52,15 @@
 //!
 //! # Safety
 //!
-//! The crate is `#![deny(unsafe_code)]` with a single, audited exception: the
-//! [`kernel`] module, whose module docs state the two invariants (CPU feature
-//! verified before a SIMD kernel becomes reachable; all pointer arithmetic
-//! in-bounds with unaligned-tolerant loads/stores) that every `unsafe` block
-//! there upholds.
+//! The crate is `#![deny(unsafe_code)]` with two audited exceptions. One is
+//! the [`kernel`] module, whose module docs state the two invariants (CPU
+//! feature verified before a SIMD kernel becomes reachable; all pointer
+//! arithmetic in-bounds with unaligned-tolerant loads/stores) that every
+//! `unsafe` block there upholds. The other is a single foreign call in
+//! [`bufpool`]: [`bufpool::bulk_with_capacity`] passes the aligned interior of a `Vec` it
+//! just allocated to `madvise(MADV_HUGEPAGE)` — advice that changes how the
+//! kernel backs those pages and nothing else, compiled only on Linux
+//! (x86-64 / aarch64) and never under Miri.
 //!
 //! # Example
 //!

@@ -3,86 +3,25 @@
 //! warm, `ReedSolomon::encode_into`, `slice::linear_combination_into` and
 //! `slice::matrix_mul_into` perform no heap allocation at all.
 //!
-//! This lives in its own integration-test binary, and the counter only
+//! This lives in its own integration-test binary, and the window only
 //! counts allocations made by the *measured thread*: the libtest harness's
 //! main thread blocks in a channel `recv` while the test body runs, and its
 //! waker registration allocates at a nondeterministic moment — fast kernels
 //! made that land inside the measured window often enough to flake.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use drc_gf::{slice, Gf256, ReedSolomon};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Marker address of the thread whose allocations are counted (0 = none).
-static MEASURED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// A per-thread address that identifies the thread inside `alloc`
-    /// without allocating (const-initialised TLS never lazily allocates).
-    static THREAD_MARKER: u8 = const { 0 };
-}
-
-/// Whether the calling thread is the one registered by [`measure_this_thread`]
-/// (false during thread teardown, when TLS is gone).
-fn on_measured_thread() -> bool {
-    THREAD_MARKER
-        .try_with(|m| m as *const u8 as usize)
-        .map(|addr| MEASURED.load(Ordering::Relaxed) == addr)
-        .unwrap_or(false)
-}
-
-/// Registers the calling thread as the one whose allocations count.
-fn measure_this_thread() {
-    THREAD_MARKER.with(|m| MEASURED.store(m as *const u8 as usize, Ordering::Relaxed));
-}
-
-// SAFETY: `unsafe` is required by the `GlobalAlloc` contract; every call
-// forwards to `System` with the caller's layout and pointer unchanged, so
-// the contract is upheld verbatim and the counters touch no allocator state.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if on_measured_thread() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if on_measured_thread() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use drc_testalloc::{open_window, tally, CountingAlloc, Threads};
 
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    tally().allocs
 }
 
 #[test]
 fn into_paths_are_allocation_free() {
-    measure_this_thread();
+    open_window(Threads::Current, 0);
     encode_into_is_allocation_free();
     slice_into_helpers_are_allocation_free();
 }

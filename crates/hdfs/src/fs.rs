@@ -75,7 +75,7 @@ use drc_sim::{
 
 use crate::block::BlockKey;
 use crate::datanode::DataNode;
-use crate::encoded::{encode_stripe, pooled_block, EncodedFile};
+use crate::encoded::{encode_stripe, pooled_block, recycle_if_sole, EncodedFile};
 use crate::namenode::{FileId, FileMetadata, NameNode};
 use crate::HdfsError;
 
@@ -434,8 +434,13 @@ impl DistributedFileSystem {
     /// Returns [`HdfsError::BlockUnavailable`] if a block cannot be read even
     /// with reconstruction.
     pub fn read_file(&mut self, id: FileId) -> Result<Vec<u8>, HdfsError> {
-        let mut out = Vec::with_capacity(self.namenode.file(id)?.size as usize);
-        self.read_content_blocks(id, |block| out.extend_from_slice(&block))?;
+        let mut out = drc_gf::bufpool::bulk_with_capacity(self.namenode.file(id)?.size as usize);
+        self.read_content_blocks(id, |block| {
+            out.extend_from_slice(&block);
+            // A block rebuilt for a degraded read is this handle's alone:
+            // shelve it for the next rebuild. A replica's is shared.
+            recycle_if_sole(block);
+        })?;
         Ok(out)
     }
 
@@ -472,11 +477,14 @@ impl DistributedFileSystem {
             read_end = read_end.max(done);
             let take = remaining.min(block.len());
             remaining -= take;
-            sink(if take < block.len() {
-                block.slice(..take)
+            if take < block.len() {
+                sink(block.slice(..take));
+                // The sink saw a view; if it kept none, a rebuilt tail
+                // block is this handle's alone again.
+                recycle_if_sole(block);
             } else {
-                block
-            });
+                sink(block);
+            }
         }
         // Phase bytes are disjoint: reconstruction traffic is already on the
         // `degraded-read:` phases this read spawned, so the aggregate phase

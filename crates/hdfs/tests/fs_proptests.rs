@@ -409,23 +409,26 @@ fn repair_served_bytes_match_the_plan_for_every_code() {
 /// failed (degraded reads), the handles concatenate to the bytes
 /// `read_file` returns — the last one cut to the file's length — and the
 /// two deployments end with the same timeline, `FsStats` and per-node
-/// served bytes.
+/// served bytes. The same holds at file sizes on both sides of the point
+/// where `read_file`'s output becomes a huge-page-advised bulk buffer
+/// (`drc_gf::bufpool::bulk_with_capacity`: from one whole aligned 2 MiB
+/// page), which the handle form never allocates.
 #[test]
 fn read_file_blocks_is_read_file_without_the_copy() {
+    const MIB: usize = 1 << 20;
     #[derive(Debug, Clone, Copy)]
     enum Stripe0 {
         Healthy,
         TransientDown,
         Degraded,
     }
-    let mut degraded_reads = 0;
-    for code in EVERY_KIND {
+    // Returns how many blocks the handle deployments reconstructed.
+    let check = |code: CodeKind, len: usize| {
         let built = code.build().unwrap();
-        // One whole stripe, one whole block of the next, and a ragged tail.
-        let len = (built.data_blocks() + 1) * (1 << 20) + 4321;
         let data: Vec<u8> = (0..len)
             .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
             .collect();
+        let mut degraded_reads = 0;
         for scenario in [Stripe0::Healthy, Stripe0::TransientDown, Stripe0::Degraded] {
             let deploy = || {
                 let mut fs = DistributedFileSystem::new(tiny_spec(), 0xB10C);
@@ -454,18 +457,40 @@ fn read_file_blocks_is_read_file_without_the_copy() {
             let (mut handles, id) = deploy();
             let blocks = handles.read_file_blocks(id).unwrap();
 
-            assert_eq!(copied, data, "{code} {scenario:?}");
-            let joined: Vec<u8> = blocks.iter().flat_map(|b| b.iter().copied()).collect();
-            assert_eq!(joined, data, "{code} {scenario:?}");
+            let case = format!("{code} {len} B {scenario:?}");
+            assert!(copied == data, "{case}: read_file differs");
+            let mut joined = Vec::with_capacity(len);
+            blocks.iter().for_each(|b| joined.extend_from_slice(b));
+            assert!(joined == data, "{case}: read_file_blocks differs");
             assert_eq!(
                 blocks.len(),
-                len.div_ceil(1 << 20),
-                "{code}: content blocks only"
+                len.div_ceil(MIB),
+                "{case}: content blocks only"
             );
-            assert_eq!(blocks.last().unwrap().len(), 4321, "{code}: truncated tail");
-            assert_eq!(observe(&copying), observe(&handles), "{code} {scenario:?}");
+            assert_eq!(
+                blocks.last().unwrap().len(),
+                len - (blocks.len() - 1) * MIB,
+                "{case}: truncated tail"
+            );
+            assert_eq!(observe(&copying), observe(&handles), "{case}");
             degraded_reads += handles.timeline().with_prefix("degraded-read:").count();
         }
+        degraded_reads
+    };
+    let mut degraded_reads = 0;
+    for code in EVERY_KIND {
+        // One whole stripe, one whole block of the next, and a ragged tail.
+        let len = (code.build().unwrap().data_blocks() + 1) * MIB + 4321;
+        degraded_reads += check(code, len);
     }
     assert!(degraded_reads > 0, "some scenario must reconstruct a block");
+    // Below one huge page, around the first size that always holds an
+    // aligned one, and a four-stripe file with a short tail.
+    for len in [1, 2 * MIB - 1, 4 * MIB, 4 * MIB + 1, 36 * MIB + 4321] {
+        degraded_reads = check(CodeKind::Pentagon, len);
+    }
+    assert!(
+        degraded_reads > 0,
+        "the 36 MiB file must reconstruct a block"
+    );
 }

@@ -14,83 +14,38 @@
 //! parities are shared with the DataNodes, never shelved by them while the
 //! file lives, and go back to the pool exactly once, when it drops.
 //!
-//! A counting global allocator tallies allocations at or above the block
-//! size inside an explicit window. Counters cover all threads (the worker
-//! pool's shard work included); the tests of this binary take [`SERIAL`],
-//! so nothing else allocates concurrently.
+//! The failure path gets the steady-state proof on one *persistent* file
+//! system: fail-stop → degraded `read_file` → auto-repair → `read_file`,
+//! cycle after cycle with different victims, allocates no block at all —
+//! a node's wipe shelves exactly the blocks its repair rebuilds into, and a
+//! degraded `read_file` hands every block it reconstructed back to the
+//! shelf once it is copied out.
+//!
+//! The counting allocator tallies allocations at or above the block size
+//! inside an explicit window, and those of exactly the block size apart
+//! (every payload, parity and rebuild buffer; a file-sized output is
+//! larger). The window covers all threads (the worker pool's shard work
+//! included); the tests of this binary take [`SERIAL`], so nothing else
+//! allocates concurrently.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use drc_cluster::ClusterSpec;
+use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace};
 use drc_codes::CodeKind;
 use drc_hdfs::{Bytes, DistributedFileSystem, EncodedFile};
+use drc_testalloc::{close_window, CountingAlloc, Tally, Threads};
 
 /// Block size of the measured deployment; also the counting threshold —
 /// every payload, parity and rebuild buffer is exactly this large.
 const BLOCK: u64 = 1024 * 1024;
 
-// ---------------------------------------------------------------------------
-// Counting allocator: tallies block-sized-or-larger allocations inside an
-// explicit measurement window.
-// ---------------------------------------------------------------------------
-
-struct BigAllocCounter;
-
-/// Whether the measurement window is open.
-static TRACKING: AtomicBool = AtomicBool::new(false);
-/// Allocations of at least `BLOCK` bytes since the window opened.
-static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-fn open_window() {
-    BIG_ALLOCS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
-}
-
-/// Closes the window and returns the number of block-sized allocations.
-fn close_window() -> usize {
-    TRACKING.store(false, Ordering::SeqCst);
-    BIG_ALLOCS.load(Ordering::SeqCst)
-}
-
-fn count(size: usize) {
-    if size >= BLOCK as usize && TRACKING.load(Ordering::Relaxed) {
-        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: `unsafe` is required by the `GlobalAlloc` contract; every call
-// forwards to `System` with the caller's layout and pointer unchanged, so
-// the contract is upheld verbatim and the counter touches no allocator state.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for BigAllocCounter {
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: BigAllocCounter = BigAllocCounter;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Opens a window over every thread's block-sized-or-larger allocations.
+fn open_window() {
+    drc_testalloc::open_window(Threads::All, BLOCK as usize);
+}
 
 /// Held by each test for its whole body: the allocation window and the
 /// buffer pool are process-wide.
@@ -151,7 +106,7 @@ fn second_identical_cell_allocates_no_block_payloads() {
 
     open_window();
     run_cell(&data);
-    let big_allocs = close_window();
+    let big_allocs = close_window().allocs;
 
     assert_eq!(
         big_allocs, 0,
@@ -191,14 +146,18 @@ fn cells_over_one_encoded_file_allocate_its_parities_once() {
     drc_gf::bufpool::drain();
     open_window();
     fs.write_file("/pool/copied", &data, code).unwrap();
-    assert_eq!(close_window(), stripes * (k + parities), "one per block");
+    assert_eq!(
+        close_window().allocs,
+        stripes * (k + parities),
+        "one per block"
+    );
     drop(fs);
 
     drc_gf::bufpool::drain();
     let takes_before = takes();
     open_window();
     let file = EncodedFile::encode(payload.clone(), code, BLOCK as usize).unwrap();
-    assert_eq!(close_window(), stripes * parities, "parities only");
+    assert_eq!(close_window().allocs, stripes * parities, "parities only");
     assert_eq!(takes() - takes_before, (stripes * parities) as u64);
 
     open_window();
@@ -216,7 +175,7 @@ fn cells_over_one_encoded_file_allocate_its_parities_once() {
         fs.fail_node_permanently(host);
     }
     assert_eq!(
-        close_window(),
+        close_window().allocs,
         0,
         "ingesting an encoded file allocates nothing"
     );
@@ -262,4 +221,86 @@ fn a_file_system_outliving_the_encoded_file_recycles_its_parities() {
         drc_gf::bufpool::pooled_bytes(),
         stripes * parities * BLOCK as usize
     );
+}
+
+/// The failure path in steady state, on a file system that lives across
+/// cycles (the shape of the benchmark's `fail_repair` workload): victims
+/// fail-stop through the trace path, every file is read while degraded, the
+/// detection boundary fires and the RaidNode repairs, every file is read
+/// again. Cycle after cycle — different victims, so different lost blocks —
+/// not one block-sized buffer is allocated: the wipes shelve the lost
+/// blocks' buffers, each degraded read borrows one per rebuild and returns
+/// it, and the repair rebuilds into them. The only large allocations left
+/// are the file-sized outputs `read_file` hands its caller.
+#[test]
+fn a_persistent_file_system_repairs_and_reads_degraded_from_the_pool() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let code = CodeKind::Pentagon;
+    let built = code.build().unwrap();
+    let mut fs = DistributedFileSystem::new(spec(), 0xB00F);
+    // Two whole stripes, and a stripe and a block with a ragged tail (whose
+    // rebuild reaches the sink as a view of the pooled block).
+    let whole = stripes_of_data(2);
+    let ragged = &whole[..(built.data_blocks() + 1) * BLOCK as usize + 4321];
+    let files = [
+        (
+            fs.write_file("/pool/whole", &whole, code).unwrap(),
+            &whole[..],
+        ),
+        (fs.write_file("/pool/ragged", ragged, code).unwrap(), ragged),
+    ];
+    fs.sync();
+    // Each cycle's victims are the two holders of one data block, so the
+    // readers must reconstruct it: first a whole block, then the ragged tail.
+    let holders = |fs: &DistributedFileSystem, file: usize, stripe, block| {
+        let meta = fs.namenode().file(files[file].0).unwrap();
+        meta.block_locations(stripe, block).unwrap().to_vec()
+    };
+    let (first_victims, second_victims) = (holders(&fs, 0, 1, 3), holders(&fs, 1, 1, 1));
+    assert_ne!(first_victims, second_victims);
+
+    drc_gf::bufpool::drain();
+    let cycle = |fs: &mut DistributedFileSystem, victims: &[drc_cluster::NodeId]| -> Tally {
+        let phases_before = fs.timeline().with_prefix("degraded-read:").count();
+        open_window();
+        let at = fs.now();
+        let downs = victims
+            .iter()
+            .map(|&node| FailureEvent::at_ns(at.0, FailureEventKind::NodeDown { node }))
+            .collect();
+        fs.schedule_trace(&FailureTrace::from_events(downs));
+        fs.process_events_until(at).unwrap();
+        for (id, want) in files {
+            assert!(fs.read_file(id).unwrap() == want, "degraded read-back");
+        }
+        fs.sync();
+        let reports = fs.process_all_events().unwrap();
+        fs.sync();
+        for (id, want) in files {
+            assert!(fs.read_file(id).unwrap() == want, "read-back after repair");
+        }
+        let books = close_window();
+        assert!(reports.iter().map(|r| r.blocks_restored).sum::<usize>() > 0);
+        assert!(reports.iter().all(|r| r.unrecoverable_stripes == 0));
+        assert!(
+            fs.timeline().with_prefix("degraded-read:").count() > phases_before,
+            "the victims must cost the readers a reconstruction"
+        );
+        books
+    };
+    for (n, victims) in [first_victims, second_victims].iter().enumerate() {
+        let misses_before = drc_gf::bufpool::misses();
+        let books = cycle(&mut fs, victims);
+        assert_eq!(books.exact, 0, "cycle {n} allocates no block");
+        assert_eq!(
+            books.allocs,
+            2 * files.len(),
+            "cycle {n}: one file-sized output per read_file call, nothing else"
+        );
+        assert_eq!(
+            drc_gf::bufpool::misses(),
+            misses_before,
+            "cycle {n}: every rebuild is a pool hit"
+        );
+    }
 }

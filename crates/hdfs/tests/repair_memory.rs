@@ -5,82 +5,16 @@
 //! the block size. The pre-streaming path copied every helper block
 //! (`data.to_vec()`), an O(block × sources) spike this test would catch.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
-
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
 use drc_hdfs::DistributedFileSystem;
+use drc_testalloc::{close_window, open_window, CountingAlloc, Threads};
 
-// ---------------------------------------------------------------------------
-// Counting allocator: tracks net live bytes and the high-water mark inside an
-// explicit measurement window. Counters cover *all* threads so the worker
-// pool's GF scratch (if any) is on the books too; this binary runs exactly
-// one test, so nothing else allocates concurrently.
-// ---------------------------------------------------------------------------
-
-struct WindowAllocator;
-
-/// Whether the measurement window is open.
-static TRACKING: AtomicBool = AtomicBool::new(false);
-/// Net bytes allocated since the window opened (signed: frees of pre-window
-/// memory may drive it below zero).
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// High-water mark of `LIVE` inside the window.
-static PEAK: AtomicIsize = AtomicIsize::new(0);
-
-fn open_window() {
-    LIVE.store(0, Ordering::SeqCst);
-    PEAK.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
-}
-
-/// Closes the window and returns `(peak, end)` net bytes relative to the
-/// window start.
-fn close_window() -> (isize, isize) {
-    TRACKING.store(false, Ordering::SeqCst);
-    (PEAK.load(Ordering::SeqCst), LIVE.load(Ordering::SeqCst))
-}
-
-fn count(delta: isize) {
-    if TRACKING.load(Ordering::Relaxed) {
-        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: `unsafe` is required by the `GlobalAlloc` contract; every call
-// forwards to `System` with the caller's layout and pointer unchanged, so
-// the contract is upheld verbatim and the counters touch no allocator state.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for WindowAllocator {
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize);
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize));
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: caller upholds the `GlobalAlloc` contract; forwarded to
-    // `System` unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize);
-        // SAFETY: same arguments the caller handed us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+// The window covers *all* threads so the worker pool's GF scratch (if any)
+// is on the books too; this binary runs exactly one test, so nothing else
+// allocates concurrently.
 #[global_allocator]
-static ALLOCATOR: WindowAllocator = WindowAllocator;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A pentagon double failure over 4 MiB blocks repaired in 512 KiB chunks:
 /// the repair's heap high-water mark is the restored blocks it must retain
@@ -115,9 +49,10 @@ fn streaming_repair_working_set_is_chunk_sized() {
         fs.fail_node_permanently(v);
     }
 
-    open_window();
+    open_window(Threads::All, 0);
     let report = fs.repair_nodes(&victims).unwrap();
-    let (peak, end) = close_window();
+    let books = close_window();
+    let (peak, end) = (books.peak, books.live);
 
     assert_eq!(report.unrecoverable_stripes, 0);
     assert!(report.blocks_restored > 0);

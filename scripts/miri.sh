@@ -10,6 +10,11 @@
 # interesting UB surface (pointer arithmetic in the wide-XOR path, the
 # pool's scope transmute) is fully exercised.
 #
+# drc_gf's one FFI call (`madvise` in `bufpool::bulk_with_capacity`) needs
+# no exclusion here: it is compiled out under `cfg(miri)`, where the
+# constructor is plain `Vec::with_capacity`, and its range arithmetic is a
+# pure function whose tests run under Miri like any other.
+#
 # This script is BEST EFFORT: a nightly toolchain with the miri component
 # is not part of the pinned environment. When it is missing we skip LOUDLY
 # but successfully, so constrained environments stay green while hosted CI
