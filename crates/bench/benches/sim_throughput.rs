@@ -17,13 +17,12 @@
 //!   churn, timed cluster transfers), in operations per second,
 //! * `metadata` — the placement index at datacenter scale (a 1000-node
 //!   2-rep placement of 500k blocks): point lookups and full reverse
-//!   repair scans per second on the compact backend.
+//!   repair scans per second.
 //!
-//! `repro` mode additionally stamps `meta_bytes_per_block` (and its
-//! map-reference baseline) measured with a counting global allocator —
-//! resident bytes the index build actually held onto, per distinct block —
-//! plus the lookup and repair-scan rates, all gated or tracked by
-//! `check_speedup`. It also times the full quick-effort repro through the
+//! `repro` mode additionally stamps `meta_bytes_per_block` measured with a
+//! counting global allocator — resident bytes the index build actually
+//! held onto, per distinct block — plus the lookup and repair-scan rates,
+//! all gated or tracked by `check_speedup`. It also times the full quick-effort repro through the
 //! cell harness at 1 job versus the default width (`repro_wall_s`,
 //! `repro_serial_wall_s`, `repro_cell_speedup`), asserting the results are
 //! identical at both widths for every experiment without wall-clock fields.
@@ -52,9 +51,7 @@ use criterion::{criterion_group, Criterion, Throughput};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use drc_cluster::{
-    Cluster, ClusterSpec, GlobalBlockId, IndexKind, NodeId, PlacementMap, PlacementPolicy,
-};
+use drc_cluster::{Cluster, ClusterSpec, GlobalBlockId, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::{CodeKind, StripeEncoder};
 use drc_core::mapreduce::{DelayScheduler, JobRun, TaskNodeGraph, TaskScheduler};
 use drc_core::workloads::{provision_workload, WorkloadKind};
@@ -221,23 +218,21 @@ fn bench_substrate(c: &mut Criterion) {
 /// datacenter cluster. `(nodes, stripes, lookups)`.
 const META_CONFIG: (usize, usize, usize) = (1000, 500_000, 200_000);
 
-/// Builds a 2-rep placement of the headline size on the given backend,
-/// returning it plus the allocator-measured resident bytes of the build.
-fn build_meta_placement(index: IndexKind) -> (PlacementMap, isize) {
+/// Builds a 2-rep placement of the headline size, returning it plus the
+/// allocator-measured resident bytes of the build.
+fn build_meta_placement() -> (PlacementMap, isize) {
     let (nodes, stripes, _) = META_CONFIG;
     let code = CodeKind::TWO_REP.build().expect("code builds");
     let cluster = Cluster::new(ClusterSpec::datacenter(nodes));
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_2014);
     open_window(Threads::Current, 0);
-    let placement = drc_cluster::with_index_kind(index, || {
-        PlacementMap::place(
-            code.as_ref(),
-            &cluster,
-            stripes,
-            PlacementPolicy::RoundRobin,
-            &mut rng,
-        )
-    })
+    let placement = PlacementMap::place(
+        code.as_ref(),
+        &cluster,
+        stripes,
+        PlacementPolicy::RoundRobin,
+        &mut rng,
+    )
     .expect("placement fits the datacenter cluster");
     let resident = close_window().live;
     assert!(resident > 0, "a fresh index must hold live memory");
@@ -277,7 +272,7 @@ fn meta_scan_pass(placement: &PlacementMap) -> usize {
 
 fn bench_metadata(c: &mut Criterion) {
     let (_, _, lookups) = META_CONFIG;
-    let (placement, _) = build_meta_placement(IndexKind::Compact);
+    let (placement, _) = build_meta_placement();
     let mut group = c.benchmark_group("metadata");
     group.throughput(Throughput::Elements(lookups as u64));
     group.bench_function("lookups", |b| {
@@ -479,17 +474,13 @@ fn repro() {
         .collect();
 
     // Metadata-plane headlines: allocator-measured resident bytes per block
-    // for both index backends on the same 10M-block-class placement, plus
-    // query rates on the compact (default) backend. The bytes are
-    // deterministic layout properties; the rates are wall-clock and tracked
+    // of the placement index, plus its query rates. The bytes are a
+    // deterministic layout property; the rates are wall-clock and tracked
     // as advisories.
     let (meta_nodes, meta_stripes, meta_lookups) = META_CONFIG;
-    let (map_placement, map_resident) = build_meta_placement(IndexKind::Map);
-    let meta_blocks = map_placement.stripe_count() * map_placement.distinct_blocks_per_stripe();
-    drop(map_placement);
-    let (placement, compact_resident) = build_meta_placement(IndexKind::Compact);
-    let meta_bytes_per_block = compact_resident as f64 / meta_blocks as f64;
-    let meta_bytes_per_block_map = map_resident as f64 / meta_blocks as f64;
+    let (placement, meta_resident) = build_meta_placement();
+    let meta_blocks = placement.stripe_count() * placement.distinct_blocks_per_stripe();
+    let meta_bytes_per_block = meta_resident as f64 / meta_blocks as f64;
     let started = std::time::Instant::now();
     let replica_sum = meta_lookup_pass(&placement, meta_lookups);
     let meta_lookups_per_s = meta_lookups as f64 / started.elapsed().as_secs_f64().max(1e-9);
@@ -510,9 +501,8 @@ fn repro() {
     // uses) at 1 harness job versus the default width. The merge order is
     // fixed, so the only thing the width changes is the wall clock —
     // asserted here for every experiment that carries no wall-clock fields
-    // of its own (`encoding` and `metadata_scale` measure real elapsed time
-    // inside their rows and are compared by the width-differential test
-    // structurally instead).
+    // of its own (`encoding` measures real elapsed time inside its rows and
+    // is compared by the width-differential test structurally instead).
     use drc_core::experiments::harness;
     let repro_jobs = harness::current_jobs();
     let started = std::time::Instant::now();
@@ -522,7 +512,7 @@ fn repro() {
     let started = std::time::Instant::now();
     let wide_results = drc_bench::quick_repro_results().expect("quick repro runs at full width");
     let repro_wall_s = started.elapsed().as_secs_f64().max(1e-9);
-    let wallclock_experiments = ["encoding", "metadata_scale"];
+    let wallclock_experiments = ["encoding"];
     for ((serial_name, serial_value), (wide_name, wide_value)) in
         serial_results.iter().zip(&wide_results)
     {
@@ -650,10 +640,6 @@ fn repro() {
         (
             "meta_bytes_per_block".to_string(),
             serde_json::Value::Float(meta_bytes_per_block),
-        ),
-        (
-            "meta_bytes_per_block_map".to_string(),
-            serde_json::Value::Float(meta_bytes_per_block_map),
         ),
         (
             "meta_lookups_per_s".to_string(),

@@ -3,10 +3,10 @@
 //! cells out. One serial (width 1) baseline is compared against widths 2
 //! and 4 across all 12 experiments.
 //!
-//! `encoding` and `metadata_scale` carry wall-clock measurements inside
-//! their rows (throughput and query rates), so they are compared
-//! structurally — every field except the wall-clock ones byte-identical —
-//! while the other ten experiments must match byte-for-byte.
+//! `encoding` carries wall-clock measurements inside its rows (the paper's
+//! encode throughput), so it is compared structurally — every field except
+//! the wall-clock ones byte-identical — while the other eleven experiments
+//! must match byte-for-byte.
 //!
 //! The width override is the thread-local `harness::with_jobs` (not the
 //! `DRC_REPRO_JOBS` env var): env mutation would race with the parallel
@@ -17,15 +17,10 @@ use serde_json::Value;
 
 /// Per-row fields that measure real elapsed time and legitimately vary
 /// between runs (and between widths).
-const WALL_CLOCK_FIELDS: &[&str] = &[
-    "throughput_mb_per_s",
-    "elapsed_s",
-    "lookups_per_s",
-    "repair_scan_blocks_per_s",
-];
+const WALL_CLOCK_FIELDS: &[&str] = &["throughput_mb_per_s", "elapsed_s"];
 
 /// Experiments whose results contain `WALL_CLOCK_FIELDS`.
-const WALL_CLOCK_EXPERIMENTS: &[&str] = &["encoding", "metadata_scale"];
+const WALL_CLOCK_EXPERIMENTS: &[&str] = &["encoding"];
 
 /// Removes every wall-clock field from a result tree, recursively.
 fn strip_wall_clock(v: &mut Value) {

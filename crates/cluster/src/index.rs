@@ -1,29 +1,23 @@
-//! Pluggable block-index backends for [`PlacementMap`](crate::PlacementMap).
+//! The building blocks of the placement index held by
+//! [`PlacementMap`](crate::PlacementMap).
 //!
 //! The metadata plane answers three queries: *block → replica locations*
 //! (every read), *node → blocks* (every repair pass) and *stripe → hosts*
-//! (degraded reads). This module provides a [`BlockIndex`] trait over those
-//! queries plus two implementations:
+//! (degraded reads). A striped placement is `stripes × arity` decisions, so
+//! that is all that is stored: the placement of a whole stripe is a fixed
+//! arity-`n` run of `u32` node ids in one flat arena, and every per-block
+//! answer is derived from that run through the code's (stripe-invariant)
+//! block↔local tables ([`CodeShape`]). The reverse view is a per-node
+//! postings list of `u32` arena offsets, updated incrementally on repair
+//! writes.
 //!
-//! * [`MapIndex`] — the reference: a `BTreeMap<GlobalBlockId, Vec<NodeId>>`
-//!   plus a reverse `BTreeMap<NodeId, Vec<GlobalBlockId>>` that duplicates
-//!   every entry. Simple, but hundreds of bytes and several heap blocks per
-//!   placed block.
-//! * [`CompactIndex`] — exploits the structure of striped placement: the
-//!   placement of a whole stripe is a fixed arity-`n` run of `u32` node ids
-//!   in one flat arena, and every per-block answer is derived from that run
-//!   through the code's (stripe-invariant) block↔local tables. The reverse
-//!   view is a per-node postings list of `u32` arena offsets, updated
-//!   incrementally on repair writes.
-//!
-//! Both implementations answer every query identically (the differential
-//! proptests in `tests/index_differential.rs` drive them through random
-//! place/remap sequences); they differ only in memory footprint and scan
-//! speed. See `crates/cluster/INTERNALS.md` for the layout details and
-//! measured bytes/block.
+//! This module holds the id and answer types ([`GlobalBlockId`],
+//! [`NodeList`]), the code shape, the arena and the argument checks;
+//! `placement.rs` owns the index itself. Its behavioural reference and
+//! memory baseline is a `BTreeMap` double-store kept as a test oracle
+//! (`tests/support/map_oracle.rs`); see `crates/cluster/INTERNALS.md` for
+//! the layout details and the measured bytes/block of both.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::mem::size_of;
 use std::ops::Deref;
@@ -57,6 +51,7 @@ impl GlobalBlockId {
     /// # Panics
     ///
     /// Panics if either index does not fit in 32 bits.
+    #[inline]
     pub const fn new(stripe: usize, block: usize) -> Self {
         assert!(stripe <= u32::MAX as usize, "stripe index exceeds u32");
         assert!(block <= u32::MAX as usize, "block index exceeds u32");
@@ -223,61 +218,13 @@ impl Deserialize for NodeList {
     }
 }
 
-/// Which [`BlockIndex`] backend a placement uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum IndexKind {
-    /// The reference `BTreeMap` double-store ([`MapIndex`]).
-    Map,
-    /// The flat stripe arena with per-node postings ([`CompactIndex`]).
-    #[default]
-    Compact,
-}
-
-impl fmt::Display for IndexKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexKind::Map => write!(f, "map"),
-            IndexKind::Compact => write!(f, "compact"),
-        }
-    }
-}
-
-thread_local! {
-    static INDEX_OVERRIDE: Cell<Option<IndexKind>> = const { Cell::new(None) };
-}
-
-impl IndexKind {
-    /// The backend new placements on this thread use: a scoped
-    /// [`with_index_kind`] override if one is active, else
-    /// [`IndexKind::Compact`].
-    pub fn current() -> IndexKind {
-        INDEX_OVERRIDE.with(Cell::get).unwrap_or(IndexKind::Compact)
-    }
-}
-
-/// Runs `f` with every placement built on this thread using `kind`,
-/// restoring the previous selection afterwards (also on panic).
-///
-/// This is how the differential tests run the same experiment under both
-/// backends in one process.
-pub fn with_index_kind<T>(kind: IndexKind, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<IndexKind>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INDEX_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(INDEX_OVERRIDE.with(|c| c.replace(Some(kind))));
-    f()
-}
-
 /// The stripe-invariant block↔local structure of a code, in compressed
 /// sparse row form: which stripe-local nodes hold copies of each distinct
 /// block (in the code's replica order), and which distinct blocks each
 /// stripe-local node stores (ascending).
 ///
-/// Built once per placement; every per-block query of both index backends is
-/// answered through these two small tables, so nothing is stored per block.
+/// Built once per placement; every per-block query is answered through
+/// these two small tables, so nothing is stored per block.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CodeShape {
     arity: u32,
@@ -319,7 +266,7 @@ impl CodeShape {
         for local in 0..arity {
             let mut blocks: Vec<u16> = code.node_blocks(local).iter().map(|&b| b as u16).collect();
             // The reverse rows are sorted so node scans emit blocks in
-            // ascending (stripe, block) order, matching the map reference.
+            // ascending (stripe, block) order.
             blocks.sort_unstable();
             local_blocks.extend_from_slice(&blocks);
             local_block_offsets.push(local_blocks.len() as u32);
@@ -344,6 +291,11 @@ impl CodeShape {
     }
 
     /// Distinct blocks stored on stripe-local node `local`, ascending.
+    // `#[inline]` here, on `GlobalBlockId::new`, `StripeArena::cell` and
+    // `check_node`: `PlacementMap`'s `impl FnMut` scans are instantiated in
+    // the calling crate, where a non-generic helper without it is an
+    // out-of-line call per posting (INTERNALS.md has the measurement).
+    #[inline]
     pub fn blocks_of_local(&self, local: usize) -> &[u16] {
         let start = self.local_block_offsets[local] as usize;
         let end = self.local_block_offsets[local + 1] as usize;
@@ -365,7 +317,7 @@ impl CodeShape {
         self.data_blocks as usize
     }
 
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.block_local_offsets.capacity() * size_of::<u32>()
             + self.block_locals.capacity() * size_of::<u16>()
             + self.local_block_offsets.capacity() * size_of::<u32>()
@@ -373,8 +325,11 @@ impl CodeShape {
     }
 }
 
-/// The flat per-stripe host arena shared by both backends: row `s` holds the
-/// `arity` cluster-node ids (as `u32`) hosting stripe `s`'s local nodes.
+/// The flat per-stripe host arena: row `s` holds the `arity` cluster-node
+/// ids (as `u32`) hosting stripe `s`'s local nodes. A cell's position,
+/// `stripe * arity + local`, is the *offset* the per-node postings store —
+/// also as `u32`; [`check_arena_bounds`] is what makes both narrowings
+/// lossless.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct StripeArena {
     arity: u32,
@@ -382,140 +337,97 @@ pub(crate) struct StripeArena {
 }
 
 impl StripeArena {
-    fn with_capacity(arity: usize, stripes: usize) -> Self {
+    /// An empty arena with room for `stripes` rows. The caller has passed
+    /// the dimensions through [`check_arena_bounds`].
+    pub(crate) fn with_capacity(arity: usize, stripes: usize) -> Self {
         StripeArena {
             arity: arity as u32,
             hosts: Vec::with_capacity(arity * stripes),
         }
     }
 
-    fn stripe_count(&self) -> usize {
+    pub(crate) fn stripe_count(&self) -> usize {
         self.hosts.len() / self.arity as usize
     }
 
-    fn push_stripe(&mut self, nodes: &[NodeId]) {
+    pub(crate) fn push_stripe(&mut self, nodes: &[NodeId]) {
         debug_assert_eq!(nodes.len(), self.arity as usize);
-        for &n in nodes {
-            debug_assert!(n.0 <= u32::MAX as usize, "node id exceeds u32");
-            self.hosts.push(n.0 as u32);
-        }
+        self.hosts.extend(nodes.iter().map(|n| n.0 as u32));
     }
 
-    fn host(&self, stripe: usize, local: usize) -> NodeId {
+    pub(crate) fn host(&self, stripe: usize, local: usize) -> NodeId {
         NodeId(self.hosts[stripe * self.arity as usize + local] as usize)
     }
 
-    fn row(&self, stripe: usize) -> &[u32] {
+    pub(crate) fn row(&self, stripe: usize) -> &[u32] {
         let arity = self.arity as usize;
         &self.hosts[stripe * arity..(stripe + 1) * arity]
     }
 
-    fn set_host(&mut self, stripe: usize, local: usize, node: NodeId) {
+    pub(crate) fn set_host(&mut self, stripe: usize, local: usize, node: NodeId) {
         self.hosts[stripe * self.arity as usize + local] = node.0 as u32;
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// The offset of an in-range `(stripe, local)` cell.
+    pub(crate) fn offset(&self, stripe: usize, local: usize) -> u32 {
+        (stripe * self.arity as usize + local) as u32
+    }
+
+    /// The `(stripe, local)` cell an offset names.
+    #[inline]
+    pub(crate) fn cell(&self, offset: u32) -> (usize, usize) {
+        let arity = self.arity as usize;
+        (offset as usize / arity, offset as usize % arity)
+    }
+
+    /// The reverse view of the arena: for each of `node_universe` cluster
+    /// nodes, the offsets it hosts, ascending — i.e. stripes in ascending
+    /// order.
+    pub(crate) fn postings(&self, node_universe: usize) -> Vec<Vec<u32>> {
+        let mut counts = vec![0usize; node_universe];
+        for &host in &self.hosts {
+            counts[host as usize] += 1;
+        }
+        let mut postings: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (offset, &host) in self.hosts.iter().enumerate() {
+            postings[host as usize].push(offset as u32);
+        }
+        postings
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.hosts.capacity() * size_of::<u32>()
     }
 }
 
-/// The three metadata-plane queries plus the repair-time mutation, abstracted
-/// over storage layout.
-///
-/// All methods are total over *valid* ids and fail loudly on invalid ones —
-/// an unknown block or node is a [`ClusterError`], never a silently empty
-/// answer (a node inside the placement's universe that happens to store
-/// nothing still answers `Ok` with an empty scan).
-pub trait BlockIndex {
-    /// Name of the code this placement was built for.
-    fn code_name(&self) -> &str;
-
-    /// The code's stripe-invariant block↔local structure.
-    fn shape(&self) -> &CodeShape;
-
-    /// Number of stripes placed.
-    fn stripe_count(&self) -> usize;
-
-    /// Number of cluster nodes the placement was built against; node ids
-    /// `0..node_universe()` are valid query arguments.
-    fn node_universe(&self) -> usize;
-
-    /// The cluster nodes holding a replica of `block`, in the code's replica
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownBlock`] if the stripe or block index is out of
-    /// range.
-    fn locations(&self, block: GlobalBlockId) -> Result<NodeList, ClusterError>;
-
-    /// The cluster nodes hosting stripe `stripe`'s local nodes, in local
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownBlock`] if the stripe index is out of range.
-    fn stripe_hosts(&self, stripe: usize) -> Result<NodeList, ClusterError>;
-
-    /// Calls `f` with every block (data and parity) stored on `node`, in
-    /// ascending `(stripe, block)` order.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownNode`] if `node` is outside the placement's
-    /// node universe.
-    fn for_each_block_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(GlobalBlockId),
-    ) -> Result<(), ClusterError>;
-
-    /// Calls `f` with every `(stripe, local)` pair hosted by `node`, in
-    /// ascending stripe order — the granularity repair works at.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownNode`] if `node` is outside the placement's
-    /// node universe.
-    fn for_each_stripe_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(usize, usize),
-    ) -> Result<(), ClusterError>;
-
-    /// Number of blocks stored on `node`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownNode`] if `node` is outside the placement's
-    /// node universe.
-    fn node_block_count(&self, node: NodeId) -> Result<usize, ClusterError>;
-
-    /// Re-homes stripe `stripe`'s local node `local` onto cluster node `to`
-    /// (what a repair does after reconstructing a lost node's blocks
-    /// elsewhere). Returns the previous host.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownBlock`] for an out-of-range stripe or local
-    /// index, [`ClusterError::UnknownNode`] if `to` is outside the node
-    /// universe, and [`ClusterError::InvalidPlacement`] if `to` already
-    /// hosts a different local node of the same stripe (stripes must span
-    /// distinct cluster nodes).
-    fn remap_stripe_host(
-        &mut self,
-        stripe: usize,
-        local: usize,
-        to: NodeId,
-    ) -> Result<NodeId, ClusterError>;
-
-    /// Estimated heap bytes resident in the index (vector buffers and map
-    /// entries; `BTreeMap` node overhead is *not* counted, so the figure is
-    /// a floor for the map reference).
-    fn heap_bytes(&self) -> usize;
+/// Checks that `stripes` stripes of an arity-`arity` code over a cluster of
+/// `nodes` nodes fit the arena's `u32` cells: every node id and every arena
+/// offset must be representable, or the reverse scan would silently wrap.
+/// `arity · stripes ≤ u32::MAX` also keeps every stripe index inside what
+/// [`GlobalBlockId::new`] accepts. Runs before anything is reserved, so an
+/// absurd request costs an error, not an allocation.
+pub(crate) fn check_arena_bounds(
+    arity: usize,
+    stripes: usize,
+    nodes: usize,
+) -> Result<(), ClusterError> {
+    const MAX: usize = u32::MAX as usize;
+    if arity.checked_mul(stripes).is_none_or(|cells| cells > MAX) {
+        return Err(ClusterError::InvalidPlacement {
+            reason: format!(
+                "{stripes} stripes of arity {arity} exceed the index's {MAX} arena offsets"
+            ),
+        });
+    }
+    if nodes > MAX {
+        return Err(ClusterError::InvalidPlacement {
+            reason: format!("{nodes} cluster nodes exceed the index's {MAX} node ids"),
+        });
+    }
+    Ok(())
 }
 
-fn check_block(
+pub(crate) fn check_block(
     shape: &CodeShape,
     stripes: usize,
     block: GlobalBlockId,
@@ -529,14 +441,14 @@ fn check_block(
     Ok(())
 }
 
-fn check_stripe(stripes: usize, stripe: usize) -> Result<(), ClusterError> {
+pub(crate) fn check_stripe(stripes: usize, stripe: usize) -> Result<(), ClusterError> {
     if stripe >= stripes {
         return Err(ClusterError::UnknownBlock { stripe, block: 0 });
     }
     Ok(())
 }
 
-fn check_local(shape: &CodeShape, local: usize) -> Result<(), ClusterError> {
+pub(crate) fn check_local(shape: &CodeShape, local: usize) -> Result<(), ClusterError> {
     if local >= shape.arity() {
         return Err(ClusterError::InvalidPlacement {
             reason: format!(
@@ -548,14 +460,15 @@ fn check_local(shape: &CodeShape, local: usize) -> Result<(), ClusterError> {
     Ok(())
 }
 
-fn check_node(universe: usize, node: NodeId) -> Result<(), ClusterError> {
+#[inline]
+pub(crate) fn check_node(universe: usize, node: NodeId) -> Result<(), ClusterError> {
     if node.0 >= universe {
         return Err(ClusterError::UnknownNode { node: node.0 });
     }
     Ok(())
 }
 
-fn check_remap_target(
+pub(crate) fn check_remap_target(
     arena: &StripeArena,
     stripe: usize,
     local: usize,
@@ -571,483 +484,6 @@ fn check_remap_target(
         });
     }
     Ok(())
-}
-
-/// The reference backend: the original `BTreeMap` double-store, one entry
-/// per block in each direction. Kept as the behavioural oracle for
-/// [`CompactIndex`] and as the memory baseline the bench reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MapIndex {
-    code_name: String,
-    shape: CodeShape,
-    arena: StripeArena,
-    node_universe: usize,
-    /// block -> cluster nodes holding a replica.
-    locations: BTreeMap<GlobalBlockId, Vec<NodeId>>,
-    /// cluster node -> blocks it stores (ascending).
-    per_node: BTreeMap<NodeId, Vec<GlobalBlockId>>,
-}
-
-impl MapIndex {
-    fn new(code_name: String, shape: CodeShape, arena: StripeArena, node_universe: usize) -> Self {
-        let mut locations: BTreeMap<GlobalBlockId, Vec<NodeId>> = BTreeMap::new();
-        let mut per_node: BTreeMap<NodeId, Vec<GlobalBlockId>> = BTreeMap::new();
-        for stripe in 0..arena.stripe_count() {
-            for block in 0..shape.distinct_blocks() {
-                let id = GlobalBlockId::new(stripe, block);
-                let nodes: Vec<NodeId> = shape
-                    .locals_of_block(block)
-                    .iter()
-                    .map(|&local| arena.host(stripe, local as usize))
-                    .collect();
-                for &n in &nodes {
-                    per_node.entry(n).or_default().push(id);
-                }
-                locations.insert(id, nodes);
-            }
-        }
-        MapIndex {
-            code_name,
-            shape,
-            arena,
-            node_universe,
-            locations,
-            per_node,
-        }
-    }
-}
-
-impl BlockIndex for MapIndex {
-    fn code_name(&self) -> &str {
-        &self.code_name
-    }
-
-    fn shape(&self) -> &CodeShape {
-        &self.shape
-    }
-
-    fn stripe_count(&self) -> usize {
-        self.arena.stripe_count()
-    }
-
-    fn node_universe(&self) -> usize {
-        self.node_universe
-    }
-
-    fn locations(&self, block: GlobalBlockId) -> Result<NodeList, ClusterError> {
-        check_block(&self.shape, self.stripe_count(), block)?;
-        let nodes = self.locations.get(&block).ok_or_else(|| {
-            ClusterError::corrupt(format!(
-                "in-range block (stripe {}, block {}) missing from the location map",
-                block.stripe(),
-                block.block()
-            ))
-        })?;
-        Ok(nodes.as_slice().into())
-    }
-
-    fn stripe_hosts(&self, stripe: usize) -> Result<NodeList, ClusterError> {
-        check_stripe(self.stripe_count(), stripe)?;
-        Ok(self
-            .arena
-            .row(stripe)
-            .iter()
-            .map(|&n| NodeId(n as usize))
-            .collect())
-    }
-
-    fn for_each_block_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(GlobalBlockId),
-    ) -> Result<(), ClusterError> {
-        check_node(self.node_universe, node)?;
-        if let Some(blocks) = self.per_node.get(&node) {
-            for &id in blocks {
-                f(id);
-            }
-        }
-        Ok(())
-    }
-
-    fn for_each_stripe_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(usize, usize),
-    ) -> Result<(), ClusterError> {
-        check_node(self.node_universe, node)?;
-        if let Some(blocks) = self.per_node.get(&node) {
-            let mut last_stripe = usize::MAX;
-            for &id in blocks {
-                let stripe = id.stripe();
-                if stripe == last_stripe {
-                    continue;
-                }
-                last_stripe = stripe;
-                let row = self.arena.row(stripe);
-                let local = row
-                    .iter()
-                    .position(|&h| h as usize == node.0)
-                    .ok_or_else(|| {
-                        ClusterError::corrupt(format!(
-                            "node {} is indexed under stripe {stripe} but hosts none of its locals",
-                            node.0
-                        ))
-                    })?;
-                f(stripe, local);
-            }
-        }
-        Ok(())
-    }
-
-    fn node_block_count(&self, node: NodeId) -> Result<usize, ClusterError> {
-        check_node(self.node_universe, node)?;
-        Ok(self.per_node.get(&node).map_or(0, Vec::len))
-    }
-
-    fn remap_stripe_host(
-        &mut self,
-        stripe: usize,
-        local: usize,
-        to: NodeId,
-    ) -> Result<NodeId, ClusterError> {
-        check_stripe(self.stripe_count(), stripe)?;
-        check_local(&self.shape, local)?;
-        check_node(self.node_universe, to)?;
-        let from = self.arena.host(stripe, local);
-        if from == to {
-            return Ok(from);
-        }
-        check_remap_target(&self.arena, stripe, local, to)?;
-        self.arena.set_host(stripe, local, to);
-        for &block in self.shape.blocks_of_local(local) {
-            let id = GlobalBlockId::new(stripe, block as usize);
-            let slot = self
-                .shape
-                .locals_of_block(block as usize)
-                .iter()
-                .position(|&l| l as usize == local)
-                .ok_or_else(|| {
-                    ClusterError::corrupt(format!(
-                        "local {local} stores block {block} but is absent from its locals list"
-                    ))
-                })?;
-            self.locations.get_mut(&id).ok_or_else(|| {
-                ClusterError::corrupt(format!(
-                    "in-range block (stripe {stripe}, block {block}) missing from the \
-                         location map"
-                ))
-            })?[slot] = to;
-            let old_list = self.per_node.get_mut(&from).ok_or_else(|| {
-                ClusterError::corrupt(format!("previous host {} has no postings entry", from.0))
-            })?;
-            let pos = old_list.binary_search(&id).map_err(|_| {
-                ClusterError::corrupt(format!(
-                    "previous host {} does not list block (stripe {stripe}, block {block})",
-                    from.0
-                ))
-            })?;
-            old_list.remove(pos);
-            let new_list = self.per_node.entry(to).or_default();
-            let pos = new_list.binary_search(&id).err().ok_or_else(|| {
-                ClusterError::corrupt(format!(
-                    "target host {} already lists block (stripe {stripe}, block {block})",
-                    to.0
-                ))
-            })?;
-            new_list.insert(pos, id);
-        }
-        if self.per_node.get(&from).is_some_and(Vec::is_empty) {
-            self.per_node.remove(&from);
-        }
-        Ok(from)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        let location_entries =
-            self.locations.len() * (size_of::<GlobalBlockId>() + size_of::<Vec<NodeId>>());
-        let location_vecs: usize = self
-            .locations
-            .values()
-            .map(|v| v.capacity() * size_of::<NodeId>())
-            .sum();
-        let per_node_entries =
-            self.per_node.len() * (size_of::<NodeId>() + size_of::<Vec<GlobalBlockId>>());
-        let per_node_vecs: usize = self
-            .per_node
-            .values()
-            .map(|v| v.capacity() * size_of::<GlobalBlockId>())
-            .sum();
-        self.code_name.capacity()
-            + self.shape.heap_bytes()
-            + self.arena.heap_bytes()
-            + location_entries
-            + location_vecs
-            + per_node_entries
-            + per_node_vecs
-    }
-}
-
-/// The compact backend: block → locations answered straight from the stripe
-/// arena through the code shape, node → blocks served by per-node postings
-/// of `u32` arena offsets. Nothing is stored per block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompactIndex {
-    code_name: String,
-    shape: CodeShape,
-    arena: StripeArena,
-    node_universe: usize,
-    /// `postings[n]` lists the arena offsets (`stripe * arity + local`) whose
-    /// host is node `n`, ascending — i.e. stripes in ascending order.
-    postings: Vec<Vec<u32>>,
-}
-
-impl CompactIndex {
-    fn new(code_name: String, shape: CodeShape, arena: StripeArena, node_universe: usize) -> Self {
-        let mut counts = vec![0usize; node_universe];
-        for &host in &arena.hosts {
-            counts[host as usize] += 1;
-        }
-        let mut postings: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (offset, &host) in arena.hosts.iter().enumerate() {
-            postings[host as usize].push(offset as u32);
-        }
-        CompactIndex {
-            code_name,
-            shape,
-            arena,
-            node_universe,
-            postings,
-        }
-    }
-}
-
-impl BlockIndex for CompactIndex {
-    fn code_name(&self) -> &str {
-        &self.code_name
-    }
-
-    fn shape(&self) -> &CodeShape {
-        &self.shape
-    }
-
-    fn stripe_count(&self) -> usize {
-        self.arena.stripe_count()
-    }
-
-    fn node_universe(&self) -> usize {
-        self.node_universe
-    }
-
-    fn locations(&self, block: GlobalBlockId) -> Result<NodeList, ClusterError> {
-        check_block(&self.shape, self.stripe_count(), block)?;
-        let stripe = block.stripe();
-        Ok(self
-            .shape
-            .locals_of_block(block.block())
-            .iter()
-            .map(|&local| self.arena.host(stripe, local as usize))
-            .collect())
-    }
-
-    fn stripe_hosts(&self, stripe: usize) -> Result<NodeList, ClusterError> {
-        check_stripe(self.stripe_count(), stripe)?;
-        Ok(self
-            .arena
-            .row(stripe)
-            .iter()
-            .map(|&n| NodeId(n as usize))
-            .collect())
-    }
-
-    fn for_each_block_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(GlobalBlockId),
-    ) -> Result<(), ClusterError> {
-        check_node(self.node_universe, node)?;
-        let arity = self.shape.arity();
-        for &offset in &self.postings[node.0] {
-            let stripe = offset as usize / arity;
-            let local = offset as usize % arity;
-            for &block in self.shape.blocks_of_local(local) {
-                f(GlobalBlockId::new(stripe, block as usize));
-            }
-        }
-        Ok(())
-    }
-
-    fn for_each_stripe_on_node(
-        &self,
-        node: NodeId,
-        f: &mut dyn FnMut(usize, usize),
-    ) -> Result<(), ClusterError> {
-        check_node(self.node_universe, node)?;
-        let arity = self.shape.arity();
-        for &offset in &self.postings[node.0] {
-            f(offset as usize / arity, offset as usize % arity);
-        }
-        Ok(())
-    }
-
-    fn node_block_count(&self, node: NodeId) -> Result<usize, ClusterError> {
-        check_node(self.node_universe, node)?;
-        let arity = self.shape.arity();
-        Ok(self.postings[node.0]
-            .iter()
-            .map(|&offset| self.shape.blocks_of_local(offset as usize % arity).len())
-            .sum())
-    }
-
-    fn remap_stripe_host(
-        &mut self,
-        stripe: usize,
-        local: usize,
-        to: NodeId,
-    ) -> Result<NodeId, ClusterError> {
-        check_stripe(self.stripe_count(), stripe)?;
-        check_local(&self.shape, local)?;
-        check_node(self.node_universe, to)?;
-        let from = self.arena.host(stripe, local);
-        if from == to {
-            return Ok(from);
-        }
-        check_remap_target(&self.arena, stripe, local, to)?;
-        self.arena.set_host(stripe, local, to);
-        let offset = (stripe * self.shape.arity() + local) as u32;
-        let old_list = &mut self.postings[from.0];
-        let pos = old_list.binary_search(&offset).map_err(|_| {
-            ClusterError::corrupt(format!(
-                "previous host {} does not list arena offset {offset}",
-                from.0
-            ))
-        })?;
-        old_list.remove(pos);
-        let new_list = &mut self.postings[to.0];
-        let pos = new_list.binary_search(&offset).err().ok_or_else(|| {
-            ClusterError::corrupt(format!(
-                "target host {} already lists arena offset {offset}",
-                to.0
-            ))
-        })?;
-        new_list.insert(pos, offset);
-        Ok(from)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        let posting_headers = self.postings.capacity() * size_of::<Vec<u32>>();
-        let posting_bytes: usize = self
-            .postings
-            .iter()
-            .map(|p| p.capacity() * size_of::<u32>())
-            .sum();
-        self.code_name.capacity()
-            + self.shape.heap_bytes()
-            + self.arena.heap_bytes()
-            + posting_headers
-            + posting_bytes
-    }
-}
-
-/// The concrete backend held by a [`PlacementMap`](crate::PlacementMap).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementIndex {
-    /// The reference `BTreeMap` double-store.
-    Map(MapIndex),
-    /// The flat-arena compact index.
-    Compact(CompactIndex),
-}
-
-impl PlacementIndex {
-    pub(crate) fn build(
-        kind: IndexKind,
-        code_name: String,
-        shape: CodeShape,
-        arena: StripeArena,
-        node_universe: usize,
-    ) -> Self {
-        match kind {
-            IndexKind::Map => {
-                PlacementIndex::Map(MapIndex::new(code_name, shape, arena, node_universe))
-            }
-            IndexKind::Compact => {
-                PlacementIndex::Compact(CompactIndex::new(code_name, shape, arena, node_universe))
-            }
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> IndexKind {
-        match self {
-            PlacementIndex::Map(_) => IndexKind::Map,
-            PlacementIndex::Compact(_) => IndexKind::Compact,
-        }
-    }
-
-    /// The backend as a trait object.
-    pub fn as_dyn(&self) -> &dyn BlockIndex {
-        match self {
-            PlacementIndex::Map(index) => index,
-            PlacementIndex::Compact(index) => index,
-        }
-    }
-
-    /// The backend as a mutable trait object.
-    pub fn as_dyn_mut(&mut self) -> &mut dyn BlockIndex {
-        match self {
-            PlacementIndex::Map(index) => index,
-            PlacementIndex::Compact(index) => index,
-        }
-    }
-}
-
-pub(crate) use builder::ArenaBuilder;
-
-mod builder {
-    //! Arena construction kept separate so `placement.rs` can fill stripes
-    //! without seeing the arena internals.
-
-    use super::{CodeShape, IndexKind, PlacementIndex, StripeArena};
-    use crate::topology::NodeId;
-
-    /// Accumulates per-stripe host rows and finishes into a backend.
-    pub(crate) struct ArenaBuilder {
-        code_name: String,
-        shape: CodeShape,
-        arena: StripeArena,
-        node_universe: usize,
-    }
-
-    impl ArenaBuilder {
-        pub(crate) fn new(
-            code_name: String,
-            shape: CodeShape,
-            stripes: usize,
-            node_universe: usize,
-        ) -> Self {
-            let arena = StripeArena::with_capacity(shape.arity(), stripes);
-            ArenaBuilder {
-                code_name,
-                shape,
-                arena,
-                node_universe,
-            }
-        }
-
-        pub(crate) fn push_stripe(&mut self, nodes: &[NodeId]) {
-            self.arena.push_stripe(nodes);
-        }
-
-        pub(crate) fn finish(self, kind: IndexKind) -> PlacementIndex {
-            PlacementIndex::build(
-                kind,
-                self.code_name,
-                self.shape,
-                self.arena,
-                self.node_universe,
-            )
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1098,14 +534,27 @@ mod tests {
     }
 
     #[test]
-    fn index_kind_override_scopes_and_restores() {
-        let before = IndexKind::current();
-        let inside = with_index_kind(IndexKind::Map, IndexKind::current);
-        assert_eq!(inside, IndexKind::Map);
-        let nested = with_index_kind(IndexKind::Map, || {
-            with_index_kind(IndexKind::Compact, IndexKind::current)
-        });
-        assert_eq!(nested, IndexKind::Compact);
-        assert_eq!(IndexKind::current(), before);
+    #[cfg(target_pointer_width = "64")]
+    fn arena_bounds_hold_at_both_edges() {
+        const MAX: usize = u32::MAX as usize;
+        let rejected = |arity, stripes, nodes| {
+            matches!(
+                check_arena_bounds(arity, stripes, nodes),
+                Err(ClusterError::InvalidPlacement { .. })
+            )
+        };
+        // Offsets: the last cell of the largest accepted arena is MAX - 1.
+        assert_eq!(check_arena_bounds(1, MAX, 9), Ok(()));
+        assert!(rejected(1, MAX + 1, 9));
+        assert_eq!(check_arena_bounds(2, MAX / 2, 9), Ok(()));
+        assert!(rejected(2, MAX / 2 + 1, 9));
+        assert_eq!(check_arena_bounds(5, MAX / 5, 9), Ok(()));
+        assert!(rejected(5, MAX / 5 + 1, 9));
+        // A product that overflows `usize` is rejected, not wrapped.
+        assert!(rejected(2, usize::MAX, 9));
+        assert!(rejected(usize::MAX, usize::MAX, 9));
+        // Node ids are `0..nodes`, so MAX nodes still fit.
+        assert_eq!(check_arena_bounds(2, 1, MAX), Ok(()));
+        assert!(rejected(2, 1, MAX + 1));
     }
 }

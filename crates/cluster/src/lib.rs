@@ -9,10 +9,10 @@
 //! * [`Cluster`] — runtime node state (rack membership, liveness),
 //! * [`PlacementMap`] — mapping of erasure-code stripes onto cluster nodes,
 //!   preserving the array-code property that all blocks of one stripe-local
-//!   node land on the same cluster node (Fig. 2), backed by a pluggable
-//!   [`BlockIndex`] (the default [`CompactIndex`] stores a placement as one
-//!   flat arena of `u32` node ids — a few bytes per block, which is what
-//!   allows 1000-node / 10M-block experiments),
+//!   node land on the same cluster node (Fig. 2) — and stored as exactly
+//!   those decisions: one flat arena of `u32` node ids plus per-node
+//!   postings (see [`index`]), a few bytes per block, which is what allows
+//!   1000-node / 10M-block experiments,
 //! * [`FailureTrace`] — timed failure injection: a sorted sequence of
 //!   [`FailureEvent`]s (node down/up, rack bursts, slowdowns) the
 //!   event-driven layers replay in virtual time; a static failure pattern
@@ -55,10 +55,7 @@ mod topology;
 
 pub use error::ClusterError;
 pub use failure::{sample_nodes, FailureEvent, FailureEventKind, FailureTrace};
-pub use index::{
-    with_index_kind, BlockIndex, CodeShape, CompactIndex, GlobalBlockId, IndexKind, MapIndex,
-    NodeList, PlacementIndex,
-};
+pub use index::{CodeShape, GlobalBlockId, NodeList};
 pub use placement::{PlacementMap, PlacementPolicy};
 pub use spec::ClusterSpec;
 pub use topology::{Cluster, NodeId, RackId};

@@ -9,11 +9,14 @@
 //! on a single node (four for the pentagon, six for the heptagon, one for
 //! RAID+m and replication) — which is what drives map-task locality.
 //!
-//! Storage-wise a [`PlacementMap`] is a thin facade over a pluggable
-//! [`BlockIndex`] backend (see [`crate::index`]); the default
-//! [`IndexKind::Compact`] backend stores the whole placement as one flat
-//! arena of `u32` node ids, a few bytes per block, which is what lets the
-//! `metadata_scale` experiment run 10M-block placements.
+//! That same property is the storage layout: a [`PlacementMap`] keeps only
+//! the `stripes × arity` host decisions, as one flat arena of `u32` node ids
+//! plus per-node postings of arena offsets for the reverse direction, and
+//! derives every per-block answer through the code's [`CodeShape`] (see
+//! [`crate::index`]). A few bytes per block, which is what lets the
+//! `metadata_scale` experiment place 10M blocks.
+
+use std::mem::size_of;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -21,7 +24,10 @@ use serde::{Deserialize, Serialize};
 
 use drc_codes::ErasureCode;
 
-use crate::index::{ArenaBuilder, BlockIndex, CodeShape, IndexKind, NodeList, PlacementIndex};
+use crate::index::{
+    check_arena_bounds, check_block, check_local, check_node, check_remap_target, check_stripe,
+    CodeShape, NodeList, StripeArena,
+};
 use crate::topology::{Cluster, NodeId};
 use crate::ClusterError;
 
@@ -61,12 +67,17 @@ pub enum PlacementPolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementMap {
-    index: PlacementIndex,
+    code_name: String,
+    shape: CodeShape,
+    arena: StripeArena,
+    node_universe: usize,
+    /// `postings[n]` lists the arena offsets (`stripe * arity + local`) whose
+    /// host is node `n`, ascending — i.e. stripes in ascending order.
+    postings: Vec<Vec<u32>>,
 }
 
 impl PlacementMap {
-    /// Places `stripes` stripes of `code` onto the *up* nodes of `cluster`,
-    /// indexed by the backend [`IndexKind::current`] selects.
+    /// Places `stripes` stripes of `code` onto the *up* nodes of `cluster`.
     ///
     /// With [`PlacementPolicy::Random`], each stripe's code nodes are mapped
     /// to distinct cluster nodes chosen uniformly at random; if the cluster
@@ -78,7 +89,8 @@ impl PlacementMap {
     ///
     /// Returns [`ClusterError::InsufficientNodes`] if the code length exceeds
     /// the number of up nodes, or [`ClusterError::InvalidPlacement`] if
-    /// `stripes` is zero.
+    /// `stripes` is zero or `stripes × arity` (or the cluster size) exceeds
+    /// the `u32` range the index stores offsets and node ids in.
     pub fn place<R: Rng + ?Sized>(
         code: &dyn ErasureCode,
         cluster: &Cluster,
@@ -86,41 +98,22 @@ impl PlacementMap {
         policy: PlacementPolicy,
         rng: &mut R,
     ) -> Result<Self, ClusterError> {
-        Self::place_with_index(code, cluster, stripes, policy, IndexKind::current(), rng)
-    }
-
-    /// [`PlacementMap::place`] with an explicit index backend.
-    ///
-    /// The backend never affects placement decisions: the RNG is consumed
-    /// identically and every query answers identically, so experiments are
-    /// byte-for-byte reproducible under either backend.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PlacementMap::place`].
-    pub fn place_with_index<R: Rng + ?Sized>(
-        code: &dyn ErasureCode,
-        cluster: &Cluster,
-        stripes: usize,
-        policy: PlacementPolicy,
-        kind: IndexKind,
-        rng: &mut R,
-    ) -> Result<Self, ClusterError> {
         if stripes == 0 {
             return Err(ClusterError::InvalidPlacement {
                 reason: "at least one stripe is required".to_string(),
             });
         }
-        let up = cluster.up_nodes();
         let arity = code.node_count();
+        let node_universe = cluster.len();
+        check_arena_bounds(arity, stripes, node_universe)?;
+        let up = cluster.up_nodes();
         if arity > up.len() {
             return Err(ClusterError::InsufficientNodes {
                 needed: arity,
                 available: up.len(),
             });
         }
-        let shape = CodeShape::of(code);
-        let mut builder = ArenaBuilder::new(code.name().to_string(), shape, stripes, cluster.len());
+        let mut arena = StripeArena::with_capacity(arity, stripes);
         // One scratch row reused across stripes: placing 10M stripes must not
         // make 10M transient allocations.
         let mut scratch: Vec<NodeId> = Vec::with_capacity(arity);
@@ -144,10 +137,14 @@ impl PlacementMap {
                     }
                 }
             }
-            builder.push_stripe(&scratch);
+            arena.push_stripe(&scratch);
         }
         Ok(PlacementMap {
-            index: builder.finish(kind),
+            code_name: code.name().to_string(),
+            shape: CodeShape::of(code),
+            postings: arena.postings(node_universe),
+            arena,
+            node_universe,
         })
     }
 
@@ -211,39 +208,29 @@ impl PlacementMap {
         pool
     }
 
-    /// Which index backend this placement uses.
-    pub fn index_kind(&self) -> IndexKind {
-        self.index.kind()
-    }
-
-    /// The index backend as a trait object.
-    pub fn index(&self) -> &dyn BlockIndex {
-        self.index.as_dyn()
-    }
-
     /// Name of the code this placement was built for.
     pub fn code_name(&self) -> &str {
-        self.index.as_dyn().code_name()
+        &self.code_name
     }
 
     /// Number of stripes placed.
     pub fn stripe_count(&self) -> usize {
-        self.index.as_dyn().stripe_count()
+        self.arena.stripe_count()
     }
 
     /// Number of data blocks per stripe of the underlying code.
     pub fn data_blocks_per_stripe(&self) -> usize {
-        self.index.as_dyn().shape().data_blocks()
+        self.shape.data_blocks()
     }
 
     /// Number of distinct blocks (data and parity) per stripe.
     pub fn distinct_blocks_per_stripe(&self) -> usize {
-        self.index.as_dyn().shape().distinct_blocks()
+        self.shape.distinct_blocks()
     }
 
     /// The code's arity: cluster nodes spanned by one stripe.
     pub fn arity(&self) -> usize {
-        self.index.as_dyn().shape().arity()
+        self.shape.arity()
     }
 
     /// Total number of *data* blocks across all stripes.
@@ -254,7 +241,7 @@ impl PlacementMap {
     /// Number of cluster nodes the placement was built against; node ids
     /// `0..node_universe()` are valid query arguments.
     pub fn node_universe(&self) -> usize {
-        self.index.as_dyn().node_universe()
+        self.node_universe
     }
 
     /// The cluster nodes holding a replica of `block`, in the code's replica
@@ -265,7 +252,14 @@ impl PlacementMap {
     /// [`ClusterError::UnknownBlock`] for a stripe or block index out of
     /// range — unknown ids are an error, not an empty answer.
     pub fn locations(&self, block: GlobalBlockId) -> Result<NodeList, ClusterError> {
-        self.index.as_dyn().locations(block)
+        check_block(&self.shape, self.stripe_count(), block)?;
+        let stripe = block.stripe();
+        Ok(self
+            .shape
+            .locals_of_block(block.block())
+            .iter()
+            .map(|&local| self.arena.host(stripe, local as usize))
+            .collect())
     }
 
     /// The cluster nodes hosting stripe `stripe`'s local nodes, in local
@@ -275,7 +269,13 @@ impl PlacementMap {
     ///
     /// [`ClusterError::UnknownBlock`] if the stripe index is out of range.
     pub fn stripe_hosts(&self, stripe: usize) -> Result<NodeList, ClusterError> {
-        self.index.as_dyn().stripe_hosts(stripe)
+        check_stripe(self.stripe_count(), stripe)?;
+        Ok(self
+            .arena
+            .row(stripe)
+            .iter()
+            .map(|&n| NodeId(n as usize))
+            .collect())
     }
 
     /// All blocks (data and parity) stored on `node`, in ascending
@@ -290,9 +290,7 @@ impl PlacementMap {
     /// node universe. A valid node storing nothing yields an empty vector.
     pub fn blocks_on_node(&self, node: NodeId) -> Result<Vec<GlobalBlockId>, ClusterError> {
         let mut blocks = Vec::new();
-        self.index
-            .as_dyn()
-            .for_each_block_on_node(node, &mut |id| blocks.push(id))?;
+        self.for_each_block_on_node(node, |id| blocks.push(id))?;
         Ok(blocks)
     }
 
@@ -308,7 +306,11 @@ impl PlacementMap {
         node: NodeId,
         mut f: impl FnMut(GlobalBlockId),
     ) -> Result<(), ClusterError> {
-        self.index.as_dyn().for_each_block_on_node(node, &mut f)
+        self.for_each_stripe_on_node(node, |stripe, local| {
+            for &block in self.shape.blocks_of_local(local) {
+                f(GlobalBlockId::new(stripe, block as usize));
+            }
+        })
     }
 
     /// Calls `f` with every `(stripe, local)` pair hosted by `node`, in
@@ -323,7 +325,12 @@ impl PlacementMap {
         node: NodeId,
         mut f: impl FnMut(usize, usize),
     ) -> Result<(), ClusterError> {
-        self.index.as_dyn().for_each_stripe_on_node(node, &mut f)
+        check_node(self.node_universe, node)?;
+        for &offset in &self.postings[node.0] {
+            let (stripe, local) = self.arena.cell(offset);
+            f(stripe, local);
+        }
+        Ok(())
     }
 
     /// Number of blocks stored on `node`.
@@ -333,22 +340,58 @@ impl PlacementMap {
     /// [`ClusterError::UnknownNode`] if `node` is outside the placement's
     /// node universe.
     pub fn node_block_count(&self, node: NodeId) -> Result<usize, ClusterError> {
-        self.index.as_dyn().node_block_count(node)
+        let mut count = 0;
+        self.for_each_stripe_on_node(node, |_, local| {
+            count += self.shape.blocks_of_local(local).len();
+        })?;
+        Ok(count)
     }
 
-    /// Re-homes stripe `stripe`'s local node `local` onto cluster node `to`,
-    /// updating both lookup directions. Returns the previous host.
+    /// Re-homes stripe `stripe`'s local node `local` onto cluster node `to`
+    /// (what a repair does after reconstructing a lost node's blocks
+    /// elsewhere), updating both lookup directions. Returns the previous
+    /// host.
     ///
     /// # Errors
     ///
-    /// See [`BlockIndex::remap_stripe_host`].
+    /// [`ClusterError::UnknownBlock`] for an out-of-range stripe,
+    /// [`ClusterError::UnknownNode`] if `to` is outside the node universe,
+    /// and [`ClusterError::InvalidPlacement`] for an out-of-range local
+    /// index or if `to` already hosts a different local node of the same
+    /// stripe (stripes must span distinct cluster nodes).
     pub fn remap_stripe_host(
         &mut self,
         stripe: usize,
         local: usize,
         to: NodeId,
     ) -> Result<NodeId, ClusterError> {
-        self.index.as_dyn_mut().remap_stripe_host(stripe, local, to)
+        check_stripe(self.stripe_count(), stripe)?;
+        check_local(&self.shape, local)?;
+        check_node(self.node_universe, to)?;
+        let from = self.arena.host(stripe, local);
+        if from == to {
+            return Ok(from);
+        }
+        check_remap_target(&self.arena, stripe, local, to)?;
+        self.arena.set_host(stripe, local, to);
+        let offset = self.arena.offset(stripe, local);
+        let old_list = &mut self.postings[from.0];
+        let pos = old_list.binary_search(&offset).map_err(|_| {
+            ClusterError::corrupt(format!(
+                "previous host {} does not list arena offset {offset}",
+                from.0
+            ))
+        })?;
+        old_list.remove(pos);
+        let new_list = &mut self.postings[to.0];
+        let pos = new_list.binary_search(&offset).err().ok_or_else(|| {
+            ClusterError::corrupt(format!(
+                "target host {} already lists arena offset {offset}",
+                to.0
+            ))
+        })?;
+        new_list.insert(pos, offset);
+        Ok(from)
     }
 
     /// Iterates over every data block together with its replica locations,
@@ -376,9 +419,20 @@ impl PlacementMap {
             .collect()
     }
 
-    /// Estimated heap bytes resident in the index backend.
+    /// Heap bytes resident in the index, by its own accounting: the
+    /// capacities of the arena, the postings and the code shape.
     pub fn heap_bytes(&self) -> usize {
-        self.index.as_dyn().heap_bytes()
+        let posting_headers = self.postings.capacity() * size_of::<Vec<u32>>();
+        let posting_bytes: usize = self
+            .postings
+            .iter()
+            .map(|p| p.capacity() * size_of::<u32>())
+            .sum();
+        self.code_name.capacity()
+            + self.shape.heap_bytes()
+            + self.arena.heap_bytes()
+            + posting_headers
+            + posting_bytes
     }
 }
 
@@ -425,6 +479,27 @@ mod tests {
                 available: 9
             })
         ));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn rejects_placements_beyond_the_u32_arena_before_allocating() {
+        // One stripe past the bound would reserve a 16 GiB arena (and wrap
+        // its reverse-scan offsets) if the check did not come first.
+        let code = CodeKind::TWO_REP.build().unwrap();
+        let cluster = Cluster::new(ClusterSpec::setup2());
+        for stripes in [u32::MAX as usize / 2 + 1, usize::MAX] {
+            assert!(matches!(
+                PlacementMap::place(
+                    code.as_ref(),
+                    &cluster,
+                    stripes,
+                    PlacementPolicy::RoundRobin,
+                    &mut rng(1)
+                ),
+                Err(ClusterError::InvalidPlacement { .. })
+            ));
+        }
     }
 
     #[test]
@@ -619,52 +694,49 @@ mod tests {
 
     #[test]
     fn remap_updates_both_directions() {
-        for kind in [IndexKind::Map, IndexKind::Compact] {
-            let code = CodeKind::Pentagon.build().unwrap();
-            let cluster = Cluster::new(ClusterSpec::simulation_25(4));
-            let mut placement = PlacementMap::place_with_index(
-                code.as_ref(),
-                &cluster,
-                3,
-                PlacementPolicy::RoundRobin,
-                kind,
-                &mut rng(7),
-            )
-            .unwrap();
-            let hosts = placement.stripe_hosts(1).unwrap();
-            let old = hosts[2];
-            let target = cluster
-                .nodes()
-                .find(|n| !hosts.contains(n))
-                .expect("a node outside the stripe exists");
-            // Remapping onto a node already in the stripe is rejected.
-            assert!(matches!(
-                placement.remap_stripe_host(1, 2, hosts[0]),
-                Err(ClusterError::InvalidPlacement { .. })
-            ));
-            assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(old));
-            // Idempotent: remapping onto the current host is a no-op.
-            assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(target));
-            assert_eq!(placement.stripe_hosts(1).unwrap()[2], target);
-            // Every block of local 2 moved; the old host no longer lists them.
-            for &block in code.node_blocks(2) {
-                let id = GlobalBlockId::new(1, block);
-                let locs = placement.locations(id).unwrap();
-                assert!(locs.contains(&target), "{kind:?}: {id:?} not on target");
-                assert!(!locs.contains(&old), "{kind:?}: {id:?} still on old host");
-            }
-            let on_old = placement.blocks_on_node(old).unwrap();
-            assert!(on_old
-                .iter()
-                .all(|b| b.stripe() != 1 || !code.node_blocks(2).contains(&b.block())));
-            // The reverse scan stays sorted.
-            let on_target = placement.blocks_on_node(target).unwrap();
-            assert!(on_target.windows(2).all(|w| w[0] < w[1]));
-            // Out-of-range arguments fail loudly.
-            assert!(placement.remap_stripe_host(99, 0, target).is_err());
-            assert!(placement.remap_stripe_host(0, 99, target).is_err());
-            assert!(placement.remap_stripe_host(0, 0, NodeId(999)).is_err());
+        let code = CodeKind::Pentagon.build().unwrap();
+        let cluster = Cluster::new(ClusterSpec::simulation_25(4));
+        let mut placement = PlacementMap::place(
+            code.as_ref(),
+            &cluster,
+            3,
+            PlacementPolicy::RoundRobin,
+            &mut rng(7),
+        )
+        .unwrap();
+        let hosts = placement.stripe_hosts(1).unwrap();
+        let old = hosts[2];
+        let target = cluster
+            .nodes()
+            .find(|n| !hosts.contains(n))
+            .expect("a node outside the stripe exists");
+        // Remapping onto a node already in the stripe is rejected.
+        assert!(matches!(
+            placement.remap_stripe_host(1, 2, hosts[0]),
+            Err(ClusterError::InvalidPlacement { .. })
+        ));
+        assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(old));
+        // Idempotent: remapping onto the current host is a no-op.
+        assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(target));
+        assert_eq!(placement.stripe_hosts(1).unwrap()[2], target);
+        // Every block of local 2 moved; the old host no longer lists them.
+        for &block in code.node_blocks(2) {
+            let id = GlobalBlockId::new(1, block);
+            let locs = placement.locations(id).unwrap();
+            assert!(locs.contains(&target), "{id:?} not on target");
+            assert!(!locs.contains(&old), "{id:?} still on old host");
         }
+        let on_old = placement.blocks_on_node(old).unwrap();
+        assert!(on_old
+            .iter()
+            .all(|b| b.stripe() != 1 || !code.node_blocks(2).contains(&b.block())));
+        // The reverse scan stays sorted.
+        let on_target = placement.blocks_on_node(target).unwrap();
+        assert!(on_target.windows(2).all(|w| w[0] < w[1]));
+        // Out-of-range arguments fail loudly.
+        assert!(placement.remap_stripe_host(99, 0, target).is_err());
+        assert!(placement.remap_stripe_host(0, 99, target).is_err());
+        assert!(placement.remap_stripe_host(0, 0, NodeId(999)).is_err());
     }
 
     #[test]
@@ -688,37 +760,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn backends_consume_the_rng_identically() {
-        let code = CodeKind::Heptagon.build().unwrap();
-        let cluster = Cluster::new(ClusterSpec::simulation_25(2));
-        let map = PlacementMap::place_with_index(
-            code.as_ref(),
-            &cluster,
-            6,
-            PlacementPolicy::Random,
-            IndexKind::Map,
-            &mut rng(42),
-        )
-        .unwrap();
-        let compact = PlacementMap::place_with_index(
-            code.as_ref(),
-            &cluster,
-            6,
-            PlacementPolicy::Random,
-            IndexKind::Compact,
-            &mut rng(42),
-        )
-        .unwrap();
-        assert_eq!(map.index_kind(), IndexKind::Map);
-        assert_eq!(compact.index_kind(), IndexKind::Compact);
-        for stripe in 0..6 {
-            assert_eq!(
-                map.stripe_hosts(stripe).unwrap(),
-                compact.stripe_hosts(stripe).unwrap()
-            );
-        }
     }
 }

@@ -1,18 +1,19 @@
-//! Differential tests between the two [`BlockIndex`] backends: the
-//! map-based reference (`IndexKind::Map`) and the arena-backed compact
-//! index (`IndexKind::Compact`) must be observationally identical — same
-//! lookups, same reverse scans, same errors — through arbitrary
+//! Differential tests of the placement index against the `BTreeMap`
+//! double-store it replaced (`support/map_oracle.rs`): a [`PlacementMap`]
+//! and a [`MapOracle`] built from it must be observationally identical —
+//! same lookups, same reverse scans, same errors — through arbitrary
 //! place/remap sequences over every paper code and placement policy. The
-//! only permitted difference is resident size, which the compact index
-//! must win.
-//!
-//! [`BlockIndex`]: drc_cluster::BlockIndex
+//! only permitted difference is resident size, which the arena must win.
+
+#[path = "support/map_oracle.rs"]
+mod map_oracle;
 
 use drc_cluster::{
-    with_index_kind, Cluster, ClusterError, ClusterSpec, GlobalBlockId, IndexKind, NodeId,
-    PlacementMap, PlacementPolicy,
+    Cluster, ClusterError, ClusterSpec, CodeShape, GlobalBlockId, NodeId, PlacementMap,
+    PlacementPolicy,
 };
 use drc_codes::CodeKind;
+use map_oracle::MapOracle;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,106 +42,118 @@ fn any_policy() -> impl Strategy<Value = PlacementPolicy> {
     ]
 }
 
-/// Builds the same placement (same code, cluster, stripes, policy, seed) on
-/// both backends.
+/// Places `stripes` stripes of `code` and indexes the result a second time,
+/// block by block, in the oracle.
 fn build_pair(
     code: CodeKind,
     cluster: &Cluster,
     stripes: usize,
     policy: PlacementPolicy,
     seed: u64,
-) -> (PlacementMap, PlacementMap) {
+) -> (MapOracle, PlacementMap) {
     let built = code.build().unwrap();
-    let build = |kind: IndexKind| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        with_index_kind(kind, || {
-            PlacementMap::place(built.as_ref(), cluster, stripes, policy, &mut rng)
-        })
-        .unwrap()
-    };
-    (build(IndexKind::Map), build(IndexKind::Compact))
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let placement =
+        PlacementMap::place(built.as_ref(), cluster, stripes, policy, &mut rng).unwrap();
+    let oracle = MapOracle::new(&placement, CodeShape::of(built.as_ref()));
+    (oracle, placement)
 }
 
 /// Asserts every observable query — forward, reverse, counts, and the
-/// out-of-range error cases — answers identically on both backends.
-fn assert_observationally_equal(map: &PlacementMap, compact: &PlacementMap) {
-    assert_eq!(map.index_kind(), IndexKind::Map);
-    assert_eq!(compact.index_kind(), IndexKind::Compact);
-    assert_eq!(map.stripe_count(), compact.stripe_count());
-    assert_eq!(map.arity(), compact.arity());
+/// out-of-range error cases — answers identically on the oracle and the
+/// placement.
+fn assert_observationally_equal(oracle: &MapOracle, placement: &PlacementMap) {
+    assert_eq!(oracle.stripe_count(), placement.stripe_count());
+    assert_eq!(oracle.shape().arity(), placement.arity());
     assert_eq!(
-        map.distinct_blocks_per_stripe(),
-        compact.distinct_blocks_per_stripe()
+        oracle.shape().distinct_blocks(),
+        placement.distinct_blocks_per_stripe()
     );
-    assert_eq!(map.node_universe(), compact.node_universe());
+    assert_eq!(oracle.node_universe(), placement.node_universe());
 
-    let stripes = map.stripe_count();
-    let distinct = map.distinct_blocks_per_stripe();
+    let stripes = oracle.stripe_count();
+    let distinct = oracle.shape().distinct_blocks();
     for stripe in 0..stripes {
         assert_eq!(
-            map.stripe_hosts(stripe).unwrap(),
-            compact.stripe_hosts(stripe).unwrap(),
+            oracle.stripe_hosts(stripe).unwrap(),
+            placement.stripe_hosts(stripe).unwrap(),
             "stripe {stripe} hosts"
         );
         for block in 0..distinct {
             let id = GlobalBlockId::new(stripe, block);
             assert_eq!(
-                map.locations(id).unwrap(),
-                compact.locations(id).unwrap(),
+                oracle.locations(id).unwrap(),
+                placement.locations(id).unwrap(),
                 "{id:?} locations"
             );
         }
         // One past the last block of each stripe: identical error.
         let over = GlobalBlockId::new(stripe, distinct);
-        assert_eq!(map.locations(over), compact.locations(over));
+        assert_eq!(oracle.locations(over), placement.locations(over));
     }
     assert_eq!(
-        map.stripe_hosts(stripes),
-        compact.stripe_hosts(stripes),
+        oracle.stripe_hosts(stripes),
+        placement.stripe_hosts(stripes),
         "out-of-range stripe error"
     );
     let beyond = GlobalBlockId::new(stripes, 0);
-    assert_eq!(map.locations(beyond), compact.locations(beyond));
+    assert_eq!(oracle.locations(beyond), placement.locations(beyond));
 
-    for node in 0..map.node_universe() {
+    for node in 0..oracle.node_universe() {
         let node = NodeId(node);
         assert_eq!(
-            map.blocks_on_node(node).unwrap(),
-            compact.blocks_on_node(node).unwrap(),
+            oracle.blocks_on_node(node).unwrap(),
+            placement.blocks_on_node(node).unwrap(),
             "{node:?} reverse scan"
         );
         assert_eq!(
-            map.node_block_count(node).unwrap(),
-            compact.node_block_count(node).unwrap()
+            oracle.node_block_count(node).unwrap(),
+            placement.node_block_count(node).unwrap()
         );
-        let mut map_stripes = Vec::new();
-        let mut compact_stripes = Vec::new();
-        map.for_each_stripe_on_node(node, |s, l| map_stripes.push((s, l)))
+        let mut placement_stripes = Vec::new();
+        placement
+            .for_each_stripe_on_node(node, |s, l| placement_stripes.push((s, l)))
             .unwrap();
-        compact
-            .for_each_stripe_on_node(node, |s, l| compact_stripes.push((s, l)))
-            .unwrap();
-        assert_eq!(map_stripes, compact_stripes, "{node:?} stripe scan");
+        assert_eq!(
+            oracle.stripes_on_node(node).unwrap(),
+            placement_stripes,
+            "{node:?} stripe scan"
+        );
     }
-    let ghost = NodeId(map.node_universe());
-    assert_eq!(map.blocks_on_node(ghost), compact.blocks_on_node(ghost));
+    let ghost = NodeId(oracle.node_universe());
+    assert_eq!(
+        oracle.blocks_on_node(ghost),
+        placement.blocks_on_node(ghost)
+    );
+    assert_eq!(
+        oracle.stripes_on_node(ghost).err(),
+        placement.for_each_stripe_on_node(ghost, |_, _| ()).err()
+    );
+    assert_eq!(
+        oracle.node_block_count(ghost),
+        placement.node_block_count(ghost)
+    );
     assert!(matches!(
-        compact.blocks_on_node(ghost),
+        placement.blocks_on_node(ghost),
         Err(ClusterError::UnknownNode { .. })
     ));
 
-    let map_data: Vec<_> = map.iter_data_blocks().collect();
-    let compact_data: Vec<_> = compact.iter_data_blocks().collect();
-    assert_eq!(map_data, compact_data, "data-block iteration");
+    let data = oracle.shape().data_blocks();
+    let oracle_data: Vec<_> = (0..stripes)
+        .flat_map(|stripe| (0..data).map(move |block| GlobalBlockId::new(stripe, block)))
+        .map(|id| (id, oracle.locations(id).unwrap()))
+        .collect();
+    let placement_data: Vec<_> = placement.iter_data_blocks().collect();
+    assert_eq!(oracle_data, placement_data, "data-block iteration");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Freshly placed: both backends answer every query identically for
-    /// every code × policy, and the compact index is never larger.
+    /// Freshly placed: the placement answers every query as the oracle does
+    /// for every code × policy.
     #[test]
-    fn backends_agree_after_placement(
+    fn placement_agrees_with_the_oracle_after_placement(
         code in any_code(),
         nodes in 20usize..50,
         stripes in 1usize..16,
@@ -149,20 +162,20 @@ proptest! {
     ) {
         let cluster = Cluster::new(ClusterSpec::custom(nodes, 3, 4));
         prop_assume!(code.build().unwrap().node_count() <= nodes);
-        let (map, compact) = build_pair(code, &cluster, stripes, policy, seed);
-        assert_observationally_equal(&map, &compact);
+        let (oracle, placement) = build_pair(code, &cluster, stripes, policy, seed);
+        assert_observationally_equal(&oracle, &placement);
         // No size assertion here: at these deliberately tiny sizes the
-        // compact index's fixed per-node posting headers can outweigh the
-        // map's (undercounted) `heap_bytes` floor. Size is asserted at
-        // non-toy scale in `compact_index_undercuts_map_at_scale` below.
+        // arena's fixed per-node posting headers can outweigh the oracle's
+        // (undercounted) `heap_bytes` floor. Size is asserted at non-toy
+        // scale in `arena_undercuts_the_map_oracle_at_scale` below.
     }
 
     /// Through a random remap (repair re-homing) sequence — including
-    /// deliberately invalid requests — both backends return the same
+    /// deliberately invalid requests — placement and oracle return the same
     /// `Result` for every step and stay observationally identical at the
     /// end. Exercises the mutation path the repair engine drives.
     #[test]
-    fn backends_agree_through_random_remap_sequences(
+    fn placement_agrees_with_the_oracle_through_random_remap_sequences(
         code in any_code(),
         policy in any_policy(),
         seed in any::<u64>(),
@@ -175,43 +188,43 @@ proptest! {
         let stripes = 12usize;
         let cluster = Cluster::new(ClusterSpec::custom(nodes, 3, 4));
         prop_assume!(code.build().unwrap().node_count() <= nodes);
-        let (mut map, mut compact) = build_pair(code, &cluster, stripes, policy, seed);
+        let (mut oracle, mut placement) = build_pair(code, &cluster, stripes, policy, seed);
         for encoded in remaps {
             let (stripe, local, to) = (encoded % 24, (encoded / 24) % 24, encoded / (24 * 24));
-            let got_map = map.remap_stripe_host(stripe, local, NodeId(to));
-            let got_compact = compact.remap_stripe_host(stripe, local, NodeId(to));
+            let got_oracle = oracle.remap_stripe_host(stripe, local, NodeId(to));
+            let got_placement = placement.remap_stripe_host(stripe, local, NodeId(to));
             prop_assert_eq!(
-                got_map,
-                got_compact,
+                got_oracle,
+                got_placement,
                 "remap(stripe {}, local {}, to {}) diverged",
                 stripe,
                 local,
                 to
             );
         }
-        assert_observationally_equal(&map, &compact);
+        assert_observationally_equal(&oracle, &placement);
     }
 }
 
-/// At non-toy scale (thousands of stripes) the compact index's self-reported
-/// resident size must undercut the map reference's — and the map figure is a
+/// At non-toy scale (thousands of stripes) the placement's self-reported
+/// resident size must undercut the oracle's — and the oracle's figure is a
 /// *floor* (it omits `BTreeMap` node overhead), so the real gap is wider
 /// still. The allocator-measured comparison lives in `index_memory.rs`.
 #[test]
-fn compact_index_undercuts_map_at_scale() {
+fn arena_undercuts_the_map_oracle_at_scale() {
     let cluster = Cluster::new(ClusterSpec::custom(30, 3, 4));
     for code in [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,
         CodeKind::HeptagonLocal,
     ] {
-        let (map, compact) = build_pair(code, &cluster, 4000, PlacementPolicy::RoundRobin, 7);
-        assert_observationally_equal(&map, &compact);
+        let (oracle, placement) = build_pair(code, &cluster, 4000, PlacementPolicy::RoundRobin, 7);
+        assert_observationally_equal(&oracle, &placement);
         assert!(
-            compact.heap_bytes() < map.heap_bytes(),
-            "{code}: compact {} B must undercut map {} B",
-            compact.heap_bytes(),
-            map.heap_bytes()
+            placement.heap_bytes() < oracle.heap_bytes(),
+            "{code}: arena {} B must undercut the map oracle's {} B",
+            placement.heap_bytes(),
+            oracle.heap_bytes()
         );
     }
 }

@@ -1,41 +1,38 @@
-//! Metadata-plane scaling: index size and query throughput at datacenter
-//! block counts.
+//! Metadata-plane scaling: placement-index size at datacenter block counts.
 //!
 //! The paper's experiments run on 9–25 nodes, but the codes are pitched at
 //! datacenter HDFS deployments where a NameNode tracks millions of blocks.
-//! This experiment sweeps cluster size × blocks for each code and measures
-//! the placement index itself: resident bytes per distinct block, point
-//! lookups (block → replica nodes) per second, and repair-style reverse
-//! scans (node → blocks) per second — for both the compact arena-backed
-//! index and the map-based reference index, so the compaction is quantified
-//! rather than asserted.
+//! This experiment sweeps cluster size × blocks for each code and reports
+//! the placement index's resident bytes per distinct block.
 //!
 //! The headline row places **10 million blocks over a 1000-node cluster**
-//! and still fits the quick profile: the compact index stores one `u32` per
+//! and still fits the quick profile: the index stores one `u32` per
 //! stripe-local host plus one `u32` reverse-posting, i.e. `8·n / d` bytes
 //! per block for an arity-`n`, `d`-distinct-block code — 16 B for 2-rep,
-//! 4 B for the pentagon — where the map-based reference spends hundreds.
-
-use std::time::Instant;
+//! 4 B for the pentagon — where a map entry per block spends over a hundred
+//! (the measured-and-rejected baseline in `crates/cluster/INTERNALS.md`).
+//!
+//! The table is structural and byte-reproducible. How fast the index
+//! answers is host-dependent and measured by the benchmark ledger
+//! (`cluster.index_lookups_per_s`, `cluster.repair_scan_blocks_per_s`,
+//! `cluster.index_build_blocks_per_s`), not here.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{Cluster, ClusterSpec, IndexKind, NodeId, PlacementMap, PlacementPolicy};
+use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 
 use super::{harness, Effort, DEFAULT_SEED};
 use crate::render::TextTable;
 use crate::DrcError;
 
-/// One measured (code, cluster size, block count, index backend) point.
+/// One (code, cluster size, block count) point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetadataScaleRow {
     /// The coding scheme whose placement is indexed.
     pub code: CodeKind,
-    /// Which index backend the placement was built on.
-    pub index: IndexKind,
     /// Data nodes in the cluster.
     pub nodes: usize,
     /// Stripes placed.
@@ -46,139 +43,68 @@ pub struct MetadataScaleRow {
     pub index_bytes: usize,
     /// Index bytes per distinct block.
     pub bytes_per_block: f64,
-    /// Point lookups (block → replica list) per second of wall time.
-    pub lookups_per_s: f64,
-    /// Blocks visited per second by reverse (node → blocks) repair scans.
-    pub repair_scan_blocks_per_s: f64,
 }
 
 /// The full sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetadataScaleTable {
-    /// One row per measured configuration.
+    /// One row per configuration.
     pub rows: Vec<MetadataScaleRow>,
 }
 
-/// Builds a placement on the requested backend and measures it.
-///
-/// Exposed to the bench harness (`drc-bench` reports the headline numbers
-/// from the same code path) and parameterisable down to toy sizes for unit
-/// tests.
-///
-/// # Errors
-///
-/// Fails if the code cannot build or the cluster is too small for one
-/// stripe of it.
-pub fn measure_config(
-    kind: CodeKind,
-    index: IndexKind,
-    nodes: usize,
-    stripes: usize,
-    lookups: usize,
-) -> Result<MetadataScaleRow, DrcError> {
+/// Places `stripes` stripes of `kind` over a `nodes`-node datacenter cluster
+/// and sizes the resulting index.
+fn index_row(kind: CodeKind, nodes: usize, stripes: usize) -> Result<MetadataScaleRow, DrcError> {
     let code = kind.build()?;
     let cluster = Cluster::new(ClusterSpec::datacenter(nodes));
     let mut rng = ChaCha8Rng::seed_from_u64(DEFAULT_SEED);
     // Round-robin keeps placement O(stripes · arity): the random policy
-    // shuffles the full node pool per stripe, which swamps the index
-    // measurements at 10M-block scale.
-    let placement = drc_cluster::with_index_kind(index, || {
-        PlacementMap::place(
-            code.as_ref(),
-            &cluster,
-            stripes,
-            PlacementPolicy::RoundRobin,
-            &mut rng,
-        )
-    })?;
+    // shuffles the full node pool per stripe, which swamps everything else
+    // at 10M-block scale.
+    let placement = PlacementMap::place(
+        code.as_ref(),
+        &cluster,
+        stripes,
+        PlacementPolicy::RoundRobin,
+        &mut rng,
+    )?;
     let blocks = stripes * placement.distinct_blocks_per_stripe();
     let index_bytes = placement.heap_bytes();
-
-    // Point lookups over a fixed pseudo-random block sequence (a Weyl
-    // generator — cheap enough that the index dominates the measurement).
-    let distinct = placement.distinct_blocks_per_stripe();
-    let started = Instant::now();
-    let mut replica_sum = 0usize;
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for _ in 0..lookups {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let stripe = (x >> 32) as usize % stripes;
-        let block = (x as u32) as usize % distinct;
-        replica_sum += placement
-            .locations(drc_cluster::GlobalBlockId::new(stripe, block))?
-            .len();
-    }
-    let lookup_elapsed = started.elapsed().as_secs_f64();
-    assert!(replica_sum > 0, "lookups must observe real replica lists");
-    let lookups_per_s = lookups as f64 / lookup_elapsed.max(1e-9);
-
-    // Reverse scans: walk every node's blocks exactly as a repair pass
-    // planning the loss of that node would.
-    let started = Instant::now();
-    let mut scanned = 0usize;
-    for node in 0..nodes {
-        placement.for_each_block_on_node(NodeId(node), |_| scanned += 1)?;
-    }
-    let scan_elapsed = started.elapsed().as_secs_f64();
-    let repair_scan_blocks_per_s = scanned as f64 / scan_elapsed.max(1e-9);
-
     Ok(MetadataScaleRow {
         code: kind,
-        index,
         nodes,
         stripes,
         blocks,
         index_bytes,
         bytes_per_block: index_bytes as f64 / blocks as f64,
-        lookups_per_s,
-        repair_scan_blocks_per_s,
     })
 }
 
-/// Runs the metadata-plane scaling sweep.
-///
-/// Both backends are measured head-to-head at a mid-size point per code;
-/// the datacenter-scale points (1000 nodes, 10M+ blocks) run on the compact
-/// index only — the map-based reference at that size is exactly the
-/// NameNode-memory wall this experiment exists to demonstrate, and building
-/// it would dominate the run.
+/// Runs the metadata-plane scaling sweep: the paper's three code families
+/// at a mid-size point, then 2-rep and the pentagon at datacenter scale
+/// (1000 nodes, 10M+ blocks).
 ///
 /// # Errors
 ///
 /// Propagates placement or code-construction failures.
 pub fn run_metadata_scale(effort: Effort) -> Result<MetadataScaleTable, DrcError> {
-    let paired_codes = [
-        CodeKind::TWO_REP,
-        CodeKind::Pentagon,
-        CodeKind::HeptagonLocal,
-    ];
-    let (paired_blocks, big_nodes, big_blocks, lookups) = match effort {
-        Effort::Quick => (200_000usize, 1000usize, 10_000_000usize, 200_000usize),
-        Effort::Full => (1_000_000, 1000, 20_000_000, 1_000_000),
+    let (mid_blocks, big_blocks) = match effort {
+        Effort::Quick => (200_000usize, 10_000_000usize),
+        Effort::Full => (1_000_000, 20_000_000),
     };
-    // One cell per measured configuration, in the table's fixed row order.
-    // The query rates are wall-clock measurements; only the structural
-    // fields (blocks, index bytes) are width-invariant.
-    let mut specs: Vec<(CodeKind, IndexKind, usize, usize)> = Vec::new();
-    for kind in paired_codes {
-        let code = kind.build()?;
-        let stripes = paired_blocks.div_ceil(code.distinct_blocks());
-        for index in [IndexKind::Map, IndexKind::Compact] {
-            specs.push((kind, index, 100, stripes));
-        }
+    // One cell per configuration, in the table's fixed row order.
+    let specs = [
+        (CodeKind::TWO_REP, 100, mid_blocks),
+        (CodeKind::Pentagon, 100, mid_blocks),
+        (CodeKind::HeptagonLocal, 100, mid_blocks),
+        (CodeKind::TWO_REP, 1000, big_blocks),
+        (CodeKind::Pentagon, 1000, big_blocks),
+    ];
+    let mut cells = Vec::with_capacity(specs.len());
+    for (kind, nodes, blocks) in specs {
+        let stripes = blocks.div_ceil(kind.build()?.distinct_blocks());
+        cells.push(move || index_row(kind, nodes, stripes));
     }
-    // Datacenter scale: 1000 nodes, ≥10M blocks, compact only.
-    for kind in [CodeKind::TWO_REP, CodeKind::Pentagon] {
-        let code = kind.build()?;
-        let stripes = big_blocks.div_ceil(code.distinct_blocks());
-        specs.push((kind, IndexKind::Compact, big_nodes, stripes));
-    }
-    let cells = specs
-        .into_iter()
-        .map(|(kind, index, nodes, stripes)| {
-            move || measure_config(kind, index, nodes, stripes, lookups)
-        })
-        .collect();
     Ok(MetadataScaleTable {
         rows: harness::run_cells(cells)?,
     })
@@ -187,28 +113,16 @@ pub fn run_metadata_scale(effort: Effort) -> Result<MetadataScaleTable, DrcError
 impl std::fmt::Display for MetadataScaleTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut table = TextTable::new(
-            "Metadata plane at scale: placement-index size and query rates",
-            &[
-                "Code",
-                "Index",
-                "Nodes",
-                "Blocks",
-                "Index bytes",
-                "B/block",
-                "Lookups/s",
-                "Scan blocks/s",
-            ],
+            "Metadata plane at scale: placement-index size",
+            &["Code", "Nodes", "Blocks", "Index bytes", "B/block"],
         );
         for row in &self.rows {
             table.push_row(vec![
                 row.code.to_string(),
-                row.index.to_string(),
                 row.nodes.to_string(),
                 row.blocks.to_string(),
                 row.index_bytes.to_string(),
                 format!("{:.1}", row.bytes_per_block),
-                format!("{:.3e}", row.lookups_per_s),
-                format!("{:.3e}", row.repair_scan_blocks_per_s),
             ]);
         }
         write!(f, "{table}")
@@ -220,22 +134,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compact_index_is_strictly_smaller_and_answers_identically_sized_queries() {
-        for kind in [CodeKind::TWO_REP, CodeKind::Pentagon] {
-            let map = measure_config(kind, IndexKind::Map, 30, 500, 1000).unwrap();
-            let compact = measure_config(kind, IndexKind::Compact, 30, 500, 1000).unwrap();
-            assert_eq!(map.blocks, compact.blocks, "{kind}");
-            assert!(
-                compact.index_bytes < map.index_bytes,
-                "{kind}: compact {} B must undercut map {} B",
-                compact.index_bytes,
-                map.index_bytes
-            );
-            assert!(compact.lookups_per_s > 0.0 && compact.repair_scan_blocks_per_s > 0.0);
-        }
-    }
-
-    #[test]
     fn compact_bytes_per_block_meet_the_target() {
         // The ISSUE target is ≤48 B/block; the arena layout comes in far
         // under it for every paper code at non-toy sizes.
@@ -244,7 +142,7 @@ mod tests {
             CodeKind::Pentagon,
             CodeKind::HeptagonLocal,
         ] {
-            let row = measure_config(kind, IndexKind::Compact, 30, 2000, 100).unwrap();
+            let row = index_row(kind, 30, 2000).unwrap();
             assert!(
                 row.bytes_per_block <= 48.0,
                 "{kind}: {:.1} B/block",

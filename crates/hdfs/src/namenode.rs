@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use drc_cluster::{NodeId, NodeList, PlacementMap};
+use drc_cluster::{NodeList, PlacementMap};
 use drc_codes::CodeKind;
 use drc_sim::SimTime;
 
@@ -187,34 +187,6 @@ impl NameNode {
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
-
-    /// Every block key (of every file) whose replica set includes `node` —
-    /// the NameNode's answer to "which blocks did we lose when this node
-    /// died?".
-    ///
-    /// A node no placement knows about (outside every file's node universe)
-    /// hosts nothing by definition, so it reports an empty answer rather
-    /// than an error — the NameNode outlives any single cluster size.
-    pub fn blocks_on_node(&self, node: NodeId) -> Vec<BlockKey> {
-        let mut out = Vec::new();
-        for meta in self.files.values() {
-            if node.0 >= meta.placement.node_universe() {
-                continue;
-            }
-            meta.placement
-                .for_each_block_on_node(node, |gb| {
-                    out.push(BlockKey {
-                        file: meta.id,
-                        stripe: gb.stripe(),
-                        block: gb.block(),
-                    });
-                })
-                // drc-lint: allow(panic-hygiene): the `continue` above filters nodes
-                // outside the universe, the only for_each_block_on_node error.
-                .expect("node is inside this placement's universe");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -296,20 +268,5 @@ mod tests {
         assert!(keys.iter().all(|k| k.stripe == 0 && k.block < 9));
         assert_eq!(meta.block_locations(0, 0).unwrap().len(), 2);
         assert!(meta.block_locations(99, 0).is_err());
-    }
-
-    #[test]
-    fn blocks_on_node_reports_all_files() {
-        let mut nn = NameNode::new();
-        let p = placement(3);
-        let node = p.stripe_hosts(0).unwrap()[0];
-        nn.register("/x", 100, 10, CodeKind::Pentagon, 9, SimTime::ZERO, p)
-            .unwrap();
-        let blocks = nn.blocks_on_node(node);
-        // The node hosts one pentagon stripe-node => 4 blocks of stripe 0
-        // (possibly more from other stripes of the same file).
-        assert!(blocks.len() >= 4);
-        assert!(blocks.iter().all(|b| b.file == FileId(0)));
-        assert_eq!(nn.iter().count(), 1);
     }
 }

@@ -9,6 +9,7 @@ use drc_core::experiments::{
     fig3::{run_fig3, Fig3Data},
     fig4::{run_fig4, TerasortSweep},
     fig5::run_fig5,
+    metadata_scale::run_metadata_scale,
     repair_bandwidth::{run_repair_bandwidth, RepairBandwidthTable},
     table1::{run_table1, Table1},
     Effort,
@@ -140,4 +141,38 @@ fn degraded_mr_report_counts_failures_sensibly() {
     }
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("failed_nodes"));
+}
+
+#[test]
+fn metadata_scale_is_the_recorded_structural_table() {
+    // The index's own accounting of every quick row, recorded when the
+    // table stopped carrying wall-clock rates: a layout change shows up
+    // here as a changed byte count, a reintroduced clock as a differing
+    // second run.
+    let recorded: [(CodeKind, usize, usize, usize); 5] = [
+        (CodeKind::TWO_REP, 100, 200_000, 3_202_441),
+        (CodeKind::Pentagon, 100, 200_000, 802_604),
+        (CodeKind::HeptagonLocal, 100, 200_024, 548_626),
+        (CodeKind::TWO_REP, 1000, 10_000_000, 160_024_041),
+        (CodeKind::Pentagon, 1000, 10_000_000, 40_024_204),
+    ];
+    let table = run_metadata_scale(Effort::Quick).unwrap();
+    let got: Vec<_> = table
+        .rows
+        .iter()
+        .map(|r| (r.code, r.nodes, r.blocks, r.index_bytes))
+        .collect();
+    assert_eq!(got, recorded);
+    for row in &table.rows {
+        assert_eq!(
+            row.bytes_per_block,
+            row.index_bytes as f64 / row.blocks as f64
+        );
+    }
+    let again = run_metadata_scale(Effort::Quick).unwrap();
+    assert_eq!(
+        serde_json::to_string(&table).unwrap(),
+        serde_json::to_string(&again).unwrap(),
+        "two consecutive runs must serialise byte-identically"
+    );
 }
