@@ -19,6 +19,13 @@ fn make_src(len: usize) -> Vec<u8> {
     drc_core::experiments::harness::pattern_payload(len).to_vec()
 }
 
+/// All `k + m` coded shards of `data` (bench set-up, not a measured path).
+fn coded_shards(rs: &ReedSolomon, data: &[Vec<u8>], shard: usize) -> Vec<Vec<u8>> {
+    let mut parity = vec![vec![0u8; shard]; rs.parity_shards()];
+    rs.encode_into(data, &mut parity).expect("encodes");
+    data.iter().cloned().chain(parity).collect()
+}
+
 fn bench_slice_ops(c: &mut Criterion) {
     for kern in kernel::all() {
         let mut group = c.benchmark_group(format!("gf_slice_ops/{}", kern.name()));
@@ -51,7 +58,7 @@ fn bench_reconstruct_per_kernel(c: &mut Criterion) {
     let data: Vec<Vec<u8>> = (0..10u8)
         .map(|i| make_src(shard).iter().map(|b| b.wrapping_add(i)).collect())
         .collect();
-    let coded = rs.encode(&data).expect("encodes");
+    let coded = coded_shards(&rs, &data, shard);
     let present: Vec<Option<&[u8]>> = coded
         .iter()
         .enumerate()
@@ -106,11 +113,6 @@ fn bench_reed_solomon(c: &mut Criterion) {
         let data: Vec<Vec<u8>> = (0..k).map(|i| vec![i as u8; shard]).collect();
         group.throughput(Throughput::Bytes((k * shard) as u64));
         group.bench_with_input(
-            BenchmarkId::new("encode", format!("rs({k},{m})")),
-            &data,
-            |b, data| b.iter(|| rs.encode(data).expect("encodes")),
-        );
-        group.bench_with_input(
             BenchmarkId::new("encode_into", format!("rs({k},{m})")),
             &data,
             |b, data| {
@@ -118,17 +120,12 @@ fn bench_reed_solomon(c: &mut Criterion) {
                 b.iter(|| rs.encode_into(data, &mut parity).expect("encodes"))
             },
         );
-        let coded = rs.encode(&data).expect("encodes");
+        let coded = coded_shards(&rs, &data, shard);
         let present: Vec<Option<&[u8]>> = coded
             .iter()
             .enumerate()
             .map(|(i, s)| (i >= m).then_some(s.as_slice()))
             .collect();
-        group.bench_with_input(
-            BenchmarkId::new("reconstruct_worst_case", format!("rs({k},{m})")),
-            &present,
-            |b, present| b.iter(|| rs.reconstruct(present, shard).expect("reconstructs")),
-        );
         group.bench_with_input(
             BenchmarkId::new("reconstruct_into_worst_case", format!("rs({k},{m})")),
             &present,
@@ -214,11 +211,10 @@ fn repro() {
         serde_json::Value::UInt(64 * 1024),
     )];
     for (key, id) in [
-        ("encode_bps", "gf_reed_solomon/encode/rs(10,4)"),
         ("encode_into_bps", "gf_reed_solomon/encode_into/rs(10,4)"),
         (
-            "reconstruct_bps",
-            "gf_reed_solomon/reconstruct_worst_case/rs(10,4)",
+            "reconstruct_into_bps",
+            "gf_reed_solomon/reconstruct_into_worst_case/rs(10,4)",
         ),
     ] {
         let m = criterion

@@ -113,7 +113,9 @@ fn bench_stripe_encode(c: &mut Criterion) {
 fn bench_reconstruct(c: &mut Criterion) {
     let rs = drc_gf::ReedSolomon::new(10, 4).expect("valid parameters");
     let data: Vec<Vec<u8>> = (0..10).map(|i| make_block(BLOCK, i)).collect();
-    let coded = rs.encode(&data).expect("encodes");
+    let mut parity = vec![vec![0u8; BLOCK]; 4];
+    rs.encode_into(&data, &mut parity).expect("encodes");
+    let coded: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
     // Worst case: the first 4 (data) shards are lost.
     let present: Vec<Option<&[u8]>> = coded
         .iter()

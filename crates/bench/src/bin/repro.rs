@@ -12,11 +12,11 @@
 //! paper-style tables are printed to stdout. `--json` additionally dumps the
 //! raw results as JSON (the data behind `EXPERIMENTS.md`).
 //!
-//! `DRC_REPRO_JOBS` sets the cell-harness fan-out width: each experiment
-//! decomposes into independent cells that run concurrently on the worker
-//! pool (default width = pool width; `DRC_REPRO_JOBS=1` runs them serially).
-//! Results merge in fixed cell order after the join, so the output —
-//! including `--json` dumps — is byte-identical at every width.
+//! Each experiment decomposes into independent cells that run concurrently
+//! on the worker pool, as many at a time as the pool is wide
+//! (`DRC_SIM_THREADS=1` runs them serially). Results merge in fixed cell
+//! order after the join, so the output — including `--json` dumps — is
+//! byte-identical at every width.
 //!
 //! `shuffle_contention` is the end-to-end contention experiment: it runs the
 //! same MapReduce job with and without a concurrent RaidNode repair pass on
@@ -60,20 +60,15 @@ fn parse_args() -> Result<Options, String> {
                 experiment = args.next().ok_or("--experiment needs a value")?;
             }
             "--effort" => {
-                effort = parse_effort(args.next().as_deref())?;
+                let value = args.next().ok_or("--effort needs a value")?;
+                effort = parse_effort(Some(&value))?;
             }
             "--json" => {
                 json_path = Some(args.next().ok_or("--json needs a path")?);
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--experiment <{}|all>] [--effort quick|full] [--json <path>]\n\
-                     \n\
-                     environment:\n\
-                     \x20 DRC_REPRO_JOBS  cell-harness fan-out width: how many experiment\n\
-                     \x20                 cells run concurrently on the worker pool\n\
-                     \x20                 (default: pool width; =1 runs cells serially;\n\
-                     \x20                 output is byte-identical at every width)",
+                    "usage: repro [--experiment <{}|all>] [--effort quick|full] [--json <path>]",
                     EXPERIMENTS.join("|")
                 );
                 std::process::exit(0);

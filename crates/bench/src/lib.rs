@@ -77,7 +77,7 @@ pub const REPAIR_PIPELINE_QUICK: (usize, usize, &[u64]) =
 /// in presentation order, each result serialised to JSON.
 ///
 /// One definition serves three consumers: the width-differential test (the
-/// emitted JSON must be identical at every `DRC_REPRO_JOBS` width), the
+/// emitted JSON must be identical at every harness width), the
 /// `sim_throughput` bench's `repro_wall_s` / `repro_cell_speedup` headlines
 /// (which time this function at 1 and N harness jobs), and — structurally —
 /// the `repro` binary itself, whose quick arms must stay in sync with the

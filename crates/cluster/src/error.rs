@@ -29,23 +29,6 @@ pub enum ClusterError {
         /// Explanation of the problem.
         reason: String,
     },
-    /// A block index's internal tables disagree with each other — a bug in
-    /// the index (or a caller mutating through it concurrently), never a
-    /// caller mistake. Surfaced as a typed error instead of a panic so a
-    /// corrupt metadata plane fails a run loudly rather than aborting it.
-    CorruptIndex {
-        /// Which internal invariant was violated.
-        reason: String,
-    },
-}
-
-impl ClusterError {
-    /// A [`ClusterError::CorruptIndex`] with the given reason.
-    pub(crate) fn corrupt(reason: impl Into<String>) -> ClusterError {
-        ClusterError::CorruptIndex {
-            reason: reason.into(),
-        }
-    }
 }
 
 impl fmt::Display for ClusterError {
@@ -60,9 +43,6 @@ impl fmt::Display for ClusterError {
                 write!(f, "unknown block (stripe {stripe}, block {block})")
             }
             ClusterError::InvalidPlacement { reason } => write!(f, "invalid placement: {reason}"),
-            ClusterError::CorruptIndex { reason } => {
-                write!(f, "corrupt block index: {reason}")
-            }
         }
     }
 }
@@ -88,7 +68,6 @@ mod tests {
             ClusterError::InvalidPlacement {
                 reason: "zero stripes".into(),
             },
-            ClusterError::corrupt("postings disagree with the arena"),
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -245,31 +245,6 @@ impl FailureTrace {
         }
         FailureTrace::from_events(events)
     }
-
-    /// A correlated rack burst: every node of `rack` fails at `at_s`
-    /// seconds, and (when `recover_after_s` is `Some`) the whole rack is
-    /// re-provisioned that many seconds later — the unavailability interval
-    /// is `[at_s, at_s + recover_after_s)` per the half-open convention.
-    pub fn rack_burst(
-        rack: RackId,
-        at_s: f64,
-        recover_after_s: Option<f64>,
-        cluster: &Cluster,
-    ) -> Self {
-        let mut events = vec![FailureEvent::at_secs(
-            at_s,
-            FailureEventKind::RackDown { rack },
-        )];
-        if let Some(after) = recover_after_s {
-            for node in cluster.nodes_in_rack(rack) {
-                events.push(FailureEvent::at_secs(
-                    at_s + after,
-                    FailureEventKind::NodeUp { node },
-                ));
-            }
-        }
-        FailureTrace::from_events(events)
-    }
 }
 
 #[cfg(test)]
@@ -361,24 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn rack_burst_fails_the_rack_and_recovers_it() {
+    fn a_rack_down_event_takes_down_every_node_of_the_rack() {
         let cluster = Cluster::new(ClusterSpec::simulation_25(4));
         let rack = RackId(1);
-        let members = cluster.nodes_in_rack(rack);
-        let trace = FailureTrace::rack_burst(rack, 2.0, Some(3.0), &cluster);
-        assert_eq!(trace.len(), 1 + members.len());
-        assert_eq!(trace.events()[0].at_ns, 2_000_000_000);
-        assert!(matches!(
-            trace.events()[0].kind,
-            FailureEventKind::RackDown { rack: r } if r == rack
-        ));
-        // Half-open outage: recoveries land exactly at at + after.
-        for ev in &trace.events()[1..] {
-            assert_eq!(ev.at_ns, 5_000_000_000);
-            assert!(matches!(ev.kind, FailureEventKind::NodeUp { .. }));
-        }
-        assert_eq!(trace.nodes_taken_down(&cluster), members);
-        // Without recovery only the burst itself is on the trace.
-        assert_eq!(FailureTrace::rack_burst(rack, 2.0, None, &cluster).len(), 1);
+        let trace = FailureTrace::from_events(vec![FailureEvent::at_secs(
+            2.0,
+            FailureEventKind::RackDown { rack },
+        )]);
+        assert_eq!(
+            trace.nodes_taken_down(&cluster),
+            cluster.nodes_in_rack(rack)
+        );
     }
 }

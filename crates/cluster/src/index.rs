@@ -8,8 +8,8 @@
 //! arity-`n` run of `u32` node ids in one flat arena, and every per-block
 //! answer is derived from that run through the code's (stripe-invariant)
 //! block↔local tables ([`CodeShape`]). The reverse view is a per-node
-//! postings list of `u32` arena offsets, updated incrementally on repair
-//! writes.
+//! postings list of `u32` arena offsets, built once when the stripes are
+//! placed.
 //!
 //! This module holds the id and answer types ([`GlobalBlockId`],
 //! [`NodeList`]), the code shape, the arena and the argument checks;
@@ -66,16 +66,6 @@ impl GlobalBlockId {
     /// Distinct-block index within the stripe.
     pub const fn block(self) -> usize {
         (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    /// The raw packed representation.
-    pub const fn packed(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an id from its packed representation.
-    pub const fn from_packed(packed: u64) -> Self {
-        GlobalBlockId(packed)
     }
 }
 
@@ -364,15 +354,6 @@ impl StripeArena {
         &self.hosts[stripe * arity..(stripe + 1) * arity]
     }
 
-    pub(crate) fn set_host(&mut self, stripe: usize, local: usize, node: NodeId) {
-        self.hosts[stripe * self.arity as usize + local] = node.0 as u32;
-    }
-
-    /// The offset of an in-range `(stripe, local)` cell.
-    pub(crate) fn offset(&self, stripe: usize, local: usize) -> u32 {
-        (stripe * self.arity as usize + local) as u32
-    }
-
     /// The `(stripe, local)` cell an offset names.
     #[inline]
     pub(crate) fn cell(&self, offset: u32) -> (usize, usize) {
@@ -448,40 +429,10 @@ pub(crate) fn check_stripe(stripes: usize, stripe: usize) -> Result<(), ClusterE
     Ok(())
 }
 
-pub(crate) fn check_local(shape: &CodeShape, local: usize) -> Result<(), ClusterError> {
-    if local >= shape.arity() {
-        return Err(ClusterError::InvalidPlacement {
-            reason: format!(
-                "local index {local} out of range for arity {}",
-                shape.arity()
-            ),
-        });
-    }
-    Ok(())
-}
-
 #[inline]
 pub(crate) fn check_node(universe: usize, node: NodeId) -> Result<(), ClusterError> {
     if node.0 >= universe {
         return Err(ClusterError::UnknownNode { node: node.0 });
-    }
-    Ok(())
-}
-
-pub(crate) fn check_remap_target(
-    arena: &StripeArena,
-    stripe: usize,
-    local: usize,
-    to: NodeId,
-) -> Result<(), ClusterError> {
-    let row = arena.row(stripe);
-    if let Some(other) = (0..row.len()).find(|&l| l != local && row[l] as usize == to.0) {
-        return Err(ClusterError::InvalidPlacement {
-            reason: format!(
-                "node {} already hosts local {other} of stripe {stripe}",
-                to.0
-            ),
-        });
     }
     Ok(())
 }
@@ -495,8 +446,6 @@ mod tests {
         let a = GlobalBlockId::new(1, 2);
         assert_eq!(a.stripe(), 1);
         assert_eq!(a.block(), 2);
-        assert_eq!(a.packed(), (1u64 << 32) | 2);
-        assert_eq!(GlobalBlockId::from_packed(a.packed()), a);
         // Packed Ord == (stripe, block) lexicographic order.
         let ids = [
             GlobalBlockId::new(0, 0),

@@ -11,7 +11,7 @@
 //!   preserving the array-code property that all blocks of one stripe-local
 //!   node land on the same cluster node (Fig. 2) — and stored as exactly
 //!   those decisions: one flat arena of `u32` node ids plus per-node
-//!   postings (see [`index`]), a few bytes per block, which is what allows
+//!   postings (see `INTERNALS.md`), a few bytes per block, which is what allows
 //!   1000-node / 10M-block experiments,
 //! * [`FailureTrace`] — timed failure injection: a sorted sequence of
 //!   [`FailureEvent`]s (node down/up, rack bursts, slowdowns) the
@@ -48,7 +48,7 @@
 
 mod error;
 mod failure;
-pub mod index;
+mod index;
 mod placement;
 mod spec;
 mod topology;

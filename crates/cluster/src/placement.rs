@@ -12,9 +12,9 @@
 //! That same property is the storage layout: a [`PlacementMap`] keeps only
 //! the `stripes × arity` host decisions, as one flat arena of `u32` node ids
 //! plus per-node postings of arena offsets for the reverse direction, and
-//! derives every per-block answer through the code's [`CodeShape`] (see
-//! [`crate::index`]). A few bytes per block, which is what lets the
-//! `metadata_scale` experiment place 10M blocks.
+//! derives every per-block answer through the code's [`CodeShape`]. A few
+//! bytes per block, which is what lets the `metadata_scale` experiment place
+//! 10M blocks.
 
 use std::mem::size_of;
 
@@ -25,8 +25,7 @@ use serde::{Deserialize, Serialize};
 use drc_codes::ErasureCode;
 
 use crate::index::{
-    check_arena_bounds, check_block, check_local, check_node, check_remap_target, check_stripe,
-    CodeShape, NodeList, StripeArena,
+    check_arena_bounds, check_block, check_node, check_stripe, CodeShape, NodeList, StripeArena,
 };
 use crate::topology::{Cluster, NodeId};
 use crate::ClusterError;
@@ -49,6 +48,11 @@ pub enum PlacementPolicy {
 }
 
 /// A full placement of `stripes` stripes of a code onto a cluster.
+///
+/// Immutable after [`PlacementMap::place`]: no method takes `&mut self`, so
+/// the postings always agree with the arena they were derived from. (HDFS
+/// repairs onto the like-numbered replacement node, which leaves every host
+/// decision as placed.)
 ///
 /// # Example
 ///
@@ -347,53 +351,6 @@ impl PlacementMap {
         Ok(count)
     }
 
-    /// Re-homes stripe `stripe`'s local node `local` onto cluster node `to`
-    /// (what a repair does after reconstructing a lost node's blocks
-    /// elsewhere), updating both lookup directions. Returns the previous
-    /// host.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownBlock`] for an out-of-range stripe,
-    /// [`ClusterError::UnknownNode`] if `to` is outside the node universe,
-    /// and [`ClusterError::InvalidPlacement`] for an out-of-range local
-    /// index or if `to` already hosts a different local node of the same
-    /// stripe (stripes must span distinct cluster nodes).
-    pub fn remap_stripe_host(
-        &mut self,
-        stripe: usize,
-        local: usize,
-        to: NodeId,
-    ) -> Result<NodeId, ClusterError> {
-        check_stripe(self.stripe_count(), stripe)?;
-        check_local(&self.shape, local)?;
-        check_node(self.node_universe, to)?;
-        let from = self.arena.host(stripe, local);
-        if from == to {
-            return Ok(from);
-        }
-        check_remap_target(&self.arena, stripe, local, to)?;
-        self.arena.set_host(stripe, local, to);
-        let offset = self.arena.offset(stripe, local);
-        let old_list = &mut self.postings[from.0];
-        let pos = old_list.binary_search(&offset).map_err(|_| {
-            ClusterError::corrupt(format!(
-                "previous host {} does not list arena offset {offset}",
-                from.0
-            ))
-        })?;
-        old_list.remove(pos);
-        let new_list = &mut self.postings[to.0];
-        let pos = new_list.binary_search(&offset).err().ok_or_else(|| {
-            ClusterError::corrupt(format!(
-                "target host {} already lists arena offset {offset}",
-                to.0
-            ))
-        })?;
-        new_list.insert(pos, offset);
-        Ok(from)
-    }
-
     /// Iterates over every data block together with its replica locations,
     /// in ascending `(stripe, block)` order.
     pub fn iter_data_blocks(&self) -> impl Iterator<Item = (GlobalBlockId, NodeList)> + '_ {
@@ -690,53 +647,6 @@ mod tests {
             .map(|n| placement.node_block_count(n).unwrap())
             .sum();
         assert_eq!(stored, 12 * 2);
-    }
-
-    #[test]
-    fn remap_updates_both_directions() {
-        let code = CodeKind::Pentagon.build().unwrap();
-        let cluster = Cluster::new(ClusterSpec::simulation_25(4));
-        let mut placement = PlacementMap::place(
-            code.as_ref(),
-            &cluster,
-            3,
-            PlacementPolicy::RoundRobin,
-            &mut rng(7),
-        )
-        .unwrap();
-        let hosts = placement.stripe_hosts(1).unwrap();
-        let old = hosts[2];
-        let target = cluster
-            .nodes()
-            .find(|n| !hosts.contains(n))
-            .expect("a node outside the stripe exists");
-        // Remapping onto a node already in the stripe is rejected.
-        assert!(matches!(
-            placement.remap_stripe_host(1, 2, hosts[0]),
-            Err(ClusterError::InvalidPlacement { .. })
-        ));
-        assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(old));
-        // Idempotent: remapping onto the current host is a no-op.
-        assert_eq!(placement.remap_stripe_host(1, 2, target), Ok(target));
-        assert_eq!(placement.stripe_hosts(1).unwrap()[2], target);
-        // Every block of local 2 moved; the old host no longer lists them.
-        for &block in code.node_blocks(2) {
-            let id = GlobalBlockId::new(1, block);
-            let locs = placement.locations(id).unwrap();
-            assert!(locs.contains(&target), "{id:?} not on target");
-            assert!(!locs.contains(&old), "{id:?} still on old host");
-        }
-        let on_old = placement.blocks_on_node(old).unwrap();
-        assert!(on_old
-            .iter()
-            .all(|b| b.stripe() != 1 || !code.node_blocks(2).contains(&b.block())));
-        // The reverse scan stays sorted.
-        let on_target = placement.blocks_on_node(target).unwrap();
-        assert!(on_target.windows(2).all(|w| w[0] < w[1]));
-        // Out-of-range arguments fail loudly.
-        assert!(placement.remap_stripe_host(99, 0, target).is_err());
-        assert!(placement.remap_stripe_host(0, 99, target).is_err());
-        assert!(placement.remap_stripe_host(0, 0, NodeId(999)).is_err());
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl ClusterSpec {
         ((load_percent / 100.0) * self.total_map_slots() as f64).round() as usize
     }
 
-    /// The load percentage corresponding to a task count.
-    pub fn load_for_tasks(&self, tasks: usize) -> f64 {
-        tasks as f64 / self.total_map_slots() as f64 * 100.0
-    }
-
     /// Block size in bytes.
     pub fn block_size_bytes(&self) -> u64 {
         self.block_size_mb * 1024 * 1024
@@ -197,7 +192,6 @@ mod tests {
         // slots per node, is operating under a load of 62.5%."
         let s = ClusterSpec::custom(100, 1, 4);
         assert_eq!(s.total_map_slots(), 400);
-        assert!((s.load_for_tasks(250) - 62.5).abs() < 1e-12);
         assert_eq!(s.tasks_for_load(62.5), 250);
     }
 

@@ -137,11 +137,6 @@ impl Cluster {
     pub fn up_nodes(&self) -> Vec<NodeId> {
         self.nodes().filter(|n| self.is_up(*n)).collect()
     }
-
-    /// Total map slots currently available (up nodes only).
-    pub fn available_map_slots(&self) -> usize {
-        self.up_nodes().len() * self.spec.map_slots_per_node
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +163,11 @@ mod tests {
     fn liveness_tracking() {
         let mut c = Cluster::new(ClusterSpec::setup2());
         assert!(c.is_up(NodeId(5)));
-        assert_eq!(c.available_map_slots(), 36);
         c.set_down(NodeId(5));
         c.set_down(NodeId(7));
         assert!(!c.is_up(NodeId(5)));
         assert_eq!(c.up_nodes().len(), 7);
         assert_eq!(c.down_nodes().len(), 2);
-        assert_eq!(c.available_map_slots(), 28);
         c.set_up(NodeId(5));
         assert!(c.is_up(NodeId(5)));
         // Unknown nodes are never "up" and setting them down is a no-op.

@@ -2,9 +2,9 @@
 //! arena — one map entry per block in each direction — kept as a dev-only
 //! oracle: the behavioural reference `index_differential.rs` holds the
 //! library's one index to, and the memory baseline `index_memory.rs`
-//! measures. Built from a placed `PlacementMap`'s `stripe_hosts` rows and
-//! mutated in lock-step by the same `remap_stripe_host` calls; every query
-//! returns what the library must return, error values and messages included.
+//! measures. Built from a placed `PlacementMap`'s `stripe_hosts` rows; every
+//! query returns what the library must return, error values and messages
+//! included.
 //! A disagreement between its own tables is a bug in the oracle and panics.
 //! Nothing here ships; do not optimise it.
 
@@ -128,54 +128,6 @@ impl MapOracle {
 
     pub fn node_block_count(&self, node: NodeId) -> Result<usize, ClusterError> {
         Ok(self.blocks_on_node(node)?.len())
-    }
-
-    pub fn remap_stripe_host(
-        &mut self,
-        stripe: usize,
-        local: usize,
-        to: NodeId,
-    ) -> Result<NodeId, ClusterError> {
-        self.check_stripe(stripe)?;
-        let arity = self.shape.arity();
-        if local >= arity {
-            return Err(ClusterError::InvalidPlacement {
-                reason: format!("local index {local} out of range for arity {arity}"),
-            });
-        }
-        self.check_node(to)?;
-        let cell = stripe * arity + local;
-        let from = NodeId(self.hosts[cell] as usize);
-        if from == to {
-            return Ok(from);
-        }
-        let row = self.row(stripe);
-        if let Some(other) = (0..arity).find(|&l| l != local && row[l] as usize == to.0) {
-            return Err(ClusterError::InvalidPlacement {
-                reason: format!(
-                    "node {} already hosts local {other} of stripe {stripe}",
-                    to.0
-                ),
-            });
-        }
-        self.hosts[cell] = to.0 as u32;
-        for &block in self.shape.blocks_of_local(local) {
-            let id = GlobalBlockId::new(stripe, block as usize);
-            let locals = self.shape.locals_of_block(block as usize);
-            let slot = locals.iter().position(|&l| l as usize == local);
-            let replicas = self.locations.get_mut(&id).expect("in-range block");
-            replicas[slot.expect("local lists its own block")] = to;
-            let old_list = self.per_node.get_mut(&from).expect("host has postings");
-            let pos = old_list.binary_search(&id).expect("host lists its block");
-            old_list.remove(pos);
-            let new_list = self.per_node.entry(to).or_default();
-            let pos = new_list.binary_search(&id).expect_err("target is new");
-            new_list.insert(pos, id);
-        }
-        if self.per_node.get(&from).is_some_and(Vec::is_empty) {
-            self.per_node.remove(&from);
-        }
-        Ok(from)
     }
 
     /// Buffer capacities and map entries only — `BTreeMap` node overhead is

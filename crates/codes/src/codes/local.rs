@@ -158,11 +158,6 @@ impl PolygonLocalCode {
         PolygonLocalCode::new(7, 2).expect("heptagon-local parameters are valid")
     }
 
-    /// The underlying local (polygon) code.
-    pub fn local_code(&self) -> &PolygonCode {
-        &self.local
-    }
-
     /// Number of global parity blocks.
     pub fn global_parities(&self) -> usize {
         self.num_globals

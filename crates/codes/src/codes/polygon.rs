@@ -127,15 +127,6 @@ impl PolygonCode {
         self.n
     }
 
-    /// The edge `(u, v)` (with `u < v`) hosting distinct block `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn edge_of(&self, block: usize) -> (usize, usize) {
-        self.edges[block]
-    }
-
     /// The distinct-block index of the XOR parity block.
     pub fn parity_block(&self) -> usize {
         self.edges.len() - 1
@@ -539,14 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_mapping_consistent_with_layout() {
+    fn parity_sits_on_the_last_edge() {
         let h = PolygonCode::heptagon();
-        for block in 0..h.distinct_blocks() {
-            let (u, v) = h.edge_of(block);
-            assert_eq!(h.block_locations(block), &[u, v]);
-        }
         assert_eq!(h.parity_block(), 20);
-        assert_eq!(h.edge_of(h.parity_block()), (5, 6));
+        assert_eq!(h.block_locations(h.parity_block()), &[5, 6]);
         assert_eq!(h.vertices(), 7);
     }
 

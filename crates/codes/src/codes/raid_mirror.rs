@@ -80,11 +80,6 @@ impl RaidMirrorCode {
         RaidMirrorCode::new(12).expect("(12,11) RAID+m parameters are valid")
     }
 
-    /// Number of distinct coded blocks (data + the single parity).
-    pub fn total_coded_blocks(&self) -> usize {
-        self.total
-    }
-
     /// Number of distinct blocks whose *both* mirrors live on failed nodes.
     fn fully_lost_count(&self, failed_nodes: &BTreeSet<usize>) -> usize {
         (0..self.total)
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(c.name(), "(10,9) RAID+m");
         assert_eq!(c.data_blocks(), 9);
         assert_eq!(c.distinct_blocks(), 10);
-        assert_eq!(c.total_coded_blocks(), 10);
         assert_eq!(c.stored_blocks(), 20);
         assert_eq!(c.node_count(), 20);
         assert!((c.storage_overhead() - 2.2222).abs() < 1e-3);

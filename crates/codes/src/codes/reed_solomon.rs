@@ -56,11 +56,6 @@ impl RsCode {
         structure.validate()?;
         Ok(RsCode { codec, structure })
     }
-
-    /// Access to the underlying Reed–Solomon codec.
-    pub fn codec(&self) -> &ReedSolomon {
-        &self.codec
-    }
 }
 
 impl ErasureCode for RsCode {
@@ -110,7 +105,7 @@ mod tests {
         assert_eq!(rs.distinct_blocks(), 14);
         assert_eq!(rs.stored_blocks(), 14);
         assert_eq!(rs.node_count(), 14);
-        assert_eq!(rs.codec().parity_shards(), 4);
+        assert_eq!(rs.fault_tolerance(), 4);
         for b in 0..14 {
             assert_eq!(rs.block_locations(b), &[b]);
         }

@@ -123,15 +123,6 @@ impl NodeLayout {
         &self.locations[block]
     }
 
-    /// Number of replicas of `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn replication_of(&self, block: usize) -> usize {
-        self.locations[block].len()
-    }
-
     /// Iterates over `(node, blocks)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
         self.per_node
@@ -372,7 +363,6 @@ mod tests {
         assert_eq!(l.stored_blocks(), 6);
         assert_eq!(l.node_blocks(1), &[1, 2]);
         assert_eq!(l.block_locations(0), &[0, 2]);
-        assert_eq!(l.replication_of(2), 2);
         assert_eq!(l.max_blocks_per_node(), 2);
         let failed: BTreeSet<usize> = [0].into_iter().collect();
         assert_eq!(l.surviving_blocks(&failed), [0, 1, 2].into_iter().collect());

@@ -8,8 +8,6 @@
 //! simulated HDFS layer executes these plans against real block payloads, and
 //! the reliability model uses their bandwidth to derive repair times.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use drc_gf::{slice, Gf256};
@@ -75,15 +73,6 @@ impl RepairPlan {
             .iter()
             .filter(|t| matches!(t.payload, TransferPayload::PartialParity { .. }))
             .count()
-    }
-
-    /// The set of surviving nodes that participate as senders.
-    pub fn helper_nodes(&self) -> BTreeSet<usize> {
-        self.transfers
-            .iter()
-            .filter(|t| !self.failed_nodes.contains(&t.from_node))
-            .map(|t| t.from_node)
-            .collect()
     }
 }
 
@@ -217,14 +206,13 @@ mod tests {
         };
         assert_eq!(plan.network_blocks(), 3);
         assert_eq!(plan.partial_parity_transfers(), 1);
-        assert_eq!(plan.helper_nodes(), [2, 3].into_iter().collect());
     }
 
     #[test]
     fn default_plan_is_empty() {
         let plan = RepairPlan::default();
         assert_eq!(plan.network_blocks(), 0);
-        assert!(plan.helper_nodes().is_empty());
+        assert_eq!(plan.partial_parity_transfers(), 0);
     }
 
     #[test]

@@ -26,15 +26,14 @@
 //!
 //! # Width
 //!
-//! The fan-out width is resolved per [`run_cells`] call:
+//! The fan-out width is resolved per [`run_cells`] call: a thread-local
+//! [`with_jobs`] override (used by differential tests and the benchmark),
+//! else the worker-pool width (`rayon::current_num_threads()`, which
+//! `DRC_SIM_THREADS` sets). The harness has no environment variable of its
+//! own.
 //!
-//! 1. a thread-local [`with_jobs`] override (used by differential tests),
-//! 2. the `DRC_REPRO_JOBS` environment variable,
-//! 3. the worker-pool width (`rayon::current_num_threads()`).
-//!
-//! `DRC_REPRO_JOBS=1` (or `with_jobs(1, …)`) is the fully serial path: the
-//! cells run inline on the caller, in order. Invalid values of the
-//! environment variable are diagnosed once on stderr and ignored.
+//! Width 1 — `with_jobs(1, …)` or `DRC_SIM_THREADS=1` — is the fully serial
+//! path: the cells run inline on the caller, in order.
 //!
 //! # Payload bytes
 //!
@@ -51,7 +50,6 @@
 //! for the length of one experiment, never process-wide state.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
@@ -120,9 +118,6 @@ pub fn stripe_files(
         .collect()
 }
 
-/// Environment variable naming the harness fan-out width.
-pub const REPRO_JOBS_ENV: &str = "DRC_REPRO_JOBS";
-
 thread_local! {
     /// 0 = no override in force.
     static JOBS_OVERRIDE: Cell<usize> = const { Cell::new(0) };
@@ -154,28 +149,11 @@ pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The harness width [`run_cells`] will use on this thread: the
-/// [`with_jobs`] override, else `DRC_REPRO_JOBS`, else the pool width.
+/// [`with_jobs`] override, else the pool width.
 pub fn current_jobs() -> usize {
-    let tls = JOBS_OVERRIDE.with(|c| c.get());
-    if tls != 0 {
-        return tls;
-    }
-    if let Ok(raw) = std::env::var(REPRO_JOBS_ENV) {
-        match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => warn_bad_jobs(&raw),
-        }
-    }
-    rayon::current_num_threads()
-}
-
-fn warn_bad_jobs(raw: &str) {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "warning: ignoring invalid {REPRO_JOBS_ENV}={raw:?}; \
-             expected a positive integer (1 = serial)"
-        );
+    match JOBS_OVERRIDE.with(|c| c.get()) {
+        0 => rayon::current_num_threads(),
+        n => n,
     }
 }
 
@@ -285,6 +263,7 @@ mod tests {
     #[test]
     fn with_jobs_overrides_and_restores() {
         let ambient = current_jobs();
+        assert_eq!(ambient, rayon::current_num_threads());
         with_jobs(3, || {
             assert_eq!(current_jobs(), 3);
             with_jobs(1, || assert_eq!(current_jobs(), 1));

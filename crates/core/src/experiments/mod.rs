@@ -22,8 +22,8 @@
 //! Every driver decomposes its sweep into independent, shared-nothing
 //! *cells* (one code × config point each) and fans them out through the
 //! [`harness`] module across the persistent worker pool — output stays
-//! byte-identical at every `DRC_REPRO_JOBS` width because results merge in
-//! fixed cell order after the join.
+//! byte-identical at every harness width because results merge in fixed
+//! cell order after the join.
 //!
 //! Eleven of the twelve tables are byte-reproducible from run to run as
 //! well. [`encoding`] is the one host-dependent table: its

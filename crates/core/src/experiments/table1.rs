@@ -48,19 +48,6 @@ pub fn paper_mttdl_years(code: CodeKind) -> Option<f64> {
     }
 }
 
-/// The storage overheads printed in the paper's Table 1.
-pub fn paper_storage_overhead(code: CodeKind) -> Option<f64> {
-    match code {
-        CodeKind::Replication { replicas: 3 } => Some(3.0),
-        CodeKind::Pentagon => Some(2.22),
-        CodeKind::Heptagon => Some(2.1),
-        CodeKind::HeptagonLocal => Some(2.15),
-        CodeKind::RaidMirror { total: 10 } => Some(2.22),
-        CodeKind::RaidMirror { total: 12 } => Some(2.18),
-        _ => None,
-    }
-}
-
 /// Computes Table 1 for the paper's six codes under the given reliability
 /// parameters.
 ///
@@ -124,6 +111,19 @@ impl std::fmt::Display for Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The storage overheads printed in the paper's Table 1.
+    fn paper_storage_overhead(code: CodeKind) -> Option<f64> {
+        match code {
+            CodeKind::Replication { replicas: 3 } => Some(3.0),
+            CodeKind::Pentagon => Some(2.22),
+            CodeKind::Heptagon => Some(2.1),
+            CodeKind::HeptagonLocal => Some(2.15),
+            CodeKind::RaidMirror { total: 10 } => Some(2.22),
+            CodeKind::RaidMirror { total: 12 } => Some(2.18),
+            _ => None,
+        }
+    }
 
     #[test]
     fn reproduces_table1_shape() {

@@ -27,11 +27,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -93,7 +88,6 @@ mod tests {
         let mut t = TextTable::new("Demo", &["code", "value"]);
         t.push_row(vec!["pentagon".to_string(), "2.22x".to_string()]);
         t.push_row(vec!["3-rep".to_string(), "3x".to_string()]);
-        assert_eq!(t.row_count(), 2);
         assert_eq!(t.title(), "Demo");
         let s = t.to_string();
         assert!(s.contains("pentagon"));

@@ -47,8 +47,6 @@ impl Gf256 {
     pub const ZERO: Gf256 = Gf256(0);
     /// The multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
-    /// The canonical generator (primitive element) of the multiplicative group.
-    pub const GENERATOR: Gf256 = Gf256(2);
 
     /// Creates a field element from its byte representation.
     ///
@@ -68,15 +66,6 @@ impl Gf256 {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Returns `g^power` for the canonical generator `g = 2`.
-    ///
-    /// The exponent is reduced modulo 255 (the group order), so any `u32`
-    /// exponent is accepted.
-    #[inline]
-    pub fn generator_pow(power: u32) -> Self {
-        Gf256(TABLES.exp[(power % GROUP_ORDER as u32) as usize])
     }
 
     /// Raises the element to the given power.
@@ -145,11 +134,6 @@ impl Gf256 {
     pub fn mul_bytes(a: u8, b: u8) -> u8 {
         let log_sum = TABLES.log[a as usize] as usize + TABLES.log[b as usize] as usize;
         TABLES.exp[log_sum]
-    }
-
-    /// Iterates over every element of the field, starting at zero.
-    pub fn all_elements() -> impl Iterator<Item = Gf256> {
-        (0u16..FIELD_SIZE as u16).map(|v| Gf256(v as u8))
     }
 }
 
@@ -308,7 +292,7 @@ mod tests {
             let e = Gf256::new(v as u8);
             let log = TABLES.log[v as usize] as usize;
             assert_eq!(TABLES.exp[log], v as u8, "exp(log({v})) != {v}");
-            assert_eq!(Gf256::generator_pow(log as u32), e);
+            assert_eq!(Gf256::new(2).pow(log as u32), e);
         }
     }
 
@@ -320,7 +304,7 @@ mod tests {
         for _ in 0..GROUP_ORDER {
             assert!(!seen[x.value() as usize], "generator order < 255");
             seen[x.value() as usize] = true;
-            x *= Gf256::GENERATOR;
+            x *= Gf256::new(2);
         }
         assert_eq!(x, Gf256::ONE, "generator^255 should be 1");
     }
@@ -457,14 +441,6 @@ mod tests {
         let b: u8 = x.into();
         assert_eq!(b, 7);
         assert_eq!(Gf256::default(), Gf256::ZERO);
-    }
-
-    #[test]
-    fn all_elements_covers_field() {
-        let v: Vec<Gf256> = Gf256::all_elements().collect();
-        assert_eq!(v.len(), 256);
-        assert_eq!(v[0], Gf256::ZERO);
-        assert_eq!(v[255], Gf256::new(255));
     }
 
     #[test]

@@ -9,38 +9,36 @@
 //! | name | lane width | technique | available |
 //! |---|---|---|---|
 //! | `gfni` | 64 B | `gf2p8affineqb` with per-coefficient 8×8 bit-matrices | x86-64 with GFNI + AVX-512F |
-//! | `vbmi` | 64 B | split-nibble `vpermb` table lookups | x86-64 with AVX-512VBMI |
 //! | `avx2` | 32 B | split-nibble `vpshufb` table lookups | x86-64 with AVX2 |
 //! | `ssse3` | 16 B | split-nibble `pshufb` table lookups | x86-64 with SSSE3 |
-//! | `neon` | 16 B | split-nibble `tbl` lookups | aarch64 (always) |
-//! | `wide` | 8 B xor / 1 B mul | `u64` XOR lanes + per-coefficient 256-byte product row | everywhere |
 //! | `reference` | 1 B | branch-free log/antilog scalar | everywhere |
 //!
-//! The dispatch tier order is `gfni > vbmi > avx2 > ssse3 > wide >
-//! reference` (`neon` slots between `ssse3` and `wide` on aarch64): the GFNI
+//! The dispatch tier order is `gfni > avx2 > ssse3 > reference`: the GFNI
 //! kernel computes a whole 64-byte product in **one** `gf2p8affineqb`
 //! instruction — constant-multiplication in GF(2^8) is GF(2)-linear, so it
 //! is an 8×8 bit-matrix applied per byte, which also side-steps
 //! `gf2p8mulb`'s hard-wired AES polynomial (0x11b, not our 0x11d) — while
-//! the VBMI kernel is the familiar split-nibble lookup widened to 64-byte
-//! lanes via `vpermb`.
+//! the other two SIMD tiers are the familiar split-nibble lookup. Every SIMD
+//! tier hands the bytes past its last whole lane to the `reference` scalar
+//! functions. The tiers measured and dropped are recorded in the crate's
+//! `INTERNALS.md`.
 //!
 //! [`active`] picks the widest kernel the CPU supports **once** (cached in an
 //! atomic) so steady-state dispatch is a single relaxed load plus an indirect
 //! call per bulk operation — amortised over whole blocks, not per byte. The
-//! `DRC_GF_KERNEL` environment variable
-//! (`gfni|vbmi|avx2|ssse3|neon|wide|reference`) pins the choice for
-//! benchmarks and differential tests; a name that no kernel runnable on this
-//! host carries falls back to auto-detection **with a one-time stderr
-//! warning** naming the valid set, so a typo cannot silently benchmark the
-//! wrong kernel. [`all`] lists every kernel the host can run, which the
-//! proptests use to verify byte-for-byte agreement and the benches use for
-//! per-variant throughput curves; [`with_forced`] pins the active kernel for
-//! a closure (bench/test hook).
+//! `DRC_GF_KERNEL` environment variable (`gfni|avx2|ssse3|reference`) pins
+//! the choice for benchmarks and differential tests. Like its sibling
+//! `DRC_SIM_THREADS` it is trimmed, an empty value counts as unset, and a
+//! value that names no kernel runnable on this host falls back to
+//! auto-detection **with a one-time stderr warning** naming the valid set,
+//! so a typo cannot silently benchmark the wrong kernel. [`all`] lists every
+//! kernel the host can run, which the proptests use to verify byte-for-byte
+//! agreement and the benches use for per-variant throughput curves;
+//! [`with_forced`] pins the active kernel for a closure (bench/test hook).
 //!
-//! The sibling knob `DRC_SIM_THREADS` controls the *worker-pool width* the
-//! bulk [`crate::slice`] operations split block-sized work across (default:
-//! all cores; `1` forces the serial, allocation-free path). The two are
+//! `DRC_SIM_THREADS` controls the *worker-pool width* the bulk
+//! [`crate::slice`] operations split block-sized work across (default: all
+//! cores; `1` forces the serial, allocation-free path). The two are
 //! orthogonal: every `(kernel, thread-count)` combination produces
 //! byte-identical results.
 //!
@@ -50,16 +48,15 @@
 //! unsafe block is one of exactly two shapes:
 //!
 //! 1. **ISA intrinsics behind verified CPU support.** The `target_feature`
-//!    functions (`*_gfni`, `*_vbmi`, `*_avx512`, `*_avx2`, `*_ssse3`) are
-//!    only ever reachable through a [`Kernel`] whose constructor site is
-//!    guarded by `is_x86_feature_detected!`; the NEON path compiles only on
-//!    aarch64 where NEON is part of the baseline ISA. Calling them is
-//!    therefore never UB by reason of unsupported instructions.
+//!    functions (`*_gfni`, `*_avx512`, `*_avx2`, `*_ssse3`) are only ever
+//!    reachable through a [`Kernel`] whose constructor site is guarded by
+//!    `is_x86_feature_detected!`. Calling them is therefore never UB by
+//!    reason of unsupported instructions.
 //! 2. **Unaligned loads/stores inside bounds.** All pointer arithmetic walks
 //!    `chunks_exact`-style over ranges `i * LANE .. (i + 1) * LANE` with
 //!    `i < len / LANE`, so every access is in-bounds, and the `loadu`/
-//!    `storeu` (or `vld1q`/`vst1q`) forms have no alignment requirement.
-//!    Residual tails are handled with safe scalar code.
+//!    `storeu` forms have no alignment requirement. Residual tails are
+//!    handled with safe scalar code.
 //!
 //! The wrappers additionally `assert_eq!` slice lengths *before* entering
 //! unsafe code, so the invariants above hold for any caller input.
@@ -82,8 +79,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// The kernel's name (`gfni`, `vbmi`, `avx2`, `ssse3`, `neon`, `wide`
-    /// or `reference`).
+    /// The kernel's name (`gfni`, `avx2`, `ssse3` or `reference`).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -155,63 +151,6 @@ static REFERENCE: Kernel = Kernel {
 };
 
 // ---------------------------------------------------------------------------
-// Wide portable kernel: u64 XOR lanes + per-coefficient product row.
-// ---------------------------------------------------------------------------
-
-fn xor_assign_wide(dst: &mut [u8], src: &[u8]) {
-    // drc-lint: allow(panic-hygiene): chunks_exact(8) hands out exactly
-    // 8-byte slices, so the slice-to-array conversion cannot fail.
-    let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
-    let mut d8 = dst.chunks_exact_mut(8);
-    let mut s8 = src.chunks_exact(8);
-    for (d, s) in d8.by_ref().zip(s8.by_ref()) {
-        let x = word(d) ^ word(s);
-        d.copy_from_slice(&x.to_ne_bytes());
-    }
-    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d ^= *s;
-    }
-}
-
-fn scale_assign_wide(dst: &mut [u8], coeff: u8) {
-    let row = &TABLES.mul[coeff as usize];
-    for d in dst.iter_mut() {
-        *d = row[*d as usize];
-    }
-}
-
-fn mul_acc_wide(dst: &mut [u8], src: &[u8], coeff: u8) {
-    let row = &TABLES.mul[coeff as usize];
-    let mut chunks_d = dst.chunks_exact_mut(8);
-    let mut chunks_s = src.chunks_exact(8);
-    for (d, s) in chunks_d.by_ref().zip(chunks_s.by_ref()) {
-        // Manually unrolled: one table load per byte, no log/antilog math.
-        d[0] ^= row[s[0] as usize];
-        d[1] ^= row[s[1] as usize];
-        d[2] ^= row[s[2] as usize];
-        d[3] ^= row[s[3] as usize];
-        d[4] ^= row[s[4] as usize];
-        d[5] ^= row[s[5] as usize];
-        d[6] ^= row[s[6] as usize];
-        d[7] ^= row[s[7] as usize];
-    }
-    for (d, s) in chunks_d
-        .into_remainder()
-        .iter_mut()
-        .zip(chunks_s.remainder())
-    {
-        *d ^= row[*s as usize];
-    }
-}
-
-static WIDE: Kernel = Kernel {
-    name: "wide",
-    xor_assign: xor_assign_wide,
-    scale_assign: scale_assign_wide,
-    mul_acc: mul_acc_wide,
-};
-
-// ---------------------------------------------------------------------------
 // x86-64 SIMD kernels: split-nibble pshufb.
 // ---------------------------------------------------------------------------
 
@@ -244,7 +183,7 @@ mod x86 {
                 let d = _mm_loadu_si128(d_ptr.add(i * 16) as *const __m128i);
                 _mm_storeu_si128(d_ptr.add(i * 16) as *mut __m128i, _mm_xor_si128(d, prod));
             }
-            mul_acc_wide(&mut dst[lanes * 16..], &src[lanes * 16..], coeff);
+            mul_acc_reference(&mut dst[lanes * 16..], &src[lanes * 16..], coeff);
         }
     }
 
@@ -270,7 +209,7 @@ mod x86 {
                     _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi));
                 _mm_storeu_si128(d_ptr.add(i * 16) as *mut __m128i, prod);
             }
-            scale_assign_wide(&mut dst[lanes * 16..], coeff);
+            scale_assign_reference(&mut dst[lanes * 16..], coeff);
         }
     }
 
@@ -287,7 +226,7 @@ mod x86 {
 
     pub(super) static SSSE3: Kernel = Kernel {
         name: "ssse3",
-        xor_assign: xor_assign_wide,
+        xor_assign: xor_assign_scalar,
         scale_assign: scale_assign_ssse3,
         mul_acc: mul_acc_ssse3,
     };
@@ -322,7 +261,7 @@ mod x86 {
                 let d = _mm256_loadu_si256(d_ptr.add(i * 32) as *const __m256i);
                 _mm256_storeu_si256(d_ptr.add(i * 32) as *mut __m256i, _mm256_xor_si256(d, prod));
             }
-            mul_acc_wide(&mut dst[lanes * 32..], &src[lanes * 32..], coeff);
+            mul_acc_reference(&mut dst[lanes * 32..], &src[lanes * 32..], coeff);
         }
     }
 
@@ -354,7 +293,7 @@ mod x86 {
                 );
                 _mm256_storeu_si256(d_ptr.add(i * 32) as *mut __m256i, prod);
             }
-            scale_assign_wide(&mut dst[lanes * 32..], coeff);
+            scale_assign_reference(&mut dst[lanes * 32..], coeff);
         }
     }
 
@@ -375,7 +314,7 @@ mod x86 {
                 let d = _mm256_loadu_si256(d_ptr.add(i * 32) as *const __m256i);
                 _mm256_storeu_si256(d_ptr.add(i * 32) as *mut __m256i, _mm256_xor_si256(d, s));
             }
-            xor_assign_wide(&mut dst[lanes * 32..], &src[lanes * 32..]);
+            xor_assign_scalar(&mut dst[lanes * 32..], &src[lanes * 32..]);
         }
     }
 
@@ -403,15 +342,12 @@ mod x86 {
     };
 
     // -----------------------------------------------------------------------
-    // AVX-512 tiers: 64-byte lanes.
+    // AVX-512 tier: 64-byte lanes.
     //
     // `gfni` applies the per-coefficient 8×8 bit-matrix from `TABLES.gfni`
     // with one `gf2p8affineqb` per lane (the matrix route is mandatory: the
     // dedicated `gf2p8mulb` multiplier is hard-wired to the AES polynomial
-    // 0x11b, not this field's 0x11d). `vbmi` is the split-nibble lookup
-    // widened to 64 bytes with `vpermb`; the nibble values are < 16, so the
-    // 16-entry tables broadcast into a zmm serve as 64-entry `vpermb` tables
-    // whose upper replicas are simply never distinguished.
+    // 0x11b, not this field's 0x11d).
     // -----------------------------------------------------------------------
 
     /// # Safety
@@ -431,7 +367,7 @@ mod x86 {
                 let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
                 _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, _mm512_xor_si512(d, s));
             }
-            xor_assign_wide(&mut dst[lanes * 64..], &src[lanes * 64..]);
+            xor_assign_scalar(&mut dst[lanes * 64..], &src[lanes * 64..]);
         }
     }
 
@@ -455,7 +391,7 @@ mod x86 {
                 let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
                 _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, _mm512_xor_si512(d, prod));
             }
-            mul_acc_wide(&mut dst[lanes * 64..], &src[lanes * 64..], coeff);
+            mul_acc_reference(&mut dst[lanes * 64..], &src[lanes * 64..], coeff);
         }
     }
 
@@ -476,7 +412,7 @@ mod x86 {
                 let prod = _mm512_gf2p8affine_epi64_epi8::<0>(d, mat);
                 _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, prod);
             }
-            scale_assign_wide(&mut dst[lanes * 64..], coeff);
+            scale_assign_reference(&mut dst[lanes * 64..], coeff);
         }
     }
 
@@ -493,8 +429,8 @@ mod x86 {
     }
 
     fn xor_assign_avx512(dst: &mut [u8], src: &[u8]) {
-        // SAFETY: both registration sites (gfni, vbmi) verify avx512f;
-        // lengths checked by the wrapper.
+        // SAFETY: the one registration site (gfni) verifies avx512f; lengths
+        // checked by the wrapper.
         unsafe { xor_assign_avx512_impl(dst, src) }
     }
 
@@ -504,170 +440,6 @@ mod x86 {
         scale_assign: scale_assign_gfni,
         mul_acc: mul_acc_gfni,
     };
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512VBMI + AVX-512F are available and
-    /// `dst.len() == src.len()`.
-    #[target_feature(enable = "avx512vbmi,avx512f")]
-    unsafe fn mul_acc_vbmi_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_lo[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_hi[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let mask = _mm512_set1_epi8(0x0f);
-            let lanes = dst.len() / 64;
-            let d_ptr = dst.as_mut_ptr();
-            let s_ptr = src.as_ptr();
-            for i in 0..lanes {
-                let s = _mm512_loadu_si512(s_ptr.add(i * 64) as *const _);
-                let lo = _mm512_and_si512(s, mask);
-                let hi = _mm512_and_si512(_mm512_srli_epi64::<4>(s), mask);
-                let prod = _mm512_xor_si512(
-                    _mm512_permutexvar_epi8(lo, lo_tbl),
-                    _mm512_permutexvar_epi8(hi, hi_tbl),
-                );
-                let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
-                _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, _mm512_xor_si512(d, prod));
-            }
-            mul_acc_wide(&mut dst[lanes * 64..], &src[lanes * 64..], coeff);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512VBMI + AVX-512F are available.
-    #[target_feature(enable = "avx512vbmi,avx512f")]
-    unsafe fn scale_assign_vbmi_impl(dst: &mut [u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_lo[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_hi[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let mask = _mm512_set1_epi8(0x0f);
-            let lanes = dst.len() / 64;
-            let d_ptr = dst.as_mut_ptr();
-            for i in 0..lanes {
-                let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
-                let lo = _mm512_and_si512(d, mask);
-                let hi = _mm512_and_si512(_mm512_srli_epi64::<4>(d), mask);
-                let prod = _mm512_xor_si512(
-                    _mm512_permutexvar_epi8(lo, lo_tbl),
-                    _mm512_permutexvar_epi8(hi, hi_tbl),
-                );
-                _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, prod);
-            }
-            scale_assign_wide(&mut dst[lanes * 64..], coeff);
-        }
-    }
-
-    fn mul_acc_vbmi(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: this kernel is only registered after
-        // `is_x86_feature_detected!("avx512vbmi")` + `("avx512f")`; lengths
-        // checked by the wrapper.
-        unsafe { mul_acc_vbmi_impl(dst, src, coeff) }
-    }
-
-    fn scale_assign_vbmi(dst: &mut [u8], coeff: u8) {
-        // SAFETY: as above.
-        unsafe { scale_assign_vbmi_impl(dst, coeff) }
-    }
-
-    pub(super) static VBMI: Kernel = Kernel {
-        name: "vbmi",
-        xor_assign: xor_assign_avx512,
-        scale_assign: scale_assign_vbmi,
-        mul_acc: mul_acc_vbmi,
-    };
-}
-
-// ---------------------------------------------------------------------------
-// aarch64 NEON kernel: split-nibble tbl.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    use super::*;
-    use std::arch::aarch64::*;
-
-    /// # Safety
-    ///
-    /// Caller must ensure `dst.len() == src.len()`. NEON is part of the
-    /// aarch64 baseline, so no feature detection is required.
-    unsafe fn mul_acc_neon_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = vld1q_u8(TABLES.nib_lo[coeff as usize].as_ptr());
-            let hi_tbl = vld1q_u8(TABLES.nib_hi[coeff as usize].as_ptr());
-            let mask = vdupq_n_u8(0x0f);
-            let lanes = dst.len() / 16;
-            let d_ptr = dst.as_mut_ptr();
-            let s_ptr = src.as_ptr();
-            for i in 0..lanes {
-                let s = vld1q_u8(s_ptr.add(i * 16));
-                let lo = vandq_u8(s, mask);
-                let hi = vshrq_n_u8(s, 4);
-                let prod = veorq_u8(vqtbl1q_u8(lo_tbl, lo), vqtbl1q_u8(hi_tbl, hi));
-                let d = vld1q_u8(d_ptr.add(i * 16));
-                vst1q_u8(d_ptr.add(i * 16), veorq_u8(d, prod));
-            }
-            mul_acc_wide(&mut dst[lanes * 16..], &src[lanes * 16..], coeff);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure `dst.len() == src.len()` (NEON is baseline).
-    unsafe fn scale_assign_neon_impl(dst: &mut [u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = vld1q_u8(TABLES.nib_lo[coeff as usize].as_ptr());
-            let hi_tbl = vld1q_u8(TABLES.nib_hi[coeff as usize].as_ptr());
-            let mask = vdupq_n_u8(0x0f);
-            let lanes = dst.len() / 16;
-            let d_ptr = dst.as_mut_ptr();
-            for i in 0..lanes {
-                let d = vld1q_u8(d_ptr.add(i * 16));
-                let lo = vandq_u8(d, mask);
-                let hi = vshrq_n_u8(d, 4);
-                let prod = veorq_u8(vqtbl1q_u8(lo_tbl, lo), vqtbl1q_u8(hi_tbl, hi));
-                vst1q_u8(d_ptr.add(i * 16), prod);
-            }
-            scale_assign_wide(&mut dst[lanes * 16..], coeff);
-        }
-    }
-
-    fn mul_acc_neon(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: NEON is baseline on aarch64; lengths checked by the wrapper.
-        unsafe { mul_acc_neon_impl(dst, src, coeff) }
-    }
-
-    fn scale_assign_neon(dst: &mut [u8], coeff: u8) {
-        // SAFETY: as above.
-        unsafe { scale_assign_neon_impl(dst, coeff) }
-    }
-
-    pub(super) static NEON: Kernel = Kernel {
-        name: "neon",
-        xor_assign: xor_assign_wide,
-        scale_assign: scale_assign_neon,
-        mul_acc: mul_acc_neon,
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -675,8 +447,7 @@ mod arm {
 // ---------------------------------------------------------------------------
 
 /// Every kernel the current host can execute, widest first
-/// (`gfni > vbmi > avx2 > ssse3 > wide > reference`; `neon` between `ssse3`
-/// and `wide` on aarch64).
+/// (`gfni > avx2 > ssse3 > reference`).
 pub fn all() -> Vec<&'static Kernel> {
     let mut kernels: Vec<&'static Kernel> = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -686,11 +457,6 @@ pub fn all() -> Vec<&'static Kernel> {
         {
             kernels.push(&x86::GFNI);
         }
-        if std::arch::is_x86_feature_detected!("avx512vbmi")
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            kernels.push(&x86::VBMI);
-        }
         if std::arch::is_x86_feature_detected!("avx2") {
             kernels.push(&x86::AVX2);
         }
@@ -698,11 +464,6 @@ pub fn all() -> Vec<&'static Kernel> {
             kernels.push(&x86::SSSE3);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        kernels.push(&arm::NEON);
-    }
-    kernels.push(&WIDE);
     kernels.push(&REFERENCE);
     kernels
 }
@@ -712,33 +473,37 @@ pub fn reference() -> &'static Kernel {
     &REFERENCE
 }
 
-/// Looks up a host-runnable kernel by `DRC_GF_KERNEL` name.
-fn find(name: &str) -> Option<&'static Kernel> {
-    all().into_iter().find(|k| k.name() == name)
-}
-
-/// The message emitted when `DRC_GF_KERNEL` names no kernel runnable on
-/// this host (factored out so tests can pin its contents).
-fn unknown_kernel_warning(requested: &str) -> String {
-    let valid: Vec<&'static str> = all().iter().map(|k| k.name()).collect();
-    format!(
-        "drc_gf: DRC_GF_KERNEL={requested:?} matches no kernel runnable on this host; \
+/// Resolves a raw `DRC_GF_KERNEL` value under the policy both env knobs
+/// share: the value is trimmed, an empty one counts as unset (`Ok(None)`),
+/// the name of a host-runnable kernel is `Ok(Some(_))`, and anything else is
+/// `Err` carrying the warning that names the valid set.
+fn parse_override(raw: &str) -> Result<Option<&'static Kernel>, String> {
+    let name = raw.trim();
+    if name.is_empty() {
+        return Ok(None);
+    }
+    let kernels = all();
+    if let Some(kern) = kernels.iter().copied().find(|k| k.name() == name) {
+        return Ok(Some(kern));
+    }
+    let valid: Vec<&'static str> = kernels.iter().map(|k| k.name()).collect();
+    Err(format!(
+        "drc_gf: DRC_GF_KERNEL={name:?} matches no kernel runnable on this host; \
          falling back to auto-detection ({}). Valid values here: {}.",
-        all()[0].name(),
+        valid[0],
         valid.join(", ")
-    )
+    ))
 }
 
 fn select() -> &'static Kernel {
-    if let Ok(name) = std::env::var("DRC_GF_KERNEL") {
-        match find(&name) {
-            Some(k) => return k,
-            None => {
-                // Warn exactly once: a typo'd benchmark run must not
-                // silently measure the auto-detected kernel.
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| eprintln!("{}", unknown_kernel_warning(&name)));
-            }
+    match parse_override(&std::env::var("DRC_GF_KERNEL").unwrap_or_default()) {
+        Ok(Some(kern)) => return kern,
+        Ok(None) => {}
+        Err(warning) => {
+            // Warn exactly once: a typo'd benchmark run must not silently
+            // measure the auto-detected kernel.
+            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+            WARN_ONCE.call_once(|| eprintln!("{warning}"));
         }
     }
     all()[0]
@@ -784,21 +549,18 @@ pub fn with_forced<R>(kern: &'static Kernel, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
 
+    /// The tiers this crate ships, widest first.
+    const TIERS: [&str; 4] = ["gfni", "avx2", "ssse3", "reference"];
+
     #[test]
-    fn dispatch_order_is_widest_first() {
+    fn all_is_an_ordered_subset_of_the_four_tiers_ending_in_reference() {
         let names: Vec<&str> = all().iter().map(|k| k.name()).collect();
-        // The portable tail is always present and always last.
-        assert_eq!(&names[names.len() - 2..], &["wide", "reference"]);
-        // Relative tier order of whatever SIMD tiers the host offers.
-        let tier = |n: &str| match n {
-            "gfni" => 0,
-            "vbmi" => 1,
-            "avx2" => 2,
-            "ssse3" => 3,
-            "neon" => 4,
-            "wide" => 5,
-            "reference" => 6,
-            other => panic!("unexpected kernel {other}"),
+        assert_eq!(names.last(), Some(&"reference"));
+        let tier = |n: &str| {
+            TIERS
+                .iter()
+                .position(|t| *t == n)
+                .unwrap_or_else(|| panic!("unexpected kernel {n}"))
         };
         for pair in names.windows(2) {
             assert!(tier(pair[0]) < tier(pair[1]), "order violated: {names:?}");
@@ -807,45 +569,45 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx512_tiers_register_on_supporting_hosts() {
-        let names: Vec<&str> = all().iter().map(|k| k.name()).collect();
+    fn gfni_registers_first_on_supporting_hosts() {
         if std::arch::is_x86_feature_detected!("gfni")
             && std::arch::is_x86_feature_detected!("avx512f")
         {
-            assert_eq!(names[0], "gfni", "gfni host must dispatch-select gfni");
-        }
-        if std::arch::is_x86_feature_detected!("avx512vbmi")
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            assert!(names.contains(&"vbmi"), "vbmi host must list vbmi");
+            assert_eq!(
+                all()[0].name(),
+                "gfni",
+                "gfni host must dispatch-select gfni"
+            );
         }
     }
 
     #[test]
-    fn find_resolves_every_host_kernel_and_rejects_unknown() {
+    fn override_resolves_every_host_kernel_trimmed_and_treats_empty_as_unset() {
         for kern in all() {
-            assert!(
-                std::ptr::eq(find(kern.name()).expect("listed kernel resolves"), kern),
-                "find({}) must return the listed kernel",
-                kern.name()
-            );
+            for raw in [kern.name().to_string(), format!(" {}\n", kern.name())] {
+                let found = parse_override(&raw).expect("listed kernel resolves");
+                assert!(
+                    std::ptr::eq(found.expect("not unset"), kern),
+                    "{raw:?} must return the listed kernel"
+                );
+            }
         }
-        assert!(find("not-a-kernel").is_none());
-        assert!(find("AVX2").is_none(), "names are case-sensitive");
+        assert!(matches!(parse_override(""), Ok(None)));
+        assert!(matches!(parse_override("  \t"), Ok(None)));
+        assert!(parse_override("not-a-kernel").is_err());
+        assert!(parse_override("AVX2").is_err(), "names are case-sensitive");
     }
 
     #[test]
     fn unknown_override_warning_names_the_valid_set() {
-        let msg = unknown_kernel_warning("avx512");
+        let msg = parse_override(" avx512 ").expect_err("no such kernel");
         assert!(msg.contains("DRC_GF_KERNEL=\"avx512\""), "{msg}");
         assert!(msg.contains("falling back to auto-detection"), "{msg}");
-        for kern in all() {
-            assert!(
-                msg.contains(kern.name()),
-                "warning must name {:?}: {msg}",
-                kern.name()
-            );
-        }
+        // Exactly the host's kernels, each one of the four kept tiers.
+        let names: Vec<&str> = all().iter().map(|k| k.name()).collect();
+        assert!(names.iter().all(|n| TIERS.contains(n)), "{names:?}");
+        let listed = format!("Valid values here: {}.", names.join(", "));
+        assert!(msg.ends_with(&listed), "{msg}");
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!   multiply-accumulate, fused matrix×block-vector products) used on whole
 //!   storage blocks,
 //! * [`kernel`] — the runtime-dispatched SIMD kernel layer behind [`mod@slice`],
-//! * [`Matrix`] — dense matrices over GF(2^8) with Gauss–Jordan inversion,
-//!   Vandermonde and Cauchy constructors,
-//! * [`Polynomial`] — polynomials over GF(2^8) with evaluation and Lagrange
-//!   interpolation,
+//! * [`Matrix`] — dense matrices over GF(2^8) with Gauss–Jordan inversion
+//!   and the Vandermonde constructor,
 //! * [`ReedSolomon`] — a systematic Reed–Solomon erasure codec built on the
 //!   matrix machinery; it backs both the stand-alone RS baseline and the
 //!   global-parity computation of the heptagon-local code,
@@ -28,10 +26,10 @@
 //! `gf2p8affineqb` per 64-byte lane; elsewhere, split-nibble lookups — for a
 //! coefficient `c`, the products of `c` with all 16 low nibbles and all 16
 //! high nibbles are precomputed (at compile time, for every `c`) into two
-//! 16-byte tables, so a single `vpermb`/`pshufb`/`tbl` instruction
-//! multiplies 16–64 bytes at once; see the `tables` internals and
-//! [`kernel`] for the exact variants (GFNI, AVX-512VBMI, AVX2, SSSE3, NEON,
-//! portable wide-scalar, reference). The widest kernel the CPU supports is
+//! 16-byte tables, so a single `pshufb` instruction multiplies 16–32 bytes
+//! at once; see the `tables` internals and [`kernel`] for the four variants
+//! (GFNI, AVX2, SSSE3, scalar reference) and the crate's `INTERNALS.md` for
+//! the ones measured and rejected. The widest kernel the CPU supports is
 //! detected **once** per process via `is_x86_feature_detected!` and cached;
 //! everything in [`mod@slice`] then dispatches through two function-pointer
 //! loads per *block-sized* call.
@@ -46,9 +44,10 @@
 //! buffers of at least [`slice::PAR_ENGAGE_MIN`] bytes are split into
 //! tile-aligned byte ranges (each worker getting at least a
 //! [`slice::PAR_MIN_LEN`] share) across the workspace worker pool. The pool width comes from
-//! `DRC_SIM_THREADS` (the sibling knob of `DRC_GF_KERNEL`);
-//! `DRC_SIM_THREADS=1` keeps every path serial and allocation-free, and all
-//! thread counts produce byte-identical output.
+//! `DRC_SIM_THREADS` (the sibling knob of `DRC_GF_KERNEL`; both are trimmed,
+//! treat an empty value as unset and warn once on stderr before falling back
+//! from a bad one); `DRC_SIM_THREADS=1` keeps every path serial and
+//! allocation-free, and all thread counts produce byte-identical output.
 //!
 //! # Safety
 //!
@@ -74,23 +73,22 @@
 //! assert_eq!(a * b, Gf256::new(0x31));
 //! assert_eq!((a / b) * b, a);
 //!
-//! // Erasure coding: 4 data shards, 2 parity shards, any 2 losses recoverable.
+//! // Erasure coding: 4 data shards, 2 parity shards, any 2 losses
+//! // recoverable; parities land in caller-owned buffers, no allocation.
 //! let rs = ReedSolomon::new(4, 2)?;
 //! let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 16]).collect();
-//! let mut shards = rs.encode(&data)?;
-//! shards[1].clear(); // lose a data shard
-//! shards[4].clear(); // lose a parity shard
-//! let present: Vec<Option<&[u8]>> = shards
-//!     .iter()
-//!     .map(|s| if s.is_empty() { None } else { Some(s.as_slice()) })
-//!     .collect();
-//! let recovered = rs.reconstruct(&present, 16)?;
-//! assert_eq!(recovered[1], vec![1u8; 16]);
-//!
-//! // Zero-allocation encoding into caller-owned parity buffers.
 //! let mut parity = vec![vec![0u8; 16]; 2];
 //! rs.encode_into(&data, &mut parity)?;
-//! assert_eq!(parity[0], recovered[4]);
+//!
+//! // Lose a data shard and a parity shard.
+//! let mut present: Vec<Option<&[u8]>> =
+//!     data.iter().chain(&parity).map(|s| Some(s.as_slice())).collect();
+//! present[1] = None;
+//! present[4] = None;
+//! let mut recovered = vec![vec![0u8; 16]; 6];
+//! rs.reconstruct_into(&present, 16, &mut recovered)?;
+//! assert_eq!(recovered[1], vec![1u8; 16]);
+//! assert_eq!(recovered[4], parity[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -104,7 +102,6 @@ mod error;
 mod gf256;
 pub mod kernel;
 mod matrix;
-mod poly;
 mod rs;
 pub mod slice;
 mod tables;
@@ -112,5 +109,4 @@ mod tables;
 pub use error::GfError;
 pub use gf256::{Gf256, FIELD_SIZE, GROUP_ORDER, PRIMITIVE_POLY};
 pub use matrix::Matrix;
-pub use poly::Polynomial;
 pub use rs::ReedSolomon;

@@ -110,34 +110,6 @@ impl Matrix {
         Ok(m)
     }
 
-    /// Creates a `parity × data` Cauchy matrix with entries
-    /// `1 / (x_i + y_j)` for `x_i = data + i`, `y_j = j`.
-    ///
-    /// Every square sub-matrix of a Cauchy matrix is invertible, making it an
-    /// alternative parity-generator construction to the Vandermonde approach.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GfError::DimensionMismatch`] if `parity + data > 256`, since
-    /// the construction then runs out of distinct field elements.
-    pub fn cauchy(parity: usize, data: usize) -> Result<Self, GfError> {
-        if parity == 0 || data == 0 || parity + data > 256 {
-            return Err(GfError::DimensionMismatch {
-                expected: "parity + data <= 256, both non-zero".to_string(),
-                found: format!("parity={parity}, data={data}"),
-            });
-        }
-        let mut m = Matrix::zero(parity, data);
-        for i in 0..parity {
-            for j in 0..data {
-                let x = Gf256::new((data + i) as u8);
-                let y = Gf256::new(j as u8);
-                m[(i, j)] = (x + y).inv();
-            }
-        }
-        Ok(m)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -240,24 +212,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Multiplies the matrix by a column vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GfError::DimensionMismatch`] if `vec.len() != self.cols()`.
-    pub fn mul_vec(&self, vec: &[Gf256]) -> Result<Vec<Gf256>, GfError> {
-        if vec.len() != self.cols {
-            return Err(GfError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                found: format!("vector of length {}", vec.len()),
-            });
-        }
-        Ok(self
-            .iter_rows()
-            .map(|row| row.iter().zip(vec).map(|(a, b)| *a * *b).sum())
-            .collect())
-    }
-
     /// Returns the rank of the matrix (dimension of its row space).
     pub fn rank(&self) -> usize {
         let mut m = self.clone();
@@ -287,11 +241,6 @@ impl Matrix {
             rank += 1;
         }
         rank
-    }
-
-    /// Returns `true` if the matrix is square and invertible.
-    pub fn is_invertible(&self) -> bool {
-        self.rows == self.cols && self.rank() == self.rows
     }
 
     /// Computes the inverse of a square matrix by Gauss–Jordan elimination.
@@ -424,33 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_square_submatrices_invertible() {
-        let c = Matrix::cauchy(3, 5).unwrap();
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 5);
-        // Any 3 columns form an invertible 3x3 matrix. Spot-check a few.
-        for cols in [[0usize, 1, 2], [0, 3, 4], [1, 2, 4]] {
-            let mut sub = Matrix::zero(3, 3);
-            for r in 0..3 {
-                for (j, &col) in cols.iter().enumerate() {
-                    sub[(r, j)] = c[(r, col)];
-                }
-            }
-            assert!(
-                sub.is_invertible(),
-                "cauchy submatrix {cols:?} not invertible"
-            );
-        }
-    }
-
-    #[test]
-    fn cauchy_rejects_bad_dims() {
-        assert!(Matrix::cauchy(0, 4).is_err());
-        assert!(Matrix::cauchy(4, 0).is_err());
-        assert!(Matrix::cauchy(200, 100).is_err());
-    }
-
-    #[test]
     fn from_rows_validation() {
         assert!(Matrix::from_rows(&[]).is_err());
         assert!(Matrix::from_rows(&[vec![1, 2], vec![3]]).is_err());
@@ -474,7 +396,6 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1, 2, 3], vec![1, 2, 3], vec![0, 1, 0]]).unwrap();
         assert_eq!(m.inverse(), Err(GfError::SingularMatrix));
         assert_eq!(m.rank(), 2);
-        assert!(!m.is_invertible());
     }
 
     #[test]
@@ -490,18 +411,6 @@ mod tests {
     fn rank_of_identity_and_zero() {
         assert_eq!(Matrix::identity(5).rank(), 5);
         assert_eq!(Matrix::zero(4, 6).rank(), 0);
-    }
-
-    #[test]
-    fn mul_vec_matches_matrix_mul() {
-        let m = Matrix::vandermonde(3, 3).unwrap();
-        let v = [Gf256::new(7), Gf256::new(11), Gf256::new(13)];
-        let got = m.mul_vec(&v).unwrap();
-        for i in 0..3 {
-            let expect: Gf256 = (0..3).map(|j| m[(i, j)] * v[j]).sum();
-            assert_eq!(got[i], expect);
-        }
-        assert!(m.mul_vec(&v[..2]).is_err());
     }
 
     #[test]

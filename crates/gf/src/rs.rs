@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::slice;
-use crate::{Gf256, GfError, Matrix};
+use crate::{GfError, Matrix};
 
 /// A systematic Reed–Solomon codec with `data` data shards and `parity`
 /// parity shards.
@@ -28,7 +28,7 @@ use crate::{Gf256, GfError, Matrix};
 /// # fn main() -> Result<(), drc_gf::GfError> {
 /// let rs = ReedSolomon::new(6, 3)?;
 /// assert_eq!(rs.total_shards(), 9);
-/// assert!((rs.storage_overhead() - 1.5).abs() < 1e-9);
+/// assert_eq!(rs.parity_shards(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -66,11 +66,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Number of data shards `k`.
-    pub fn data_shards(&self) -> usize {
-        self.data
-    }
-
     /// Number of parity shards `m`.
     pub fn parity_shards(&self) -> usize {
         self.parity
@@ -81,42 +76,9 @@ impl ReedSolomon {
         self.data + self.parity
     }
 
-    /// Storage overhead: stored shards per data shard.
-    pub fn storage_overhead(&self) -> f64 {
-        self.total_shards() as f64 / self.data as f64
-    }
-
     /// Returns the full systematic generator matrix (`(k+m) × k`).
     pub fn generator(&self) -> &Matrix {
         &self.generator
-    }
-
-    /// Returns the coefficients of parity shard `p` (`0 <= p < parity`) over
-    /// the data shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= self.parity_shards()`.
-    pub fn parity_row(&self, p: usize) -> &[Gf256] {
-        assert!(p < self.parity, "parity row index out of bounds");
-        self.generator.row(self.data + p)
-    }
-
-    /// Encodes data shards into `k + m` coded shards.
-    ///
-    /// The first `k` output shards are copies of the input data shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of shards is not `k` or shard lengths
-    /// differ.
-    pub fn encode<S: AsRef<[u8]>>(&self, shards: &[S]) -> Result<Vec<Vec<u8>>, GfError> {
-        let len = self.validate_data_shards(shards)?;
-        let mut out: Vec<Vec<u8>> = shards.iter().map(|s| s.as_ref().to_vec()).collect();
-        out.resize(self.total_shards(), vec![0u8; len]);
-        let (data, parity) = out.split_at_mut(self.data);
-        self.encode_into(&*data, parity)?;
-        Ok(out)
     }
 
     /// Computes the parity shards into caller-owned output buffers, without
@@ -153,18 +115,6 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Computes only the parity shards for the given data shards.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`ReedSolomon::encode`].
-    pub fn encode_parity<S: AsRef<[u8]>>(&self, shards: &[S]) -> Result<Vec<Vec<u8>>, GfError> {
-        let len = self.validate_data_shards(shards)?;
-        let mut parity = vec![vec![0u8; len]; self.parity];
-        self.encode_into(shards, &mut parity)?;
-        Ok(parity)
-    }
-
     /// Checks shard count and length consistency, returning the shard length.
     fn validate_data_shards<S: AsRef<[u8]>>(&self, shards: &[S]) -> Result<usize, GfError> {
         if shards.len() != self.data {
@@ -180,60 +130,28 @@ impl ReedSolomon {
         Ok(len)
     }
 
-    /// Verifies that a complete set of shards is consistent with the code.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shard count or lengths are wrong.
-    pub fn verify<S: AsRef<[u8]>>(&self, shards: &[S]) -> Result<bool, GfError> {
-        if shards.len() != self.total_shards() {
-            return Err(GfError::WrongShardCount {
-                expected: self.total_shards(),
-                found: shards.len(),
-            });
-        }
-        let data: Vec<&[u8]> = shards[..self.data].iter().map(|s| s.as_ref()).collect();
-        let expected = self.encode(&data)?;
-        Ok(expected
-            .iter()
-            .zip(shards)
-            .all(|(e, s)| e.as_slice() == s.as_ref()))
-    }
-
-    /// Reconstructs all `k + m` shards from any `k` surviving shards.
+    /// Reconstructs all `k + m` shards from any `k` surviving shards into
+    /// caller-owned output buffers.
     ///
     /// `present[i]` is `Some(bytes)` if coded shard `i` survives and `None`
     /// otherwise; `shard_len` gives the length every shard must have (used
-    /// when all data shards are missing).
+    /// when all data shards are missing). `out` must hold `k + m` buffers of
+    /// length `shard_len`, which are fully overwritten. No block-sized
+    /// buffers are allocated: surviving data shards are copied, missing ones
+    /// decoded directly into their output buffer, and parities re-encoded
+    /// through the fused zero-allocation path (only the small `k × k`
+    /// decoding matrix is heap-allocated, and only when a data shard is
+    /// actually missing).
+    ///
+    /// No product layer calls this — the stack decodes through
+    /// `drc_codes::StripeReconstructor` plans over the generator — it stays
+    /// because the benchmark ledger's `gf.rs_reconstruct_into_gib_s` probe
+    /// binds it.
     ///
     /// # Errors
     ///
     /// Returns an error if fewer than `k` shards are present, lengths are
-    /// inconsistent, or the input vector is not of length `k + m`.
-    pub fn reconstruct(
-        &self,
-        present: &[Option<&[u8]>],
-        shard_len: usize,
-    ) -> Result<Vec<Vec<u8>>, GfError> {
-        let mut out = vec![vec![0u8; shard_len]; self.total_shards()];
-        self.reconstruct_into(present, shard_len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Reconstructs all `k + m` shards into caller-owned output buffers.
-    ///
-    /// Semantics match [`ReedSolomon::reconstruct`]; `out` must hold
-    /// `k + m` buffers of length `shard_len`, which are fully overwritten.
-    /// No block-sized buffers are allocated: surviving data shards are
-    /// copied, missing ones decoded directly into their output buffer, and
-    /// parities re-encoded through the fused zero-allocation path (only the
-    /// small `k × k` decoding matrix is heap-allocated, and only when a data
-    /// shard is actually missing).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReedSolomon::reconstruct`], plus an error if `out` has the wrong
-    /// shard count or lengths.
+    /// inconsistent, or `present` / `out` is not of length `k + m`.
     pub fn reconstruct_into<B>(
         &self,
         present: &[Option<&[u8]>],
@@ -324,6 +242,25 @@ mod tests {
             .collect()
     }
 
+    /// All `k + m` coded shards: the data verbatim, then `encode_into`'s
+    /// parities.
+    fn encode(rs: &ReedSolomon, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, GfError> {
+        let len = data.first().map_or(0, Vec::len);
+        let mut parity = vec![vec![0u8; len]; rs.parity_shards()];
+        rs.encode_into(data, &mut parity)?;
+        Ok(data.iter().cloned().chain(parity).collect())
+    }
+
+    fn reconstruct(
+        rs: &ReedSolomon,
+        present: &[Option<&[u8]>],
+        shard_len: usize,
+    ) -> Result<Vec<Vec<u8>>, GfError> {
+        let mut out = vec![vec![0u8; shard_len]; rs.total_shards()];
+        rs.reconstruct_into(present, shard_len, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn constructor_validation() {
         assert!(ReedSolomon::new(0, 2).is_err());
@@ -333,29 +270,34 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_systematic() {
+    fn generator_is_systematic() {
         let rs = ReedSolomon::new(4, 2).unwrap();
+        let top: Vec<usize> = (0..4).collect();
+        assert_eq!(rs.generator().select_rows(&top), Matrix::identity(4));
+        // Parities are the generator's parity rows applied to the data.
         let data = sample_data(4, 32);
-        let coded = rs.encode(&data).unwrap();
+        let coded = encode(&rs, &data).unwrap();
         assert_eq!(coded.len(), 6);
-        assert_eq!(&coded[..4], data.as_slice());
-        assert!(rs.verify(&coded).unwrap());
+        for p in 0..2 {
+            let expect = slice::linear_combination(rs.generator().row(4 + p), &data, 32);
+            assert_eq!(coded[4 + p], expect);
+        }
     }
 
     #[test]
     fn single_parity_protects_any_single_loss() {
         // With one parity shard, losing any single shard must be recoverable.
         let rs = ReedSolomon::new(5, 1).unwrap();
-        assert!(rs.parity_row(0).iter().all(|c| !c.is_zero()));
+        assert!(rs.generator().row(5).iter().all(|c| !c.is_zero()));
         let data = sample_data(5, 16);
-        let coded = rs.encode(&data).unwrap();
+        let coded = encode(&rs, &data).unwrap();
         for lost in 0..6 {
             let present: Vec<Option<&[u8]>> = coded
                 .iter()
                 .enumerate()
                 .map(|(i, s)| (i != lost).then_some(s.as_slice()))
                 .collect();
-            assert_eq!(rs.reconstruct(&present, 16).unwrap(), coded);
+            assert_eq!(reconstruct(&rs, &present, 16).unwrap(), coded);
         }
     }
 
@@ -363,7 +305,7 @@ mod tests {
     fn reconstruct_from_every_possible_loss_pattern() {
         let rs = ReedSolomon::new(5, 3).unwrap();
         let data = sample_data(5, 24);
-        let coded = rs.encode(&data).unwrap();
+        let coded = encode(&rs, &data).unwrap();
         let n = rs.total_shards();
         // Every subset of up to 3 lost shards must be recoverable.
         for a in 0..n {
@@ -374,7 +316,7 @@ mod tests {
                     present[a] = None;
                     present[b] = None;
                     present[c] = None;
-                    let rec = rs.reconstruct(&present, 24).unwrap();
+                    let rec = reconstruct(&rs, &present, 24).unwrap();
                     assert_eq!(rec, coded, "failed for losses {a},{b},{c}");
                 }
             }
@@ -385,14 +327,14 @@ mod tests {
     fn reconstruct_fails_with_too_few_shards() {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let data = sample_data(4, 8);
-        let coded = rs.encode(&data).unwrap();
+        let coded = encode(&rs, &data).unwrap();
         let present: Vec<Option<&[u8]>> = coded
             .iter()
             .enumerate()
             .map(|(i, s)| if i < 3 { Some(s.as_slice()) } else { None })
             .collect();
         assert_eq!(
-            rs.reconstruct(&present, 8),
+            reconstruct(&rs, &present, 8),
             Err(GfError::TooFewShards {
                 needed: 4,
                 present: 3
@@ -403,42 +345,40 @@ mod tests {
     #[test]
     fn shard_count_and_length_validation() {
         let rs = ReedSolomon::new(3, 2).unwrap();
-        assert!(rs.encode(&sample_data(2, 8)).is_err());
+        assert_eq!(
+            encode(&rs, &sample_data(2, 8)),
+            Err(GfError::WrongShardCount {
+                expected: 3,
+                found: 2
+            })
+        );
         let mut bad = sample_data(3, 8);
         bad[1].push(0);
-        assert_eq!(rs.encode(&bad), Err(GfError::UnequalShardLengths));
-        assert!(rs.verify(&sample_data(3, 8)).is_err());
-        let coded = rs.encode(&sample_data(3, 8)).unwrap();
+        assert_eq!(encode(&rs, &bad), Err(GfError::UnequalShardLengths));
+        // Parity buffers of the wrong count / length are rejected too.
+        let data = sample_data(3, 8);
+        assert_eq!(
+            rs.encode_into(&data, &mut [vec![0u8; 8]]),
+            Err(GfError::WrongShardCount {
+                expected: 2,
+                found: 1
+            })
+        );
+        assert_eq!(
+            rs.encode_into(&data, &mut [vec![0u8; 8], vec![0u8; 7]]),
+            Err(GfError::UnequalShardLengths)
+        );
+        let coded = encode(&rs, &data).unwrap();
         let mut present: Vec<Option<&[u8]>> = coded.iter().map(|s| Some(s.as_slice())).collect();
         present.pop();
-        assert!(rs.reconstruct(&present, 8).is_err());
-    }
-
-    #[test]
-    fn verify_detects_corruption() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let mut coded = rs.encode(&sample_data(4, 16)).unwrap();
-        assert!(rs.verify(&coded).unwrap());
-        coded[5][0] ^= 0xff;
-        assert!(!rs.verify(&coded).unwrap());
-    }
-
-    #[test]
-    fn encode_parity_matches_encode_tail() {
-        let rs = ReedSolomon::new(6, 2).unwrap();
-        let data = sample_data(6, 10);
-        let coded = rs.encode(&data).unwrap();
-        let parity = rs.encode_parity(&data).unwrap();
-        assert_eq!(parity.as_slice(), &coded[6..]);
+        assert!(reconstruct(&rs, &present, 8).is_err());
     }
 
     #[test]
     fn accessors() {
         let rs = ReedSolomon::new(9, 1).unwrap();
-        assert_eq!(rs.data_shards(), 9);
         assert_eq!(rs.parity_shards(), 1);
         assert_eq!(rs.total_shards(), 10);
-        assert!((rs.storage_overhead() - 10.0 / 9.0).abs() < 1e-12);
         assert_eq!(rs.generator().rows(), 10);
         assert_eq!(rs.generator().cols(), 9);
     }

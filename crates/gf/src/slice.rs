@@ -3,8 +3,8 @@
 //! Storage blocks are megabytes of payload; encoding and repairing them means
 //! applying the same field operation to every byte of a block. Every function
 //! here dispatches to the widest SIMD [`crate::kernel`] the host CPU
-//! supports (GFNI / AVX-512VBMI / AVX2 / SSSE3 / NEON / portable), selected
-//! once per process.
+//! supports (GFNI / AVX2 / SSSE3 / scalar reference), selected once per
+//! process.
 //!
 //! Two API tiers:
 //!

@@ -1,6 +1,6 @@
 //! Compile-time lookup tables for GF(2^8) arithmetic.
 //!
-//! Four table families, all generated by `const` evaluation from the
+//! Three table families, all generated by `const` evaluation from the
 //! primitive polynomial `0x11d`:
 //!
 //! * [`EXP`] / [`LOG`] — antilog/log tables laid out so that scalar
@@ -9,15 +9,12 @@
 //!   log-sum involving the sentinel lands in the
 //!   zero pad, yielding the correct product `0` without testing the operands.
 //!   Non-zero log sums reach at most `254 + 254 = 508`.
-//! * [`MUL`] — the full 256×256 product table; `MUL[c]` is the
-//!   multiply-by-`c` row used by the wide-scalar bulk kernel (one load per
-//!   byte, no log/antilog arithmetic in the hot loop).
 //! * [`NIB_LO`] / [`NIB_HI`] — split-nibble tables: for each coefficient
 //!   `c`, `NIB_LO[c][x] = c·x` and `NIB_HI[c][x] = c·(x << 4)` for
 //!   `x < 16`. Because multiplication by `c` is GF(2)-linear,
 //!   `c·b = NIB_LO[c][b & 0xf] ^ NIB_HI[c][b >> 4]`; the two 16-entry
-//!   tables fit exactly in one `pshufb`/`tbl`/`vpermb` register each, which
-//!   is what the SIMD kernels exploit.
+//!   tables fit exactly in one `pshufb` register each, which is what the
+//!   split-nibble SIMD kernels exploit.
 //! * [`GFNI`] — per-coefficient 8×8 GF(2) bit-matrices in the operand
 //!   layout of `gf2p8affineqb`: multiplication by a constant is GF(2)-linear
 //!   over the input bits, so one affine instruction computes 64 products per
@@ -50,8 +47,6 @@ pub(crate) struct Tables {
     pub exp: [u8; EXP_LEN],
     /// `log[a]` = discrete log of `a`; `log[0]` = [`LOG_ZERO`].
     pub log: [u16; FIELD_SIZE],
-    /// `mul[a][b] = a · b` over the field.
-    pub mul: [[u8; FIELD_SIZE]; FIELD_SIZE],
     /// `nib_lo[c][x] = c · x` for `x < 16`.
     pub nib_lo: [[u8; 16]; FIELD_SIZE],
     /// `nib_hi[c][x] = c · (x << 4)` for `x < 16`.
@@ -59,6 +54,12 @@ pub(crate) struct Tables {
     /// `gfni[c]` = the multiply-by-`c` bit-matrix for `gf2p8affineqb`
     /// (see the module docs for the byte/row layout).
     pub gfni: [u64; FIELD_SIZE],
+}
+
+/// `a · b` through the tables under construction (the const-context twin of
+/// `Gf256::mul_bytes`).
+const fn product(exp: &[u8; EXP_LEN], log: &[u16; FIELD_SIZE], a: usize, b: usize) -> u8 {
+    exp[log[a] as usize + log[b] as usize]
 }
 
 const fn build_tables() -> Tables {
@@ -80,26 +81,14 @@ const fn build_tables() -> Tables {
     // Indices 510.. stay zero: every log-sum involving LOG_ZERO lands there.
     // Non-zero log sums never exceed 254 + 254 = 508.
 
-    let mut mul = [[0u8; FIELD_SIZE]; FIELD_SIZE];
-    let mut a = 1usize;
-    while a < FIELD_SIZE {
-        let la = log[a] as usize;
-        let mut b = 1usize;
-        while b < FIELD_SIZE {
-            mul[a][b] = exp[la + log[b] as usize];
-            b += 1;
-        }
-        a += 1;
-    }
-
     let mut nib_lo = [[0u8; 16]; FIELD_SIZE];
     let mut nib_hi = [[0u8; 16]; FIELD_SIZE];
     let mut c = 0usize;
     while c < FIELD_SIZE {
         let mut x = 0usize;
         while x < 16 {
-            nib_lo[c][x] = mul[c][x];
-            nib_hi[c][x] = mul[c][x << 4];
+            nib_lo[c][x] = product(&exp, &log, c, x);
+            nib_hi[c][x] = product(&exp, &log, c, x << 4);
             x += 1;
         }
         c += 1;
@@ -114,7 +103,7 @@ const fn build_tables() -> Tables {
             let mut row = 0u8; // mask over input bits j
             let mut j = 0;
             while j < 8 {
-                if (mul[c][1 << j] >> i) & 1 != 0 {
+                if (product(&exp, &log, c, 1 << j) >> i) & 1 != 0 {
                     row |= 1 << j;
                 }
                 j += 1;
@@ -129,7 +118,6 @@ const fn build_tables() -> Tables {
     Tables {
         exp,
         log,
-        mul,
         nib_lo,
         nib_hi,
         gfni,
@@ -161,14 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn full_mul_table_matches_reference() {
-        for a in 0..=255u16 {
-            for b in 0..=255u16 {
-                assert_eq!(
-                    TABLES.mul[a as usize][b as usize],
-                    slow_mul(a as u8, b as u8),
-                    "MUL[{a}][{b}]"
-                );
+    fn mul_bytes_matches_reference() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(crate::Gf256::mul_bytes(a, b), slow_mul(a, b), "{a}*{b}");
             }
         }
     }

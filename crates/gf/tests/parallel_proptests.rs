@@ -57,7 +57,9 @@ proptest! {
         let len = slice::PAR_ENGAGE_MIN + extra; // engages the parallel split
         let rs = ReedSolomon::new(k, r).expect("valid parameters");
         let data: Vec<Vec<u8>> = (0..k).map(|i| shard(len, i)).collect();
-        let coded = rayon::with_num_threads(1, || rs.encode(&data).expect("encodes"));
+        let mut parity = vec![vec![0u8; len]; r];
+        rayon::with_num_threads(1, || rs.encode_into(&data, &mut parity).expect("encodes"));
+        let coded: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
 
         for pattern in erasure_patterns(k + r, r) {
             let present: Vec<Option<&[u8]>> = coded

@@ -1,8 +1,8 @@
 //! Property-based tests for the GF(2^8) field, matrices and the RS codec —
 //! including differential tests that every bulk kernel variant (SIMD,
-//! wide-scalar, reference) agrees byte-for-byte.
+//! reference) agrees byte-for-byte.
 
-use drc_gf::{kernel, slice, Gf256, Matrix, Polynomial, ReedSolomon};
+use drc_gf::{kernel, slice, Gf256, Matrix, ReedSolomon};
 use proptest::prelude::*;
 
 fn gf_elem() -> impl Strategy<Value = Gf256> {
@@ -25,8 +25,8 @@ fn fill(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// Lengths that exercise empty input, single bytes, lane remainders and
-/// multi-lane spans for every kernel width (8/16/32/64 bytes — the 63/64/65
-/// and 127/128/129 points straddle the AVX-512 gfni/vbmi lane boundary).
+/// multi-lane spans for every kernel width (16/32/64 bytes — the 63/64/65
+/// and 127/128/129 points straddle the AVX-512 gfni lane boundary).
 fn awkward_len() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
@@ -46,6 +46,72 @@ fn awkward_len() -> impl Strategy<Value = usize> {
         Just(129usize),
         1usize..260,
     ]
+}
+
+/// All `k + m` coded shards: the data verbatim, then `encode_into`'s
+/// parities (written over dirty buffers, which must be fully overwritten).
+fn rs_encode(rs: &ReedSolomon, data: &[Vec<u8>], len: usize) -> Vec<Vec<u8>> {
+    let mut parity = vec![vec![0xa5u8; len]; rs.parity_shards()];
+    rs.encode_into(data, &mut parity).unwrap();
+    data.iter().cloned().chain(parity).collect()
+}
+
+/// Schoolbook carry-less multiplication with reduction by 0x11d — shares no
+/// table and no code with any kernel.
+fn slow_mul(a: u8, b: u8) -> u8 {
+    let (mut a, mut b, mut result) = (a as u16, b, 0u16);
+    while b != 0 {
+        if b & 1 != 0 {
+            result ^= a;
+        }
+        a <<= 1;
+        if a & 0x100 != 0 {
+            a ^= 0x11d;
+        }
+        b >>= 1;
+    }
+    result as u8
+}
+
+/// Every SIMD tier hands its sub-lane tail to the reference scalar
+/// functions, so every length up to several lanes of the widest tier is
+/// checked exhaustively rather than sampled.
+#[test]
+fn every_kernel_matches_schoolbook_at_every_short_length() {
+    for kern in kernel::all() {
+        for len in 0..=200usize {
+            let src = fill(len as u64, len);
+            let dst0 = fill(len as u64 ^ 0x5eed, len);
+            let mut dst = dst0.clone();
+            kern.xor_assign(&mut dst, &src);
+            let expected: Vec<u8> = dst0.iter().zip(&src).map(|(d, s)| d ^ s).collect();
+            assert_eq!(dst, expected, "xor_assign: {} len={len}", kern.name());
+            for coeff in [0u8, 1, 2, 0x1d, 0x8e, 0xff] {
+                let mut dst = dst0.clone();
+                kern.scale_assign(&mut dst, coeff);
+                let expected: Vec<u8> = dst0.iter().map(|d| slow_mul(coeff, *d)).collect();
+                assert_eq!(
+                    dst,
+                    expected,
+                    "scale_assign: {} len={len} coeff={coeff:#04x}",
+                    kern.name()
+                );
+                let mut dst = dst0.clone();
+                kern.mul_acc(&mut dst, &src, coeff);
+                let expected: Vec<u8> = dst0
+                    .iter()
+                    .zip(&src)
+                    .map(|(d, s)| d ^ slow_mul(coeff, *s))
+                    .collect();
+                assert_eq!(
+                    dst,
+                    expected,
+                    "mul_acc: {} len={len} coeff={coeff:#04x}",
+                    kern.name()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -105,7 +171,7 @@ proptest! {
     fn square_vandermonde_invertible(n in 1usize..12) {
         let rows: Vec<usize> = (0..n).collect();
         let m = Matrix::vandermonde(20, n).unwrap().select_rows(&rows);
-        prop_assert!(m.is_invertible());
+        prop_assert_eq!(m.rank(), n);
         let inv = m.inverse().unwrap();
         prop_assert_eq!(&m * &inv, Matrix::identity(n));
     }
@@ -120,17 +186,6 @@ proptest! {
         let b = Matrix::from_rows(&b).unwrap();
         let c = Matrix::from_rows(&c).unwrap();
         prop_assert_eq!(&(&a * &b) * &c, &a * &(&b * &c));
-    }
-
-    #[test]
-    fn polynomial_interpolation_roundtrip(coeffs in prop::collection::vec(any::<u8>(), 1..8)) {
-        let p = Polynomial::new(coeffs.into_iter().map(Gf256::new).collect());
-        let npoints = p.coefficients().len().max(1);
-        let points: Vec<(Gf256, Gf256)> = (0..npoints as u8)
-            .map(|x| (Gf256::new(x), p.eval(Gf256::new(x))))
-            .collect();
-        let q = Polynomial::interpolate(&points).unwrap();
-        prop_assert_eq!(p, q);
     }
 
     #[test]
@@ -227,7 +282,7 @@ proptest! {
     }
 
     #[test]
-    fn encode_into_equals_encode(
+    fn encode_into_applies_the_generator_parity_rows(
         k in 1usize..9,
         m in 1usize..5,
         len in awkward_len(),
@@ -235,15 +290,16 @@ proptest! {
     ) {
         let rs = ReedSolomon::new(k, m).unwrap();
         let data: Vec<Vec<u8>> = (0..k).map(|j| fill(seed ^ j as u64, len)).collect();
-        let coded = rs.encode(&data).unwrap();
+        let coded = rs_encode(&rs, &data, len);
         prop_assert_eq!(&coded[..k], data.as_slice(), "systematic prefix");
-        let mut parity = vec![vec![0u8; len]; m];
-        rs.encode_into(&data, &mut parity).unwrap();
-        prop_assert_eq!(parity.as_slice(), &coded[k..]);
+        for p in 0..m {
+            let expected = slice::linear_combination(rs.generator().row(k + p), &data, len);
+            prop_assert_eq!(&coded[k + p], &expected, "parity {}", p);
+        }
     }
 
     #[test]
-    fn reconstruct_into_equals_reconstruct(
+    fn reconstruct_into_recovers_lost_data_shards(
         k in 2usize..7,
         m in 1usize..4,
         len in 1usize..40,
@@ -251,18 +307,16 @@ proptest! {
     ) {
         let rs = ReedSolomon::new(k, m).unwrap();
         let data: Vec<Vec<u8>> = (0..k).map(|j| fill(seed ^ j as u64, len)).collect();
-        let coded = rs.encode(&data).unwrap();
+        let coded = rs_encode(&rs, &data, len);
         // Drop the first m shards (worst case: data shards lost).
         let present: Vec<Option<&[u8]>> = coded
             .iter()
             .enumerate()
             .map(|(i, s)| (i >= m).then_some(s.as_slice()))
             .collect();
-        let rec = rs.reconstruct(&present, len).unwrap();
         let mut out = vec![vec![0xeeu8; len]; k + m];
         rs.reconstruct_into(&present, len, &mut out).unwrap();
-        prop_assert_eq!(&out, &rec);
-        prop_assert_eq!(&rec, &coded);
+        prop_assert_eq!(&out, &coded);
     }
 
     #[test]
@@ -276,7 +330,7 @@ proptest! {
         let data: Vec<Vec<u8>> = (0..k)
             .map(|i| (0..len).map(|j| (seed as usize + i * 31 + j * 7) as u8).collect())
             .collect();
-        let coded = rs.encode(&data).unwrap();
+        let coded = rs_encode(&rs, &data, len);
         // Drop exactly m shards chosen pseudo-randomly from the seed.
         let mut present: Vec<Option<&[u8]>> = coded.iter().map(|s| Some(s.as_slice())).collect();
         let mut dropped = 0usize;
@@ -289,7 +343,8 @@ proptest! {
                 dropped += 1;
             }
         }
-        let rec = rs.reconstruct(&present, len).unwrap();
+        let mut rec = vec![vec![0u8; len]; k + m];
+        rs.reconstruct_into(&present, len, &mut rec).unwrap();
         prop_assert_eq!(rec, coded);
     }
 }

@@ -26,12 +26,6 @@ impl BlockKey {
             block,
         }
     }
-
-    /// Returns `true` if this is a data block of a code with `k` data blocks
-    /// per stripe.
-    pub fn is_data(&self, data_blocks_per_stripe: usize) -> bool {
-        self.block < data_blocks_per_stripe
-    }
 }
 
 #[cfg(test)]
@@ -39,11 +33,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ordering_and_data_classification() {
+    fn ordering() {
         let a = BlockKey::new(FileId(0), 0, 1);
         let b = BlockKey::new(FileId(0), 1, 0);
         assert!(a < b);
-        assert!(a.is_data(9));
-        assert!(!BlockKey::new(FileId(0), 0, 9).is_data(9));
     }
 }

@@ -3,10 +3,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use drc_cluster::NodeId;
 use drc_sim::{ClusterNet, NodeIo, Reservation, Resource, SimTime};
@@ -47,6 +46,18 @@ impl DataNode {
         }
     }
 
+    /// The block map for reading. A poisoned lock only says a panic already
+    /// happened on another thread; no operation here leaves the map half
+    /// updated, so the guard is taken regardless.
+    fn blocks(&self) -> RwLockReadGuard<'_, BTreeMap<BlockKey, Bytes>> {
+        self.blocks.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The block map for writing; poison-transparent like [`Self::blocks`].
+    fn blocks_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<BlockKey, Bytes>> {
+        self.blocks.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cluster node this DataNode runs on.
     pub fn id(&self) -> NodeId {
         self.id
@@ -62,7 +73,7 @@ impl DataNode {
     pub fn store(&self, key: BlockKey, data: Bytes) {
         self.bytes_received
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.blocks.write().insert(key, data);
+        self.blocks_mut().insert(key, data);
     }
 
     /// Stores a block replica as a timed event issued at `now`: the incoming
@@ -83,7 +94,7 @@ impl DataNode {
 
     /// Reads a block replica, if present, counting the bytes as served.
     pub fn read(&self, key: &BlockKey) -> Option<Bytes> {
-        let data = self.blocks.read().get(key).cloned();
+        let data = self.blocks().get(key).cloned();
         if let Some(d) = &data {
             self.bytes_served
                 .fetch_add(d.len() as u64, Ordering::Relaxed);
@@ -115,7 +126,7 @@ impl DataNode {
     /// actually moves), so the gather itself must be accounting-neutral;
     /// pair with [`DataNode::record_served`] for each modeled transfer.
     pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
-        self.blocks.read().get(key).cloned()
+        self.blocks().get(key).cloned()
     }
 
     /// Counts `bytes` as served by this node, for callers that model a
@@ -127,12 +138,7 @@ impl DataNode {
 
     /// Returns `true` if the node holds a replica of the block.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.blocks.read().contains_key(key)
-    }
-
-    /// Deletes a block replica, returning whether it was present.
-    pub fn delete(&self, key: &BlockKey) -> bool {
-        self.blocks.write().remove(key).is_some()
+        self.blocks().contains_key(key)
     }
 
     /// Removes every block (simulates a disk wipe on permanent failure).
@@ -143,18 +149,18 @@ impl DataNode {
     /// caller's buffer, which this node never owned — just drop their
     /// handle here.
     pub fn wipe(&self) {
-        let blocks = std::mem::take(&mut *self.blocks.write());
+        let blocks = std::mem::take(&mut *self.blocks_mut());
         recycle_payloads(blocks);
     }
 
     /// Number of block replicas stored.
     pub fn block_count(&self) -> usize {
-        self.blocks.read().len()
+        self.blocks().len()
     }
 
     /// Total bytes currently stored.
     pub fn used_bytes(&self) -> u64 {
-        self.blocks.read().values().map(|b| b.len() as u64).sum()
+        self.blocks().values().map(|b| b.len() as u64).sum()
     }
 
     /// Bytes served to readers so far.
@@ -169,7 +175,7 @@ impl DataNode {
 
     /// The keys of every block stored on this node.
     pub fn block_keys(&self) -> Vec<BlockKey> {
-        self.blocks.read().keys().copied().collect()
+        self.blocks().keys().copied().collect()
     }
 }
 
@@ -178,7 +184,11 @@ impl Drop for DataNode {
     /// simulation cell's file system funds the next cell's writes instead
     /// of handing gigabytes back to the allocator.
     fn drop(&mut self) {
-        let blocks = std::mem::take(self.blocks.get_mut());
+        let blocks = std::mem::take(
+            self.blocks
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         recycle_payloads(blocks);
     }
 }
@@ -212,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn store_read_delete_cycle() {
+    fn store_read_wipe_cycle() {
         let dn = node(3);
         assert_eq!(dn.id(), NodeId(3));
         assert_eq!(dn.block_count(), 0);
@@ -223,10 +233,7 @@ mod tests {
         assert!(dn.contains(&key(0, 0)));
         assert_eq!(dn.read(&key(0, 0)).unwrap().as_ref(), &[1, 2, 3]);
         assert!(dn.read(&key(9, 9)).is_none());
-        assert!(dn.delete(&key(0, 0)));
-        assert!(!dn.delete(&key(0, 0)));
-        assert_eq!(dn.block_count(), 1);
-        assert_eq!(dn.block_keys(), vec![key(0, 1)]);
+        assert_eq!(dn.block_keys(), vec![key(0, 0), key(0, 1)]);
         dn.wipe();
         assert_eq!(dn.block_count(), 0);
     }

@@ -145,34 +145,6 @@ impl NameNode {
             .ok_or_else(|| HdfsError::file_not_found(id))
     }
 
-    /// Looks up a file by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdfsError::FileNotFound`] if the name is unknown.
-    pub fn file_by_name(&self, name: &str) -> Result<&FileMetadata, HdfsError> {
-        self.by_name
-            .get(name)
-            .and_then(|id| self.files.get(id))
-            .ok_or_else(|| HdfsError::FileNotFound {
-                file: name.to_string(),
-            })
-    }
-
-    /// Removes a file from the namespace, returning its metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdfsError::FileNotFound`] if the id is unknown.
-    pub fn unregister(&mut self, id: FileId) -> Result<FileMetadata, HdfsError> {
-        let meta = self
-            .files
-            .remove(&id)
-            .ok_or_else(|| HdfsError::file_not_found(id))?;
-        self.by_name.remove(&meta.name);
-        Ok(meta)
-    }
-
     /// Iterates over every file's metadata.
     pub fn iter(&self) -> impl Iterator<Item = &FileMetadata> {
         self.files.values()
@@ -211,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn register_lookup_unregister() {
+    fn register_and_lookup() {
         let mut nn = NameNode::new();
         assert!(nn.is_empty());
         let id = nn
@@ -227,8 +199,6 @@ mod tests {
             .unwrap();
         assert_eq!(nn.len(), 1);
         assert_eq!(nn.file(id).unwrap().name, "/data/a");
-        assert_eq!(nn.file_by_name("/data/a").unwrap().id, id);
-        assert!(nn.file_by_name("/nope").is_err());
         assert!(nn
             .register(
                 "/data/a",
@@ -240,10 +210,7 @@ mod tests {
                 placement(1)
             )
             .is_err());
-        let meta = nn.unregister(id).unwrap();
-        assert_eq!(meta.id, id);
-        assert!(nn.file(id).is_err());
-        assert!(nn.unregister(id).is_err());
+        assert!(nn.file(FileId(id.0 + 1)).is_err());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Assignment {
         self.assignments.iter().filter(|a| a.local).count()
     }
 
-    /// Number of tasks that must read their block over the network.
-    pub fn remote_tasks(&self) -> usize {
-        self.len() - self.local_tasks()
-    }
-
     /// Percentage of local tasks — the paper's *data locality* metric.
     ///
     /// Returns 100% for an empty assignment (no task had to go remote).
@@ -69,15 +64,6 @@ impl Assignment {
             return 100.0;
         }
         self.local_tasks() as f64 / self.len() as f64 * 100.0
-    }
-
-    /// Number of tasks assigned to each node.
-    pub fn tasks_per_node(&self) -> BTreeMap<NodeId, usize> {
-        let mut map = BTreeMap::new();
-        for a in &self.assignments {
-            *map.entry(a.node).or_insert(0) += 1;
-        }
-        map
     }
 
     /// Verifies the assignment against a graph and slot capacities: every
@@ -134,9 +120,7 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
         assert_eq!(a.local_tasks(), 3);
-        assert_eq!(a.remote_tasks(), 1);
         assert!((a.locality_percent() - 75.0).abs() < 1e-12);
-        assert_eq!(a.tasks_per_node()[&NodeId(0)], 2);
         assert_eq!(a.iter().count(), 4);
     }
 

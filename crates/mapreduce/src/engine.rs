@@ -966,7 +966,7 @@ mod tests {
         )
         .run(&mut rng)
         .unwrap();
-        let m_wide = JobRun::new(
+        let m_many = JobRun::new(
             &wide,
             code.as_ref(),
             &placement,
@@ -975,7 +975,7 @@ mod tests {
         )
         .run(&mut rng)
         .unwrap();
-        assert!(m_wide.reduce_phase_s < m_narrow.reduce_phase_s);
+        assert!(m_many.reduce_phase_s < m_narrow.reduce_phase_s);
     }
 
     #[test]

@@ -141,28 +141,6 @@ impl TaskNodeGraph {
         self.position_of(node)
             .map_or(&[], |i| self.tasks_local_at(i))
     }
-
-    /// Left-hand degree of a task (number of nodes that can serve it locally).
-    pub fn task_degree(&self, id: TaskId) -> usize {
-        self.tasks[id.0].local_nodes.len()
-    }
-
-    /// Right-hand degree of a node (number of tasks with a local replica there).
-    pub fn node_degree(&self, node: NodeId) -> usize {
-        self.tasks_local_to(node).len()
-    }
-
-    /// Mean number of local candidate nodes per task.
-    pub fn mean_task_degree(&self) -> f64 {
-        if self.tasks.is_empty() {
-            return 0.0;
-        }
-        self.tasks
-            .iter()
-            .map(|t| t.local_nodes.len())
-            .sum::<usize>() as f64
-            / self.tasks.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -205,9 +183,7 @@ mod tests {
         assert_eq!(graph.task_count(), 45);
         for t in graph.tasks() {
             assert_eq!(t.local_nodes.len(), 2);
-            assert_eq!(graph.task_degree(t.task), 2);
         }
-        assert!((graph.mean_task_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -220,12 +196,12 @@ mod tests {
         let graph = TaskNodeGraph::build(&tasks, &placement, &cluster);
         let used: Vec<NodeId> = placement.stripe_hosts(0).unwrap().to_vec();
         for &node in &used {
-            let d = graph.node_degree(node);
+            let d = graph.tasks_local_to(node).len();
             assert!(d == 3 || d == 4, "degree {d}");
         }
         // Unused nodes have degree zero.
         let unused = cluster.nodes().find(|n| !used.contains(n)).unwrap();
-        assert_eq!(graph.node_degree(unused), 0);
+        assert!(graph.tasks_local_to(unused).is_empty());
         // Consistency between the two adjacency directions.
         for t in graph.tasks() {
             for &n in &t.local_nodes {
@@ -243,7 +219,7 @@ mod tests {
         assert_eq!(graph.nodes().len(), 24);
         assert!(!graph.nodes().contains(&victim));
         // Task 0 lost one of its two candidate nodes.
-        assert_eq!(graph.task_degree(TaskId(0)), 1);
+        assert_eq!(graph.task(TaskId(0)).local_nodes.len(), 1);
         assert!(graph.tasks_local_to(victim).is_empty());
     }
 
@@ -292,7 +268,6 @@ mod tests {
                 .map(|t| t.task)
                 .collect();
             assert_eq!(graph.tasks_local_to(node), expected);
-            assert_eq!(graph.node_degree(node), expected.len());
         }
     }
 
@@ -301,7 +276,6 @@ mod tests {
         let (cluster, placement, _) = setup(CodeKind::TWO_REP, 1);
         let graph = TaskNodeGraph::build(&[], &placement, &cluster);
         assert_eq!(graph.task_count(), 0);
-        assert_eq!(graph.mean_task_degree(), 0.0);
         assert_eq!(graph.nodes().len(), 25);
     }
 }

@@ -34,8 +34,10 @@
 //! The pool's worker count comes from the `DRC_SIM_THREADS` environment
 //! variable (default: all cores; `DRC_SIM_THREADS=1` is the deterministic
 //! single-thread fallback), the sibling knob of `DRC_GF_KERNEL` which pins
-//! the SIMD kernel. Parallel and single-threaded runs produce byte-identical
-//! results; only wall-clock throughput differs.
+//! the SIMD kernel; both are trimmed, treat an empty value as unset, and
+//! name a bad value in a one-time stderr warning before falling back.
+//! Parallel and single-threaded runs produce byte-identical results; only
+//! wall-clock throughput differs.
 //!
 //! # Example
 //!

@@ -386,11 +386,6 @@ impl ClusterNet {
         io.nic.set_slowdown(factor);
     }
 
-    /// A local disk read (or write) of `bytes` on `node`, issued at `now`.
-    pub fn disk_io(&self, now: SimTime, node: NodeId, bytes: u64) -> Reservation {
-        self.node(node).disk.reserve_bytes(now, bytes)
-    }
-
     /// A network transfer of `bytes` from `from`'s disk to `to`'s disk,
     /// issued at `now`.
     ///
@@ -526,7 +521,10 @@ mod tests {
     #[test]
     fn local_reads_only_use_the_disk() {
         let net = net();
-        let r = net.disk_io(SimTime::ZERO, NodeId(5), 100 << 20);
+        let r = net
+            .node(NodeId(5))
+            .disk
+            .reserve_bytes(SimTime::ZERO, 100 << 20);
         assert!((r.duration().as_secs_f64() - 1.0).abs() < 1e-6);
         // The NIC stayed free.
         assert_eq!(net.node(NodeId(5)).nic.next_free(), SimTime::ZERO);
@@ -663,10 +661,16 @@ mod tests {
         let net = net();
         // simulation_25: 100 MiB/s disks. At 4x slowdown, 100 MiB take 4 s.
         net.set_node_slowdown(NodeId(1), 4.0);
-        let r = net.disk_io(SimTime::ZERO, NodeId(1), 100 << 20);
+        let r = net
+            .node(NodeId(1))
+            .disk
+            .reserve_bytes(SimTime::ZERO, 100 << 20);
         assert!((r.duration().as_secs_f64() - 4.0).abs() < 1e-6);
         net.set_node_slowdown(NodeId(1), 1.0);
-        let healthy = net.disk_io(SimTime::ZERO, NodeId(1), 100 << 20);
+        let healthy = net
+            .node(NodeId(1))
+            .disk
+            .reserve_bytes(SimTime::ZERO, 100 << 20);
         assert!((healthy.duration().as_secs_f64() - 1.0).abs() < 1e-6);
     }
 }

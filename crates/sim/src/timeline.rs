@@ -94,15 +94,6 @@ impl Timeline {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Total virtual time covered, from the earliest start to the latest end.
-    pub fn makespan(&self) -> SimDuration {
-        let start = self.phases.iter().map(|p| p.start).min();
-        match start {
-            Some(s) => self.end().since(s),
-            None => SimDuration::ZERO,
-        }
-    }
-
     /// Phases whose label starts with `prefix`.
     pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a Phase> {
         self.phases
@@ -184,13 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn makespan_and_end() {
+    fn end_and_bytes() {
         let mut tl = Timeline::new();
-        assert_eq!(tl.makespan(), SimDuration::ZERO);
+        assert_eq!(tl.end(), SimTime::ZERO);
         tl.record("write", t(1.0), t(3.0), 100);
         tl.record("repair", t(2.0), t(6.0), 200);
         assert_eq!(tl.end(), t(6.0));
-        assert_eq!(tl.makespan(), SimDuration::from_secs_f64(5.0));
         assert_eq!(tl.bytes_with_prefix("repair"), 200);
     }
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Best-effort Miri pass over the crates that contain unsafe code:
-# drc_gf (SIMD kernels + raw-pointer XOR paths) and the vendored rayon
-# stub (lifetime-transmuting scoped pool).
+# drc_gf (SIMD kernels, the cached active-kernel pointer) and the vendored
+# rayon stub (lifetime-transmuting scoped pool).
 #
 # Miri interprets the non-SIMD code paths and catches undefined behaviour
 # (OOB, use-after-free, invalid transmutes) that tests alone cannot.
 # `#[target_feature]` kernels are unsafe-to-call and dispatch-gated, so
-# under Miri the portable fallbacks run instead — that is expected: the
-# interesting UB surface (pointer arithmetic in the wide-XOR path, the
-# pool's scope transmute) is fully exercised.
+# under Miri the portable tier — the safe scalar `reference` kernel — runs
+# instead. That is expected: what is left for Miri in drc_gf is the
+# `AtomicPtr` kernel cache and `with_forced`'s restore, and the pool's
+# scope transmute is fully exercised.
 #
 # drc_gf's one FFI call (`madvise` in `bufpool::bulk_with_capacity`) needs
 # no exclusion here: it is compiled out under `cfg(miri)`, where the
