@@ -269,7 +269,8 @@ mod tests {
                     assert_eq!(hosts.len(), 2, "{code}: double replication");
                     for &node in &hosts {
                         let stored = fs.datanode(node).unwrap().peek(&key);
-                        assert_eq!(stored.as_ref(), Some(&want), "{code} {key:?} on {node}");
+                        let stored = stored.expect("a replica on every host");
+                        assert_eq!(stored.bytes(), Ok(&want), "{code} {key:?} on {node}");
                     }
                 }
             }

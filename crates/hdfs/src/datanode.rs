@@ -5,15 +5,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use bytes::Bytes;
-
 use drc_cluster::NodeId;
 use drc_sim::{ClusterNet, NodeIo, Reservation, Resource, SimTime};
 
-use crate::block::BlockKey;
-use crate::encoded::recycle_if_sole;
+use crate::block::{Block, BlockKey};
 
-/// A DataNode holding block replicas in memory.
+/// A DataNode holding block replicas in memory — each a [`Block`] handle: a
+/// length, plus shared bytes unless the file was ingested length-only.
+/// Every counter and timed event here is a function of the length alone.
 ///
 /// The node tracks how many bytes it has served and received (lock-free
 /// atomics — reads are concurrent once the event-driven substrate overlaps
@@ -28,7 +27,7 @@ use crate::encoded::recycle_if_sole;
 pub struct DataNode {
     id: NodeId,
     net: Arc<ClusterNet>,
-    blocks: RwLock<BTreeMap<BlockKey, Bytes>>,
+    blocks: RwLock<BTreeMap<BlockKey, Block>>,
     bytes_served: AtomicU64,
     bytes_received: AtomicU64,
 }
@@ -49,12 +48,12 @@ impl DataNode {
     /// The block map for reading. A poisoned lock only says a panic already
     /// happened on another thread; no operation here leaves the map half
     /// updated, so the guard is taken regardless.
-    fn blocks(&self) -> RwLockReadGuard<'_, BTreeMap<BlockKey, Bytes>> {
+    fn blocks(&self) -> RwLockReadGuard<'_, BTreeMap<BlockKey, Block>> {
         self.blocks.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The block map for writing; poison-transparent like [`Self::blocks`].
-    fn blocks_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<BlockKey, Bytes>> {
+    fn blocks_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<BlockKey, Block>> {
         self.blocks.write().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -70,7 +69,7 @@ impl DataNode {
     }
 
     /// Stores (or overwrites) a block replica.
-    pub fn store(&self, key: BlockKey, data: Bytes) {
+    pub fn store(&self, key: BlockKey, data: Block) {
         self.bytes_received
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.blocks_mut().insert(key, data);
@@ -83,7 +82,7 @@ impl DataNode {
     pub fn store_timed(
         &self,
         key: BlockKey,
-        data: Bytes,
+        data: Block,
         now: SimTime,
         fabric: &Resource,
     ) -> Reservation {
@@ -93,7 +92,7 @@ impl DataNode {
     }
 
     /// Reads a block replica, if present, counting the bytes as served.
-    pub fn read(&self, key: &BlockKey) -> Option<Bytes> {
+    pub fn read(&self, key: &BlockKey) -> Option<Block> {
         let data = self.blocks().get(key).cloned();
         if let Some(d) = &data {
             self.bytes_served
@@ -113,7 +112,7 @@ impl DataNode {
         key: &BlockKey,
         now: SimTime,
         fabric: &Resource,
-    ) -> Option<(Bytes, Reservation)> {
+    ) -> Option<(Block, Reservation)> {
         let data = self.read(key)?;
         let res = drc_sim::pull_from(now, self.io(), fabric, data.len() as u64);
         Some((data, res))
@@ -125,7 +124,7 @@ impl DataNode {
     /// accounts traffic per modeled transfer (only what the repair plan
     /// actually moves), so the gather itself must be accounting-neutral;
     /// pair with [`DataNode::record_served`] for each modeled transfer.
-    pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
+    pub fn peek(&self, key: &BlockKey) -> Option<Block> {
         self.blocks().get(key).cloned()
     }
 
@@ -202,15 +201,16 @@ impl Drop for DataNode {
 /// exactly once and a DataNode never shelves a buffer someone else still
 /// reads. A view of a writer's payload never unwraps at all (its allocation
 /// is the whole payload, not a block): views are simply dropped and the
-/// payload is freed by whoever built it.
-fn recycle_payloads(blocks: BTreeMap<BlockKey, Bytes>) {
-    blocks.into_values().for_each(recycle_if_sole);
+/// payload is freed by whoever built it. A sized block has no buffer at all.
+fn recycle_payloads(blocks: BTreeMap<BlockKey, Block>) {
+    blocks.into_values().for_each(Block::recycle_if_sole);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::namenode::FileId;
+    use bytes::Bytes;
 
     fn key(stripe: usize, block: usize) -> BlockKey {
         BlockKey::new(FileId(1), stripe, block)
@@ -226,12 +226,12 @@ mod tests {
         let dn = node(3);
         assert_eq!(dn.id(), NodeId(3));
         assert_eq!(dn.block_count(), 0);
-        dn.store(key(0, 0), Bytes::from(vec![1u8, 2, 3]));
-        dn.store(key(0, 1), Bytes::from(vec![4u8; 10]));
+        dn.store(key(0, 0), Bytes::from(vec![1u8, 2, 3]).into());
+        dn.store(key(0, 1), Bytes::from(vec![4u8; 10]).into());
         assert_eq!(dn.block_count(), 2);
         assert_eq!(dn.used_bytes(), 13);
         assert!(dn.contains(&key(0, 0)));
-        assert_eq!(dn.read(&key(0, 0)).unwrap().as_ref(), &[1, 2, 3]);
+        assert_eq!(dn.read(&key(0, 0)).unwrap().bytes().unwrap()[..], [1, 2, 3]);
         assert!(dn.read(&key(9, 9)).is_none());
         assert_eq!(dn.block_keys(), vec![key(0, 0), key(0, 1)]);
         dn.wipe();
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn traffic_counters() {
         let dn = node(0);
-        dn.store(key(0, 0), Bytes::from(vec![0u8; 100]));
+        dn.store(key(0, 0), Bytes::from(vec![0u8; 100]).into());
         assert_eq!(dn.bytes_received(), 100);
         assert_eq!(dn.bytes_served(), 0);
         let _ = dn.read(&key(0, 0));
@@ -266,13 +266,14 @@ mod tests {
         // Two views of a writer's payload, a sole-owner parity buffer, and
         // a replica whose handle a second holder (another node) keeps.
         let payload = Bytes::from(vec![5u8; 2 * block]);
-        dn.store(key(0, 0), payload.slice(..block));
-        dn.store(key(0, 1), payload.slice(block..));
+        dn.store(key(0, 0), payload.slice(..block).into());
+        dn.store(key(0, 1), payload.slice(block..).into());
         let parity = vec![6u8; block];
         let parity_ptr = parity.as_ptr();
-        dn.store(key(0, 2), Bytes::from(parity));
+        dn.store(key(0, 2), Bytes::from(parity).into());
+        dn.store(key(0, 4), Block::sized(block));
         let replica = Bytes::from(vec![7u8; block + 1]);
-        dn.store(key(0, 3), replica.clone());
+        dn.store(key(0, 3), replica.clone().into());
 
         dn.wipe();
         assert_eq!(dn.block_count(), 0);
@@ -288,28 +289,35 @@ mod tests {
 
     #[test]
     fn timed_io_queues_on_the_node_resources() {
-        let dn = node(1);
         let fabric = Resource::new(0.0); // infinitely fast LAN for this test
         let mib = 1024 * 1024;
-        // simulation_25: 100 MiB/s disks, 60 MiB/s NICs — a 100 MiB store is
-        // NIC-bound at 100/60 s.
-        let w = dn.store_timed(
-            key(0, 0),
-            Bytes::from(vec![7u8; 100 * mib]),
-            SimTime::ZERO,
-            &fabric,
-        );
-        assert!((w.duration().as_secs_f64() - 100.0 / 60.0).abs() < 1e-6);
-        let (data, r) = dn.read_timed(&key(0, 0), SimTime::ZERO, &fabric).unwrap();
-        assert_eq!(data.len(), 100 * mib);
-        assert_eq!(r.start, w.end, "the read queues behind the write");
-        assert!(dn.read_timed(&key(5, 5), SimTime::ZERO, &fabric).is_none());
+        // Timing and counters are functions of the length: a block with
+        // bytes and a sized one are indistinguishable here.
+        for block in [
+            Block::from(Bytes::from(vec![7u8; 100 * mib])),
+            Block::sized(100 * mib),
+        ] {
+            let dn = node(1);
+            // simulation_25: 100 MiB/s disks, 60 MiB/s NICs — a 100 MiB store
+            // is NIC-bound at 100/60 s.
+            let w = dn.store_timed(key(0, 0), block.clone(), SimTime::ZERO, &fabric);
+            assert!((w.duration().as_secs_f64() - 100.0 / 60.0).abs() < 1e-6);
+            let (data, r) = dn.read_timed(&key(0, 0), SimTime::ZERO, &fabric).unwrap();
+            assert_eq!(data, block);
+            assert_eq!(r.start, w.end, "the read queues behind the write");
+            assert!(dn.read_timed(&key(5, 5), SimTime::ZERO, &fabric).is_none());
+            assert_eq!(
+                (dn.used_bytes(), dn.bytes_received(), dn.bytes_served()),
+                (100 * mib as u64, 100 * mib as u64, 100 * mib as u64)
+            );
+            assert!(dn.contains(&key(0, 0)));
+        }
     }
 
     #[test]
     fn counters_are_safe_under_concurrent_reads() {
         let dn = node(2);
-        dn.store(key(0, 0), Bytes::from(vec![1u8; 1000]));
+        dn.store(key(0, 0), Bytes::from(vec![1u8; 1000]).into());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

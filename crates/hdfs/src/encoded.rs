@@ -7,11 +7,17 @@
 //! touching a payload byte. The stripe encode itself ([`encode_stripe`]) is
 //! the one `write_file(&[u8])` runs per stripe — the two write entry points
 //! differ only in *when* it runs and where a data block's handle comes from.
+//!
+//! A file whose bytes nobody will read — every figure of a virtual-time
+//! experiment is a function of block lengths — is built with
+//! [`EncodedFile::sized`] instead: the same stripes × distinct-blocks
+//! structure with no payload, no parities and no allocation behind it.
 
 use bytes::Bytes;
 
 use drc_codes::{encode_parities_into, CodeKind, ErasureCode};
 
+use crate::block::Block;
 use crate::HdfsError;
 
 /// One file's stripes, encoded with one code at one block size.
@@ -38,8 +44,9 @@ pub struct EncodedFile {
     block_size: usize,
     len: usize,
     /// Per stripe, the code's distinct blocks in block-index order (data
-    /// first, then parities).
-    stripes: Vec<Vec<Bytes>>,
+    /// first, then parities). `None` for a sized file, whose every block is
+    /// `Block::sized(block_size)`.
+    stripes: Option<Vec<Vec<Bytes>>>,
 }
 
 impl EncodedFile {
@@ -50,11 +57,7 @@ impl EncodedFile {
     ///
     /// Returns an error if the code fails to build or `block_size` is zero.
     pub fn encode(data: Bytes, code: CodeKind, block_size: usize) -> Result<Self, HdfsError> {
-        if block_size == 0 {
-            return Err(HdfsError::InvalidRequest {
-                reason: "block size must be positive".to_string(),
-            });
-        }
+        check_block_size(block_size)?;
         let built = code.build()?;
         let stripes = data
             .len()
@@ -75,7 +78,30 @@ impl EncodedFile {
             code,
             block_size,
             len: data.len(),
-            stripes,
+            stripes: Some(stripes),
+        })
+    }
+
+    /// A `len`-byte file striped with `code` at `block_size` that carries
+    /// block lengths only: ingesting it issues the timed events, placement
+    /// draws and accounting [`EncodedFile::encode`] of any `len`-byte
+    /// payload would, and every later read, degraded read and repair plans
+    /// and moves the same bytes — but nothing allocates, encodes or
+    /// rebuilds a block, and the content-returning calls fail with
+    /// [`HdfsError::NoContent`].
+    ///
+    /// # Errors
+    ///
+    /// As [`EncodedFile::encode`]: the code fails to build or `block_size`
+    /// is zero.
+    pub fn sized(code: CodeKind, block_size: usize, len: usize) -> Result<Self, HdfsError> {
+        check_block_size(block_size)?;
+        code.build()?;
+        Ok(EncodedFile {
+            code,
+            block_size,
+            len,
+            stripes: None,
         })
     }
 
@@ -99,16 +125,36 @@ impl EncodedFile {
         self.len == 0
     }
 
-    /// Handles to the distinct blocks of stripe `stripe`.
-    pub(crate) fn stripe_blocks(&self, stripe: usize) -> Vec<Bytes> {
-        self.stripes[stripe].clone()
+    /// Whether the file carries bytes ([`EncodedFile::encode`]) or block
+    /// lengths only ([`EncodedFile::sized`]).
+    pub(crate) fn has_content(&self) -> bool {
+        self.stripes.is_some()
+    }
+
+    /// Handles to the distinct blocks of stripe `stripe` (`code` is this
+    /// file's code, built).
+    pub(crate) fn stripe_blocks(&self, code: &dyn ErasureCode, stripe: usize) -> Vec<Block> {
+        match &self.stripes {
+            Some(stripes) => stripes[stripe].iter().cloned().map(Block::from).collect(),
+            None => vec![Block::sized(self.block_size); code.distinct_blocks()],
+        }
     }
 }
 
 impl Drop for EncodedFile {
     fn drop(&mut self) {
-        self.stripes.drain(..).flatten().for_each(recycle_if_sole);
+        let stripes = self.stripes.take().unwrap_or_default();
+        stripes.into_iter().flatten().for_each(recycle_if_sole);
     }
+}
+
+fn check_block_size(block_size: usize) -> Result<(), HdfsError> {
+    if block_size == 0 {
+        return Err(HdfsError::InvalidRequest {
+            reason: "block size must be positive".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Returns a payload's buffer to the block pool if `payload` is the last
@@ -177,8 +223,9 @@ mod tests {
             (code, BLOCK, len)
         );
         assert!(!file.is_empty());
-        assert_eq!(file.stripes.len(), 2);
-        for (stripe, blocks) in file.stripes.iter().enumerate() {
+        let stripes = file.stripes.as_ref().unwrap();
+        assert_eq!(stripes.len(), 2);
+        for (stripe, blocks) in stripes.iter().enumerate() {
             assert_eq!(blocks.len(), built.distinct_blocks());
             for (b, block) in blocks[..k].iter().enumerate() {
                 let start = (stripe * k + b) * BLOCK;
@@ -204,10 +251,52 @@ mod tests {
     fn empty_payload_and_zero_block_size() {
         let file = EncodedFile::encode(Bytes::new(), CodeKind::TWO_REP, BLOCK).unwrap();
         assert!(file.is_empty());
-        assert!(file.stripes.is_empty());
+        assert!(file.stripes.as_ref().unwrap().is_empty());
         assert!(matches!(
             EncodedFile::encode(payload(10), CodeKind::TWO_REP, 0),
             Err(HdfsError::InvalidRequest { .. })
         ));
+    }
+
+    #[test]
+    fn a_sized_file_has_encodes_shape_and_edges() {
+        let code = CodeKind::Pentagon;
+        let built = code.build().unwrap();
+        let len = (built.data_blocks() + 2) * BLOCK + 100;
+        let sized = EncodedFile::sized(code, BLOCK, len).unwrap();
+        let real = EncodedFile::encode(payload(len), code, BLOCK).unwrap();
+        assert_eq!(
+            (
+                sized.code(),
+                sized.block_size(),
+                sized.len(),
+                sized.is_empty()
+            ),
+            (real.code(), real.block_size(), real.len(), real.is_empty())
+        );
+        assert!(real.has_content() && !sized.has_content());
+        for stripe in 0..2 {
+            let lens = |file: &EncodedFile| -> Vec<usize> {
+                let blocks = file.stripe_blocks(built.as_ref(), stripe);
+                blocks.iter().map(Block::len).collect()
+            };
+            assert_eq!(lens(&sized), lens(&real), "stripe {stripe}");
+            assert!(sized
+                .stripe_blocks(built.as_ref(), stripe)
+                .iter()
+                .all(|b| b.bytes() == Err(HdfsError::NoContent { len: BLOCK as u64 })));
+        }
+        // The same edges as `encode`: an empty file is a value, a zero
+        // block size and an unbuildable code are errors.
+        assert!(EncodedFile::sized(code, BLOCK, 0).unwrap().is_empty());
+        assert!(matches!(
+            EncodedFile::sized(code, 0, 10),
+            Err(HdfsError::InvalidRequest { .. })
+        ));
+        let bad = CodeKind::ReedSolomon { data: 0, parity: 0 };
+        assert_eq!(
+            EncodedFile::sized(bad, BLOCK, 10).err(),
+            EncodedFile::encode(payload(10), bad, BLOCK).err()
+        );
     }
 }

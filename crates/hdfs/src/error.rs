@@ -38,6 +38,13 @@ pub enum HdfsError {
         /// Explanation of the problem.
         reason: String,
     },
+    /// The bytes of a file or block that was ingested length-only
+    /// ([`crate::EncodedFile::sized`]) were asked for. A sized file takes
+    /// part in every timed operation, but there is nothing to return.
+    NoContent {
+        /// Length of the file or block, in bytes.
+        len: u64,
+    },
     /// The underlying erasure code reported an error.
     Code(CodeError),
     /// The underlying cluster/placement layer reported an error.
@@ -56,6 +63,10 @@ impl fmt::Display for HdfsError {
             ),
             HdfsError::DataNodeUnavailable { node } => write!(f, "datanode {node} unavailable"),
             HdfsError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
+            HdfsError::NoContent { len } => write!(
+                f,
+                "no content: the {len}-byte file or block was ingested length-only"
+            ),
             HdfsError::Code(e) => write!(f, "erasure code error: {e}"),
             HdfsError::Cluster(e) => write!(f, "cluster error: {e}"),
         }
@@ -115,13 +126,14 @@ mod tests {
             HdfsError::InvalidRequest {
                 reason: "empty".into(),
             },
+            HdfsError::NoContent { len: 1 << 20 },
             HdfsError::Code(CodeError::UnequalBlockLengths),
             HdfsError::Cluster(ClusterError::UnknownNode { node: 9 }),
         ];
         for e in &errs {
             assert!(!e.to_string().is_empty());
         }
-        assert!(errs[5].source().is_some());
+        assert!(errs[6].source().is_some());
         assert!(errs[0].source().is_none());
     }
 }

@@ -73,9 +73,9 @@ use drc_sim::{
     VirtualClock,
 };
 
-use crate::block::BlockKey;
+use crate::block::{Block, BlockKey};
 use crate::datanode::DataNode;
-use crate::encoded::{encode_stripe, pooled_block, recycle_if_sole, EncodedFile};
+use crate::encoded::{encode_stripe, pooled_block, EncodedFile};
 use crate::namenode::{FileId, FileMetadata, NameNode};
 use crate::HdfsError;
 
@@ -318,10 +318,11 @@ impl DistributedFileSystem {
         code_kind: CodeKind,
     ) -> Result<FileId, HdfsError> {
         let block_size = self.block_size();
-        self.write_stripes(name, data.len(), code_kind, |code, stripe| {
-            encode_stripe(code, stripe, block_size, |start| {
+        self.write_stripes(name, data.len(), code_kind, true, |code, stripe| {
+            let blocks = encode_stripe(code, stripe, block_size, |start| {
                 pooled_block(data, start, block_size)
-            })
+            })?;
+            Ok(blocks.into_iter().map(Block::from).collect())
         })
     }
 
@@ -331,6 +332,11 @@ impl DistributedFileSystem {
     /// same [`EncodedFile`] can be written to any number of file systems.
     /// Placement, timed events, accounting and stored bytes are identical
     /// to `write_file`'s of the same bytes under the same code.
+    ///
+    /// A length-only file ([`EncodedFile::sized`]) goes through the same
+    /// loop: the stored handles carry lengths and no bytes, and everything
+    /// observable except the content-returning reads stays as it would be
+    /// for a payload of that length.
     ///
     /// # Errors
     ///
@@ -346,9 +352,14 @@ impl DistributedFileSystem {
                 ),
             });
         }
-        self.write_stripes(name, file.len(), file.code(), |_, stripe| {
-            Ok(file.stripe_blocks(stripe))
-        })
+        let has_content = file.has_content();
+        self.write_stripes(
+            name,
+            file.len(),
+            file.code(),
+            has_content,
+            |code, stripe| Ok(file.stripe_blocks(code, stripe)),
+        )
     }
 
     fn block_size(&self) -> usize {
@@ -359,13 +370,15 @@ impl DistributedFileSystem {
     /// `len`-byte file, then places and distributes it stripe by stripe.
     /// `stripe_blocks(code, stripe)` yields that stripe's distinct blocks
     /// (data zero-padded to the block size, then parities) — encoded on the
-    /// spot or ahead of time, the only thing the entry points differ in.
+    /// spot, ahead of time, or length-only (`has_content` false): the only
+    /// thing the entry points differ in.
     fn write_stripes(
         &mut self,
         name: &str,
         len: usize,
         code_kind: CodeKind,
-        stripe_blocks: impl Fn(&dyn ErasureCode, usize) -> Result<Vec<Bytes>, HdfsError>,
+        has_content: bool,
+        stripe_blocks: impl Fn(&dyn ErasureCode, usize) -> Result<Vec<Block>, HdfsError>,
     ) -> Result<FileId, HdfsError> {
         if len == 0 {
             return Err(HdfsError::InvalidRequest {
@@ -392,6 +405,7 @@ impl DistributedFileSystem {
             code_kind,
             k,
             issued,
+            has_content,
             placement,
         )?;
         let meta = self.namenode.file(id)?.clone();
@@ -432,14 +446,20 @@ impl DistributedFileSystem {
     /// # Errors
     ///
     /// Returns [`HdfsError::BlockUnavailable`] if a block cannot be read even
-    /// with reconstruction.
+    /// with reconstruction, and [`HdfsError::NoContent`] — before any timed
+    /// event is issued — for a file that was ingested length-only.
     pub fn read_file(&mut self, id: FileId) -> Result<Vec<u8>, HdfsError> {
-        let mut out = drc_gf::bufpool::bulk_with_capacity(self.namenode.file(id)?.size as usize);
+        let meta = self.namenode.file(id)?;
+        if !meta.has_content {
+            return Err(HdfsError::NoContent { len: meta.size });
+        }
+        let mut out = drc_gf::bufpool::bulk_with_capacity(meta.size as usize);
         self.read_content_blocks(id, |block| {
-            out.extend_from_slice(&block);
+            out.extend_from_slice(block.bytes()?);
             // A block rebuilt for a degraded read is this handle's alone:
             // shelve it for the next rebuild. A replica's is shared.
-            recycle_if_sole(block);
+            block.recycle_if_sole();
+            Ok(())
         })?;
         Ok(out)
     }
@@ -447,14 +467,20 @@ impl DistributedFileSystem {
     /// [`DistributedFileSystem::read_file`] without the file-sized copy:
     /// the file's content blocks in order, each the replica's (or the
     /// reconstruction's) own handle, the last one cut to the file's length.
-    /// Timed events, phases and accounting are `read_file`'s.
+    /// Timed events, phases and accounting are `read_file`'s — for a
+    /// length-only file too, whose handles have lengths and no bytes
+    /// ([`Block::bytes`] is the typed error).
     ///
     /// # Errors
     ///
-    /// As [`DistributedFileSystem::read_file`].
-    pub fn read_file_blocks(&mut self, id: FileId) -> Result<Vec<Bytes>, HdfsError> {
+    /// Returns [`HdfsError::BlockUnavailable`] if a block cannot be read even
+    /// with reconstruction.
+    pub fn read_file_blocks(&mut self, id: FileId) -> Result<Vec<Block>, HdfsError> {
         let mut blocks = Vec::new();
-        self.read_content_blocks(id, |block| blocks.push(block))?;
+        self.read_content_blocks(id, |block| {
+            blocks.push(block);
+            Ok(())
+        })?;
         Ok(blocks)
     }
 
@@ -464,7 +490,7 @@ impl DistributedFileSystem {
     fn read_content_blocks(
         &mut self,
         id: FileId,
-        mut sink: impl FnMut(Bytes),
+        mut sink: impl FnMut(Block) -> Result<(), HdfsError>,
     ) -> Result<(), HdfsError> {
         let meta = self.namenode.file(id)?.clone();
         let issued = self.clock.now();
@@ -478,12 +504,12 @@ impl DistributedFileSystem {
             let take = remaining.min(block.len());
             remaining -= take;
             if take < block.len() {
-                sink(block.slice(..take));
+                sink(block.prefix(take))?;
                 // The sink saw a view; if it kept none, a rebuilt tail
                 // block is this handle's alone again.
-                recycle_if_sole(block);
+                block.recycle_if_sole();
             } else {
-                sink(block);
+                sink(block)?;
             }
         }
         // Phase bytes are disjoint: reconstruction traffic is already on the
@@ -501,7 +527,8 @@ impl DistributedFileSystem {
     }
 
     /// Reads one data block of a file, using a surviving replica when possible
-    /// and a degraded read otherwise.
+    /// and a degraded read otherwise. The handle of a length-only file's
+    /// block has a length and no bytes.
     ///
     /// # Errors
     ///
@@ -512,7 +539,7 @@ impl DistributedFileSystem {
         meta: &FileMetadata,
         stripe: usize,
         block: usize,
-    ) -> Result<Bytes, HdfsError> {
+    ) -> Result<Block, HdfsError> {
         let issued = self.clock.now();
         let bytes_before = self.read_network_bytes;
         let degraded_before = self.degraded_read_bytes;
@@ -536,7 +563,7 @@ impl DistributedFileSystem {
         stripe: usize,
         block: usize,
         issued: SimTime,
-    ) -> Result<(Bytes, SimTime), HdfsError> {
+    ) -> Result<(Block, SimTime), HdfsError> {
         let key = BlockKey::new(meta.id, stripe, block);
         // Fast path: any up replica.
         for &node in &meta.block_locations(stripe, block)? {
@@ -603,7 +630,8 @@ impl DistributedFileSystem {
         // Rebuild the one requested block from surviving handles: the
         // plan models the traffic; the reconstructor produces the bytes
         // (exact GF algebra, so the content matches what a full decode
-        // would return).
+        // would return) — when the handles have bytes. A block rebuilt
+        // from length-only sources is a length-only block.
         let payloads = self.gather_stripe_payloads(meta, stripe, code.as_ref())?;
         let content =
             if let Some(data) = payloads.get(&block) {
@@ -615,16 +643,16 @@ impl DistributedFileSystem {
                         block: key,
                         reason: e.to_string(),
                     })?;
-                let sources: Vec<Bytes> = rec
-                    .sources()
-                    .iter()
-                    .map(|&b| payloads[&b].clone())
-                    .collect();
-                let mut outs = vec![drc_gf::bufpool::take(meta.block_size as usize)];
-                rec.reconstruct_into(&sources, &mut outs);
-                // drc-lint: allow(panic-hygiene): `outs` is the one-element vec
-                // constructed two lines above.
-                Bytes::from(outs.pop().expect("one target"))
+                match source_bytes(&rec, &payloads) {
+                    Some(sources) => {
+                        let mut outs = vec![drc_gf::bufpool::take(meta.block_size as usize)];
+                        rec.reconstruct_into(&sources, &mut outs);
+                        // drc-lint: allow(panic-hygiene): `outs` is the one-element
+                        // vec constructed two lines above.
+                        Bytes::from(outs.pop().expect("one target")).into()
+                    }
+                    None => Block::sized(meta.block_size as usize),
+                }
             };
         self.timeline.record(
             format!("degraded-read:f{}:s{stripe}:b{block}", meta.id.0),
@@ -643,13 +671,13 @@ impl DistributedFileSystem {
     /// degraded-read paths model traffic from their *plans* (and charge the
     /// senders with [`DataNode::record_served`]), so grabbing the payload
     /// handles must not count as served bytes — and, the handles being
-    /// shared `Bytes`, must not copy block data either.
+    /// shared `Bytes` (or bare lengths), must not copy block data either.
     fn gather_stripe_payloads(
         &self,
         meta: &FileMetadata,
         stripe: usize,
         code: &dyn ErasureCode,
-    ) -> Result<BTreeMap<usize, Bytes>, HdfsError> {
+    ) -> Result<BTreeMap<usize, Block>, HdfsError> {
         let mut payloads = BTreeMap::new();
         for block in 0..code.distinct_blocks() {
             let key = BlockKey::new(meta.id, stripe, block);
@@ -1001,27 +1029,32 @@ impl DistributedFileSystem {
                     }
                 }
                 if let Some(rec) = rec {
-                    let sources: Vec<Bytes> = rec
-                        .sources()
-                        .iter()
-                        .map(|&b| payloads[&b].clone())
-                        .collect();
-                    let outs: Vec<Vec<u8>> = rec
-                        .targets()
-                        .iter()
-                        .map(|_| drc_gf::bufpool::take(meta.block_size as usize))
-                        .collect();
                     let out_dests: Vec<Vec<(BlockKey, NodeId)>> =
                         rec.targets().iter().map(|b| dests[b].clone()).collect();
                     report.blocks_restored += out_dests.iter().map(Vec::len).sum::<usize>();
-                    pending.push(PendingRebuild {
-                        rec,
-                        sources,
-                        outs,
-                        dests: out_dests,
-                    });
-                    if pending.len() >= REBUILD_WAVE_STRIPES {
-                        self.flush_rebuilds(&mut pending);
+                    match source_bytes(&rec, &payloads) {
+                        Some(sources) => {
+                            let outs: Vec<Vec<u8>> = rec
+                                .targets()
+                                .iter()
+                                .map(|_| drc_gf::bufpool::take(meta.block_size as usize))
+                                .collect();
+                            pending.push(PendingRebuild {
+                                rec,
+                                sources,
+                                outs,
+                                dests: out_dests,
+                            });
+                            if pending.len() >= REBUILD_WAVE_STRIPES {
+                                self.flush_rebuilds(&mut pending);
+                            }
+                        }
+                        // Length-only sources: nothing to compute, the
+                        // rebuilt blocks are lengths too.
+                        None => {
+                            let rebuilt = Block::sized(meta.block_size as usize);
+                            self.store_rebuilt(&rebuilt, out_dests.into_iter().flatten());
+                        }
                     }
                 }
                 report.stripes_repaired += 1;
@@ -1137,12 +1170,16 @@ impl DistributedFileSystem {
         for p in pending.drain(..) {
             for (out, targets) in p.outs.into_iter().zip(p.dests) {
                 // Zero-copy: the rebuilt buffer becomes the stored handle.
-                let data = Bytes::from(out);
-                for (key, node) in targets {
-                    if let Some(dn) = self.datanodes.get(&node) {
-                        dn.store(key, data.clone());
-                    }
-                }
+                self.store_rebuilt(&Bytes::from(out).into(), targets);
+            }
+        }
+    }
+
+    /// Lands one rebuilt block in every replica slot it was missing from.
+    fn store_rebuilt(&self, block: &Block, slots: impl IntoIterator<Item = (BlockKey, NodeId)>) {
+        for (key, node) in slots {
+            if let Some(dn) = self.datanodes.get(&node) {
+                dn.store(key, block.clone());
             }
         }
     }
@@ -1175,6 +1212,19 @@ impl DistributedFileSystem {
             repair_network_bytes: self.repair_network_bytes,
         }
     }
+}
+
+/// The bytes of a reconstruction's source blocks, in `rec.sources()` order,
+/// or `None` when the stripe was ingested length-only — the one place the
+/// repair and degraded-read paths ask whether there is anything to compute.
+fn source_bytes(
+    rec: &StripeReconstructor,
+    payloads: &BTreeMap<usize, Block>,
+) -> Option<Vec<Bytes>> {
+    rec.sources()
+        .iter()
+        .map(|b| payloads[b].content().cloned())
+        .collect()
 }
 
 #[cfg(test)]
@@ -1399,7 +1449,7 @@ mod tests {
         let stats_before = fs.stats().read_network_bytes;
         let degraded_before = fs.timeline().bytes_with_prefix("degraded-read:");
         let block = fs.read_block(&meta, 0, 0).unwrap();
-        assert_eq!(&block[..], &data[..1024 * 1024]);
+        assert_eq!(&block.bytes().unwrap()[..], &data[..1024 * 1024]);
         let read_phase = fs.timeline().phases.last().unwrap().clone();
         assert_eq!(read_phase.label, "read:f0:s0:b0");
         assert_eq!(

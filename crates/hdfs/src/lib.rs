@@ -13,7 +13,11 @@
 //!   byte-for-byte,
 //! * [`EncodedFile`] — a file striped and encoded once, ingested by
 //!   [`DistributedFileSystem::write_encoded`] into any number of
-//!   deployments without touching a payload byte again,
+//!   deployments without touching a payload byte again — or, built with
+//!   [`EncodedFile::sized`], a file of block *lengths* only, for the
+//!   virtual-time experiments that never read a byte back,
+//! * [`Block`] — the stored-block handle: a length plus, unless the file
+//!   is length-only, shared bytes,
 //! * network-byte accounting that follows the codes' repair and degraded-read
 //!   plans (including the partial-parity savings of §2.1/§3.1).
 //!
@@ -54,11 +58,11 @@ mod fs;
 mod namenode;
 
 /// The shared, cheaply cloneable byte container block payloads are held in
-/// (what [`EncodedFile::encode`] stripes without a copy and
-/// [`DistributedFileSystem::read_file_blocks`] hands back).
+/// (what [`EncodedFile::encode`] stripes without a copy and a [`Block`]
+/// with content wraps).
 pub use bytes::Bytes;
 
-pub use block::BlockKey;
+pub use block::{Block, BlockKey};
 pub use datanode::DataNode;
 pub use encoded::EncodedFile;
 pub use error::HdfsError;

@@ -42,6 +42,10 @@ pub struct FileMetadata {
     /// The virtual instant the file's write was issued (the event-driven
     /// substrate's clock; writes before the substrate existed read as zero).
     pub created_at: SimTime,
+    /// Whether the file's blocks were ingested with their bytes. `false`
+    /// for a length-only file ([`crate::EncodedFile::sized`]), whose
+    /// content-returning reads fail with [`HdfsError::NoContent`].
+    pub has_content: bool,
     /// The stripe→cluster-node placement, shared (the engine clones file
     /// metadata freely; at 10M blocks the placement must not be deep-copied).
     pub placement: Arc<PlacementMap>,
@@ -109,6 +113,7 @@ impl NameNode {
         code: CodeKind,
         data_blocks_per_stripe: usize,
         created_at: SimTime,
+        has_content: bool,
         placement: PlacementMap,
     ) -> Result<FileId, HdfsError> {
         if self.by_name.contains_key(name) {
@@ -127,6 +132,7 @@ impl NameNode {
             stripes: placement.stripe_count(),
             data_blocks_per_stripe,
             created_at,
+            has_content,
             placement: Arc::new(placement),
         };
         self.files.insert(id, meta);
@@ -194,6 +200,7 @@ mod tests {
                 CodeKind::Pentagon,
                 9,
                 SimTime::ZERO,
+                true,
                 placement(2),
             )
             .unwrap();
@@ -207,6 +214,7 @@ mod tests {
                 CodeKind::TWO_REP,
                 1,
                 SimTime::ZERO,
+                true,
                 placement(1)
             )
             .is_err());
@@ -224,6 +232,7 @@ mod tests {
                 CodeKind::Pentagon,
                 9,
                 SimTime::ZERO,
+                true,
                 placement(2),
             )
             .unwrap();

@@ -7,10 +7,15 @@
 //! private event queue and the NameNode's heartbeat maps were replaced by
 //! the replay `drc_sim` shares with the MapReduce engine
 //! (`crates/mapreduce/tests/engine_digest.rs` is the engine-side twin).
+//!
+//! The same script on length-only files (`EncodedFile::sized` ingested with
+//! `write_encoded`, read back by handle) must land on the *same* digest:
+//! nothing the digest covers may depend on whether blocks carry bytes
+//! (`sized_differential.rs` is the per-step version of that claim).
 
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, RackId};
 use drc_codes::CodeKind;
-use drc_hdfs::{DistributedFileSystem, RepairReport};
+use drc_hdfs::{DistributedFileSystem, EncodedFile, FileId, RepairReport};
 use drc_sim::{SimDuration, SimTime};
 
 /// FNV-1a, 64-bit.
@@ -59,8 +64,26 @@ fn secs(s: f64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs_f64(s)
 }
 
+/// Recorded at commit 1093746 (the parent of the shared failure replay).
+const RECORDED: u64 = 0x4e43_ccd8_7085_3923;
+
 #[test]
 fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
+    let got = composed_trace_digest(false);
+    assert_eq!(got, RECORDED, "got {got:#018x}, recorded {RECORDED:#018x}");
+}
+
+#[test]
+fn composed_trace_on_sized_files_reproduces_the_same_digest() {
+    let got = composed_trace_digest(true);
+    assert_eq!(got, RECORDED, "got {got:#018x}, recorded {RECORDED:#018x}");
+}
+
+/// Runs the composed trace over three files — real bytes written with
+/// `write_file` and compared on every read-back, or, with `sized`, the same
+/// lengths ingested length-only and read back by handle — and digests
+/// everything the file system reports.
+fn composed_trace_digest(sized: bool) -> u64 {
     let down = |at_s: f64, n: usize| {
         FailureEvent::at_secs(at_s, FailureEventKind::NodeDown { node: NodeId(n) })
     };
@@ -93,12 +116,26 @@ fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
     .into_iter()
     .enumerate()
     .map(|(i, kind)| {
-        let data = payload(20 * 1024 * 1024 + 123 * (i + 1), i);
-        let id = fs.write_file(&format!("/pin/{i}"), &data, kind).unwrap();
-        (id, data)
+        let (name, len) = (format!("/pin/{i}"), 20 * 1024 * 1024 + 123 * (i + 1));
+        if sized {
+            let file = EncodedFile::sized(kind, 1024 * 1024, len).unwrap();
+            (fs.write_encoded(&name, &file).unwrap(), Vec::new())
+        } else {
+            let data = payload(len, i);
+            (fs.write_file(&name, &data, kind).unwrap(), data)
+        }
     })
     .collect();
     fs.sync();
+    // The whole-file read: bytes compared, or the same timed events by
+    // handle where there are no bytes.
+    let read_back = |fs: &mut DistributedFileSystem, (id, data): &(FileId, Vec<u8>)| {
+        if sized {
+            fs.read_file_blocks(*id).unwrap();
+        } else {
+            assert_eq!(&fs.read_file(*id).unwrap(), data);
+        }
+    };
 
     let mut d = Digest::new();
     fs.set_detection_timeout(SimDuration::from_secs_f64(2.0));
@@ -115,7 +152,7 @@ fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
     ]));
     d.reports(&fs.process_events_until(secs(2.2)).unwrap());
     // Nodes 3, 6 and 9 are dark and undetected: this read goes degraded.
-    assert_eq!(fs.read_file(files[0].0).unwrap(), files[0].1);
+    read_back(&mut fs, &files[0]);
 
     // Raised mid-flight: node 3's boundary moves from 3 s to 4 s, node 9's
     // from 4 s to 5 s — where its rejoin lands.
@@ -134,11 +171,11 @@ fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
     ]));
     d.reports(&fs.process_events_until(secs(9.0)).unwrap());
     fs.sync();
-    assert_eq!(fs.read_file(files[1].0).unwrap(), files[1].1);
+    read_back(&mut fs, &files[1]);
     d.reports(&fs.process_all_events().unwrap());
     assert_eq!(fs.pending_events(), 0);
     fs.sync();
-    assert_eq!(fs.read_file(files[2].0).unwrap(), files[2].1);
+    read_back(&mut fs, &files[2]);
 
     d.reports(fs.auto_repair_reports());
     d.u64(fs.timeline().phases.len() as u64);
@@ -182,8 +219,5 @@ fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
         .map(|r| r.issued_at)
         .collect();
     assert_eq!(issued, [secs(4.0), secs(9.0), secs(10.0)]);
-
-    // Recorded at commit 1093746 (the parent of the shared failure replay).
-    let want = 0x4e43_ccd8_7085_3923u64;
-    assert_eq!(d.0, want, "got {:#018x}, recorded {want:#018x}", d.0);
+    d.0
 }

@@ -7,7 +7,7 @@
 
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId};
 use drc_codes::CodeKind;
-use drc_hdfs::{BlockKey, Bytes, DistributedFileSystem, EncodedFile, FsStats, RepairReport};
+use drc_hdfs::{Block, BlockKey, Bytes, DistributedFileSystem, EncodedFile, FsStats, RepairReport};
 use drc_sim::{SimDuration, Timeline};
 use proptest::prelude::*;
 
@@ -223,7 +223,7 @@ proptest! {
 /// then stats, timeline, read-backs and the repair report.
 #[derive(Debug, PartialEq)]
 struct IngestOutcome {
-    stored: Vec<(NodeId, BlockKey, Bytes)>,
+    stored: Vec<(NodeId, BlockKey, Block)>,
     received: Vec<u64>,
     stats_after_write: FsStats,
     healthy_read: Vec<u8>,
@@ -460,7 +460,9 @@ fn read_file_blocks_is_read_file_without_the_copy() {
             let case = format!("{code} {len} B {scenario:?}");
             assert!(copied == data, "{case}: read_file differs");
             let mut joined = Vec::with_capacity(len);
-            blocks.iter().for_each(|b| joined.extend_from_slice(b));
+            blocks
+                .iter()
+                .for_each(|b| joined.extend_from_slice(b.bytes().unwrap()));
             assert!(joined == data, "{case}: read_file_blocks differs");
             assert_eq!(
                 blocks.len(),
