@@ -43,6 +43,11 @@ use drc_core::experiments::{
 use drc_core::reliability::ReliabilityParams;
 use drc_core::DrcError;
 
+/// The HDFS block of the paper's clusters (`ClusterSpec::simulation_25`,
+/// set-up 2 of §4): what the full-effort storage experiments simulate. The
+/// cells ingest length-only files, so a block costs no memory.
+const PAPER_BLOCK_BYTES: usize = 128 * 1024 * 1024;
+
 struct Options {
     experiment: String,
     effort: Effort,
@@ -146,7 +151,7 @@ fn run(options: &Options) -> Result<BTreeMap<String, serde_json::Value>, DrcErro
     if wanted("overlap") {
         let (block_bytes, stripes) = match options.effort {
             Effort::Quick => (1024 * 1024, 2),
-            Effort::Full => (4 * 1024 * 1024, 4),
+            Effort::Full => (PAPER_BLOCK_BYTES, 4),
         };
         let report = run_overlap(block_bytes, stripes)?;
         println!("{report}\n");
@@ -158,7 +163,7 @@ fn run(options: &Options) -> Result<BTreeMap<String, serde_json::Value>, DrcErro
     if wanted("shuffle_contention") {
         let (block_bytes, target_tasks) = match options.effort {
             Effort::Quick => (1024 * 1024, 100),
-            Effort::Full => (2 * 1024 * 1024, 200),
+            Effort::Full => (PAPER_BLOCK_BYTES, 200),
         };
         let report = run_shuffle_contention(block_bytes, target_tasks)?;
         println!("{report}\n");
@@ -170,7 +175,7 @@ fn run(options: &Options) -> Result<BTreeMap<String, serde_json::Value>, DrcErro
     if wanted("failure_trace") {
         let (block_bytes, target_tasks) = match options.effort {
             Effort::Quick => drc_bench::FAILURE_TRACE_QUICK,
-            Effort::Full => (2 * 1024 * 1024, 120),
+            Effort::Full => (PAPER_BLOCK_BYTES, 120),
         };
         let report = run_failure_trace(block_bytes, target_tasks)?;
         println!("{report}\n");
@@ -182,7 +187,7 @@ fn run(options: &Options) -> Result<BTreeMap<String, serde_json::Value>, DrcErro
     if wanted("repair_pipeline") {
         let (block_bytes, stripes, chunks) = match options.effort {
             Effort::Quick => drc_bench::REPAIR_PIPELINE_QUICK,
-            Effort::Full => (8 * 1024 * 1024, 4, &[1 << 20, 256 * 1024, 64 * 1024][..]),
+            Effort::Full => (PAPER_BLOCK_BYTES, 4, &[1 << 20, 256 * 1024, 64 * 1024][..]),
         };
         let report = run_repair_pipeline(block_bytes, stripes, chunks)?;
         println!("{report}\n");

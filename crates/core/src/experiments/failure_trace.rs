@@ -140,8 +140,9 @@ fn code_salt(code: CodeKind) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates file-system and engine errors (none are expected: traces are
-/// capped within tolerance).
+/// [`DrcError::InvalidExperiment`] if `block_bytes` is not a positive whole
+/// number of MiB; otherwise propagates file-system and engine errors (none
+/// are expected: traces are capped within tolerance).
 pub fn run_failure_trace(
     block_bytes: usize,
     target_tasks: usize,
@@ -225,7 +226,7 @@ fn run_window(
     traced: Option<TracedConfig<'_>>,
 ) -> Result<(Baseline, Option<FailureTracePoint>), DrcError> {
     let code = file.code();
-    let spec = harness::byte_cluster_spec(file.block_size());
+    let spec = harness::byte_cluster_spec(file.block_size())?;
     let mut fs = DistributedFileSystem::new(spec, 0xFA11 ^ code_salt(code));
 
     let built = code.build()?;

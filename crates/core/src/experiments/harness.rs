@@ -37,17 +37,26 @@
 //!
 //! # Payload bytes
 //!
-//! Real bytes exist in the experiments only to prove the codes and repairs
-//! correct; every reported figure is virtual time or a byte count. As in
-//! the paper's deployment, a file is therefore striped and encoded **once
-//! per experiment**, not once per cell: a driver calls [`stripe_files`],
-//! which builds one [`pattern_payload`] as long as its largest file and one
-//! [`EncodedFile`] per code over a zero-copy prefix of it, and every cell
-//! of that code ingests the same file through `write_encoded` — handle
-//! clones, no payload byte touched. The driver owns the files and the
-//! cells borrow them ([`run_cells`] has no `'static` bound), so payload and
-//! parities are released when the driver returns: immutable data shared
-//! for the length of one experiment, never process-wide state.
+//! The virtual-time cells store none. Every figure `overlap`,
+//! `shuffle_contention`, `failure_trace` and `repair_pipeline` report is
+//! virtual time or a byte count, and both are functions of block *lengths*:
+//! a driver calls [`stripe_files`], which builds one length-only
+//! [`EncodedFile`] per code (`EncodedFile::sized` — the stripes × blocks
+//! structure with nothing behind it), and every cell of that code ingests
+//! it through `write_encoded`. Placement draws, timed events, plans, chunk
+//! trains, phases and counters are exactly those of a real payload of that
+//! length (`crates/hdfs/tests/sized_differential.rs` holds the two to each
+//! other step by step); what is skipped is the payload fill, the parity
+//! encode and the GF rebuilds nobody read. A block costs no memory, so the
+//! full-effort arms run the paper's 128 MiB blocks.
+//!
+//! Real bytes live where they are the point: `encoding` measures real
+//! encodes over a [`pattern_payload`], and the byte-exactness proofs (the
+//! hdfs tests, `repair_pipeline`'s `#[cfg(test)]` replica check) build
+//! `EncodedFile::encode(pattern_payload(..))` files. A cell that needs the
+//! whole-file read's *timing* calls `read_file_blocks` — the handle read
+//! works on both kinds — never `read_file`, which is a typed error on a
+//! length-only file.
 
 use std::cell::Cell;
 
@@ -57,12 +66,26 @@ use drc_hdfs::{Bytes, EncodedFile};
 
 use crate::DrcError;
 
-/// The byte experiments' deployment: the paper's 25-node simulation cluster
-/// with `block_bytes` blocks (whole MiB, at least one).
-pub fn byte_cluster_spec(block_bytes: usize) -> ClusterSpec {
+/// The storage experiments' deployment: the paper's 25-node simulation
+/// cluster with `block_bytes` blocks.
+///
+/// # Errors
+///
+/// [`ClusterSpec`] counts its block size in whole MiB: a zero or
+/// non-whole-MiB `block_bytes` is [`DrcError::InvalidExperiment`] rather
+/// than a silently different block size.
+pub fn byte_cluster_spec(block_bytes: usize) -> Result<ClusterSpec, DrcError> {
+    const MIB: usize = 1024 * 1024;
+    if block_bytes == 0 || !block_bytes.is_multiple_of(MIB) {
+        return Err(DrcError::InvalidExperiment {
+            reason: format!(
+                "block size must be a positive whole number of MiB, got {block_bytes} bytes"
+            ),
+        });
+    }
     let mut spec = ClusterSpec::simulation_25(4);
-    spec.block_size_mb = (block_bytes as u64 / (1024 * 1024)).max(1);
-    spec
+    spec.block_size_mb = (block_bytes / MIB) as u64;
+    Ok(spec)
 }
 
 /// The deterministic test pattern every byte experiment stores: byte `i` is
@@ -88,33 +111,28 @@ pub fn pattern_payload(len: usize) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Builds one experiment's files: per code, `stripes_of(k)` whole stripes
-/// of `block_bytes` blocks (`k` being the code's data blocks per stripe) of
-/// the [`pattern_payload`], striped and encoded once. All files are prefixes
-/// of one shared payload, so the data blocks of every file are views of the
-/// same allocation.
+/// Builds one experiment's files: per code, a length-only [`EncodedFile`]
+/// of `stripes_of(k)` whole stripes of `block_bytes` blocks (`k` being the
+/// code's data blocks per stripe). See the module docs: the cells' figures
+/// depend on lengths alone, so no payload is filled and nothing is encoded.
 ///
 /// # Errors
 ///
-/// Returns an error only if a code fails to build.
+/// Returns an error if `block_bytes` is not a positive whole number of MiB
+/// (see [`byte_cluster_spec`]) or a code fails to build.
 pub fn stripe_files(
     codes: &[CodeKind],
     block_bytes: usize,
     stripes_of: impl Fn(usize) -> usize,
 ) -> Result<Vec<EncodedFile>, DrcError> {
-    let block_size = byte_cluster_spec(block_bytes).block_size_bytes() as usize;
-    let lens = codes
-        .iter()
-        .map(|code| {
-            let k = code.build()?.data_blocks();
-            Ok(stripes_of(k) * k * block_size)
-        })
-        .collect::<Result<Vec<usize>, DrcError>>()?;
-    let payload = pattern_payload(lens.iter().copied().max().unwrap_or(0));
+    byte_cluster_spec(block_bytes)?;
     codes
         .iter()
-        .zip(lens)
-        .map(|(&code, len)| Ok(EncodedFile::encode(payload.slice(..len), code, block_size)?))
+        .map(|&code| {
+            let k = code.build()?.data_blocks();
+            let len = stripes_of(k) * k * block_bytes;
+            Ok(EncodedFile::sized(code, block_bytes, len)?)
+        })
         .collect()
 }
 
@@ -305,6 +323,29 @@ mod tests {
         }
         // The first line keeps the historical ramp.
         assert_eq!(&long[..3], &[7, 38, 69]);
+    }
+
+    #[test]
+    fn stripe_files_are_length_only_and_reject_fractional_mib_blocks() {
+        let codes = [CodeKind::TWO_REP, CodeKind::Pentagon];
+        let files = stripe_files(&codes, 2 << 20, |k| 10usize.div_ceil(k)).unwrap();
+        let lens: Vec<usize> = files.iter().map(EncodedFile::len).collect();
+        // 2-rep: 10 stripes of 1 block; pentagon: 2 stripes of 9.
+        assert_eq!(lens, [10 * (2 << 20), 18 * (2 << 20)]);
+        assert!(files.iter().all(|f| f.block_size() == 2 << 20));
+        assert_eq!(byte_cluster_spec(2 << 20).unwrap().block_size_mb, 2);
+        // 1.5 MiB used to run at 1 MiB, 512 KiB and 0 at 1 MiB too.
+        for bad in [0, 512 * 1024, 1536 * 1024, (1 << 20) + 1] {
+            for err in [
+                byte_cluster_spec(bad).err(),
+                stripe_files(&codes, bad, |_| 1).err(),
+            ] {
+                assert!(
+                    matches!(err, Some(DrcError::InvalidExperiment { .. })),
+                    "{bad}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! degraded-read work back-to-back, so the contention the paper's failure
 //! experiments are really about was invisible. This experiment exercises the
 //! rebuilt HDFS layer end-to-end: for each double-replicated array code it
-//! writes a real multi-stripe file, permanently fails both replicas of a
+//! writes a multi-stripe file, permanently fails both replicas of a
 //! data block, then issues the whole-file degraded read **and** the RaidNode
 //! repair pass at the same virtual instant. The two compete for the
 //! surviving nodes' disks, NICs and the shared LAN; the per-phase timeline
@@ -73,15 +73,17 @@ impl OverlapReport {
 
 /// Runs the overlap experiment for the double-replicated array codes.
 ///
-/// Each code writes a `stripes`-stripe file of real payload onto a simulated
-/// 25-node cluster with `block_bytes`-sized blocks, loses both replicas of
-/// data block 0 of stripe 0 to permanent failures, and then handles the
-/// failure with a concurrent degraded read + repair pass.
+/// Each code writes a `stripes`-stripe file (length-only: see the harness
+/// docs) onto a simulated 25-node cluster with `block_bytes`-sized blocks,
+/// loses both replicas of data block 0 of stripe 0 to permanent failures,
+/// and then handles the failure with a concurrent degraded read + repair
+/// pass.
 ///
 /// # Errors
 ///
-/// Propagates file-system errors (none are expected for the array codes,
-/// which all tolerate double failures).
+/// [`DrcError::InvalidExperiment`] if `block_bytes` is not a positive whole
+/// number of MiB; otherwise propagates file-system errors (none are
+/// expected for the array codes, which all tolerate double failures).
 pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, DrcError> {
     let codes = [
         CodeKind::Pentagon,
@@ -120,7 +122,7 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
 /// without it both are issued at the same virtual instant and overlap.
 fn run_failure_window(file: &EncodedFile, serialise: bool) -> Result<OverlapRow, DrcError> {
     let code = file.code();
-    let spec = harness::byte_cluster_spec(file.block_size());
+    let spec = harness::byte_cluster_spec(file.block_size())?;
     let mut fs = DistributedFileSystem::new(spec, 0x5EED ^ code.to_string().len() as u64);
 
     let id = fs.write_encoded("/overlap", file)?;
@@ -136,7 +138,7 @@ fn run_failure_window(file: &EncodedFile, serialise: bool) -> Result<OverlapRow,
 
     let window_start = fs.now();
     // Only the timed events and accounting of the whole-file read matter
-    // here: take the block handles, not a file-sized copy.
+    // here (the file has no bytes to copy): take the block handles.
     let back = fs.read_file_blocks(id)?;
     debug_assert_eq!(back.iter().map(|b| b.len()).sum::<usize>(), file.len());
     if serialise {

@@ -13,7 +13,9 @@
 //! and runs the RaidNode repair pass twice on identical fresh deployments
 //! — once with the chunk-streamed schedule and once with
 //! `repair_chunk_bytes = u64::MAX` (the serial whole-block baseline). Both
-//! runs restore byte-identical replicas and account identical traffic;
+//! runs restore the same replicas (byte-identical on a file with bytes: the
+//! driver's are length-only, the `#[cfg(test)]` proof builds real ones) and
+//! account identical traffic;
 //! only the virtual-time schedule differs, and the per-row `ratio`
 //! (pipelined / serial) is the headline `check_speedup` gates: strictly
 //! below 1.0 for every erasure code (2-rep repairs move replicas without a
@@ -88,8 +90,10 @@ impl RepairPipelineReport {
 ///
 /// # Errors
 ///
-/// Propagates file-system errors (none are expected: the scenario is a
-/// single node failure, within every code's tolerance).
+/// [`DrcError::InvalidExperiment`] if `block_bytes` is not a positive whole
+/// number of MiB; otherwise propagates file-system errors (none are
+/// expected: the scenario is a single node failure, within every code's
+/// tolerance).
 pub fn run_repair_pipeline(
     block_bytes: usize,
     stripes: usize,
@@ -160,7 +164,7 @@ fn repaired_fs(
     file: &EncodedFile,
     chunk: u64,
 ) -> Result<(DistributedFileSystem, FileId, RepairReport), DrcError> {
-    let spec = harness::byte_cluster_spec(file.block_size());
+    let spec = harness::byte_cluster_spec(file.block_size())?;
     let mut fs = DistributedFileSystem::new(spec, 0x9147 ^ file.code().to_string().len() as u64);
     fs.set_repair_chunk_bytes(chunk);
 
@@ -211,6 +215,7 @@ impl std::fmt::Display for RepairPipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drc_hdfs::{Block, BlockKey, Bytes, HdfsError};
 
     #[test]
     fn pipelined_beats_serial_for_every_erasure_code() {
@@ -240,40 +245,90 @@ mod tests {
         assert!(worst < 1.0, "headline ratio {worst:.4}");
     }
 
+    /// Where a replica of a content block of file `id` is not the payload
+    /// window it was written from: handles are compared against payload
+    /// views in place (no timed read, no file-sized copy), and the payload
+    /// being block-distinct, a right-looking block in the wrong slot is
+    /// found too.
+    fn first_wrong_replica(
+        fs: &DistributedFileSystem,
+        id: FileId,
+        payload: &Bytes,
+        block: usize,
+    ) -> Option<String> {
+        let meta = fs.namenode().file(id).unwrap();
+        for (index, key) in meta.content_block_keys().into_iter().enumerate() {
+            let want = payload.slice(index * block..(index + 1) * block);
+            let hosts = meta.block_locations(key.stripe, key.block).unwrap();
+            assert_eq!(hosts.len(), 2, "double replication");
+            for &node in &hosts {
+                let stored = fs.datanode(node).unwrap().peek(&key);
+                if stored.as_ref().map(Block::bytes) != Some(Ok(&want)) {
+                    return Some(format!("{key:?} on {node}"));
+                }
+            }
+        }
+        None
+    }
+
     /// The repair restores real bytes: after the pass, every replica of
     /// every data block — the victim's rebuilt ones included — is the
-    /// payload window it was written from. Handles are compared against
-    /// payload views in place (no timed read, no file-sized copy), and the
-    /// payload being block-distinct, a right-looking block in the wrong
-    /// slot fails too.
+    /// payload window it was written from. The drivers ingest length-only
+    /// files, so this proof builds its own real ones, over the same
+    /// scenario ([`repaired_fs`]).
     #[test]
     fn repair_restores_the_payload_bytes_on_every_replica() {
         let block = 1024 * 1024;
-        let codes = [
+        for code in [
             CodeKind::TWO_REP,
             CodeKind::Pentagon,
             CodeKind::Heptagon,
             CodeKind::HeptagonLocal,
-        ];
-        for file in harness::stripe_files(&codes, block, |_| 2).unwrap() {
-            let code = file.code();
-            let payload = harness::pattern_payload(file.len());
+        ] {
+            let k = code.build().unwrap().data_blocks();
+            let payload = harness::pattern_payload(2 * k * block);
+            let file = EncodedFile::encode(payload.clone(), code, block).unwrap();
             for chunk in [u64::MAX, 256 * 1024] {
                 let (fs, id, report) = repaired_fs(&file, chunk).unwrap();
                 assert_eq!(report.unrecoverable_stripes, 0, "{code}");
                 assert!(report.blocks_restored > 0, "{code}");
-                let meta = fs.namenode().file(id).unwrap();
-                for (index, key) in meta.content_block_keys().into_iter().enumerate() {
-                    let want = payload.slice(index * block..(index + 1) * block);
-                    let hosts = meta.block_locations(key.stripe, key.block).unwrap();
-                    assert_eq!(hosts.len(), 2, "{code}: double replication");
-                    for &node in &hosts {
-                        let stored = fs.datanode(node).unwrap().peek(&key);
-                        let stored = stored.expect("a replica on every host");
-                        assert_eq!(stored.bytes(), Ok(&want), "{code} {key:?} on {node}");
-                    }
-                }
+                assert_eq!(
+                    first_wrong_replica(&fs, id, &payload, block),
+                    None,
+                    "{code}"
+                );
             }
         }
+    }
+
+    /// The proof above has teeth: a replica holding its stripe neighbour's
+    /// bytes — right length, right pattern, wrong window — is reported.
+    #[test]
+    fn a_wrong_block_on_a_replica_fails_the_byte_proof() {
+        let (code, block) = (CodeKind::Pentagon, 1024 * 1024);
+        let payload = harness::pattern_payload(18 * block);
+        let file = EncodedFile::encode(payload.clone(), code, block).unwrap();
+        let (fs, id, _) = repaired_fs(&file, u64::MAX).unwrap();
+        let meta = fs.namenode().file(id).unwrap();
+        let (key, neighbour) = (BlockKey::new(id, 1, 3), BlockKey::new(id, 1, 4));
+        let host = fs.datanode(meta.block_locations(1, 3).unwrap()[1]).unwrap();
+        let donor = fs.datanode(meta.block_locations(1, 4).unwrap()[0]).unwrap();
+        host.store(key, donor.peek(&neighbour).unwrap());
+        assert_eq!(
+            first_wrong_replica(&fs, id, &payload, block),
+            Some(format!("{key:?} on {}", host.id()))
+        );
+    }
+
+    /// The driver's own files carry no bytes: the same scenario repairs
+    /// them to the same report, and the restored replicas are lengths.
+    #[test]
+    fn the_drivers_files_are_length_only_and_repair_to_the_same_report() {
+        let (code, block) = (CodeKind::Heptagon, 1024 * 1024);
+        let sized = &harness::stripe_files(&[code], block, |_| 2).unwrap()[0];
+        let real = EncodedFile::encode(harness::pattern_payload(sized.len()), code, block).unwrap();
+        let (mut fs, id, report) = repaired_fs(sized, 256 * 1024).unwrap();
+        assert_eq!(report, repaired_fs(&real, 256 * 1024).unwrap().2);
+        assert!(matches!(fs.read_file(id), Err(HdfsError::NoContent { .. })));
     }
 }

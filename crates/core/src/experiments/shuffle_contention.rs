@@ -102,8 +102,10 @@ struct Window {
 ///
 /// # Errors
 ///
-/// Propagates file-system and execution errors (none are expected for these
-/// codes, whose failures stay within tolerance).
+/// [`DrcError::InvalidExperiment`] if `block_bytes` is not a positive whole
+/// number of MiB; otherwise propagates file-system and execution errors
+/// (none are expected for these codes, whose failures stay within
+/// tolerance).
 pub fn run_shuffle_contention(
     block_bytes: usize,
     target_tasks: usize,
@@ -177,7 +179,7 @@ fn run_window(
     with_repair: bool,
 ) -> Result<Window, DrcError> {
     let code = file.code();
-    let spec = harness::byte_cluster_spec(file.block_size());
+    let spec = harness::byte_cluster_spec(file.block_size())?;
     let mut fs = DistributedFileSystem::new(spec, 0xC0DE ^ code.to_string().len() as u64);
 
     let id = fs.write_encoded("/shuffle-contention", file)?;

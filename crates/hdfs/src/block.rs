@@ -72,24 +72,23 @@ impl Block {
         })
     }
 
-    /// The block's bytes, `None` for a sized block.
-    pub(crate) fn content(&self) -> Option<&Bytes> {
-        self.content.as_ref()
-    }
-
     /// The first `len` bytes of the block (a view when it has content).
     pub(crate) fn prefix(&self, len: usize) -> Block {
+        debug_assert!(len <= self.len);
         match &self.content {
             Some(bytes) => bytes.slice(..len).into(),
-            None => Block::sized(len.min(self.len)),
+            None => Block::sized(len),
         }
     }
 
-    /// [`crate::encoded::recycle_if_sole`] on the block's bytes; a sized
-    /// block has nothing to return to the pool.
+    /// Returns the block's buffer to [`drc_gf::bufpool`] if this is the last
+    /// handle to it. A view never unwraps (its allocation is a writer's
+    /// whole payload, not a block), neither does a handle shared with
+    /// another holder, and a sized block has no buffer — so every
+    /// allocation is shelved exactly once, by its last owner.
     pub(crate) fn recycle_if_sole(self) {
-        if let Some(bytes) = self.content {
-            crate::encoded::recycle_if_sole(bytes);
+        if let Some(Ok(buf)) = self.content.map(Bytes::try_unwrap) {
+            drc_gf::bufpool::recycle(buf);
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! In the paper's HDFS-RAID deployment a file is striped and encoded *once*;
 //! the experiments then vary what happens to it. [`EncodedFile`] is that
-//! artefact: every stripe's distinct blocks as shared [`Bytes`] handles,
+//! artefact: every stripe's distinct blocks as shared [`Block`] handles,
 //! which [`crate::DistributedFileSystem::write_encoded`] distributes without
 //! touching a payload byte. The stripe encode itself ([`encode_stripe`]) is
 //! the one `write_file(&[u8])` runs per stripe — the two write entry points
@@ -46,7 +46,7 @@ pub struct EncodedFile {
     /// Per stripe, the code's distinct blocks in block-index order (data
     /// first, then parities). `None` for a sized file, whose every block is
     /// `Block::sized(block_size)`.
-    stripes: Option<Vec<Vec<Bytes>>>,
+    stripes: Option<Vec<Vec<Block>>>,
 }
 
 impl EncodedFile {
@@ -135,7 +135,7 @@ impl EncodedFile {
     /// file's code, built).
     pub(crate) fn stripe_blocks(&self, code: &dyn ErasureCode, stripe: usize) -> Vec<Block> {
         match &self.stripes {
-            Some(stripes) => stripes[stripe].iter().cloned().map(Block::from).collect(),
+            Some(stripes) => stripes[stripe].clone(),
             None => vec![Block::sized(self.block_size); code.distinct_blocks()],
         }
     }
@@ -144,7 +144,10 @@ impl EncodedFile {
 impl Drop for EncodedFile {
     fn drop(&mut self) {
         let stripes = self.stripes.take().unwrap_or_default();
-        stripes.into_iter().flatten().for_each(recycle_if_sole);
+        stripes
+            .into_iter()
+            .flatten()
+            .for_each(Block::recycle_if_sole);
     }
 }
 
@@ -157,16 +160,6 @@ fn check_block_size(block_size: usize) -> Result<(), HdfsError> {
     Ok(())
 }
 
-/// Returns a payload's buffer to the block pool if `payload` is the last
-/// handle to it. A view never unwraps (its allocation is a writer's whole
-/// payload, not a block) and neither does a handle shared with another
-/// holder, so every allocation is shelved exactly once, by its last owner.
-pub(crate) fn recycle_if_sole(payload: Bytes) {
-    if let Ok(buf) = payload.try_unwrap() {
-        drc_gf::bufpool::recycle(buf);
-    }
-}
-
 /// The distinct blocks of stripe `stripe` of a file: its `k` data blocks —
 /// `data_block(start)` yields the block of file content at byte offset
 /// `start`, zero-padded to `block_size` — followed by the parities, encoded
@@ -177,17 +170,17 @@ pub(crate) fn encode_stripe(
     stripe: usize,
     block_size: usize,
     data_block: impl Fn(usize) -> Bytes,
-) -> Result<Vec<Bytes>, HdfsError> {
+) -> Result<Vec<Block>, HdfsError> {
     let k = code.data_blocks();
-    let mut blocks: Vec<Bytes> = (stripe * k..(stripe + 1) * k)
+    let data: Vec<Bytes> = (stripe * k..(stripe + 1) * k)
         .map(|index| data_block(index * block_size))
         .collect();
     let mut parities: Vec<Vec<u8>> = (k..code.distinct_blocks())
         .map(|_| drc_gf::bufpool::take(block_size))
         .collect();
-    encode_parities_into(code, &blocks, &mut parities)?;
-    blocks.extend(parities.into_iter().map(Bytes::from));
-    Ok(blocks)
+    encode_parities_into(code, &data, &mut parities)?;
+    let parities = parities.into_iter().map(Bytes::from);
+    Ok(data.into_iter().chain(parities).map(Block::from).collect())
 }
 
 /// A pooled copy of the `block_size` bytes of `data` at `start`, zero-padded
@@ -227,6 +220,7 @@ mod tests {
         assert_eq!(stripes.len(), 2);
         for (stripe, blocks) in stripes.iter().enumerate() {
             assert_eq!(blocks.len(), built.distinct_blocks());
+            let blocks: Vec<&Bytes> = blocks.iter().map(|b| b.bytes().unwrap()).collect();
             for (b, block) in blocks[..k].iter().enumerate() {
                 let start = (stripe * k + b) * BLOCK;
                 assert_eq!(block.len(), BLOCK);

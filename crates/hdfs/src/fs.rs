@@ -12,6 +12,9 @@
 //! by decoding from surviving replicas, so every repaired byte is verified
 //! against real data. The distinction matters for the heptagon-local global
 //! parities, whose partial sums are GF-weighted rather than plain XORs.
+//! A file ingested length-only ([`EncodedFile::sized`]) is planned, timed
+//! and accounted identically — plans and events depend on block lengths
+//! alone — and only the decode is skipped: there are no bytes to produce.
 //!
 //! # Virtual time and overlap
 //!
@@ -319,10 +322,9 @@ impl DistributedFileSystem {
     ) -> Result<FileId, HdfsError> {
         let block_size = self.block_size();
         self.write_stripes(name, data.len(), code_kind, true, |code, stripe| {
-            let blocks = encode_stripe(code, stripe, block_size, |start| {
+            encode_stripe(code, stripe, block_size, |start| {
                 pooled_block(data, start, block_size)
-            })?;
-            Ok(blocks.into_iter().map(Block::from).collect())
+            })
         })
     }
 
@@ -1223,7 +1225,7 @@ fn source_bytes(
 ) -> Option<Vec<Bytes>> {
     rec.sources()
         .iter()
-        .map(|b| payloads[b].content().cloned())
+        .map(|b| payloads[b].bytes().ok().cloned())
         .collect()
 }
 

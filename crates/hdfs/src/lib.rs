@@ -9,8 +9,8 @@
 //!   counters and timed, resource-modeled disk I/O,
 //! * [`DistributedFileSystem`] — the client write/read path (striping,
 //!   encoding, degraded reads) and the RaidNode repair pass, all of which
-//!   operate on real block payloads so every reconstruction is verified
-//!   byte-for-byte,
+//!   operate on real block payloads when the file has them, so every
+//!   reconstruction is verified byte-for-byte,
 //! * [`EncodedFile`] — a file striped and encoded once, ingested by
 //!   [`DistributedFileSystem::write_encoded`] into any number of
 //!   deployments without touching a payload byte again — or, built with

@@ -21,6 +21,11 @@
 //! degraded `read_file` hands every block it reconstructed back to the
 //! shelf once it is copied out.
 //!
+//! A *length-only* cell (`EncodedFile::sized`, what the virtual-time
+//! experiment drivers ingest) needs no pool at all: ingest → fail → repair
+//! allocates nothing block-sized, takes nothing from the pool and shelves
+//! nothing — there is no buffer anywhere in it.
+//!
 //! The counting allocator tallies allocations at or above the block size
 //! inside an explicit window, and those of exactly the block size apart
 //! (every payload, parity and rebuild buffer; a file-sized output is
@@ -303,4 +308,58 @@ fn a_persistent_file_system_repairs_and_reads_degraded_from_the_pool() {
             "cycle {n}: every rebuild is a pool hit"
         );
     }
+}
+
+/// A `repair_pipeline`-shaped cell over a length-only file — ingest, one
+/// permanent stripe-host failure, repair, a handle read-back — never holds
+/// a block: no allocation at or above the block size, no pool take (hit or
+/// miss), nothing shelved when the deployment and the file drop. The same
+/// cell over a real file rebuilds into pool buffers, so the counters do
+/// move when there are bytes.
+#[test]
+fn a_sized_cell_allocates_no_block_and_never_touches_the_pool() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let code = CodeKind::Heptagon;
+    let len = 2 * code.build().unwrap().data_blocks() * BLOCK as usize;
+    let cell = |file: &EncodedFile| {
+        let mut fs = DistributedFileSystem::new(spec(), 0x512E);
+        fs.set_repair_chunk_bytes(256 * 1024);
+        let id = fs.write_encoded("/pool/sized", file).unwrap();
+        fs.sync();
+        let victim = fs
+            .namenode()
+            .file(id)
+            .unwrap()
+            .block_locations(0, 0)
+            .unwrap()[0];
+        fs.fail_node_permanently(victim);
+        let report = fs.repair_nodes(&[victim]).unwrap();
+        assert!(report.blocks_restored > 0 && report.unrecoverable_stripes == 0);
+        fs.sync();
+        fs.read_file_blocks(id).unwrap();
+        report
+    };
+    let takes = || drc_gf::bufpool::hits() + drc_gf::bufpool::misses();
+
+    drc_gf::bufpool::drain();
+    let takes_before = takes();
+    open_window();
+    let sized = EncodedFile::sized(code, BLOCK as usize, len).unwrap();
+    let sized_report = cell(&sized);
+    drop(sized);
+    let big_allocs = close_window().allocs;
+    assert_eq!(big_allocs, 0, "a sized cell holds no block-sized buffer");
+    assert_eq!(
+        takes(),
+        takes_before,
+        "a sized cell takes nothing from the pool"
+    );
+    assert_eq!(drc_gf::bufpool::pooled_bytes(), 0, "and shelves nothing");
+
+    let real = EncodedFile::encode(Bytes::from(vec![0x5Au8; len]), code, BLOCK as usize).unwrap();
+    assert_eq!(cell(&real), sized_report, "same cell, same report");
+    assert!(
+        takes() > takes_before,
+        "a real cell rebuilds into pool buffers"
+    );
 }

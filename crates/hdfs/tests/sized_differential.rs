@@ -93,15 +93,13 @@ fn reports(reports: Result<Vec<RepairReport>, HdfsError>) -> StepResult {
     reports.map(|r| (Vec::new(), r))
 }
 
+/// One step of the script: acts on a deployment, hands back its result.
+type Step = Box<dyn Fn(&mut DistributedFileSystem, FileId) -> StepResult>;
+
 /// The script, one named step at a time. Every step is a pure function of
 /// the file system's state, so running the list on two deployments and
 /// comparing after each step localises a divergence to the step.
-fn script(
-    code: CodeKind,
-) -> Vec<(
-    &'static str,
-    Box<dyn Fn(&mut DistributedFileSystem, FileId) -> StepResult>,
-)> {
+fn script(code: CodeKind) -> Vec<(&'static str, Step)> {
     let tolerance = code.build().unwrap().fault_tolerance();
     let stripe0 = move |fs: &DistributedFileSystem, id: FileId, n: usize| -> Vec<NodeId> {
         let meta = fs.namenode().file(id).unwrap();

@@ -176,3 +176,32 @@ fn metadata_scale_is_the_recorded_structural_table() {
         "two consecutive runs must serialise byte-identically"
     );
 }
+
+/// `ClusterSpec` counts blocks in whole MiB. The storage experiments used
+/// to round a fractional request down (1.5 MiB ran at 1 MiB while the report
+/// printed 1572864) and a sub-MiB or zero one up to 1 MiB; all four entry
+/// points now refuse before simulating anything.
+#[test]
+fn storage_experiments_reject_block_sizes_that_are_not_whole_mib() {
+    use drc_core::experiments::{
+        failure_trace::run_failure_trace, overlap::run_overlap,
+        repair_pipeline::run_repair_pipeline, shuffle_contention::run_shuffle_contention,
+    };
+    use drc_core::DrcError;
+    for block_bytes in [0, 512 * 1024, 1536 * 1024] {
+        let errors = [
+            run_overlap(block_bytes, 2).err(),
+            run_shuffle_contention(block_bytes, 20).err(),
+            run_failure_trace(block_bytes, 20).err(),
+            run_repair_pipeline(block_bytes, 2, &[1 << 20]).err(),
+        ];
+        for (experiment, err) in errors.iter().enumerate() {
+            assert!(
+                matches!(err, Some(DrcError::InvalidExperiment { reason }) if reason.contains("MiB")),
+                "experiment {experiment} with {block_bytes}-byte blocks: {err:?}"
+            );
+        }
+    }
+    // A whole-MiB request reports the block size it simulated.
+    assert_eq!(run_overlap(2 << 20, 1).unwrap().block_bytes, 2 << 20);
+}
