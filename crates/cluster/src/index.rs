@@ -215,7 +215,7 @@ impl Deserialize for NodeList {
 ///
 /// Built once per placement; every per-block query is answered through
 /// these two small tables, so nothing is stored per block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeShape {
     arity: u32,
     distinct_blocks: u32,
@@ -319,30 +319,46 @@ impl CodeShape {
 /// ids (as `u32`) hosting stripe `s`'s local nodes. A cell's position,
 /// `stripe * arity + local`, is the *offset* the per-node postings store —
 /// also as `u32`; [`check_arena_bounds`] is what makes both narrowings
-/// lossless.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// lossless. Made by [`StripeArena::cyclic`] or an [`ArenaBuild`], together
+/// with its postings.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StripeArena {
     arity: u32,
     hosts: Vec<u32>,
 }
 
 impl StripeArena {
-    /// An empty arena with room for `stripes` rows. The caller has passed
-    /// the dimensions through [`check_arena_bounds`].
-    pub(crate) fn with_capacity(arity: usize, stripes: usize) -> Self {
-        StripeArena {
-            arity: arity as u32,
-            hosts: Vec::with_capacity(arity * stripes),
+    /// The arena whose cells are the cyclic repetition of `ring` (distinct
+    /// node ids below `node_universe`) — cell `c` is `ring[c % ring.len()]`
+    /// — and its postings, both in closed form: the arena is the ring copied
+    /// lap after lap, and ring position `at` hosts exactly the offsets `at`,
+    /// `at + ring.len()`, … below the cell count, so every list is written
+    /// front to back at its exact size without reading the arena. The
+    /// caller has passed the dimensions through [`check_arena_bounds`].
+    pub(crate) fn cyclic(
+        arity: usize,
+        stripes: usize,
+        ring: &[u32],
+        node_universe: usize,
+    ) -> (Self, Vec<Vec<u32>>) {
+        let cells = arity * stripes;
+        let mut hosts = Vec::with_capacity(cells);
+        for _ in 0..cells / ring.len() {
+            hosts.extend_from_slice(ring);
         }
+        hosts.extend_from_slice(&ring[..cells % ring.len()]);
+        let mut postings = vec![Vec::new(); node_universe];
+        for (at, &host) in ring.iter().enumerate() {
+            let list = &mut postings[host as usize];
+            list.reserve_exact(cells.saturating_sub(at).div_ceil(ring.len()));
+            list.extend((at..cells).step_by(ring.len()).map(|cell| cell as u32));
+        }
+        let arity = arity as u32;
+        (StripeArena { arity, hosts }, postings)
     }
 
     pub(crate) fn stripe_count(&self) -> usize {
         self.hosts.len() / self.arity as usize
-    }
-
-    pub(crate) fn push_stripe(&mut self, nodes: &[NodeId]) {
-        debug_assert_eq!(nodes.len(), self.arity as usize);
-        self.hosts.extend(nodes.iter().map(|n| n.0 as u32));
     }
 
     pub(crate) fn host(&self, stripe: usize, local: usize) -> NodeId {
@@ -361,23 +377,57 @@ impl StripeArena {
         (offset as usize / arity, offset as usize % arity)
     }
 
-    /// The reverse view of the arena: for each of `node_universe` cluster
-    /// nodes, the offsets it hosts, ascending — i.e. stripes in ascending
-    /// order.
-    pub(crate) fn postings(&self, node_universe: usize) -> Vec<Vec<u32>> {
-        let mut counts = vec![0usize; node_universe];
-        for &host in &self.hosts {
-            counts[host as usize] += 1;
-        }
-        let mut postings: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (offset, &host) in self.hosts.iter().enumerate() {
-            postings[host as usize].push(offset as u32);
-        }
-        postings
-    }
-
     pub(crate) fn heap_bytes(&self) -> usize {
         self.hosts.capacity() * size_of::<u32>()
+    }
+}
+
+/// A [`StripeArena`] and its postings built row by row, for placements
+/// with no closed form: *fill* the arena one stripe at a time, *tally* how
+/// many cells each node hosts as they arrive, then *scatter* every offset
+/// into its host's exactly-sized list. The tally is what makes the scatter
+/// the build's only pass over the finished arena.
+pub(crate) struct ArenaBuild {
+    arena: StripeArena,
+    /// `counts[n]`: cells pushed so far whose host is node `n`.
+    counts: Vec<u32>,
+}
+
+impl ArenaBuild {
+    /// An empty build with room for `stripes` rows over `node_universe`
+    /// cluster nodes. The caller has passed the dimensions through
+    /// [`check_arena_bounds`], so hosts, offsets and counts all fit `u32`.
+    pub(crate) fn new(arity: usize, stripes: usize, node_universe: usize) -> Self {
+        ArenaBuild {
+            arena: StripeArena {
+                arity: arity as u32,
+                hosts: Vec::with_capacity(arity * stripes),
+            },
+            counts: vec![0; node_universe],
+        }
+    }
+
+    /// Appends one stripe's hosts, in local order.
+    pub(crate) fn push_row(&mut self, row: &[u32]) {
+        debug_assert_eq!(row.len(), self.arena.arity as usize);
+        for &host in row {
+            self.counts[host as usize] += 1;
+        }
+        self.arena.hosts.extend_from_slice(row);
+    }
+
+    /// The finished arena and its reverse view: for each cluster node, the
+    /// offsets it hosts, ascending — i.e. stripes in ascending order.
+    pub(crate) fn finish(self) -> (StripeArena, Vec<Vec<u32>>) {
+        let mut postings: Vec<Vec<u32>> = self
+            .counts
+            .iter()
+            .map(|&cells| Vec::with_capacity(cells as usize))
+            .collect();
+        for (offset, &host) in self.arena.hosts.iter().enumerate() {
+            postings[host as usize].push(offset as u32);
+        }
+        (self.arena, postings)
     }
 }
 

@@ -25,9 +25,10 @@ use serde::{Deserialize, Serialize};
 use drc_codes::ErasureCode;
 
 use crate::index::{
-    check_arena_bounds, check_block, check_node, check_stripe, CodeShape, NodeList, StripeArena,
+    check_arena_bounds, check_block, check_node, check_stripe, ArenaBuild, CodeShape, NodeList,
+    StripeArena,
 };
-use crate::topology::{Cluster, NodeId};
+use crate::topology::{Cluster, NodeId, RackId};
 use crate::ClusterError;
 
 pub use crate::index::GlobalBlockId;
@@ -69,7 +70,7 @@ pub enum PlacementPolicy {
 /// assert_eq!(placement.stripe_count(), 5);
 /// assert_eq!(placement.data_block_count(), 45); // 5 stripes x 9 data blocks
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
     code_name: String,
     shape: CodeShape,
@@ -110,106 +111,38 @@ impl PlacementMap {
         let arity = code.node_count();
         let node_universe = cluster.len();
         check_arena_bounds(arity, stripes, node_universe)?;
-        let up = cluster.up_nodes();
+        // The up-node ring in id order, narrowed to the arena's cell type
+        // once (`check_arena_bounds` made that lossless).
+        let up: Vec<u32> = cluster.up_nodes().iter().map(|n| n.0 as u32).collect();
         if arity > up.len() {
             return Err(ClusterError::InsufficientNodes {
                 needed: arity,
                 available: up.len(),
             });
         }
-        let mut arena = StripeArena::with_capacity(arity, stripes);
-        // One scratch row reused across stripes: placing 10M stripes must not
-        // make 10M transient allocations.
-        let mut scratch: Vec<NodeId> = Vec::with_capacity(arity);
-        // Round-robin position in `up`: element `i` of stripe `s` is
-        // `up[(s * arity + i) % up.len()]`, walked as a wrapping cursor so
-        // the 10M-block placements pay no division per element.
-        let mut cursor = 0;
-        for _ in 0..stripes {
-            match policy {
-                PlacementPolicy::Random => {
-                    scratch = Self::random_stripe_nodes(code, cluster, &up, rng);
+        // Placing 10M stripes must allocate nothing per stripe and never
+        // recount the finished arena: beyond the index itself either arm
+        // holds O(nodes) bytes, sized once (INTERNALS.md, "Build").
+        let (arena, postings) = match policy {
+            // Element `i` of stripe `s` is `up[(s * arity + i) % up.len()]`:
+            // the flat arena is the ring repeated.
+            PlacementPolicy::RoundRobin => StripeArena::cyclic(arity, stripes, &up, node_universe),
+            PlacementPolicy::Random => {
+                let mut build = ArenaBuild::new(arity, stripes, node_universe);
+                let mut draw = RandomDraw::new(code, cluster, &up);
+                for _ in 0..stripes {
+                    build.push_row(draw.next_row(rng));
                 }
-                PlacementPolicy::RoundRobin => {
-                    scratch.clear();
-                    for _ in 0..arity {
-                        scratch.push(up[cursor]);
-                        cursor += 1;
-                        if cursor == up.len() {
-                            cursor = 0;
-                        }
-                    }
-                }
+                build.finish()
             }
-            arena.push_stripe(&scratch);
-        }
+        };
         Ok(PlacementMap {
             code_name: code.name().to_string(),
             shape: CodeShape::of(code),
-            postings: arena.postings(node_universe),
             arena,
             node_universe,
+            postings,
         })
-    }
-
-    fn random_stripe_nodes<R: Rng + ?Sized>(
-        code: &dyn ErasureCode,
-        cluster: &Cluster,
-        up: &[NodeId],
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let groups = code.rack_groups();
-        // Rack-aware placement: give each rack group its own rack when there
-        // are enough racks with enough up nodes.
-        if groups.len() > 1 && cluster.rack_count() >= groups.len() {
-            let mut racks: Vec<usize> = (0..cluster.rack_count()).collect();
-            racks.shuffle(rng);
-            let mut candidate_racks: Vec<usize> = Vec::new();
-            for group in groups {
-                // Pick the first not-yet-used rack with enough up nodes.
-                let rack = racks.iter().copied().find(|&r| {
-                    !candidate_racks.contains(&r)
-                        && cluster
-                            .nodes_in_rack(crate::topology::RackId(r))
-                            .iter()
-                            .filter(|n| cluster.is_up(**n))
-                            .count()
-                            >= group.len()
-                });
-                match rack {
-                    Some(r) => candidate_racks.push(r),
-                    None => return Self::flat_random(code, up, rng),
-                }
-            }
-            let mut nodes = vec![NodeId(usize::MAX); code.node_count()];
-            for (group, &rack) in groups.iter().zip(&candidate_racks) {
-                let mut pool: Vec<NodeId> = cluster
-                    .nodes_in_rack(crate::topology::RackId(rack))
-                    .into_iter()
-                    .filter(|n| cluster.is_up(*n))
-                    .collect();
-                pool.shuffle(rng);
-                for (&local, &node) in group.iter().zip(pool.iter()) {
-                    nodes[local] = node;
-                }
-            }
-            if nodes.iter().all(|n| n.0 != usize::MAX) {
-                return nodes;
-            }
-            return Self::flat_random(code, up, rng);
-        }
-        Self::flat_random(code, up, rng)
-    }
-
-    fn flat_random<R: Rng + ?Sized>(
-        code: &dyn ErasureCode,
-        up: &[NodeId],
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let mut pool: Vec<NodeId> = up.to_vec();
-        pool.shuffle(rng);
-        pool.truncate(code.node_count());
-        pool
     }
 
     /// Name of the code this placement was built for.
@@ -390,6 +323,99 @@ impl PlacementMap {
             + self.arena.heap_bytes()
             + posting_headers
             + posting_bytes
+    }
+}
+
+/// Row value of a stripe-local node no rack group has placed yet; no node
+/// id reaches it (`check_arena_bounds` caps ids at `u32::MAX - 1`).
+const UNPLACED: u32 = u32::MAX;
+
+/// The [`PlacementPolicy::Random`] stripe draw and the scratch it reuses
+/// from stripe to stripe. The rng is consumed exactly as if every pool were
+/// collected afresh — one full shuffle of the rack order, one of each chosen
+/// rack's up nodes, or one of the whole up ring — so a seed places the same
+/// stripes whatever the buffers' history.
+struct RandomDraw<'a> {
+    up: &'a [u32],
+    groups: &'a [Vec<usize>],
+    /// Each rack's up nodes in id order; empty unless the draw is
+    /// rack-aware (several rack groups and at least as many racks).
+    rack_up: Vec<Vec<u32>>,
+    /// Rack ids, reshuffled per stripe.
+    rack_order: Vec<usize>,
+    /// The rack given to each group of the current stripe.
+    chosen: Vec<usize>,
+    pool: Vec<u32>,
+    /// One host per stripe-local node: the rack-aware draw's output.
+    row: Vec<u32>,
+}
+
+impl<'a> RandomDraw<'a> {
+    fn new(code: &'a dyn ErasureCode, cluster: &Cluster, up: &'a [u32]) -> Self {
+        let groups = code.rack_groups();
+        let racks = cluster.rack_count();
+        let rack_up: Vec<Vec<u32>> = if groups.len() > 1 && racks >= groups.len() {
+            (0..racks)
+                .map(|rack| {
+                    let nodes = cluster.nodes_in_rack(RackId(rack));
+                    let up_in_rack = nodes.iter().filter(|&&n| cluster.is_up(n));
+                    up_in_rack.map(|n| n.0 as u32).collect()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        RandomDraw {
+            up,
+            groups,
+            rack_order: Vec::with_capacity(rack_up.len()),
+            rack_up,
+            chosen: Vec::with_capacity(groups.len()),
+            pool: Vec::with_capacity(up.len()),
+            row: vec![UNPLACED; code.node_count()],
+        }
+    }
+
+    /// The next stripe's hosts in local order: distinct up nodes, each rack
+    /// group confined to a rack of its own when the racks allow it, drawn
+    /// uniformly from the whole up ring otherwise.
+    fn next_row<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[u32] {
+        if !self.rack_up.is_empty() && self.draw_rack_aware(rng) {
+            return &self.row;
+        }
+        self.pool.clear();
+        self.pool.extend_from_slice(self.up);
+        self.pool.shuffle(rng);
+        &self.pool[..self.row.len()]
+    }
+
+    /// Fills `row` with one rack per group, or reports that this stripe's
+    /// rack order leaves some group without a large enough rack.
+    fn draw_rack_aware<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        self.rack_order.clear();
+        self.rack_order.extend(0..self.rack_up.len());
+        self.rack_order.shuffle(rng);
+        self.chosen.clear();
+        for group in self.groups {
+            // The first not-yet-used rack with enough up nodes.
+            let rack = self.rack_order.iter().copied().find(|&rack| {
+                !self.chosen.contains(&rack) && self.rack_up[rack].len() >= group.len()
+            });
+            match rack {
+                Some(rack) => self.chosen.push(rack),
+                None => return false,
+            }
+        }
+        self.row.fill(UNPLACED);
+        for (group, &rack) in self.groups.iter().zip(&self.chosen) {
+            self.pool.clear();
+            self.pool.extend_from_slice(&self.rack_up[rack]);
+            self.pool.shuffle(rng);
+            for (&local, &node) in group.iter().zip(&self.pool) {
+                self.row[local] = node;
+            }
+        }
+        !self.row.contains(&UNPLACED)
     }
 }
 

@@ -5,6 +5,8 @@
 //! and placement policy. The only permitted difference is resident size,
 //! which the arena must win.
 
+#[path = "support/codes.rs"]
+mod codes;
 #[path = "support/map_oracle.rs"]
 mod map_oracle;
 
@@ -20,19 +22,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Every code kind the registry evaluates.
 fn any_code() -> impl Strategy<Value = CodeKind> {
-    prop_oneof![
-        Just(CodeKind::TWO_REP),
-        Just(CodeKind::THREE_REP),
-        Just(CodeKind::Pentagon),
-        Just(CodeKind::Heptagon),
-        Just(CodeKind::HeptagonLocal),
-        Just(CodeKind::RAID_M_10_9),
-        Just(CodeKind::RAID_M_12_11),
-        Just(CodeKind::ReedSolomon {
-            data: 10,
-            parity: 4,
-        }),
-    ]
+    proptest::strategy::Union::new(codes::EVERY_CODE.map(|kind| Just(kind).boxed()).into())
 }
 
 fn any_policy() -> impl Strategy<Value = PlacementPolicy> {

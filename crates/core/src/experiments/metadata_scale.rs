@@ -52,15 +52,21 @@ pub struct MetadataScaleTable {
     pub rows: Vec<MetadataScaleRow>,
 }
 
-/// Places `stripes` stripes of `kind` over a `nodes`-node datacenter cluster
-/// and sizes the resulting index.
-fn index_row(kind: CodeKind, nodes: usize, stripes: usize) -> Result<MetadataScaleRow, DrcError> {
+/// Places enough whole stripes of `kind` to hold `min_blocks` distinct
+/// blocks over a `nodes`-node datacenter cluster and sizes the resulting
+/// index.
+fn index_row(
+    kind: CodeKind,
+    nodes: usize,
+    min_blocks: usize,
+) -> Result<MetadataScaleRow, DrcError> {
     let code = kind.build()?;
+    let stripes = min_blocks.div_ceil(code.distinct_blocks());
     let cluster = Cluster::new(ClusterSpec::datacenter(nodes));
     let mut rng = ChaCha8Rng::seed_from_u64(DEFAULT_SEED);
-    // Round-robin keeps placement O(stripes · arity): the random policy
-    // shuffles the full node pool per stripe, which swamps everything else
-    // at 10M-block scale.
+    // Round-robin fills the arena by copying the up-node ring lap after
+    // lap and draws nothing; the random policy shuffles the whole node pool
+    // once per stripe, which swamps everything else at 10M-block scale.
     let placement = PlacementMap::place(
         code.as_ref(),
         &cluster,
@@ -100,13 +106,9 @@ pub fn run_metadata_scale(effort: Effort) -> Result<MetadataScaleTable, DrcError
         (CodeKind::TWO_REP, 1000, big_blocks),
         (CodeKind::Pentagon, 1000, big_blocks),
     ];
-    let mut cells = Vec::with_capacity(specs.len());
-    for (kind, nodes, blocks) in specs {
-        let stripes = blocks.div_ceil(kind.build()?.distinct_blocks());
-        cells.push(move || index_row(kind, nodes, stripes));
-    }
+    let cells = specs.map(|(kind, nodes, blocks)| move || index_row(kind, nodes, blocks));
     Ok(MetadataScaleTable {
-        rows: harness::run_cells(cells)?,
+        rows: harness::run_cells(cells.into())?,
     })
 }
 
@@ -142,7 +144,7 @@ mod tests {
             CodeKind::Pentagon,
             CodeKind::HeptagonLocal,
         ] {
-            let row = index_row(kind, 30, 2000).unwrap();
+            let row = index_row(kind, 30, 20_000).unwrap();
             assert!(
                 row.bytes_per_block <= 48.0,
                 "{kind}: {:.1} B/block",
