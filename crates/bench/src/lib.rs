@@ -1,22 +1,28 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! The `repro` binary and the helpers it shares with the benchmark.
 //!
-//! The Criterion benches in `benches/` measure the computational kernels
-//! behind each table and figure (MTTDL solves, repair planning, locality
-//! simulation, Terasort execution, encoding, the event-driven substrate),
-//! while the `repro` binary regenerates the tables and figure series
-//! themselves in a paper-comparable textual form. Both are thin wrappers
-//! around [`drc_core::experiments`].
+//! [`run_experiment`] is the one table of the twelve paper experiments: it
+//! alone names the [`drc_core::experiments`] drivers and their quick / full
+//! configurations. The `repro` binary loops over [`EXPERIMENTS`] through it
+//! and prints each table; [`quick_repro_results`] — the `repro_quick`
+//! workload of `benchmark/` and the width differential's subject — loops
+//! over the same table and keeps only the JSON.
 //!
-//! Every machine-readable artifact (`repro --json`, `BENCH_gf.json`,
-//! `BENCH_sim.json`) is stamped with [`provenance`] — git SHA, active GF
-//! kernel and worker-thread count — so numbers are comparable across PRs
-//! and across hosts.
+//! This crate measures nothing. Every wall-clock number lives in the
+//! `benchmark/` ledger; `repro --json` is stamped with [`provenance`] — git
+//! SHA, active GF kernel, worker-thread and host CPU count — so dumps are
+//! comparable across PRs and across hosts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use drc_core::experiments::Effort;
+use std::fmt;
+
+use drc_core::experiments::{
+    degraded_mr, encoding, failure_trace, fig3, fig4, fig5, metadata_scale, overlap,
+    repair_bandwidth, repair_pipeline, shuffle_contention, table1, Effort,
+};
 use drc_core::gf::kernel;
+use drc_core::reliability::ReliabilityParams;
 use drc_core::DrcError;
 
 /// Parses an effort level from a command-line string.
@@ -58,85 +64,115 @@ pub const EXPERIMENTS: &[&str] = &[
 ];
 
 /// Quick-effort configuration of the `failure_trace` experiment,
-/// `(block_bytes, target_tasks)`. One definition shared by the `repro`
-/// binary's quick arm and the `sim_throughput` bench's headline run, so the
-/// `failure_trace_*` numbers in `BENCH_sim.json` always describe the same
-/// configuration as the CI repro artifact.
+/// `(block_bytes, target_tasks)`. Public because `benchmark/src/surface.rs`
+/// times the same configuration cell by cell (`core.wall_ms.failure_trace`).
 pub const FAILURE_TRACE_QUICK: (usize, usize) = (1024 * 1024, 60);
 
 /// Quick-effort configuration of the `repair_pipeline` experiment,
-/// `(block_bytes, stripes, chunk_sizes)`. Shared by the `repro` binary's
-/// quick arm and the `sim_throughput` bench's headline run, so the
-/// `repair_pipeline_*` numbers in `BENCH_sim.json` always describe the same
-/// configuration as the CI repro artifact.
+/// `(block_bytes, stripes, chunk_sizes)`. Public for the same reason as
+/// [`FAILURE_TRACE_QUICK`]; the width differential's golden pin reads its
+/// two chunk sizes.
 pub const REPAIR_PIPELINE_QUICK: (usize, usize, &[u64]) =
     (4 * 1024 * 1024, 2, &[1 << 20, 256 * 1024]);
 
-/// Runs every experiment once at quick effort — the exact configurations
-/// the `repro` binary's quick arm uses — and returns `(name, result)` pairs
-/// in presentation order, each result serialised to JSON.
+/// The HDFS block of the paper's clusters (`ClusterSpec::simulation_25`,
+/// set-up 2 of §4): what the full-effort storage experiments simulate. The
+/// cells ingest length-only files, so a block costs no memory.
+const PAPER_BLOCK_BYTES: usize = 128 * 1024 * 1024;
+
+/// Runs the experiment `name` at `effort` and returns its paper-style table
+/// (rendered only if the caller prints it) with the result as JSON.
 ///
-/// One definition serves three consumers: the width-differential test (the
-/// emitted JSON must be identical at every harness width), the
-/// `sim_throughput` bench's `repro_wall_s` / `repro_cell_speedup` headlines
-/// (which time this function at 1 and N harness jobs), and — structurally —
-/// the `repro` binary itself, whose quick arms must stay in sync with the
-/// configurations here.
+/// This is the experiment table: the only place that names the twelve
+/// drivers and their quick / full configurations.
+///
+/// # Errors
+///
+/// [`DrcError::InvalidExperiment`] for a name outside [`EXPERIMENTS`];
+/// otherwise whatever the driver returns.
+pub fn run_experiment(
+    name: &str,
+    effort: Effort,
+) -> Result<(Box<dyn fmt::Display>, serde_json::Value), DrcError> {
+    macro_rules! report {
+        ($result:expr) => {{
+            let report = $result?;
+            let json = serde_json::to_value(&report).expect("experiment results are serializable");
+            (Box::new(report) as Box<dyn fmt::Display>, json)
+        }};
+    }
+    Ok(match name {
+        "table1" => report!(table1::run_table1(&ReliabilityParams::default())),
+        "repair_bw" => report!(repair_bandwidth::run_repair_bandwidth()),
+        "fig3" => report!(fig3::run_fig3(effort)),
+        "fig4" => report!(fig4::run_fig4(effort)),
+        "fig5" => report!(fig5::run_fig5(effort)),
+        "encoding" => report!(encoding::run_encoding(1024 * 1024, 8)),
+        "degraded_mr" => report!(degraded_mr::run_degraded_mr(effort)),
+        "overlap" => {
+            let (block_bytes, stripes) = match effort {
+                Effort::Quick => (1024 * 1024, 2),
+                Effort::Full => (PAPER_BLOCK_BYTES, 4),
+            };
+            report!(overlap::run_overlap(block_bytes, stripes))
+        }
+        "shuffle_contention" => {
+            let (block_bytes, target_tasks) = match effort {
+                Effort::Quick => (1024 * 1024, 100),
+                Effort::Full => (PAPER_BLOCK_BYTES, 200),
+            };
+            report!(shuffle_contention::run_shuffle_contention(
+                block_bytes,
+                target_tasks
+            ))
+        }
+        "failure_trace" => {
+            let (block_bytes, target_tasks) = match effort {
+                Effort::Quick => FAILURE_TRACE_QUICK,
+                Effort::Full => (PAPER_BLOCK_BYTES, 120),
+            };
+            report!(failure_trace::run_failure_trace(block_bytes, target_tasks))
+        }
+        "metadata_scale" => report!(metadata_scale::run_metadata_scale(effort)),
+        "repair_pipeline" => {
+            let (block_bytes, stripes, chunks) = match effort {
+                Effort::Quick => REPAIR_PIPELINE_QUICK,
+                Effort::Full => (PAPER_BLOCK_BYTES, 4, &[1 << 20, 256 * 1024, 64 * 1024][..]),
+            };
+            report!(repair_pipeline::run_repair_pipeline(
+                block_bytes,
+                stripes,
+                chunks
+            ))
+        }
+        other => {
+            return Err(DrcError::InvalidExperiment {
+                reason: format!(
+                    "unknown experiment '{other}'; expected one of {}",
+                    EXPERIMENTS.join(", ")
+                ),
+            })
+        }
+    })
+}
+
+/// Runs every experiment once at quick effort — what `repro --effort quick`
+/// runs — and returns `(name, result)` pairs in [`EXPERIMENTS`] order, each
+/// result as JSON. No table is rendered.
+///
+/// Two consumers: `benchmark/`'s `repro_quick` workload, whose timed body
+/// this is, and the width / kernel differential with its golden pin
+/// (`tests/repro_width_differential.rs`).
 ///
 /// # Errors
 ///
 /// Propagates the first experiment error in presentation order.
 pub fn quick_repro_results() -> Result<Vec<(&'static str, serde_json::Value)>, DrcError> {
-    use drc_core::experiments::{
-        degraded_mr::run_degraded_mr, encoding::run_encoding, failure_trace::run_failure_trace,
-        fig3::run_fig3, fig4::run_fig4, fig5::run_fig5, metadata_scale::run_metadata_scale,
-        overlap::run_overlap, repair_bandwidth::run_repair_bandwidth,
-        repair_pipeline::run_repair_pipeline, shuffle_contention::run_shuffle_contention,
-        table1::run_table1,
-    };
-    use drc_core::reliability::ReliabilityParams;
-
-    let effort = Effort::Quick;
-    let (ft_block, ft_tasks) = FAILURE_TRACE_QUICK;
-    let (rp_block, rp_stripes, rp_chunks) = REPAIR_PIPELINE_QUICK;
-    macro_rules! json {
-        ($result:expr) => {
-            serde_json::to_value(&$result?).expect("experiment results are serializable")
-        };
-    }
-    Ok(vec![
-        ("table1", json!(run_table1(&ReliabilityParams::default()))),
-        ("repair_bw", json!(run_repair_bandwidth())),
-        ("fig3", json!(run_fig3(effort))),
-        ("fig4", json!(run_fig4(effort))),
-        ("fig5", json!(run_fig5(effort))),
-        ("encoding", json!(run_encoding(1024 * 1024, 8))),
-        ("degraded_mr", json!(run_degraded_mr(effort))),
-        ("overlap", json!(run_overlap(1024 * 1024, 2))),
-        (
-            "shuffle_contention",
-            json!(run_shuffle_contention(1024 * 1024, 100)),
-        ),
-        (
-            "failure_trace",
-            json!(run_failure_trace(ft_block, ft_tasks)),
-        ),
-        ("metadata_scale", json!(run_metadata_scale(effort))),
-        (
-            "repair_pipeline",
-            json!(run_repair_pipeline(rp_block, rp_stripes, rp_chunks)),
-        ),
-    ])
+    EXPERIMENTS
+        .iter()
+        .map(|&name| Ok((name, run_experiment(name, Effort::Quick)?.1)))
+        .collect()
 }
-
-/// Workspace-root path of `BENCH_gf.json` (written by the `gf_throughput`
-/// bench in `repro` mode), independent of the cwd cargo gives bench/bin
-/// targets (the package directory).
-pub const GF_BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gf.json");
-
-/// Workspace-root path of `BENCH_sim.json` (written by the `sim_throughput`
-/// bench in `repro` mode and read back by the `check_speedup` CI gate).
-pub const SIM_BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
 
 /// Looks up `key` in a JSON object from the vendored `serde_json`.
 pub fn json_lookup<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a serde_json::Value> {
@@ -156,7 +192,7 @@ pub fn json_f64(v: &serde_json::Value) -> Option<f64> {
     }
 }
 
-/// The commit the benchmarked tree was built from, best-effort
+/// The commit the running tree was built from, best-effort
 /// (`"unknown"` outside a git checkout or without a `git` binary).
 pub fn git_sha() -> String {
     std::process::Command::new("git")
@@ -171,20 +207,18 @@ pub fn git_sha() -> String {
 }
 
 /// The CPUs the current host actually has (1 if undetectable). Recorded in
-/// [`provenance`] so snapshot consumers (notably the `check_speedup` gate)
-/// can tell a genuine multi-core measurement from an oversubscribed one —
-/// "2 threads" on a 1-CPU container time-slices one core and can never show
-/// a speedup.
+/// [`provenance`] and in `benchmark/`'s result header so a reader can tell a
+/// genuine multi-core run from an oversubscribed one — "2 threads" on a
+/// 1-CPU container time-slices one core and can never show a speedup.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// The provenance stamp every benchmark JSON carries: git SHA, active GF
-/// kernel, worker-pool thread count and the benching host's CPU count.
-/// Cross-PR (and cross-host) numbers are only comparable with this context
-/// attached.
+/// The provenance stamp of a `repro --json` dump: git SHA, active GF
+/// kernel, worker-pool thread count and the host's CPU count. Cross-PR (and
+/// cross-host) dumps are only comparable with this context attached.
 pub fn provenance() -> serde_json::Value {
     serde_json::Value::Map(vec![
         ("git_sha".to_string(), serde_json::Value::Str(git_sha())),
@@ -229,6 +263,15 @@ mod tests {
         assert!(EXPERIMENTS.contains(&"failure_trace"));
         assert!(EXPERIMENTS.contains(&"metadata_scale"));
         assert!(EXPERIMENTS.contains(&"repair_pipeline"));
+    }
+
+    #[test]
+    fn a_name_outside_the_table_is_a_typed_error() {
+        let Err(err) = run_experiment("nope", Effort::Quick) else {
+            panic!("'nope' is not an experiment");
+        };
+        assert!(matches!(err, DrcError::InvalidExperiment { .. }), "{err}");
+        assert!(err.to_string().contains("nope"), "{err}");
     }
 
     #[test]

@@ -94,8 +94,8 @@ impl FailureTraceReport {
         })
     }
 
-    /// The largest job slowdown across the sweep — the headline number
-    /// tracked in `BENCH_sim.json`.
+    /// The largest job slowdown across the sweep — the table's headline
+    /// number.
     pub fn headline_slowdown(&self) -> f64 {
         self.rows.iter().map(|r| r.slowdown).fold(1.0, f64::max)
     }

@@ -168,7 +168,7 @@ pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// The harness width [`run_cells`] will use on this thread: the
 /// [`with_jobs`] override, else the pool width.
-pub fn current_jobs() -> usize {
+fn current_jobs() -> usize {
     match JOBS_OVERRIDE.with(|c| c.get()) {
         0 => rayon::current_num_threads(),
         n => n,

@@ -16,8 +16,8 @@
 //!
 //! Every driver returns a serialisable result type with a `Display`
 //! implementation that prints a paper-style table, so the `repro` binary in
-//! `drc-bench`, the integration tests and `EXPERIMENTS.md` all consume the
-//! same source of truth.
+//! `drc-bench`, the integration tests and the benchmark all consume the same
+//! source of truth.
 //!
 //! Every driver decomposes its sweep into independent, shared-nothing
 //! *cells* (one code × config point each) and fans them out through the

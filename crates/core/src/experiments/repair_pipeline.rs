@@ -17,9 +17,9 @@
 //! driver's are length-only, the `#[cfg(test)]` proof builds real ones) and
 //! account identical traffic;
 //! only the virtual-time schedule differs, and the per-row `ratio`
-//! (pipelined / serial) is the headline `check_speedup` gates: strictly
-//! below 1.0 for every erasure code (2-rep repairs move replicas without a
-//! rebuild stage and may be neutral).
+//! (pipelined / serial) is the headline: strictly below 1.0 for every
+//! erasure code (2-rep repairs move replicas without a rebuild stage and may
+//! be neutral).
 
 use serde::{Deserialize, Serialize};
 
@@ -71,9 +71,9 @@ impl RepairPipelineReport {
     }
 
     /// The worst (largest) pipelined/serial ratio across the erasure codes
-    /// at the smallest measured chunk size — the headline `check_speedup`
-    /// requires to stay strictly below 1.0. Replication rows are excluded
-    /// (2-rep has no rebuild stage to overlap).
+    /// at the smallest measured chunk size — the headline that must stay
+    /// strictly below 1.0. Replication rows are excluded (2-rep has no
+    /// rebuild stage to overlap).
     pub fn worst_erasure_ratio(&self) -> Option<f64> {
         let chunk = self.rows.iter().map(|r| r.chunk_bytes).min()?;
         self.rows

@@ -76,8 +76,7 @@ impl ShuffleContentionReport {
         self.rows.iter().find(|r| r.code == code)
     }
 
-    /// The largest per-code slowdown — the headline number tracked in
-    /// `BENCH_sim.json`.
+    /// The largest per-code slowdown — the table's headline number.
     pub fn headline_slowdown(&self) -> f64 {
         self.rows.iter().map(|r| r.slowdown).fold(1.0, f64::max)
     }

@@ -55,8 +55,8 @@ pub const PAR_MIN_LEN: usize = 4 * TILE;
 
 /// Minimum *total* block length for engaging the pool at all: the scope
 /// itself pays the whole dispatch round-trip (measured ~0.5 µs at width 2,
-/// ~1.3 µs at width 4 — `pool_dispatch_ns` in `BENCH_sim.json`), so the
-/// time a split can save must clear that fixed cost by a wide margin. A
+/// ~1.3 µs at width 4 — the "Pool dispatch" table in `INTERNALS.md`), so
+/// the time a split can save must clear that fixed cost by a wide margin. A
 /// 2-way split of 64 KiB saves ~3.2 µs of ~6.4 µs serial work — several
 /// times the dispatch even before bandwidth contention; at half this
 /// length the saving (~1.6 µs) is too thin a multiple to survive it, and

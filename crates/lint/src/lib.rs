@@ -1,8 +1,8 @@
 //! `drc_lint` — the workspace's static-analysis pass.
 //!
 //! The measurement story of this reproduction — virtual-time contention
-//! headlines, byte-identical differential proptests, the `check_speedup`
-//! gates — rests on two properties nothing used to enforce statically:
+//! headlines, byte-identical differential proptests, golden pins — rests
+//! on two properties nothing used to enforce statically:
 //! the simulator must be **deterministic**, and the unsafe hot paths (SIMD
 //! GF kernels, the lifetime-erased persistent pool) must be **auditable**.
 //! This crate enforces both, plus the two bug classes the repo has already

@@ -33,8 +33,8 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 pub enum Threads {
     /// Only the thread that opened the window. The libtest harness's main
     /// thread (blocked in a channel `recv` while a test body runs, its waker
-    /// registration allocating at a nondeterministic moment), criterion's
-    /// timers and the worker pool stay off the books.
+    /// registration allocating at a nondeterministic moment) and the worker
+    /// pool stay off the books.
     Current,
     /// Every thread of the process, so a worker pool's scratch is counted
     /// too. Nothing else may allocate concurrently.
