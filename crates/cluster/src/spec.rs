@@ -149,9 +149,10 @@ impl ClusterSpec {
     /// The number of map tasks corresponding to a given load percentage
     /// (load = tasks / total map slots × 100, §3.2).
     pub fn tasks_for_load(&self, load_percent: f64) -> usize {
-        // drc-lint: allow(lossy-float-cast): explicitly rounded; load
-        // percentages are experiment-grid constants (25..=200), never
-        // computed values that could go non-finite.
+        // drc-lint: allow(lossy-float-cast): explicitly rounded; in-repo
+        // loads are positive grid constants (25..=400 %), and both callers
+        // that take a load from outside (simulate_locality,
+        // provision_workload) reject non-finite and non-positive ones first.
         ((load_percent / 100.0) * self.total_map_slots() as f64).round() as usize
     }
 

@@ -98,17 +98,21 @@ pub struct LocalityResult {
 ///
 /// # Errors
 ///
-/// Returns [`MapReduceError::InvalidConfig`] if the load or trial count is
-/// not positive, or a placement error if the code does not fit the cluster.
+/// Returns [`MapReduceError::InvalidConfig`] if the trial count is zero or
+/// the load is not a positive finite number, or a placement error if the
+/// code does not fit the cluster.
 pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapReduceError> {
     if config.trials == 0 {
         return Err(MapReduceError::InvalidConfig {
             reason: "at least one trial is required".to_string(),
         });
     }
-    if config.load_percent <= 0.0 {
+    if !(config.load_percent.is_finite() && config.load_percent > 0.0) {
         return Err(MapReduceError::InvalidConfig {
-            reason: "load must be positive".to_string(),
+            reason: format!(
+                "load must be positive and finite, got {}",
+                config.load_percent
+            ),
         });
     }
     let cluster = Cluster::new(config.cluster.clone());
@@ -182,8 +186,17 @@ mod tests {
         let bad =
             LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, 50.0).with_trials(0);
         assert!(simulate_locality(&bad).is_err());
-        let bad = LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, 0.0);
-        assert!(simulate_locality(&bad).is_err());
+        // NaN used to pass a `<= 0.0` guard and run as a one-task trial.
+        for load in [0.0, -25.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, load);
+            assert!(
+                matches!(
+                    simulate_locality(&bad),
+                    Err(MapReduceError::InvalidConfig { .. })
+                ),
+                "{load}"
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! number of tasks that can possibly be placed on nodes holding their blocks,
 //! given the slot capacities. "From a practical point of view,
 //! maximum-matching algorithms are computationally intensive", which is why
-//! Hadoop uses delay scheduling instead — but for a simulator the instance
-//! sizes are tiny.
+//! Hadoop uses delay scheduling instead.
 //!
-//! The implementation is the classic augmenting-path (Kuhn) algorithm run on
-//! the capacity-expanded graph: each node contributes as many right-hand
-//! vertices as it has free slots.
+//! The implementation is Kuhn with dead-set marks: the classic
+//! augmenting-path algorithm run on the capacity-expanded graph (each node
+//! contributes as many right-hand vertices as it has free slots), where the
+//! slots a failed search visited stay marked until the next search succeeds.
+//! A failed search leaves the matching alone and its visited set is closed —
+//! every slot in it is held, by a task whose whole adjacency is in it — so a
+//! later search entering it could only fail there; skipping it changes no
+//! decision. A generation ends at a success, not at a task.
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -74,15 +78,18 @@ impl TaskScheduler for MaxMatchingScheduler {
             slot_match: vec![UNMATCHED; slot_owner.len()],
             task_match: vec![UNMATCHED; tasks],
             visited: vec![0; slot_owner.len()],
-            generation: 0,
+            generation: 1,
         };
         // Processing tasks in random order avoids systematic bias.
         let mut order: Vec<u32> = (0..tasks as u32).collect();
         order.shuffle(rng);
         for &task in &order {
-            // A fresh generation un-visits every slot without touching them.
-            matching.generation += 1;
-            matching.try_augment(task);
+            // A success changes the matching, so a fresh generation
+            // un-visits every slot without touching them. A failure keeps
+            // its marks: those slots are a dead set (module doc).
+            if matching.try_augment(task) {
+                matching.generation += 1;
+            }
         }
 
         // Emit local assignments from the matching.
@@ -119,7 +126,8 @@ struct Matching<'a> {
     slot_match: Vec<u32>,
     /// `task_match[t]`: the slot task `t` holds.
     task_match: Vec<u32>,
-    /// `visited[s] == generation` ⇔ slot `s` was tried for the current task.
+    /// `visited[s] == generation` ⇔ slot `s` was tried since the last
+    /// successful search.
     visited: Vec<u32>,
     generation: u32,
 }

@@ -108,8 +108,10 @@ impl TaskScheduler for PeelingScheduler {
             }
             free[at] -= 1;
             if free[at] == 0 {
-                // Remove the exhausted node from every remaining candidate list.
-                for t in (0..tasks).filter(|&t| open[t]) {
+                // Remove the exhausted node from every remaining candidate
+                // list; only the tasks local to it can have it in theirs.
+                let local = graph.tasks_local_at(at).iter().map(|t| t.0);
+                for t in local.filter(|&t| open[t]) {
                     let window = &mut candidates[base[t]..base[t] + degree[t]];
                     let mut kept = 0;
                     for i in 0..window.len() {

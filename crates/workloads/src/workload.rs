@@ -101,8 +101,10 @@ impl ProvisionedWorkload {
 ///
 /// # Errors
 ///
-/// Returns a placement error when the code's stripe does not fit the cluster
-/// (e.g. a (10,9) RAID+m stripe on the 9-node set-up 2).
+/// Returns [`ClusterError::InvalidPlacement`] when `load_percent` is not a
+/// positive finite number, and a placement error when the code's stripe
+/// does not fit the cluster (e.g. a (10,9) RAID+m stripe on the 9-node
+/// set-up 2).
 pub fn provision_workload<R: Rng + ?Sized>(
     kind: WorkloadKind,
     code: CodeKind,
@@ -110,6 +112,11 @@ pub fn provision_workload<R: Rng + ?Sized>(
     load_percent: f64,
     rng: &mut R,
 ) -> Result<ProvisionedWorkload, ClusterError> {
+    if !(load_percent.is_finite() && load_percent > 0.0) {
+        return Err(ClusterError::InvalidPlacement {
+            reason: format!("load must be positive and finite, got {load_percent}"),
+        });
+    }
     let spec = cluster.spec();
     let tasks = spec.tasks_for_load(load_percent).max(1);
     let built = code.build().map_err(|e| ClusterError::InvalidPlacement {
@@ -202,6 +209,27 @@ mod tests {
             &mut rng
         )
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_loads_are_rejected() {
+        // Each of these used to be provisioned silently as a one-task job.
+        let cluster = Cluster::new(ClusterSpec::setup1());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for load in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -50.0] {
+            let err = provision_workload(
+                WorkloadKind::Terasort,
+                CodeKind::TWO_REP,
+                &cluster,
+                load,
+                &mut rng,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ClusterError::InvalidPlacement { .. }),
+                "{load}: {err}"
+            );
+        }
     }
 
     #[test]
