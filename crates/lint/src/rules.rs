@@ -9,7 +9,7 @@
 //! | `determinism` | wall-clock time, hash-order iteration and OS randomness in the sim-facing crates |
 //! | `parallel-float-reduction` | float accumulation inside a parallel region (scheduling-order-dependent sums break byte-identical repro output) |
 //! | `unsafe-hygiene` | `unsafe` without an adjacent `// SAFETY:` comment |
-//! | `target-feature-gating` | `#[target_feature]` functions defined or called outside the kernel dispatch module |
+//! | `target-feature-gating` | `#[target_feature]` functions defined outside the dispatch modules, or called outside the one that defines them |
 //! | `lossy-float-cast` | `as u64`/`as usize`/`as u32` on float-typed expressions (the PR 3 truncation bug class) |
 //! | `panic-hygiene` | `unwrap()`/`expect()`/`panic!` in non-test library code of the core crates (the PR 6 silent-miss lesson) |
 //!
@@ -68,9 +68,14 @@ pub const PANIC_CRATES: &[&str] = &[
     "gf",
 ];
 
-/// The only module allowed to define `#[target_feature]` functions, and the
-/// only module allowed to call them (its safe dispatch wrappers).
-pub const DISPATCH_MODULE: &str = "crates/gf/src/kernel.rs";
+/// The only modules allowed to define `#[target_feature]` functions: the GF
+/// kernel tiers and the ChaCha8 eight-block refill. Each may call only the
+/// ones it defines itself, from its feature-detected dispatch.
+pub const DISPATCH_MODULES: &[&str] = &["crates/gf/src/kernel.rs", "vendor/rand_chacha/src/lib.rs"];
+
+fn is_dispatch_module(path: &str) -> bool {
+    DISPATCH_MODULES.iter().any(|m| path.ends_with(m))
+}
 
 /// Functions sanctioned to cast float expressions to integers: the
 /// checked/saturating byte-scaling path introduced after the PR 3 bug, and
@@ -609,15 +614,16 @@ fn collect_target_feature_fns(path: &str, scan: &Scan, out: &mut FileCheck) {
                                 line: name_tok.line,
                                 name: name_tok.text.clone(),
                             });
-                            if !path.ends_with(DISPATCH_MODULE) {
+                            if !is_dispatch_module(path) {
                                 out.findings.push(Finding {
                                     path: path.to_string(),
                                     line: name_tok.line,
                                     rule: "target-feature-gating",
                                     message: format!(
-                                        "`#[target_feature]` fn `{}` defined outside the kernel \
-                                         dispatch module ({DISPATCH_MODULE})",
-                                        name_tok.text
+                                        "`#[target_feature]` fn `{}` defined outside the \
+                                         dispatch modules ({})",
+                                        name_tok.text,
+                                        DISPATCH_MODULES.join(", ")
                                     ),
                                 });
                             }
@@ -633,24 +639,22 @@ fn collect_target_feature_fns(path: &str, scan: &Scan, out: &mut FileCheck) {
     }
 }
 
-/// Cross-file pass: calls to `#[target_feature]` functions from anywhere
-/// but the dispatch module are violations — safe code must go through the
-/// feature-detected [`DISPATCH_MODULE`] wrappers.
+/// Cross-file pass: a call to a `#[target_feature]` function is a violation
+/// unless it sits in the [`DISPATCH_MODULES`] entry that defines it — safe
+/// code must go through that module's feature-detected wrappers.
 pub fn check_target_feature_calls(
     path: &str,
     scan: &Scan,
     fns: &[TargetFeatureFn],
 ) -> Vec<Finding> {
-    if path.ends_with(DISPATCH_MODULE) {
-        return Vec::new();
-    }
+    let own = |f: &TargetFeatureFn| f.path == path && is_dispatch_module(path);
     let mut out = Vec::new();
     let toks = &scan.tokens;
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
         }
-        if !fns.iter().any(|f| f.name == t.text) {
+        if !fns.iter().any(|f| f.name == t.text && !own(f)) {
             continue;
         }
         // Require a call shape (`name(…)`) so a doc mention or a same-named
@@ -661,8 +665,8 @@ pub fn check_target_feature_calls(
                 line: t.line,
                 rule: "target-feature-gating",
                 message: format!(
-                    "call to `#[target_feature]` fn `{}` outside {DISPATCH_MODULE}; route it \
-                     through the kernel dispatch wrappers",
+                    "call to `#[target_feature]` fn `{}` outside the dispatch module that \
+                     defines it; route it through that module's dispatch wrappers",
                     t.text
                 ),
             });

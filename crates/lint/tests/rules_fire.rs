@@ -118,8 +118,8 @@ fn target_feature_gating_fires_outside_dispatch_module() {
     let lines = rule_lines(&report, "target-feature-gating");
     assert!(
         !lines.is_empty(),
-        "a #[target_feature] definition outside {} must be flagged",
-        drc_lint::rules::DISPATCH_MODULE
+        "a #[target_feature] definition outside {:?} must be flagged",
+        drc_lint::rules::DISPATCH_MODULES
     );
     // The definition is still inventoried.
     assert_eq!(report.target_feature_fns.len(), 1);
@@ -127,24 +127,68 @@ fn target_feature_gating_fires_outside_dispatch_module() {
 }
 
 #[test]
+fn target_feature_definitions_are_allowed_in_the_two_dispatch_modules_only() {
+    let src = include_str!("fixtures/target_feature.rs");
+    for allowed in drc_lint::rules::DISPATCH_MODULES {
+        let report = run_one(allowed, src);
+        assert!(
+            report.findings_for("target-feature-gating").is_empty(),
+            "{allowed}: {:?}",
+            report.findings
+        );
+    }
+    // A third file — another vendored stub, a sibling of an allowed file,
+    // a product crate — is still flagged.
+    for third in [
+        "vendor/rand/src/lib.rs",
+        "vendor/rand_chacha/src/other.rs",
+        "vendor/rand_chacha/tests/stream_oracle.rs",
+        "crates/gf/src/slice.rs",
+        "crates/mapreduce/src/scheduler/delay.rs",
+    ] {
+        let report = run_one(third, src);
+        assert!(
+            !report.findings_for("target-feature-gating").is_empty(),
+            "a #[target_feature] definition in {third} must be flagged"
+        );
+    }
+}
+
+#[test]
 fn target_feature_call_from_wrong_file_is_flagged() {
-    // Definition in the dispatch module is fine; calling it from another
-    // file is not.
+    // Definition in a dispatch module is fine; calling it from another
+    // file — including the other dispatch module — is not.
     let def = "#[target_feature(enable = \"avx2\")]\n/// # Safety\n/// fixture\nunsafe fn k_impl(d: &mut [u8]) { unsafe { core::hint::unreachable_unchecked() } }\n";
     let caller = "fn f(d: &mut [u8]) { k_impl(d); }\n";
     let report = run_files(&[
         FileInput {
-            path: drc_lint::rules::DISPATCH_MODULE.to_string(),
-            source: def.to_string(),
+            path: "crates/gf/src/kernel.rs".to_string(),
+            source: format!("{def}{caller}"),
         },
         FileInput {
             path: "crates/codes/src/caller.rs".to_string(),
             source: caller.to_string(),
         },
+        FileInput {
+            path: "vendor/rand_chacha/src/lib.rs".to_string(),
+            source: caller.to_string(),
+        },
     ]);
-    let findings = report.findings_for("target-feature-gating");
-    assert_eq!(findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(findings[0].path, "crates/codes/src/caller.rs");
+    let mut flagged: Vec<&str> = report
+        .findings_for("target-feature-gating")
+        .iter()
+        .map(|f| f.path.as_str())
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        [
+            "crates/codes/src/caller.rs",
+            "vendor/rand_chacha/src/lib.rs"
+        ],
+        "{:?}",
+        report.findings
+    );
 }
 
 #[test]
