@@ -14,10 +14,10 @@
 //! full configuration a name means is `drc_bench::run_experiment`'s business.
 //!
 //! Each experiment decomposes into independent cells that run concurrently
-//! on the worker pool, as many at a time as the pool is wide
-//! (`DRC_SIM_THREADS=1` runs them serially). Results merge in fixed cell
-//! order after the join, so the output — including `--json` dumps — is
-//! byte-identical at every width.
+//! on one scoped thread per available core (`taskset -c 0` gives the serial
+//! run), each cell on one thread. Results
+//! merge in fixed cell order after the join, so the output — including
+//! `--json` dumps — is byte-identical at every width.
 //!
 //! `shuffle_contention` is the end-to-end contention experiment: it runs the
 //! same MapReduce job with and without a concurrent RaidNode repair pass on

@@ -217,8 +217,11 @@ pub fn host_cpus() -> usize {
 }
 
 /// The provenance stamp of a `repro --json` dump: git SHA, active GF
-/// kernel, worker-pool thread count and the host's CPU count. Cross-PR (and
-/// cross-host) dumps are only comparable with this context attached.
+/// kernel, the harness's default cell fan-out width (`threads`) and the
+/// host's CPU count. The default width *is* the available parallelism, so
+/// `threads` always equals `host_cpus`; the key stays so dumps from before
+/// and after that became true line up. Cross-PR (and cross-host) dumps are
+/// only comparable with this context attached.
 pub fn provenance() -> serde_json::Value {
     serde_json::Value::Map(vec![
         ("git_sha".to_string(), serde_json::Value::Str(git_sha())),
@@ -228,7 +231,7 @@ pub fn provenance() -> serde_json::Value {
         ),
         (
             "threads".to_string(),
-            serde_json::Value::UInt(rayon::current_num_threads() as u64),
+            serde_json::Value::UInt(host_cpus() as u64),
         ),
         (
             "host_cpus".to_string(),

@@ -5,13 +5,8 @@
 //! and hands them to [`ErasureCode::encode_into`], so after the first stripe
 //! every subsequent encode performs **no heap allocation** — the buffers are
 //! only reallocated when the code geometry or block length changes.
-//!
-//! Encodes are additionally *shard-parallel*: `encode_into` bottoms out in
-//! the fused `drc_gf::slice::matrix_mul_into`, which splits block-sized
-//! shards into byte ranges across the workspace worker pool (worker count
-//! from `DRC_SIM_THREADS`; results are byte-identical to a single-threaded
-//! run, and `DRC_SIM_THREADS=1` keeps the whole path serial and
-//! allocation-free).
+//! `encode_into` bottoms out in the fused, cache-tiled
+//! `drc_gf::slice::matrix_mul_into`, which runs on the calling thread.
 
 use crate::{CodeError, ErasureCode};
 

@@ -7,10 +7,9 @@
 //! compute and buffers even when a single block is missing.
 //! [`StripeReconstructor`] instead solves, once per failure pattern, for a
 //! small coefficient matrix `C` with `target_rows = C · source_rows` over
-//! the code's generator, and then applies `C` to the surviving payloads —
-//! streamable over any byte sub-range of the blocks, which is what the
-//! HDFS chunked repair pipeline feeds to the worker pool in cross-stripe
-//! batches ([`drc_gf::slice::matrix_mul_batch`]).
+//! the code's generator, and then applies `C` to the surviving payloads
+//! with one fused [`drc_gf::slice::matrix_mul_into`] — over whole blocks,
+//! or over any byte sub-range of them.
 //!
 //! The source selection mirrors `decode`'s greedy chooser (ascending,
 //! data rows first) so the blocks it reads are the blocks a decode would
@@ -281,9 +280,9 @@ mod tests {
     }
 
     /// Chunked application is byte-identical to one whole-block pass, with
-    /// non-dividing chunk sizes and at pool widths 1 and 4.
+    /// non-dividing chunk sizes.
     #[test]
-    fn range_application_is_chunk_and_thread_invariant() {
+    fn range_application_is_chunk_invariant() {
         let len = 40_000;
         let code = CodeKind::Heptagon.build().unwrap();
         let k = code.data_blocks();
@@ -298,19 +297,15 @@ mod tests {
         let mut whole = vec![vec![0u8; len]];
         rec.reconstruct_into(&sources, &mut whole);
         assert_eq!(whole[0], data[lost]);
-        for threads in [1usize, 4] {
-            for chunk in [len + 5, 4096, 7777] {
-                let mut chunked = vec![vec![0x11u8; len]];
-                rayon::with_num_threads(threads, || {
-                    let mut off = 0;
-                    while off < len {
-                        let lim = (off + chunk).min(len);
-                        rec.reconstruct_range(&sources, &mut chunked, off, lim);
-                        off = lim;
-                    }
-                });
-                assert_eq!(chunked, whole, "chunk {chunk} at {threads} threads");
+        for chunk in [len + 5, 4096, 7777] {
+            let mut chunked = vec![vec![0x11u8; len]];
+            let mut off = 0;
+            while off < len {
+                let lim = (off + chunk).min(len);
+                rec.reconstruct_range(&sources, &mut chunked, off, lim);
+                off = lim;
             }
+            assert_eq!(chunked, whole, "chunk {chunk}");
         }
     }
 

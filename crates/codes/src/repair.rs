@@ -86,11 +86,9 @@ impl RepairPlan {
 /// degenerates to the plain XOR of §2.1; for the heptagon-local global
 /// parities the weights are the RAID-6-style coefficients of §2.2.
 ///
-/// The combination bottoms out in [`slice::linear_combination_into`], so
-/// block-sized payloads are split across the workspace worker pool with
-/// results byte-identical to a single-threaded run; the coefficient lookup
-/// stays on the stack for every realistic stripe width, keeping the serial
-/// path free of heap allocation.
+/// The combination bottoms out in [`slice::linear_combination_into`]; the
+/// coefficient lookup stays on the stack for every realistic stripe width,
+/// keeping the path free of heap allocation.
 ///
 /// # Panics
 ///

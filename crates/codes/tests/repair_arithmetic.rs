@@ -1,7 +1,8 @@
-//! Differential tests for parallel repair arithmetic: partial-parity
-//! combination and stripe encoding split across the worker pool must equal
-//! the single-threaded result byte-for-byte, for **every** failure pattern
-//! up to each array code's fault tolerance.
+//! Repair and encode arithmetic on block-sized payloads, held to the direct
+//! definition: every partial-parity combination of every repair plan, for
+//! **every** failure pattern up to each array code's fault tolerance, is
+//! the `mul_acc` sum it stands for, and every code's stripe encode applies
+//! its generator's parity rows.
 
 use std::collections::BTreeSet;
 
@@ -41,11 +42,11 @@ fn payload(len: usize, salt: usize) -> Vec<u8> {
 }
 
 /// Every partial-parity transfer of every repair plan, for every failure
-/// pattern up to the code's tolerance, combined with 1 worker and with 4
-/// workers on block-sized payloads: the bytes must be identical.
+/// pattern up to the code's tolerance, combined into a dirty buffer: the
+/// bytes must equal the direct `mul_acc` sum.
 #[test]
-fn partial_parity_repair_is_thread_count_invariant_for_all_patterns() {
-    let len = slice::PAR_ENGAGE_MIN + 129; // engages the parallel split
+fn partial_parity_combine_is_the_direct_sum_for_all_patterns() {
+    let len = 4 * slice::TILE + 129;
     for kind in [
         CodeKind::Pentagon,
         CodeKind::Heptagon,
@@ -83,36 +84,26 @@ fn partial_parity_repair_is_thread_count_invariant_for_all_patterns() {
         );
         for (combines, target) in &partials {
             let inputs: Vec<&[u8]> = combines.iter().map(|&b| blocks[b].as_slice()).collect();
-            let mut serial = vec![0u8; len];
-            rayon::with_num_threads(1, || {
-                combine_partial_parity_into(&weights, combines, &inputs, &mut serial)
-            });
-            let mut parallel = vec![0xeeu8; len];
-            rayon::with_num_threads(4, || {
-                combine_partial_parity_into(&weights, combines, &inputs, &mut parallel)
-            });
-            // Cross-check against the direct definition of the sum.
+            let mut combined = vec![0xeeu8; len];
+            combine_partial_parity_into(&weights, combines, &inputs, &mut combined);
             let mut expect = vec![0u8; len];
             for (&b, input) in combines.iter().zip(&inputs) {
                 slice::mul_acc(&mut expect, input, weights[b]);
             }
             assert_eq!(
-                serial, expect,
-                "{kind}: serial combine for target block {target} is wrong"
-            );
-            assert_eq!(
-                serial, parallel,
-                "{kind}: partial parity for target block {target} diverged"
+                combined, expect,
+                "{kind}: partial parity for target block {target} is wrong"
             );
         }
     }
 }
 
-/// Stripe encoding through the default `encode_into` (the fused parallel
-/// matrix product) is thread-count invariant for every evaluated code.
+/// Stripe encoding through the default `encode_into` (the fused matrix
+/// product) writes, over dirty buffers, each parity block as its generator
+/// row applied to the data, for every evaluated code.
 #[test]
-fn stripe_encode_is_thread_count_invariant_for_every_code() {
-    let len = slice::PAR_ENGAGE_MIN + 321;
+fn stripe_encode_applies_the_generator_parity_rows_for_every_code() {
+    let len = 4 * slice::TILE + 321;
     for kind in [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,
@@ -125,12 +116,16 @@ fn stripe_encode_is_thread_count_invariant_for_every_code() {
         let k = code.data_blocks();
         let data: Vec<Vec<u8>> = (0..k).map(|i| payload(len, i)).collect();
         let parity_count = code.distinct_blocks() - k;
-        let mut serial = vec![vec![0u8; len]; parity_count];
-        rayon::with_num_threads(1, || code.encode_into(&data, &mut serial).expect("encodes"));
-        let mut parallel = vec![vec![0x11u8; len]; parity_count];
-        rayon::with_num_threads(4, || {
-            code.encode_into(&data, &mut parallel).expect("encodes")
-        });
-        assert_eq!(serial, parallel, "{kind} diverged across thread counts");
+        let mut parities = vec![vec![0x11u8; len]; parity_count];
+        code.encode_into(&data, &mut parities).expect("encodes");
+        for (p, parity) in parities.iter().enumerate() {
+            let row = code.structure().generator.row(k + p);
+            assert_eq!(
+                *parity,
+                slice::linear_combination(row, &data, len),
+                "{kind}: parity block {}",
+                k + p
+            );
+        }
     }
 }

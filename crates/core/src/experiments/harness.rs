@@ -4,9 +4,12 @@
 //! experiment × [`drc_codes::CodeKind`] × configuration point — that builds
 //! its own private `ClusterNet` and rng, shares nothing with its siblings,
 //! and returns a typed result. Every experiment module expresses its sweep
-//! as an ordered list of cells and hands them to [`run_cells`], which fans
-//! them out across the persistent `rayon` worker pool and merges the
-//! results **in the original cell order after the join**.
+//! as an ordered list of cells and hands them to [`run_cells`], which runs
+//! them on scoped threads (the caller among them) that each take the next
+//! untaken cell from one shared queue, and merges the results **in the
+//! original cell order after the join**. This is the workspace's only
+//! parallel layer: every GF operation inside a cell runs on the cell's own
+//! thread.
 //!
 //! # Determinism
 //!
@@ -21,19 +24,19 @@
 //!
 //! Cells must not communicate through shared mutable state; the
 //! `parallel-float-reduction` rule in `drc-lint` additionally rejects
-//! float accumulation inside pool closures across the workspace's library
-//! sources, so cross-cell reductions stay on the caller after the join.
+//! float accumulation inside `spawn`/`scope` closures across the
+//! workspace's library sources, so cross-cell reductions stay on the caller
+//! after the join.
 //!
 //! # Width
 //!
 //! The fan-out width is resolved per [`run_cells`] call: a thread-local
 //! [`with_jobs`] override (used by differential tests and the benchmark),
-//! else the worker-pool width (`rayon::current_num_threads()`, which
-//! `DRC_SIM_THREADS` sets). The harness has no environment variable of its
-//! own.
+//! else `std::thread::available_parallelism()`. No environment variable
+//! sets it.
 //!
-//! Width 1 — `with_jobs(1, …)` or `DRC_SIM_THREADS=1` — is the fully serial
-//! path: the cells run inline on the caller, in order.
+//! Width 1 — `with_jobs(1, …)` — is the fully serial path: the cells run
+//! inline on the caller, in order.
 //!
 //! # Payload bytes
 //!
@@ -59,6 +62,7 @@
 //! length-only file.
 
 use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
 
 use drc_cluster::ClusterSpec;
 use drc_codes::CodeKind;
@@ -143,9 +147,9 @@ thread_local! {
 
 /// Runs `f` with the calling thread's harness width pinned to `n`.
 ///
-/// The override is thread-local and restored on exit, including on panic —
-/// the same discipline as `rayon::with_num_threads`, and safe under a
-/// parallel test runner where mutating the environment would race.
+/// The override is thread-local and restored on exit, including on panic,
+/// so it is safe under a parallel test runner where mutating the
+/// environment would race.
 ///
 /// # Panics
 ///
@@ -167,10 +171,10 @@ pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The harness width [`run_cells`] will use on this thread: the
-/// [`with_jobs`] override, else the pool width.
+/// [`with_jobs`] override, else the host's available parallelism.
 fn current_jobs() -> usize {
     match JOBS_OVERRIDE.with(|c| c.get()) {
-        0 => rayon::current_num_threads(),
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
@@ -179,21 +183,22 @@ fn current_jobs() -> usize {
 /// result, and hands back the results in the original cell order.
 ///
 /// At width 1 the cells run inline on the caller, in order (the serial
-/// path). At width N > 1 they are spawned onto the persistent worker pool
-/// with the caller participating; results land in per-cell slots and are
-/// merged in cell order after the join, so the output is identical at
-/// every width. See the module docs for the full determinism contract.
-///
-/// Note that the width override only pins the *harness* fan-out: a cell
-/// executing on a pool worker still sees the global pool width for any
-/// nested shard-parallel work (GF encodes), which is itself byte-identical
-/// at every width.
+/// path). At width N > 1 (capped at the cell count) the caller spawns
+/// N − 1 scoped threads and all N take cells from one shared queue, in cell
+/// order, until it is empty. After the join the results merge in cell
+/// order, so the output is identical at every width. See the module docs
+/// for the full determinism contract.
 ///
 /// # Errors
 ///
 /// Returns the error of the earliest failing cell in cell order. (The
-/// serial path stops at the first error; the parallel path completes every
+/// serial path stops at the first error; the threaded path completes every
 /// cell first, then picks the earliest — the reported error is the same.)
+///
+/// # Panics
+///
+/// A panicking cell re-raises its own panic payload on the caller, after
+/// every thread has finished.
 pub fn run_cells<T, F>(cells: Vec<F>) -> Result<Vec<T>, DrcError>
 where
     T: Send,
@@ -207,30 +212,32 @@ where
         }
         return Ok(out);
     }
-    let mut slots: Vec<Option<Result<T, DrcError>>> = Vec::new();
-    slots.resize_with(cells.len(), || None);
-    rayon::with_num_threads(width, || {
-        rayon::scope(|s| {
-            for (slot, cell) in slots.iter_mut().zip(cells) {
-                s.spawn(move |_| *slot = Some(cell()));
-            }
-        })
-    });
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            // Unreachable: the scope joins every spawned task (panics
-            // propagate out of `scope`), but stay panic-free regardless.
-            None => {
-                return Err(DrcError::InvalidExperiment {
-                    reason: "harness cell completed without a result".to_string(),
-                })
+    // One shared queue: a thread that finishes a cell takes the next
+    // untaken one, so one slow cell never holds up the cells behind it.
+    let queue = Mutex::new(cells.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, cell)) = next else {
+                return done;
+            };
+            done.push((i, cell()));
+        }
+    };
+    let mut done: Vec<(usize, Result<T, DrcError>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..width).map(|_| s.spawn(drain)).collect();
+        let mut done = drain();
+        for handle in handles {
+            match handle.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    }
-    Ok(out)
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -266,7 +273,7 @@ mod tests {
                 }
             })
             .collect::<Vec<_>>();
-        for width in [1, 4] {
+        for width in [1, 2, 4] {
             let err = with_jobs(width, || run_cells(cells.clone())).unwrap_err();
             assert_eq!(
                 err,
@@ -279,9 +286,56 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_panic_reaches_the_caller_with_its_own_message() {
+        // Two cells at width 2 meet at a barrier, so one runs on the caller
+        // and one on the spawned thread; exactly one of them panics.
+        for panic_on_caller in [true, false] {
+            let caller = std::thread::current().id();
+            let barrier = std::sync::Barrier::new(2);
+            let barrier = &barrier;
+            let cells = (0..2)
+                .map(|i| {
+                    move || -> Result<usize, DrcError> {
+                        barrier.wait();
+                        if (std::thread::current().id() == caller) == panic_on_caller {
+                            panic!("cell {i} gave up");
+                        }
+                        Ok(i)
+                    }
+                })
+                .collect::<Vec<_>>();
+            let payload = std::panic::catch_unwind(|| with_jobs(2, || run_cells(cells)))
+                .expect_err("the panic propagates");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert!(
+                matches!(message, Some("cell 0 gave up" | "cell 1 gave up")),
+                "on caller: {panic_on_caller}, payload {message:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_threads_than_cells_and_no_cells_both_work() {
+        let cells = (0..3)
+            .map(|i| move || -> Result<usize, DrcError> { Ok(i * i) })
+            .collect::<Vec<_>>();
+        assert_eq!(with_jobs(8, || run_cells(cells)).unwrap(), [0, 1, 4]);
+        for width in [1, 4] {
+            let none: Vec<fn() -> Result<u8, DrcError>> = Vec::new();
+            assert_eq!(
+                with_jobs(width, || run_cells(none)).unwrap(),
+                Vec::<u8>::new()
+            );
+        }
+    }
+
+    #[test]
     fn with_jobs_overrides_and_restores() {
         let ambient = current_jobs();
-        assert_eq!(ambient, rayon::current_num_threads());
+        assert_eq!(
+            ambient,
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        );
         with_jobs(3, || {
             assert_eq!(current_jobs(), 3);
             with_jobs(1, || assert_eq!(current_jobs(), 1));
@@ -346,11 +400,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_cell_list_is_fine() {
-        let cells: Vec<fn() -> Result<u8, DrcError>> = Vec::new();
-        assert_eq!(run_cells(cells).unwrap(), Vec::<u8>::new());
     }
 }

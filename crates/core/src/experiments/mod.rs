@@ -21,7 +21,7 @@
 //!
 //! Every driver decomposes its sweep into independent, shared-nothing
 //! *cells* (one code × config point each) and fans them out through the
-//! [`harness`] module across the persistent worker pool — output stays
+//! [`harness`] module, whose scoped threads share one cell queue — output stays
 //! byte-identical at every harness width because results merge in fixed
 //! cell order after the join.
 //!

@@ -11,9 +11,8 @@
 //! shows how long they ran concurrently and how much shorter the combined
 //! makespan is than the serial sum.
 //!
-//! Byte traffic is accounted exactly as before (and is identical under
-//! `DRC_SIM_THREADS=1` and any multi-threaded run); only the *time* model is
-//! new.
+//! Byte traffic is accounted exactly as before (and is identical at every
+//! harness width); only the *time* model is new.
 
 use serde::{Deserialize, Serialize};
 
@@ -244,17 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn byte_traffic_is_thread_count_independent() {
-        let single = rayon_stub_single(|| run_overlap(1024 * 1024, 1).unwrap());
-        let multi = run_overlap(1024 * 1024, 1).unwrap();
+    fn byte_traffic_is_harness_width_independent() {
+        let single = harness::with_jobs(1, || run_overlap(1024 * 1024, 1).unwrap());
+        let multi = harness::with_jobs(2, || run_overlap(1024 * 1024, 1).unwrap());
         for (a, b) in single.rows.iter().zip(&multi.rows) {
             assert_eq!(a.degraded_read_bytes, b.degraded_read_bytes);
             assert_eq!(a.repair_network_bytes, b.repair_network_bytes);
             assert_eq!(a.phases, b.phases, "virtual timelines are deterministic");
         }
-    }
-
-    fn rayon_stub_single<R>(f: impl FnOnce() -> R) -> R {
-        rayon::with_num_threads(1, f)
     }
 }

@@ -27,20 +27,14 @@
 //! atomic) so steady-state dispatch is a single relaxed load plus an indirect
 //! call per bulk operation — amortised over whole blocks, not per byte. The
 //! `DRC_GF_KERNEL` environment variable (`gfni|avx2|ssse3|reference`) pins
-//! the choice for benchmarks and differential tests. Like its sibling
-//! `DRC_SIM_THREADS` it is trimmed, an empty value counts as unset, and a
+//! the choice for benchmarks and differential tests. It is trimmed, an
+//! empty value counts as unset, and a
 //! value that names no kernel runnable on this host falls back to
 //! auto-detection **with a one-time stderr warning** naming the valid set,
 //! so a typo cannot silently benchmark the wrong kernel. [`all`] lists every
 //! kernel the host can run, which the proptests use to verify byte-for-byte
 //! agreement and the benches use for per-variant throughput curves;
 //! [`with_forced`] pins the active kernel for a closure (bench/test hook).
-//!
-//! `DRC_SIM_THREADS` controls the *worker-pool width* the bulk
-//! [`crate::slice`] operations split block-sized work across (default: all
-//! cores; `1` forces the serial, allocation-free path). The two are
-//! orthogonal: every `(kernel, thread-count)` combination produces
-//! byte-identical results.
 //!
 //! # Safety
 //!
@@ -529,10 +523,9 @@ pub fn active() -> &'static Kernel {
 /// restoring the previous selection on exit (including on panic).
 ///
 /// Bench/test hook: because the pin is global rather than thread-local, work
-/// the closure spreads across the worker pool also runs on `kern` — which is
-/// exactly what per-kernel throughput measurements of the parallel
-/// encode/reconstruct paths need. Do not race it against concurrent
-/// measurements that care about *their* kernel choice.
+/// on every thread of the process runs on `kern` while it is in force. Do
+/// not race it against concurrent measurements that care about *their*
+/// kernel choice.
 pub fn with_forced<R>(kern: &'static Kernel, f: impl FnOnce() -> R) -> R {
     struct Restore(*mut Kernel);
     impl Drop for Restore {

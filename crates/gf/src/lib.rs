@@ -38,16 +38,7 @@
 //! [`ReedSolomon::encode_into`] (and the `*_into` functions in [`mod@slice`])
 //! caller-owned output buffers, and the fused [`slice::matrix_mul_into`]
 //! applies the whole parity sub-matrix one cache tile at a time rather than
-//! one full pass per parity row.
-//!
-//! On top of the SIMD kernels, block-sized operations are *shard-parallel*:
-//! buffers of at least [`slice::PAR_ENGAGE_MIN`] bytes are split into
-//! tile-aligned byte ranges (each worker getting at least a
-//! [`slice::PAR_MIN_LEN`] share) across the workspace worker pool. The pool width comes from
-//! `DRC_SIM_THREADS` (the sibling knob of `DRC_GF_KERNEL`; both are trimmed,
-//! treat an empty value as unset and warn once on stderr before falling back
-//! from a bad one); `DRC_SIM_THREADS=1` keeps every path serial and
-//! allocation-free, and all thread counts produce byte-identical output.
+//! one full pass per parity row. Every operation runs on the calling thread.
 //!
 //! # Safety
 //!

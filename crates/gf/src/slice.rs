@@ -18,20 +18,10 @@
 //!   which is what the Reed–Solomon encoder and the erasure-code stripe
 //!   encoders build on.
 //!
-//! # Shard parallelism
-//!
-//! Blocks of at least [`PAR_ENGAGE_MIN`] bytes (enough total work to
-//! amortise one pool dispatch) are split — giving every worker at least a
-//! [`PAR_MIN_LEN`] share, see [`workers_for`] — into [`TILE`]-aligned byte
-//! ranges and
-//! spread over the workspace worker pool (the vendored `rayon` stand-in — a
-//! persistent pool of condvar-parked workers; worker count from
-//! `DRC_SIM_THREADS`, the sibling knob of `DRC_GF_KERNEL`).
-//! Every output byte is computed by the same sequence of field operations
-//! regardless of the split, so parallel and single-threaded runs are
-//! **byte-identical** — `DRC_SIM_THREADS=1` (or short blocks) takes the
-//! serial path, which remains allocation-free; the parallel path allocates
-//! only per-range bookkeeping, never block-sized buffers.
+//! Every operation runs on the calling thread. The workspace's one parallel
+//! layer is the experiment harness, which runs whole cells on their own
+//! threads; the crate's `INTERNALS.md` records the byte-range split this
+//! module used to do and why it was removed.
 
 use crate::kernel;
 use crate::Gf256;
@@ -40,52 +30,6 @@ use crate::Gf256;
 /// one source tile plus a handful of output tiles stay resident in L1 while
 /// every parity row consumes the source tile.
 pub const TILE: usize = 4096;
-
-/// Minimum bytes of work *per worker* when splitting across the pool: a
-/// woken worker's share of the arithmetic must dwarf its share of the
-/// dispatch. At the ~10 GB/s these kernels sustain, 16 KiB is ~1.6 µs of
-/// GF work per worker against a sub-microsecond per-worker wake — the
-/// floor below which an extra worker stops paying for itself.
-///
-/// The vendored pool keeps its workers parked on a condvar between calls
-/// (see `vendor/rayon`), so this per-worker floor can sit at 16 KiB instead
-/// of the 64 KiB the spawn-per-call pool needed. Whether to parallelise *at
-/// all* is a separate question — see [`PAR_ENGAGE_MIN`].
-pub const PAR_MIN_LEN: usize = 4 * TILE;
-
-/// Minimum *total* block length for engaging the pool at all: the scope
-/// itself pays the whole dispatch round-trip (measured ~0.5 µs at width 2,
-/// ~1.3 µs at width 4 — the "Pool dispatch" table in `INTERNALS.md`), so
-/// the time a split can save must clear that fixed cost by a wide margin. A
-/// 2-way split of 64 KiB saves ~3.2 µs of ~6.4 µs serial work — several
-/// times the dispatch even before bandwidth contention; at half this
-/// length the saving (~1.6 µs) is too thin a multiple to survive it, and
-/// measured 2-thread throughput drops below serial. Blocks shorter than
-/// this stay on the serial, allocation-free path regardless of pool width.
-pub const PAR_ENGAGE_MIN: usize = 16 * TILE;
-
-/// How many pool workers a `len`-byte operation should actually use: zero
-/// (serial) for blocks under [`PAR_ENGAGE_MIN`], otherwise capped so every
-/// worker gets at least [`PAR_MIN_LEN`] bytes. A result below 2 means
-/// "stay serial".
-pub fn workers_for(len: usize) -> usize {
-    if len < PAR_ENGAGE_MIN {
-        return 0;
-    }
-    rayon::current_num_threads().min(len / PAR_MIN_LEN)
-}
-
-/// Splits `len` bytes into at most `workers` contiguous `(start, end)`
-/// ranges with [`TILE`]-aligned interior boundaries (the last range takes
-/// the slack). This is the splitting the parallel paths here use; it is
-/// public so sibling crates can spread their own per-byte-range work over
-/// the same worker pool with identical chunking.
-pub fn par_ranges(len: usize, workers: usize) -> impl Iterator<Item = (usize, usize)> {
-    // A zero worker count (e.g. `workers_for` on a short buffer) means "one
-    // serial range", not a division by zero.
-    let chunk = len.div_ceil(workers.max(1)).div_ceil(TILE).max(1) * TILE;
-    (0..len.div_ceil(chunk)).map(move |i| (i * chunk, ((i + 1) * chunk).min(len)))
-}
 
 /// XOR-accumulates `src` into `dst` (`dst[i] += src[i]` over GF(2^8)).
 ///
@@ -181,29 +125,6 @@ pub fn linear_combination_into<S: AsRef<[u8]>>(coeffs: &[Gf256], blocks: &[S], o
         blocks.len(),
         "one coefficient is required per block"
     );
-    let workers = workers_for(out.len());
-    if workers > 1 && !blocks.is_empty() {
-        let len = out.len();
-        let views: Vec<&[u8]> = blocks.iter().map(|b| b.as_ref()).collect();
-        for b in &views {
-            assert_eq!(b.len(), len, "blocks must match the output length");
-        }
-        let views = &views;
-        rayon::scope(|s| {
-            let mut rest = &mut *out;
-            for (start, end) in par_ranges(len, workers) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                s.spawn(move |_| {
-                    head.fill(0);
-                    for (c, b) in coeffs.iter().zip(views) {
-                        mul_acc(head, &b[start..end], *c);
-                    }
-                });
-            }
-        });
-        return;
-    }
     out.fill(0);
     for (c, b) in coeffs.iter().zip(blocks) {
         mul_acc(out, b.as_ref(), *c);
@@ -220,10 +141,8 @@ pub fn linear_combination_into<S: AsRef<[u8]>>(coeffs: &[Gf256], blocks: &[S], o
 /// from L1 once per output row instead of once per output row per pass, and
 /// the output tiles stay cache-resident across all `k` accumulations.
 ///
-/// Callers own every buffer; `outs` are fully overwritten. Blocks large
-/// enough to feed several workers (see [`workers_for`]) are additionally
-/// split into TILE-aligned ranges across the worker pool (byte-identical to
-/// the serial path); the serial path performs no heap allocation.
+/// Callers own every buffer; `outs` are fully overwritten. No heap
+/// allocation.
 ///
 /// # Panics
 ///
@@ -249,11 +168,6 @@ where
     }
     for o in outs.iter_mut() {
         assert_eq!(o.as_mut().len(), len, "outputs must match the block length");
-    }
-    let workers = workers_for(len);
-    if workers > 1 && !outs.is_empty() && k > 0 {
-        matrix_mul_into_parallel(coeffs, k, blocks, outs, len, workers);
-        return;
     }
     let kern = kernel::active();
     let mut start = 0;
@@ -284,46 +198,6 @@ where
     }
 }
 
-/// The parallel arm of [`matrix_mul_into`]: every output buffer is split at
-/// the same TILE-aligned boundaries, and each byte range (with its window of
-/// every output) becomes one worker-pool task running the same fused tile
-/// loop. Ranges are disjoint, so the result is byte-identical to the serial
-/// path; only per-range bookkeeping is allocated.
-fn matrix_mul_into_parallel<S, B>(
-    coeffs: &[Gf256],
-    k: usize,
-    blocks: &[S],
-    outs: &mut [B],
-    len: usize,
-    workers: usize,
-) where
-    S: AsRef<[u8]>,
-    B: AsMut<[u8]>,
-{
-    let views: Vec<&[u8]> = blocks.iter().map(|b| b.as_ref()).collect();
-    let ranges: Vec<(usize, usize)> = par_ranges(len, workers).collect();
-    let mut chunked: Vec<Vec<&mut [u8]>> = ranges
-        .iter()
-        .map(|_| Vec::with_capacity(outs.len()))
-        .collect();
-    for o in outs.iter_mut() {
-        let mut rest = o.as_mut();
-        for (ci, (start, end)) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(end - start);
-            chunked[ci].push(head);
-            rest = tail;
-        }
-    }
-    let views = &views;
-    let ranges = &ranges;
-    rayon::scope(|s| {
-        for (ci, mut window) in chunked.into_iter().enumerate() {
-            let (start, end) = ranges[ci];
-            s.spawn(move |_| matrix_mul_window(coeffs, k, views, start, end, &mut window));
-        }
-    });
-}
-
 /// One independent matrix × block-vector product inside a
 /// [`matrix_mul_batch`] call: a row-major `outs.len() × k` coefficient
 /// matrix applied to `k` equal-length source slices, writing `outs.len()`
@@ -343,144 +217,16 @@ pub struct MatrixMulTask<'a> {
     pub outs: Vec<&'a mut [u8]>,
 }
 
-impl MatrixMulTask<'_> {
-    fn len(&self) -> usize {
-        self.sources
-            .first()
-            .map(|s| s.len())
-            .or_else(|| self.outs.first().map(|o| o.len()))
-            .unwrap_or(0)
-    }
-
-    fn validate(&self) {
-        assert_eq!(
-            self.sources.len(),
-            self.k,
-            "one source per matrix column is required"
-        );
-        assert_eq!(
-            self.coeffs.len(),
-            self.outs.len() * self.k,
-            "coefficient matrix must be outs.len() x k"
-        );
-        let len = self.len();
-        for s in &self.sources {
-            assert_eq!(s.len(), len, "sources must have equal lengths");
-        }
-        for o in &self.outs {
-            assert_eq!(o.len(), len, "outputs must match the source length");
-        }
-    }
-}
-
-/// One pool unit of a batched product: the owning task's coefficients and
-/// source count, its source payloads, the `[start, end)` byte range, and
-/// the output windows covering exactly that range.
-type BatchUnit<'a> = (
-    &'a [Gf256],
-    usize,
-    &'a [&'a [u8]],
-    usize,
-    usize,
-    Vec<&'a mut [u8]>,
-);
-
-/// Runs many independent matrix × block-vector products as **one** worker
-/// pool dispatch, splitting the pool across the *total* bytes of the batch.
-///
-/// [`matrix_mul_into`] decides whether to engage the pool from one
-/// product's block length, so a caller looping over many small stripes
-/// (e.g. a repair pass rebuilding chunk-sized pieces of hundreds of
-/// stripes) either stays serial per stripe or pays one dispatch per
-/// stripe. This entry point makes the engagement decision on the batch:
-/// when `Σ len` clears [`PAR_ENGAGE_MIN`], every task is cut into
-/// [`TILE`]-aligned byte ranges and all `(task, range)` units run under a
-/// single [`rayon::scope`], so the pool is saturated across stripes even
-/// when each individual product is far below the per-block threshold.
-///
-/// Tiles never interact — each output byte is produced by the same
-/// sequence of field operations regardless of the split — so the result is
-/// **byte-identical** to calling [`matrix_mul_into`] on each task alone,
-/// at any pool width.
+/// Runs many independent matrix × block-vector products, one
+/// [`matrix_mul_into`] per task in order — the same tile loop, so the
+/// result is byte-identical to calling it on each task alone.
 ///
 /// # Panics
 ///
 /// Panics if any task violates the [`matrix_mul_into`] shape contract.
 pub fn matrix_mul_batch(tasks: &mut [MatrixMulTask<'_>]) {
-    for task in tasks.iter() {
-        task.validate();
-    }
-    let total: usize = tasks.iter().map(|t| t.len()).sum();
-    let workers = workers_for(total);
-    if workers > 1 {
-        // One TILE-aligned target share per worker, measured on the batch.
-        let share = total.div_ceil(workers).div_ceil(TILE).max(1) * TILE;
-        let mut units: Vec<BatchUnit<'_>> = Vec::new();
-        for task in tasks.iter_mut() {
-            let len = task.len();
-            let ranges: Vec<(usize, usize)> = (0..len.div_ceil(share).max(usize::from(len == 0)))
-                .map(|i| (i * share, ((i + 1) * share).min(len)))
-                .collect();
-            let mut rests: Vec<&mut [u8]> = task.outs.iter_mut().map(|o| &mut o[..]).collect();
-            for &(start, end) in &ranges {
-                let mut window = Vec::with_capacity(rests.len());
-                for rest in rests.iter_mut() {
-                    let taken = std::mem::take(rest);
-                    let (head, tail) = taken.split_at_mut(end - start);
-                    window.push(head);
-                    *rest = tail;
-                }
-                units.push((task.coeffs, task.k, &task.sources, start, end, window));
-            }
-        }
-        rayon::scope(|s| {
-            for (coeffs, k, sources, start, end, mut window) in units {
-                s.spawn(move |_| matrix_mul_window(coeffs, k, sources, start, end, &mut window));
-            }
-        });
-        return;
-    }
     for task in tasks.iter_mut() {
-        let len = task.len();
-        matrix_mul_window(task.coeffs, task.k, &task.sources, 0, len, &mut task.outs);
-    }
-}
-
-/// Applies the whole coefficient sub-matrix to the byte range
-/// `offset..limit` of the source blocks, writing the matching windows of the
-/// outputs (`window[p]` is `outs[p][offset..limit]`).
-fn matrix_mul_window(
-    coeffs: &[Gf256],
-    k: usize,
-    blocks: &[&[u8]],
-    offset: usize,
-    limit: usize,
-    window: &mut [&mut [u8]],
-) {
-    let kern = kernel::active();
-    let mut start = offset;
-    while start < limit {
-        let end = (start + TILE).min(limit);
-        // Per-tile zeroing, as in `matrix_mul_into`'s serial loop.
-        for out in window.iter_mut() {
-            out[start - offset..end - offset].fill(0);
-        }
-        for (j, block) in blocks.iter().enumerate() {
-            let src = &block[start..end];
-            for (p, out) in window.iter_mut().enumerate() {
-                let c = coeffs[p * k + j];
-                if c == Gf256::ZERO {
-                    continue;
-                }
-                let dst = &mut out[start - offset..end - offset];
-                if c == Gf256::ONE {
-                    kern.xor_assign(dst, src);
-                } else {
-                    kern.mul_acc(dst, src, c.value());
-                }
-            }
-        }
-        start = end;
+        matrix_mul_into(task.coeffs, task.k, &task.sources, &mut task.outs);
     }
 }
 
@@ -605,56 +351,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn workers_for_respects_both_floors() {
-        rayon::with_num_threads(8, || {
-            // Below the engagement floor: serial, no matter how wide the pool.
-            assert_eq!(workers_for(PAR_ENGAGE_MIN - 1), 0);
-            // At the floor the split engages, each worker >= PAR_MIN_LEN.
-            let w = workers_for(PAR_ENGAGE_MIN);
-            assert!(w >= 2, "engagement floor must actually engage, got {w}");
-            assert!(PAR_ENGAGE_MIN / w >= PAR_MIN_LEN);
-            // Large blocks are capped by the pool width.
-            assert_eq!(workers_for(64 * PAR_ENGAGE_MIN), 8);
-        });
-        // A 1-wide pool never splits.
-        rayon::with_num_threads(1, || assert!(workers_for(64 * PAR_ENGAGE_MIN) < 2));
-    }
-
-    #[test]
-    fn parallel_split_matches_serial_byte_for_byte() {
-        let k = 5;
-        let len = PAR_ENGAGE_MIN + 3 * PAR_MIN_LEN + 123; // several parallel ranges + slack
-        let blocks: Vec<Vec<u8>> = (0..k)
-            .map(|j| (0..len).map(|i| (i * 13 + j * 29 + 5) as u8).collect())
-            .collect();
-        let coeffs: Vec<Gf256> = (0..3 * k).map(|i| Gf256::new((i * 7 + 1) as u8)).collect();
-
-        let mut serial = vec![vec![0u8; len]; 3];
-        rayon::with_num_threads(1, || matrix_mul_into(&coeffs, k, &blocks, &mut serial));
-        let mut parallel = vec![vec![0u8; len]; 3];
-        rayon::with_num_threads(4, || matrix_mul_into(&coeffs, k, &blocks, &mut parallel));
-        assert_eq!(serial, parallel);
-
-        let mut lin_serial = vec![0u8; len];
-        rayon::with_num_threads(1, || {
-            linear_combination_into(&coeffs[..k], &blocks, &mut lin_serial)
-        });
-        let mut lin_parallel = vec![0xffu8; len];
-        rayon::with_num_threads(4, || {
-            linear_combination_into(&coeffs[..k], &blocks, &mut lin_parallel)
-        });
-        assert_eq!(lin_serial, lin_parallel);
-    }
-
     /// The outputs are zeroed tile by tile inside the product, never by the
-    /// caller: every path — serial, parallel arm, batch at either width —
-    /// fully overwrites `0xAB`-prefilled buffers, ragged last tile included.
+    /// caller: both entry points fully overwrite `0xAB`-prefilled buffers,
+    /// ragged last tile included.
     #[test]
     fn dirty_outputs_are_fully_overwritten_on_every_path() {
         let k = 4;
         let rows = 3;
-        let len = PAR_ENGAGE_MIN + 2 * PAR_MIN_LEN + 77;
+        let len = 5 * TILE + 77;
         let blocks: Vec<Vec<u8>> = (0..k)
             .map(|j| (0..len).map(|i| (i * 17 + j * 41 + 3) as u8).collect())
             .collect();
@@ -665,46 +369,28 @@ mod tests {
         let want: Vec<Vec<u8>> = (0..rows)
             .map(|p| linear_combination(&coeffs[p * k..(p + 1) * k], &blocks, len))
             .collect();
-        for threads in [1, 4] {
-            let mut outs = vec![vec![0xABu8; len]; rows];
-            rayon::with_num_threads(threads, || matrix_mul_into(&coeffs, k, &blocks, &mut outs));
-            assert_eq!(outs, want, "matrix_mul_into at {threads} threads");
+        let mut outs = vec![vec![0xABu8; len]; rows];
+        matrix_mul_into(&coeffs, k, &blocks, &mut outs);
+        assert_eq!(outs, want, "matrix_mul_into");
 
-            let mut outs = vec![vec![0xABu8; len]; rows];
-            rayon::with_num_threads(threads, || {
-                matrix_mul_batch(&mut [MatrixMulTask {
-                    coeffs: &coeffs,
-                    k,
-                    sources: blocks.iter().map(|b| b.as_slice()).collect(),
-                    outs: outs.iter_mut().map(|o| o.as_mut_slice()).collect(),
-                }]);
-            });
-            assert_eq!(outs, want, "matrix_mul_batch at {threads} threads");
-        }
+        let mut outs = vec![vec![0xABu8; len]; rows];
+        matrix_mul_batch(&mut [MatrixMulTask {
+            coeffs: &coeffs,
+            k,
+            sources: blocks.iter().map(|b| b.as_slice()).collect(),
+            outs: outs.iter_mut().map(|o| o.as_mut_slice()).collect(),
+        }]);
+        assert_eq!(outs, want, "matrix_mul_batch");
+
+        let mut out = vec![0xABu8; len];
+        linear_combination_into(&coeffs[..k], &blocks, &mut out);
+        assert_eq!(out, want[0], "linear_combination_into");
     }
 
     #[test]
-    fn par_ranges_are_tile_aligned_and_cover() {
-        // workers == 0 (what workers_for returns for short buffers) must
-        // degrade to one serial range, not panic.
-        assert_eq!(par_ranges(5 * TILE, 0).collect::<Vec<_>>(), [(0, 5 * TILE)]);
-        for (len, workers) in [(PAR_MIN_LEN, 4), (3 * PAR_MIN_LEN + 17, 3), (TILE + 1, 8)] {
-            let ranges: Vec<_> = par_ranges(len, workers).collect();
-            assert!(ranges.len() <= workers);
-            assert_eq!(ranges.first().map(|r| r.0), Some(0));
-            assert_eq!(ranges.last().map(|r| r.1), Some(len));
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
-                assert_eq!(w[0].1 % TILE, 0, "interior boundaries are TILE-aligned");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_task_at_any_pool_width() {
-        // Heterogeneous batch: task lengths straddle TILE boundaries and
-        // none alone clears PAR_ENGAGE_MIN, but the batch total does — the
-        // case matrix_mul_into would run serially task-by-task.
+    fn batch_matches_per_task() {
+        // Heterogeneous batch: task lengths straddle TILE boundaries, and
+        // every output row is held to its own linear combination.
         let shapes = [
             (3usize, 2usize, 5 * TILE + 17),
             (2, 1, TILE / 2),
@@ -728,33 +414,32 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut expected: Vec<Vec<Vec<u8>>> = shapes
+        let expected: Vec<Vec<Vec<u8>>> = shapes
             .iter()
-            .map(|&(_, outs, len)| vec![vec![0u8; len]; outs])
+            .enumerate()
+            .map(|(i, &(k, outs, len))| {
+                (0..outs)
+                    .map(|p| linear_combination(&coeffs[i][p * k..(p + 1) * k], &sources[i], len))
+                    .collect()
+            })
             .collect();
-        for (i, &(k, _, _)) in shapes.iter().enumerate() {
-            matrix_mul_into(&coeffs[i], k, &sources[i], &mut expected[i]);
-        }
-        for threads in [1, 4] {
-            let mut got: Vec<Vec<Vec<u8>>> = shapes
-                .iter()
-                .map(|&(_, outs, len)| vec![vec![0xa5u8; len]; outs])
-                .collect();
-            rayon::with_num_threads(threads, || {
-                let mut tasks: Vec<MatrixMulTask<'_>> = got
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, outs)| MatrixMulTask {
-                        coeffs: &coeffs[i],
-                        k: shapes[i].0,
-                        sources: sources[i].iter().map(|s| s.as_slice()).collect(),
-                        outs: outs.iter_mut().map(|o| o.as_mut_slice()).collect(),
-                    })
-                    .collect();
-                matrix_mul_batch(&mut tasks);
-            });
-            assert_eq!(got, expected, "batch at {threads} threads");
-        }
+        let mut got: Vec<Vec<Vec<u8>>> = shapes
+            .iter()
+            .map(|&(_, outs, len)| vec![vec![0xa5u8; len]; outs])
+            .collect();
+        let mut tasks: Vec<MatrixMulTask<'_>> = got
+            .iter_mut()
+            .enumerate()
+            .map(|(i, outs)| MatrixMulTask {
+                coeffs: &coeffs[i],
+                k: shapes[i].0,
+                sources: sources[i].iter().map(|s| s.as_slice()).collect(),
+                outs: outs.iter_mut().map(|o| o.as_mut_slice()).collect(),
+            })
+            .collect();
+        matrix_mul_batch(&mut tasks);
+        drop(tasks);
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -348,3 +348,31 @@ proptest! {
         prop_assert_eq!(rec, coded);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every erasure pattern of at most `m` shards — the empty one
+    /// included — reconstructs into dirty buffers as the coded stripe.
+    #[test]
+    fn rs_reconstructs_every_pattern_up_to_the_parity_count(
+        k in 2usize..6,
+        m in 1usize..4,
+        len in awkward_len(),
+        seed in any::<u64>(),
+    ) {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let data: Vec<Vec<u8>> = (0..k).map(|j| fill(seed ^ j as u64, len)).collect();
+        let coded = rs_encode(&rs, &data, len);
+        for lost in (0u32..1 << (k + m)).filter(|p| p.count_ones() as usize <= m) {
+            let present: Vec<Option<&[u8]>> = coded
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (lost >> i & 1 == 0).then_some(s.as_slice()))
+                .collect();
+            let mut rec = vec![vec![0xa5u8; len]; k + m];
+            rs.reconstruct_into(&present, len, &mut rec).unwrap();
+            prop_assert_eq!(&rec, &coded, "lost shards {:#b}", lost);
+        }
+    }
+}

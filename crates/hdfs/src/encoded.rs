@@ -163,8 +163,7 @@ fn check_block_size(block_size: usize) -> Result<(), HdfsError> {
 /// The distinct blocks of stripe `stripe` of a file: its `k` data blocks —
 /// `data_block(start)` yields the block of file content at byte offset
 /// `start`, zero-padded to `block_size` — followed by the parities, encoded
-/// shard-parallel straight into the pooled buffers that become their
-/// payloads.
+/// straight into the pooled buffers that become their payloads.
 pub(crate) fn encode_stripe(
     code: &dyn ErasureCode,
     stripe: usize,

@@ -56,9 +56,7 @@
 //! timeout reproduces the static model (`fail_node_permanently` +
 //! [`DistributedFileSystem::repair_nodes`]) byte-for-byte.
 //!
-//! Byte accounting is independent of the virtual clock and of the worker
-//! pool's thread count: `DRC_SIM_THREADS=1` and a 32-thread run report
-//! identical network-byte numbers.
+//! Byte accounting is independent of the virtual clock.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -70,7 +68,6 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeReconstructor};
-use drc_gf::slice::{matrix_mul_batch, MatrixMulTask};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, FailureReplay, ReplayStep, SimDuration, SimTime, Timeline,
     VirtualClock,
@@ -135,29 +132,6 @@ pub const DEFAULT_DETECTION_TIMEOUT: SimDuration = SimDuration(3_000_000_000);
 /// schedule, which is the serial baseline the `repair_pipeline` experiment
 /// compares against.
 pub const DEFAULT_REPAIR_CHUNK_BYTES: u64 = 1 << 20;
-
-/// How many stripes' rebuild jobs are batched into one fused GF pass.
-///
-/// The streaming repair path defers each stripe's linear combinations and
-/// flushes them through [`drc_gf::slice::matrix_mul_batch`] in waves of this
-/// many stripes, so the persistent worker pool sees one large job instead of
-/// per-stripe slivers (small stripes alone never clear the pool's engagement
-/// threshold). The outputs are byte-identical at any wave size or pool
-/// width; this only shapes scheduling.
-const REBUILD_WAVE_STRIPES: usize = 8;
-
-/// One stripe's deferred GF rebuild: the solved reconstruction, borrowed
-/// source handles, output buffers and where each rebuilt block must land.
-/// Accumulated by the repair pass and flushed in cross-stripe waves (see
-/// [`REBUILD_WAVE_STRIPES`]).
-struct PendingRebuild {
-    rec: StripeReconstructor,
-    sources: Vec<Bytes>,
-    outs: Vec<Vec<u8>>,
-    /// Per target (parallel to `rec.targets()`): every replica slot the
-    /// rebuilt block is stored into.
-    dests: Vec<Vec<(BlockKey, NodeId)>>,
-}
 
 /// One stripe's deferred replacement-store schedule: each chunk `ci` of the
 /// rebuilt blocks is pushed onto every destination at `fetch_done[ci]` (the
@@ -908,9 +882,6 @@ impl DistributedFileSystem {
         let replaced: BTreeSet<NodeId> = replacements.iter().copied().collect();
         // Per-stripe completion events, drained in virtual-time order below.
         let mut completions: EventQueue<(FileId, usize, u64)> = EventQueue::new();
-        // Fully-lost blocks awaiting their GF rebuild, flushed through the
-        // worker pool in cross-stripe waves.
-        let mut pending: Vec<PendingRebuild> = Vec::new();
         // Deferred replacement stores: every stripe's fetch trains are
         // issued first (all at `issued`), then the stores run below in
         // global virtual-start order.
@@ -1016,9 +987,7 @@ impl DistributedFileSystem {
                         dn.record_served(meta.block_size);
                     }
                 }
-                // Content. Replica-backed blocks land immediately as cheap
-                // handle clones; fully-lost blocks join the cross-stripe GF
-                // wave flushed through the worker pool in one fused batch.
+                // Content. Replica-backed blocks land as cheap handle clones.
                 for (&block, targets) in &dests {
                     let Some(data) = payloads.get(&block) else {
                         continue;
@@ -1031,32 +1000,27 @@ impl DistributedFileSystem {
                     }
                 }
                 if let Some(rec) = rec {
-                    let out_dests: Vec<Vec<(BlockKey, NodeId)>> =
-                        rec.targets().iter().map(|b| dests[b].clone()).collect();
-                    report.blocks_restored += out_dests.iter().map(Vec::len).sum::<usize>();
-                    match source_bytes(&rec, &payloads) {
+                    // Fully-lost blocks are rebuilt right here from the
+                    // borrowed handles into pooled buffers that become the
+                    // stored handles, zero-copy. Length-only sources rebuild
+                    // length-only blocks: there is nothing to compute.
+                    let rebuilt: Vec<Block> = match source_bytes(&rec, &payloads) {
                         Some(sources) => {
-                            let outs: Vec<Vec<u8>> = rec
+                            let mut outs: Vec<Vec<u8>> = rec
                                 .targets()
                                 .iter()
                                 .map(|_| drc_gf::bufpool::take(meta.block_size as usize))
                                 .collect();
-                            pending.push(PendingRebuild {
-                                rec,
-                                sources,
-                                outs,
-                                dests: out_dests,
-                            });
-                            if pending.len() >= REBUILD_WAVE_STRIPES {
-                                self.flush_rebuilds(&mut pending);
-                            }
+                            rec.reconstruct_into(&sources, &mut outs);
+                            outs.into_iter()
+                                .map(|out| Bytes::from(out).into())
+                                .collect()
                         }
-                        // Length-only sources: nothing to compute, the
-                        // rebuilt blocks are lengths too.
-                        None => {
-                            let rebuilt = Block::sized(meta.block_size as usize);
-                            self.store_rebuilt(&rebuilt, out_dests.into_iter().flatten());
-                        }
+                        None => vec![Block::sized(meta.block_size as usize); rec.targets().len()],
+                    };
+                    for (content, block) in rebuilt.iter().zip(rec.targets()) {
+                        report.blocks_restored += dests[block].len();
+                        self.store_rebuilt(content, dests[block].iter().copied());
                     }
                 }
                 report.stripes_repaired += 1;
@@ -1070,7 +1034,6 @@ impl DistributedFileSystem {
                 });
             }
         }
-        self.flush_rebuilds(&mut pending);
         // Store scheduling: one push train per (stripe, destination), chunk
         // `ci` available at `fetch_done[ci]`, issued in ascending
         // first-chunk-start order. Resources grant FIFO in issuance order —
@@ -1149,32 +1112,6 @@ impl DistributedFileSystem {
             }
         }
         (sizes, fetch_done)
-    }
-
-    /// Applies every deferred GF rebuild as one fused cross-stripe batch on
-    /// the worker pool and stores the rebuilt blocks. Byte-identical to
-    /// per-stripe rebuilds at any pool width or wave size.
-    fn flush_rebuilds(&self, pending: &mut Vec<PendingRebuild>) {
-        if pending.is_empty() {
-            return;
-        }
-        let mut tasks: Vec<MatrixMulTask<'_>> = pending
-            .iter_mut()
-            .map(|p| MatrixMulTask {
-                coeffs: p.rec.coefficients(),
-                k: p.rec.sources().len(),
-                sources: p.sources.iter().map(|b| &b[..]).collect(),
-                outs: p.outs.iter_mut().map(|o| &mut o[..]).collect(),
-            })
-            .collect();
-        matrix_mul_batch(&mut tasks);
-        drop(tasks);
-        for p in pending.drain(..) {
-            for (out, targets) in p.outs.into_iter().zip(p.dests) {
-                // Zero-copy: the rebuilt buffer becomes the stored handle.
-                self.store_rebuilt(&Bytes::from(out).into(), targets);
-            }
-        }
     }
 
     /// Lands one rebuilt block in every replica slot it was missing from.

@@ -26,8 +26,7 @@
 //! modeled disk/NIC/fabric bandwidth, so repair passes and degraded reads
 //! *overlap* in virtual time and contend for the same resources (see the
 //! timeline machinery on [`DistributedFileSystem`]). Byte accounting is
-//! unchanged and independent of both the virtual clock and the worker-pool
-//! thread count (`DRC_SIM_THREADS`).
+//! unchanged and independent of the virtual clock.
 //!
 //! # Example
 //!

@@ -29,9 +29,8 @@
 //! The counting allocator tallies allocations at or above the block size
 //! inside an explicit window, and those of exactly the block size apart
 //! (every payload, parity and rebuild buffer; a file-sized output is
-//! larger). The window covers all threads (the worker pool's shard work
-//! included); the tests of this binary take [`SERIAL`], so nothing else
-//! allocates concurrently.
+//! larger). The window covers all threads; the tests of this binary take
+//! [`SERIAL`], so nothing else allocates concurrently.
 
 use std::sync::Mutex;
 

@@ -10,9 +10,8 @@ use drc_codes::CodeKind;
 use drc_hdfs::DistributedFileSystem;
 use drc_testalloc::{close_window, open_window, CountingAlloc, Threads};
 
-// The window covers *all* threads so the worker pool's GF scratch (if any)
-// is on the books too; this binary runs exactly one test, so nothing else
-// allocates concurrently.
+// The window covers *all* threads; this binary runs exactly one test, so
+// nothing else allocates concurrently.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -33,8 +32,8 @@ fn streaming_repair_working_set_is_chunk_sized() {
     let mut fs = DistributedFileSystem::new(spec, 0x3E3A);
     fs.set_repair_chunk_bytes(CHUNK);
 
-    // Two full stripes; the write path also warms the worker pool so the
-    // measurement window sees no one-time pool setup.
+    // Two full stripes; the write path also warms the kernel selection so
+    // the measurement window sees no one-time setup.
     let stripes = 2usize;
     let data: Vec<u8> = (0..stripes * built.data_blocks() * BLOCK as usize)
         .map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15).to_le_bytes()[i % 8])
@@ -67,8 +66,8 @@ fn streaming_repair_working_set_is_chunk_sized() {
     );
 
     // The transient spike above what survives the pass: chunk-granular
-    // streaming keeps it O(chunk × width) — bookkeeping vectors, solved
-    // matrices, task descriptors. One whole-block helper copy (the old
+    // streaming keeps it O(chunk × width) — bookkeeping vectors and solved
+    // matrices. One whole-block helper copy (the old
     // monolithic path made several per stripe) would blow through this.
     let width = built.stored_blocks() as isize;
     let transient = peak - end.max(0);

@@ -4,7 +4,7 @@
 //! headlines, byte-identical differential proptests, golden pins — rests
 //! on two properties nothing used to enforce statically:
 //! the simulator must be **deterministic**, and the unsafe hot paths (SIMD
-//! GF kernels, the lifetime-erased persistent pool) must be **auditable**.
+//! GF kernels, the ChaCha8 refill dispatch) must be **auditable**.
 //! This crate enforces both, plus the two bug classes the repo has already
 //! shipped (PR 3's silent `f64 → u64` byte-accounting truncation, PR 6's
 //! silent index misses).

@@ -110,8 +110,8 @@ const NONDETERMINISM_IDENTS: &[(&str, &str)] = &[
 ];
 
 /// Call names that open a parallel region: everything lexically inside the
-/// call's parentheses (closure bodies included) may execute on the worker
-/// pool in scheduling order. `join` also matches thread handles and string
+/// call's parentheses (closure bodies included) may execute on another
+/// thread in scheduling order. `join` also matches thread handles and string
 /// joins, but those never contain a float `+=` inside the call parens, so
 /// the combination stays precise.
 const PARALLEL_ENTRYPOINTS: &[&str] = &[
@@ -354,8 +354,7 @@ pub fn check_file(path: &str, scan: &Scan) -> FileCheck {
         }
         // Unlike the ident rules this one is workspace-wide: the repro
         // contract (byte-identical output at every harness width) spans
-        // every crate that touches the worker pool, `core` and `gf`
-        // included.
+        // every crate a cell runs, not just the one that spawns threads.
         check_parallel_float_reduction(path, scan, &mut out);
     }
     out
@@ -931,7 +930,7 @@ mod tests {
         assert_eq!(classify("crates/sim/src/lib.rs").crate_key, "sim");
         assert_eq!(classify("crates/sim/src/lib.rs").section, "src");
         assert_eq!(classify("crates/gf/tests/proptests.rs").section, "tests");
-        assert!(classify("vendor/rayon/src/lib.rs").vendor);
+        assert!(classify("vendor/rand/src/lib.rs").vendor);
         assert_eq!(classify("src/lib.rs").crate_key, "root");
         assert_eq!(classify("tests/e2e.rs").section, "tests");
     }
@@ -956,7 +955,7 @@ mod tests {
 
     #[test]
     fn parallel_float_reduction_fires_on_float_accumulation_in_scope() {
-        let src = "fn f(xs: &[f64]) -> f64 {\n    let mut sum = 0.0;\n    rayon::scope(|s| {\n        for &x in xs {\n            s.spawn(|_| sum += x * 2.0);\n        }\n    });\n    sum\n}\n";
+        let src = "fn f(xs: &[f64]) -> f64 {\n    let mut sum = 0.0;\n    std::thread::scope(|s| {\n        for &x in xs {\n            s.spawn(|| sum += x * 2.0);\n        }\n    });\n    sum\n}\n";
         let out = check_file("crates/core/src/lib.rs", &scan(src));
         assert!(
             rules_of(&out.findings).contains(&"parallel-float-reduction"),
@@ -968,7 +967,7 @@ mod tests {
     #[test]
     fn parallel_float_reduction_spares_integer_accumulators_and_serial_sums() {
         // Integer offset bookkeeping inside a scope is deterministic.
-        let ints = "fn f(n: usize) {\n    rayon::scope(|s| {\n        let mut off = 0usize;\n        for _ in 0..n {\n            off += 64;\n            s.spawn(move |_| work(off));\n        }\n    });\n}\n";
+        let ints = "fn f(n: usize) {\n    std::thread::scope(|s| {\n        let mut off = 0usize;\n        for _ in 0..n {\n            off += 64;\n            s.spawn(move || work(off));\n        }\n    });\n}\n";
         let out = check_file("crates/gf/src/slice.rs", &scan(ints));
         assert!(out.findings.is_empty(), "{:?}", out.findings);
 
@@ -988,7 +987,7 @@ mod tests {
     fn parallel_float_reduction_needs_float_evidence_on_the_statement() {
         // The closure mentions f64 elsewhere, but the `+=` statement itself
         // is integral: no finding.
-        let src = "fn f(n: u64) {\n    rayon::scope(|s| {\n        s.spawn(move |_| {\n            let r: f64 = rate();\n            let mut total = 0u64;\n            total += n;\n            store(r, total);\n        });\n    });\n}\n";
+        let src = "fn f(n: u64) {\n    std::thread::scope(|s| {\n        s.spawn(move || {\n            let r: f64 = rate();\n            let mut total = 0u64;\n            total += n;\n            store(r, total);\n        });\n    });\n}\n";
         let out = check_file("crates/hdfs/src/fs.rs", &scan(src));
         assert!(
             !rules_of(&out.findings).contains(&"parallel-float-reduction"),
@@ -1123,7 +1122,7 @@ mod tests {
         assert!(check_file("crates/gf/tests/t.rs", &scan(src))
             .findings
             .is_empty());
-        assert!(check_file("vendor/rayon/src/lib.rs", &scan(src))
+        assert!(check_file("vendor/rand/src/lib.rs", &scan(src))
             .findings
             .is_empty());
     }

@@ -29,15 +29,11 @@
 //!
 //! # Threading
 //!
-//! Virtual time is orthogonal to real parallelism: the encode/repair hot
-//! paths run on the workspace-wide worker pool (the vendored `rayon` stub).
-//! The pool's worker count comes from the `DRC_SIM_THREADS` environment
-//! variable (default: all cores; `DRC_SIM_THREADS=1` is the deterministic
-//! single-thread fallback), the sibling knob of `DRC_GF_KERNEL` which pins
-//! the SIMD kernel; both are trimmed, treat an empty value as unset, and
-//! name a bad value in a one-time stderr warning before falling back.
-//! Parallel and single-threaded runs produce byte-identical results; only
-//! wall-clock throughput differs.
+//! Virtual time is orthogonal to real parallelism. Nothing in this crate
+//! spawns a thread: each experiment cell owns its substrate and runs on one
+//! thread, and the experiment harness runs independent cells side by side.
+//! Serial and threaded runs produce byte-identical results; only wall-clock
+//! throughput differs.
 //!
 //! # Example
 //!

@@ -33,11 +33,11 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 pub enum Threads {
     /// Only the thread that opened the window. The libtest harness's main
     /// thread (blocked in a channel `recv` while a test body runs, its waker
-    /// registration allocating at a nondeterministic moment) and the worker
-    /// pool stay off the books.
+    /// registration allocating at a nondeterministic moment) and any other
+    /// thread stay off the books.
     Current,
-    /// Every thread of the process, so a worker pool's scratch is counted
-    /// too. Nothing else may allocate concurrently.
+    /// Every thread of the process, so the experiment harness's scoped cell
+    /// threads are counted too. Nothing else may allocate concurrently.
     All,
 }
 

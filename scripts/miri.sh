@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Best-effort Miri pass over the crates that contain unsafe code:
-# drc_gf (SIMD kernels, the cached active-kernel pointer), the vendored
-# rayon stub (lifetime-transmuting scoped pool) and the vendored rand_chacha
-# stub (the call into its AVX2 eight-block refill).
+# drc_gf (SIMD kernels, the cached active-kernel pointer) and the vendored
+# rand_chacha stub (the call into its AVX2 eight-block refill).
 #
 # Miri interprets the non-SIMD code paths and catches undefined behaviour
 # (OOB, use-after-free, invalid transmutes) that tests alone cannot.
 # `#[target_feature]` kernels are unsafe-to-call and dispatch-gated, so
 # under Miri the portable tier — the safe scalar `reference` kernel — runs
 # instead. That is expected: what is left for Miri in drc_gf is the
-# `AtomicPtr` kernel cache and `with_forced`'s restore, and the pool's
-# scope transmute is fully exercised. The same holds for rand_chacha: Miri
-# reports no AVX2 to `is_x86_feature_detected!`, so the unsafe call is never
-# taken and the scalar block path runs, stream oracle included (on a few
-# seeds under Miri).
+# `AtomicPtr` kernel cache and `with_forced`'s restore. The same holds for
+# rand_chacha: Miri reports no AVX2 to `is_x86_feature_detected!`, so the
+# unsafe call is never taken and the scalar block path runs, stream oracle
+# included (on a few seeds under Miri).
 #
 # drc_gf's one FFI call (`madvise` in `bufpool::bulk_with_capacity`) needs
 # no exclusion here: it is compiled out under `cfg(miri)`, where the
@@ -48,7 +46,7 @@ if ! rustup component list --toolchain nightly 2>/dev/null \
     exit 0
 fi
 
-say "miri.sh: running cargo +nightly miri test -p drc_gf -p rayon -p rand_chacha"
+say "miri.sh: running cargo +nightly miri test -p drc_gf -p rand_chacha"
 # MIRIFLAGS: isolation stays ON (default) — the sim is deterministic and
 # nothing under test touches the host. Leak check stays ON.
 cargo +nightly miri setup >/dev/null 2>&1 || {
@@ -56,8 +54,8 @@ cargo +nightly miri setup >/dev/null 2>&1 || {
     exit 0
 }
 
-if cargo +nightly miri test -p drc_gf -p rayon -p rand_chacha; then
-    say "miri.sh: PASS — no undefined behaviour detected in drc_gf, rayon or rand_chacha."
+if cargo +nightly miri test -p drc_gf -p rand_chacha; then
+    say "miri.sh: PASS — no undefined behaviour detected in drc_gf or rand_chacha."
     exit 0
 else
     say "miri.sh: FAIL — Miri reported undefined behaviour (or a test failed under Miri)."
