@@ -25,12 +25,12 @@
 //!   virtual-time reservation, and each wave's remote-read bytes queue
 //!   through the shared LAN fabric.
 //! * **Shuffle** — each reducer is placed round-robin over the up nodes and
-//!   issues one fetch event per *source node*: a [`Transfer`] that acquires
-//!   the source node's NIC, the destination node's NIC and the shared LAN
-//!   fabric from the [`ClusterNet`], holding all three for the bottleneck
-//!   service time. The share produced on the reducer's own node never
-//!   touches the network. Per-link queueing delay is accumulated into
-//!   [`JobMetrics::shuffle_contention`].
+//!   issues one fetch event per *source node*, all of them through one
+//!   [`ClusterNet::gather`]: a fetch acquires the source node's NIC, the
+//!   destination node's NIC and the shared LAN fabric, holding all three
+//!   for the bottleneck service time. The share produced on the reducer's
+//!   own node never touches the network. Per-link queueing delay is
+//!   accumulated into [`JobMetrics::shuffle_contention`].
 //! * **Reduce** — a reducer occupies one of its node's reduce-slot
 //!   [`Resource`]s from fetch start through merge CPU and the output write,
 //!   which reserves the node's *disk* in the same [`ClusterNet`].
@@ -74,9 +74,7 @@ use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, FailureTrace, NodeId, PlacementMap};
 use drc_codes::ErasureCode;
-use drc_sim::{
-    ClusterNet, FailureReplay, ReplayStep, Resource, SimDuration, SimTime, Timeline, Transfer,
-};
+use drc_sim::{ClusterNet, FailureReplay, ReplayStep, Resource, SimDuration, SimTime, Timeline};
 
 use crate::assignment::Assignment;
 use crate::graph::TaskNodeGraph;
@@ -86,10 +84,11 @@ use crate::MapReduceError;
 
 /// Per-link queueing delay accumulated by the shuffle's fetch events.
 ///
-/// Each fetch is a [`Transfer`] over the source NIC, destination NIC and the
-/// shared LAN fabric; whenever one of those links is still busy with earlier
-/// traffic (other fetches, or repair / degraded-read transfers sharing the
-/// [`ClusterNet`]), the wait is attributed here. Waits on different links can
+/// Each fetch of a reducer's [`ClusterNet::gather`] holds the source NIC,
+/// destination NIC and the shared LAN fabric; whenever one of those links
+/// is still busy with earlier traffic (other fetches, or repair /
+/// degraded-read transfers sharing the [`ClusterNet`]), the wait is
+/// attributed here. Waits on different links can
 /// cover the same virtual-time window — each figure answers "how long would
 /// this link alone have delayed the fetches".
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -359,11 +358,24 @@ impl<'a> JobRun<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`MapReduceError::InvalidConfig`] if a task references a
-    /// block that is not in the placement, or
-    /// [`MapReduceError::UnreadableBlock`] if a block cannot be served at
-    /// all (more failures, static or traced, than the code tolerates).
+    /// Returns [`MapReduceError::InvalidConfig`] if the cluster's disk or
+    /// network bandwidth is not finite and positive (a NaN or zero would
+    /// simulate an infinitely fast cluster) or a task references a block
+    /// that is not in the placement, or [`MapReduceError::UnreadableBlock`]
+    /// if a block cannot be served at all (more failures, static or traced,
+    /// than the code tolerates). A rejected configuration reserves nothing.
     pub fn run(self, rng: &mut dyn RngCore) -> Result<JobMetrics, MapReduceError> {
+        let spec = self.cluster.spec();
+        for (what, bandwidth) in [
+            ("disk_bandwidth_mbps", spec.disk_bandwidth_mbps),
+            ("network_bandwidth_mbps", spec.network_bandwidth_mbps),
+        ] {
+            if !(bandwidth.is_finite() && bandwidth > 0.0) {
+                return Err(MapReduceError::InvalidConfig {
+                    reason: format!("{what} must be finite and positive, got {bandwidth}"),
+                });
+            }
+        }
         match self.site {
             Some((net, start)) => execute(self, net, start, rng),
             None => {
@@ -645,6 +657,9 @@ fn execute(
         let wave_size = (up.len() * slots_per_node).max(1);
         let mut fetch_span: Option<(SimTime, SimTime)> = None;
         let mut wave_spans: Vec<(SimTime, SimTime)> = Vec::new();
+        // A reducer's remote sources, `up` minus its own node; one buffer
+        // for the whole job.
+        let mut sources: Vec<NodeId> = Vec::with_capacity(up.len());
 
         for r in 0..reducers {
             let at = r % up.len();
@@ -661,22 +676,21 @@ fn execute(
             let mut fetch_done = fetch_start;
             // One fetch event per remote source: source NIC + destination
             // NIC + shared fabric, held together for the bottleneck time.
-            for &src in &up {
-                if src == dest || per_source_bytes == 0 {
-                    continue;
-                }
-                let fetch = Transfer::new(lan, per_source_bytes)
-                    .via(&net.node(src).nic)
-                    .via(&dest_io.nic)
-                    .issue(fetch_start);
-                let waits = fetch.pipe_waits();
-                shuffle_contention.source_nic_wait_s += waits[0].as_secs_f64();
-                shuffle_contention.dest_nic_wait_s += waits[1].as_secs_f64();
-                shuffle_contention.fabric_wait_s += fetch.fabric_delay.as_secs_f64();
-                fetch_done = fetch_done.max(fetch.reservation.end);
-                fetch_span = Some(match fetch_span {
-                    None => (fetch.reservation.start, fetch.reservation.end),
-                    Some((s, e)) => (s.min(fetch.reservation.start), e.max(fetch.reservation.end)),
+            if per_source_bytes > 0 {
+                sources.clear();
+                sources.extend(up.iter().copied().filter(|&src| src != dest));
+                net.gather(fetch_start, dest, &sources, per_source_bytes, |_, fetch| {
+                    let waits = fetch.pipe_waits();
+                    shuffle_contention.source_nic_wait_s += waits[0].as_secs_f64();
+                    shuffle_contention.dest_nic_wait_s += waits[1].as_secs_f64();
+                    shuffle_contention.fabric_wait_s += fetch.fabric_delay.as_secs_f64();
+                    fetch_done = fetch_done.max(fetch.reservation.end);
+                    fetch_span = Some(match fetch_span {
+                        None => (fetch.reservation.start, fetch.reservation.end),
+                        Some((s, e)) => {
+                            (s.min(fetch.reservation.start), e.max(fetch.reservation.end))
+                        }
+                    });
                 });
             }
             // Merge CPU after the last fetch lands, then the output write on
@@ -1292,6 +1306,59 @@ mod tests {
         assert_eq!(metrics.degraded_reads, 1);
         assert_eq!(metrics.degraded_read_bytes, 3 * 128 * 1024 * 1024);
         assert_eq!(metrics.local_map_tasks, 0);
+    }
+
+    #[test]
+    fn bad_bandwidths_are_rejected_before_any_reservation() {
+        // A NaN, infinite, zero or negative bandwidth used to turn every
+        // read and fetch into a zero-length window: an infinitely fast
+        // cluster instead of an error.
+        let code = CodeKind::TWO_REP.build().unwrap();
+        for (disk, network) in [
+            (f64::NAN, 60.0),
+            (100.0, f64::NAN),
+            (0.0, 60.0),
+            (100.0, -1.0),
+            (f64::INFINITY, 60.0),
+            (100.0, 0.0),
+        ] {
+            let mut spec = ClusterSpec::simulation_25(4);
+            spec.disk_bandwidth_mbps = disk;
+            spec.network_bandwidth_mbps = network;
+            let cluster = Cluster::new(spec);
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let placement = PlacementMap::place(
+                code.as_ref(),
+                &cluster,
+                4,
+                PlacementPolicy::Random,
+                &mut rng,
+            )
+            .unwrap();
+            let job = JobSpec::new("bad-bandwidth", placement.data_blocks()).with_reduce_tasks(4);
+            // The job is pointed at a well-formed shared net, so a
+            // reservation made before the check would show on it.
+            let net = ClusterNet::new(&ClusterSpec::simulation_25(4));
+            let result = JobRun::new(
+                &job,
+                code.as_ref(),
+                &placement,
+                &cluster,
+                &DelayScheduler::default(),
+            )
+            .on(&net, SimTime::ZERO)
+            .run(&mut rng);
+            assert!(
+                matches!(&result, Err(MapReduceError::InvalidConfig { reason }) if reason.contains("bandwidth")),
+                "disk {disk}, network {network}: {result:?}"
+            );
+            assert_eq!(net.fabric().next_free(), SimTime::ZERO);
+            for n in 0..net.len() {
+                let io = net.node(NodeId(n));
+                assert_eq!(io.disk.next_free(), SimTime::ZERO);
+                assert_eq!(io.nic.next_free(), SimTime::ZERO);
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`ClusterNet`] — per-node disk + NIC resources and the shared fabric,
 //!   built from [`drc_cluster::ClusterSpec`] bandwidth figures;
 //!   [`ClusterNet::restore_node`] blocks a recovered node's outage window,
+//!   and [`ClusterNet::gather`] issues a node's fan-in of fetches (a
+//!   reducer's shuffle) with one write-back of the shared cursors,
 //! * [`Transfer`] — sequences one operation's acquisition of several pipes
 //!   plus the fabric and reports per-link wait time, so layers that share
 //!   the fabric (shuffle, repair, degraded reads) can attribute their

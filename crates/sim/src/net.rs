@@ -3,7 +3,7 @@
 
 use drc_cluster::{ClusterSpec, NodeId};
 
-use crate::resource::{Reservation, Resource};
+use crate::resource::{fifo_grant, Reservation, Resource};
 use crate::time::{SimDuration, SimTime};
 
 /// The I/O resources of one data node.
@@ -50,9 +50,11 @@ pub const MAX_PIPES: usize = 4;
 /// engine's shuffle metrics).
 ///
 /// A transfer holds at most [`MAX_PIPES`] pipes, stored inline: building and
-/// issuing one never touches the heap (a shuffle issues one per reducer ×
-/// source node). [`Transfer::via`] panics on a fifth pipe rather than
-/// dropping it.
+/// issuing one never touches the heap (the storage layer issues one per
+/// block write, read and repair copy). [`Transfer::via`] panics on a fifth
+/// pipe rather than dropping it. A fan-in of many two-NIC transfers into one
+/// node — a reducer's shuffle fetches — is [`ClusterNet::gather`], which
+/// grants each fetch by the same rule.
 ///
 /// Multi-pipe reservation is read-then-occupy, not atomic: it assumes a
 /// single thread issues the virtual-time operations of one simulation (the
@@ -88,7 +90,8 @@ pub struct Transfer<'a> {
     held: usize,
 }
 
-/// What [`Transfer::issue`] granted, plus where the operation queued.
+/// What [`Transfer::issue`] (or one fetch of [`ClusterNet::gather`])
+/// granted, plus where the operation queued.
 #[derive(Debug, Clone, Copy)]
 pub struct TransferOutcome {
     /// The virtual-time window the transfer occupies end-to-end.
@@ -145,30 +148,52 @@ impl<'a> Transfer<'a> {
     /// waits.
     pub fn issue(self, now: SimTime) -> TransferOutcome {
         let pipes = &self.pipes[..self.held];
-        let mut start = now;
-        let mut waits = [SimDuration::ZERO; MAX_PIPES];
-        for (wait, pipe) in waits.iter_mut().zip(pipes) {
-            let free = pipe.next_free();
-            *wait = free.since(now);
-            start = start.max(free);
+        let mut frees = [SimTime::ZERO; MAX_PIPES];
+        for (free, pipe) in frees.iter_mut().zip(pipes) {
+            *free = pipe.next_free();
         }
-        let fabric_res = self.fabric.reserve_bytes(start, self.bytes);
         let slowest = pipes
             .iter()
             .map(|pipe| pipe.service_time(self.bytes))
             .max()
             .unwrap_or_default();
-        let pipe_end = start + slowest;
-        let end = pipe_end.max(fabric_res.end);
+        let out = grant(now, &frees[..self.held], slowest, |start| {
+            self.fabric.reserve_bytes(start, self.bytes).end
+        });
         for pipe in pipes {
-            pipe.occupy_until(end);
+            pipe.occupy_until(out.reservation.end);
         }
-        TransferOutcome {
-            reservation: Reservation { start, end },
-            fabric_delay: end.since(pipe_end),
-            waits,
-            held: self.held,
-        }
+        out
+    }
+}
+
+/// The reservation rule of one transfer, over the pipe cursors `frees` its
+/// issuer read: the operation starts once `now` and every pipe allow,
+/// queues its bytes through the fabric from that start (`fabric` reserves
+/// them and returns the fabric window's end), and lasts the bottleneck
+/// pipe's `slowest` service time — or until the fabric lets go, if that is
+/// later. The issuer then occupies every pipe through the outcome's end.
+/// [`Transfer::issue`] and [`ClusterNet::gather`] both grant here, so the
+/// rule is written once.
+fn grant(
+    now: SimTime,
+    frees: &[SimTime],
+    slowest: SimDuration,
+    fabric: impl FnOnce(SimTime) -> SimTime,
+) -> TransferOutcome {
+    let mut start = now;
+    let mut waits = [SimDuration::ZERO; MAX_PIPES];
+    for (wait, &free) in waits.iter_mut().zip(frees) {
+        *wait = free.since(now);
+        start = start.max(free);
+    }
+    let pipe_end = start + slowest;
+    let end = pipe_end.max(fabric(start));
+    TransferOutcome {
+        reservation: Reservation { start, end },
+        fabric_delay: end.since(pipe_end),
+        waits,
+        held: frees.len(),
     }
 }
 
@@ -395,6 +420,77 @@ impl ClusterNet {
     /// NIC + disk for its whole duration (the stages stream concurrently).
     pub fn transfer(&self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Reservation {
         transfer_between(now, self.node(from), self.node(to), &self.fabric, bytes)
+    }
+
+    /// A fan-in into `dest`: one fetch of `bytes` from each node of
+    /// `sources`, in order, all issued at `now`. Each fetch is exactly
+    /// `Transfer::new(fabric, bytes).via(&src.nic).via(&dest.nic).issue(now)`
+    /// — same windows, same waits (source NIC first), same cursors
+    /// afterwards — and `each(src, &outcome)` sees it as soon as it is
+    /// granted.
+    ///
+    /// What is cheaper is the bookkeeping. The destination NIC's and the
+    /// fabric's cursors live in locals for the whole call and are written
+    /// back once at the end, so the only atomic read-modify-write per fetch
+    /// is on the source NIC. The fabric's and the destination's service
+    /// times are computed once per call, a source's only when its NIC's
+    /// (bandwidth, slowdown) pair differs from the previous source's.
+    ///
+    /// `sources` may name `dest` (that fetch holds the destination NIC
+    /// through both of its pipes, as a `Transfer` through one resource twice
+    /// does) and may name a node more than once.
+    ///
+    /// Single issuer, as for [`Transfer`], and stricter: while `gather`
+    /// runs, nothing else may reserve this net's resources — `each`
+    /// included, since reservations it made on the destination NIC or the
+    /// fabric would be overwritten by the write-back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` or a source is not part of the modeled cluster.
+    pub fn gather(
+        &self,
+        now: SimTime,
+        dest: NodeId,
+        sources: &[NodeId],
+        bytes: u64,
+        mut each: impl FnMut(NodeId, &TransferOutcome),
+    ) {
+        let dest_nic = &self.node(dest).nic;
+        let dest_time = dest_nic.service_time(bytes);
+        let fabric_time = self.fabric.service_time(bytes);
+        let mut dest_free = dest_nic.next_free();
+        let mut fabric_free = self.fabric.next_free();
+        // The previous source NIC's (bandwidth, slowdown) bits and its
+        // service time for `bytes`.
+        let mut memo: Option<((u64, u64), SimDuration)> = None;
+        for &src in sources {
+            let nic = &self.node(src).nic;
+            let key = (nic.bandwidth_mib_s().to_bits(), nic.slowdown().to_bits());
+            let src_time = match memo {
+                Some((seen, time)) if seen == key => time,
+                _ => {
+                    let time = nic.service_time(bytes);
+                    memo = Some((key, time));
+                    time
+                }
+            };
+            let aliased = src == dest;
+            let src_free = if aliased { dest_free } else { nic.next_free() };
+            let slowest = src_time.max(dest_time);
+            let out = grant(now, &[src_free, dest_free], slowest, |start| {
+                fabric_free = fifo_grant(start, fabric_free, fabric_time).end;
+                fabric_free
+            });
+            let end = out.reservation.end;
+            if !aliased {
+                nic.occupy_until(end);
+            }
+            dest_free = dest_free.max(end);
+            each(src, &out);
+        }
+        dest_nic.occupy_until(dest_free);
+        self.fabric.occupy_until(fabric_free);
     }
 
     /// Forgets every reservation and slowdown (all resources idle at the

@@ -115,14 +115,13 @@ impl Resource {
     pub fn reserve_for(&self, now: SimTime, duration: SimDuration) -> Reservation {
         loop {
             let free = self.next_free.load(Ordering::Acquire);
-            let start = now.max(SimTime(free));
-            let end = start + duration;
+            let granted = fifo_grant(now, SimTime(free), duration);
             if self
                 .next_free
-                .compare_exchange(free, end.0, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange(free, granted.end.0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return Reservation { start, end };
+                return granted;
             }
         }
     }
@@ -145,6 +144,19 @@ impl Resource {
     pub fn reset(&self) {
         self.next_free.store(0, Ordering::Release);
         self.slowdown.store(1.0f64.to_bits(), Ordering::Release);
+    }
+}
+
+/// The one FIFO rule of a [`Resource`], over a cursor value: an operation
+/// issued at `now` on a resource next free at `free` starts at the later of
+/// the two and holds it for `duration`. The window's end is the resource's
+/// new cursor. [`Resource::reserve_for`] applies it to the atomic cursor;
+/// `ClusterNet::gather` applies it to a fabric cursor held in a local.
+pub(crate) fn fifo_grant(now: SimTime, free: SimTime, duration: SimDuration) -> Reservation {
+    let start = now.max(free);
+    Reservation {
+        start,
+        end: start + duration,
     }
 }
 
