@@ -25,7 +25,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{Cluster, NodeId, RackId};
 
@@ -44,7 +43,7 @@ pub fn sample_nodes<R: Rng + ?Sized>(cluster: &Cluster, count: usize, rng: &mut 
 }
 
 /// What happens at one instant of a [`FailureTrace`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureEventKind {
     /// The node fail-stops and its disk contents are lost (the paper's
     /// repair-relevant failure: the storage layer must re-create the node's
@@ -80,7 +79,7 @@ pub enum FailureEventKind {
 ///
 /// `at_ns` is the virtual instant in nanoseconds since the simulation epoch
 /// (the representation of `drc_sim::SimTime`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureEvent {
     /// Virtual instant, in nanoseconds since the simulation epoch.
     pub at_ns: u64,
@@ -132,7 +131,7 @@ fn secs_to_ns(at_s: f64) -> u64 {
 /// assert_eq!(trace.events()[0].at_ns, 1_000_000_000);
 /// assert_eq!(trace.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FailureTrace {
     events: Vec<FailureEvent>,
 }

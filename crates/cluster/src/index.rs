@@ -22,10 +22,6 @@ use std::fmt;
 use std::mem::size_of;
 use std::ops::Deref;
 
-use serde::de::DeError;
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
-
 use drc_codes::ErasureCode;
 
 use crate::topology::NodeId;
@@ -41,8 +37,7 @@ use crate::ClusterError;
 /// `u64` is exactly the lexicographic `(stripe, block)` order the unpacked
 /// two-field struct had — sorted id sequences and `BTreeMap` iteration order
 /// are unchanged by the packing.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalBlockId(u64);
 
 impl GlobalBlockId {
@@ -192,19 +187,6 @@ impl PartialEq<[NodeId]> for NodeList {
 impl fmt::Debug for NodeList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl Serialize for NodeList {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.as_slice().iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl Deserialize for NodeList {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let nodes = Vec::<NodeId>::deserialize(v)?;
-        Ok(nodes.into_iter().collect())
     }
 }
 
@@ -527,9 +509,6 @@ mod tests {
         }
         let copy: NodeList = list.as_slice().into();
         assert_eq!(copy, list);
-        // Round-trips through the value model.
-        let restored = NodeList::deserialize(&list.serialize()).unwrap();
-        assert_eq!(restored, list);
     }
 
     #[test]

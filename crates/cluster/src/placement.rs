@@ -20,7 +20,6 @@ use std::mem::size_of;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use drc_codes::ErasureCode;
 
@@ -34,7 +33,7 @@ use crate::ClusterError;
 pub use crate::index::GlobalBlockId;
 
 /// How stripes are mapped onto cluster nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum PlacementPolicy {
     /// Each stripe picks uniformly-random distinct nodes (rack-aware when the

@@ -1,8 +1,6 @@
 //! Cluster hardware specifications, including the paper's two experimental
 //! set-ups (§4).
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a homogeneous Hadoop cluster.
 ///
 /// The fields mirror the knobs the paper varies or reports: node count, map
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s1.map_slots_per_node, 2);
 /// assert_eq!(s1.total_map_slots(), 50);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable name of the set-up.
     pub name: String,
@@ -159,6 +157,28 @@ impl ClusterSpec {
     /// Block size in bytes.
     pub fn block_size_bytes(&self) -> u64 {
         self.block_size_mb * 1024 * 1024
+    }
+
+    /// Checks that the disk and network bandwidths are finite and positive.
+    /// A simulated resource treats a non-positive bandwidth as infinitely
+    /// fast, and a NaN one turns every service time into zero, so a spec that
+    /// fails this check would simulate every read, write and repair as free.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field and its value.
+    pub fn check_bandwidths(&self) -> Result<(), String> {
+        for (what, bandwidth) in [
+            ("disk_bandwidth_mbps", self.disk_bandwidth_mbps),
+            ("network_bandwidth_mbps", self.network_bandwidth_mbps),
+        ] {
+            if !(bandwidth.is_finite() && bandwidth > 0.0) {
+                return Err(format!(
+                    "{what} must be finite and positive, got {bandwidth}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -3,14 +3,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::ClusterSpec;
 use crate::ClusterError;
 
 /// Identifier of a data node within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -20,8 +17,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a rack within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RackId(pub usize);
 
 impl fmt::Display for RackId {
@@ -44,7 +40,7 @@ impl fmt::Display for RackId {
 /// assert!(!cluster.is_up(NodeId(3)));
 /// assert_eq!(cluster.up_nodes().len(), 24);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     spec: ClusterSpec,
     racks: Vec<RackId>,

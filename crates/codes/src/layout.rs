@@ -14,8 +14,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use drc_gf::Matrix;
 
 use crate::CodeError;
@@ -36,7 +34,7 @@ use crate::CodeError;
 /// assert_eq!(layout.distinct_blocks(), 1);
 /// assert_eq!(layout.block_locations(0), &[0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeLayout {
     per_node: Vec<Vec<usize>>,
     /// Inverse map: distinct block -> nodes hosting it (sorted).
@@ -160,7 +158,7 @@ impl NodeLayout {
 ///
 /// Every concrete code in this crate is a thin wrapper that builds a
 /// `CodeStructure` once and then answers all structural queries from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodeStructure {
     /// Display name, e.g. `"pentagon"` or `"(10,9) RAID+m"`.
     pub name: String,

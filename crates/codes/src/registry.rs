@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::codes::{PolygonCode, PolygonLocalCode, RaidMirrorCode, ReplicationCode, RsCode};
 use crate::{CodeError, ErasureCode};
@@ -25,7 +25,7 @@ use crate::{CodeError, ErasureCode};
 /// assert_eq!(pentagon.data_blocks(), 9);
 /// assert_eq!(CodeKind::Pentagon.to_string(), "pentagon");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[non_exhaustive]
 pub enum CodeKind {
     /// Plain `r`-way replication.
@@ -263,11 +263,36 @@ mod tests {
         }
     }
 
+    /// `repro --json` prints a report's `code` with this spelling; a renamed
+    /// variant or field must fail here, not only in a downstream reader.
     #[test]
-    fn serde_roundtrip() {
-        let kind = CodeKind::RAID_M_10_9;
-        let json = serde_json::to_string(&kind).unwrap();
-        let back: CodeKind = serde_json::from_str(&json).unwrap();
-        assert_eq!(kind, back);
+    fn json_spelling_is_recorded() {
+        let rs_10_4 = CodeKind::ReedSolomon {
+            data: 10,
+            parity: 4,
+        };
+        let recorded = [
+            (CodeKind::THREE_REP, r#"{"Replication":{"replicas":3}}"#),
+            (CodeKind::TWO_REP, r#"{"Replication":{"replicas":2}}"#),
+            (CodeKind::Pentagon, r#""Pentagon""#),
+            (CodeKind::Heptagon, r#""Heptagon""#),
+            (CodeKind::HeptagonLocal, r#""HeptagonLocal""#),
+            (CodeKind::RAID_M_10_9, r#"{"RaidMirror":{"total":10}}"#),
+            (CodeKind::RAID_M_12_11, r#"{"RaidMirror":{"total":12}}"#),
+            (rs_10_4, r#"{"ReedSolomon":{"data":10,"parity":4}}"#),
+        ];
+        for kind in CodeKind::table1_set()
+            .into_iter()
+            .chain(CodeKind::fig3_set())
+            .chain(CodeKind::fig4_set())
+            .chain(CodeKind::fig5_set())
+            .chain([rs_10_4])
+        {
+            let (_, json) = recorded
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .unwrap_or_else(|| panic!("{kind}: no recorded spelling"));
+            assert_eq!(serde_json::to_string(&kind).unwrap(), *json, "{kind}");
+        }
     }
 }

@@ -8,12 +8,10 @@
 //! simulated HDFS layer executes these plans against real block payloads, and
 //! the reliability model uses their bandwidth to derive repair times.
 
-use serde::{Deserialize, Serialize};
-
 use drc_gf::{slice, Gf256};
 
 /// One network transfer performed during repair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// Stripe-local index of the node sending data.
     pub from_node: usize,
@@ -24,7 +22,7 @@ pub struct Transfer {
 }
 
 /// The payload of a repair [`Transfer`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransferPayload {
     /// A verbatim copy of a surviving replica of the given distinct block.
     Replica {
@@ -49,7 +47,7 @@ pub enum TransferPayload {
 }
 
 /// A full plan for repairing a set of failed nodes of one stripe.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairPlan {
     /// The stripe-local nodes being repaired.
     pub failed_nodes: Vec<usize>,
@@ -122,7 +120,7 @@ pub fn combine_partial_parity_into(
 
 /// A plan for reading one data block when some nodes are unavailable
 /// (a *degraded read*, executed on the fly during a MapReduce job).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadPlan {
     /// The data block (distinct-block index `< k`) being read.
     pub block: usize,
@@ -134,7 +132,7 @@ pub struct ReadPlan {
 }
 
 /// How a (possibly degraded) read obtains its block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadSource {
     /// A live replica exists on the reading node; no network traffic.
     Local {

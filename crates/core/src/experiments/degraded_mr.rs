@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{sample_nodes, Cluster, ClusterSpec};
 use drc_codes::CodeKind;
@@ -23,7 +23,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Mean measurements for one `(code, failed nodes)` point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradedPoint {
     /// The coding scheme.
     pub code: CodeKind,
@@ -43,7 +43,7 @@ pub struct DegradedPoint {
 }
 
 /// The degraded-mode MapReduce report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradedMrReport {
     /// Load percentage used for every point.
     pub load_percent: f64,

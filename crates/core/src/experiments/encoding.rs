@@ -12,7 +12,7 @@
 // `encoding` is the one host-dependent table `repro` prints.
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_codes::{CodeKind, StripeEncoder};
 use drc_hdfs::Bytes;
@@ -22,7 +22,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Encoding-throughput measurement for one code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EncodingRow {
     /// The coding scheme.
     pub code: CodeKind,
@@ -38,7 +38,7 @@ pub struct EncodingRow {
 }
 
 /// The encoding-duration table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EncodingReport {
     /// Block size used for the measurement, in bytes.
     pub block_bytes: usize,

@@ -24,7 +24,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, FailureEvent, FailureTrace};
 use drc_codes::CodeKind;
@@ -38,7 +38,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// One `(code, detection timeout, arrival rate)` point of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureTracePoint {
     /// The coding scheme.
     pub code: CodeKind,
@@ -69,7 +69,7 @@ pub struct FailureTracePoint {
 }
 
 /// The trace-driven failure report: one row per sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureTraceReport {
     /// Block size used, in bytes.
     pub block_bytes: u64,

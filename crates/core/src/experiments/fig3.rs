@@ -2,7 +2,7 @@
 //! node, under delay scheduling, maximum matching and (for µ = 4) the
 //! modified peeling algorithm.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_codes::CodeKind;
 use drc_mapreduce::{simulate_locality, LocalityConfig, LocalityResult, SchedulerKind};
@@ -13,7 +13,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// The full set of Fig. 3 curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig3Data {
     /// One locality result per (µ, code, scheduler, load) combination.
     pub points: Vec<LocalityResult>,

@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, ClusterSpec};
 use drc_codes::CodeKind;
@@ -15,7 +15,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Mean measurements for one `(code, load)` point of a Terasort sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TerasortPoint {
     /// The coding scheme.
     pub code: CodeKind,
@@ -34,7 +34,7 @@ pub struct TerasortPoint {
 }
 
 /// A full Terasort sweep (one figure's worth of curves).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TerasortSweep {
     /// Which cluster set-up was used.
     pub setup: String,

@@ -19,7 +19,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
@@ -29,7 +29,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// One (code, cluster size, block count) point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetadataScaleRow {
     /// The coding scheme whose placement is indexed.
     pub code: CodeKind,
@@ -46,7 +46,7 @@ pub struct MetadataScaleRow {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetadataScaleTable {
     /// One row per configuration.
     pub rows: Vec<MetadataScaleRow>,

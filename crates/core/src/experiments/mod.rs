@@ -49,9 +49,7 @@ pub mod table1;
 ///
 /// The paper's figures average over many runs; the `Full` profile matches
 /// that, while `Quick` keeps integration tests and CI fast.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Effort {
     /// Few trials; seconds of runtime. Used by tests and the default `repro` run.
     #[default]

@@ -14,7 +14,7 @@
 //! Byte traffic is accounted exactly as before (and is identical at every
 //! harness width); only the *time* model is new.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::NodeId;
 use drc_codes::CodeKind;
@@ -26,7 +26,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Overlap measurements for one code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverlapRow {
     /// The coding scheme.
     pub code: CodeKind,
@@ -53,7 +53,7 @@ pub struct OverlapRow {
 }
 
 /// The repair/degraded-read overlap report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverlapReport {
     /// Stripes written per file.
     pub stripes: usize,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_codes::CodeKind;
 
@@ -18,7 +18,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Repair-bandwidth figures for one code, in blocks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RepairBandwidthRow {
     /// The coding scheme.
     pub code: CodeKind,
@@ -38,7 +38,7 @@ pub struct RepairBandwidthRow {
 }
 
 /// The reproduced repair-bandwidth table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RepairBandwidthTable {
     /// One row per code.
     pub rows: Vec<RepairBandwidthRow>,

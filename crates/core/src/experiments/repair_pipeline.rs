@@ -21,7 +21,7 @@
 //! erasure code (2-rep repairs move replicas without a rebuild stage and may
 //! be neutral).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::NodeId;
 use drc_codes::CodeKind;
@@ -32,7 +32,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// One code × chunk-size measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineRow {
     /// The coding scheme.
     pub code: CodeKind,
@@ -52,7 +52,7 @@ pub struct PipelineRow {
 }
 
 /// The streaming-repair pipeline report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RepairPipelineReport {
     /// Stripes written per file.
     pub stripes: usize,

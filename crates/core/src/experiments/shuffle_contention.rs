@@ -23,7 +23,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, NodeId};
 use drc_codes::CodeKind;
@@ -35,7 +35,7 @@ use crate::render::TextTable;
 use crate::DrcError;
 
 /// Contention measurements for one code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShuffleContentionRow {
     /// The coding scheme.
     pub code: CodeKind,
@@ -60,7 +60,7 @@ pub struct ShuffleContentionRow {
 }
 
 /// The shuffle/repair contention report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShuffleContentionReport {
     /// Block size used, in bytes.
     pub block_bytes: u64,

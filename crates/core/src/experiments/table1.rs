@@ -1,6 +1,6 @@
 //! Table 1: storage overhead, code length and MTTDL of the coding schemes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_codes::CodeKind;
 use drc_reliability::{group_mttdl, ReliabilityParams};
@@ -10,7 +10,7 @@ use crate::render::{scientific, TextTable};
 use crate::DrcError;
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table1Row {
     /// The coding scheme.
     pub code: CodeKind,
@@ -27,7 +27,7 @@ pub struct Table1Row {
 }
 
 /// The reproduced Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table1 {
     /// The failure/repair model parameters used.
     pub params: ReliabilityParams,

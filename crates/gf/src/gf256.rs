@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::GfError;
 
 pub use crate::tables::{FIELD_SIZE, GROUP_ORDER, PRIMITIVE_POLY};
@@ -36,10 +34,7 @@ use crate::tables::TABLES;
 /// assert_eq!(a * Gf256::ONE, a);
 /// assert_eq!((a * b) / b, a);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Gf256(u8);
 
 impl Gf256 {

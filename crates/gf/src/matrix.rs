@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Gf256, GfError};
 
 /// A dense row-major matrix over GF(2^8).
@@ -27,7 +25,7 @@ use crate::{Gf256, GfError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -12,8 +12,6 @@
 //!   which the paper describes as "Galois field arithmetic as in the case of
 //!   RAID-6".
 
-use serde::{Deserialize, Serialize};
-
 use crate::slice;
 use crate::{GfError, Matrix};
 
@@ -32,7 +30,7 @@ use crate::{GfError, Matrix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReedSolomon {
     data: usize,
     parity: usize,

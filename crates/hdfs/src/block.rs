@@ -1,7 +1,6 @@
 //! Block identifiers and stored-block handles of the simulated file system.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::namenode::FileId;
 use crate::HdfsError;
@@ -9,7 +8,7 @@ use crate::HdfsError;
 /// Globally unique identifier of one distinct coded block: the file it
 /// belongs to, the stripe within the file, and the distinct-block index
 /// within the stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockKey {
     /// Owning file.
     pub file: FileId,

@@ -64,7 +64,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeReconstructor};
@@ -80,7 +79,7 @@ use crate::namenode::{FileId, FileMetadata, NameNode};
 use crate::HdfsError;
 
 /// Aggregate statistics of the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsStats {
     /// Number of files.
     pub files: usize,
@@ -97,7 +96,7 @@ pub struct FsStats {
 }
 
 /// The outcome of one RaidNode repair pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairReport {
     /// Stripes that had at least one replica restored.
     pub stripes_repaired: usize,
@@ -286,8 +285,9 @@ impl DistributedFileSystem {
     ///
     /// # Errors
     ///
-    /// Returns an error if the name exists, the data is empty, or the code
-    /// does not fit the cluster.
+    /// Returns an error if the name exists, the data is empty, the code
+    /// does not fit the cluster, or [`ClusterSpec::check_bandwidths`] fails
+    /// (a refused write registers, stores and times nothing).
     pub fn write_file(
         &mut self,
         name: &str,
@@ -361,6 +361,10 @@ impl DistributedFileSystem {
                 reason: "cannot write an empty file".to_string(),
             });
         }
+        self.cluster
+            .spec()
+            .check_bandwidths()
+            .map_err(|reason| HdfsError::InvalidRequest { reason })?;
         let code = self.code(code_kind)?;
         let block_size = self.block_size();
         let k = code.data_blocks();

@@ -8,8 +8,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use drc_cluster::{NodeList, PlacementMap};
 use drc_codes::CodeKind;
 use drc_sim::SimTime;
@@ -18,8 +16,7 @@ use crate::block::BlockKey;
 use crate::HdfsError;
 
 /// Identifier of a file in the namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 /// Metadata the NameNode keeps for one file.

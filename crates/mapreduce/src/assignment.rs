@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use drc_cluster::NodeId;
 
 use crate::graph::TaskNodeGraph;
 use crate::job::TaskId;
 
 /// Where a map task ended up running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskAssignment {
     /// The task.
     pub task: TaskId,
@@ -25,7 +23,7 @@ pub struct TaskAssignment {
 ///
 /// Produced by the task schedulers; consumed by the locality experiments
 /// (Fig. 3) and the execution engine (Fig. 4/5).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assignment {
     assignments: Vec<TaskAssignment>,
 }

@@ -70,7 +70,7 @@
 use std::collections::BTreeSet;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, FailureTrace, NodeId, PlacementMap};
 use drc_codes::ErasureCode;
@@ -91,7 +91,7 @@ use crate::MapReduceError;
 /// attributed here. Waits on different links can
 /// cover the same virtual-time window — each figure answers "how long would
 /// this link alone have delayed the fetches".
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct LinkContention {
     /// Seconds fetches waited for busy source (map-side) NICs.
     pub source_nic_wait_s: f64,
@@ -110,7 +110,7 @@ impl LinkContention {
 }
 
 /// Measurements from one simulated job execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
     /// Name of the job.
     pub job: String,
@@ -365,17 +365,10 @@ impl<'a> JobRun<'a> {
     /// if a block cannot be served at all (more failures, static or traced,
     /// than the code tolerates). A rejected configuration reserves nothing.
     pub fn run(self, rng: &mut dyn RngCore) -> Result<JobMetrics, MapReduceError> {
-        let spec = self.cluster.spec();
-        for (what, bandwidth) in [
-            ("disk_bandwidth_mbps", spec.disk_bandwidth_mbps),
-            ("network_bandwidth_mbps", spec.network_bandwidth_mbps),
-        ] {
-            if !(bandwidth.is_finite() && bandwidth > 0.0) {
-                return Err(MapReduceError::InvalidConfig {
-                    reason: format!("{what} must be finite and positive, got {bandwidth}"),
-                });
-            }
-        }
+        self.cluster
+            .spec()
+            .check_bandwidths()
+            .map_err(|reason| MapReduceError::InvalidConfig { reason })?;
         match self.site {
             Some((net, start)) => execute(self, net, start, rng),
             None => {

@@ -7,8 +7,6 @@
 //! structure: with the pentagon code all blocks of one stripe-node map onto
 //! one cluster node (Fig. 2), concentrating edges.
 
-use serde::{Deserialize, Serialize};
-
 use drc_cluster::{Cluster, GlobalBlockId, NodeId, NodeList, PlacementMap};
 
 use crate::job::{MapTask, TaskId};
@@ -26,7 +24,7 @@ const ABSENT: u32 = u32::MAX;
 /// [`nodes`](Self::nodes) (ascending id order), and everything per-node —
 /// the local-task lists here, the schedulers' capacities and cursors — is a
 /// `Vec` parallel to that slice. See `INTERNALS.md` for why.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskNodeGraph {
     tasks: Vec<TaskVertex>,
     nodes: Vec<NodeId>,
@@ -38,7 +36,7 @@ pub struct TaskNodeGraph {
 
 /// A task vertex together with its adjacency (the up nodes holding a replica
 /// of its block).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskVertex {
     /// The task.
     pub task: TaskId,

@@ -1,18 +1,15 @@
 //! MapReduce job descriptions.
 
-use serde::{Deserialize, Serialize};
-
 use drc_cluster::GlobalBlockId;
 
 use crate::MapReduceError;
 
 /// Identifier of a map task within a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 /// One map task: it processes exactly one HDFS data block, as in Hadoop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapTask {
     /// The task's identifier (its index within the job).
     pub id: TaskId,
@@ -41,7 +38,7 @@ pub struct MapTask {
 /// // Non-finite parameters are rejected at construction time.
 /// assert!(job.with_shuffle_ratio(f64::NAN).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     name: String,
     map_tasks: Vec<MapTask>,

@@ -14,7 +14,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
@@ -25,7 +25,7 @@ use crate::scheduler::SchedulerKind;
 use crate::MapReduceError;
 
 /// Configuration of one locality-simulation point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalityConfig {
     /// The coding scheme under test.
     pub code: CodeKind,
@@ -74,7 +74,7 @@ impl LocalityConfig {
 }
 
 /// The outcome of a locality simulation point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LocalityResult {
     /// The configuration's code.
     pub code: CodeKind,

@@ -66,7 +66,7 @@ pub trait TaskScheduler: std::fmt::Debug + Send + Sync {
 }
 
 /// Which scheduler to use, for experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 #[non_exhaustive]
 pub enum SchedulerKind {
     /// Hadoop's delay scheduling with the given maximum number of skipped
@@ -161,5 +161,15 @@ mod tests {
             assert!(!kind.to_string().is_empty());
         }
         assert_eq!(SchedulerKind::all().len(), 3);
+    }
+
+    /// `repro --json` prints Fig. 3's `scheduler` with this spelling.
+    #[test]
+    fn json_spelling_is_recorded() {
+        let spelled: Vec<String> = SchedulerKind::all()
+            .iter()
+            .map(|kind| serde_json::to_string(kind).unwrap())
+            .collect();
+        assert_eq!(spelled, [r#""Delay""#, r#""MaxMatching""#, r#""Peeling""#]);
     }
 }

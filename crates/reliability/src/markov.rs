@@ -10,8 +10,6 @@
 //! The mean time to data loss (MTTDL) is the expected time to absorption
 //! starting from the all-healthy state.
 
-use serde::{Deserialize, Serialize};
-
 use drc_codes::ErasureCode;
 
 use crate::params::{FatalityModel, ReliabilityParams, RepairStrategy, HOURS_PER_YEAR};
@@ -19,7 +17,7 @@ use crate::solver::solve_linear;
 use crate::ReliabilityError;
 
 /// The result of an MTTDL computation for one code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MttdlResult {
     /// Name of the code.
     pub code: String,

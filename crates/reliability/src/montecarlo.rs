@@ -14,14 +14,13 @@ use std::collections::BTreeSet;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use drc_codes::ErasureCode;
 
 use crate::params::{ReliabilityParams, RepairStrategy, HOURS_PER_YEAR};
 
 /// Result of a Monte-Carlo MTTDL estimation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloResult {
     /// Name of the code.
     pub code: String,

@@ -1,12 +1,12 @@
 //! Failure and repair model parameters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hours in a (365-day) year, used to convert MTTDL to the paper's unit.
 pub const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// How repairs proceed when several nodes of a group are down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum RepairStrategy {
     /// One repair at a time (a single repair "server" per group). This is the
     /// classic model of Xin et al. and what the Table 1 reproduction uses.
@@ -18,7 +18,7 @@ pub enum RepairStrategy {
 }
 
 /// How data-loss transitions are decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum FatalityModel {
     /// Data is considered lost as soon as the number of simultaneous failures
     /// exceeds the code's worst-case tolerance `t`, regardless of the actual
@@ -52,7 +52,7 @@ pub enum FatalityModel {
 /// assert!(params.failure_rate_per_hour() > 0.0);
 /// assert!(params.repair_rate_per_hour() > params.failure_rate_per_hour());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReliabilityParams {
     /// Mean time to failure of a single node, in hours.
     pub node_mttf_hours: f64,

@@ -26,8 +26,10 @@
 //!   plus the fabric and reports per-link wait time, so layers that share
 //!   the fabric (shuffle, repair, degraded reads) can attribute their
 //!   queueing delay to the link that caused it,
-//! * [`Phase`] / [`Timeline`] — serialisable per-phase timelines (start,
-//!   end, bytes) that experiments emit so overlap is visible in reports.
+//! * [`Phase`] / [`Timeline`] — per-phase timelines (start, end, bytes)
+//!   that experiments read so overlap is visible in reports. Only a
+//!   [`Phase`] is serialised (inside the `overlap` experiment's rows); a
+//!   [`Timeline`] is never printed whole.
 //!
 //! # Threading
 //!

@@ -1,6 +1,6 @@
 //! Virtual time: integer nanoseconds for exact, deterministic ordering.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One mebibyte, the unit the cluster specs quote bandwidth in (MiB/s).
 const MIB: f64 = 1024.0 * 1024.0;
@@ -10,9 +10,7 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Integer-backed so comparisons, maxima and accumulation are exact: two
 /// simulations that issue the same operations in the same order produce the
 /// same timelines bit-for-bit, regardless of host or thread count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct SimTime(pub u64);
 
@@ -55,10 +53,7 @@ impl std::fmt::Display for SimTime {
 }
 
 /// A span of virtual time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
@@ -104,7 +99,7 @@ impl std::ops::Add for SimDuration {
 /// advance, which is what lets independently-issued repair and degraded-read
 /// work overlap: both are issued at the same instant and only the shared
 /// [`crate::Resource`]s serialise them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VirtualClock {
     now: SimTime,
 }

@@ -1,7 +1,8 @@
-//! Per-phase virtual-time timelines: the serialisable record experiments
-//! emit so contention and overlap are visible in reports.
+//! Per-phase virtual-time timelines: the record experiments read so
+//! contention and overlap are visible in reports. A [`Phase`] is printed
+//! inside the `overlap` experiment's rows; a [`Timeline`] never is.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use drc_cluster::NodeId;
 
@@ -23,7 +24,7 @@ pub const DETECTION_LAG_PREFIX: &str = "detection-lag:";
 /// completion on an infinitely fast resource) covers no time at all — it is
 /// kept on the timeline for its label and byte accounting but contributes
 /// nothing to [`Timeline::overlap`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Phase {
     /// What the span was doing, e.g. `"repair"` or `"degraded-read"`.
     pub label: String,
@@ -43,7 +44,7 @@ impl Phase {
 }
 
 /// An append-only list of [`Phase`]s over one simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Timeline {
     /// The recorded phases, in issue order.
     pub phases: Vec<Phase>,

@@ -1,9 +1,7 @@
 //! Load points: the x-axes of Fig. 3, 4 and 5.
 
-use serde::{Deserialize, Serialize};
-
 /// A single load point of an experiment sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPoint {
     /// Load as a percentage of the cluster's total map slots (§3.2).
     pub percent: f64,

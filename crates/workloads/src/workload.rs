@@ -1,14 +1,13 @@
 //! Workload definitions and provisioning.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use drc_cluster::{Cluster, ClusterError, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 use drc_mapreduce::JobSpec;
 
 /// The MapReduce workload families used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum WorkloadKind {
     /// Terasort: map output equals map input (shuffle ratio 1.0); the job the

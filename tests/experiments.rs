@@ -1,28 +1,56 @@
 //! Integration tests for the experiment drivers: every table/figure driver
 //! runs, produces structurally-complete output, renders to text, and
-//! round-trips through JSON (the format the `repro --json` flag emits).
+//! serialises to the JSON `repro --json` prints — one entry per row, each
+//! carrying its row's `code`. JSON is output only: nothing parses a report
+//! back into a typed value.
 
 use drc_core::codes::CodeKind;
 use drc_core::experiments::{
-    degraded_mr::run_degraded_mr,
-    encoding::run_encoding,
-    fig3::{run_fig3, Fig3Data},
-    fig4::{run_fig4, TerasortSweep},
-    fig5::run_fig5,
-    metadata_scale::run_metadata_scale,
-    repair_bandwidth::{run_repair_bandwidth, RepairBandwidthTable},
-    table1::{run_table1, Table1},
-    Effort,
+    degraded_mr::run_degraded_mr, encoding::run_encoding, fig3::run_fig3, fig4::run_fig4,
+    fig5::run_fig5, metadata_scale::run_metadata_scale, repair_bandwidth::run_repair_bandwidth,
+    table1::run_table1, Effort,
 };
 use drc_core::mapreduce::SchedulerKind;
 use drc_core::reliability::ReliabilityParams;
+use serde_json::Value;
+
+/// The `code` of every entry of the printed report's `list` field.
+fn printed_codes(report: &Value, list: &str) -> Vec<Value> {
+    let Value::Map(fields) = report else {
+        panic!("a report prints as an object");
+    };
+    let Some((_, Value::Seq(rows))) = fields.iter().find(|(k, _)| k == list) else {
+        panic!("the report has no `{list}` sequence");
+    };
+    rows.iter()
+        .map(|row| match row {
+            Value::Map(f) => f
+                .iter()
+                .find(|(k, _)| k == "code")
+                .expect("row has a code")
+                .1
+                .clone(),
+            other => panic!("a row prints as an object, not {other:?}"),
+        })
+        .collect()
+}
+
+/// `codes` as a report prints them.
+fn codes_json(codes: impl IntoIterator<Item = CodeKind>) -> Vec<Value> {
+    codes
+        .into_iter()
+        .map(|code| serde_json::to_value(&code).unwrap())
+        .collect()
+}
 
 #[test]
 fn table1_serialises_and_renders() {
     let table = run_table1(&ReliabilityParams::default()).unwrap();
-    let json = serde_json::to_string(&table).unwrap();
-    let back: Table1 = serde_json::from_str(&json).unwrap();
-    assert_eq!(table, back);
+    let json = serde_json::to_value(&table).unwrap();
+    assert_eq!(
+        printed_codes(&json, "rows"),
+        codes_json(table.rows.iter().map(|r| r.code))
+    );
     let text = table.to_string();
     for code in CodeKind::table1_set() {
         assert!(
@@ -36,17 +64,21 @@ fn table1_serialises_and_renders() {
 fn repair_bandwidth_serialises_and_covers_all_codes() {
     let table = run_repair_bandwidth().unwrap();
     assert_eq!(table.rows.len(), 7); // 2-rep + the six Table 1 codes
-    let json = serde_json::to_string(&table).unwrap();
-    let back: RepairBandwidthTable = serde_json::from_str(&json).unwrap();
-    assert_eq!(table, back);
+    let json = serde_json::to_value(&table).unwrap();
+    assert_eq!(
+        printed_codes(&json, "rows"),
+        codes_json(table.rows.iter().map(|r| r.code))
+    );
 }
 
 #[test]
 fn fig3_data_is_complete_and_serialisable() {
     let data = run_fig3(Effort::Quick).unwrap();
-    let json = serde_json::to_string(&data).unwrap();
-    let back: Fig3Data = serde_json::from_str(&json).unwrap();
-    assert_eq!(data.points.len(), back.points.len());
+    let json = serde_json::to_value(&data).unwrap();
+    assert_eq!(
+        printed_codes(&json, "points"),
+        codes_json(data.points.iter().map(|p| p.code))
+    );
     // Every (mu, code, load) combination exists for the delay scheduler.
     for mu in [2usize, 4, 8] {
         for code in CodeKind::fig3_set() {
@@ -77,17 +109,11 @@ fn fig4_and_fig5_are_consistent_with_their_setups() {
     assert_eq!(fig5.points.len(), 12);
     // The heptagon is only measured on set-up 1 (like the paper).
     assert!(fig5.point(CodeKind::Heptagon, 100.0).is_none());
-    // JSON round-trip preserves the structure (float comparison with a
-    // tolerance: serialisation may drop the last ulp).
-    let json = serde_json::to_string(&fig4).unwrap();
-    let back: TerasortSweep = serde_json::from_str(&json).unwrap();
-    assert_eq!(fig4.points.len(), back.points.len());
-    for (a, b) in fig4.points.iter().zip(&back.points) {
-        assert_eq!(a.code, b.code);
-        assert!((a.job_time_s - b.job_time_s).abs() < 1e-6);
-        assert!((a.network_traffic_gb - b.network_traffic_gb).abs() < 1e-6);
-        assert!((a.data_locality_percent - b.data_locality_percent).abs() < 1e-6);
-    }
+    let json = serde_json::to_value(&fig4).unwrap();
+    assert_eq!(
+        printed_codes(&json, "points"),
+        codes_json(fig4.points.iter().map(|p| p.code))
+    );
     // Input volume grows with load, so traffic at 100% exceeds the lowest load
     // for the same code, for both figures.
     for sweep in [&fig4, &fig5] {
