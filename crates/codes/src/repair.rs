@@ -127,18 +127,12 @@ pub struct ReadPlan {
     /// How the block is obtained.
     pub source: ReadSource,
     /// Number of blocks that must cross the network to serve the read.
-    /// Zero when a replica is available on the reading node itself.
     pub network_blocks: usize,
 }
 
 /// How a (possibly degraded) read obtains its block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadSource {
-    /// A live replica exists on the reading node; no network traffic.
-    Local {
-        /// The node that already holds the block.
-        node: usize,
-    },
     /// A live replica is fetched from another node.
     Remote {
         /// The node the replica is fetched from.
@@ -162,10 +156,7 @@ impl ReadPlan {
     /// Returns `true` if the read required no reconstruction (a replica was
     /// available somewhere).
     pub fn is_replica_read(&self) -> bool {
-        matches!(
-            self.source,
-            ReadSource::Local { .. } | ReadSource::Remote { .. }
-        )
+        matches!(self.source, ReadSource::Remote { .. })
     }
 }
 
@@ -213,12 +204,12 @@ mod tests {
 
     #[test]
     fn read_plan_classification() {
-        let local = ReadPlan {
+        let replica = ReadPlan {
             block: 0,
-            source: ReadSource::Local { node: 1 },
-            network_blocks: 0,
+            source: ReadSource::Remote { node: 1 },
+            network_blocks: 1,
         };
-        assert!(local.is_replica_read());
+        assert!(replica.is_replica_read());
         let degraded = ReadPlan {
             block: 0,
             source: ReadSource::PartialParities {

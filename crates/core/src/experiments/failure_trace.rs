@@ -31,7 +31,7 @@ use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_mapreduce::{JobRun, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
-use drc_sim::SimDuration;
+use drc_sim::{overlap, PhaseClass, SimDuration};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -318,12 +318,6 @@ fn run_window(
         map_phase_s: metrics.map_phase_s,
     };
     let point = config.map(|(acceleration, timeout_s)| {
-        // Merge the storage and job timelines (same virtual epoch) to
-        // measure how long the auto-repair traffic and the job overlapped.
-        let mut combined = fs.timeline().clone();
-        for p in &metrics.timeline.phases {
-            combined.record(format!("job:{}", p.label), p.start, p.end, p.bytes);
-        }
         FailureTracePoint {
             code,
             detection_timeout_s: timeout_s,
@@ -344,12 +338,18 @@ fn run_window(
             tasks_reexecuted: metrics.tasks_reexecuted,
             detection_lag_s: fs
                 .timeline()
-                .with_prefix(drc_sim::DETECTION_LAG_PREFIX)
+                .of(PhaseClass::DetectionLag)
                 .map(|p| p.duration().as_secs_f64())
                 .sum(),
             auto_repair_passes: repair_reports.len(),
             repair_network_bytes: repair_reports.iter().map(|r| r.network_bytes).sum(),
-            repair_job_overlap_s: combined.overlap("repair:", "job:").as_secs_f64(),
+            // The storage and job timelines share the virtual epoch: how
+            // long the auto-repair traffic overlapped any phase of the job.
+            repair_job_overlap_s: overlap(
+                fs.timeline().of(PhaseClass::Repair),
+                &metrics.timeline.phases,
+            )
+            .as_secs_f64(),
         }
     });
     Ok((baseline, point))

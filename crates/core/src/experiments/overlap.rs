@@ -19,7 +19,7 @@ use serde::Serialize;
 use drc_cluster::NodeId;
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
-use drc_sim::{Phase, SimTime};
+use drc_sim::{overlap, Phase, PhaseClass, PhaseKind, SimTime};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -147,15 +147,19 @@ fn run_failure_window(file: &EncodedFile, serialise: bool) -> Result<OverlapRow,
     let window_end = fs.sync();
 
     let timeline = fs.timeline();
-    let degraded_read_s = span_secs(timeline.with_prefix("degraded-read:"), window_start);
-    let repair_s = span_secs(timeline.with_prefix("repair:"), window_start);
-    let overlap_s = timeline.overlap("repair:", "degraded-read:").as_secs_f64();
+    let degraded_read_s = span_secs(timeline.of(PhaseClass::DegradedRead), window_start);
+    let repair_s = span_secs(timeline.of(PhaseClass::Repair), window_start);
+    let overlap_s = overlap(
+        timeline.of(PhaseClass::Repair),
+        timeline.of(PhaseClass::DegradedRead),
+    )
+    .as_secs_f64();
     let makespan_s = window_end.since(window_start).as_secs_f64();
     let phases: Vec<Phase> = timeline
         .phases
         .iter()
-        .filter(|p| !p.label.starts_with("write:"))
-        .cloned()
+        .filter(|p| !matches!(p.label, PhaseKind::Write { .. }))
+        .copied()
         .collect();
     Ok(OverlapRow {
         code,
@@ -167,7 +171,7 @@ fn run_failure_window(file: &EncodedFile, serialise: bool) -> Result<OverlapRow,
         serial_s: makespan_s, // overwritten by the caller's serial run
         // Reconstruction traffic only -- the per-phase record excludes the
         // healthy replica reads the whole-file read also performed.
-        degraded_read_bytes: timeline.bytes_with_prefix("degraded-read:"),
+        degraded_read_bytes: timeline.bytes_of(PhaseClass::DegradedRead),
         repair_network_bytes: report.network_bytes,
         phases,
     })

@@ -29,6 +29,7 @@ use drc_cluster::{Cluster, NodeId};
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_mapreduce::{JobRun, JobSpec, LinkContention, SchedulerKind};
+use drc_sim::{overlap, PhaseClass};
 
 use crate::experiments::harness;
 use crate::render::TextTable;
@@ -241,19 +242,17 @@ fn run_window(
     .on(fs.cluster_net(), start)
     .run(&mut rng)?;
 
-    // Merge the storage-layer and job timelines (they share the virtual
-    // time base) to measure how long shuffle and repair ran concurrently.
+    // The storage-layer and job timelines share the virtual time base:
+    // measure how long the job's shuffle and the repair ran concurrently.
     let (repair_s, overlap_s) = match &repair {
-        Some(report) => {
-            let mut combined = fs.timeline().clone();
-            combined
-                .phases
-                .extend(metrics.timeline.phases.iter().cloned());
-            (
-                report.completed_at.since(report.issued_at).as_secs_f64(),
-                combined.overlap("shuffle:", "repair:").as_secs_f64(),
+        Some(report) => (
+            report.completed_at.since(report.issued_at).as_secs_f64(),
+            overlap(
+                metrics.timeline.of(PhaseClass::Shuffle),
+                fs.timeline().of(PhaseClass::Repair),
             )
-        }
+            .as_secs_f64(),
+        ),
         None => (0.0, 0.0),
     };
     Ok(Window {

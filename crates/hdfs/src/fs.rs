@@ -27,7 +27,7 @@
 //! the contention the paper's experiments measure. Call
 //! [`DistributedFileSystem::sync`] to advance the clock past everything in
 //! flight; inspect [`DistributedFileSystem::timeline`] for the per-phase
-//! record (and [`Timeline::overlap`] for how long two kinds of work ran
+//! record (and [`drc_sim::overlap`] for how long two kinds of work ran
 //! concurrently).
 //!
 //! The resources themselves live in one cluster-wide
@@ -51,7 +51,8 @@
 //! same shared [`ClusterNet`] everything else contends on. Failure intervals are
 //! half-open like [`Timeline`] phases: a node down at `t` and restored at
 //! `t'` is unavailable over `[t, t')`, and the detection-lag window
-//! `[t, t + timeout)` appears on the timeline as a `detection-lag:` phase.
+//! `[t, t + timeout)` appears on the timeline as a
+//! [`PhaseKind::DetectionLag`] phase.
 //! A trace with every failure at t = 0 processed under a zero detection
 //! timeout reproduces the static model (`fail_node_permanently` +
 //! [`DistributedFileSystem::repair_nodes`]) byte-for-byte.
@@ -66,10 +67,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
-use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeReconstructor};
+use drc_codes::{CodeError, CodeKind, ErasureCode, ReadSource, StripeReconstructor};
 use drc_sim::{
-    chunk_sizes, ClusterNet, EventQueue, FailureReplay, ReplayStep, SimDuration, SimTime, Timeline,
-    VirtualClock,
+    chunk_sizes, ClusterNet, EventQueue, FailureReplay, PhaseKind, ReplayStep, SimDuration,
+    SimTime, Timeline, VirtualClock,
 };
 
 use crate::block::{Block, BlockKey};
@@ -168,10 +169,6 @@ pub struct DistributedFileSystem {
     write_network_bytes: u64,
     read_network_bytes: u64,
     repair_network_bytes: u64,
-    /// Running sum of the bytes on every `degraded-read:` phase recorded so
-    /// far, so a read takes the delta it spawned in O(1) instead of
-    /// re-scanning the timeline.
-    degraded_read_bytes: u64,
     /// The scheduled failure traces and the detection boundaries they
     /// imply, drained by [`DistributedFileSystem::process_events_until`].
     replay: FailureReplay,
@@ -215,7 +212,6 @@ impl DistributedFileSystem {
             write_network_bytes: 0,
             read_network_bytes: 0,
             repair_network_bytes: 0,
-            degraded_read_bytes: 0,
             replay,
             repair_chunk_bytes: DEFAULT_REPAIR_CHUNK_BYTES,
             auto_repairs: Vec::new(),
@@ -410,8 +406,12 @@ impl DistributedFileSystem {
                 }
             }
         }
-        self.timeline
-            .record(format!("write:{name}"), issued, write_end, bytes_moved);
+        self.timeline.record(
+            PhaseKind::Write { file: id.0 },
+            issued,
+            write_end,
+            bytes_moved,
+        );
         Ok(id)
     }
 
@@ -466,7 +466,7 @@ impl DistributedFileSystem {
 
     /// The one whole-file read loop: hands every content block to `sink` in
     /// file order (the last one truncated to the file's length) and records
-    /// the `read:` phase.
+    /// the [`PhaseKind::Read`] phase.
     fn read_content_blocks(
         &mut self,
         id: FileId,
@@ -475,12 +475,14 @@ impl DistributedFileSystem {
         let meta = self.namenode.file(id)?.clone();
         let issued = self.clock.now();
         let bytes_before = self.read_network_bytes;
-        let degraded_before = self.degraded_read_bytes;
+        let mut degraded_bytes = 0u64;
         let mut remaining = meta.size as usize;
         let mut read_end = issued;
         for key in meta.content_block_keys() {
-            let (block, done) = self.read_block_at(&meta, key.stripe, key.block, issued)?;
+            let (block, done, degraded) =
+                self.read_block_at(&meta, key.stripe, key.block, issued)?;
             read_end = read_end.max(done);
+            degraded_bytes += degraded;
             let take = remaining.min(block.len());
             remaining -= take;
             if take < block.len() {
@@ -493,12 +495,11 @@ impl DistributedFileSystem {
             }
         }
         // Phase bytes are disjoint: reconstruction traffic is already on the
-        // `degraded-read:` phases this read spawned, so the aggregate phase
-        // carries only the replica-read bytes (summing both prefixes equals
-        // the stats counter delta).
-        let degraded_bytes = self.degraded_read_bytes - degraded_before;
+        // degraded-read phases this read spawned, so the aggregate phase
+        // carries only the replica-read bytes (the two together equal the
+        // stats counter delta).
         self.timeline.record(
-            format!("read:f{}", id.0),
+            PhaseKind::Read { file: id.0 },
             issued,
             read_end,
             self.read_network_bytes - bytes_before - degraded_bytes,
@@ -506,44 +507,16 @@ impl DistributedFileSystem {
         Ok(())
     }
 
-    /// Reads one data block of a file, using a surviving replica when possible
-    /// and a degraded read otherwise. The handle of a length-only file's
-    /// block has a length and no bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdfsError::BlockUnavailable`] if neither a replica nor a
-    /// reconstruction is possible.
-    pub fn read_block(
-        &mut self,
-        meta: &FileMetadata,
-        stripe: usize,
-        block: usize,
-    ) -> Result<Block, HdfsError> {
-        let issued = self.clock.now();
-        let bytes_before = self.read_network_bytes;
-        let degraded_before = self.degraded_read_bytes;
-        let (data, done) = self.read_block_at(meta, stripe, block, issued)?;
-        // As in `read_file`: reconstruction bytes live on the degraded-read
-        // phase; this phase carries only replica-read traffic.
-        let degraded_bytes = self.degraded_read_bytes - degraded_before;
-        self.timeline.record(
-            format!("read:f{}:s{stripe}:b{block}", meta.id.0),
-            issued,
-            done,
-            self.read_network_bytes - bytes_before - degraded_bytes,
-        );
-        Ok(data)
-    }
-
-    /// The timed read path: returns the block plus its virtual completion.
+    /// The timed read path, using a surviving replica when possible and a
+    /// degraded read otherwise: returns the block, its virtual completion
+    /// and the bytes its degraded read moved (zero for a replica read).
     fn read_block_at(
         &mut self,
         meta: &FileMetadata,
         stripe: usize,
         block: usize,
         issued: SimTime,
-    ) -> Result<(Block, SimTime), HdfsError> {
+    ) -> Result<(Block, SimTime, u64), HdfsError> {
         let key = BlockKey::new(meta.id, stripe, block);
         // Fast path: any up replica.
         for &node in &meta.block_locations(stripe, block)? {
@@ -553,7 +526,7 @@ impl DistributedFileSystem {
             if let Some(dn) = self.datanodes.get(&node) {
                 if let Some((data, res)) = dn.read_timed(&key, issued, self.net.fabric()) {
                     self.read_network_bytes += data.len() as u64;
-                    return Ok((data, res.end));
+                    return Ok((data, res.end, 0));
                 }
             }
         }
@@ -586,7 +559,6 @@ impl DistributedFileSystem {
         // traffic agree), each as a chunk-streamed train of timed pulls on
         // the sender's disk + NIC + fabric.
         let senders: Vec<NodeId> = match &plan.source {
-            ReadSource::Local { .. } => Vec::new(),
             ReadSource::Remote { node } => vec![stripe_nodes[*node]],
             ReadSource::PartialParities { helpers } => {
                 helpers.iter().map(|&h| stripe_nodes[h]).collect()
@@ -595,53 +567,27 @@ impl DistributedFileSystem {
                 fetches.iter().map(|&(n, _)| stripe_nodes[n]).collect()
             }
         };
-        let sizes: Vec<u64> = chunk_sizes(meta.block_size, self.repair_chunk_bytes).collect();
-        let mut done = issued;
-        for &sender in &senders {
-            if let Some(dn) = self.datanodes.get(&sender) {
-                dn.record_served(meta.block_size);
-            }
-            let io = self.net.node(sender);
-            let ends = drc_sim::pull_train(issued, io, self.net.fabric(), &sizes);
-            if let Some(&end) = ends.last() {
-                done = done.max(end);
-            }
-        }
+        let (_, fetch_done) = self.issue_fetch_trains(&senders, meta.block_size, issued);
+        let done = fetch_done.last().copied().unwrap_or(issued);
         // Rebuild the one requested block from surviving handles: the
-        // plan models the traffic; the reconstructor produces the bytes
-        // (exact GF algebra, so the content matches what a full decode
-        // would return) — when the handles have bytes. A block rebuilt
-        // from length-only sources is a length-only block.
+        // plan models the traffic; the reconstructor produces the content.
         let payloads = self.gather_stripe_payloads(meta, stripe, code.as_ref())?;
-        let content =
-            if let Some(data) = payloads.get(&block) {
-                data.clone()
-            } else {
-                let available: BTreeSet<usize> = payloads.keys().copied().collect();
-                let rec = StripeReconstructor::plan(code.structure(), &available, &[block])
-                    .map_err(|e| HdfsError::BlockUnavailable {
-                        block: key,
-                        reason: e.to_string(),
-                    })?;
-                match source_bytes(&rec, &payloads) {
-                    Some(sources) => {
-                        let mut outs = vec![drc_gf::bufpool::take(meta.block_size as usize)];
-                        rec.reconstruct_into(&sources, &mut outs);
-                        // drc-lint: allow(panic-hygiene): `outs` is the one-element
-                        // vec constructed two lines above.
-                        Bytes::from(outs.pop().expect("one target")).into()
-                    }
-                    None => Block::sized(meta.block_size as usize),
-                }
-            };
-        self.timeline.record(
-            format!("degraded-read:f{}:s{stripe}:b{block}", meta.id.0),
-            issued,
-            done,
-            bytes,
-        );
-        self.degraded_read_bytes += bytes;
-        Ok((content, done))
+        let content = match payloads.get(&block) {
+            Some(data) => data.clone(),
+            None => rebuild_blocks(code.as_ref(), &payloads, &[block], meta.block_size)
+                .map_err(|e| HdfsError::BlockUnavailable {
+                    block: key,
+                    reason: e.to_string(),
+                })?
+                .swap_remove(0),
+        };
+        let kind = PhaseKind::DegradedRead {
+            file: meta.id.0,
+            stripe,
+            block,
+        };
+        self.timeline.record(kind, issued, done, bytes);
+        Ok((content, done, bytes))
     }
 
     /// Collects a reference-counted handle to one live replica of every
@@ -766,7 +712,7 @@ impl DistributedFileSystem {
     /// * [`ReplayStep::Down`] — the node fail-stops: it is down and its disk
     ///   is wiped (the repair-relevant permanent failure).
     /// * [`ReplayStep::Detected`] — the node stayed silent for a whole
-    ///   `detection_timeout`: a `detection-lag:node<N>` phase (zero bytes)
+    ///   `detection_timeout`: a [`PhaseKind::DetectionLag`] phase (zero bytes)
     ///   records the blind window on the timeline when the lag is non-zero,
     ///   and all nodes detected at the same instant are repaired as **one
     ///   batched pass** (exactly what
@@ -872,7 +818,9 @@ impl DistributedFileSystem {
 
     /// The repair pass shared by [`DistributedFileSystem::repair_nodes`]
     /// (issued at the current clock) and the failure engine's auto-repair
-    /// queue (issued at the detection instant).
+    /// queue (issued at the detection instant). Every stripe goes through
+    /// scan → plan → rebuild → fetch trains (an unsolvable stripe issues
+    /// no traffic); the pass then commits all the deferred stores at once.
     fn repair_pass(
         &mut self,
         replacements: &[NodeId],
@@ -884,165 +832,201 @@ impl DistributedFileSystem {
             ..RepairReport::default()
         };
         let replaced: BTreeSet<NodeId> = replacements.iter().copied().collect();
-        // Per-stripe completion events, drained in virtual-time order below.
-        let mut completions: EventQueue<(FileId, usize, u64)> = EventQueue::new();
-        // Deferred replacement stores: every stripe's fetch trains are
-        // issued first (all at `issued`), then the stores run below in
-        // global virtual-start order.
         let mut stores: Vec<PendingStores> = Vec::new();
         // Collect the work per file first to avoid borrowing conflicts.
         let files: Vec<FileMetadata> = self.namenode.iter().cloned().collect();
         for meta in files {
             let code = self.code(meta.code)?;
-            // Scan each replaced node's reverse index instead of walking
-            // every stripe of every file: the planning work is proportional
-            // to the blocks the failed nodes actually hosted, which is what
-            // keeps repair viable against 10M-block placements.
-            let mut failed: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-            for &node in &replaced {
-                if node.0 >= meta.placement.node_universe() {
-                    continue; // this file's placement never saw the node
-                }
-                meta.placement
-                    .for_each_stripe_on_node(node, |stripe, local| {
-                        if self.missing_any_block(&meta, stripe, local, node, code.as_ref()) {
-                            failed.entry(stripe).or_default().insert(local);
-                        }
-                    })
-                    .map_err(HdfsError::from)?;
-            }
-            for (stripe, failed_local) in failed {
-                let stripe_nodes = meta.placement.stripe_hosts(stripe)?;
-                let plan = match code.repair_plan(&failed_local) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        report.unrecoverable_stripes += 1;
-                        continue;
-                    }
+            for (stripe, failed_local) in
+                self.scan_lost_replicas(&meta, &replaced, code.as_ref())?
+            {
+                let hosts = meta.placement.stripe_hosts(stripe)?;
+                let Ok(plan) = code.repair_plan(&failed_local) else {
+                    report.unrecoverable_stripes += 1;
+                    continue;
                 };
                 let plan_bytes = plan.network_blocks() as u64 * meta.block_size;
                 report.network_bytes += plan_bytes;
-                // What is actually missing, and every replica slot it must
-                // land in (one distinct block can be missing on two failed
-                // nodes at once).
-                let mut dests: BTreeMap<usize, Vec<(BlockKey, NodeId)>> = BTreeMap::new();
-                for &local in &failed_local {
-                    let node = stripe_nodes[local];
-                    let dn = self
-                        .datanodes
-                        .get(&node)
-                        .ok_or(HdfsError::DataNodeUnavailable { node: node.0 })?;
-                    for &block in code.node_blocks(local) {
-                        let key = BlockKey::new(meta.id, stripe, block);
-                        if !dn.contains(&key) {
-                            dests.entry(block).or_default().push((key, node));
-                        }
-                    }
-                }
+                let dests =
+                    self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref())?;
                 if dests.is_empty() {
                     continue;
                 }
-                // Borrow one live handle per surviving distinct block (no
-                // copies, no served-bytes side effects) and solve for the
-                // fully-lost blocks; blocks with a surviving replica are
-                // restored by handle clone.
-                let payloads = self.gather_stripe_payloads(&meta, stripe, code.as_ref())?;
-                let lost: Vec<usize> = dests
-                    .keys()
-                    .copied()
-                    .filter(|b| !payloads.contains_key(b))
-                    .collect();
-                let rec = if lost.is_empty() {
-                    None
-                } else {
-                    let available: BTreeSet<usize> = payloads.keys().copied().collect();
-                    match StripeReconstructor::plan(code.structure(), &available, &lost) {
-                        Ok(r) => Some(r),
-                        Err(_) => {
-                            report.unrecoverable_stripes += 1;
-                            continue;
-                        }
-                    }
+                let Some(restored) = self.rebuild_stripe(&meta, stripe, code.as_ref(), &dests)?
+                else {
+                    report.unrecoverable_stripes += 1;
+                    continue;
                 };
-                // Timing: chunk-stream the plan's helper transfers and the
-                // rebuilt replicas' stores — chunk `i`'s stores are issued
-                // the instant chunk `i`'s last fetch lands, overlapping
-                // chunk `i+1`'s fetches, so the stripe completes at
-                // max(network, compute) + one-chunk fill instead of the
-                // serial fetch-then-store sum. Only the fetches are issued
-                // here; the stores are deferred so no stripe's late store
-                // windows are granted before another stripe's epoch fetches.
-                let senders: Vec<NodeId> = plan
-                    .transfers
-                    .iter()
-                    .map(|t| stripe_nodes[t.from_node])
-                    .collect();
-                let store_dests: Vec<NodeId> = dests
-                    .values()
-                    .flat_map(|targets| targets.iter().map(|&(_, node)| node))
-                    .collect();
-                let (sizes, fetch_done) =
-                    self.stream_stripe_fetches(&senders, meta.block_size, issued);
-                // The plan is the traffic model: charge each modeled
-                // transfer to its sender so per-node served bytes agree
-                // with `RepairReport::network_bytes`.
-                for &sender in &senders {
-                    if let Some(dn) = self.datanodes.get(&sender) {
-                        dn.record_served(meta.block_size);
-                    }
-                }
-                // Content. Replica-backed blocks land as cheap handle clones.
-                for (&block, targets) in &dests {
-                    let Some(data) = payloads.get(&block) else {
-                        continue;
-                    };
-                    for &(key, node) in targets {
-                        if let Some(dn) = self.datanodes.get(&node) {
-                            dn.store(key, data.clone());
-                            report.blocks_restored += 1;
-                        }
-                    }
-                }
-                if let Some(rec) = rec {
-                    // Fully-lost blocks are rebuilt right here from the
-                    // borrowed handles into pooled buffers that become the
-                    // stored handles, zero-copy. Length-only sources rebuild
-                    // length-only blocks: there is nothing to compute.
-                    let rebuilt: Vec<Block> = match source_bytes(&rec, &payloads) {
-                        Some(sources) => {
-                            let mut outs: Vec<Vec<u8>> = rec
-                                .targets()
-                                .iter()
-                                .map(|_| drc_gf::bufpool::take(meta.block_size as usize))
-                                .collect();
-                            rec.reconstruct_into(&sources, &mut outs);
-                            outs.into_iter()
-                                .map(|out| Bytes::from(out).into())
-                                .collect()
-                        }
-                        None => vec![Block::sized(meta.block_size as usize); rec.targets().len()],
-                    };
-                    for (content, block) in rebuilt.iter().zip(rec.targets()) {
-                        report.blocks_restored += dests[block].len();
-                        self.store_rebuilt(content, dests[block].iter().copied());
-                    }
-                }
+                report.blocks_restored += restored;
                 report.stripes_repaired += 1;
+                let senders: Vec<NodeId> =
+                    plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
+                let (sizes, fetch_done) =
+                    self.issue_fetch_trains(&senders, meta.block_size, issued);
                 stores.push(PendingStores {
                     file: meta.id,
                     stripe,
                     plan_bytes,
                     sizes,
                     fetch_done,
-                    dests: store_dests,
+                    dests: dests.values().flatten().map(|&(_, node)| node).collect(),
                 });
             }
         }
-        // Store scheduling: one push train per (stripe, destination), chunk
-        // `ci` available at `fetch_done[ci]`, issued in ascending
-        // first-chunk-start order. Resources grant FIFO in issuance order —
-        // this ordering is what makes the grants agree with virtual time
-        // across stripes.
+        report.completed_at = self.commit_stores(&stores, issued);
+        self.repair_network_bytes += report.network_bytes;
+        for &node in replacements {
+            self.cluster.set_up(node);
+            // The replacement is re-provisioned and heartbeating again from
+            // `issued` on: nothing may be granted a window on it before.
+            self.net.restore_node(issued, node);
+            self.replay.heard_from(node);
+        }
+        Ok(report)
+    }
+
+    /// Repair step 1, scan: the stripes of `meta` that lost a replica on a
+    /// `replaced` node, each with its failed stripe-local nodes. It walks
+    /// each replaced node's reverse index instead of every stripe of every
+    /// file: the work is proportional to the blocks the failed nodes
+    /// actually hosted, which keeps repair viable against 10M-block
+    /// placements.
+    fn scan_lost_replicas(
+        &self,
+        meta: &FileMetadata,
+        replaced: &BTreeSet<NodeId>,
+        code: &dyn ErasureCode,
+    ) -> Result<BTreeMap<usize, BTreeSet<usize>>, HdfsError> {
+        let mut failed: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        for &node in replaced {
+            if node.0 >= meta.placement.node_universe() {
+                continue; // this file's placement never saw the node
+            }
+            let dn = self.datanodes.get(&node);
+            meta.placement
+                .for_each_stripe_on_node(node, |stripe, local| {
+                    let key = |block| BlockKey::new(meta.id, stripe, block);
+                    let holds = |&block: &usize| dn.is_some_and(|dn| dn.contains(&key(block)));
+                    if !code.node_blocks(local).iter().all(holds) {
+                        failed.entry(stripe).or_default().insert(local);
+                    }
+                })
+                .map_err(HdfsError::from)?;
+        }
+        Ok(failed)
+    }
+
+    /// Repair step 2, plan (after the code's plan prices the traffic): what
+    /// is actually missing, and every replica slot it must land in — one
+    /// distinct block can be missing on two failed nodes at once.
+    fn missing_slots(
+        &self,
+        meta: &FileMetadata,
+        stripe: usize,
+        hosts: &[NodeId],
+        failed_local: &BTreeSet<usize>,
+        code: &dyn ErasureCode,
+    ) -> Result<BTreeMap<usize, Vec<(BlockKey, NodeId)>>, HdfsError> {
+        let mut dests: BTreeMap<usize, Vec<(BlockKey, NodeId)>> = BTreeMap::new();
+        for &local in failed_local {
+            let node = hosts[local];
+            let dn = self
+                .datanodes
+                .get(&node)
+                .ok_or(HdfsError::DataNodeUnavailable { node: node.0 })?;
+            for &block in code.node_blocks(local) {
+                let key = BlockKey::new(meta.id, stripe, block);
+                if !dn.contains(&key) {
+                    dests.entry(block).or_default().push((key, node));
+                }
+            }
+        }
+        Ok(dests)
+    }
+
+    /// Repair step 3, rebuild: borrows one live handle per surviving
+    /// distinct block (no copies, no served-bytes side effects), solves for
+    /// the fully-lost blocks ([`rebuild_blocks`]) and lands every missing
+    /// block in its slots — replica-backed blocks as handle clones. Returns
+    /// the replicas restored, or `None` when the surviving handles cannot
+    /// solve the stripe (then nothing is stored).
+    fn rebuild_stripe(
+        &self,
+        meta: &FileMetadata,
+        stripe: usize,
+        code: &dyn ErasureCode,
+        dests: &BTreeMap<usize, Vec<(BlockKey, NodeId)>>,
+    ) -> Result<Option<usize>, HdfsError> {
+        let payloads = self.gather_stripe_payloads(meta, stripe, code)?;
+        let lost: Vec<usize> = dests
+            .keys()
+            .copied()
+            .filter(|b| !payloads.contains_key(b))
+            .collect();
+        let rebuilt = if lost.is_empty() {
+            Vec::new()
+        } else {
+            match rebuild_blocks(code, &payloads, &lost, meta.block_size) {
+                Ok(blocks) => blocks,
+                Err(_) => return Ok(None),
+            }
+        };
+        let replicas = dests
+            .iter()
+            .filter_map(|(block, slots)| Some((payloads.get(block)?, slots)));
+        let solved = rebuilt.iter().zip(lost.iter().map(|block| &dests[block]));
+        let mut restored = 0;
+        for (content, slots) in replicas.chain(solved) {
+            restored += slots.len();
+            for (key, node) in slots {
+                if let Some(dn) = self.datanodes.get(node) {
+                    dn.store(*key, content.clone());
+                }
+            }
+        }
+        Ok(Some(restored))
+    }
+
+    /// Repair step 4, fetch trains (also a degraded read's fetches): every
+    /// sender serves one train of chunk-sized pulls on its disk + NIC +
+    /// fabric, all issued at `issued`, and is charged one block so per-node
+    /// served bytes agree with the plan. Returns the chunk sizes and, per
+    /// chunk, the instant its slowest fetch lands: the commit pushes chunk
+    /// `ci` onto the replacements at `fetch_done[ci]`, overlapping chunk
+    /// `ci + 1`'s fetches.
+    ///
+    /// With `repair_chunk_bytes ≥ block_size` this degenerates to the
+    /// monolithic schedule: one whole-block fetch, then whole-block stores
+    /// — the serial baseline.
+    fn issue_fetch_trains(
+        &self,
+        senders: &[NodeId],
+        block_size: u64,
+        issued: SimTime,
+    ) -> (Vec<u64>, Vec<SimTime>) {
+        let fabric = self.net.fabric();
+        let sizes: Vec<u64> = chunk_sizes(block_size, self.repair_chunk_bytes).collect();
+        let mut fetch_done: Vec<SimTime> = vec![issued; sizes.len()];
+        for &sender in senders {
+            if let Some(dn) = self.datanodes.get(&sender) {
+                dn.record_served(block_size);
+            }
+            let ends = drc_sim::pull_train(issued, self.net.node(sender), fabric, &sizes);
+            for (done, end) in fetch_done.iter_mut().zip(ends) {
+                *done = (*done).max(end);
+            }
+        }
+        (sizes, fetch_done)
+    }
+
+    /// Repair step 5, commit: one push train per (stripe, destination),
+    /// chunk `ci` available at `fetch_done[ci]`, issued in ascending
+    /// first-chunk-start order. Resources grant FIFO in issuance order —
+    /// this ordering is what makes the grants agree with virtual time
+    /// across stripes. Per-stripe completions are then drained in
+    /// virtual-time order onto the timeline; returns when the last stripe
+    /// completes (`issued` when there was nothing to do).
+    fn commit_stores(&mut self, stores: &[PendingStores], issued: SimTime) -> SimTime {
         let mut trains: Vec<(SimTime, usize, NodeId)> = Vec::new();
         for (ji, job) in stores.iter().enumerate() {
             let Some(&first) = job.fetch_done.first() else {
@@ -1069,79 +1053,20 @@ impl DistributedFileSystem {
                 job_done[ji] = job_done[ji].max(end);
             }
         }
+        let mut completions: EventQueue<&PendingStores> = EventQueue::new();
         for (job, done) in stores.iter().zip(job_done) {
-            completions.schedule_at(done, (job.file, job.stripe, job.plan_bytes));
+            completions.schedule_at(done, job);
         }
-        // Drain per-stripe completions in virtual-time order onto the
-        // timeline; the pass completes when the last stripe does.
-        while let Some((done, (file, stripe, bytes))) = completions.pop() {
-            self.timeline
-                .record(format!("repair:f{}:s{stripe}", file.0), issued, done, bytes);
-            report.completed_at = report.completed_at.max(done);
+        let mut completed = issued;
+        while let Some((done, job)) = completions.pop() {
+            let kind = PhaseKind::Repair {
+                file: job.file.0,
+                stripe: job.stripe,
+            };
+            self.timeline.record(kind, issued, done, job.plan_bytes);
+            completed = completed.max(done);
         }
-        self.repair_network_bytes += report.network_bytes;
-        for &node in replacements {
-            self.cluster.set_up(node);
-            // The replacement is re-provisioned and heartbeating again from
-            // `issued` on: nothing may be granted a window on it before.
-            self.net.restore_node(issued, node);
-            self.replay.heard_from(node);
-        }
-        Ok(report)
-    }
-
-    /// Issues one stripe repair's helper-fetch trains: every plan transfer
-    /// becomes a train of chunk-sized pulls on its sender's disk + NIC +
-    /// fabric, all issued at `issued` so each sender's FIFO pipes serve its
-    /// train back-to-back. Returns the chunk sizes and, per chunk, the
-    /// instant its slowest fetch lands — the store phase pushes chunk `ci`
-    /// onto the replacements at `fetch_done[ci]`.
-    ///
-    /// With `repair_chunk_bytes ≥ block_size` this degenerates to the
-    /// monolithic schedule: one whole-block fetch, then whole-block stores
-    /// — the serial baseline.
-    fn stream_stripe_fetches(
-        &self,
-        senders: &[NodeId],
-        block_size: u64,
-        issued: SimTime,
-    ) -> (Vec<u64>, Vec<SimTime>) {
-        let fabric = self.net.fabric();
-        let sizes: Vec<u64> = chunk_sizes(block_size, self.repair_chunk_bytes).collect();
-        let mut fetch_done: Vec<SimTime> = vec![issued; sizes.len()];
-        for &sender in senders {
-            let ends = drc_sim::pull_train(issued, self.net.node(sender), fabric, &sizes);
-            for (done, end) in fetch_done.iter_mut().zip(ends) {
-                *done = (*done).max(end);
-            }
-        }
-        (sizes, fetch_done)
-    }
-
-    /// Lands one rebuilt block in every replica slot it was missing from.
-    fn store_rebuilt(&self, block: &Block, slots: impl IntoIterator<Item = (BlockKey, NodeId)>) {
-        for (key, node) in slots {
-            if let Some(dn) = self.datanodes.get(&node) {
-                dn.store(key, block.clone());
-            }
-        }
-    }
-
-    fn missing_any_block(
-        &self,
-        meta: &FileMetadata,
-        stripe: usize,
-        local: usize,
-        node: NodeId,
-        code: &dyn ErasureCode,
-    ) -> bool {
-        code.node_blocks(local).iter().any(|&block| {
-            let key = BlockKey::new(meta.id, stripe, block);
-            self.datanodes
-                .get(&node)
-                .map(|dn| !dn.contains(&key))
-                .unwrap_or(true)
-        })
+        completed
     }
 
     /// Aggregate statistics.
@@ -1157,22 +1082,45 @@ impl DistributedFileSystem {
     }
 }
 
-/// The bytes of a reconstruction's source blocks, in `rec.sources()` order,
-/// or `None` when the stripe was ingested length-only — the one place the
-/// repair and degraded-read paths ask whether there is anything to compute.
-fn source_bytes(
-    rec: &StripeReconstructor,
+/// Rebuilds `targets` from a stripe's live `payloads` with the code's
+/// reconstructor (exact GF algebra, so the content matches what a full
+/// decode would return) into pooled buffers that become the blocks'
+/// handles, zero-copy. Length-only sources rebuild length-only blocks:
+/// this is the one place the repair and degraded-read paths ask whether
+/// there is anything to compute.
+fn rebuild_blocks(
+    code: &dyn ErasureCode,
     payloads: &BTreeMap<usize, Block>,
-) -> Option<Vec<Bytes>> {
-    rec.sources()
+    targets: &[usize],
+    block_size: u64,
+) -> Result<Vec<Block>, CodeError> {
+    let available: BTreeSet<usize> = payloads.keys().copied().collect();
+    let rec = StripeReconstructor::plan(code.structure(), &available, targets)?;
+    let sources: Option<Vec<Bytes>> = rec
+        .sources()
         .iter()
         .map(|b| payloads[b].bytes().ok().cloned())
-        .collect()
+        .collect();
+    let block_size = block_size as usize;
+    Ok(match sources {
+        Some(sources) => {
+            let mut outs: Vec<Vec<u8>> = targets
+                .iter()
+                .map(|_| drc_gf::bufpool::take(block_size))
+                .collect();
+            rec.reconstruct_into(&sources, &mut outs);
+            outs.into_iter()
+                .map(|out| Bytes::from(out).into())
+                .collect()
+        }
+        None => vec![Block::sized(block_size); targets.len()],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drc_sim::{overlap, PhaseClass};
 
     fn spec() -> ClusterSpec {
         tiny_spec()
@@ -1352,7 +1300,10 @@ mod tests {
         let after_write = fs.sync();
         assert!(after_write > SimTime::ZERO, "writes take virtual time");
         assert_eq!(fs.timeline().phases.len(), 1);
-        assert_eq!(fs.timeline().phases[0].label, "write:/f");
+        assert_eq!(
+            fs.timeline().phases[0].label,
+            PhaseKind::Write { file: id.0 }
+        );
         let created = fs.namenode().file(id).unwrap().created_at;
         assert_eq!(created, SimTime::ZERO);
 
@@ -1364,46 +1315,41 @@ mod tests {
         );
         assert!(fs
             .timeline()
-            .with_prefix("read:")
+            .of(PhaseClass::Read)
             .all(|p| p.start >= after_write));
     }
 
     #[test]
-    fn read_block_records_a_phase_with_disjoint_byte_accounting() {
+    fn degraded_read_phases_partition_the_read_counter() {
         let mut fs = DistributedFileSystem::new(tiny_spec(), 12);
         let data = sample_data(9 * 1024 * 1024);
         let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
-        fs.sync();
         let meta = fs.namenode().file(id).unwrap().clone();
-
-        // Healthy single-block read: one phase, replica bytes only.
-        let block = fs.read_block(&meta, 0, 1).unwrap();
-        assert_eq!(block.len(), 1024 * 1024);
-        let phase = fs.timeline().phases.last().unwrap().clone();
-        assert_eq!(phase.label, "read:f0:s0:b1");
-        assert_eq!(phase.bytes, 1024 * 1024);
-
-        // Degraded single-block read: the reconstruction bytes live on the
-        // degraded-read phase; the read phase itself carries none, and the
-        // two prefixes together equal the stats counter delta.
         for &node in &meta.block_locations(0, 0).unwrap() {
             fs.fail_node(node);
         }
+        // Reconstruction bytes live on the degraded-read phase, the read
+        // phase carries the replica bytes only, and the two together equal
+        // the stats counter delta.
         let stats_before = fs.stats().read_network_bytes;
-        let degraded_before = fs.timeline().bytes_with_prefix("degraded-read:");
-        let block = fs.read_block(&meta, 0, 0).unwrap();
-        assert_eq!(&block.bytes().unwrap()[..], &data[..1024 * 1024]);
-        let read_phase = fs.timeline().phases.last().unwrap().clone();
-        assert_eq!(read_phase.label, "read:f0:s0:b0");
+        let blocks = fs.read_file_blocks(id).unwrap();
+        assert_eq!(&blocks[0].bytes().unwrap()[..], &data[..1024 * 1024]);
+        let [_, degraded, read] = fs.timeline().phases[..] else {
+            panic!("write, degraded read, read: {:?}", fs.timeline())
+        };
+        let lost = PhaseKind::DegradedRead {
+            file: id.0,
+            stripe: 0,
+            block: 0,
+        };
+        assert_eq!(degraded.label, lost);
+        assert_eq!(read.label, PhaseKind::Read { file: id.0 });
+        assert_eq!(read.bytes, 8 * 1024 * 1024, "the healthy blocks");
+        let delta = fs.stats().read_network_bytes - stats_before;
         assert_eq!(
-            read_phase.bytes, 0,
-            "plan bytes belong to the degraded phase"
-        );
-        let degraded_bytes = fs.timeline().bytes_with_prefix("degraded-read:") - degraded_before;
-        assert_eq!(
-            degraded_bytes,
-            fs.stats().read_network_bytes - stats_before,
-            "phase byte accounting must partition the stats counter"
+            read.bytes + degraded.bytes,
+            delta,
+            "phases partition the counter"
         );
     }
 
@@ -1441,10 +1387,7 @@ mod tests {
         assert_eq!(traced_fs.auto_repair_reports().len(), 1);
         assert_eq!(traced_fs.pending_events(), 0);
         // Zero lag records no phantom detection-lag phase.
-        assert_eq!(
-            traced_fs.timeline().with_prefix("detection-lag:").count(),
-            0
-        );
+        assert_eq!(traced_fs.timeline().of(PhaseClass::DetectionLag).count(), 0);
         assert_eq!(traced_fs.read_file(id2).unwrap(), data);
     }
 
@@ -1484,12 +1427,11 @@ mod tests {
         assert!(reports[0].completed_at > detect_at);
         assert!(reports[0].network_bytes > 0);
         // The blind window is on the timeline, half-open [fail, detect).
-        let lag = fs
+        let lag = *fs
             .timeline()
-            .with_prefix("detection-lag:")
+            .of(PhaseClass::DetectionLag)
             .next()
-            .expect("a detection-lag phase")
-            .clone();
+            .expect("a detection-lag phase");
         assert_eq!(lag.start, fail_at);
         assert_eq!(lag.end, detect_at);
         assert_eq!(lag.bytes, 0);
@@ -1526,12 +1468,11 @@ mod tests {
             assert_eq!(reports.len(), 1, "detection must not be dropped");
             let detect_at = fail_at + SimDuration::from_secs_f64(changed_to_s);
             assert_eq!(reports[0].issued_at, detect_at);
-            let lag = fs
+            let lag = *fs
                 .timeline()
-                .with_prefix("detection-lag:")
+                .of(PhaseClass::DetectionLag)
                 .next()
-                .expect("a detection-lag phase")
-                .clone();
+                .expect("a detection-lag phase");
             assert_eq!(lag.end, detect_at);
             assert!(fs.cluster().is_up(victim));
             assert_eq!(fs.read_file(id).unwrap(), data);
@@ -1595,7 +1536,7 @@ mod tests {
         assert!(reports.is_empty(), "a recovered node is never repaired");
         assert!(fs.cluster().is_up(victim));
         assert_eq!(fs.pending_events(), 0);
-        assert_eq!(fs.timeline().with_prefix("detection-lag:").count(), 0);
+        assert_eq!(fs.timeline().of(PhaseClass::DetectionLag).count(), 0);
         // The node came back empty (fail-stop wiped it), so reads of its
         // blocks go degraded — but the file survives.
         assert_eq!(fs.read_file(id).unwrap(), data);
@@ -1635,7 +1576,7 @@ mod tests {
         }
         // One detection-lag phase per rack member.
         assert_eq!(
-            fs.timeline().with_prefix("detection-lag:").count(),
+            fs.timeline().of(PhaseClass::DetectionLag).count(),
             members.len()
         );
         assert_eq!(fs.read_file(id).unwrap(), data);
@@ -1673,7 +1614,7 @@ mod tests {
         assert!(reports.is_empty(), "recovery at the boundary cancels");
         assert!(fs.cluster().is_up(victim));
         assert_eq!(fs.pending_events(), 0);
-        assert_eq!(fs.timeline().with_prefix("detection-lag:").count(), 0);
+        assert_eq!(fs.timeline().of(PhaseClass::DetectionLag).count(), 0);
         assert_eq!(fs.read_file(id).unwrap(), data);
     }
 
@@ -1753,11 +1694,15 @@ mod tests {
         let report = fs.repair_nodes(&victims).unwrap();
         assert!(report.stripes_repaired >= 1);
 
-        let overlap = fs.timeline().overlap("repair:", "degraded-read:");
+        let timeline = fs.timeline();
+        let overlap = overlap(
+            timeline.of(PhaseClass::Repair),
+            timeline.of(PhaseClass::DegradedRead),
+        );
         assert!(
             overlap.as_secs_f64() > 0.0,
-            "repair and degraded reads must overlap in virtual time:\n{}",
-            fs.timeline()
+            "repair and degraded reads must overlap in virtual time:\n{:#?}",
+            timeline.phases
         );
     }
 }

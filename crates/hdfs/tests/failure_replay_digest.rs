@@ -16,7 +16,7 @@
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, RackId};
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile, FileId, RepairReport};
-use drc_sim::{SimDuration, SimTime};
+use drc_sim::{PhaseClass, PhaseKind, SimDuration, SimTime};
 
 /// FNV-1a, 64-bit.
 struct Digest(u64);
@@ -180,7 +180,15 @@ fn composed_trace_digest(sized: bool) -> u64 {
     d.reports(fs.auto_repair_reports());
     d.u64(fs.timeline().phases.len() as u64);
     for phase in &fs.timeline().phases {
-        d.str(&phase.label);
+        // The digest was recorded when a write phase carried the file's
+        // name; a `PhaseKind::Write` carries its id, so render the name.
+        let label = match phase.label {
+            PhaseKind::Write { file } => {
+                format!("write:{}", fs.namenode().file(FileId(file)).unwrap().name)
+            }
+            kind => kind.to_string(),
+        };
+        d.str(&label);
         d.u64(phase.start.0);
         d.u64(phase.end.0);
         d.u64(phase.bytes);
@@ -199,18 +207,19 @@ fn composed_trace_digest(sized: bool) -> u64 {
     // Blind windows, in detection order: node 3 under the raised timeout,
     // then the batch at 9 s (rack member 1, then the clamped node 20), then
     // node 22. Nodes 6, 9 and 13 rejoined in time and have none.
-    let lags: Vec<(&str, SimTime, SimTime)> = fs
+    let lags: Vec<(PhaseKind, SimTime, SimTime)> = fs
         .timeline()
-        .with_prefix("detection-lag:")
-        .map(|p| (p.label.as_str(), p.start, p.end))
+        .of(PhaseClass::DetectionLag)
+        .map(|p| (p.label, p.start, p.end))
         .collect();
+    let lag = |node: usize| PhaseKind::DetectionLag { node: NodeId(node) };
     assert_eq!(
         lags,
         [
-            ("detection-lag:node3", secs(1.0), secs(4.0)),
-            ("detection-lag:node1", secs(6.0), secs(9.0)),
-            ("detection-lag:node20", secs(6.0), secs(9.0)),
-            ("detection-lag:node22", secs(7.0), secs(10.0)),
+            (lag(3), secs(1.0), secs(4.0)),
+            (lag(1), secs(6.0), secs(9.0)),
+            (lag(20), secs(6.0), secs(9.0)),
+            (lag(22), secs(7.0), secs(10.0)),
         ]
     );
     let issued: Vec<SimTime> = fs

@@ -11,7 +11,7 @@ use drc_codes::CodeKind;
 use drc_hdfs::{
     Block, BlockKey, Bytes, DistributedFileSystem, EncodedFile, FsStats, HdfsError, RepairReport,
 };
-use drc_sim::{SimDuration, Timeline};
+use drc_sim::{PhaseClass, SimDuration, Timeline};
 use proptest::prelude::*;
 
 fn paper_code() -> impl Strategy<Value = CodeKind> {
@@ -503,7 +503,7 @@ fn read_file_blocks_is_read_file_without_the_copy() {
                 "{case}: truncated tail"
             );
             assert_eq!(observe(&copying), observe(&handles), "{case}");
-            degraded_reads += handles.timeline().with_prefix("degraded-read:").count();
+            degraded_reads += handles.timeline().of(PhaseClass::DegradedRead).count();
         }
         degraded_reads
     };

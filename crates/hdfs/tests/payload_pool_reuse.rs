@@ -37,6 +37,7 @@ use std::sync::Mutex;
 use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace};
 use drc_codes::CodeKind;
 use drc_hdfs::{Bytes, DistributedFileSystem, EncodedFile};
+use drc_sim::PhaseClass;
 use drc_testalloc::{close_window, CountingAlloc, Tally, Threads};
 
 /// Block size of the measured deployment; also the counting threshold —
@@ -265,7 +266,7 @@ fn a_persistent_file_system_repairs_and_reads_degraded_from_the_pool() {
 
     drc_gf::bufpool::drain();
     let cycle = |fs: &mut DistributedFileSystem, victims: &[drc_cluster::NodeId]| -> Tally {
-        let phases_before = fs.timeline().with_prefix("degraded-read:").count();
+        let phases_before = fs.timeline().of(PhaseClass::DegradedRead).count();
         open_window();
         let at = fs.now();
         let downs = victims
@@ -287,7 +288,7 @@ fn a_persistent_file_system_repairs_and_reads_degraded_from_the_pool() {
         assert!(reports.iter().map(|r| r.blocks_restored).sum::<usize>() > 0);
         assert!(reports.iter().all(|r| r.unrecoverable_stripes == 0));
         assert!(
-            fs.timeline().with_prefix("degraded-read:").count() > phases_before,
+            fs.timeline().of(PhaseClass::DegradedRead).count() > phases_before,
             "the victims must cost the readers a reconstruction"
         );
         books

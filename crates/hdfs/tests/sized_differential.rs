@@ -23,7 +23,7 @@ use drc_hdfs::{
     Block, BlockKey, Bytes, DistributedFileSystem, EncodedFile, FileId, FsStats, HdfsError,
     RepairReport,
 };
-use drc_sim::{SimDuration, SimTime, Timeline};
+use drc_sim::{PhaseClass, SimDuration, SimTime, Timeline};
 
 const BLOCK: usize = 1 << 20;
 
@@ -127,15 +127,10 @@ fn script(code: CodeKind) -> Vec<(&'static str, Step)> {
             Box::new(move |fs, id| {
                 let victims = stripe0(fs, id, tolerance);
                 victims.iter().for_each(|&v| fs.fail_node(v));
-                let meta = fs.namenode().file(id).unwrap().clone();
-                let one = fs.read_block(&meta, 0, 0).map(|b| b.len());
-                let out = lens(fs.read_file_blocks(id)).map(|(mut l, r)| {
-                    l.extend(one.clone().ok());
-                    (l, r)
-                });
+                let out = lens(fs.read_file_blocks(id));
                 victims.iter().for_each(|&v| fs.restore_node(v));
                 fs.sync();
-                one.and(out)
+                out
             }),
         ),
         (
@@ -238,12 +233,12 @@ fn a_sized_file_is_indistinguishable_from_a_real_one() {
                 // The script must have exercised what it claims to.
                 let timeline = sized.timeline();
                 assert!(
-                    timeline.with_prefix("degraded-read:").count() > 0
+                    timeline.of(PhaseClass::DegradedRead).count() > 0
                         || matches!(code, CodeKind::Replication { .. }),
                     "{case}: only replication has no degraded reads"
                 );
-                assert!(timeline.with_prefix("repair:").count() > 0, "{case}");
-                assert!(timeline.with_prefix("detection-lag:").count() > 0, "{case}");
+                assert!(timeline.of(PhaseClass::Repair).count() > 0, "{case}");
+                assert!(timeline.of(PhaseClass::DetectionLag).count() > 0, "{case}");
                 assert!(
                     sized
                         .auto_repair_reports()
@@ -294,9 +289,8 @@ fn content_calls_on_a_sized_file_are_typed_errors_that_touch_nothing() {
         assert_eq!(observe(&fs), before, "degraded={degraded}: nothing moved");
 
         // Handle reads are timed and succeed; their handles have no bytes.
-        let block = fs.read_block(&meta, 0, 0).unwrap();
-        assert_eq!(block.bytes().cloned(), no_block);
         let blocks = fs.read_file_blocks(id).unwrap();
+        assert_eq!(blocks[0].bytes().cloned(), no_block);
         assert_eq!(blocks.iter().map(Block::len).sum::<usize>(), len);
         assert_eq!(
             blocks.last().unwrap().bytes().cloned(),
@@ -307,7 +301,7 @@ fn content_calls_on_a_sized_file_are_typed_errors_that_touch_nothing() {
         assert_ne!(observe(&fs), before, "handle reads are part of the model");
         fs.sync();
     }
-    assert!(fs.timeline().with_prefix("degraded-read:").count() > 0);
+    assert!(fs.timeline().of(PhaseClass::DegradedRead).count() > 0);
 
     // `sized` has `encode`'s edges: an empty file cannot be written, a
     // block-size mismatch is rejected.

@@ -53,10 +53,10 @@
 //! fail-stop wiped, and the look-ahead that tells whether an attempt will
 //! be lost to a failure still in the trace's future.
 //!
-//! [`JobMetrics::timeline`] records the per-wave phases — `map:wave<i>`
-//! (plus `degraded-read:wave<i>` spans), `shuffle:fetch` and
-//! `reduce:wave<i>` — so contention between waves, reconstruction and
-//! shuffle traffic is visible instead of being summed serially.
+//! A job runs as two steps, the map waves and then the shuffle with the
+//! reduce waves, and [`JobMetrics::timeline`] records their per-wave
+//! [`PhaseKind`]s, so contention between waves, reconstruction and shuffle
+//! traffic is visible instead of being summed serially.
 //!
 //! # Byte accounting
 //!
@@ -72,9 +72,11 @@ use std::collections::BTreeSet;
 use rand::RngCore;
 use serde::Serialize;
 
-use drc_cluster::{Cluster, FailureTrace, NodeId, PlacementMap};
+use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap};
 use drc_codes::ErasureCode;
-use drc_sim::{ClusterNet, FailureReplay, ReplayStep, Resource, SimDuration, SimTime, Timeline};
+use drc_sim::{
+    ClusterNet, FailureReplay, PhaseKind, ReplayStep, Resource, SimDuration, SimTime, Timeline,
+};
 
 use crate::assignment::Assignment;
 use crate::graph::TaskNodeGraph;
@@ -110,7 +112,7 @@ impl LinkContention {
 }
 
 /// Measurements from one simulated job execution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobMetrics {
     /// Name of the job.
     pub job: String,
@@ -140,10 +142,12 @@ pub struct JobMetrics {
     /// on surviving nodes (zero unless [`JobRun::failures`] supplied a
     /// trace that fired during the map phase).
     pub tasks_reexecuted: usize,
-    /// Per-phase virtual-time record: one `map:wave<i>` phase per scheduling
-    /// wave (plus a `degraded-read:wave<i>` span when reconstruction traffic
-    /// was in flight), a `shuffle:fetch` phase covering the reducer fetch
-    /// events, and one `reduce:wave<i>` phase per reduce-slot wave.
+    /// Per-phase virtual-time record: one [`PhaseKind::MapWave`] per
+    /// scheduling wave (plus a [`PhaseKind::DegradedWave`] span when
+    /// reconstruction traffic was in flight), one [`PhaseKind::Shuffle`]
+    /// covering the reducer fetch events, one [`PhaseKind::ReduceWave`] per
+    /// reduce-slot wave, and a [`PhaseKind::DetectionLag`] per non-zero
+    /// blind window of a traced failure.
     pub timeline: Timeline,
     /// Per-link seconds the shuffle's fetch events spent queueing behind
     /// other traffic on the NICs and the shared fabric.
@@ -222,7 +226,7 @@ impl Liveness {
     /// in the replay's order (so detection never depends on where the job's
     /// wave boundaries happen to fall). Crossed boundaries mark the
     /// scheduler's `view` down and put each non-zero blind window on the
-    /// timeline as a `detection-lag:` phase.
+    /// timeline as a [`PhaseKind::DetectionLag`] phase.
     fn advance(&mut self, t: SimTime, timeline: &mut Timeline) {
         while let Some((at, step)) = self.replay.next_due(t, &self.view) {
             match step {
@@ -340,7 +344,8 @@ impl<'a> JobRun<'a> {
     ///   as unreachable: reads issued after the failure go degraded exactly
     ///   as if the replica set had shrunk,
     /// * each non-zero blind window appears on [`JobMetrics::timeline`] as
-    ///   a `detection-lag:node<N>` phase (half-open `[failure, boundary)`),
+    ///   a [`PhaseKind::DetectionLag`] phase (half-open `[failure,
+    ///   boundary)`),
     /// * `NodeUp` events re-admit nodes for scheduling from their instant
     ///   on, with an empty disk; `Slowdown` events are ignored here — they
     ///   belong to the layer that owns the shared [`ClusterNet`] (the file
@@ -379,37 +384,62 @@ impl<'a> JobRun<'a> {
     }
 }
 
-/// Executes `run` against `net` from `start`.
+/// Executes `run` against `net` from `start`: the map waves, then the
+/// shuffle and the reduce waves, each adding its counters and phases to
+/// the job's metrics.
 fn execute(
     run: JobRun<'_>,
     net: &ClusterNet,
     start: SimTime,
     rng: &mut dyn RngCore,
 ) -> Result<JobMetrics, MapReduceError> {
-    let JobRun {
-        job,
-        code,
-        placement,
-        cluster,
-        scheduler,
-        failures,
-        ..
-    } = run;
-    let mut liveness = Liveness::new(cluster, failures);
-    let spec = cluster.spec();
-    let block_mb = spec.block_size_mb as f64;
-    let block_bytes = spec.block_size_bytes();
-
-    for task in job.map_tasks() {
-        if let Err(e) = placement.locations(task.block) {
+    for task in run.job.map_tasks() {
+        if let Err(e) = run.placement.locations(task.block) {
             return Err(MapReduceError::InvalidConfig {
                 reason: format!("task block {:?} is not in the placement: {e}", task.block),
             });
         }
     }
+    let mut liveness = Liveness::new(run.cluster, run.failures);
+    let mut m = JobMetrics {
+        job: run.job.name().to_string(),
+        code: run.placement.code_name().to_string(),
+        map_tasks: run.job.map_tasks().len(),
+        ..JobMetrics::default()
+    };
+    let map_end = map_waves(&run, net, start, &mut liveness, &mut m, rng)?;
+    // Failures that landed during the final wave (or detection boundaries
+    // crossed by its end) are in force before reducers are placed.
+    liveness.advance(map_end, &mut m.timeline);
+    // Reducers land on the nodes the scheduler believes are up at the end
+    // of the map phase (identical to the caller's cluster when no trace
+    // event fired).
+    let up = liveness.view.up_nodes();
+    let job_end = shuffle_and_reduce(run.job, run.cluster.spec(), &up, net, map_end, &mut m)?;
+    m.job_time_s = job_end.since(start).as_secs_f64();
+    m.map_phase_s = map_end.since(start).as_secs_f64();
+    m.reduce_phase_s = job_end.since(map_end).as_secs_f64();
+    m.network_traffic_bytes = m.remote_input_bytes + m.degraded_read_bytes + m.shuffle_bytes;
+    Ok(m)
+}
 
-    // ---- Map phase -------------------------------------------------------
-    let mut pending: Vec<MapTask> = job.map_tasks().to_vec();
+/// The map phase: scheduling waves from `start` until every task has
+/// completed, one [`PhaseKind::MapWave`] (plus a
+/// [`PhaseKind::DegradedWave`] when reconstruction traffic was in flight)
+/// per wave. An attempt lost to a fail-stop stays pending and re-executes
+/// in a later wave. Returns when the last wave finished.
+fn map_waves(
+    run: &JobRun<'_>,
+    net: &ClusterNet,
+    start: SimTime,
+    liveness: &mut Liveness,
+    m: &mut JobMetrics,
+    rng: &mut dyn RngCore,
+) -> Result<SimTime, MapReduceError> {
+    let spec = run.cluster.spec();
+    let block_mb = spec.block_size_mb as f64;
+    let block_bytes = spec.block_size_bytes();
+    let mut pending: Vec<MapTask> = run.job.map_tasks().to_vec();
     let slots = spec.map_slots_per_node;
     // Map slots as unit-capacity virtual-time resources, one per slot: a
     // task's duration is *consumed* as a reservation, so slot contention and
@@ -417,37 +447,30 @@ fn execute(
     // availability arrays. One flat table over the whole cluster — node `n`
     // owns `map_slots[n * slots..(n + 1) * slots]` — so nodes revived by
     // `NodeUp` events mid-job have slots too.
-    let map_slots: Vec<Resource> = (0..cluster.len() * slots)
+    let map_slots: Vec<Resource> = (0..run.cluster.len() * slots)
         .map(|_| Resource::new(0.0))
         .collect();
     // Per-wave scratch, reused across waves: the scheduler's capacities
     // (parallel to the wave graph's nodes) and which pending tasks completed.
     let mut capacities: Vec<usize> = Vec::new();
     let mut completed: Vec<bool> = Vec::new();
-    let mut tasks_reexecuted = 0usize;
     // The shared LAN fabric of the execution site: aggregate remote traffic
     // queues through it at cluster-wide bandwidth, behind whatever other
     // traffic (repairs, degraded reads) already reserved it.
     let lan = net.fabric();
-    let mut timeline = Timeline::new();
+    let mut map_end = start;
     let mut wave_start = start;
-    let mut map_phase_end = start;
     let mut wave_index = 0usize;
-
-    let mut remote_input_bytes = 0u64;
-    let mut degraded_read_bytes = 0u64;
-    let mut local_map_tasks = 0usize;
-    let mut degraded_reads = 0usize;
 
     while !pending.is_empty() {
         // Everything that happened up to this wave's start is now in force;
         // boundaries crossed mean the scheduler finally sees those nodes as
         // dead.
-        liveness.advance(wave_start, &mut timeline);
-        let graph = TaskNodeGraph::build(&pending, placement, &liveness.view);
+        liveness.advance(wave_start, &mut m.timeline);
+        let graph = TaskNodeGraph::build(&pending, run.placement, &liveness.view);
         capacities.clear();
         capacities.resize(graph.nodes().len(), slots);
-        let assignment: Assignment = scheduler.assign(&graph, &capacities, rng);
+        let assignment: Assignment = run.scheduler.assign(&graph, &capacities, rng);
         if assignment.is_empty() {
             return Err(MapReduceError::InvalidConfig {
                 reason: "scheduler made no progress (no capacity available)".to_string(),
@@ -470,7 +493,7 @@ fn execute(
             if let Some(fail_at) = liveness.first_failure_before(a.node, wave_start) {
                 let resolve = liveness.attempt_resolution(a.node, fail_at).max(wave_start);
                 wave_end = wave_end.max(resolve);
-                tasks_reexecuted += 1;
+                m.tasks_reexecuted += 1;
                 continue;
             }
             // Read cost: replicas on *actually* down nodes (detected or
@@ -485,7 +508,8 @@ fn execute(
             let (read_s, remote_bytes, degraded_bytes, degraded) = if local {
                 (block_mb / spec.disk_bandwidth_mbps, 0u64, 0u64, false)
             } else {
-                let replicas_alive = placement
+                let replicas_alive = run
+                    .placement
                     .locations(task.block)?
                     .iter()
                     .any(|n| liveness.replica_alive(*n));
@@ -501,14 +525,15 @@ fn execute(
                     // Degraded read: rebuild from the code's plan, given
                     // which stripe-local nodes are down for this block's
                     // stripe (the set type is the codes crate's interface).
-                    let stripe_nodes = placement.stripe_hosts(task.block.stripe())?;
+                    let stripe_nodes = run.placement.stripe_hosts(task.block.stripe())?;
                     let down_local: BTreeSet<usize> = stripe_nodes
                         .iter()
                         .enumerate()
                         .filter(|(_, n)| !liveness.replica_alive(**n))
                         .map(|(i, _)| i)
                         .collect();
-                    let plan = code
+                    let plan = run
+                        .code
                         .degraded_read_plan(task.block.block(), &down_local)
                         .map_err(|source| MapReduceError::UnreadableBlock {
                             block: task.block,
@@ -524,7 +549,7 @@ fn execute(
                 }
             };
 
-            let run_s = job.task_overhead_s() + read_s + block_mb * job.map_cpu_s_per_mb();
+            let run_s = run.job.task_overhead_s() + read_s + block_mb * run.job.map_cpu_s_per_mb();
             // Consume the task's duration on the earliest-free slot of the
             // assigned node.
             let slot = map_slots[a.node.0 * slots..(a.node.0 + 1) * slots]
@@ -542,18 +567,18 @@ fn execute(
             if let Some(fail_at) = liveness.first_failure_before(a.node, res.end) {
                 let resolve = liveness.attempt_resolution(a.node, fail_at).max(wave_start);
                 wave_end = wave_end.max(resolve);
-                tasks_reexecuted += 1;
+                m.tasks_reexecuted += 1;
                 continue;
             }
 
             if local {
-                local_map_tasks += 1;
+                m.local_map_tasks += 1;
             }
             if degraded {
-                degraded_reads += 1;
+                m.degraded_reads += 1;
             }
-            remote_input_bytes += remote_bytes;
-            degraded_read_bytes += degraded_bytes;
+            m.remote_input_bytes += remote_bytes;
+            m.degraded_read_bytes += degraded_bytes;
             wave_network_bytes += remote_bytes + degraded_bytes;
             wave_degraded_bytes += degraded_bytes;
             completed[a.task.0] = true;
@@ -569,21 +594,21 @@ fn execute(
             let lan_res = lan.reserve_bytes(wave_start, wave_network_bytes);
             wave_end = wave_end.max(lan_res.end);
         }
-        timeline.record(
-            format!("map:wave{wave_index}"),
+        m.timeline.record(
+            PhaseKind::MapWave(wave_index),
             wave_start,
             wave_end,
             wave_network_bytes,
         );
         if wave_degraded_bytes > 0 {
-            timeline.record(
-                format!("degraded-read:wave{wave_index}"),
+            m.timeline.record(
+                PhaseKind::DegradedWave(wave_index),
                 wave_start,
                 wave_end,
                 wave_degraded_bytes,
             );
         }
-        map_phase_end = map_phase_end.max(wave_end);
+        map_end = map_end.max(wave_end);
         wave_index += 1;
 
         // Remove completed tasks (lost attempts stay pending and re-execute
@@ -596,30 +621,37 @@ fn execute(
         for (i, t) in pending.iter_mut().enumerate() {
             t.id = crate::job::TaskId(i);
         }
-        wave_start = map_phase_end;
+        wave_start = map_end;
     }
-    // Failures that landed during the final wave (or detection boundaries
-    // crossed by its end) are in force before reducers are placed.
-    liveness.advance(map_phase_end, &mut timeline);
+    Ok(map_end)
+}
 
-    // ---- Shuffle + reduce phase -------------------------------------------
-    //
-    // Byte accounting is closed-form and exact (the events below only decide
-    // *when* the traffic moves): map output scales the input by the shuffle
-    // ratio, and everything except the share produced on the reducer's own
-    // node crosses the network.
+/// The shuffle + reduce phase from `map_end`: reducers placed round-robin
+/// over `up`, each fetching its share through one [`ClusterNet::gather`],
+/// then merging and writing its output. Records one [`PhaseKind::Shuffle`]
+/// phase and one [`PhaseKind::ReduceWave`] per reduce-slot wave, and
+/// returns when the last output write finished (the job's end).
+///
+/// Byte accounting is closed-form and exact (the events only decide *when*
+/// the traffic moves): map output scales the input by the shuffle ratio,
+/// and everything except the share produced on the reducer's own node
+/// crosses the network.
+fn shuffle_and_reduce(
+    job: &JobSpec,
+    spec: &ClusterSpec,
+    up: &[NodeId],
+    net: &ClusterNet,
+    map_end: SimTime,
+    m: &mut JobMetrics,
+) -> Result<SimTime, MapReduceError> {
+    let block_bytes = spec.block_size_bytes();
     let input_bytes = job.map_tasks().len() as u64 * block_bytes;
     let map_output_bytes = scale_bytes(input_bytes, job.shuffle_ratio(), "map output")?;
-    // Reducers land on the nodes the scheduler believes are up at the end
-    // of the map phase (identical to the caller's cluster when no trace
-    // event fired).
-    let up = liveness.view.up_nodes();
     let n_up = up.len().max(1);
     let network_fraction = 1.0 - 1.0 / n_up as f64;
     let shuffle_bytes = scale_bytes(map_output_bytes, network_fraction, "shuffle volume")?;
-
-    let mut shuffle_contention = LinkContention::default();
-    let mut job_end = map_phase_end;
+    m.shuffle_bytes = shuffle_bytes;
+    let mut end = map_end;
     if job.reduce_tasks() > 0 && map_output_bytes > 0 && !up.is_empty() {
         // Reducers are placed round-robin over the up nodes and occupy one
         // of their node's reduce slots from task start to output write.
@@ -664,7 +696,7 @@ fn execute(
                 .ok_or_else(|| MapReduceError::InvalidConfig {
                     reason: "reduce_slots_per_node must be at least 1".to_string(),
                 })?;
-            let task_start = map_phase_end.max(slot.next_free());
+            let task_start = map_end.max(slot.next_free());
             let fetch_start = task_start + overhead;
             let mut fetch_done = fetch_start;
             // One fetch event per remote source: source NIC + destination
@@ -674,9 +706,9 @@ fn execute(
                 sources.extend(up.iter().copied().filter(|&src| src != dest));
                 net.gather(fetch_start, dest, &sources, per_source_bytes, |_, fetch| {
                     let waits = fetch.pipe_waits();
-                    shuffle_contention.source_nic_wait_s += waits[0].as_secs_f64();
-                    shuffle_contention.dest_nic_wait_s += waits[1].as_secs_f64();
-                    shuffle_contention.fabric_wait_s += fetch.fabric_delay.as_secs_f64();
+                    m.shuffle_contention.source_nic_wait_s += waits[0].as_secs_f64();
+                    m.shuffle_contention.dest_nic_wait_s += waits[1].as_secs_f64();
+                    m.shuffle_contention.fabric_wait_s += fetch.fabric_delay.as_secs_f64();
                     fetch_done = fetch_done.max(fetch.reservation.end);
                     fetch_span = Some(match fetch_span {
                         None => (fetch.reservation.start, fetch.reservation.end),
@@ -692,7 +724,7 @@ fn execute(
                 .disk
                 .reserve_bytes(fetch_done + merge_cpu, write_bytes);
             slot.occupy_until(write_res.end);
-            job_end = job_end.max(write_res.end);
+            end = end.max(write_res.end);
 
             let wave = r / wave_size;
             match wave_spans.get_mut(wave) {
@@ -705,38 +737,21 @@ fn execute(
         }
 
         match fetch_span {
-            Some((s, e)) => timeline.record("shuffle:fetch", s, e, shuffle_bytes),
+            Some((s, e)) => m.timeline.record(PhaseKind::Shuffle, s, e, shuffle_bytes),
             // Per-source shares rounded to zero bytes (a degenerate, tiny
             // shuffle): keep the bytes on the record as an instant phase.
             None if shuffle_bytes > 0 => {
-                timeline.record("shuffle:fetch", map_phase_end, map_phase_end, shuffle_bytes)
+                m.timeline
+                    .record(PhaseKind::Shuffle, map_end, map_end, shuffle_bytes)
             }
             None => {}
         }
         for (wave, (s, e)) in wave_spans.iter().enumerate() {
-            timeline.record(format!("reduce:wave{wave}"), *s, *e, 0);
+            m.timeline.record(PhaseKind::ReduceWave(wave), *s, *e, 0);
         }
     }
 
-    let reduce_phase_s = job_end.since(map_phase_end).as_secs_f64();
-    let network_traffic_bytes = remote_input_bytes + degraded_read_bytes + shuffle_bytes;
-    Ok(JobMetrics {
-        job: job.name().to_string(),
-        code: placement.code_name().to_string(),
-        job_time_s: job_end.since(start).as_secs_f64(),
-        map_phase_s: map_phase_end.since(start).as_secs_f64(),
-        reduce_phase_s,
-        network_traffic_bytes,
-        remote_input_bytes,
-        degraded_read_bytes,
-        shuffle_bytes,
-        map_tasks: job.map_tasks().len(),
-        local_map_tasks,
-        degraded_reads,
-        tasks_reexecuted,
-        timeline,
-        shuffle_contention,
-    })
+    Ok(end)
 }
 
 #[cfg(test)]
@@ -746,6 +761,7 @@ mod tests {
     use crate::scheduler::{DelayScheduler, SchedulerKind};
     use drc_cluster::{ClusterSpec, PlacementPolicy};
     use drc_codes::CodeKind;
+    use drc_sim::{overlap, PhaseClass};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -989,29 +1005,24 @@ mod tests {
     fn timeline_records_waves_and_reduce_phase() {
         // 150% load on setup 1 needs at least two scheduling waves.
         let m = run(CodeKind::TWO_REP, ClusterSpec::setup1(), 75, &[], 11);
-        let waves = m
-            .timeline
-            .phases
-            .iter()
-            .filter(|p| p.label.starts_with("map:wave"))
-            .count();
+        let waves = m.timeline.of(PhaseClass::Map).count();
         assert!(waves >= 2, "overload must produce multiple wave phases");
         // The shuffle's fetch events and the reduce waves are phases of
         // their own, and the fetch phase carries the shuffle bytes.
-        assert_eq!(m.timeline.bytes_with_prefix("shuffle:"), m.shuffle_bytes);
-        assert!(m.timeline.with_prefix("reduce:wave").count() >= 1);
+        assert_eq!(m.timeline.bytes_of(PhaseClass::Shuffle), m.shuffle_bytes);
+        assert!(m.timeline.of(PhaseClass::Reduce).count() >= 1);
         // Reducers fetch while earlier reducers still merge: the two phase
         // groups overlap.
         let fetch = m
             .timeline
-            .with_prefix("shuffle:fetch")
+            .of(PhaseClass::Shuffle)
             .next()
             .expect("a shuffle phase");
         assert!(fetch.start >= SimTime::ZERO && fetch.end > fetch.start);
         // The timeline's end is the job's virtual completion.
         assert!((m.timeline.end().as_secs_f64() - m.job_time_s).abs() < 1e-6);
         // Wave network bytes sum to the job's input traffic.
-        let wave_bytes: u64 = m.timeline.with_prefix("map:wave").map(|p| p.bytes).sum();
+        let wave_bytes: u64 = m.timeline.of(PhaseClass::Map).map(|p| p.bytes).sum();
         assert_eq!(wave_bytes, m.remote_input_bytes + m.degraded_read_bytes);
     }
 
@@ -1125,7 +1136,7 @@ mod tests {
             );
             let lag = m
                 .timeline
-                .with_prefix("detection-lag:")
+                .of(PhaseClass::DetectionLag)
                 .next()
                 .expect("a detection-lag phase");
             // The trace instant is rounded to the nearest nanosecond.
@@ -1208,7 +1219,7 @@ mod tests {
             m.map_phase_s
         );
         // The recovery cancelled detection, so no blind-window phase.
-        assert_eq!(m.timeline.with_prefix("detection-lag:").count(), 0);
+        assert_eq!(m.timeline.of(PhaseClass::DetectionLag).count(), 0);
     }
 
     #[test]
@@ -1398,10 +1409,15 @@ mod tests {
         .run(&mut rng)
         .unwrap();
         assert_eq!(
-            metrics.timeline.bytes_with_prefix("degraded-read:"),
+            metrics.timeline.bytes_of(PhaseClass::DegradedRead),
             metrics.degraded_read_bytes
         );
-        assert!(metrics.timeline.overlap("map:", "degraded-read:").0 > 0);
+        let timeline = &metrics.timeline;
+        let map_degraded = overlap(
+            timeline.of(PhaseClass::Map),
+            timeline.of(PhaseClass::DegradedRead),
+        );
+        assert!(map_degraded.0 > 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn digest(m: &JobMetrics) -> u64 {
     d.u64(m.tasks_reexecuted as u64);
     d.u64(m.timeline.phases.len() as u64);
     for phase in &m.timeline.phases {
-        d.str(&phase.label);
+        d.str(&phase.label.to_string());
         d.u64(phase.start.0);
         d.u64(phase.end.0);
         d.u64(phase.bytes);

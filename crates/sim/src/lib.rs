@@ -26,10 +26,11 @@
 //!   plus the fabric and reports per-link wait time, so layers that share
 //!   the fabric (shuffle, repair, degraded reads) can attribute their
 //!   queueing delay to the link that caused it,
-//! * [`Phase`] / [`Timeline`] — per-phase timelines (start, end, bytes)
-//!   that experiments read so overlap is visible in reports. Only a
-//!   [`Phase`] is serialised (inside the `overlap` experiment's rows); a
-//!   [`Timeline`] is never printed whole.
+//! * [`Phase`] / [`Timeline`] — per-phase timelines (start, end, bytes,
+//!   and a `Copy` [`PhaseKind`] label) that experiments select by
+//!   [`PhaseClass`] and measure with [`overlap`], so overlap is visible in
+//!   reports. Only a [`Phase`] is serialised (inside the `overlap`
+//!   experiment's rows); a [`Timeline`] is never printed whole.
 //!
 //! # Threading
 //!
@@ -81,4 +82,4 @@ pub use net::{
 };
 pub use resource::{Reservation, Resource};
 pub use time::{SimDuration, SimTime, VirtualClock};
-pub use timeline::{Phase, Timeline, DETECTION_LAG_PREFIX};
+pub use timeline::{overlap, Phase, PhaseClass, PhaseKind, Timeline};
