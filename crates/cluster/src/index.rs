@@ -23,6 +23,7 @@ use std::mem::size_of;
 use std::ops::Deref;
 
 use drc_codes::ErasureCode;
+use drc_gf::bufpool::bulk_with_capacity;
 
 use crate::topology::NodeId;
 use crate::ClusterError;
@@ -302,7 +303,10 @@ impl CodeShape {
 /// `stripe * arity + local`, is the *offset* the per-node postings store —
 /// also as `u32`; [`check_arena_bounds`] is what makes both narrowings
 /// lossless. Made by [`StripeArena::cyclic`] or an [`ArenaBuild`], together
-/// with its postings.
+/// with its postings. Both fill `hosts` once, front to back, at its exact
+/// capacity, so it comes from `drc_gf::bufpool::bulk_with_capacity`: an
+/// arena of 2 MiB or more first-touches one huge page per fault where the
+/// host grants them, and a smaller one is an ordinary `Vec`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StripeArena {
     arity: u32,
@@ -324,7 +328,7 @@ impl StripeArena {
         node_universe: usize,
     ) -> (Self, Vec<Vec<u32>>) {
         let cells = arity * stripes;
-        let mut hosts = Vec::with_capacity(cells);
+        let mut hosts = bulk_with_capacity(cells);
         for _ in 0..cells / ring.len() {
             hosts.extend_from_slice(ring);
         }
@@ -383,7 +387,7 @@ impl ArenaBuild {
         ArenaBuild {
             arena: StripeArena {
                 arity: arity as u32,
-                hosts: Vec::with_capacity(arity * stripes),
+                hosts: bulk_with_capacity(arity * stripes),
             },
             counts: vec![0; node_universe],
         }

@@ -101,16 +101,19 @@ pub fn byte_cluster_spec(block_bytes: usize) -> Result<ClusterSpec, DrcError> {
 /// degraded read that restored the *wrong* block still passed every byte
 /// comparison. Byte `i` depends on `i` alone, so a prefix of a long payload
 /// equals the short payload: cells of different sizes slice one buffer.
+///
+/// The bytes are written once, front to back, into a
+/// `drc_gf::bufpool::bulk_with_capacity` buffer: a payload of 2 MiB or more
+/// first-touches one huge page per fault where the host grants them.
 pub fn pattern_payload(len: usize) -> Bytes {
     let ramp: [u8; 256] = std::array::from_fn(|i| (i * 31 + 7) as u8);
-    let mut buf = vec![0u8; len];
-    for (line, chunk) in buf.chunks_mut(ramp.len()).enumerate() {
+    let mut buf = drc_gf::bufpool::bulk_with_capacity(len);
+    for (line, start) in (0..len).step_by(ramp.len()).enumerate() {
         // Fibonacci hashing: the top byte of line × 2^32/φ.
         let salt = ((line as u32).wrapping_mul(0x9E37_79B1) >> 24) as u8;
         // One broadcast XOR per line: auto-vectorises at memory speed.
-        for (byte, r) in chunk.iter_mut().zip(&ramp) {
-            *byte = r ^ salt;
-        }
+        let width = ramp.len().min(len - start);
+        buf.extend(ramp[..width].iter().map(|r| r ^ salt));
     }
     Bytes::from(buf)
 }

@@ -30,11 +30,13 @@
 //! # Caller-owned bulk buffers
 //!
 //! A buffer that leaves the product for good — `read_file`'s file-sized
-//! output — cannot come from the shelf: the caller owns it and frees it, so
-//! every one is fresh memory whose first touch the kernel must fault in.
-//! [`bulk_with_capacity`] is the constructor for those: on Linux it asks for
-//! transparent huge pages over the buffer's aligned interior, so filling it
-//! front to back takes one fault per 2 MiB instead of one per 4 KiB. It is
+//! output, a placement index's host arena, an experiment's test payload —
+//! cannot come from the shelf: the caller owns it and frees it, so every
+//! one is fresh memory whose first touch the kernel must fault in.
+//! [`bulk_with_capacity`] is the constructor for those, for any element
+//! type: on Linux it asks for transparent huge pages over the aligned
+//! interior of the buffer's bytes, so filling it front to back takes one
+//! fault per 2 MiB instead of one per 4 KiB. It is
 //! this crate's second audited `unsafe` exception (one `madvise` call; see
 //! the function's docs), and the advice changes nothing but how the kernel
 //! backs the pages — never a byte, a length or a capacity.
@@ -163,24 +165,32 @@ fn aligned_interior(start: usize, capacity: usize) -> Option<(usize, usize)> {
     (lo < hi).then(|| (lo - start, hi - lo))
 }
 
-/// An empty buffer of capacity at least `len` for a caller that is about to
-/// fill it front to back and keep it (a whole file's bytes, say).
+/// An empty buffer of capacity at least `len` elements for a caller that is
+/// about to fill it front to back and keep it (a whole file's bytes, a
+/// placement arena's host ids).
 ///
-/// Exactly `Vec::with_capacity(len)`, plus — on Linux, when the capacity
-/// holds at least one whole aligned 2 MiB page — a request that the kernel
-/// back that aligned interior with transparent huge pages. First-touching
-/// `len` fresh bytes then costs one page fault per 2 MiB instead of one per
-/// 4 KiB, which is most of what a file-sized copy costs. The request is
-/// honoured when the host runs transparent huge pages in `madvise` or
-/// `always` mode and has a free huge page; otherwise (mode `never`, a
-/// fragmented host, another platform, Miri) the buffer is an ordinary one.
-/// Smaller buffers never make the system call.
-pub fn bulk_with_capacity(len: usize) -> Vec<u8> {
-    let mut buf = Vec::<u8>::with_capacity(len);
-    if let Some((offset, length)) = aligned_interior(buf.as_ptr() as usize, buf.capacity()) {
-        advise_huge_pages(buf.as_mut_ptr().wrapping_add(offset), length);
+/// Exactly `Vec::with_capacity(len)`, plus — on Linux, when the capacity's
+/// bytes (`capacity × size_of::<T>()`) hold at least one whole aligned
+/// 2 MiB page — a request that the kernel back that aligned interior with
+/// transparent huge pages. First-touching the fresh memory then costs one
+/// page fault per 2 MiB instead of one per 4 KiB, which is most of what
+/// filling a file-sized buffer costs. The request is honoured when the host
+/// runs transparent huge pages in `madvise` or `always` mode and has a free
+/// huge page; otherwise (mode `never`, a fragmented host, another platform,
+/// Miri) the buffer is an ordinary one. Smaller buffers never make the
+/// system call.
+pub fn bulk_with_capacity<T>(len: usize) -> Vec<T> {
+    let mut buf = Vec::<T>::with_capacity(len);
+    if let Some((offset, length)) = advised_interior(&buf) {
+        advise_huge_pages(buf.as_mut_ptr().cast::<u8>().wrapping_add(offset), length);
     }
     buf
+}
+
+/// The [`aligned_interior`] of `buf`'s allocation, measured in bytes: a
+/// `Vec<u32>` of 1 Mi elements spans 4 MiB, not 1.
+fn advised_interior<T>(buf: &Vec<T>) -> Option<(usize, usize)> {
+    aligned_interior(buf.as_ptr() as usize, buf.capacity() * size_of::<T>())
 }
 
 /// Asks the kernel to back `[addr, addr + length)` with transparent huge
@@ -395,21 +405,51 @@ mod tests {
     }
 
     /// On either side of the selection the constructor is an empty `Vec` of
-    /// at least the requested capacity that fills like any other.
+    /// at least the requested capacity that fills like any other — for
+    /// bytes and for the placement arena's `u32` host ids alike.
     #[test]
     fn bulk_with_capacity_is_an_ordinary_empty_vec() {
+        fn fills_like_any_vec<T: Copy + PartialEq + std::fmt::Debug>(len: usize, fill: T) {
+            let mut buf = bulk_with_capacity::<T>(len);
+            assert!(buf.is_empty());
+            assert!(buf.capacity() >= len);
+            let before = buf.as_ptr();
+            buf.resize(len, fill);
+            assert_eq!(buf.as_ptr(), before, "filling to `len` never reallocates");
+            assert!(buf.iter().all(|&x| x == fill));
+        }
         // Under Miri every byte written is interpreted; one huge page's
         // worth is enough to cross the selection there.
         let largest = if cfg!(miri) { 2 } else { 8 } * HUGE_PAGE + 5;
         for len in [0, 1, HUGE_PAGE - 1, 2 * HUGE_PAGE - 1, largest] {
-            let mut buf = bulk_with_capacity(len);
-            assert!(buf.is_empty());
-            assert!(buf.capacity() >= len);
-            let before = buf.as_ptr();
-            buf.resize(len, 0xA5);
-            assert_eq!(buf.as_ptr(), before, "filling to `len` never reallocates");
-            assert!(buf.iter().all(|&b| b == 0xA5));
+            fills_like_any_vec(len, 0xA5u8);
+            // The same byte spans in `u32`s: the selection is by bytes.
+            fills_like_any_vec(len / size_of::<u32>(), 0xA5A5_5A5Au32);
         }
+    }
+
+    /// The exact-capacity contract the pinned `metadata_scale` table rests
+    /// on: an index's `heap_bytes` reads `capacity()`, so a bulk arena must
+    /// not round it up.
+    #[test]
+    fn bulk_with_capacity_is_exact() {
+        for len in [0, 1, 4095, HUGE_PAGE, 3 * HUGE_PAGE + 7] {
+            assert_eq!(bulk_with_capacity::<u8>(len).capacity(), len);
+            assert_eq!(bulk_with_capacity::<u32>(len).capacity(), len);
+        }
+    }
+
+    /// The advice covers the allocation's bytes, not its element count: a
+    /// 1 Mi-element `u32` arena spans 4 MiB and so holds at least one whole
+    /// aligned huge page wherever malloc put it.
+    #[test]
+    fn a_u32_buffer_is_advised_over_its_bytes() {
+        let buf = bulk_with_capacity::<u32>(1 << 20);
+        let (offset, length) = advised_interior(&buf).expect("4 MiB hold an aligned huge page");
+        assert!(length >= HUGE_PAGE, "advised {length} bytes");
+        assert!(offset + length <= buf.capacity() * size_of::<u32>());
+        // The same element count of bytes (1 MiB) holds none.
+        assert_eq!(advised_interior(&bulk_with_capacity::<u8>(1 << 20)), None);
     }
 
     /// Report only, never asserted: whether the advice took on this host. A
@@ -425,14 +465,31 @@ mod tests {
                 .find(|l| l.starts_with("AnonHugePages:"))
                 .map_or("AnonHugePages: unavailable".to_string(), str::to_string)
         };
+        let thp = |setting: &str| {
+            read(&format!("/sys/kernel/mm/transparent_hugepage/{setting}"))
+                .trim()
+                .to_string()
+        };
         let before = anon_huge();
-        let mut buf = bulk_with_capacity(8 * HUGE_PAGE);
+        let mut buf = bulk_with_capacity::<u8>(8 * HUGE_PAGE);
         buf.resize(8 * HUGE_PAGE, 1);
+        let after_bytes = anon_huge();
+        let cells = 8 * HUGE_PAGE / size_of::<u32>();
+        let mut arena = bulk_with_capacity::<u32>(cells);
+        arena.extend((0..cells as u32).map(|cell| cell % 1000));
         println!(
-            "transparent_hugepage/enabled: {}\nbefore a 16 MiB bulk buffer: {before}\nafter filling it:            {}",
-            read("/sys/kernel/mm/transparent_hugepage/enabled").trim(),
+            "transparent_hugepage/enabled: {}\ntransparent_hugepage/defrag:  {}\n\
+             before a 16 MiB bulk buffer:     {before}\n\
+             after filling it:                {after_bytes}\n\
+             after a filled 16 MiB u32 arena: {}",
+            thp("enabled"),
+            thp("defrag"),
             anon_huge()
         );
         assert_eq!(std::hint::black_box(&buf)[buf.len() - 1], 1);
+        assert_eq!(
+            std::hint::black_box(&arena)[cells - 1],
+            (cells as u32 - 1) % 1000
+        );
     }
 }
