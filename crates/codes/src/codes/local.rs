@@ -15,8 +15,8 @@ use drc_gf::{Gf256, Matrix};
 
 use crate::codes::PolygonCode;
 use crate::layout::{CodeStructure, NodeLayout};
-use crate::repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
-use crate::traits::{generic_degraded_read_plan, generic_repair_plan};
+use crate::repair::{ReadPlan, RepairPlan, Transfer, TransferPayload};
+use crate::traits::{generic_degraded_read_plan, generic_repair_plan, validate_nodes};
 use crate::{CodeError, ErasureCode};
 
 /// A locally regenerating code: two `K_n` local codes plus a global-parity
@@ -222,49 +222,41 @@ impl PolygonLocalCode {
         f
     }
 
-    /// Translates a repair plan produced by the local polygon code for
-    /// `instance` into stripe-global node and block indices.
-    fn lift_local_plan(&self, plan: RepairPlan, instance: usize) -> RepairPlan {
+    fn lift_block(&self, block: usize, instance: usize) -> usize {
         let k_local = self.local.data_blocks();
-        let base = instance * self.local.node_count();
-        let parity_base = 2 * k_local;
-        let map_block = |b: usize| Self::map_local_block(b, instance, k_local, parity_base);
-        RepairPlan {
-            failed_nodes: plan.failed_nodes.iter().map(|&n| n + base).collect(),
-            blocks_to_restore: plan
-                .blocks_to_restore
-                .iter()
-                .map(|&b| map_block(b))
-                .collect(),
-            fully_lost_blocks: plan
-                .fully_lost_blocks
-                .iter()
-                .map(|&b| map_block(b))
-                .collect(),
-            transfers: plan
-                .transfers
-                .into_iter()
-                .map(|t| Transfer {
-                    from_node: t.from_node + base,
-                    to_node: t.to_node + base,
-                    payload: match t.payload {
-                        TransferPayload::Replica { block } => TransferPayload::Replica {
-                            block: map_block(block),
-                        },
-                        TransferPayload::Reconstructed { block } => {
-                            TransferPayload::Reconstructed {
-                                block: map_block(block),
-                            }
-                        }
-                        TransferPayload::PartialParity { combines, target } => {
-                            TransferPayload::PartialParity {
-                                combines: combines.into_iter().map(map_block).collect(),
-                                target: map_block(target),
-                            }
-                        }
-                    },
-                })
-                .collect(),
+        Self::map_local_block(block, instance, k_local, 2 * k_local)
+    }
+
+    /// Translates one transfer of the local polygon code for `instance` into
+    /// stripe-global node and block indices; the local code's reader (one
+    /// past its nodes) is this code's reader.
+    fn lift_transfer(&self, t: Transfer, instance: usize) -> Transfer {
+        let n_local = self.local.node_count();
+        let node = |x: usize| {
+            if x == n_local {
+                self.node_count()
+            } else {
+                x + instance * n_local
+            }
+        };
+        let block = |b: usize| self.lift_block(b, instance);
+        Transfer {
+            from_node: node(t.from_node),
+            to_node: node(t.to_node),
+            payload: match t.payload {
+                TransferPayload::Replica { block: b } => {
+                    TransferPayload::Replica { block: block(b) }
+                }
+                TransferPayload::Reconstructed { block: b } => {
+                    TransferPayload::Reconstructed { block: block(b) }
+                }
+                TransferPayload::PartialParity { combines, target } => {
+                    TransferPayload::PartialParity {
+                        combines: combines.into_iter().map(block).collect(),
+                        target: block(target),
+                    }
+                }
+            },
         }
     }
 
@@ -343,13 +335,7 @@ impl ErasureCode for PolygonLocalCode {
     }
 
     fn repair_plan(&self, failed_nodes: &BTreeSet<usize>) -> Result<RepairPlan, CodeError> {
-        if let Some(&bad) = failed_nodes.iter().find(|&&n| n >= self.node_count()) {
-            return Err(CodeError::IndexOutOfRange {
-                what: "node",
-                index: bad,
-                limit: self.node_count(),
-            });
-        }
+        validate_nodes(self, failed_nodes)?;
         if !self.can_recover(failed_nodes) {
             return Err(CodeError::Unrecoverable {
                 detail: format!("failure pattern {failed_nodes:?} exceeds the code's tolerance"),
@@ -376,11 +362,19 @@ impl ErasureCode for PolygonLocalCode {
             if local_failed.is_empty() {
                 continue;
             }
+            // The local polygon's plan, in stripe-global indices.
             let local_plan = self.local.repair_plan(&local_failed)?;
-            let lifted = self.lift_local_plan(local_plan, instance);
-            plan.blocks_to_restore.extend(lifted.blocks_to_restore);
-            plan.fully_lost_blocks.extend(lifted.fully_lost_blocks);
-            plan.transfers.extend(lifted.transfers);
+            let lift = |b| self.lift_block(b, instance);
+            plan.transfers.extend(
+                local_plan
+                    .transfers
+                    .into_iter()
+                    .map(|t| self.lift_transfer(t, instance)),
+            );
+            plan.blocks_to_restore
+                .extend(local_plan.blocks_to_restore.into_iter().map(lift));
+            plan.fully_lost_blocks
+                .extend(local_plan.fully_lost_blocks.into_iter().map(lift));
         }
         if f3 == 1 {
             let k_local = self.local.data_blocks();
@@ -421,36 +415,25 @@ impl ErasureCode for PolygonLocalCode {
         )?;
         let base = instance * self.local.node_count();
         let hosts = self.structure.layout.block_locations(data_block);
-        if let Some(&alive) = hosts.iter().find(|n| !down_nodes.contains(n)) {
-            return Ok(ReadPlan {
-                block: data_block,
-                source: ReadSource::Remote { node: alive },
-                network_blocks: 1,
-            });
-        }
-        // Both replicas down. If the rest of this local group is alive, use
-        // the local partial-parity path (exactly as the plain heptagon would).
+        // Both replicas down and the rest of this local group alive: the
+        // local partial-parity path, exactly as the plain heptagon reads it.
         let local_down: BTreeSet<usize> = down_nodes
             .iter()
             .filter(|&&n| self.local_nodes(instance).contains(&n))
             .map(|&n| n - base)
             .collect();
-        if local_down.len() == 2 {
-            if let Ok(local_plan) = self.local.degraded_read_plan(local_block, &local_down) {
-                if let ReadSource::PartialParities { helpers } = local_plan.source {
-                    let helpers: Vec<usize> = helpers.into_iter().map(|h| h + base).collect();
-                    return Ok(ReadPlan {
-                        block: data_block,
-                        source: ReadSource::PartialParities {
-                            helpers: helpers.clone(),
-                        },
-                        network_blocks: helpers.len(),
-                    });
-                }
-            }
+        if hosts.iter().all(|n| down_nodes.contains(n)) && local_down.len() == 2 {
+            let local_plan = self.local.degraded_read_plan(local_block, &local_down)?;
+            let transfers = local_plan
+                .transfers
+                .into_iter()
+                .map(|t| self.lift_transfer(t, instance))
+                .collect();
+            return Ok(ReadPlan::new(data_block, transfers));
         }
-        // Otherwise (three failures in the group, etc.) fall back to a full
-        // decode using whatever survives, including the global parities.
+        // Otherwise a live replica is read remotely, or (three failures in
+        // the group, etc.) a full decode uses whatever survives, including
+        // the global parities.
         generic_degraded_read_plan(self, data_block, down_nodes)
     }
 }
@@ -638,67 +621,23 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode() {
-        let hl = PolygonLocalCode::heptagon_local();
-        let data = sample_data(40, 64);
-        let coded = hl.encode(&data).unwrap();
-        let m = hl.distinct_blocks() - hl.data_blocks();
-        let mut parities = vec![vec![0u8; 64]; m];
-        hl.encode_into(&data, &mut parities).unwrap();
-        assert_eq!(parities.as_slice(), &coded[40..]);
-    }
-
-    #[test]
     fn global_parity_partial_sums_combine_to_the_parity_block() {
         // Execute the §2.2 combine functions: each helper node of a
-        // global-node repair sends a GF-weighted partial sum; XOR-ing all of
-        // them must reproduce the global parity block exactly.
+        // global-node repair sends a GF-weighted partial sum; together they
+        // must reproduce both global parity blocks exactly.
         let hl = PolygonLocalCode::heptagon_local();
         let data = sample_data(40, 32);
         let coded = hl.encode(&data).unwrap();
-        let plan = hl
-            .repair_plan(&[hl.global_node()].into_iter().collect())
-            .unwrap();
-        for g in 0..hl.global_parities() {
-            let target = 42 + g;
-            let row = hl.structure().generator.row(target);
-            let mut rebuilt = vec![0u8; 32];
-            let mut partial = vec![0u8; 32];
-            for t in &plan.transfers {
-                let crate::repair::TransferPayload::PartialParity {
-                    combines,
-                    target: t_block,
-                } = &t.payload
-                else {
-                    panic!("global-node repair sends only partial parities");
-                };
-                if *t_block != target {
-                    continue;
-                }
-                let payloads: Vec<&[u8]> = combines.iter().map(|&b| coded[b].as_slice()).collect();
-                crate::repair::combine_partial_parity_into(row, combines, &payloads, &mut partial);
-                drc_gf::slice::xor_assign(&mut rebuilt, &partial);
-            }
-            assert_eq!(
-                rebuilt, coded[target],
-                "global parity {g} rebuilt from partial sums"
-            );
+        let global = hl.global_node();
+        let plan = hl.repair_plan(&[global].into_iter().collect()).unwrap();
+        let view = |node: usize, b: usize| {
+            (node != global && hl.node_blocks(node).contains(&b)).then(|| coded[b].clone())
+        };
+        let (restored, moved) = plan.execute(hl.structure(), view).unwrap();
+        assert_eq!(moved, 32 * plan.network_blocks() as u64);
+        for (node, b, block) in restored {
+            assert_eq!((node, &block), (global, &coded[b]), "global parity {b}");
         }
-    }
-
-    #[test]
-    fn three_failures_in_one_heptagon_repairable_via_global_parities() {
-        let hl = PolygonLocalCode::heptagon_local();
-        let failed: BTreeSet<usize> = [0, 1, 2].into_iter().collect();
-        let plan = hl.repair_plan(&failed).unwrap();
-        // The plan must restore every block stored on the failed nodes.
-        let mut needed: BTreeSet<usize> = BTreeSet::new();
-        for &node in &failed {
-            needed.extend(hl.node_blocks(node).iter().copied());
-        }
-        let restored: BTreeSet<usize> = plan.blocks_to_restore.iter().copied().collect();
-        assert!(needed.is_subset(&restored));
-        assert!(plan.network_blocks() > 0);
     }
 
     #[test]
@@ -718,13 +657,14 @@ mod tests {
             .degraded_read_plan(25, &hosts.iter().copied().collect())
             .unwrap();
         assert_eq!(plan.network_blocks, 5);
-        assert!(matches!(plan.source, ReadSource::PartialParities { .. }));
+        let partial = |t: &Transfer| matches!(t.payload, TransferPayload::PartialParity { .. });
+        assert!(plan.transfers.iter().all(|t| partial(t) && t.to_node == 15));
         // Three nodes of the heptagon down (including both hosts): full decode.
         let mut down: BTreeSet<usize> = hosts.iter().copied().collect();
         let extra = (7..14).find(|n| !down.contains(n)).unwrap();
         down.insert(extra);
         let plan = hl.degraded_read_plan(25, &down).unwrap();
-        assert!(matches!(plan.source, ReadSource::Decode { .. }));
+        assert!(!plan.transfers.iter().any(partial));
         assert!(plan.network_blocks >= 20);
     }
 

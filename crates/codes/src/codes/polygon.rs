@@ -17,8 +17,8 @@ use std::collections::BTreeSet;
 use drc_gf::Matrix;
 
 use crate::layout::{CodeStructure, NodeLayout};
-use crate::repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
-use crate::traits::{generic_degraded_read_plan, generic_repair_plan};
+use crate::repair::{ReadPlan, RepairPlan, Transfer, TransferPayload};
+use crate::traits::{copy_surviving, generic_degraded_read_plan, generic_repair_plan};
 use crate::{CodeError, ErasureCode};
 
 /// A repair-by-transfer MBR code on the complete graph `K_n`.
@@ -133,8 +133,9 @@ impl PolygonCode {
     }
 
     /// Builds the partial-parity transfers that reconstruct the doubly-lost
-    /// block on `target_edge = (u, v)` at node `staging`, assuming every node
-    /// other than `u` and `v` is alive.
+    /// block on `target_edge = (u, v)` at node `staging` (a replacement, or
+    /// the reader `n` of a degraded read), assuming every node other than
+    /// `u` and `v` is alive.
     ///
     /// Every surviving node XORs the subset of its local blocks assigned to
     /// it (each block of the stripe other than the target is assigned to
@@ -189,83 +190,33 @@ impl ErasureCode for PolygonCode {
     }
 
     fn repair_plan(&self, failed_nodes: &BTreeSet<usize>) -> Result<RepairPlan, CodeError> {
-        if failed_nodes.iter().any(|&x| x >= self.n) {
-            return Err(CodeError::IndexOutOfRange {
-                what: "node",
-                index: *failed_nodes
-                    .iter()
-                    .find(|&&x| x >= self.n)
-                    // drc-lint: allow(panic-hygiene): this error arm is only entered when
-                    // a failed node >= n exists, so the find cannot come up empty.
-                    .expect("checked"),
-                limit: self.n,
-            });
-        }
-        match failed_nodes.len() {
-            0 => Ok(RepairPlan::default()),
-            // Single failure: repair-by-transfer — copy each of the n-1 blocks
-            // from the surviving endpoint of its edge.
-            1 => generic_repair_plan(self, failed_nodes),
-            2 => {
-                let mut it = failed_nodes.iter();
-                // drc-lint: allow(panic-hygiene): this match arm fires only
-                // when failed_nodes.len() == 2.
-                let u = *it.next().expect("two failed nodes");
-                // drc-lint: allow(panic-hygiene): same len() == 2 match arm.
-                let v = *it.next().expect("two failed nodes");
-                let layout = &self.structure.layout;
-                let mut transfers = Vec::new();
-                let mut blocks_to_restore = BTreeSet::new();
-
-                // Blocks with a surviving replica: copy from the live endpoint.
-                for &node in failed_nodes {
-                    for &block in layout.node_blocks(node) {
-                        blocks_to_restore.insert(block);
-                        let (a, b) = self.edges[block];
-                        let other = if a == node { b } else { a };
-                        if failed_nodes.contains(&other) {
-                            continue; // the doubly-lost edge (u, v)
-                        }
-                        transfers.push(Transfer {
-                            from_node: other,
-                            to_node: node,
-                            payload: TransferPayload::Replica { block },
-                        });
-                    }
-                }
-                // The doubly-lost block on edge (u, v): rebuild at u from
-                // partial parities, then forward the rebuilt block to v.
-                let target_block = self
-                    .edges
-                    .iter()
-                    .position(|&e| e == (u.min(v), u.max(v)))
-                    // drc-lint: allow(panic-hygiene): the layout enumerates
-                    // every edge of K_n, and u, v < n are validated above.
-                    .expect("edge (u, v) exists in K_n");
-                transfers.extend(self.partial_parity_transfers((u, v), target_block, u));
-                transfers.push(Transfer {
-                    from_node: u,
-                    to_node: v,
-                    payload: TransferPayload::Reconstructed {
-                        block: target_block,
-                    },
-                });
-
-                Ok(RepairPlan {
-                    failed_nodes: vec![u, v],
-                    blocks_to_restore: blocks_to_restore.into_iter().collect(),
-                    fully_lost_blocks: vec![target_block],
-                    transfers,
-                })
-            }
-            _ => Err(CodeError::Unrecoverable {
-                detail: format!(
-                    "{} simultaneous node failures exceed the {}-gon's tolerance of 2",
-                    failed_nodes.len(),
-                    self.n
-                ),
-            }),
-        }
+        // One failure is repair by transfer (each of the n - 1 blocks copied
+        // from the surviving endpoint of its edge): the generic plan, which
+        // also rejects bad indices and more than two failures.
+        let fully_lost = self.structure.layout.fully_lost_blocks(failed_nodes);
+        let (2, Some(&target_block)) = (failed_nodes.len(), fully_lost.first()) else {
+            return generic_repair_plan(self, failed_nodes);
+        };
+        // Two failures: the same copies for every other edge; the doubly-lost
+        // block on edge (u, v) is rebuilt at u from partial parities, and the
+        // rebuilt block is forwarded to v.
+        let (mut transfers, blocks_to_restore) =
+            copy_surviving(&self.structure.layout, failed_nodes, &fully_lost)?;
+        let (u, v) = self.edges[target_block];
+        transfers.extend(self.partial_parity_transfers((u, v), target_block, u));
+        transfers.push(Transfer {
+            from_node: u,
+            to_node: v,
+            payload: TransferPayload::Reconstructed {
+                block: target_block,
+            },
+        });
+        Ok(RepairPlan {
+            failed_nodes: vec![u, v],
+            blocks_to_restore: blocks_to_restore.into_iter().collect(),
+            fully_lost_blocks: vec![target_block],
+            transfers,
+        })
     }
 
     fn degraded_read_plan(
@@ -283,32 +234,17 @@ impl ErasureCode for PolygonCode {
         let (u, v) = self.edges[data_block];
         let u_down = down_nodes.contains(&u);
         let v_down = down_nodes.contains(&v);
-        if !u_down || !v_down {
-            // A replica is still reachable — one remote block.
-            let node = if !u_down { u } else { v };
-            return Ok(ReadPlan {
-                block: data_block,
-                source: ReadSource::Remote { node },
-                network_blocks: 1,
-            });
-        }
-        // Both replicas down. If every other node of the stripe is alive we
-        // can use the partial-parity fast path: n - 2 helper blocks.
+        // Both replicas down and every other node of the stripe alive: the
+        // partial-parity fast path, n - 2 helper blocks to the reader.
+        // Otherwise a replica is reachable (one remote block), or too much
+        // is down and the generic path reports it.
         let others_alive = (0..self.n)
             .filter(|x| *x != u && *x != v)
             .all(|x| !down_nodes.contains(&x));
-        if others_alive {
-            let helpers: Vec<usize> = (0..self.n).filter(|x| *x != u && *x != v).collect();
-            return Ok(ReadPlan {
-                block: data_block,
-                source: ReadSource::PartialParities {
-                    helpers: helpers.clone(),
-                },
-                network_blocks: helpers.len(),
-            });
+        if u_down && v_down && others_alive {
+            let transfers = self.partial_parity_transfers((u, v), data_block, self.n);
+            return Ok(ReadPlan::new(data_block, transfers));
         }
-        // More than two nodes down: fall back to the generic path (which will
-        // report unrecoverability, since the code only tolerates 2 failures).
         generic_degraded_read_plan(self, data_block, down_nodes)
     }
 }
@@ -372,18 +308,6 @@ mod tests {
         assert_eq!(coded.len(), 10);
         assert_eq!(&coded[..9], data.as_slice());
         assert_eq!(coded[9], drc_gf::slice::xor_all(&data));
-    }
-
-    #[test]
-    fn encode_into_matches_encode() {
-        for poly in [PolygonCode::pentagon(), PolygonCode::heptagon()] {
-            let k = poly.data_blocks();
-            let data = sample_data(k, 48);
-            let coded = poly.encode(&data).unwrap();
-            let mut parities = vec![vec![0u8; 48]];
-            poly.encode_into(&data, &mut parities).unwrap();
-            assert_eq!(parities[0], coded[k], "XOR parity via the fused path");
-        }
     }
 
     #[test]
@@ -460,39 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_parities_reconstruct_the_lost_block() {
-        // Execute the partial-parity plan against real payloads and check the
-        // XOR of the helpers' contributions equals the doubly-lost block.
-        let p = PolygonCode::pentagon();
-        let data = sample_data(9, 16);
-        let coded = p.encode(&data).unwrap();
-        let plan = p.repair_plan(&[0, 1].into_iter().collect()).unwrap();
-        let target = plan.fully_lost_blocks[0];
-        let mut acc = vec![0u8; 16];
-        for t in &plan.transfers {
-            if let TransferPayload::PartialParity {
-                combines,
-                target: tgt,
-            } = &t.payload
-            {
-                assert_eq!(*tgt, target);
-                // The sender must actually host every block it combines.
-                for b in combines {
-                    assert!(p.node_blocks(t.from_node).contains(b));
-                }
-                let partial = drc_gf::slice::xor_all(
-                    &combines
-                        .iter()
-                        .map(|&b| coded[b].clone())
-                        .collect::<Vec<_>>(),
-                );
-                drc_gf::slice::xor_assign(&mut acc, &partial);
-            }
-        }
-        assert_eq!(acc, coded[target]);
-    }
-
-    #[test]
     fn degraded_read_costs_match_paper() {
         let p = PolygonCode::pentagon();
         // Both replicas of data block 0 (edge (0,1)) down: 3 partial parities.
@@ -500,9 +391,10 @@ mod tests {
             .degraded_read_plan(0, &[0, 1].into_iter().collect())
             .unwrap();
         assert_eq!(plan.network_blocks, 3);
-        assert!(
-            matches!(plan.source, ReadSource::PartialParities { ref helpers } if helpers.len() == 3)
-        );
+        assert!(plan
+            .transfers
+            .iter()
+            .all(|t| t.to_node == 5 && matches!(t.payload, TransferPayload::PartialParity { .. })));
         // One replica alive: a single remote read.
         let plan = p.degraded_read_plan(0, &[0].into_iter().collect()).unwrap();
         assert_eq!(plan.network_blocks, 1);

@@ -217,7 +217,10 @@ mod tests {
         let down: BTreeSet<usize> = [2, 3].into_iter().collect(); // both mirrors of data block 1
         let plan = c.degraded_read_plan(1, &down).unwrap();
         assert_eq!(plan.network_blocks, 9);
-        assert!(!plan.is_replica_read());
+        assert!(!plan
+            .transfers
+            .iter()
+            .any(|t| t.payload == TransferPayload::Replica { block: 1 }));
         // With one mirror alive it is a single remote read.
         let plan = c.degraded_read_plan(1, &[2].into_iter().collect()).unwrap();
         assert_eq!(plan.network_blocks, 1);

@@ -149,7 +149,10 @@ mod tests {
             .degraded_read_plan(0, &[0].into_iter().collect())
             .unwrap();
         assert_eq!(plan.network_blocks, 1);
-        assert!(plan.is_replica_read());
+        assert_eq!(
+            plan.transfers[0].payload,
+            TransferPayload::Replica { block: 0 }
+        );
     }
 
     #[test]

@@ -44,6 +44,14 @@ pub enum CodeError {
         /// Human-readable description of the failure pattern.
         detail: String,
     },
+    /// A plan reads a block from a node that neither holds it nor was sent
+    /// what rebuilds it earlier in the plan.
+    NotHeld {
+        /// The stripe-local sender.
+        node: usize,
+        /// The distinct block it was to send.
+        block: usize,
+    },
     /// An underlying Galois-field operation failed.
     Gf(GfError),
 }
@@ -69,6 +77,12 @@ impl fmt::Display for CodeError {
             }
             CodeError::Unrecoverable { detail } => {
                 write!(f, "failure pattern is unrecoverable: {detail}")
+            }
+            CodeError::NotHeld { node, block } => {
+                write!(
+                    f,
+                    "the plan reads block {block} from node {node}, which does not hold it"
+                )
             }
             CodeError::Gf(e) => write!(f, "galois-field error: {e}"),
         }

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use drc_gf::Matrix;
+use drc_gf::{Gf256, Matrix};
 
 use crate::CodeError;
 
@@ -234,6 +234,45 @@ impl CodeStructure {
         self.layout.stored_blocks() as f64 / self.data_blocks as f64
     }
 
+    /// The one greedy source chooser: walks `ascending` (distinct blocks in
+    /// ascending order, so the data blocks `0..k` come first) and keeps each
+    /// block whose generator row is independent of the rows already kept,
+    /// stopping at `k`. Preferring data (identity) rows keeps every solved
+    /// system small; decode, the reconstructor and the generic plans all read
+    /// the blocks this picks.
+    pub(crate) fn independent_rows(
+        &self,
+        ascending: impl IntoIterator<Item = usize>,
+    ) -> Vec<usize> {
+        let k = self.data_blocks;
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        // The kept rows in echelon form: (pivot column, row scaled to 1 there).
+        let mut basis: Vec<(usize, Vec<Gf256>)> = Vec::with_capacity(k);
+        for b in ascending {
+            if chosen.len() == k {
+                break;
+            }
+            let mut row = self.generator.row(b).to_vec();
+            for (pivot, kept) in &basis {
+                let f = row[*pivot];
+                if f != Gf256::ZERO {
+                    for (x, &y) in row.iter_mut().zip(kept) {
+                        *x += f * y;
+                    }
+                }
+            }
+            // A row that reduces to zero is in the span of those kept.
+            let Some(pivot) = row.iter().position(|&x| x != Gf256::ZERO) else {
+                continue;
+            };
+            let scale = Gf256::ONE / row[pivot];
+            row.iter_mut().for_each(|x| *x *= scale);
+            basis.push((pivot, row));
+            chosen.push(b);
+        }
+        chosen
+    }
+
     /// Decodes the `k` data blocks from the distinct blocks that are
     /// available, by solving the linear system given by the generator rows.
     ///
@@ -266,23 +305,7 @@ impl CodeStructure {
         if (0..k).all(|b| available.contains_key(&b)) {
             return Ok((0..k).map(|b| available[&b].clone()).collect());
         }
-        // Select k available rows that form an invertible matrix. Greedy by
-        // preferring data rows (identity rows) first keeps the system small.
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        let mut candidates: Vec<usize> = available.keys().copied().collect();
-        candidates.sort_unstable();
-        // Data rows first, then parity rows.
-        candidates.sort_by_key(|&b| if b < k { 0 } else { 1 });
-        for &b in &candidates {
-            if chosen.len() == k {
-                break;
-            }
-            chosen.push(b);
-            let sub = self.generator.select_rows(&chosen);
-            if sub.rank() != chosen.len() {
-                chosen.pop();
-            }
-        }
+        let chosen = self.independent_rows(available.keys().copied());
         if chosen.len() < k {
             return Err(CodeError::Unrecoverable {
                 detail: format!(

@@ -19,7 +19,9 @@
 //!   `count_fatal_patterns`), and
 //! * repair and degraded-read *plans* whose network cost is measured in
 //!   blocks — including the partial-parity repairs that give the array codes
-//!   their repair-bandwidth advantage (§2.1, §3.1 of the paper).
+//!   their repair-bandwidth advantage (§2.1, §3.1 of the paper) — and the
+//!   executor that runs a plan against stored blocks ([`RepairPlan::execute`],
+//!   [`ReadPlan::execute`]).
 //!
 //! # Quick start
 //!
@@ -49,6 +51,7 @@
 mod codes;
 mod encoder;
 mod error;
+mod execute;
 mod layout;
 mod reconstruct;
 mod registry;
@@ -58,10 +61,9 @@ mod traits;
 pub use codes::{PolygonCode, PolygonLocalCode, RaidMirrorCode, ReplicationCode, RsCode};
 pub use encoder::StripeEncoder;
 pub use error::CodeError;
+pub use execute::BlockHandle;
 pub use layout::{CodeStructure, NodeLayout};
 pub use reconstruct::StripeReconstructor;
 pub use registry::CodeKind;
-pub use repair::{
-    combine_partial_parity_into, ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload,
-};
+pub use repair::{ReadPlan, RepairPlan, Transfer, TransferPayload};
 pub use traits::{encode_parities_into, ErasureCode};

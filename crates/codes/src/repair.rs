@@ -5,10 +5,17 @@
 //! combines several of its local blocks into a *partial parity* (the key
 //! bandwidth-saving trick of the pentagon/heptagon array codes, §2.1 of the
 //! paper) — plus the resulting total repair bandwidth in block units. The
-//! simulated HDFS layer executes these plans against real block payloads, and
-//! the reliability model uses their bandwidth to derive repair times.
+//! reliability model uses that bandwidth to derive repair times, and the
+//! simulated HDFS layer executes the plans against real block payloads:
+//! [`RepairPlan::execute`] / [`ReadPlan::execute`] (`execute.rs`) run the
+//! transfers in order against what each node holds and rebuild every
+//! fully-lost block at its receiver from exactly what the plan delivered
+//! there, so the bytes a repair stores are the bytes its plan moved, and a
+//! plan that names a sender without the block is an error, not a price.
 
-use drc_gf::{slice, Gf256};
+use std::collections::BTreeSet;
+
+use crate::layout::NodeLayout;
 
 /// One network transfer performed during repair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,89 +81,95 @@ impl RepairPlan {
     }
 }
 
-/// Computes the payload of a [`TransferPayload::PartialParity`] transfer
-/// into a caller-owned buffer.
-///
-/// A helper node rebuilding distinct block `t` sends the GF-weighted partial
-/// sum of the data blocks it holds: `out = sum_j target_row[combines[j]] *
-/// payloads[j]`, where `target_row` is row `t` of the code's generator
-/// matrix. For the pentagon/heptagon XOR parities every weight is 1 and this
-/// degenerates to the plain XOR of §2.1; for the heptagon-local global
-/// parities the weights are the RAID-6-style coefficients of §2.2.
-///
-/// The combination bottoms out in [`slice::linear_combination_into`]; the
-/// coefficient lookup stays on the stack for every realistic stripe width,
-/// keeping the path free of heap allocation.
-///
-/// # Panics
-///
-/// Panics if `combines` and `payloads` have different lengths, any combined
-/// index has no column in `target_row`, or payload lengths differ from
-/// `out.len()`.
-pub fn combine_partial_parity_into(
-    target_row: &[Gf256],
-    combines: &[usize],
-    payloads: &[&[u8]],
-    out: &mut [u8],
-) {
-    assert_eq!(
-        combines.len(),
-        payloads.len(),
-        "one payload per combined block is required"
-    );
-    // Widest real stripe: heptagon-local with 44 distinct blocks.
-    const STACK_COEFFS: usize = 64;
-    if combines.len() <= STACK_COEFFS {
-        let mut coeffs = [Gf256::ZERO; STACK_COEFFS];
-        for (c, &block) in coeffs.iter_mut().zip(combines) {
-            *c = target_row[block];
+impl RepairPlan {
+    /// The plan of [`crate::ErasureCode::repair_plan_around`]: `self` was
+    /// planned for `repair ∪ unusable`; keep the transfers a `repair` node
+    /// receives, with each unusable staging node's rebuild moved to its
+    /// successor (the first `repair` node it sends to).
+    pub(crate) fn serving(
+        self,
+        repair: &BTreeSet<usize>,
+        unusable: &BTreeSet<usize>,
+        layout: &NodeLayout,
+    ) -> RepairPlan {
+        let successor = |node: usize| {
+            self.transfers
+                .iter()
+                .find(|t| t.from_node == node && repair.contains(&t.to_node))
+                .map(|t| t.to_node)
+        };
+        // The first copy of a block an unusable node stores only restores
+        // that node; what else it receives feeds what it rebuilds.
+        let mut restored: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut transfers = Vec::new();
+        for t in &self.transfers {
+            let mut t = t.clone();
+            if unusable.contains(&t.to_node) {
+                let restores = match t.payload {
+                    TransferPayload::Replica { block }
+                    | TransferPayload::Reconstructed { block } => {
+                        layout.node_blocks(t.to_node).contains(&block)
+                            && restored.insert((t.to_node, block))
+                    }
+                    TransferPayload::PartialParity { .. } => false,
+                };
+                match successor(t.to_node) {
+                    Some(next) if !restores => t.to_node = next,
+                    _ => continue,
+                }
+            }
+            if unusable.contains(&t.from_node) {
+                if let Some(next) = successor(t.from_node) {
+                    t.from_node = next;
+                }
+            }
+            if t.from_node != t.to_node && repair.contains(&t.to_node) {
+                transfers.push(t);
+            }
         }
-        slice::linear_combination_into(&coeffs[..combines.len()], payloads, out);
-    } else {
-        let coeffs: Vec<Gf256> = combines.iter().map(|&b| target_row[b]).collect();
-        slice::linear_combination_into(&coeffs, payloads, out);
+        let blocks_to_restore: BTreeSet<usize> = repair
+            .iter()
+            .flat_map(|&node| layout.node_blocks(node).iter().copied())
+            .collect();
+        RepairPlan {
+            failed_nodes: repair.iter().copied().collect(),
+            fully_lost_blocks: self
+                .fully_lost_blocks
+                .into_iter()
+                .filter(|b| blocks_to_restore.contains(b))
+                .collect(),
+            blocks_to_restore: blocks_to_restore.into_iter().collect(),
+            transfers,
+        }
     }
 }
 
 /// A plan for reading one data block when some nodes are unavailable
 /// (a *degraded read*, executed on the fly during a MapReduce job).
+///
+/// The reader is the stripe-local index one past the stripe's nodes
+/// (`node_count()`): every transfer is sent to it. A read of a live replica
+/// is one `Replica` transfer; a rebuild is the `PartialParity` transfers of
+/// the array codes' fast path or the `Replica` transfers of a full decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadPlan {
     /// The data block (distinct-block index `< k`) being read.
     pub block: usize,
-    /// How the block is obtained.
-    pub source: ReadSource,
-    /// Number of blocks that must cross the network to serve the read.
+    /// The network transfers to the reader, in execution order.
+    pub transfers: Vec<Transfer>,
+    /// Number of blocks that must cross the network to serve the read:
+    /// always `transfers.len()`. Kept as a field only because the
+    /// benchmark's surface reads it (a ROADMAP item 5 (a) leftover).
     pub network_blocks: usize,
 }
 
-/// How a (possibly degraded) read obtains its block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadSource {
-    /// A live replica is fetched from another node.
-    Remote {
-        /// The node the replica is fetched from.
-        node: usize,
-    },
-    /// No live replica exists; the block is rebuilt from partial parities
-    /// contributed by the listed helper nodes (array-code fast path).
-    PartialParities {
-        /// The nodes contributing one partial-parity block each.
-        helpers: Vec<usize>,
-    },
-    /// No live replica exists; the block is rebuilt by a full decode that
-    /// fetches the listed distinct blocks from the listed nodes.
-    Decode {
-        /// `(node, distinct block)` pairs fetched for the decode.
-        fetches: Vec<(usize, usize)>,
-    },
-}
-
 impl ReadPlan {
-    /// Returns `true` if the read required no reconstruction (a replica was
-    /// available somewhere).
-    pub fn is_replica_read(&self) -> bool {
-        matches!(self.source, ReadSource::Remote { .. })
+    pub(crate) fn new(block: usize, transfers: Vec<Transfer>) -> Self {
+        ReadPlan {
+            block,
+            network_blocks: transfers.len(),
+            transfers,
+        }
     }
 }
 
@@ -193,30 +206,40 @@ mod tests {
         };
         assert_eq!(plan.network_blocks(), 3);
         assert_eq!(plan.partial_parity_transfers(), 1);
-    }
-
-    #[test]
-    fn default_plan_is_empty() {
-        let plan = RepairPlan::default();
-        assert_eq!(plan.network_blocks(), 0);
-        assert_eq!(plan.partial_parity_transfers(), 0);
+        let empty = RepairPlan::default();
+        assert_eq!(
+            (empty.network_blocks(), empty.partial_parity_transfers()),
+            (0, 0)
+        );
     }
 
     #[test]
     fn read_plan_classification() {
-        let replica = ReadPlan {
-            block: 0,
-            source: ReadSource::Remote { node: 1 },
-            network_blocks: 1,
-        };
-        assert!(replica.is_replica_read());
-        let degraded = ReadPlan {
-            block: 0,
-            source: ReadSource::PartialParities {
-                helpers: vec![2, 3, 4],
-            },
-            network_blocks: 3,
-        };
-        assert!(!degraded.is_replica_read());
+        let replica = ReadPlan::new(
+            0,
+            vec![Transfer {
+                from_node: 1,
+                to_node: 5,
+                payload: TransferPayload::Replica { block: 0 },
+            }],
+        );
+        assert_eq!(replica.network_blocks, 1);
+        let degraded = ReadPlan::new(
+            0,
+            (2..5)
+                .map(|from_node| Transfer {
+                    from_node,
+                    to_node: 5,
+                    payload: TransferPayload::PartialParity {
+                        combines: vec![from_node],
+                        target: 0,
+                    },
+                })
+                .collect(),
+        );
+        assert_eq!(degraded.network_blocks, 3);
+        let partial = |t: &Transfer| matches!(t.payload, TransferPayload::PartialParity { .. });
+        assert!(!replica.transfers.iter().any(partial));
+        assert!(degraded.transfers.iter().all(partial));
     }
 }

@@ -15,8 +15,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use drc_gf::slice;
 
-use crate::layout::CodeStructure;
-use crate::repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
+use crate::layout::{CodeStructure, NodeLayout};
+use crate::repair::{ReadPlan, RepairPlan, Transfer, TransferPayload};
 use crate::CodeError;
 
 /// A systematic linear erasure code with an explicit node layout.
@@ -167,29 +167,13 @@ pub trait ErasureCode: std::fmt::Debug + Send + Sync {
         if failures > n {
             return (0, 0);
         }
-        let mut fatal = 0u64;
-        let mut total = 0u64;
+        let (mut fatal, mut total) = (0u64, 0u64);
         let mut subset: Vec<usize> = (0..failures).collect();
         loop {
             total += 1;
-            let set: BTreeSet<usize> = subset.iter().copied().collect();
-            if !self.can_recover(&set) {
-                fatal += 1;
-            }
-            // Advance to the next combination in lexicographic order.
-            let mut i = failures;
-            loop {
-                if i == 0 {
-                    return (fatal, total);
-                }
-                i -= 1;
-                if subset[i] != i + n - failures {
-                    subset[i] += 1;
-                    for j in i + 1..failures {
-                        subset[j] = subset[j - 1] + 1;
-                    }
-                    break;
-                }
+            fatal += u64::from(!self.can_recover(&subset.iter().copied().collect()));
+            if !next_combination(&mut subset, n) {
+                return (fatal, total);
             }
         }
     }
@@ -208,6 +192,34 @@ pub trait ErasureCode: std::fmt::Debug + Send + Sync {
     /// or [`CodeError::IndexOutOfRange`] for invalid node indices.
     fn repair_plan(&self, failed_nodes: &BTreeSet<usize>) -> Result<RepairPlan, CodeError> {
         generic_repair_plan(self, failed_nodes)
+    }
+
+    /// Plans the repair of the `repair` nodes while the `unusable` ones (down,
+    /// or holding nothing of the stripe) can neither send nor be written.
+    ///
+    /// The code plans the whole pattern `repair ∪ unusable`, so no transfer
+    /// reads an unusable node's blocks; then only the transfers some
+    /// `repair` node receives are kept. An unusable node the plan made a
+    /// staging node (it rebuilds a block and sends it on) hands that role to
+    /// the first `repair` node it sends to: the inputs of the rebuild follow
+    /// it there, while the copies that would only have restored the
+    /// unusable node itself are dropped. With no unusable node this is
+    /// [`ErasureCode::repair_plan`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ErasureCode::repair_plan`] for the pattern `repair ∪ unusable`.
+    fn repair_plan_around(
+        &self,
+        repair: &BTreeSet<usize>,
+        unusable: &BTreeSet<usize>,
+    ) -> Result<RepairPlan, CodeError> {
+        if unusable.is_empty() {
+            return self.repair_plan(repair);
+        }
+        let failed: BTreeSet<usize> = repair.union(unusable).copied().collect();
+        let plan = self.repair_plan(&failed)?;
+        Ok(plan.serving(repair, unusable, &self.structure().layout))
     }
 
     /// Plans an on-the-fly read of data block `data_block` while the given
@@ -305,25 +317,29 @@ fn all_subsets_recoverable<C: ErasureCode + ?Sized>(code: &C, n: usize, t: usize
     }
     let mut subset: Vec<usize> = (0..t).collect();
     loop {
-        let set: BTreeSet<usize> = subset.iter().copied().collect();
-        if !code.can_recover(&set) {
+        if !code.can_recover(&subset.iter().copied().collect()) {
             return false;
         }
-        let mut i = t;
-        loop {
-            if i == 0 {
-                return true;
-            }
-            i -= 1;
-            if subset[i] != i + n - t {
-                subset[i] += 1;
-                for j in i + 1..t {
-                    subset[j] = subset[j - 1] + 1;
-                }
-                break;
-            }
+        if !next_combination(&mut subset, n) {
+            return true;
         }
     }
+}
+
+/// Advances `subset` (ascending node indices below `n`) to the next
+/// combination in lexicographic order; `false` after the last one.
+fn next_combination(subset: &mut [usize], n: usize) -> bool {
+    let t = subset.len();
+    for i in (0..t).rev() {
+        if subset[i] != i + n - t {
+            subset[i] += 1;
+            for j in i + 1..t {
+                subset[j] = subset[j - 1] + 1;
+            }
+            return true;
+        }
+    }
+    false
 }
 
 /// The generic copy-or-decode repair plan shared by replication, RAID+m and
@@ -341,31 +357,8 @@ pub(crate) fn generic_repair_plan<C: ErasureCode + ?Sized>(
     }
     let layout = &code.structure().layout;
     let fully_lost = layout.fully_lost_blocks(failed_nodes);
-    let mut transfers = Vec::new();
-    let mut blocks_to_restore = BTreeSet::new();
-
-    // 1. Blocks that still have a live replica: plain copy to each failed
-    //    node that stored them.
-    for &node in failed_nodes {
-        for &block in layout.node_blocks(node) {
-            blocks_to_restore.insert(block);
-            if fully_lost.contains(&block) {
-                continue;
-            }
-            let source = *layout
-                .block_locations(block)
-                .iter()
-                .find(|n| !failed_nodes.contains(n))
-                .ok_or_else(|| CodeError::Unrecoverable {
-                    detail: format!("block {block} is not fully lost yet has no live replica"),
-                })?;
-            transfers.push(Transfer {
-                from_node: source,
-                to_node: node,
-                payload: TransferPayload::Replica { block },
-            });
-        }
-    }
+    // 1. Blocks that still have a live replica: plain copies.
+    let (mut transfers, blocks_to_restore) = copy_surviving(layout, failed_nodes, &fully_lost)?;
 
     // 2. Fully-lost blocks: fetch enough independent surviving blocks to the
     //    first replacement node, decode there, then forward reconstructed
@@ -378,18 +371,7 @@ pub(crate) fn generic_repair_plan<C: ErasureCode + ?Sized>(
                 detail: "fully-lost blocks reported without any failed node".to_string(),
             })?;
         let s = code.structure();
-        let surviving = layout.surviving_blocks(failed_nodes);
-        // Greedily pick independent generator rows among survivors.
-        let mut chosen: Vec<usize> = Vec::new();
-        for &b in &surviving {
-            if chosen.len() == s.data_blocks {
-                break;
-            }
-            chosen.push(b);
-            if s.generator.select_rows(&chosen).rank() != chosen.len() {
-                chosen.pop();
-            }
-        }
+        let chosen = s.independent_rows(layout.surviving_blocks(failed_nodes));
         debug_assert_eq!(chosen.len(), s.data_blocks, "can_recover guaranteed rank k");
         for &block in &chosen {
             let source = *layout
@@ -427,8 +409,42 @@ pub(crate) fn generic_repair_plan<C: ErasureCode + ?Sized>(
     })
 }
 
+/// The repair's copies of the blocks that still have a live replica: each
+/// goes to every failed node that stored it, from its first live holder.
+/// Also returns every block the failed nodes stored.
+pub(crate) fn copy_surviving(
+    layout: &NodeLayout,
+    failed_nodes: &BTreeSet<usize>,
+    fully_lost: &BTreeSet<usize>,
+) -> Result<(Vec<Transfer>, BTreeSet<usize>), CodeError> {
+    let mut transfers = Vec::new();
+    let mut blocks_to_restore = BTreeSet::new();
+    for &node in failed_nodes {
+        for &block in layout.node_blocks(node) {
+            blocks_to_restore.insert(block);
+            if fully_lost.contains(&block) {
+                continue;
+            }
+            let source = *layout
+                .block_locations(block)
+                .iter()
+                .find(|n| !failed_nodes.contains(n))
+                .ok_or_else(|| CodeError::Unrecoverable {
+                    detail: format!("block {block} is not fully lost yet has no live replica"),
+                })?;
+            transfers.push(Transfer {
+                from_node: source,
+                to_node: node,
+                payload: TransferPayload::Replica { block },
+            });
+        }
+    }
+    Ok((transfers, blocks_to_restore))
+}
+
 /// The generic degraded-read plan: read a live replica if one exists,
-/// otherwise fetch enough independent blocks for a full decode.
+/// otherwise fetch enough independent blocks for a full decode — each a
+/// `Replica` sent to the reader (stripe-local index `node_count()`).
 pub(crate) fn generic_degraded_read_plan<C: ErasureCode + ?Sized>(
     code: &C,
     data_block: usize,
@@ -442,59 +458,49 @@ pub(crate) fn generic_degraded_read_plan<C: ErasureCode + ?Sized>(
             limit: code.data_blocks(),
         });
     }
-    let layout = &code.structure().layout;
-    // A live replica somewhere: a plain (possibly remote) read of one block.
-    if let Some(&node) = layout
-        .block_locations(data_block)
-        .iter()
-        .find(|n| !down_nodes.contains(n))
-    {
-        return Ok(ReadPlan {
-            block: data_block,
-            source: ReadSource::Remote { node },
-            network_blocks: 1,
-        });
-    }
-    // Otherwise decode from surviving blocks.
     let s = code.structure();
-    let surviving = layout.surviving_blocks(down_nodes);
-    if !s.recoverable_from_blocks(&surviving) {
-        return Err(CodeError::Unrecoverable {
-            detail: format!(
-                "data block {data_block} cannot be rebuilt with nodes {down_nodes:?} down"
-            ),
-        });
-    }
-    let mut chosen: Vec<usize> = Vec::new();
-    for &b in &surviving {
-        if chosen.len() == s.data_blocks {
-            break;
-        }
-        chosen.push(b);
-        if s.generator.select_rows(&chosen).rank() != chosen.len() {
-            chosen.pop();
-        }
-    }
-    let mut fetches: Vec<(usize, usize)> = Vec::with_capacity(chosen.len());
-    for &b in &chosen {
-        let node = *layout
+    let layout = &s.layout;
+    let live_holder = |b: usize| {
+        layout
             .block_locations(b)
             .iter()
+            .copied()
             .find(|n| !down_nodes.contains(n))
-            .ok_or_else(|| CodeError::Unrecoverable {
-                detail: format!("surviving block {b} has no live replica"),
+    };
+    // A live replica somewhere: a plain (possibly remote) read of one block.
+    let sources = match live_holder(data_block) {
+        Some(_) => vec![data_block],
+        None => {
+            let surviving = layout.surviving_blocks(down_nodes);
+            if !s.recoverable_from_blocks(&surviving) {
+                return Err(CodeError::Unrecoverable {
+                    detail: format!(
+                        "data block {data_block} cannot be rebuilt with nodes {down_nodes:?} down"
+                    ),
+                });
+            }
+            s.independent_rows(surviving)
+        }
+    };
+    let reader = layout.node_count();
+    let transfers = sources
+        .into_iter()
+        .map(|block| {
+            let from_node = live_holder(block).ok_or_else(|| CodeError::Unrecoverable {
+                detail: format!("surviving block {block} has no live replica"),
             })?;
-        fetches.push((node, b));
-    }
-    let network_blocks = fetches.len();
-    Ok(ReadPlan {
-        block: data_block,
-        source: ReadSource::Decode { fetches },
-        network_blocks,
-    })
+            Ok(Transfer {
+                from_node,
+                to_node: reader,
+                payload: TransferPayload::Replica { block },
+            })
+        })
+        .collect::<Result<Vec<_>, CodeError>>()?;
+    Ok(ReadPlan::new(data_block, transfers))
 }
 
-fn validate_nodes<C: ErasureCode + ?Sized>(
+/// Rejects a stripe-local node index the code does not have.
+pub(crate) fn validate_nodes<C: ErasureCode + ?Sized>(
     code: &C,
     nodes: &BTreeSet<usize>,
 ) -> Result<(), CodeError> {

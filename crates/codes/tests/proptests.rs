@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use drc_codes::CodeKind;
+use drc_codes::{CodeKind, Transfer, TransferPayload};
 use proptest::prelude::*;
 
 /// All code kinds used in the paper's evaluation.
@@ -148,12 +148,17 @@ proptest! {
         // One host down (if the code has >= 2 replicas, another replica serves it).
         let down: BTreeSet<usize> = [hosts[0]].into_iter().collect();
         let plan = code.degraded_read_plan(block, &down).unwrap();
+        let replica_read = matches!(
+            plan.transfers.as_slice(),
+            [Transfer { payload: TransferPayload::Replica { block: b }, .. }] if *b == block
+        );
+        prop_assert_eq!(plan.network_blocks, plan.transfers.len());
         if hosts.len() >= 2 {
             prop_assert_eq!(plan.network_blocks, 1);
-            prop_assert!(plan.is_replica_read());
+            prop_assert!(replica_read);
         } else {
             prop_assert!(plan.network_blocks >= 1);
-            prop_assert!(!plan.is_replica_read());
+            prop_assert!(!replica_read);
         }
         // No failures at all: always a single-block replica read.
         let plan = code.degraded_read_plan(block, &BTreeSet::new()).unwrap();

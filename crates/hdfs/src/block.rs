@@ -1,6 +1,7 @@
 //! Block identifiers and stored-block handles of the simulated file system.
 
 use bytes::Bytes;
+use drc_codes::BlockHandle;
 
 use crate::namenode::FileId;
 use crate::HdfsError;
@@ -89,6 +90,22 @@ impl Block {
         if let Some(Ok(buf)) = self.content.map(Bytes::try_unwrap) {
             drc_gf::bufpool::recycle(buf);
         }
+    }
+}
+
+/// What the plan executor needs of a replica; a block rebuilt from
+/// length-only sources is length-only.
+impl BlockHandle for Block {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn content(&self) -> Option<&[u8]> {
+        self.content.as_deref()
+    }
+
+    fn rebuilt(len: usize, content: Option<Vec<u8>>) -> Self {
+        content.map_or(Block::sized(len), |buffer| Bytes::from(buffer).into())
     }
 }
 

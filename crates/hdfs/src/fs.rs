@@ -7,14 +7,17 @@
 //! with a chosen [`CodeKind`], and a RaidNode that repairs lost replicas after
 //! node failures.
 //!
-//! Repairs and degraded reads are *planned* by the code (so the network cost
-//! follows the paper's partial-parity accounting exactly) and then *executed*
-//! by decoding from surviving replicas, so every repaired byte is verified
-//! against real data. The distinction matters for the heptagon-local global
-//! parities, whose partial sums are GF-weighted rather than plain XORs.
+//! Repairs and degraded reads are *planned* by the code around every node
+//! that cannot serve the stripe (down, or wiped and not yet repaired), so
+//! the network cost follows the paper's partial-parity accounting exactly,
+//! and then *executed* by the code's plan executor
+//! ([`drc_codes::RepairPlan::execute`] / [`drc_codes::ReadPlan::execute`])
+//! against the handles the usable nodes hold: every rebuilt byte comes from
+//! the transfers the pass charged, and none from a dead node.
 //! A file ingested length-only ([`EncodedFile::sized`]) is planned, timed
 //! and accounted identically — plans and events depend on block lengths
-//! alone — and only the decode is skipped: there are no bytes to produce.
+//! alone — and only the GF evaluation is skipped: there are no bytes to
+//! produce.
 //!
 //! # Virtual time and overlap
 //!
@@ -62,12 +65,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
-use drc_codes::{CodeError, CodeKind, ErasureCode, ReadSource, StripeReconstructor};
+use drc_codes::{CodeError, CodeKind, ErasureCode};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, FailureReplay, PhaseKind, ReplayStep, SimDuration,
     SimTime, Timeline, VirtualClock,
@@ -530,57 +532,29 @@ impl DistributedFileSystem {
                 }
             }
         }
-        // Degraded read: plan with the code, then execute by decoding.
+        // Degraded read: plan around every unusable node, then execute the
+        // plan against what the usable ones hold.
         let code = self.code(meta.code)?;
-        let stripe_nodes = meta.placement.stripe_hosts(stripe)?;
-        // A stripe-local node is unusable if it is down or has lost every
-        // block of this stripe (a wiped, not-yet-repaired node).
-        let down_local: BTreeSet<usize> = stripe_nodes
-            .iter()
-            .enumerate()
-            .filter(|(local, n)| {
-                !self.cluster.is_up(**n)
-                    || code
-                        .node_blocks(*local)
-                        .iter()
-                        .all(|&b| !self.datanodes[*n].contains(&BlockKey::new(meta.id, stripe, b)))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let plan = code.degraded_read_plan(block, &down_local).map_err(|e| {
-            HdfsError::BlockUnavailable {
-                block: key,
-                reason: e.to_string(),
-            }
-        })?;
+        let hosts = meta.placement.stripe_hosts(stripe)?;
+        let unusable = self.unusable_nodes(meta, stripe, &hosts, code.as_ref());
+        let unavailable = |e: CodeError| HdfsError::BlockUnavailable {
+            block: key,
+            reason: e.to_string(),
+        };
+        let plan = code
+            .degraded_read_plan(block, &unusable)
+            .map_err(unavailable)?;
         let bytes = plan.network_blocks as u64 * meta.block_size;
         self.read_network_bytes += bytes;
-        // Execute exactly the plan's fetches (so modeled and accounted
-        // traffic agree), each as a chunk-streamed train of timed pulls on
-        // the sender's disk + NIC + fabric.
-        let senders: Vec<NodeId> = match &plan.source {
-            ReadSource::Remote { node } => vec![stripe_nodes[*node]],
-            ReadSource::PartialParities { helpers } => {
-                helpers.iter().map(|&h| stripe_nodes[h]).collect()
-            }
-            ReadSource::Decode { fetches } => {
-                fetches.iter().map(|&(n, _)| stripe_nodes[n]).collect()
-            }
-        };
+        // The plan's fetches, each as a chunk-streamed train of timed pulls
+        // on the sender's disk + NIC + fabric, so modeled and accounted
+        // traffic agree.
+        let senders: Vec<NodeId> = plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
         let (_, fetch_done) = self.issue_fetch_trains(&senders, meta.block_size, issued);
         let done = fetch_done.last().copied().unwrap_or(issued);
-        // Rebuild the one requested block from surviving handles: the
-        // plan models the traffic; the reconstructor produces the content.
-        let payloads = self.gather_stripe_payloads(meta, stripe, code.as_ref())?;
-        let content = match payloads.get(&block) {
-            Some(data) => data.clone(),
-            None => rebuild_blocks(code.as_ref(), &payloads, &[block], meta.block_size)
-                .map_err(|e| HdfsError::BlockUnavailable {
-                    block: key,
-                    reason: e.to_string(),
-                })?
-                .swap_remove(0),
-        };
+        let view = self.stripe_view(meta.id, stripe, &hosts, &unusable);
+        let (content, moved) = plan.execute(code.structure(), view).map_err(unavailable)?;
+        debug_assert_eq!(moved, bytes, "executed = charged");
         let kind = PhaseKind::DegradedRead {
             file: meta.id.0,
             stripe,
@@ -590,34 +564,54 @@ impl DistributedFileSystem {
         Ok((content, done, bytes))
     }
 
-    /// Collects a reference-counted handle to one live replica of every
-    /// distinct block of a stripe that still has one.
-    ///
-    /// Accounting-neutral by design ([`DataNode::peek`]): the repair and
-    /// degraded-read paths model traffic from their *plans* (and charge the
-    /// senders with [`DataNode::record_served`]), so grabbing the payload
-    /// handles must not count as served bytes — and, the handles being
-    /// shared `Bytes` (or bare lengths), must not copy block data either.
-    fn gather_stripe_payloads(
+    /// The stripe-local nodes that cannot serve `stripe`: down, or holding
+    /// none of its blocks (wiped and not yet repaired). Degraded reads plan
+    /// around them, and repairs plan around the ones they do not replace.
+    fn unusable_nodes(
         &self,
         meta: &FileMetadata,
         stripe: usize,
+        hosts: &[NodeId],
         code: &dyn ErasureCode,
-    ) -> Result<BTreeMap<usize, Block>, HdfsError> {
-        let mut payloads = BTreeMap::new();
-        for block in 0..code.distinct_blocks() {
-            let key = BlockKey::new(meta.id, stripe, block);
-            for &node in &meta.block_locations(stripe, block)? {
-                if !self.cluster.is_up(node) {
-                    continue;
-                }
-                if let Some(data) = self.datanodes.get(&node).and_then(|dn| dn.peek(&key)) {
-                    payloads.insert(block, data);
-                    break;
-                }
+    ) -> BTreeSet<usize> {
+        let holds_none = |local: usize, dn: &DataNode| {
+            code.node_blocks(local)
+                .iter()
+                .all(|&b| !dn.contains(&BlockKey::new(meta.id, stripe, b)))
+        };
+        hosts
+            .iter()
+            .enumerate()
+            .filter(|&(local, node)| {
+                !self.cluster.is_up(*node)
+                    || self
+                        .datanodes
+                        .get(node)
+                        .is_none_or(|dn| holds_none(local, dn))
+            })
+            .map(|(local, _)| local)
+            .collect()
+    }
+
+    /// What the plan executor may read of `stripe`: stripe-local `local`'s
+    /// handle to `block`, unless the node is `excluded`. Accounting-neutral
+    /// ([`DataNode::peek`]): the senders are charged from the plan
+    /// ([`DataNode::record_served`]), and the handles are shared `Bytes` (or
+    /// bare lengths), never copies.
+    fn stripe_view<'a>(
+        &'a self,
+        file: FileId,
+        stripe: usize,
+        hosts: &'a [NodeId],
+        excluded: &'a BTreeSet<usize>,
+    ) -> impl Fn(usize, usize) -> Option<Block> + 'a {
+        move |local, block| {
+            if excluded.contains(&local) {
+                return None;
             }
+            let dn = self.datanodes.get(hosts.get(local)?)?;
+            dn.peek(&BlockKey::new(file, stripe, block))
         }
-        Ok(payloads)
     }
 
     /// Marks a node as down (transient failure: its data stays on disk).
@@ -790,9 +784,9 @@ impl DistributedFileSystem {
 
     /// The RaidNode's repair pass: for every stripe that lost replicas on
     /// permanently-failed (wiped) or down nodes, plan the repair with the
-    /// stripe's code, rebuild the missing blocks from surviving replicas, and
-    /// write them to the replacement nodes (the same node ids, assumed to be
-    /// re-provisioned and now up).
+    /// stripe's code around every node that cannot serve it, execute the
+    /// plan to rebuild the missing blocks, and write them to the replacement
+    /// nodes (the same node ids, assumed to be re-provisioned and now up).
     ///
     /// Every stripe's repair is issued at the same virtual instant: helper
     /// reads and replacement writes become timed events that overlap across
@@ -819,7 +813,7 @@ impl DistributedFileSystem {
     /// The repair pass shared by [`DistributedFileSystem::repair_nodes`]
     /// (issued at the current clock) and the failure engine's auto-repair
     /// queue (issued at the detection instant). Every stripe goes through
-    /// scan → plan → rebuild → fetch trains (an unsolvable stripe issues
+    /// scan → plan → execute → fetch trains (an unexecutable plan issues
     /// no traffic); the pass then commits all the deferred stores at once.
     fn repair_pass(
         &mut self,
@@ -841,23 +835,32 @@ impl DistributedFileSystem {
                 self.scan_lost_replicas(&meta, &replaced, code.as_ref())?
             {
                 let hosts = meta.placement.stripe_hosts(stripe)?;
-                let Ok(plan) = code.repair_plan(&failed_local) else {
+                let excluded: BTreeSet<usize> = self
+                    .unusable_nodes(&meta, stripe, &hosts, code.as_ref())
+                    .union(&failed_local)
+                    .copied()
+                    .collect();
+                let unusable: BTreeSet<usize> =
+                    excluded.difference(&failed_local).copied().collect();
+                let Ok(plan) = code.repair_plan_around(&failed_local, &unusable) else {
                     report.unrecoverable_stripes += 1;
                     continue;
                 };
                 let plan_bytes = plan.network_blocks() as u64 * meta.block_size;
                 report.network_bytes += plan_bytes;
-                let dests =
+                let slots =
                     self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref())?;
-                if dests.is_empty() {
+                if slots.is_empty() {
                     continue;
                 }
-                let Some(restored) = self.rebuild_stripe(&meta, stripe, code.as_ref(), &dests)?
-                else {
+                let view = self.stripe_view(meta.id, stripe, &hosts, &excluded);
+                let Ok((restored, moved)) = plan.execute(code.structure(), view) else {
                     report.unrecoverable_stripes += 1;
                     continue;
                 };
-                report.blocks_restored += restored;
+                debug_assert_eq!(moved, plan_bytes, "executed = charged");
+                self.commit_restored(&slots, &restored);
+                report.blocks_restored += slots.len();
                 report.stripes_repaired += 1;
                 let senders: Vec<NodeId> =
                     plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
@@ -869,7 +872,7 @@ impl DistributedFileSystem {
                     plan_bytes,
                     sizes,
                     fetch_done,
-                    dests: dests.values().flatten().map(|&(_, node)| node).collect(),
+                    dests: slots.iter().map(|&(_, _, node)| node).collect(),
                 });
             }
         }
@@ -918,7 +921,8 @@ impl DistributedFileSystem {
 
     /// Repair step 2, plan (after the code's plan prices the traffic): what
     /// is actually missing, and every replica slot it must land in — one
-    /// distinct block can be missing on two failed nodes at once.
+    /// distinct block can be missing on two failed nodes at once. Slots come
+    /// as `(stripe-local node, key, node)`, block-major.
     fn missing_slots(
         &self,
         meta: &FileMetadata,
@@ -926,8 +930,8 @@ impl DistributedFileSystem {
         hosts: &[NodeId],
         failed_local: &BTreeSet<usize>,
         code: &dyn ErasureCode,
-    ) -> Result<BTreeMap<usize, Vec<(BlockKey, NodeId)>>, HdfsError> {
-        let mut dests: BTreeMap<usize, Vec<(BlockKey, NodeId)>> = BTreeMap::new();
+    ) -> Result<Vec<(usize, BlockKey, NodeId)>, HdfsError> {
+        let mut slots = Vec::new();
         for &local in failed_local {
             let node = hosts[local];
             let dn = self
@@ -937,54 +941,32 @@ impl DistributedFileSystem {
             for &block in code.node_blocks(local) {
                 let key = BlockKey::new(meta.id, stripe, block);
                 if !dn.contains(&key) {
-                    dests.entry(block).or_default().push((key, node));
+                    slots.push((local, key, node));
                 }
             }
         }
-        Ok(dests)
+        slots.sort_by_key(|&(_, key, _)| key.block);
+        Ok(slots)
     }
 
-    /// Repair step 3, rebuild: borrows one live handle per surviving
-    /// distinct block (no copies, no served-bytes side effects), solves for
-    /// the fully-lost blocks ([`rebuild_blocks`]) and lands every missing
-    /// block in its slots — replica-backed blocks as handle clones. Returns
-    /// the replicas restored, or `None` when the surviving handles cannot
-    /// solve the stripe (then nothing is stored).
-    fn rebuild_stripe(
+    /// Repair step 3, execute (after [`drc_codes::RepairPlan::execute`] has run the
+    /// stripe's plan against the live holdings of its usable nodes): lands
+    /// every missing block in its slot — a clone of the handle the plan
+    /// delivered or rebuilt at that replacement.
+    fn commit_restored(
         &self,
-        meta: &FileMetadata,
-        stripe: usize,
-        code: &dyn ErasureCode,
-        dests: &BTreeMap<usize, Vec<(BlockKey, NodeId)>>,
-    ) -> Result<Option<usize>, HdfsError> {
-        let payloads = self.gather_stripe_payloads(meta, stripe, code)?;
-        let lost: Vec<usize> = dests
-            .keys()
-            .copied()
-            .filter(|b| !payloads.contains_key(b))
-            .collect();
-        let rebuilt = if lost.is_empty() {
-            Vec::new()
-        } else {
-            match rebuild_blocks(code, &payloads, &lost, meta.block_size) {
-                Ok(blocks) => blocks,
-                Err(_) => return Ok(None),
-            }
-        };
-        let replicas = dests
-            .iter()
-            .filter_map(|(block, slots)| Some((payloads.get(block)?, slots)));
-        let solved = rebuilt.iter().zip(lost.iter().map(|block| &dests[block]));
-        let mut restored = 0;
-        for (content, slots) in replicas.chain(solved) {
-            restored += slots.len();
-            for (key, node) in slots {
-                if let Some(dn) = self.datanodes.get(node) {
-                    dn.store(*key, content.clone());
-                }
+        slots: &[(usize, BlockKey, NodeId)],
+        restored: &[(usize, usize, Block)],
+    ) {
+        for (local, key, node) in slots {
+            let handle = restored
+                .iter()
+                .find(|(l, b, _)| l == local && *b == key.block)
+                .map(|(_, _, handle)| handle);
+            if let (Some(handle), Some(dn)) = (handle, self.datanodes.get(node)) {
+                dn.store(*key, handle.clone());
             }
         }
-        Ok(Some(restored))
     }
 
     /// Repair step 4, fetch trains (also a degraded read's fetches): every
@@ -1080,41 +1062,6 @@ impl DistributedFileSystem {
             repair_network_bytes: self.repair_network_bytes,
         }
     }
-}
-
-/// Rebuilds `targets` from a stripe's live `payloads` with the code's
-/// reconstructor (exact GF algebra, so the content matches what a full
-/// decode would return) into pooled buffers that become the blocks'
-/// handles, zero-copy. Length-only sources rebuild length-only blocks:
-/// this is the one place the repair and degraded-read paths ask whether
-/// there is anything to compute.
-fn rebuild_blocks(
-    code: &dyn ErasureCode,
-    payloads: &BTreeMap<usize, Block>,
-    targets: &[usize],
-    block_size: u64,
-) -> Result<Vec<Block>, CodeError> {
-    let available: BTreeSet<usize> = payloads.keys().copied().collect();
-    let rec = StripeReconstructor::plan(code.structure(), &available, targets)?;
-    let sources: Option<Vec<Bytes>> = rec
-        .sources()
-        .iter()
-        .map(|b| payloads[b].bytes().ok().cloned())
-        .collect();
-    let block_size = block_size as usize;
-    Ok(match sources {
-        Some(sources) => {
-            let mut outs: Vec<Vec<u8>> = targets
-                .iter()
-                .map(|_| drc_gf::bufpool::take(block_size))
-                .collect();
-            rec.reconstruct_into(&sources, &mut outs);
-            outs.into_iter()
-                .map(|out| Bytes::from(out).into())
-                .collect()
-        }
-        None => vec![Block::sized(block_size); targets.len()],
-    })
 }
 
 #[cfg(test)]

@@ -64,8 +64,15 @@ fn secs(s: f64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs_f64(s)
 }
 
-/// Recorded at commit 1093746 (the parent of the shared failure replay).
-const RECORDED: u64 = 0x4e43_ccd8_7085_3923;
+/// Recorded at commit 1093746 (the parent of the shared failure replay) as
+/// `0x4e43_ccd8_7085_3923`; re-recorded when repairs began to plan around
+/// unusable nodes. Before that, five plan transfers of this script read from
+/// nodes that were up but wiped: a 3-rep replica from node 6 (the early
+/// rejoin) in the 4 s pass, and four RS(10,4) replicas from nodes 6, 9 and
+/// 13 in the 9 s and 10 s passes. Every report keeps its byte counts; the
+/// 9 s pass completes at 9.103333337 s instead of 9.102666670 s, because
+/// its RS stripes now fetch from live senders.
+const RECORDED: u64 = 0x632c_a3d5_882c_d024;
 
 #[test]
 fn composed_trace_reproduces_the_recorded_timeline_reports_and_stats() {
