@@ -621,26 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn global_parity_partial_sums_combine_to_the_parity_block() {
-        // Execute the §2.2 combine functions: each helper node of a
-        // global-node repair sends a GF-weighted partial sum; together they
-        // must reproduce both global parity blocks exactly.
-        let hl = PolygonLocalCode::heptagon_local();
-        let data = sample_data(40, 32);
-        let coded = hl.encode(&data).unwrap();
-        let global = hl.global_node();
-        let plan = hl.repair_plan(&[global].into_iter().collect()).unwrap();
-        let view = |node: usize, b: usize| {
-            (node != global && hl.node_blocks(node).contains(&b)).then(|| coded[b].clone())
-        };
-        let (restored, moved) = plan.execute(hl.structure(), view).unwrap();
-        assert_eq!(moved, 32 * plan.network_blocks() as u64);
-        for (node, b, block) in restored {
-            assert_eq!((node, &block), (global, &coded[b]), "global parity {b}");
-        }
-    }
-
-    #[test]
     fn degraded_read_plans() {
         let hl = PolygonLocalCode::heptagon_local();
         // Data block 25 lives in heptagon 1; find its two hosts.

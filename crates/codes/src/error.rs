@@ -52,6 +52,16 @@ pub enum CodeError {
         /// The distinct block it was to send.
         block: usize,
     },
+    /// A partial parity for `target` received at `node` combines `block`,
+    /// which another partial for it combines too or its row does not weigh.
+    NotATerm {
+        /// The stripe-local receiver.
+        node: usize,
+        /// The block the partials rebuild.
+        target: usize,
+        /// The combined block.
+        block: usize,
+    },
     /// An underlying Galois-field operation failed.
     Gf(GfError),
 }
@@ -84,6 +94,14 @@ impl fmt::Display for CodeError {
                     "the plan reads block {block} from node {node}, which does not hold it"
                 )
             }
+            CodeError::NotATerm {
+                node,
+                target,
+                block,
+            } => write!(
+                f,
+                "a partial for block {target} at node {node} combines block {block}, not a term of it"
+            ),
             CodeError::Gf(e) => write!(f, "galois-field error: {e}"),
         }
     }

@@ -25,14 +25,22 @@
 //! then solved from whatever else survives. A target the delivered blocks do
 //! not span is [`CodeError::Unrecoverable`].
 //!
-//! **The solve is fused.** A partial parity is its sender's share of the
-//! receiver's linear combination, so by linearity the target is the sum of
-//! the partials, and that sum is a single combination of the blocks they
-//! combine with the coefficients the solve found. Each target is therefore
-//! evaluated once, by one fused pass over its source blocks into one output
-//! buffer: no buffer per partial, and the same GF work as solving the target
-//! from the same sources directly. A sender's partial is exactly its terms
-//! of that sum. The plan's other fully-lost blocks that the node can
+//! **A partial is its sender's terms of the target's row.** The partials
+//! filed under a target must combine pairwise disjoint blocks, and the solve
+//! must read every one of those blocks with a nonzero weight; anything else
+//! is [`CodeError::NotATerm`]. Each sender's partial is then the sum of its
+//! blocks weighted by the target's row (a parity's generator row; for a
+//! data block, the parity row that holds it, solved for it), and the
+//! partials plus the receiver's own terms — blocks it holds whole — add up
+//! to the target. A block named by two partials would cancel out of their
+//! GF(2^8) sum while the union of their blocks stayed the same.
+//!
+//! **The solve is fused.** By linearity the target is the sum of the
+//! partials, and that sum is a single combination of the blocks they
+//! combine with the row's weights. Each target is therefore evaluated once,
+//! by one fused pass over its source blocks into one output buffer: no
+//! buffer per partial, and the same GF work as solving the target from the
+//! same sources directly. The plan's other fully-lost blocks that the node can
 //! rebuild from exactly the same inputs (a decode's further lost blocks,
 //! the second global parity) join that pass as further rows of one matrix
 //! product, so the sources are read once per receiver, as one solve per
@@ -44,6 +52,8 @@
 //! asks whether there is anything to compute.
 
 use std::collections::BTreeSet;
+
+use drc_gf::Gf256;
 
 use crate::layout::CodeStructure;
 use crate::reconstruct::StripeReconstructor;
@@ -70,22 +80,6 @@ pub trait BlockHandle: Clone {
     fn rebuilt(len: usize, content: Option<Vec<u8>>) -> Self;
 }
 
-/// A plain owned block: it always has content.
-impl BlockHandle for Vec<u8> {
-    fn len(&self) -> usize {
-        Vec::len(self)
-    }
-
-    fn content(&self) -> Option<&[u8]> {
-        Some(self)
-    }
-
-    fn rebuilt(len: usize, content: Option<Vec<u8>>) -> Self {
-        // Vec sources always have bytes, so a rebuild always has them too.
-        content.unwrap_or_else(|| vec![0; len])
-    }
-}
-
 /// Every block of a repair's failed nodes, as `(node, block, handle)`.
 type Restored<P> = Vec<(usize, usize, P)>;
 
@@ -101,20 +95,24 @@ impl RepairPlan {
     /// [`CodeError::NotHeld`] if a transfer reads a block its sender neither
     /// holds nor can rebuild from what reached it earlier in the plan,
     /// [`CodeError::Unrecoverable`] if what reached a node does not span a
-    /// block it must rebuild, and [`CodeError::IndexOutOfRange`] for a node
-    /// or block outside the stripe.
+    /// block it must rebuild, [`CodeError::NotATerm`] if a partial combines
+    /// a block that is not its sender's term, and
+    /// [`CodeError::IndexOutOfRange`] for a node or block outside the stripe.
     pub fn execute<P: BlockHandle>(
         &self,
         structure: &CodeStructure,
         view: impl Fn(usize, usize) -> Option<P>,
     ) -> Result<(Restored<P>, u64), CodeError> {
         let layout = &structure.layout;
-        let mut finals = Vec::with_capacity(self.blocks_to_restore.len());
+        let mut run = Run::new(structure, view, &self.transfers, &self.fully_lost_blocks)?;
+        let mut restored = Vec::with_capacity(self.blocks_to_restore.len());
         for &node in &self.failed_nodes {
             check(node, layout.node_count())?;
-            finals.extend(layout.node_blocks(node).iter().map(|&b| (node, b)));
+            for &block in layout.node_blocks(node) {
+                restored.push((node, block, run.obtain(node, block)?));
+            }
         }
-        Run::new(structure, view, &self.transfers, &self.fully_lost_blocks)?.finish(finals)
+        Ok((restored, run.moved))
     }
 }
 
@@ -200,16 +198,6 @@ impl<'a, P: BlockHandle, V: Fn(usize, usize) -> Option<P>> Run<'a, P, V> {
         Ok(run)
     }
 
-    /// Every `(node, block)` of `finals` with its handle, and the bytes
-    /// moved.
-    fn finish(mut self, finals: Vec<(usize, usize)>) -> Result<(Restored<P>, u64), CodeError> {
-        let mut out = Vec::with_capacity(finals.len());
-        for (node, block) in finals {
-            out.push((node, block, self.obtain(node, block)?));
-        }
-        Ok((out, self.moved))
-    }
-
     /// `node`'s handle to `block` without rebuilding: one it received or
     /// rebuilt, or one it held before the plan.
     fn held(&self, node: usize, block: usize) -> Option<P> {
@@ -274,16 +262,32 @@ impl<'a, P: BlockHandle, V: Fn(usize, usize) -> Option<P>> Run<'a, P, V> {
         }
         let rec = StripeReconstructor::plan(self.structure, &available, &targets)
             .or_else(|_| StripeReconstructor::plan(self.structure, &available, &[target]))?;
+        let sources = rec.sources();
+        let partials = &self.partial[node];
+        // Every block a target's partials combine is a source with a nonzero
+        // weight in that target's row, and no other partial combines it.
+        let rows = rec.coefficients().chunks(sources.len().max(1));
+        for (row, &target) in rows.zip(rec.targets()) {
+            let mut seen = BTreeSet::new();
+            for &(_, block, _) in partials.iter().filter(|p| p.0 == target) {
+                let at = sources.iter().position(|&s| s == block);
+                if !seen.insert(block) || at.is_none_or(|i| row[i] == Gf256::ZERO) {
+                    return Err(CodeError::NotATerm {
+                        node,
+                        target,
+                        block,
+                    });
+                }
+            }
+        }
         let whole = &self.whole[node];
         let handle_of = |s: usize| {
-            let partial = self.partial[node]
-                .iter()
-                .find(|(t, b, _)| *t == target && *b == s);
+            let partial = partials.iter().find(|p| p.0 == target && p.1 == s);
             partial
-                .map(|(_, _, h)| h)
+                .map(|p| &p.2)
                 .or_else(|| whole.iter().find(|(b, _)| *b == s).map(|(_, h)| h))
         };
-        let sources: Vec<&P> = rec.sources().iter().filter_map(|&s| handle_of(s)).collect();
+        let sources: Vec<&P> = sources.iter().filter_map(|&s| handle_of(s)).collect();
         let len = sources.first().map_or(0, |s| s.len());
         let bytes: Option<Vec<&[u8]>> = sources.iter().map(|s| s.content()).collect();
         let mut outs = bytes.map(|bytes| {

@@ -36,8 +36,9 @@ pub enum TransferPayload {
         /// Distinct block being copied.
         block: usize,
     },
-    /// A partial parity: the XOR (or GF-linear combination) of several blocks
-    /// held locally by the sending node, occupying one block of bandwidth.
+    /// A partial parity, one block of bandwidth: the sender's blocks
+    /// `combines` weighted by the target's row and summed (an XOR for the
+    /// array codes). The partials for a target at a receiver are disjoint.
     PartialParity {
         /// The distinct blocks combined by the sender.
         combines: Vec<usize>,

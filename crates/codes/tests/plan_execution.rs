@@ -9,13 +9,18 @@
 //! moved are `network_blocks × len`, and the same plan over length-only
 //! handles gives length-only blocks of the right length without a byte of
 //! GF work. A pentagon / heptagon single-node repair moves only replicas
-//! and solves nothing. A plan with a transfer dropped, or with a partial
-//! parity combining a block its sender does not hold, must fail.
+//! and solves nothing. Independently of the executor, every partial parity
+//! of every plan, evaluated on its own as its sender's row-weighted sum, adds
+//! up with the other partials for its target to the encoded target. A plan
+//! with a transfer dropped, with a partial parity combining a block its
+//! sender does not hold, with one block in two partials, or with a block
+//! the target's row does not weigh, must fail.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use drc_codes::{BlockHandle, CodeError, CodeKind, ErasureCode, TransferPayload};
+use drc_codes::{BlockHandle, CodeError, CodeKind, ErasureCode, Transfer, TransferPayload};
+use drc_gf::{slice, Gf256};
 
 thread_local! {
     /// Rebuilds produced by the executor on this thread.
@@ -102,6 +107,77 @@ fn solves() -> usize {
     SOLVES.with(Cell::get)
 }
 
+/// The weights `w` with `block target = Σ w_b · block b` over the blocks of
+/// the partials for `target`: a parity target's generator row over the data
+/// blocks; for a data target, the one parity row among `union` that holds
+/// it, solved for it.
+fn target_row(code: &dyn ErasureCode, target: usize, union: &BTreeSet<usize>) -> Vec<Gf256> {
+    let (k, generator) = (code.data_blocks(), &code.structure().generator);
+    let mut row = vec![Gf256::ZERO; code.distinct_blocks()];
+    if target >= k {
+        row[..k].copy_from_slice(generator.row(target));
+        return row;
+    }
+    let parities: Vec<usize> = union.iter().copied().filter(|&b| b >= k).collect();
+    assert_eq!(parities.len(), 1, "one parity relates data block {target}");
+    let parity = parities[0];
+    let scale = Gf256::ONE / generator.row(parity)[target];
+    for (d, &g) in generator.row(parity).iter().enumerate() {
+        row[d] = g * scale;
+    }
+    row[target] = Gf256::ZERO;
+    row[parity] = scale;
+    row
+}
+
+/// Every partial parity of `transfers` evaluated on its own — its sender's
+/// blocks weighted by the target's row — XORed with the other partials sent
+/// to the same receiver for the same target and with the receiver's own
+/// terms: the encoded target. Every combined block has a weight in that
+/// row, and a weighted block no partial combines is one the receiver holds
+/// whole (sent to it, or the target of other partials it received).
+fn check_partial_sums(code: &dyn ErasureCode, coded: &[Vec<u8>], transfers: &[Transfer], at: &str) {
+    let mut groups: BTreeMap<(usize, usize), Vec<&[usize]>> = BTreeMap::new();
+    let mut own: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+    for t in transfers {
+        let block = match &t.payload {
+            TransferPayload::Replica { block } | TransferPayload::Reconstructed { block } => *block,
+            TransferPayload::PartialParity { combines, target } => {
+                groups
+                    .entry((t.to_node, *target))
+                    .or_default()
+                    .push(combines);
+                *target
+            }
+        };
+        own.entry(t.to_node).or_default().insert(block);
+    }
+    for ((node, target), partials) in groups {
+        let union: BTreeSet<usize> = partials.iter().flat_map(|c| c.iter().copied()).collect();
+        let row = target_row(code, target, &union);
+        let weighted: BTreeSet<usize> = (0..row.len()).filter(|&b| row[b] != Gf256::ZERO).collect();
+        let at = format!("{at}: the partials for {target} at {node}");
+        assert!(union.is_subset(&weighted), "{at}: {union:?} ⊄ {weighted:?}");
+        let rest: Vec<usize> = weighted.difference(&union).copied().collect();
+        assert!(
+            rest.iter().all(|b| own[&node].contains(b)),
+            "{at}: {rest:?} not held"
+        );
+        let mut sum = vec![0u8; LEN];
+        for combines in partials {
+            let mut partial = vec![0u8; LEN];
+            for &b in combines {
+                slice::mul_acc(&mut partial, &coded[b], row[b]);
+            }
+            slice::xor_assign(&mut sum, &partial);
+        }
+        for b in rest {
+            slice::mul_acc(&mut sum, &coded[b], row[b]);
+        }
+        assert_eq!(sum, coded[target], "{at}");
+    }
+}
+
 #[test]
 fn every_repair_around_every_unusable_set_restores_the_encoded_stripe() {
     let mut executed = 0usize;
@@ -128,6 +204,7 @@ fn every_repair_around_every_unusable_set_restores_the_encoded_stripe() {
                     assert!(repair.contains(&t.to_node), "{at}: {t:?} is received by R");
                     assert!(!unusable.contains(&t.from_node), "{at}: {t:?} reads U");
                 }
+                check_partial_sums(code, &coded, &plan.transfers, &at);
                 for sized in [false, true] {
                     let before = solves();
                     let (restored, moved) = plan
@@ -192,6 +269,7 @@ fn every_degraded_read_within_tolerance_returns_the_encoded_block() {
                         "{at}: {t:?} reads a down node"
                     );
                 }
+                check_partial_sums(code, &coded, &plan.transfers, &at);
                 for sized in [false, true] {
                     let (got, moved) = plan
                         .execute(code.structure(), view(code, &coded, down, sized))
@@ -210,10 +288,63 @@ fn every_degraded_read_within_tolerance_returns_the_encoded_block() {
     assert!(executed > 30_000, "{executed} reads executed");
 }
 
-/// The array codes' two-node repairs need every transfer they name, and a
-/// partial parity over a block its sender does not hold is caught.
+/// The §2.2 combine functions of a heptagon-local global-node repair: each
+/// helper sends, per global parity, the sum of its data blocks weighted by
+/// that parity's generator row; XORed together they are the parity, and
+/// the executor rebuilds the same blocks from the same plan.
 #[test]
-fn a_dropped_transfer_or_a_foreign_combined_block_fails() {
+fn global_parity_partial_sums_combine_to_the_parity_block() {
+    let code = CodeKind::HeptagonLocal.build().expect("code builds");
+    let code = code.as_ref();
+    let coded = stripe(code);
+    let global = code.node_count() - 1;
+    let failed: BTreeSet<usize> = [global].into_iter().collect();
+    let plan = code.repair_plan(&failed).expect("plans");
+    for &target in code.node_blocks(global) {
+        let row = code.structure().generator.row(target);
+        let mut rebuilt = vec![0u8; LEN];
+        for t in &plan.transfers {
+            let TransferPayload::PartialParity {
+                combines,
+                target: g,
+            } = &t.payload
+            else {
+                panic!("a global-node repair sends only partial parities");
+            };
+            if *g != target {
+                continue;
+            }
+            let mut partial = vec![0u8; LEN];
+            for &b in combines {
+                assert!(
+                    code.node_blocks(t.from_node).contains(&b),
+                    "sender holds {b}"
+                );
+                slice::mul_acc(&mut partial, &coded[b], row[b]);
+            }
+            slice::xor_assign(&mut rebuilt, &partial);
+        }
+        assert_eq!(
+            rebuilt, coded[target],
+            "global parity {target} from partial sums"
+        );
+    }
+    let live = view(code, &coded, &failed, false);
+    let (restored, moved) = plan.execute(code.structure(), live).expect("executes");
+    assert_eq!(moved, (plan.network_blocks() * LEN) as u64);
+    for (node, block, handle) in restored {
+        assert_eq!((node, handle.bytes), (global, Some(coded[block].clone())));
+    }
+}
+
+/// The array codes' two-node repairs need every transfer they name. A
+/// partial parity over a block its sender does not hold is caught, and so
+/// is one over a block its sender holds but another partial for the same
+/// target combines: the union of the combined blocks stays as it was, but
+/// the block cancels out of the partials' sum.
+#[test]
+fn a_dropped_transfer_or_a_misassigned_combined_block_fails() {
+    let mut repeated = 0;
     for kind in [CodeKind::Pentagon, CodeKind::Heptagon] {
         let code = kind.build().expect("code builds");
         let code = code.as_ref();
@@ -234,29 +365,81 @@ fn a_dropped_transfer_or_a_foreign_combined_block_fails() {
                 );
             }
             for (i, t) in plan.transfers.iter().enumerate() {
-                let TransferPayload::PartialParity { combines, .. } = &t.payload else {
+                let TransferPayload::PartialParity { combines, target } = &t.payload else {
                     continue;
                 };
+                let held = code.node_blocks(t.from_node);
                 let foreign = (0..code.distinct_blocks())
-                    .find(|b| !code.node_blocks(t.from_node).contains(b))
+                    .find(|b| !held.contains(b))
                     .expect("a node holds only some blocks");
-                let mut broken = plan.clone();
-                let TransferPayload::PartialParity { combines: c, .. } =
-                    &mut broken.transfers[i].payload
-                else {
-                    unreachable!()
+                let foreign_err = CodeError::NotHeld {
+                    node: t.from_node,
+                    block: foreign,
                 };
-                c.push(foreign);
-                let err = broken.execute(code.structure(), &live).unwrap_err();
-                assert_eq!(
-                    err,
-                    CodeError::NotHeld {
-                        node: t.from_node,
-                        block: foreign
-                    },
-                    "{kind} {failed:?}: {combines:?} + {foreign}"
-                );
+                let repeat = plan.transfers.iter().find_map(|o| match &o.payload {
+                    TransferPayload::PartialParity {
+                        combines: c,
+                        target: g,
+                    } if o.to_node == t.to_node && g == target => c
+                        .iter()
+                        .copied()
+                        .find(|b| !combines.contains(b) && held.contains(b)),
+                    _ => None,
+                });
+                let repeat_err = repeat.map(|block| CodeError::NotATerm {
+                    node: t.to_node,
+                    target: *target,
+                    block,
+                });
+                repeated += usize::from(repeat.is_some());
+                let cases = [(Some(foreign), Some(foreign_err)), (repeat, repeat_err)];
+                for (extra, want) in cases.into_iter().filter_map(|(b, e)| Some((b?, e?))) {
+                    let mut broken = plan.clone();
+                    let TransferPayload::PartialParity { combines: c, .. } =
+                        &mut broken.transfers[i].payload
+                    else {
+                        unreachable!()
+                    };
+                    c.push(extra);
+                    let err = broken.execute(code.structure(), &live).unwrap_err();
+                    assert_eq!(err, want, "{kind} {failed:?}: {combines:?} + {extra}");
+                }
             }
         }
     }
+    assert!(repeated > 50, "{repeated} partials given a repeated block");
+}
+
+/// A block the target's row does not weigh — a local parity sent as a
+/// partial of a global parity — is not its sender's term.
+#[test]
+fn a_block_outside_the_targets_row_fails() {
+    let code = CodeKind::HeptagonLocal.build().expect("code builds");
+    let code = code.as_ref();
+    let coded = stripe(code);
+    let global = code.node_count() - 1;
+    let failed: BTreeSet<usize> = [global].into_iter().collect();
+    let mut broken = code.repair_plan(&failed).expect("plans");
+    let k = code.data_blocks();
+    let (from_node, local_parity) = (0..global)
+        .find_map(|n| Some((n, *code.node_blocks(n).iter().find(|&&b| b >= k)?)))
+        .expect("a local node holds a local parity");
+    let target = code.node_blocks(global)[0];
+    broken.transfers.push(Transfer {
+        from_node,
+        to_node: global,
+        payload: TransferPayload::PartialParity {
+            combines: vec![local_parity],
+            target,
+        },
+    });
+    let live = view(code, &coded, &failed, false);
+    assert_eq!(
+        broken.execute(code.structure(), &live).unwrap_err(),
+        CodeError::NotATerm {
+            node: global,
+            target,
+            block: local_parity
+        }
+    );
 }

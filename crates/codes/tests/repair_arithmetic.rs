@@ -1,7 +1,8 @@
 //! Encode arithmetic on block-sized payloads, held to the direct
 //! definition: every code's stripe encode applies its generator's parity
-//! rows. (Every partial parity of every repair plan is checked end to end,
-//! bytes included, by `plan_execution.rs`.)
+//! rows. (`plan_execution.rs` evaluates every partial parity of every
+//! repair and degraded read on its own, as its sender's row-weighted sum,
+//! and holds the partials for each target to the encoded target.)
 
 use drc_codes::CodeKind;
 use drc_gf::slice;

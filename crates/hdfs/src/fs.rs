@@ -835,13 +835,10 @@ impl DistributedFileSystem {
                 self.scan_lost_replicas(&meta, &replaced, code.as_ref())?
             {
                 let hosts = meta.placement.stripe_hosts(stripe)?;
-                let excluded: BTreeSet<usize> = self
-                    .unusable_nodes(&meta, stripe, &hosts, code.as_ref())
-                    .union(&failed_local)
-                    .copied()
-                    .collect();
+                let mut excluded = self.unusable_nodes(&meta, stripe, &hosts, code.as_ref());
                 let unusable: BTreeSet<usize> =
                     excluded.difference(&failed_local).copied().collect();
+                excluded.extend(&failed_local);
                 let Ok(plan) = code.repair_plan_around(&failed_local, &unusable) else {
                     report.unrecoverable_stripes += 1;
                     continue;
