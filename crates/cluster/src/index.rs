@@ -257,6 +257,7 @@ impl CodeShape {
 
     /// Stripe-local nodes holding copies of `block`, in the code's replica
     /// order.
+    #[inline]
     pub fn locals_of_block(&self, block: usize) -> &[u16] {
         let start = self.block_local_offsets[block] as usize;
         let end = self.block_local_offsets[block + 1] as usize;
@@ -264,10 +265,11 @@ impl CodeShape {
     }
 
     /// Distinct blocks stored on stripe-local node `local`, ascending.
-    // `#[inline]` here, on `GlobalBlockId::new`, `StripeArena::cell` and
-    // `check_node`: `PlacementMap`'s `impl FnMut` scans are instantiated in
-    // the calling crate, where a non-generic helper without it is an
-    // out-of-line call per posting (INTERNALS.md has the measurement).
+    // `#[inline]` here, on `GlobalBlockId::new`, `StripeArena::cell` /
+    // `row`, `locals_of_block` and `check_node`: `PlacementMap`'s
+    // `impl FnMut` scans are instantiated in the calling crate, where a
+    // non-generic helper without it is an out-of-line call per posting
+    // (INTERNALS.md has the measurement).
     #[inline]
     pub fn blocks_of_local(&self, local: usize) -> &[u16] {
         let start = self.local_block_offsets[local] as usize;
@@ -347,10 +349,7 @@ impl StripeArena {
         self.hosts.len() / self.arity as usize
     }
 
-    pub(crate) fn host(&self, stripe: usize, local: usize) -> NodeId {
-        NodeId(self.hosts[stripe * self.arity as usize + local] as usize)
-    }
-
+    #[inline]
     pub(crate) fn row(&self, stripe: usize) -> &[u32] {
         let arity = self.arity as usize;
         &self.hosts[stripe * arity..(stripe + 1) * arity]

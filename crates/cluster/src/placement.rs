@@ -188,14 +188,32 @@ impl PlacementMap {
     /// [`ClusterError::UnknownBlock`] for a stripe or block index out of
     /// range — unknown ids are an error, not an empty answer.
     pub fn locations(&self, block: GlobalBlockId) -> Result<NodeList, ClusterError> {
+        let mut nodes = NodeList::new();
+        self.for_each_location(block, |n| nodes.push(n))?;
+        Ok(nodes)
+    }
+
+    /// Calls `f` with every cluster node holding a replica of `block`, in
+    /// the code's replica order, straight from the arena row — the
+    /// [`locations`](Self::locations) answer without building a
+    /// [`NodeList`].
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::UnknownBlock`] for a stripe or block index out of
+    /// range; `f` is then never called.
+    #[inline]
+    pub fn for_each_location(
+        &self,
+        block: GlobalBlockId,
+        mut f: impl FnMut(NodeId),
+    ) -> Result<(), ClusterError> {
         check_block(&self.shape, self.stripe_count(), block)?;
-        let stripe = block.stripe();
-        Ok(self
-            .shape
-            .locals_of_block(block.block())
-            .iter()
-            .map(|&local| self.arena.host(stripe, local as usize))
-            .collect())
+        let row = self.arena.row(block.stripe());
+        for &local in self.shape.locals_of_block(block.block()) {
+            f(NodeId(row[local as usize] as usize));
+        }
+        Ok(())
     }
 
     /// The cluster nodes hosting stripe `stripe`'s local nodes, in local
@@ -661,6 +679,15 @@ mod tests {
                 block: 7
             })
         );
+        let mut calls = 0;
+        assert_eq!(
+            placement.for_each_location(GlobalBlockId::new(0, 7), |_| calls += 1),
+            Err(ClusterError::UnknownBlock {
+                stripe: 0,
+                block: 7
+            })
+        );
+        assert_eq!(calls, 0, "no location of an unknown block");
         assert_eq!(
             placement.blocks_on_node(NodeId(999)),
             Err(ClusterError::UnknownNode { node: 999 })

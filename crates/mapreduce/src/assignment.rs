@@ -80,7 +80,9 @@ impl Assignment {
             if *count > slots_per_node {
                 return Some(format!("node {} over capacity", a.node));
             }
-            let is_local = graph.task(a.task).local_nodes.contains(&a.node);
+            let is_local = graph
+                .position_of(a.node)
+                .is_some_and(|at| graph.is_local_at(a.task, at));
             if is_local != a.local {
                 return Some(format!("task {:?} locality flag mismatch", a.task));
             }

@@ -394,7 +394,7 @@ fn execute(
     rng: &mut dyn RngCore,
 ) -> Result<JobMetrics, MapReduceError> {
     for task in run.job.map_tasks() {
-        if let Err(e) = run.placement.locations(task.block) {
+        if let Err(e) = run.placement.for_each_location(task.block, |_| ()) {
             return Err(MapReduceError::InvalidConfig {
                 reason: format!("task block {:?} is not in the placement: {e}", task.block),
             });
@@ -450,8 +450,10 @@ fn map_waves(
     let map_slots: Vec<Resource> = (0..run.cluster.len() * slots)
         .map(|_| Resource::new(0.0))
         .collect();
-    // Per-wave scratch, reused across waves: the scheduler's capacities
-    // (parallel to the wave graph's nodes) and which pending tasks completed.
+    // Per-wave scratch, reused across waves: the task–node graph, the
+    // scheduler's capacities (parallel to the graph's nodes) and which
+    // pending tasks completed.
+    let mut graph = TaskNodeGraph::default();
     let mut capacities: Vec<usize> = Vec::new();
     let mut completed: Vec<bool> = Vec::new();
     // The shared LAN fabric of the execution site: aggregate remote traffic
@@ -467,7 +469,7 @@ fn map_waves(
         // boundaries crossed mean the scheduler finally sees those nodes as
         // dead.
         liveness.advance(wave_start, &mut m.timeline);
-        let graph = TaskNodeGraph::build(&pending, run.placement, &liveness.view);
+        graph.rebuild(&pending, run.placement, &liveness.view);
         capacities.clear();
         capacities.resize(graph.nodes().len(), slots);
         let assignment: Assignment = run.scheduler.assign(&graph, &capacities, rng);
@@ -508,11 +510,10 @@ fn map_waves(
             let (read_s, remote_bytes, degraded_bytes, degraded) = if local {
                 (block_mb / spec.disk_bandwidth_mbps, 0u64, 0u64, false)
             } else {
-                let replicas_alive = run
-                    .placement
-                    .locations(task.block)?
-                    .iter()
-                    .any(|n| liveness.replica_alive(*n));
+                let mut replicas_alive = false;
+                run.placement.for_each_location(task.block, |n| {
+                    replicas_alive |= liveness.replica_alive(n);
+                })?;
                 if replicas_alive {
                     // Plain remote read of one block.
                     (
@@ -929,6 +930,7 @@ mod tests {
 
     #[test]
     fn unknown_blocks_are_rejected() {
+        use drc_cluster::GlobalBlockId;
         let code = CodeKind::TWO_REP.build().unwrap();
         let cluster = Cluster::new(ClusterSpec::simulation_25(4));
         let mut rng = ChaCha8Rng::seed_from_u64(8);
@@ -940,18 +942,50 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let job = JobSpec::new("bogus", vec![drc_cluster::GlobalBlockId::new(7, 0)]);
-        assert!(matches!(
-            JobRun::new(
+        let past_stripe = GlobalBlockId::new(7, 0);
+        let past_block = GlobalBlockId::new(0, placement.distinct_blocks_per_stripe());
+        for (bad, expected) in [
+            (
+                past_stripe,
+                "task block GlobalBlockId { stripe: 7, block: 0 } is not in the placement: \
+                 unknown block (stripe 7, block 0)"
+                    .to_string(),
+            ),
+            (
+                past_block,
+                format!(
+                    "task block {past_block:?} is not in the placement: {}",
+                    placement.locations(past_block).unwrap_err()
+                ),
+            ),
+        ] {
+            // Known blocks first: the check covers every task, not the
+            // first one only.
+            let mut blocks = placement.data_blocks();
+            blocks.push(bad);
+            let job = JobSpec::new("bogus", blocks).with_reduce_tasks(4);
+            // A reservation made before the check would show on this net.
+            let net = ClusterNet::new(cluster.spec());
+            let result = JobRun::new(
                 &job,
                 code.as_ref(),
                 &placement,
                 &cluster,
-                &DelayScheduler::default()
+                &DelayScheduler::default(),
             )
-            .run(&mut rng),
-            Err(MapReduceError::InvalidConfig { .. })
-        ));
+            .on(&net, SimTime::ZERO)
+            .run(&mut rng);
+            match result {
+                Err(MapReduceError::InvalidConfig { reason }) => assert_eq!(reason, expected),
+                other => panic!("{bad:?}: {other:?}"),
+            }
+            assert_eq!(net.fabric().next_free(), SimTime::ZERO);
+            for n in 0..net.len() {
+                let io = net.node(NodeId(n));
+                assert_eq!(io.disk.next_free(), SimTime::ZERO);
+                assert_eq!(io.nic.next_free(), SimTime::ZERO);
+            }
+        }
     }
 
     #[test]

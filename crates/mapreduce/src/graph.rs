@@ -6,8 +6,24 @@
 //! of the blocks reside." The choice of code determines the right-hand degree
 //! structure: with the pentagon code all blocks of one stripe-node map onto
 //! one cluster node (Fig. 2), concentrating edges.
+//!
+//! Layout: the right-hand side is addressed by node **position** (index in
+//! [`TaskNodeGraph::nodes`]), and both directions of the edge set are CSR
+//! tables — an offsets vector plus one flat vector of entries:
+//!
+//! * task → positions: task `t`'s up-replica positions, in the code's replica
+//!   order, are `task_nodes[task_base[t]..task_base[t + 1]]`;
+//! * position → tasks: the tasks local to position `i`, ascending, are
+//!   `node_tasks[node_base[i]..node_base[i + 1]]`.
+//!
+//! [`TaskNodeGraph::rebuild`] fills them straight from the placement arena
+//! ([`PlacementMap::for_each_location`]) in three passes — count each
+//! position's tasks while appending the task rows, prefix-sum the counts,
+//! fill the node rows — into the vectors the graph already owns, so a warm
+//! rebuild allocates nothing. `INTERNALS.md` ("One flat graph") has the
+//! measurements.
 
-use drc_cluster::{Cluster, GlobalBlockId, NodeId, NodeList, PlacementMap};
+use drc_cluster::{Cluster, NodeId, PlacementMap};
 
 use crate::job::{MapTask, TaskId};
 
@@ -26,24 +42,19 @@ const ABSENT: u32 = u32::MAX;
 /// `Vec` parallel to that slice. See `INTERNALS.md` for why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskNodeGraph {
-    tasks: Vec<TaskVertex>,
     nodes: Vec<NodeId>,
-    /// `node_tasks[i]`: the tasks with a replica on `nodes[i]`, ascending.
-    node_tasks: Vec<Vec<TaskId>>,
     /// `position[n.0]`: where node `n` sits in `nodes`, or [`ABSENT`].
     position: Vec<u32>,
-}
-
-/// A task vertex together with its adjacency (the up nodes holding a replica
-/// of its block).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskVertex {
-    /// The task.
-    pub task: TaskId,
-    /// The block the task reads.
-    pub block: GlobalBlockId,
-    /// Up cluster nodes holding a replica of the block (the task's edges).
-    pub local_nodes: NodeList,
+    /// Task `t`'s edges are `task_nodes[task_base[t]..task_base[t + 1]]`;
+    /// `task_base[0] == 0`.
+    task_base: Vec<usize>,
+    /// Up-replica positions of every task, task by task, in replica order.
+    task_nodes: Vec<u32>,
+    /// Position `i`'s tasks are `node_tasks[node_base[i]..node_base[i + 1]]`.
+    node_base: Vec<usize>,
+    /// The tasks with a replica at each position, position by position,
+    /// ascending.
+    node_tasks: Vec<TaskId>,
 }
 
 /// Looks `node` up in an id → position table.
@@ -54,53 +65,85 @@ fn position_in(position: &[u32], node: NodeId) -> Option<usize> {
         .map(|&i| i as usize)
 }
 
+impl Default for TaskNodeGraph {
+    /// The graph of no tasks on no nodes.
+    fn default() -> Self {
+        TaskNodeGraph {
+            nodes: Vec::new(),
+            position: Vec::new(),
+            task_base: vec![0],
+            task_nodes: Vec::new(),
+            node_base: vec![0],
+            node_tasks: Vec::new(),
+        }
+    }
+}
+
 impl TaskNodeGraph {
     /// Builds the graph for `tasks` given the block placement and the current
     /// cluster liveness.
     pub fn build(tasks: &[MapTask], placement: &PlacementMap, cluster: &Cluster) -> Self {
-        let nodes: Vec<NodeId> = cluster.up_nodes();
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "id order");
-        let mut position = vec![ABSENT; cluster.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            position[n.0] = i as u32;
+        let mut graph = TaskNodeGraph::default();
+        graph.rebuild(tasks, placement, cluster);
+        graph
+    }
+
+    /// Replaces the graph with the one [`build`](Self::build) returns for
+    /// the same arguments, reusing this graph's buffers: once they have
+    /// grown to the shape, a rebuild allocates nothing.
+    pub fn rebuild(&mut self, tasks: &[MapTask], placement: &PlacementMap, cluster: &Cluster) {
+        self.nodes.clear();
+        self.position.clear();
+        self.position.resize(cluster.len(), ABSENT);
+        for n in cluster.nodes().filter(|&n| cluster.is_up(n)) {
+            self.position[n.0] = self.nodes.len() as u32;
+            self.nodes.push(n);
         }
-        let mut node_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); nodes.len()];
-        let mut vertices = Vec::with_capacity(tasks.len());
+
+        // Pass 1: the task rows, counting each position's tasks in
+        // `node_base[i]` on the way.
+        self.node_base.clear();
+        self.node_base.resize(self.nodes.len() + 1, 0);
+        self.task_base.clear();
+        self.task_base.push(0);
+        self.task_nodes.clear();
         for task in tasks {
             // The engine validates every job block against the placement up
             // front, so an unknown block here (graphs are also built from
             // raw task lists in tests) simply gets no edges and runs remote.
-            let mut local_nodes = NodeList::new();
-            if let Ok(locs) = placement.locations(task.block) {
-                for &n in locs.iter() {
-                    if let Some(i) = position_in(&position, n) {
-                        local_nodes.push(n);
-                        node_tasks[i].push(task.id);
-                    }
+            let _ = placement.for_each_location(task.block, |n| {
+                if let Some(at) = position_in(&self.position, n) {
+                    self.task_nodes.push(at as u32);
+                    self.node_base[at] += 1;
                 }
-            }
-            vertices.push(TaskVertex {
-                task: task.id,
-                block: task.block,
-                local_nodes,
             });
+            self.task_base.push(self.task_nodes.len());
         }
-        TaskNodeGraph {
-            tasks: vertices,
-            nodes,
-            node_tasks,
-            position,
-        }
-    }
 
-    /// The task vertices, in task-id order.
-    pub fn tasks(&self) -> &[TaskVertex] {
-        &self.tasks
+        // Pass 2: inclusive prefix sums — `node_base[i]` becomes the end of
+        // position `i`'s row.
+        let mut end = 0;
+        for slot in &mut self.node_base {
+            end += *slot;
+            *slot = end;
+        }
+
+        // Pass 3: fill each row back to front from the last task down, so
+        // the rows come out ascending and `node_base[i]` ends at the row's
+        // start. Every entry is written, so the old contents need no reset.
+        self.node_tasks.resize(self.task_nodes.len(), TaskId(0));
+        for (t, task) in tasks.iter().enumerate().rev() {
+            for &at in &self.task_nodes[self.task_base[t]..self.task_base[t + 1]] {
+                let cursor = &mut self.node_base[at as usize];
+                *cursor -= 1;
+                self.node_tasks[*cursor] = task.id;
+            }
+        }
     }
 
     /// Number of tasks.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.task_base.len() - 1
     }
 
     /// The up nodes (right-hand vertices), in ascending id order. A node's
@@ -115,6 +158,25 @@ impl TaskNodeGraph {
         position_in(&self.position, node)
     }
 
+    /// The positions of the up nodes holding a replica of task `task`'s
+    /// block — the task's edges — in the code's replica order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task id is out of range.
+    pub fn local_positions(&self, task: TaskId) -> &[u32] {
+        &self.task_nodes[self.task_base[task.0]..self.task_base[task.0 + 1]]
+    }
+
+    /// Whether task `task` can run locally on the node at position `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task id is out of range.
+    pub fn is_local_at(&self, task: TaskId, at: usize) -> bool {
+        self.local_positions(task).iter().any(|&p| p as usize == at)
+    }
+
     /// The tasks that could run locally on the node at `position`, in
     /// ascending task order.
     ///
@@ -122,16 +184,7 @@ impl TaskNodeGraph {
     ///
     /// Panics if `position` is not an index into [`nodes`](Self::nodes).
     pub fn tasks_local_at(&self, position: usize) -> &[TaskId] {
-        &self.node_tasks[position]
-    }
-
-    /// The vertex for a task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task id is out of range.
-    pub fn task(&self, id: TaskId) -> &TaskVertex {
-        &self.tasks[id.0]
+        &self.node_tasks[self.node_base[position]..self.node_base[position + 1]]
     }
 
     /// The tasks that could run locally on `node`.
@@ -144,7 +197,7 @@ impl TaskNodeGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drc_cluster::{ClusterSpec, PlacementPolicy};
+    use drc_cluster::{ClusterSpec, GlobalBlockId, PlacementPolicy};
     use drc_codes::CodeKind;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -179,8 +232,8 @@ mod tests {
         let (cluster, placement, tasks) = setup(CodeKind::Pentagon, 5);
         let graph = TaskNodeGraph::build(&tasks, &placement, &cluster);
         assert_eq!(graph.task_count(), 45);
-        for t in graph.tasks() {
-            assert_eq!(t.local_nodes.len(), 2);
+        for t in 0..graph.task_count() {
+            assert_eq!(graph.local_positions(TaskId(t)).len(), 2);
         }
     }
 
@@ -201,9 +254,9 @@ mod tests {
         let unused = cluster.nodes().find(|n| !used.contains(n)).unwrap();
         assert!(graph.tasks_local_to(unused).is_empty());
         // Consistency between the two adjacency directions.
-        for t in graph.tasks() {
-            for &n in &t.local_nodes {
-                assert!(graph.tasks_local_to(n).contains(&t.task));
+        for t in (0..graph.task_count()).map(TaskId) {
+            for &at in graph.local_positions(t) {
+                assert!(graph.tasks_local_at(at as usize).contains(&t));
             }
         }
     }
@@ -217,7 +270,7 @@ mod tests {
         assert_eq!(graph.nodes().len(), 24);
         assert!(!graph.nodes().contains(&victim));
         // Task 0 lost one of its two candidate nodes.
-        assert_eq!(graph.task(TaskId(0)).local_nodes.len(), 1);
+        assert_eq!(graph.local_positions(TaskId(0)).len(), 1);
         assert!(graph.tasks_local_to(victim).is_empty());
     }
 
@@ -247,7 +300,7 @@ mod tests {
             assert_eq!(graph.position_of(n), None);
             assert!(graph.tasks_local_to(n).is_empty());
         }
-        assert!(graph.task(unknown).local_nodes.is_empty());
+        assert!(graph.local_positions(unknown).is_empty());
         for t in &tasks[..tasks.len() - 1] {
             let expected: Vec<NodeId> = placement
                 .locations(t.block)
@@ -256,14 +309,23 @@ mod tests {
                 .copied()
                 .filter(|n| cluster.is_up(*n))
                 .collect();
-            assert_eq!(graph.task(t.id).local_nodes.as_slice(), expected);
+            let edges: Vec<NodeId> = graph
+                .local_positions(t.id)
+                .iter()
+                .map(|&at| graph.nodes()[at as usize])
+                .collect();
+            assert_eq!(edges, expected);
         }
         for node in cluster.nodes() {
-            let expected: Vec<TaskId> = graph
-                .tasks()
+            let expected: Vec<TaskId> = tasks
                 .iter()
-                .filter(|t| t.local_nodes.contains(&node))
-                .map(|t| t.task)
+                .filter(|t| {
+                    cluster.is_up(node)
+                        && placement
+                            .locations(t.block)
+                            .is_ok_and(|l| l.contains(&node))
+                })
+                .map(|t| t.id)
                 .collect();
             assert_eq!(graph.tasks_local_to(node), expected);
         }

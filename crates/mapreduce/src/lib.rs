@@ -49,7 +49,7 @@ mod scheduler;
 pub use assignment::{Assignment, TaskAssignment};
 pub use engine::{JobMetrics, JobRun, LinkContention};
 pub use error::MapReduceError;
-pub use graph::{TaskNodeGraph, TaskVertex};
+pub use graph::TaskNodeGraph;
 pub use job::{JobSpec, MapTask, TaskId};
 pub use locality::{simulate_locality, LocalityConfig, LocalityResult};
 pub use scheduler::{

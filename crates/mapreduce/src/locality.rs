@@ -98,13 +98,19 @@ pub struct LocalityResult {
 ///
 /// # Errors
 ///
-/// Returns [`MapReduceError::InvalidConfig`] if the trial count is zero or
-/// the load is not a positive finite number, or a placement error if the
-/// code does not fit the cluster.
+/// Returns [`MapReduceError::InvalidConfig`] if the trial count or the map
+/// slots per node is zero or the load is not a positive finite number, or a
+/// placement error if the code does not fit the cluster.
 pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapReduceError> {
     if config.trials == 0 {
         return Err(MapReduceError::InvalidConfig {
             reason: "at least one trial is required".to_string(),
+        });
+    }
+    // No slot, no assignment: an empty assignment would report 100 %.
+    if config.cluster.map_slots_per_node == 0 {
+        return Err(MapReduceError::InvalidConfig {
+            reason: "map_slots_per_node must be at least 1".to_string(),
         });
     }
     if !(config.load_percent.is_finite() && config.load_percent > 0.0) {
@@ -122,6 +128,10 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
     let stripes = tasks_per_trial.div_ceil(code.data_blocks());
 
     let mut samples = Vec::with_capacity(config.trials);
+    // Reused across trials: the task list, the graph and the capacities.
+    let mut map_tasks: Vec<MapTask> = Vec::with_capacity(tasks_per_trial);
+    let mut graph = TaskNodeGraph::default();
+    let mut capacities: Vec<usize> = Vec::new();
     for trial in 0..config.trials {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(trial as u64));
         let placement = PlacementMap::place(
@@ -132,18 +142,21 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
             &mut rng,
         )
         .map_err(MapReduceError::Cluster)?;
-        let map_tasks: Vec<MapTask> = placement
-            .data_blocks()
-            .into_iter()
-            .take(tasks_per_trial)
-            .enumerate()
-            .map(|(i, block)| MapTask {
-                id: TaskId(i),
-                block,
-            })
-            .collect();
-        let graph = TaskNodeGraph::build(&map_tasks, &placement, &cluster);
-        let capacities = vec![config.cluster.map_slots_per_node; graph.nodes().len()];
+        map_tasks.clear();
+        map_tasks.extend(
+            placement
+                .data_blocks()
+                .into_iter()
+                .take(tasks_per_trial)
+                .enumerate()
+                .map(|(i, block)| MapTask {
+                    id: TaskId(i),
+                    block,
+                }),
+        );
+        graph.rebuild(&map_tasks, &placement, &cluster);
+        capacities.clear();
+        capacities.resize(graph.nodes().len(), config.cluster.map_slots_per_node);
         let assignment = scheduler.assign(&graph, &capacities, &mut rng);
         debug_assert!(assignment
             .validate(&graph, config.cluster.map_slots_per_node)
@@ -186,6 +199,18 @@ mod tests {
         let bad =
             LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, 50.0).with_trials(0);
         assert!(simulate_locality(&bad).is_err());
+        // No map slot: nothing can be assigned, and an empty assignment
+        // used to report 100 % locality.
+        for scheduler in SchedulerKind::all() {
+            let bad = LocalityConfig::new(CodeKind::Pentagon, scheduler, 0, 100.0);
+            assert!(
+                matches!(
+                    simulate_locality(&bad),
+                    Err(MapReduceError::InvalidConfig { .. })
+                ),
+                "{scheduler}"
+            );
+        }
         // NaN used to pass a `<= 0.0` guard and run as a one-task trial.
         for load in [0.0, -25.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let bad = LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, load);

@@ -104,7 +104,7 @@ impl TaskScheduler for DelayScheduler {
                             first_pending += 1;
                         }
                         let task = TaskId(first_pending);
-                        (task, graph.task(task).local_nodes.contains(&nodes[at]))
+                        (task, graph.is_local_at(task, at))
                     }
                 };
                 pending[task.0] = false;

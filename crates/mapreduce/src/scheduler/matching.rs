@@ -58,10 +58,11 @@ impl TaskScheduler for MaxMatchingScheduler {
         // `adjacency[adjacency_base[t]..adjacency_base[t + 1]]`.
         let mut adjacency: Vec<u32> = Vec::new();
         let mut adjacency_base: Vec<usize> = Vec::with_capacity(tasks + 1);
-        for t in graph.tasks() {
+        for t in 0..tasks {
             let start = adjacency.len();
             adjacency_base.push(start);
-            for at in t.local_nodes.iter().filter_map(|&n| graph.position_of(n)) {
+            for &at in graph.local_positions(TaskId(t)) {
+                let at = at as usize;
                 adjacency.extend(slot_base[at] as u32..slot_base[at + 1] as u32);
             }
             // Randomising candidate order makes ties unbiased across trials.

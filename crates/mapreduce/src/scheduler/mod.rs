@@ -143,9 +143,11 @@ pub(crate) fn fill_remote(
             return; // no capacity anywhere; leave the rest unassigned
         };
         free[at] -= 1;
-        let node = graph.nodes()[at];
-        let local = graph.task(task).local_nodes.contains(&node);
-        out.push(TaskAssignment { task, node, local });
+        out.push(TaskAssignment {
+            task,
+            node: graph.nodes()[at],
+            local: graph.is_local_at(task, at),
+        });
     }
 }
 

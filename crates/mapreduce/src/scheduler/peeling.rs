@@ -48,12 +48,12 @@ impl TaskScheduler for PeelingScheduler {
         // node position -> pending local demand (for picking the
         // least-contended node).
         let mut node_demand: Vec<usize> = vec![0; nodes.len()];
-        for t in graph.tasks() {
+        for t in 0..tasks {
             base.push(candidates.len());
-            for at in t.local_nodes.iter().filter_map(|&n| graph.position_of(n)) {
-                if free[at] > 0 {
-                    candidates.push(at as u32);
-                    node_demand[at] += 1;
+            for &at in graph.local_positions(TaskId(t)) {
+                if free[at as usize] > 0 {
+                    candidates.push(at);
+                    node_demand[at as usize] += 1;
                 }
             }
             degree.push(candidates.len() - base[base.len() - 1]);

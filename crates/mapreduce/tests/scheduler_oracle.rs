@@ -77,12 +77,11 @@ fn search_outcomes(
     matching: &Assignment,
 ) -> Vec<bool> {
     let mut rng = rng.clone();
-    for t in graph.tasks() {
-        let slots: usize = t
-            .local_nodes
+    for t in (0..graph.task_count()).map(TaskId) {
+        let slots: usize = graph
+            .local_positions(t)
             .iter()
-            .filter_map(|&n| graph.position_of(n))
-            .map(|at| caps[at])
+            .map(|&at| caps[at as usize])
             .sum();
         vec![0u32; slots].shuffle(&mut rng);
     }

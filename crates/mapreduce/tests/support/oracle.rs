@@ -3,7 +3,9 @@
 //! capacities, per-node list rescans, a fresh `visited` per task. The
 //! differential proptest holds the library's single implementation to these
 //! bodies — same `Assignment`, in the same order, leaving the rng in the same
-//! state. Nothing here ships; do not optimise it.
+//! state. Nothing here ships; do not optimise it. The bodies read a task's
+//! edges through `local_nodes`, which maps the graph's positions back to
+//! the node ids they were written against.
 
 use std::collections::BTreeMap;
 
@@ -81,7 +83,7 @@ pub fn delay(
                         pending[task.0] = false;
                         pending_count -= 1;
                         *capacities.get_mut(&node).expect("node exists") -= 1;
-                        let local = graph.task(task).local_nodes.contains(&node);
+                        let local = local_nodes(graph, task).contains(&node);
                         out.push(TaskAssignment { task, node, local });
                         skip_count = 0;
                         progressed = true;
@@ -130,9 +132,8 @@ pub fn max_matching(
 
     // Adjacency: task -> candidate slot indices (all slots of its local nodes).
     let mut adjacency: Vec<Vec<usize>> = Vec::with_capacity(graph.task_count());
-    for t in graph.tasks() {
-        let mut slots: Vec<usize> = t
-            .local_nodes
+    for t in (0..graph.task_count()).map(TaskId) {
+        let mut slots: Vec<usize> = local_nodes(graph, t)
             .iter()
             .flat_map(|n| node_slots.get(n).cloned().unwrap_or_default())
             .collect();
@@ -217,12 +218,10 @@ pub fn peeling(
     let mut capacities = capacities.clone();
     let mut out: Vec<TaskAssignment> = Vec::with_capacity(graph.task_count());
     // remaining[t] = candidate nodes of task t that still have capacity.
-    let mut remaining: Vec<Option<Vec<NodeId>>> = graph
-        .tasks()
-        .iter()
+    let mut remaining: Vec<Option<Vec<NodeId>>> = (0..graph.task_count())
         .map(|t| {
             Some(
-                t.local_nodes
+                local_nodes(graph, TaskId(t))
                     .iter()
                     .copied()
                     .filter(|n| capacities.get(n).copied().unwrap_or(0) > 0)
@@ -328,7 +327,17 @@ fn fill_remote(
             return; // no capacity anywhere; leave the rest unassigned
         };
         *capacities.get_mut(&node).expect("node exists") -= 1;
-        let local = graph.task(task).local_nodes.contains(&node);
+        let local = local_nodes(graph, task).contains(&node);
         out.push(TaskAssignment { task, node, local });
     }
+}
+
+/// Task `task`'s edges as node ids, in replica order — what the graph's
+/// per-task `NodeList` held when these bodies were written.
+fn local_nodes(graph: &TaskNodeGraph, task: TaskId) -> Vec<NodeId> {
+    graph
+        .local_positions(task)
+        .iter()
+        .map(|&at| graph.nodes()[at as usize])
+        .collect()
 }
