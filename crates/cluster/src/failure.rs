@@ -26,6 +26,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::spec::Positive;
 use crate::topology::{Cluster, NodeId, RackId};
 
 /// Samples `count` distinct nodes of `cluster` uniformly at random, in id
@@ -71,7 +72,7 @@ pub enum FailureEventKind {
         /// The degraded node.
         node: NodeId,
         /// Bandwidth divisor (2.0 = half speed).
-        factor: f64,
+        factor: Positive,
     },
 }
 
@@ -285,7 +286,7 @@ mod tests {
             30,
             FailureEventKind::Slowdown {
                 node: NodeId(2),
-                factor: 2.0,
+                factor: Positive::new(2.0).unwrap(),
             },
         ));
         let at: Vec<u64> = trace.events().iter().map(|e| e.at_ns).collect();

@@ -57,5 +57,5 @@ pub use error::ClusterError;
 pub use failure::{sample_nodes, FailureEvent, FailureEventKind, FailureTrace};
 pub use index::{CodeShape, GlobalBlockId, NodeList};
 pub use placement::{PlacementMap, PlacementPolicy};
-pub use spec::ClusterSpec;
+pub use spec::{ClusterSpec, Positive};
 pub use topology::{Cluster, NodeId, RackId};

@@ -1,6 +1,41 @@
 //! Cluster hardware specifications, including the paper's two experimental
 //! set-ups (§4).
 
+/// A finite `f64` greater than zero: the type of every bandwidth and
+/// slowdown factor (the field or parameter name carries the unit).
+/// [`Positive::new`] is the only way in, so a NaN, zero, negative or
+/// infinite bandwidth — which would time every transfer as free — cannot
+/// reach the simulator.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Positive(f64);
+
+impl Positive {
+    /// `Some` if `value` is finite and greater than zero.
+    pub const fn new(value: f64) -> Option<Self> {
+        if value.is_finite() && value > 0.0 {
+            Some(Positive(value))
+        } else {
+            None
+        }
+    }
+
+    /// The wrapped value, bit for bit what was passed to [`Positive::new`].
+    pub const fn get(self) -> f64 {
+        self.0
+    }
+}
+
+/// A preset's bandwidth literal, in MiB/s. Every call sits in a `const`
+/// block, so a literal that is not finite and positive fails the build.
+const fn preset(mib_s: f64) -> Positive {
+    match Positive::new(mib_s) {
+        Some(bandwidth) => bandwidth,
+        // drc-lint: allow(panic-hygiene): evaluated at compile time only (every
+        // call is in a `const` block), so a bad literal fails the build, not a run.
+        None => panic!("a preset bandwidth must be finite and positive"),
+    }
+}
+
 /// Static description of a homogeneous Hadoop cluster.
 ///
 /// The fields mirror the knobs the paper varies or reports: node count, map
@@ -36,9 +71,9 @@ pub struct ClusterSpec {
     /// HDFS block size in MiB.
     pub block_size_mb: u64,
     /// Sustained disk read bandwidth per node, in MiB/s.
-    pub disk_bandwidth_mbps: f64,
+    pub disk_bandwidth_mbps: Positive,
     /// Usable network bandwidth per node, in MiB/s.
-    pub network_bandwidth_mbps: f64,
+    pub network_bandwidth_mbps: Positive,
     /// RAM per node in GiB (informational; not used by the simulator).
     pub ram_gb: u64,
 }
@@ -57,8 +92,8 @@ impl ClusterSpec {
             block_size_mb: 128,
             // Laptop-class disks and a 10 Gbps LAN shared by 25 nodes:
             // effective per-node network bandwidth is what limits remote reads.
-            disk_bandwidth_mbps: 90.0,
-            network_bandwidth_mbps: 45.0,
+            disk_bandwidth_mbps: const { preset(90.0) },
+            network_bandwidth_mbps: const { preset(45.0) },
             ram_gb: 3,
         }
     }
@@ -74,8 +109,8 @@ impl ClusterSpec {
             reduce_slots_per_node: 2,
             cores_per_node: 4,
             block_size_mb: 512,
-            disk_bandwidth_mbps: 160.0,
-            network_bandwidth_mbps: 110.0,
+            disk_bandwidth_mbps: const { preset(160.0) },
+            network_bandwidth_mbps: const { preset(110.0) },
             ram_gb: 24,
         }
     }
@@ -91,8 +126,8 @@ impl ClusterSpec {
             reduce_slots_per_node: 1,
             cores_per_node: map_slots_per_node,
             block_size_mb: 128,
-            disk_bandwidth_mbps: 100.0,
-            network_bandwidth_mbps: 60.0,
+            disk_bandwidth_mbps: const { preset(100.0) },
+            network_bandwidth_mbps: const { preset(60.0) },
             ram_gb: 8,
         }
     }
@@ -108,8 +143,8 @@ impl ClusterSpec {
             reduce_slots_per_node: 1,
             cores_per_node: map_slots_per_node,
             block_size_mb: 128,
-            disk_bandwidth_mbps: 100.0,
-            network_bandwidth_mbps: 60.0,
+            disk_bandwidth_mbps: const { preset(100.0) },
+            network_bandwidth_mbps: const { preset(60.0) },
             ram_gb: 8,
         }
     }
@@ -127,8 +162,8 @@ impl ClusterSpec {
             reduce_slots_per_node: 2,
             cores_per_node: 4,
             block_size_mb: 128,
-            disk_bandwidth_mbps: 160.0,
-            network_bandwidth_mbps: 110.0,
+            disk_bandwidth_mbps: const { preset(160.0) },
+            network_bandwidth_mbps: const { preset(110.0) },
             ram_gb: 24,
         }
     }
@@ -157,28 +192,6 @@ impl ClusterSpec {
     /// Block size in bytes.
     pub fn block_size_bytes(&self) -> u64 {
         self.block_size_mb * 1024 * 1024
-    }
-
-    /// Checks that the disk and network bandwidths are finite and positive.
-    /// A simulated resource treats a non-positive bandwidth as infinitely
-    /// fast, and a NaN one turns every service time into zero, so a spec that
-    /// fails this check would simulate every read, write and repair as free.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first offending field and its value.
-    pub fn check_bandwidths(&self) -> Result<(), String> {
-        for (what, bandwidth) in [
-            ("disk_bandwidth_mbps", self.disk_bandwidth_mbps),
-            ("network_bandwidth_mbps", self.network_bandwidth_mbps),
-        ] {
-            if !(bandwidth.is_finite() && bandwidth > 0.0) {
-                return Err(format!(
-                    "{what} must be finite and positive, got {bandwidth}"
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -233,6 +246,18 @@ mod tests {
         assert_eq!(s.racks, 25);
         assert_eq!(s.total_map_slots(), 4000);
         assert_eq!(ClusterSpec::datacenter(1).racks, 1);
+    }
+
+    #[test]
+    fn positive_admits_exactly_the_finite_values_above_zero() {
+        for bad in [f64::NAN, 0.0, -0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Positive::new(bad), None, "{bad}");
+        }
+        let subnormal = f64::from_bits(1);
+        for good in [subnormal, f64::MIN_POSITIVE, 1.0, f64::MAX] {
+            let wrapped = Positive::new(good).map(Positive::get);
+            assert_eq!(wrapped.map(f64::to_bits), Some(good.to_bits()), "{good}");
+        }
     }
 
     #[test]

@@ -283,9 +283,9 @@ impl DistributedFileSystem {
     ///
     /// # Errors
     ///
-    /// Returns an error if the name exists, the data is empty, the code
-    /// does not fit the cluster, or [`ClusterSpec::check_bandwidths`] fails
-    /// (a refused write registers, stores and times nothing).
+    /// Returns an error if the name exists, the data is empty or the code
+    /// does not fit the cluster (a refused write registers, stores and
+    /// times nothing).
     pub fn write_file(
         &mut self,
         name: &str,
@@ -359,10 +359,6 @@ impl DistributedFileSystem {
                 reason: "cannot write an empty file".to_string(),
             });
         }
-        self.cluster
-            .spec()
-            .check_bandwidths()
-            .map_err(|reason| HdfsError::InvalidRequest { reason })?;
         let code = self.code(code_kind)?;
         let block_size = self.block_size();
         let k = code.data_blocks();
@@ -1602,12 +1598,15 @@ mod tests {
 
     #[test]
     fn slowdown_events_stretch_the_node_io() {
-        use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
+        use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace, Positive};
         let mut fs = DistributedFileSystem::new(tiny_spec(), 25);
         let node = NodeId(3);
         fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent::at_secs(
             1.0,
-            FailureEventKind::Slowdown { node, factor: 4.0 },
+            FailureEventKind::Slowdown {
+                node,
+                factor: Positive::new(4.0).unwrap(),
+            },
         )]));
         let reports = fs.process_all_events().unwrap();
         assert!(reports.is_empty(), "a slowdown is not a failure");

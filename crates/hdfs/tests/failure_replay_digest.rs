@@ -13,7 +13,9 @@
 //! nothing the digest covers may depend on whether blocks carry bytes
 //! (`sized_differential.rs` is the per-step version of that claim).
 
-use drc_cluster::{ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, RackId};
+use drc_cluster::{
+    ClusterSpec, FailureEvent, FailureEventKind, FailureTrace, NodeId, Positive, RackId,
+};
 use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile, FileId, RepairReport};
 use drc_sim::{PhaseClass, PhaseKind, SimDuration, SimTime};
@@ -102,7 +104,7 @@ fn composed_trace_digest(sized: bool) -> u64 {
             at_s,
             FailureEventKind::Slowdown {
                 node: NodeId(n),
-                factor,
+                factor: Positive::new(factor).unwrap(),
             },
         )
     };

@@ -3,7 +3,7 @@
 //! with a whole wave of them, so nothing is allocated per reducer (each
 //! reducer's fan-in is one `ClusterNet::gather` over a reused source list),
 //! and the list itself — `up.len()` node ids — is allocated exactly once
-//! per job.
+//! per job, as is the table of reduce-slot free instants.
 //!
 //! Lives in its own integration-test binary so the `#[global_allocator]`
 //! does not leak into other tests; only the measured thread's allocations
@@ -12,6 +12,7 @@
 use drc_cluster::{Cluster, ClusterSpec, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 use drc_mapreduce::{DelayScheduler, JobRun, JobSpec};
+use drc_sim::SimTime;
 use drc_testalloc::{close_window, open_window, CountingAlloc, Tally, Threads};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,12 +61,17 @@ fn the_shuffle_allocates_one_source_list_per_job_and_nothing_per_reducer() {
         "allocations grew with the reducer count (1 vs {wave} reducers)"
     );
 
+    // The reduce-slot table (one free instant per slot) is the job's other
+    // shuffle-side allocation. At one reduce slot per node it has the
+    // list's byte size, so the exact books count it too.
+    let slot_bytes = wave * std::mem::size_of::<SimTime>();
+    let per_job = 1 + usize::from(slot_bytes == list_bytes);
     let lists = |reducers| job_tally(&cluster, reducers, list_bytes).exact;
     let without_shuffle = lists(0);
     for reducers in [1, 2, wave] {
         assert_eq!(
             lists(reducers) - without_shuffle,
-            1,
+            per_job,
             "{reducers} reducers: source lists of {list_bytes} B allocated beyond the \
              reducer-less job"
         );

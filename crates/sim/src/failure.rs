@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 
-use drc_cluster::{Cluster, FailureEventKind, FailureTrace, NodeId};
+use drc_cluster::{Cluster, FailureEventKind, FailureTrace, NodeId, Positive};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -51,7 +51,7 @@ pub enum ReplayStep {
     /// The node rejoins; it is neither silent nor declared dead any more.
     Up(NodeId),
     /// The node's disk and NIC run at `1/factor` of nominal from now on.
-    Slowdown(NodeId, f64),
+    Slowdown(NodeId, Positive),
     /// The node stayed silent for the whole detection timeout and is now
     /// declared dead. The blind window is `[silent_since, now)`.
     Detected {
@@ -314,7 +314,7 @@ mod tests {
                     1.0,
                     FailureEventKind::Slowdown {
                         node: NodeId(0),
-                        factor: 2.0,
+                        factor: Positive::new(2.0).unwrap(),
                     },
                 ),
             ],
@@ -324,7 +324,10 @@ mod tests {
         // boundaries — node 11 went silent before the rack did.
         let mut want: Vec<(SimTime, ReplayStep)> = vec![(secs(1.0), ReplayStep::Down(NodeId(11)))];
         want.extend(members.iter().map(|&n| (secs(1.0), ReplayStep::Down(n))));
-        want.push((secs(1.0), ReplayStep::Slowdown(NodeId(0), 2.0)));
+        want.push((
+            secs(1.0),
+            ReplayStep::Slowdown(NodeId(0), Positive::new(2.0).unwrap()),
+        ));
         want.push(detected(1.0, 11, 1.0));
         want.extend(members.iter().map(|&n| detected(1.0, n.0, 1.0)));
         assert_eq!(steps, want);
@@ -359,7 +362,7 @@ mod tests {
                     5,
                     FailureEventKind::Slowdown {
                         node: ghost,
-                        factor: 2.0,
+                        factor: Positive::new(2.0).unwrap(),
                     },
                 ),
                 FailureEvent::at_ns(5, FailureEventKind::RackDown { rack: RackId(999) }),

@@ -77,8 +77,8 @@ mod timeline;
 pub use event::EventQueue;
 pub use failure::{FailureReplay, ReplayStep};
 pub use net::{
-    chunk_sizes, fabric, pull_from, pull_train, push_to, push_train, transfer_between, ClusterNet,
-    NodeIo, Transfer, TransferOutcome, MAX_PIPES,
+    chunk_sizes, pull_from, pull_train, push_to, push_train, transfer_between, ClusterNet, NodeIo,
+    Transfer, TransferOutcome, MAX_PIPES,
 };
 pub use resource::{Reservation, Resource};
 pub use time::{SimDuration, SimTime, VirtualClock};

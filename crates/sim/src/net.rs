@@ -1,7 +1,7 @@
 //! The modeled cluster I/O fabric: per-node disks and NICs plus the shared
 //! LAN, with bandwidths drawn from [`ClusterSpec`].
 
-use drc_cluster::{ClusterSpec, NodeId};
+use drc_cluster::{ClusterSpec, NodeId, Positive};
 
 use crate::resource::{fifo_grant, Reservation, Resource};
 use crate::time::{SimDuration, SimTime};
@@ -14,25 +14,6 @@ pub struct NodeIo {
     /// The node's network interface (ingress and egress share it, as on the
     /// single shared LAN of the paper's set-ups).
     pub nic: Resource,
-}
-
-impl NodeIo {
-    /// Builds one node's resources from a cluster spec's per-node bandwidths.
-    pub fn new(spec: &ClusterSpec) -> Self {
-        NodeIo {
-            disk: Resource::new(spec.disk_bandwidth_mbps),
-            nic: Resource::new(spec.network_bandwidth_mbps),
-        }
-    }
-}
-
-/// The shared LAN fabric of a cluster: aggregate traffic queues through it
-/// at `network_bandwidth_mbps × data_nodes`. [`ClusterNet`] builds its
-/// fabric here, and every layer — HDFS writes/repairs/degraded reads and
-/// the MapReduce engine's map waves and shuffle fetches — queues through
-/// the same instance when they share a [`ClusterNet`].
-pub fn fabric(spec: &ClusterSpec) -> Resource {
-    Resource::new(spec.network_bandwidth_mbps * spec.data_nodes as f64)
 }
 
 /// The most pipes one [`Transfer`] can hold: the widest path in the model is
@@ -349,7 +330,9 @@ pub fn push_train(
 /// its bytes through the fabric, so transfers between disjoint node pairs
 /// overlap while anything sharing a disk, a NIC or an oversubscribed fabric
 /// serialises — exactly the contention the paper's degraded-read and repair
-/// experiments measure.
+/// experiments measure. Every layer — HDFS writes, repairs and degraded
+/// reads, the MapReduce engine's map waves and shuffle fetches — queues
+/// through the same fabric when they share a [`ClusterNet`].
 #[derive(Debug)]
 pub struct ClusterNet {
     nodes: Vec<NodeIo>,
@@ -359,9 +342,14 @@ pub struct ClusterNet {
 impl ClusterNet {
     /// Builds the resource model for a cluster spec.
     pub fn new(spec: &ClusterSpec) -> Self {
+        let (disk, nic) = (spec.disk_bandwidth_mbps, spec.network_bandwidth_mbps);
+        let nodes = (0..spec.data_nodes).map(|_| NodeIo {
+            disk: Resource::new(disk.get()),
+            nic: Resource::new(nic.get()),
+        });
         ClusterNet {
-            nodes: (0..spec.data_nodes).map(|_| NodeIo::new(spec)).collect(),
-            fabric: fabric(spec),
+            nodes: nodes.collect(),
+            fabric: Resource::new(nic.get() * spec.data_nodes as f64),
         }
     }
 
@@ -405,7 +393,7 @@ impl ClusterNet {
     /// Slows a node's disk and NIC down by `factor` (2.0 = half speed,
     /// 1.0 = nominal) for every reservation made from now on — the
     /// substrate half of a `Slowdown` failure-trace event.
-    pub fn set_node_slowdown(&self, node: NodeId, factor: f64) {
+    pub fn set_node_slowdown(&self, node: NodeId, factor: Positive) {
         let io = self.node(node);
         io.disk.set_slowdown(factor);
         io.nic.set_slowdown(factor);
@@ -731,7 +719,7 @@ mod tests {
     fn reset_clears_reservations() {
         let net = net();
         net.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30);
-        net.set_node_slowdown(NodeId(3), 8.0);
+        net.set_node_slowdown(NodeId(3), Positive::new(8.0).unwrap());
         net.reset();
         assert_eq!(net.node(NodeId(0)).disk.next_free(), SimTime::ZERO);
         assert_eq!(net.fabric().next_free(), SimTime::ZERO);
@@ -756,13 +744,13 @@ mod tests {
     fn node_slowdown_stretches_io() {
         let net = net();
         // simulation_25: 100 MiB/s disks. At 4x slowdown, 100 MiB take 4 s.
-        net.set_node_slowdown(NodeId(1), 4.0);
+        net.set_node_slowdown(NodeId(1), Positive::new(4.0).unwrap());
         let r = net
             .node(NodeId(1))
             .disk
             .reserve_bytes(SimTime::ZERO, 100 << 20);
         assert!((r.duration().as_secs_f64() - 4.0).abs() < 1e-6);
-        net.set_node_slowdown(NodeId(1), 1.0);
+        net.set_node_slowdown(NodeId(1), Positive::new(1.0).unwrap());
         let healthy = net
             .node(NodeId(1))
             .disk

@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use drc_cluster::Positive;
+
 use crate::time::{SimDuration, SimTime};
 
 /// The virtual-time window a resource granted to one operation.
@@ -22,7 +24,7 @@ impl Reservation {
 
 /// A unit-capacity bandwidth server in virtual time.
 ///
-/// A resource (a disk, a NIC, the shared LAN fabric, a map slot) serves one
+/// A resource (a disk, a NIC, the shared LAN fabric) serves one
 /// operation at a time; an operation issued at `now` starts at
 /// `max(now, next_free)` and occupies the resource for its duration. That
 /// single rule is what makes contention visible: transfers on *different*
@@ -56,16 +58,13 @@ pub struct Resource {
     slowdown: AtomicU64,
 }
 
-impl Default for Resource {
-    fn default() -> Self {
-        Resource::new(0.0)
-    }
-}
-
 impl Resource {
     /// Creates a free resource with the given bandwidth in MiB/s.
     ///
-    /// A non-positive bandwidth models an infinitely fast resource.
+    /// A non-positive bandwidth models an infinitely fast resource. No
+    /// cluster resource reaches that rule ([`crate::ClusterNet`] builds them
+    /// from a spec's `Positive` bandwidths); only unit and property tests and
+    /// the benchmark's single-resource probe pass such a value.
     pub fn new(bandwidth_mib_s: f64) -> Self {
         Resource {
             bandwidth_mib_s,
@@ -75,7 +74,7 @@ impl Resource {
     }
 
     /// The modeled nominal bandwidth in MiB/s (before any slowdown).
-    pub fn bandwidth_mib_s(&self) -> f64 {
+    pub(crate) fn bandwidth_mib_s(&self) -> f64 {
         self.bandwidth_mib_s
     }
 
@@ -86,16 +85,10 @@ impl Resource {
 
     /// Divides the effective bandwidth by `factor` for every reservation
     /// made from now on (already-granted windows are unchanged). A factor
-    /// of 1.0 restores nominal speed; non-finite or non-positive factors
-    /// are treated as 1.0 so a degenerate trace cannot stall a resource
-    /// forever.
-    pub fn set_slowdown(&self, factor: f64) {
-        let factor = if factor.is_finite() && factor > 0.0 {
-            factor
-        } else {
-            1.0
-        };
-        self.slowdown.store(factor.to_bits(), Ordering::Release);
+    /// of 1.0 restores nominal speed.
+    pub fn set_slowdown(&self, factor: Positive) {
+        self.slowdown
+            .store(factor.get().to_bits(), Ordering::Release);
     }
 
     /// The service time for `bytes` at this resource's effective (slowdown-
@@ -194,24 +187,20 @@ mod tests {
 
     #[test]
     fn slowdown_scales_service_time_and_reset_clears_it() {
+        let factor = |f: f64| Positive::new(f).unwrap();
         let r = Resource::new(100.0);
         assert_eq!(r.slowdown(), 1.0);
-        r.set_slowdown(2.0);
+        r.set_slowdown(factor(2.0));
         assert_eq!(r.slowdown(), 2.0);
         // 100 MiB at an effective 50 MiB/s take two seconds.
         let res = r.reserve_bytes(SimTime::ZERO, 100 << 20);
         assert_eq!(res.duration().as_secs_f64(), 2.0);
         // Restoring nominal speed only affects future reservations.
-        r.set_slowdown(1.0);
+        r.set_slowdown(factor(1.0));
         let healthy = r.reserve_bytes(SimTime::ZERO, 100 << 20);
         assert_eq!(healthy.duration().as_secs_f64(), 1.0);
         assert_eq!(healthy.start, res.end);
-        // Degenerate factors never stall the resource.
-        r.set_slowdown(f64::NAN);
-        assert_eq!(r.slowdown(), 1.0);
-        r.set_slowdown(-3.0);
-        assert_eq!(r.slowdown(), 1.0);
-        r.set_slowdown(4.0);
+        r.set_slowdown(factor(4.0));
         r.reset();
         assert_eq!(r.slowdown(), 1.0);
     }

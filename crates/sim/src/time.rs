@@ -23,16 +23,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The later of two instants.
-    #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
     /// The time elapsed since `earlier` (zero if `earlier` is later).
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -60,12 +50,10 @@ impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Converts from (non-negative, finite) seconds, rounding to the nearest
-    /// nanosecond.
+    /// Converts from seconds, rounding to the nearest nanosecond. NaN and
+    /// non-positive seconds are zero; anything past `u64::MAX` ns, +∞
+    /// included, saturates at `u64::MAX` (the `as` cast saturates).
     pub fn from_secs_f64(secs: f64) -> SimDuration {
-        if !secs.is_finite() || secs <= 0.0 {
-            return SimDuration::ZERO;
-        }
         SimDuration((secs * 1e9).round() as u64)
     }
 
@@ -77,8 +65,8 @@ impl SimDuration {
     /// Time to move `bytes` through a pipe of `bandwidth_mib_s` MiB/s.
     ///
     /// A non-positive bandwidth models an infinitely fast resource (zero
-    /// duration), which keeps degenerate specs harmless.
-    pub fn for_bytes(bytes: u64, bandwidth_mib_s: f64) -> SimDuration {
+    /// duration); see [`crate::Resource::new`] for who still reaches it.
+    pub(crate) fn for_bytes(bytes: u64, bandwidth_mib_s: f64) -> SimDuration {
         if bandwidth_mib_s <= 0.0 {
             return SimDuration::ZERO;
         }
@@ -144,6 +132,10 @@ mod tests {
         assert_eq!(SimDuration::for_bytes(1 << 30, 0.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
+        // Overflow saturates, +∞ included: never a free transfer.
+        let never_free = SimDuration(u64::MAX);
+        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), never_free);
+        assert_eq!(SimDuration::for_bytes(1 << 20, 1e-310), never_free);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! does not leak into other tests; only the measured thread's allocations
 //! count (`drc_testalloc::Threads::Current`).
 
-use drc_cluster::{ClusterSpec, NodeId};
+use drc_cluster::{ClusterSpec, NodeId, Positive};
 use drc_sim::{ClusterNet, SimDuration, SimTime};
 use drc_testalloc::{close_window, open_window, CountingAlloc, Threads};
 
@@ -22,7 +22,7 @@ fn a_119_source_gather_allocates_nothing() {
     assert_eq!(remote.len(), 119);
     let mut messy = remote.clone();
     messy.extend([dest, NodeId(3), NodeId(3)]);
-    net.set_node_slowdown(NodeId(40), 2.5);
+    net.set_node_slowdown(NodeId(40), Positive::new(2.5).unwrap());
     net.fabric().occupy_until(SimTime(1_000_000));
 
     let mut fetches = 0usize;

@@ -5,8 +5,8 @@
 //! window, the same per-pipe waits and the same fabric delay, and must leave
 //! every disk, NIC and the fabric with the same cursor.
 //!
-//! The cases cross bytes ∈ {0, 1, odd, 1 MiB}, a zero-bandwidth
-//! (infinitely fast) spec, the epoch and a non-zero issue instant, idle
+//! The cases cross bytes ∈ {0, 1, odd, 1 MiB}, an instant-service spec
+//! (every fetch rounds to 0 ns), the epoch and a non-zero issue instant, idle
 //! and pre-loaded cursors (sources busy before and after `now`, a busy
 //! destination NIC, a busy fabric), per-node slowdowns with adjacent
 //! sources at different factors (and a slowed destination), and source
@@ -24,7 +24,7 @@
 //!    served at nominal speed): fails at "simulation_25, 1 B, now 0,
 //!    slowed, all remote, dest 0: fetches differ".
 
-use drc_cluster::{ClusterSpec, NodeId};
+use drc_cluster::{ClusterSpec, NodeId, Positive};
 use drc_sim::{ClusterNet, Reservation, SimDuration, SimTime, Transfer, TransferOutcome};
 
 /// One granted fetch, as both issue paths report it.
@@ -115,16 +115,20 @@ fn preload(net: &ClusterNet, now: SimTime) {
 /// Slowdowns at different factors on adjacent sources, the second
 /// gather's destination among them.
 fn slow_down(net: &ClusterNet) {
-    net.set_node_slowdown(NodeId(3), 2.0);
-    net.set_node_slowdown(NodeId(4), 3.5);
-    net.set_node_slowdown(NodeId(6), 0.5);
-    net.set_node_slowdown(NodeId(5), 1.5);
+    let factor = |f: f64| Positive::new(f).unwrap();
+    net.set_node_slowdown(NodeId(3), factor(2.0));
+    net.set_node_slowdown(NodeId(4), factor(3.5));
+    net.set_node_slowdown(NodeId(6), factor(0.5));
+    net.set_node_slowdown(NodeId(5), factor(1.5));
 }
 
-fn zero_bandwidth_spec() -> ClusterSpec {
+/// A valid spec whose every fetch rounds to zero nanoseconds: 12 MiB at
+/// 1e15 MiB/s (even at the 3.5× slowdown) is ~4e-5 ns.
+fn instant_service_spec() -> ClusterSpec {
     let mut spec = ClusterSpec::simulation_25(4);
-    spec.network_bandwidth_mbps = 0.0;
-    spec.disk_bandwidth_mbps = 0.0;
+    let instant = Positive::new(1e15).unwrap();
+    spec.network_bandwidth_mbps = instant;
+    spec.disk_bandwidth_mbps = instant;
     spec
 }
 
@@ -144,7 +148,7 @@ fn gather_grants_what_the_transfer_loop_grants() {
     let mut delayed_by_fabric = 0;
     for (spec_name, spec) in [
         ("simulation_25", ClusterSpec::simulation_25(4)),
-        ("zero bandwidth", zero_bandwidth_spec()),
+        ("instant service", instant_service_spec()),
     ] {
         for bytes in [0u64, 1, 12_345_679, 1 << 20] {
             for now in [SimTime::ZERO, SimTime(3_141_592_653)] {
@@ -172,6 +176,15 @@ fn gather_grants_what_the_transfer_loop_grants() {
                                 let want = by_transfers(&a, now, dest, sources, bytes);
                                 let got = by_gather(&b, now, dest, sources, bytes);
                                 assert_eq!(got, want, "{what}, dest {dest:?}: fetches differ");
+                                if spec_name == "instant service" {
+                                    // Only a pre-loaded fabric can hold a
+                                    // fetch open; no pipe takes any time.
+                                    assert!(
+                                        want.iter()
+                                            .all(|f| f.reservation.duration() == f.fabric_delay),
+                                        "{what}, dest {dest:?}: a pipe took time"
+                                    );
+                                }
                                 assert_eq!(
                                     state(&b),
                                     state(&a),

@@ -1,5 +1,5 @@
 //! Property tests for `Resource`, the unit-capacity bandwidth server every
-//! disk, NIC, fabric and slot is built from. Random operation sequences
+//! disk, NIC and fabric is built from. Random operation sequences
 //! hold its contract:
 //!
 //! * **FIFO, no backfill** — a grant issued at `now` starts exactly at
@@ -10,7 +10,11 @@
 //! * `occupy_until` an instant at or before the cursor changes nothing;
 //! * `reset` returns to the epoch at nominal speed: the next grant equals
 //!   a fresh resource's.
+//!
+//! A degenerate slowdown factor (zero, negative, NaN) cannot reach a
+//! resource at all: `Positive::new` rejects it.
 
+use drc_cluster::Positive;
 use drc_sim::{Resource, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -20,7 +24,7 @@ enum Op {
     ReserveBytes { now: SimTime, bytes: u64 },
     ReserveFor { now: SimTime, duration: SimDuration },
     Occupy { end: SimTime },
-    Slowdown { factor: f64 },
+    Slowdown { factor: Positive },
     Reset,
 }
 
@@ -42,7 +46,7 @@ fn op(word: u64) -> Op {
         },
         10..=12 => Op::Occupy { end: instant(arg) },
         13 | 14 => Op::Slowdown {
-            factor: [0.5, 1.0, 2.0, 3.5, 0.0, -1.0, f64::NAN][(arg % 7) as usize],
+            factor: Positive::new([0.5, 1.0, 2.0, 3.5][(arg % 4) as usize]).unwrap(),
         },
         _ => Op::Reset,
     }
@@ -50,6 +54,13 @@ fn op(word: u64) -> Op {
 
 fn bandwidth(pick: u64) -> f64 {
     [0.0, 1.0, 45.0, 60.0, 100.0, 1500.0][(pick % 6) as usize]
+}
+
+#[test]
+fn degenerate_slowdown_factors_are_rejected_by_the_type() {
+    for factor in [0.0, -1.0, f64::NAN] {
+        assert_eq!(Positive::new(factor), None, "{factor}");
+    }
 }
 
 proptest! {

@@ -210,7 +210,7 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
 #[test]
 fn events_naming_nodes_outside_the_cluster_change_nothing_in_either_consumer() {
     use drc_core::cluster::{
-        FailureEvent, FailureEventKind, PlacementMap, PlacementPolicy, RackId,
+        FailureEvent, FailureEventKind, PlacementMap, PlacementPolicy, Positive, RackId,
     };
     let ghost = NodeId(999);
     let hostile = FailureTrace::from_events(vec![
@@ -220,7 +220,7 @@ fn events_naming_nodes_outside_the_cluster_change_nothing_in_either_consumer() {
             5,
             FailureEventKind::Slowdown {
                 node: ghost,
-                factor: 4.0,
+                factor: Positive::new(4.0).unwrap(),
             },
         ),
         FailureEvent::at_ns(5, FailureEventKind::RackDown { rack: RackId(999) }),
