@@ -19,7 +19,7 @@ use drc_mapreduce::{JobRun, SchedulerKind};
 use drc_workloads::{provision_workload, WorkloadKind};
 
 use crate::experiments::{harness, Effort, DEFAULT_SEED};
-use crate::render::TextTable;
+use crate::render::{Row, Table};
 use crate::DrcError;
 
 /// Mean measurements for one `(code, failed nodes)` point.
@@ -42,32 +42,16 @@ pub struct DegradedPoint {
     pub failed_job_fraction: f64,
 }
 
-/// The degraded-mode MapReduce report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DegradedMrReport {
-    /// Load percentage used for every point.
-    pub load_percent: f64,
-    /// The measured points.
-    pub points: Vec<DegradedPoint>,
-}
-
-impl DegradedMrReport {
-    /// Looks up one point.
-    pub fn point(&self, code: CodeKind, failed_nodes: usize) -> Option<&DegradedPoint> {
-        self.points
-            .iter()
-            .find(|p| p.code == code && p.failed_nodes == failed_nodes)
-    }
-}
-
 /// Runs the degraded-mode experiment at 75% load on set-up 1 for 2-rep,
-/// 3-rep, pentagon and heptagon with 0, 1 and 2 failed nodes.
+/// 3-rep, pentagon and heptagon with 0, 1 and 2 failed nodes, one point
+/// per `(code, failed nodes)` in that order. The table prints the load as
+/// its configuration and its points under `points`.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors; unreadable blocks (2-rep with both
 /// replicas down) are counted as failed jobs rather than returned as errors.
-pub fn run_degraded_mr(effort: Effort) -> Result<DegradedMrReport, DrcError> {
+pub fn run_degraded_mr(effort: Effort) -> Result<Table<DegradedPoint>, DrcError> {
     let load = 75.0;
     let trials = (effort.trials() / 3).max(5);
     // One cell per (code, failed-node-count) point; trials stay serial
@@ -84,9 +68,10 @@ pub fn run_degraded_mr(effort: Effort) -> Result<DegradedMrReport, DrcError> {
             move || degraded_point(code_kind, failed_nodes, load, trials)
         })
         .collect();
-    Ok(DegradedMrReport {
-        load_percent: load,
-        points: harness::run_cells(cells)?,
+    Ok(Table {
+        title: format!("Terasort under node failures (set-up 1, {load:.0}% load)"),
+        config: vec![("load_percent", load.serialize())],
+        rows: harness::run_cells(cells)?,
     })
 }
 
@@ -152,35 +137,28 @@ fn degraded_point(
     })
 }
 
-impl std::fmt::Display for DegradedMrReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Terasort under node failures (set-up 1, {:.0}% load)",
-                self.load_percent
-            ),
-            &[
-                "Code",
-                "Failed nodes",
-                "Job time (s)",
-                "Locality",
-                "Degraded reads",
-                "Traffic (GB)",
-                "Failed jobs",
-            ],
-        );
-        for p in &self.points {
-            table.push_row(vec![
-                p.code.to_string(),
-                p.failed_nodes.to_string(),
-                format!("{:.1}", p.job_time_s),
-                format!("{:.1}%", p.data_locality_percent),
-                format!("{:.2}", p.degraded_reads),
-                format!("{:.2}", p.network_traffic_gb),
-                format!("{:.0}%", p.failed_job_fraction * 100.0),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for DegradedPoint {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Failed nodes",
+        "Job time (s)",
+        "Locality",
+        "Degraded reads",
+        "Traffic (GB)",
+        "Failed jobs",
+    ];
+    const KEY: &'static str = "points";
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            self.failed_nodes.to_string(),
+            format!("{:.1}", self.job_time_s),
+            format!("{:.1}%", self.data_locality_percent),
+            format!("{:.2}", self.degraded_reads),
+            format!("{:.2}", self.network_traffic_gb),
+            format!("{:.0}%", self.failed_job_fraction * 100.0),
+        ]
     }
 }
 
@@ -191,8 +169,14 @@ mod tests {
     #[test]
     fn degraded_mode_shape() {
         let report = run_degraded_mr(Effort::Quick).unwrap();
-        assert_eq!(report.points.len(), 4 * 3);
-        let p = |code, failed| report.point(code, failed).unwrap();
+        assert_eq!(report.rows.len(), 4 * 3);
+        let p = |code, failed| {
+            report
+                .rows
+                .iter()
+                .find(|p| p.code == code && p.failed_nodes == failed)
+                .unwrap()
+        };
 
         for code in CodeKind::fig4_set() {
             // No failures -> no degraded reads and no failed jobs.

@@ -18,7 +18,7 @@ use drc_codes::{CodeKind, StripeEncoder};
 use drc_hdfs::Bytes;
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{Row, Table};
 use crate::DrcError;
 
 /// Encoding-throughput measurement for one code.
@@ -37,26 +37,17 @@ pub struct EncodingRow {
     pub elapsed_s: f64,
 }
 
-/// The encoding-duration table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct EncodingReport {
-    /// Block size used for the measurement, in bytes.
-    pub block_bytes: usize,
-    /// Stripes encoded per code.
-    pub stripes: usize,
-    /// One row per code.
-    pub rows: Vec<EncodingRow>,
-}
-
 /// Measures encoding throughput for the paper's codes.
 ///
 /// `block_bytes` is the payload size per block and `stripes` the number of
-/// stripes encoded per code (more stripes → more stable numbers).
+/// stripes encoded per code (more stripes → more stable numbers); the table
+/// prints both as its configuration.
 ///
 /// # Errors
 ///
 /// Returns an error only if a code fails to build or encode.
-pub fn run_encoding(block_bytes: usize, stripes: usize) -> Result<EncodingReport, DrcError> {
+pub fn run_encoding(block_bytes: usize, stripes: usize) -> Result<Table<EncodingRow>, DrcError> {
+    let stripes = stripes.max(1);
     let mut kinds = vec![CodeKind::TWO_REP];
     kinds.extend(CodeKind::table1_set());
     // One stripe of the widest code, shared: each cell slices its `k`
@@ -74,15 +65,21 @@ pub fn run_encoding(block_bytes: usize, stripes: usize) -> Result<EncodingReport
         .into_iter()
         .map(|kind| move || encoding_row(kind, block_bytes, stripes, payload))
         .collect();
-    Ok(EncodingReport {
-        block_bytes,
-        stripes: stripes.max(1),
+    Ok(Table {
+        title: format!(
+            "Encoding throughput ({} KiB blocks, {stripes} stripes per code)",
+            block_bytes / 1024
+        ),
+        config: vec![
+            ("block_bytes", block_bytes.serialize()),
+            ("stripes", stripes.serialize()),
+        ],
         rows: harness::run_cells(cells)?,
     })
 }
 
-/// Encodes `stripes` stripes through the production encode path for one code
-/// and measures throughput.
+/// Encodes `stripes` (≥ 1) stripes through the production encode path for
+/// one code and measures throughput.
 fn encoding_row(
     kind: CodeKind,
     block_bytes: usize,
@@ -102,12 +99,12 @@ fn encoding_row(
     // wall-clock read in `drc_core` (`throughput_mb_per_s` / `elapsed_s`).
     let start = Instant::now();
     let mut parity_bytes = 0usize;
-    for _ in 0..stripes.max(1) {
+    for _ in 0..stripes {
         let parities = encoder.encode(code.as_ref(), &data)?;
         parity_bytes = parities.iter().map(Vec::len).sum();
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let data_bytes = k * block_bytes * stripes.max(1);
+    let data_bytes = k * block_bytes * stripes;
     Ok(EncodingRow {
         code: kind,
         stripe_data_bytes: k * block_bytes,
@@ -117,30 +114,21 @@ fn encoding_row(
     })
 }
 
-impl std::fmt::Display for EncodingReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Encoding throughput ({} KiB blocks, {} stripes per code)",
-                self.block_bytes / 1024,
-                self.stripes
-            ),
-            &[
-                "Code",
-                "Data per stripe",
-                "Parity per stripe",
-                "Throughput (MiB/s)",
-            ],
-        );
-        for row in &self.rows {
-            table.push_row(vec![
-                row.code.to_string(),
-                format!("{} KiB", row.stripe_data_bytes / 1024),
-                format!("{} KiB", row.stripe_parity_bytes / 1024),
-                format!("{:.0}", row.throughput_mb_per_s),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for EncodingRow {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Data per stripe",
+        "Parity per stripe",
+        "Throughput (MiB/s)",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{} KiB", self.stripe_data_bytes / 1024),
+            format!("{} KiB", self.stripe_parity_bytes / 1024),
+            format!("{:.0}", self.throughput_mb_per_s),
+        ]
     }
 }
 

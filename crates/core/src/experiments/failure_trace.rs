@@ -34,7 +34,7 @@ use drc_reliability::ReliabilityParams;
 use drc_sim::{overlap, PhaseClass, SimDuration};
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{mib, Row, Table};
 use crate::DrcError;
 
 /// One `(code, detection timeout, arrival rate)` point of the sweep.
@@ -68,47 +68,6 @@ pub struct FailureTracePoint {
     pub repair_job_overlap_s: f64,
 }
 
-/// The trace-driven failure report: one row per sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FailureTraceReport {
-    /// Block size used, in bytes.
-    pub block_bytes: u64,
-    /// Map tasks targeted per file.
-    pub target_tasks: usize,
-    /// The sweep points.
-    pub rows: Vec<FailureTracePoint>,
-}
-
-impl FailureTraceReport {
-    /// Looks up one sweep point.
-    pub fn point(
-        &self,
-        code: CodeKind,
-        timeout_s: f64,
-        acceleration: f64,
-    ) -> Option<&FailureTracePoint> {
-        self.rows.iter().find(|r| {
-            r.code == code
-                && (r.detection_timeout_s - timeout_s).abs() < 1e-9
-                && (r.rate_acceleration - acceleration).abs() < 1e-3
-        })
-    }
-
-    /// The largest job slowdown across the sweep — the table's headline
-    /// number.
-    pub fn headline_slowdown(&self) -> f64 {
-        self.rows.iter().map(|r| r.slowdown).fold(1.0, f64::max)
-    }
-
-    /// The largest repair∩job overlap across the sweep, in seconds.
-    pub fn max_repair_job_overlap_s(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.repair_job_overlap_s)
-            .fold(0.0, f64::max)
-    }
-}
-
 /// The failure-free measurement a sweep point is compared against.
 #[derive(Clone)]
 struct Baseline {
@@ -136,7 +95,9 @@ fn code_salt(code: CodeKind) -> u64 {
 /// then sweeps detection timeouts (fractions of the measured map phase) ×
 /// accelerated Poisson arrival rates. Failure counts are capped at the
 /// code's fault tolerance (at most 2; 1 for 2-rep) so every trace stays
-/// survivable — the cap is part of the report (`failures_injected`).
+/// survivable — the cap is part of the report (`failures_injected`). One
+/// row per sweep point, code by code; the table prints `block_bytes` and
+/// `target_tasks` as its configuration.
 ///
 /// # Errors
 ///
@@ -146,7 +107,7 @@ fn code_salt(code: CodeKind) -> u64 {
 pub fn run_failure_trace(
     block_bytes: usize,
     target_tasks: usize,
-) -> Result<FailureTraceReport, DrcError> {
+) -> Result<Table<FailureTracePoint>, DrcError> {
     let codes = [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,
@@ -201,9 +162,15 @@ pub fn run_failure_trace(
             }
         }
     }
-    Ok(FailureTraceReport {
-        block_bytes: block_bytes as u64,
-        target_tasks,
+    Ok(Table {
+        title: format!(
+            "Job slowdown under live failure traces ({target_tasks} tasks, {} MiB blocks)",
+            block_bytes / (1024 * 1024)
+        ),
+        config: vec![
+            ("block_bytes", block_bytes.serialize()),
+            ("target_tasks", target_tasks.serialize()),
+        ],
         rows: harness::run_cells(cells)?,
     })
 }
@@ -355,44 +322,35 @@ fn run_window(
     Ok((baseline, point))
 }
 
-impl std::fmt::Display for FailureTraceReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Job slowdown under live failure traces ({} tasks, {} MiB blocks)",
-                self.target_tasks,
-                self.block_bytes / (1024 * 1024)
-            ),
-            &[
-                "Code",
-                "Detect (s)",
-                "Accel",
-                "Failures",
-                "Baseline (s)",
-                "Traced (s)",
-                "Slowdown",
-                "Re-exec",
-                "Lag (s)",
-                "Repair (MiB)",
-                "Repair∩job (s)",
-            ],
-        );
-        for r in &self.rows {
-            table.push_row(vec![
-                r.code.to_string(),
-                format!("{:.3}", r.detection_timeout_s),
-                format!("{:.1e}", r.rate_acceleration),
-                r.failures_injected.to_string(),
-                format!("{:.3}", r.baseline_job_s),
-                format!("{:.3}", r.traced_job_s),
-                format!("{:.2}x", r.slowdown),
-                r.tasks_reexecuted.to_string(),
-                format!("{:.3}", r.detection_lag_s),
-                format!("{:.1}", r.repair_network_bytes as f64 / (1024.0 * 1024.0)),
-                format!("{:.3}", r.repair_job_overlap_s),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for FailureTracePoint {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Detect (s)",
+        "Accel",
+        "Failures",
+        "Baseline (s)",
+        "Traced (s)",
+        "Slowdown",
+        "Re-exec",
+        "Lag (s)",
+        "Repair (MiB)",
+        "Repair∩job (s)",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{:.3}", self.detection_timeout_s),
+            format!("{:.1e}", self.rate_acceleration),
+            self.failures_injected.to_string(),
+            format!("{:.3}", self.baseline_job_s),
+            format!("{:.3}", self.traced_job_s),
+            format!("{:.2}x", self.slowdown),
+            self.tasks_reexecuted.to_string(),
+            format!("{:.3}", self.detection_lag_s),
+            mib(self.repair_network_bytes),
+            format!("{:.3}", self.repair_job_overlap_s),
+        ]
     }
 }
 
@@ -450,8 +408,7 @@ mod tests {
         }
         // The acceptance headline: detection-lag-dependent slowdown with
         // auto-repair traffic overlapping the job on the shared substrate.
-        assert!(report.headline_slowdown() > 1.0);
-        assert!(report.max_repair_job_overlap_s() > 0.0);
+        assert!(report.rows.iter().any(|r| r.slowdown > 1.0));
         // Slowdown is detection-lag-dependent: for each (code, rate), the
         // long-timeout run is at least as slow as the short one, and
         // strictly slower somewhere.
@@ -480,12 +437,7 @@ mod tests {
         assert!(strictly > 0, "some point must show strict lag dependence");
         let text = report.to_string();
         assert!(text.contains("Slowdown"));
-        assert!(report
-            .point(
-                CodeKind::Pentagon,
-                report.rows[4].detection_timeout_s,
-                report.rows[4].rate_acceleration
-            )
-            .is_some());
+        // Rows come code by code, four sweep points each.
+        assert_eq!(report.rows[4].code, CodeKind::Pentagon);
     }
 }

@@ -19,33 +19,6 @@ pub struct Fig3Data {
     pub points: Vec<LocalityResult>,
 }
 
-impl Fig3Data {
-    /// The locality points of one panel (a fixed µ and scheduler), ordered by
-    /// code then load — one plotted curve per code.
-    pub fn panel(&self, map_slots: usize, scheduler: SchedulerKind) -> Vec<&LocalityResult> {
-        self.points
-            .iter()
-            .filter(|p| p.map_slots == map_slots && p.scheduler == scheduler)
-            .collect()
-    }
-
-    /// Looks up a single point.
-    pub fn point(
-        &self,
-        map_slots: usize,
-        scheduler: SchedulerKind,
-        code: CodeKind,
-        load: f64,
-    ) -> Option<&LocalityResult> {
-        self.points.iter().find(|p| {
-            p.map_slots == map_slots
-                && p.scheduler == scheduler
-                && p.code == code
-                && (p.load_percent - load).abs() < 1e-9
-        })
-    }
-}
-
 /// Runs the Fig. 3 simulation sweep.
 ///
 /// The three top panels sweep µ ∈ {2, 4, 8} with delay scheduling and maximum
@@ -128,11 +101,14 @@ impl std::fmt::Display for Fig3Data {
                 for code in codes {
                     let mut cells = vec![code.to_string()];
                     for load in &loads {
-                        let value = self
-                            .point(mu, scheduler, code, load.percent)
-                            .map(|p| format!("{:.1}%", p.mean_locality_percent))
-                            .unwrap_or_else(|| "-".to_string());
-                        cells.push(value);
+                        let point = self.points.iter().find(|p| {
+                            (p.map_slots, p.scheduler, p.code) == (mu, scheduler, code)
+                                && p.load_percent == load.percent
+                        });
+                        cells.push(point.map_or_else(
+                            || "-".to_string(),
+                            |p| format!("{:.1}%", p.mean_locality_percent),
+                        ));
                     }
                     table.push_row(cells);
                 }
@@ -147,20 +123,40 @@ impl std::fmt::Display for Fig3Data {
 mod tests {
     use super::*;
 
+    /// The points of one `(µ, scheduler, code, load)` selection.
+    fn select(
+        data: &Fig3Data,
+        mu: usize,
+        scheduler: SchedulerKind,
+        code: Option<CodeKind>,
+        load: Option<f64>,
+    ) -> Vec<&LocalityResult> {
+        data.points
+            .iter()
+            .filter(|p| p.map_slots == mu && p.scheduler == scheduler)
+            .filter(|p| code.is_none_or(|c| p.code == c))
+            .filter(|p| load.is_none_or(|l| p.load_percent == l))
+            .collect()
+    }
+
     #[test]
     fn sweep_covers_every_panel_of_the_figure() {
         let data = run_fig3(Effort::Quick).unwrap();
         // 3 slots x 3 codes x 2 schedulers x 4 loads + peeling: 2 codes x 4 loads.
         assert_eq!(data.points.len(), 3 * 3 * 2 * 4 + 2 * 4);
+        let panel = |mu, scheduler| select(&data, mu, scheduler, None, None).len();
         for &mu in &[2usize, 4, 8] {
-            assert_eq!(data.panel(mu, SchedulerKind::Delay).len(), 12);
-            assert_eq!(data.panel(mu, SchedulerKind::MaxMatching).len(), 12);
+            assert_eq!(panel(mu, SchedulerKind::Delay), 12);
+            assert_eq!(panel(mu, SchedulerKind::MaxMatching), 12);
         }
-        assert_eq!(data.panel(4, SchedulerKind::Peeling).len(), 8);
-        assert_eq!(data.panel(2, SchedulerKind::Peeling).len(), 0);
-        assert!(data
-            .point(2, SchedulerKind::Delay, CodeKind::Pentagon, 100.0)
-            .is_some());
+        assert_eq!(panel(4, SchedulerKind::Peeling), 8);
+        assert_eq!(panel(2, SchedulerKind::Peeling), 0);
+        let full = Some(100.0);
+        let pentagon = Some(CodeKind::Pentagon);
+        assert_eq!(
+            select(&data, 2, SchedulerKind::Delay, pentagon, full).len(),
+            1
+        );
         let rendered = data.to_string();
         assert!(rendered.contains("mu = 2"));
         assert!(rendered.contains("peeling"));
@@ -170,9 +166,9 @@ mod tests {
     fn figure_shape_matches_paper() {
         let data = run_fig3(Effort::Quick).unwrap();
         let loc = |mu, sched, code, load| {
-            data.point(mu, sched, code, load)
-                .unwrap()
-                .mean_locality_percent
+            let point = select(&data, mu, sched, Some(code), Some(load));
+            assert_eq!(point.len(), 1, "one point per µ, scheduler, code and load");
+            point[0].mean_locality_percent
         };
         // At mu = 2 and full load the ordering is 2-rep > pentagon > heptagon.
         assert!(

@@ -11,7 +11,7 @@ use drc_mapreduce::{JobRun, SchedulerKind};
 use drc_workloads::{provision_workload, setup1_loads, LoadPoint, WorkloadKind};
 
 use crate::experiments::{harness, Effort, DEFAULT_SEED};
-use crate::render::TextTable;
+use crate::render::{write_rows, Row};
 use crate::DrcError;
 
 /// Mean measurements for one `(code, load)` point of a Terasort sweep.
@@ -42,15 +42,6 @@ pub struct TerasortSweep {
     pub points: Vec<TerasortPoint>,
 }
 
-impl TerasortSweep {
-    /// Looks up one point.
-    pub fn point(&self, code: CodeKind, load: f64) -> Option<&TerasortPoint> {
-        self.points
-            .iter()
-            .find(|p| p.code == code && (p.load_percent - load).abs() < 1e-9)
-    }
-}
-
 /// Runs the Fig. 4 sweep: set-up 1, delay scheduling, Terasort, loads
 /// 50–100%, codes 3-rep / 2-rep / pentagon / heptagon.
 ///
@@ -68,8 +59,8 @@ pub fn run_fig4(effort: Effort) -> Result<TerasortSweep, DrcError> {
     )
 }
 
-/// Shared sweep driver used by Fig. 4, Fig. 5 and the degraded-mode
-/// experiment.
+/// The Terasort sweep behind Fig. 4 and Fig. 5: one point per
+/// `(code, load)`, ordered by code then load.
 pub fn run_terasort_sweep(
     setup: &str,
     spec: ClusterSpec,
@@ -150,30 +141,31 @@ fn terasort_point(
     })
 }
 
+impl Row for TerasortPoint {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Load",
+        "Job time (s)",
+        "Network traffic (GB)",
+        "Data locality",
+        "Degraded reads",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{:.0}%", self.load_percent),
+            format!("{:.1}", self.job_time_s),
+            format!("{:.2}", self.network_traffic_gb),
+            format!("{:.1}%", self.data_locality_percent),
+            format!("{:.1}", self.degraded_reads),
+        ]
+    }
+}
+
 impl std::fmt::Display for TerasortSweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!("Terasort on {}", self.setup),
-            &[
-                "Code",
-                "Load",
-                "Job time (s)",
-                "Network traffic (GB)",
-                "Data locality",
-                "Degraded reads",
-            ],
-        );
-        for p in &self.points {
-            table.push_row(vec![
-                p.code.to_string(),
-                format!("{:.0}%", p.load_percent),
-                format!("{:.1}", p.job_time_s),
-                format!("{:.2}", p.network_traffic_gb),
-                format!("{:.1}%", p.data_locality_percent),
-                format!("{:.1}", p.degraded_reads),
-            ]);
-        }
-        write!(f, "{table}")
+        write_rows(f, &format!("Terasort on {}", self.setup), &self.points)
     }
 }
 
@@ -187,7 +179,13 @@ mod tests {
         // 4 codes x 3 loads.
         assert_eq!(sweep.points.len(), 12);
 
-        let p = |code, load| sweep.point(code, load).unwrap();
+        let p = |code, load| {
+            sweep
+                .points
+                .iter()
+                .find(|p| p.code == code && p.load_percent == load)
+                .unwrap()
+        };
         // (i) At moderate load 2-rep performs very close to 3-rep.
         let two = p(CodeKind::TWO_REP, 50.0);
         let three = p(CodeKind::THREE_REP, 50.0);

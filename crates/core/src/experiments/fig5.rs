@@ -38,7 +38,13 @@ mod tests {
     fn fig5_shape_matches_paper() {
         let sweep = run_fig5(Effort::Quick).unwrap();
         assert_eq!(sweep.points.len(), 3 * 4);
-        let p = |code, load| sweep.point(code, load).unwrap();
+        let p = |code, load| {
+            sweep
+                .points
+                .iter()
+                .find(|p| p.code == code && p.load_percent == load)
+                .unwrap()
+        };
         // The paper's conclusion (iv): with 4 cores/slots per node, the
         // pentagon's performance is very close to 2-rep up to 75% load.
         let pent = p(CodeKind::Pentagon, 75.0);

@@ -4,7 +4,7 @@
 //! experiment × [`drc_codes::CodeKind`] × configuration point — that builds
 //! its own private `ClusterNet` and rng, shares nothing with its siblings,
 //! and returns a typed result. Every experiment module expresses its sweep
-//! as an ordered list of cells and hands them to [`run_cells`], which runs
+//! as an ordered list of cells and hands them to `run_cells`, which runs
 //! them on scoped threads (the caller among them) that each take the next
 //! untaken cell from one shared queue, and merges the results **in the
 //! original cell order after the join**. This is the workspace's only
@@ -30,7 +30,7 @@
 //!
 //! # Width
 //!
-//! The fan-out width is resolved per [`run_cells`] call: a thread-local
+//! The fan-out width is resolved per `run_cells` call: a thread-local
 //! [`with_jobs`] override (used by differential tests and the benchmark),
 //! else `std::thread::available_parallelism()`. No environment variable
 //! sets it.
@@ -43,7 +43,7 @@
 //! The virtual-time cells store none. Every figure `overlap`,
 //! `shuffle_contention`, `failure_trace` and `repair_pipeline` report is
 //! virtual time or a byte count, and both are functions of block *lengths*:
-//! a driver calls [`stripe_files`], which builds one length-only
+//! a driver calls `stripe_files`, which builds one length-only
 //! [`EncodedFile`] per code (`EncodedFile::sized` — the stripes × blocks
 //! structure with nothing behind it), and every cell of that code ingests
 //! it through `write_encoded`. Placement draws, timed events, plans, chunk
@@ -54,7 +54,7 @@
 //! full-effort arms run the paper's 128 MiB blocks.
 //!
 //! Real bytes live where they are the point: `encoding` measures real
-//! encodes over a [`pattern_payload`], and the byte-exactness proofs (the
+//! encodes over a `pattern_payload`, and the byte-exactness proofs (the
 //! hdfs tests, `repair_pipeline`'s `#[cfg(test)]` replica check) build
 //! `EncodedFile::encode(pattern_payload(..))` files. A cell that needs the
 //! whole-file read's *timing* calls `read_file_blocks` — the handle read
@@ -78,7 +78,7 @@ use crate::DrcError;
 /// [`ClusterSpec`] counts its block size in whole MiB: a zero or
 /// non-whole-MiB `block_bytes` is [`DrcError::InvalidExperiment`] rather
 /// than a silently different block size.
-pub fn byte_cluster_spec(block_bytes: usize) -> Result<ClusterSpec, DrcError> {
+pub(crate) fn byte_cluster_spec(block_bytes: usize) -> Result<ClusterSpec, DrcError> {
     const MIB: usize = 1024 * 1024;
     if block_bytes == 0 || !block_bytes.is_multiple_of(MIB) {
         return Err(DrcError::InvalidExperiment {
@@ -105,7 +105,7 @@ pub fn byte_cluster_spec(block_bytes: usize) -> Result<ClusterSpec, DrcError> {
 /// The bytes are written once, front to back, into a
 /// `drc_gf::bufpool::bulk_with_capacity` buffer: a payload of 2 MiB or more
 /// first-touches one huge page per fault where the host grants them.
-pub fn pattern_payload(len: usize) -> Bytes {
+pub(crate) fn pattern_payload(len: usize) -> Bytes {
     let ramp: [u8; 256] = std::array::from_fn(|i| (i * 31 + 7) as u8);
     let mut buf = drc_gf::bufpool::bulk_with_capacity(len);
     for (line, start) in (0..len).step_by(ramp.len()).enumerate() {
@@ -127,7 +127,7 @@ pub fn pattern_payload(len: usize) -> Bytes {
 ///
 /// Returns an error if `block_bytes` is not a positive whole number of MiB
 /// (see [`byte_cluster_spec`]) or a code fails to build.
-pub fn stripe_files(
+pub(crate) fn stripe_files(
     codes: &[CodeKind],
     block_bytes: usize,
     stripes_of: impl Fn(usize) -> usize,
@@ -202,7 +202,7 @@ fn current_jobs() -> usize {
 ///
 /// A panicking cell re-raises its own panic payload on the caller, after
 /// every thread has finished.
-pub fn run_cells<T, F>(cells: Vec<F>) -> Result<Vec<T>, DrcError>
+pub(crate) fn run_cells<T, F>(cells: Vec<F>) -> Result<Vec<T>, DrcError>
 where
     T: Send,
     F: FnOnce() -> Result<T, DrcError> + Send,

@@ -25,7 +25,7 @@ use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 
 use super::{harness, Effort, DEFAULT_SEED};
-use crate::render::TextTable;
+use crate::render::{Row, Table};
 use crate::DrcError;
 
 /// One (code, cluster size, block count) point.
@@ -43,13 +43,6 @@ pub struct MetadataScaleRow {
     pub index_bytes: usize,
     /// Index bytes per distinct block.
     pub bytes_per_block: f64,
-}
-
-/// The full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MetadataScaleTable {
-    /// One row per configuration.
-    pub rows: Vec<MetadataScaleRow>,
 }
 
 /// Places enough whole stripes of `kind` to hold `min_blocks` distinct
@@ -93,7 +86,7 @@ fn index_row(
 /// # Errors
 ///
 /// Propagates placement or code-construction failures.
-pub fn run_metadata_scale(effort: Effort) -> Result<MetadataScaleTable, DrcError> {
+pub fn run_metadata_scale(effort: Effort) -> Result<Table<MetadataScaleRow>, DrcError> {
     let (mid_blocks, big_blocks) = match effort {
         Effort::Quick => (200_000usize, 10_000_000usize),
         Effort::Full => (1_000_000, 20_000_000),
@@ -107,27 +100,24 @@ pub fn run_metadata_scale(effort: Effort) -> Result<MetadataScaleTable, DrcError
         (CodeKind::Pentagon, 1000, big_blocks),
     ];
     let cells = specs.map(|(kind, nodes, blocks)| move || index_row(kind, nodes, blocks));
-    Ok(MetadataScaleTable {
+    Ok(Table {
+        title: "Metadata plane at scale: placement-index size".to_string(),
+        config: Vec::new(),
         rows: harness::run_cells(cells.into())?,
     })
 }
 
-impl std::fmt::Display for MetadataScaleTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            "Metadata plane at scale: placement-index size",
-            &["Code", "Nodes", "Blocks", "Index bytes", "B/block"],
-        );
-        for row in &self.rows {
-            table.push_row(vec![
-                row.code.to_string(),
-                row.nodes.to_string(),
-                row.blocks.to_string(),
-                row.index_bytes.to_string(),
-                format!("{:.1}", row.bytes_per_block),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for MetadataScaleRow {
+    const HEADER: &'static [&'static str] = &["Code", "Nodes", "Blocks", "Index bytes", "B/block"];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            self.nodes.to_string(),
+            self.blocks.to_string(),
+            self.index_bytes.to_string(),
+            format!("{:.1}", self.bytes_per_block),
+        ]
     }
 }
 

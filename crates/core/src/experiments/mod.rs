@@ -14,10 +14,17 @@
 //! | substrate extension | [`metadata_scale`] | placement-index bytes and bytes/block per code, up to 1000 nodes / 10M blocks (structural; query rates live in the benchmark ledger) |
 //! | substrate extension | [`repair_pipeline`] | chunk-streamed repair virtual time vs the serial whole-block schedule, per code × chunk size |
 //!
-//! Every driver returns a serialisable result type with a `Display`
-//! implementation that prints a paper-style table, so the `repro` binary in
+//! Every experiment has one shape: a row type that implements
+//! [`Row`](crate::Row) (its column headers, its formatted cells, its
+//! `Serialize`) and a driver that returns a [`Table`](crate::Table) of those
+//! rows. The table prints as one paper-style text table and serialises as
+//! its run configuration followed by its rows, so the `repro` binary in
 //! `drc-bench`, the integration tests and the benchmark all consume the same
-//! source of truth.
+//! source of truth, and tests read the `rows` directly. Two results keep a
+//! type of their own: [`fig3::Fig3Data`], which prints pivoted panels rather
+//! than one line per point, and [`fig4::TerasortSweep`] (Figs. 4 and 5),
+//! whose `setup` and `points` fields the benchmark reads; its points are
+//! `Row`s printed by the same renderer.
 //!
 //! Every driver decomposes its sweep into independent, shared-nothing
 //! *cells* (one code × config point each) and fans them out through the

@@ -22,7 +22,7 @@ use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_sim::{overlap, Phase, PhaseClass, PhaseKind, SimTime};
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{mib, Row, Table};
 use crate::DrcError;
 
 /// Overlap measurements for one code.
@@ -52,38 +52,21 @@ pub struct OverlapRow {
     pub phases: Vec<Phase>,
 }
 
-/// The repair/degraded-read overlap report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct OverlapReport {
-    /// Stripes written per file.
-    pub stripes: usize,
-    /// Block size used, in bytes.
-    pub block_bytes: u64,
-    /// One row per code.
-    pub rows: Vec<OverlapRow>,
-}
-
-impl OverlapReport {
-    /// Looks up one code's row.
-    pub fn row(&self, code: CodeKind) -> Option<&OverlapRow> {
-        self.rows.iter().find(|r| r.code == code)
-    }
-}
-
 /// Runs the overlap experiment for the double-replicated array codes.
 ///
 /// Each code writes a `stripes`-stripe file (length-only: see the harness
 /// docs) onto a simulated 25-node cluster with `block_bytes`-sized blocks,
 /// loses both replicas of data block 0 of stripe 0 to permanent failures,
 /// and then handles the failure with a concurrent degraded read + repair
-/// pass.
+/// pass. One row per code; the table prints `stripes` and `block_bytes` as
+/// its configuration.
 ///
 /// # Errors
 ///
 /// [`DrcError::InvalidExperiment`] if `block_bytes` is not a positive whole
 /// number of MiB; otherwise propagates file-system errors (none are
 /// expected for the array codes, which all tolerate double failures).
-pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, DrcError> {
+pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<Table<OverlapRow>, DrcError> {
     let codes = [
         CodeKind::Pentagon,
         CodeKind::Heptagon,
@@ -108,9 +91,15 @@ pub fn run_overlap(block_bytes: usize, stripes: usize) -> Result<OverlapReport, 
             }
         })
         .collect();
-    Ok(OverlapReport {
-        stripes,
-        block_bytes: block_bytes as u64,
+    Ok(Table {
+        title: format!(
+            "Repair / degraded-read overlap in virtual time ({stripes} stripes, {} MiB blocks)",
+            block_bytes / (1024 * 1024)
+        ),
+        config: vec![
+            ("stripes", stripes.serialize()),
+            ("block_bytes", block_bytes.serialize()),
+        ],
         rows: harness::run_cells(cells)?,
     })
 }
@@ -184,38 +173,29 @@ fn span_secs<'a>(phases: impl Iterator<Item = &'a Phase>, origin: SimTime) -> f6
         .fold(0.0, f64::max)
 }
 
-impl std::fmt::Display for OverlapReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Repair / degraded-read overlap in virtual time ({} stripes, {} MiB blocks)",
-                self.stripes,
-                self.block_bytes / (1024 * 1024)
-            ),
-            &[
-                "Code",
-                "Degraded read (s)",
-                "Repair (s)",
-                "Overlap (s)",
-                "Makespan (s)",
-                "Serial (s)",
-                "Degraded traffic (MiB)",
-                "Repair traffic (MiB)",
-            ],
-        );
-        for r in &self.rows {
-            table.push_row(vec![
-                r.code.to_string(),
-                format!("{:.3}", r.degraded_read_s),
-                format!("{:.3}", r.repair_s),
-                format!("{:.3}", r.overlap_s),
-                format!("{:.3}", r.makespan_s),
-                format!("{:.3}", r.serial_s),
-                format!("{:.1}", r.degraded_read_bytes as f64 / (1024.0 * 1024.0)),
-                format!("{:.1}", r.repair_network_bytes as f64 / (1024.0 * 1024.0)),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for OverlapRow {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Degraded read (s)",
+        "Repair (s)",
+        "Overlap (s)",
+        "Makespan (s)",
+        "Serial (s)",
+        "Degraded traffic (MiB)",
+        "Repair traffic (MiB)",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{:.3}", self.degraded_read_s),
+            format!("{:.3}", self.repair_s),
+            format!("{:.3}", self.overlap_s),
+            format!("{:.3}", self.makespan_s),
+            format!("{:.3}", self.serial_s),
+            mib(self.degraded_read_bytes),
+            mib(self.repair_network_bytes),
+        ]
     }
 }
 
@@ -242,7 +222,7 @@ mod tests {
             assert!(!row.phases.is_empty());
             assert!(row.repair_network_bytes > 0);
         }
-        assert!(report.row(CodeKind::Pentagon).is_some());
+        assert!(report.rows.iter().any(|r| r.code == CodeKind::Pentagon));
         assert!(report.to_string().contains("Overlap"));
     }
 

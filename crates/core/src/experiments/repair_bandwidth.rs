@@ -14,7 +14,7 @@ use serde::Serialize;
 use drc_codes::CodeKind;
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{Row, Table};
 use crate::DrcError;
 
 /// Repair-bandwidth figures for one code, in blocks.
@@ -37,20 +37,13 @@ pub struct RepairBandwidthRow {
     pub partial_parity_transfers: usize,
 }
 
-/// The reproduced repair-bandwidth table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RepairBandwidthTable {
-    /// One row per code.
-    pub rows: Vec<RepairBandwidthRow>,
-}
-
 /// Computes repair and degraded-read bandwidth for the paper's codes plus
 /// 2-rep (the baseline the MapReduce experiments use).
 ///
 /// # Errors
 ///
 /// Returns an error only if a code fails to build.
-pub fn run_repair_bandwidth() -> Result<RepairBandwidthTable, DrcError> {
+pub fn run_repair_bandwidth() -> Result<Table<RepairBandwidthRow>, DrcError> {
     let mut kinds = vec![CodeKind::TWO_REP];
     kinds.extend(CodeKind::table1_set());
     // One cell per code: the all-pairs repair-plan scan dominates and is
@@ -59,7 +52,9 @@ pub fn run_repair_bandwidth() -> Result<RepairBandwidthTable, DrcError> {
         .into_iter()
         .map(|kind| move || repair_bandwidth_row(kind))
         .collect();
-    Ok(RepairBandwidthTable {
+    Ok(Table {
+        title: "Repair bandwidth (blocks), per the codes' repair plans (Section 3.1)".to_string(),
+        config: Vec::new(),
         rows: harness::run_cells(cells)?,
     })
 }
@@ -106,34 +101,27 @@ fn repair_bandwidth_row(kind: CodeKind) -> Result<RepairBandwidthRow, DrcError> 
     })
 }
 
-impl std::fmt::Display for RepairBandwidthTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            "Repair bandwidth (blocks), per the codes' repair plans (Section 3.1)",
-            &[
-                "Code",
-                "1-node repair",
-                "2-node repair (worst)",
-                "Degraded read (1 replica down)",
-                "Degraded read (all replicas down)",
-                "Partial parities used",
-            ],
-        );
-        for row in &self.rows {
-            table.push_row(vec![
-                row.code.to_string(),
-                format!("{:.1}", row.single_node_repair_blocks),
-                row.double_node_repair_blocks
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                row.degraded_read_one_down.to_string(),
-                row.degraded_read_all_replicas_down
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "unreadable".to_string()),
-                row.partial_parity_transfers.to_string(),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for RepairBandwidthRow {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "1-node repair",
+        "2-node repair (worst)",
+        "Degraded read (1 replica down)",
+        "Degraded read (all replicas down)",
+        "Partial parities used",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{:.1}", self.single_node_repair_blocks),
+            self.double_node_repair_blocks
+                .map_or_else(|| "-".to_string(), |v| v.to_string()),
+            self.degraded_read_one_down.to_string(),
+            self.degraded_read_all_replicas_down
+                .map_or_else(|| "unreadable".to_string(), |v| v.to_string()),
+            self.partial_parity_transfers.to_string(),
+        ]
     }
 }
 

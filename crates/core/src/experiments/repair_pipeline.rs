@@ -28,7 +28,7 @@ use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile, FileId, RepairReport};
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{mib, Row, Table};
 use crate::DrcError;
 
 /// One code × chunk-size measurement.
@@ -51,42 +51,10 @@ pub struct PipelineRow {
     pub blocks_restored: usize,
 }
 
-/// The streaming-repair pipeline report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RepairPipelineReport {
-    /// Stripes written per file.
-    pub stripes: usize,
-    /// Block size used, in bytes.
-    pub block_bytes: u64,
-    /// One row per code × chunk size.
-    pub rows: Vec<PipelineRow>,
-}
-
-impl RepairPipelineReport {
-    /// Looks up the row for one code × chunk-size point.
-    pub fn row(&self, code: CodeKind, chunk_bytes: u64) -> Option<&PipelineRow> {
-        self.rows
-            .iter()
-            .find(|r| r.code == code && r.chunk_bytes == chunk_bytes)
-    }
-
-    /// The worst (largest) pipelined/serial ratio across the erasure codes
-    /// at the smallest measured chunk size — the headline that must stay
-    /// strictly below 1.0. Replication rows are excluded (2-rep has no
-    /// rebuild stage to overlap).
-    pub fn worst_erasure_ratio(&self) -> Option<f64> {
-        let chunk = self.rows.iter().map(|r| r.chunk_bytes).min()?;
-        self.rows
-            .iter()
-            .filter(|r| r.chunk_bytes == chunk)
-            .filter(|r| !matches!(r.code, CodeKind::Replication { .. }))
-            .map(|r| r.ratio)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-}
-
 /// Runs the streaming-repair experiment: every paper code × every chunk
-/// size in `chunk_sizes`, against a measured serial baseline.
+/// size in `chunk_sizes`, against a measured serial baseline. One row per
+/// code × chunk size, code by code; the table prints `stripes` and
+/// `block_bytes` as its configuration.
 ///
 /// # Errors
 ///
@@ -98,7 +66,7 @@ pub fn run_repair_pipeline(
     block_bytes: usize,
     stripes: usize,
     chunk_sizes: &[u64],
-) -> Result<RepairPipelineReport, DrcError> {
+) -> Result<Table<PipelineRow>, DrcError> {
     let codes = [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,
@@ -138,9 +106,15 @@ pub fn run_repair_pipeline(
             });
         }
     }
-    Ok(RepairPipelineReport {
-        stripes,
-        block_bytes: block_bytes as u64,
+    Ok(Table {
+        title: format!(
+            "Streaming repair: pipelined vs serial virtual time ({stripes} stripes, {} MiB blocks)",
+            block_bytes / (1024 * 1024)
+        ),
+        config: vec![
+            ("stripes", stripes.serialize()),
+            ("block_bytes", block_bytes.serialize()),
+        ],
         rows: harness::run_cells(cells)?,
     })
 }
@@ -179,36 +153,27 @@ fn repaired_fs(
     Ok((fs, id, report))
 }
 
-impl std::fmt::Display for RepairPipelineReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Streaming repair: pipelined vs serial virtual time ({} stripes, {} MiB blocks)",
-                self.stripes,
-                self.block_bytes / (1024 * 1024)
-            ),
-            &[
-                "Code",
-                "Chunk (KiB)",
-                "Serial (s)",
-                "Pipelined (s)",
-                "Ratio",
-                "Traffic (MiB)",
-                "Blocks restored",
-            ],
-        );
-        for r in &self.rows {
-            table.push_row(vec![
-                r.code.to_string(),
-                format!("{}", r.chunk_bytes / 1024),
-                format!("{:.3}", r.serial_s),
-                format!("{:.3}", r.pipelined_s),
-                format!("{:.3}", r.ratio),
-                format!("{:.1}", r.network_bytes as f64 / (1024.0 * 1024.0)),
-                r.blocks_restored.to_string(),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for PipelineRow {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Chunk (KiB)",
+        "Serial (s)",
+        "Pipelined (s)",
+        "Ratio",
+        "Traffic (MiB)",
+        "Blocks restored",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            (self.chunk_bytes / 1024).to_string(),
+            format!("{:.3}", self.serial_s),
+            format!("{:.3}", self.pipelined_s),
+            format!("{:.3}", self.ratio),
+            mib(self.network_bytes),
+            self.blocks_restored.to_string(),
+        ]
     }
 }
 
@@ -241,8 +206,15 @@ mod tests {
                 );
             }
         }
-        let worst = report.worst_erasure_ratio().unwrap();
-        assert!(worst < 1.0, "headline ratio {worst:.4}");
+        // The headline: every erasure code at the smallest chunk.
+        let smallest = report.rows.iter().filter(|r| r.chunk_bytes == 256 * 1024);
+        let erasure: Vec<&PipelineRow> = smallest
+            .filter(|r| !matches!(r.code, CodeKind::Replication { .. }))
+            .collect();
+        assert_eq!(erasure.len(), 3);
+        for r in erasure {
+            assert!(r.ratio < 1.0, "{} headline ratio {:.4}", r.code, r.ratio);
+        }
     }
 
     /// Where a replica of a content block of file `id` is not the payload

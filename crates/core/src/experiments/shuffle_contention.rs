@@ -32,7 +32,7 @@ use drc_mapreduce::{JobRun, JobSpec, LinkContention, SchedulerKind};
 use drc_sim::{overlap, PhaseClass};
 
 use crate::experiments::harness;
-use crate::render::TextTable;
+use crate::render::{Row, Table};
 use crate::DrcError;
 
 /// Contention measurements for one code.
@@ -60,29 +60,6 @@ pub struct ShuffleContentionRow {
     pub network_traffic_bytes: u64,
 }
 
-/// The shuffle/repair contention report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShuffleContentionReport {
-    /// Block size used, in bytes.
-    pub block_bytes: u64,
-    /// Map tasks targeted per job.
-    pub target_tasks: usize,
-    /// One row per code.
-    pub rows: Vec<ShuffleContentionRow>,
-}
-
-impl ShuffleContentionReport {
-    /// Looks up one code's row.
-    pub fn row(&self, code: CodeKind) -> Option<&ShuffleContentionRow> {
-        self.rows.iter().find(|r| r.code == code)
-    }
-
-    /// The largest per-code slowdown — the table's headline number.
-    pub fn headline_slowdown(&self) -> f64 {
-        self.rows.iter().map(|r| r.slowdown).fold(1.0, f64::max)
-    }
-}
-
 /// One measured execution window.
 struct Window {
     job_s: f64,
@@ -99,6 +76,8 @@ struct Window {
 /// simulated 25-node cluster, loses every replica the code can tolerate of
 /// data block 0 of stripe 0, and executes the job with and without a
 /// concurrent RaidNode repair pass on the same [`drc_sim::ClusterNet`].
+/// One row per code; the table prints `block_bytes` and `target_tasks` as
+/// its configuration.
 ///
 /// # Errors
 ///
@@ -109,7 +88,7 @@ struct Window {
 pub fn run_shuffle_contention(
     block_bytes: usize,
     target_tasks: usize,
-) -> Result<ShuffleContentionReport, DrcError> {
+) -> Result<Table<ShuffleContentionRow>, DrcError> {
     let codes = [
         CodeKind::TWO_REP,
         CodeKind::Pentagon,
@@ -125,9 +104,15 @@ pub fn run_shuffle_contention(
         .iter()
         .map(|file| move || contention_row(file, target_tasks))
         .collect();
-    Ok(ShuffleContentionReport {
-        block_bytes: block_bytes as u64,
-        target_tasks,
+    Ok(Table {
+        title: format!(
+            "Job slowdown under concurrent repair ({target_tasks} tasks, {} MiB blocks)",
+            block_bytes / (1024 * 1024)
+        ),
+        config: vec![
+            ("block_bytes", block_bytes.serialize()),
+            ("target_tasks", target_tasks.serialize()),
+        ],
         rows: harness::run_cells(cells)?,
     })
 }
@@ -264,42 +249,33 @@ fn run_window(
     })
 }
 
-impl std::fmt::Display for ShuffleContentionReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            format!(
-                "Job slowdown under concurrent repair ({} tasks, {} MiB blocks)",
-                self.target_tasks,
-                self.block_bytes / (1024 * 1024)
-            ),
-            &[
-                "Code",
-                "Failed",
-                "Solo job (s)",
-                "Contended job (s)",
-                "Slowdown",
-                "Src-NIC wait (s)",
-                "Dst-NIC wait (s)",
-                "Fabric wait (s)",
-                "Repair (s)",
-                "Shuffle∩repair (s)",
-            ],
-        );
-        for r in &self.rows {
-            table.push_row(vec![
-                r.code.to_string(),
-                r.failed_nodes.to_string(),
-                format!("{:.3}", r.solo_job_s),
-                format!("{:.3}", r.contended_job_s),
-                format!("{:.2}x", r.slowdown),
-                format!("{:.3}", r.contention.source_nic_wait_s),
-                format!("{:.3}", r.contention.dest_nic_wait_s),
-                format!("{:.3}", r.contention.fabric_wait_s),
-                format!("{:.3}", r.repair_s),
-                format!("{:.3}", r.shuffle_repair_overlap_s),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for ShuffleContentionRow {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Failed",
+        "Solo job (s)",
+        "Contended job (s)",
+        "Slowdown",
+        "Src-NIC wait (s)",
+        "Dst-NIC wait (s)",
+        "Fabric wait (s)",
+        "Repair (s)",
+        "Shuffle∩repair (s)",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            self.failed_nodes.to_string(),
+            format!("{:.3}", self.solo_job_s),
+            format!("{:.3}", self.contended_job_s),
+            format!("{:.2}x", self.slowdown),
+            format!("{:.3}", self.contention.source_nic_wait_s),
+            format!("{:.3}", self.contention.dest_nic_wait_s),
+            format!("{:.3}", self.contention.fabric_wait_s),
+            format!("{:.3}", self.repair_s),
+            format!("{:.3}", self.shuffle_repair_overlap_s),
+        ]
     }
 }
 
@@ -335,8 +311,7 @@ mod tests {
             );
             assert!(row.network_traffic_bytes > 0);
         }
-        assert!(report.headline_slowdown() > 1.0);
-        assert!(report.row(CodeKind::Pentagon).is_some());
+        assert!(report.rows.iter().any(|r| r.code == CodeKind::Pentagon));
         let text = report.to_string();
         assert!(text.contains("Slowdown"));
     }

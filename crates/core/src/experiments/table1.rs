@@ -6,7 +6,7 @@ use drc_codes::CodeKind;
 use drc_reliability::{group_mttdl, ReliabilityParams};
 
 use crate::experiments::harness;
-use crate::render::{scientific, TextTable};
+use crate::render::{scientific, Row, Table};
 use crate::DrcError;
 
 /// One row of Table 1.
@@ -26,15 +26,6 @@ pub struct Table1Row {
     pub paper_mttdl_years: f64,
 }
 
-/// The reproduced Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Table1 {
-    /// The failure/repair model parameters used.
-    pub params: ReliabilityParams,
-    /// Rows in the paper's order.
-    pub rows: Vec<Table1Row>,
-}
-
 /// The MTTDL values printed in the paper's Table 1, in years.
 pub fn paper_mttdl_years(code: CodeKind) -> Option<f64> {
     match code {
@@ -49,13 +40,14 @@ pub fn paper_mttdl_years(code: CodeKind) -> Option<f64> {
 }
 
 /// Computes Table 1 for the paper's six codes under the given reliability
-/// parameters.
+/// parameters, in the paper's row order. The table prints `params` as its
+/// configuration.
 ///
 /// # Errors
 ///
 /// Returns an error if a code fails to build or its reliability model is
 /// degenerate (which does not happen for the paper's codes).
-pub fn run_table1(params: &ReliabilityParams) -> Result<Table1, DrcError> {
+pub fn run_table1(params: &ReliabilityParams) -> Result<Table<Table1Row>, DrcError> {
     // One cell per code: each solves its own Markov model independently.
     let params = *params;
     let cells = CodeKind::table1_set()
@@ -75,36 +67,32 @@ pub fn run_table1(params: &ReliabilityParams) -> Result<Table1, DrcError> {
             }
         })
         .collect();
-    Ok(Table1 {
-        params,
+    Ok(Table {
+        title: "Table 1: storage overhead, code length and MTTDL".to_string(),
+        config: vec![("params", params.serialize())],
         rows: harness::run_cells(cells)?,
     })
 }
 
-impl std::fmt::Display for Table1 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut table = TextTable::new(
-            "Table 1: storage overhead, code length and MTTDL",
-            &[
-                "Code",
-                "Storage overhead",
-                "Code length",
-                "Tolerance",
-                "MTTDL (years)",
-                "Paper MTTDL (years)",
-            ],
-        );
-        for row in &self.rows {
-            table.push_row(vec![
-                row.code.to_string(),
-                format!("{:.2}x", row.storage_overhead),
-                row.code_length.to_string(),
-                row.fault_tolerance.to_string(),
-                scientific(row.mttdl_years),
-                scientific(row.paper_mttdl_years),
-            ]);
-        }
-        write!(f, "{table}")
+impl Row for Table1Row {
+    const HEADER: &'static [&'static str] = &[
+        "Code",
+        "Storage overhead",
+        "Code length",
+        "Tolerance",
+        "MTTDL (years)",
+        "Paper MTTDL (years)",
+    ];
+
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.code.to_string(),
+            format!("{:.2}x", self.storage_overhead),
+            self.code_length.to_string(),
+            self.fault_tolerance.to_string(),
+            scientific(self.mttdl_years),
+            scientific(self.paper_mttdl_years),
+        ]
     }
 }
 

@@ -48,7 +48,7 @@ pub mod experiments;
 mod render;
 
 pub use error::DrcError;
-pub use render::{scientific, TextTable};
+pub use render::{scientific, Row, Table, TextTable};
 
 /// Re-export of the Galois-field substrate crate.
 pub use drc_gf as gf;

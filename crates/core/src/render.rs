@@ -4,6 +4,9 @@
 //! series in a form that can be compared side-by-side with the paper; this
 //! module keeps that formatting in one place.
 
+use serde::value::Value;
+use serde::Serialize;
+
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
@@ -25,11 +28,6 @@ impl TextTable {
     /// Appends a row (stringified cells).
     pub fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 }
 
@@ -69,6 +67,61 @@ impl std::fmt::Display for TextTable {
     }
 }
 
+/// One printed line of an experiment: its table's columns and its JSON.
+pub trait Row: Serialize {
+    /// The column headers, one per [`cells`](Row::cells) entry.
+    const HEADER: &'static [&'static str];
+    /// The JSON key a [`Table`] prints its rows under.
+    const KEY: &'static str = "rows";
+    /// This row's formatted cells, in [`HEADER`](Row::HEADER) order.
+    fn cells(&self) -> Vec<String>;
+}
+
+/// Writes `rows` as a [`TextTable`] titled `title`.
+pub(crate) fn write_rows<R: Row>(
+    f: &mut std::fmt::Formatter<'_>,
+    title: &str,
+    rows: &[R],
+) -> std::fmt::Result {
+    let mut table = TextTable::new(title, R::HEADER);
+    for row in rows {
+        table.push_row(row.cells());
+    }
+    write!(f, "{table}")
+}
+
+/// An experiment's result: a title, the run's configuration and its rows.
+///
+/// It prints as a [`TextTable`] of the rows and serialises as an object:
+/// the configuration entries in order, then the rows under [`Row::KEY`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table<R> {
+    pub(crate) title: String,
+    /// The run's configuration, printed before the rows in this order.
+    pub(crate) config: Vec<(&'static str, Value)>,
+    /// The measured rows, in the experiment's fixed order.
+    pub rows: Vec<R>,
+}
+
+impl<R: Row> std::fmt::Display for Table<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write_rows(f, &self.title, &self.rows)
+    }
+}
+
+impl<R: Row> Serialize for Table<R> {
+    fn serialize(&self) -> Value {
+        let config = self.config.iter().map(|(k, v)| (k.to_string(), v.clone()));
+        let rows = (R::KEY.to_string(), self.rows.serialize());
+        Value::Map(config.chain(std::iter::once(rows)).collect())
+    }
+}
+
+/// Formats a byte count in MiB with one decimal, the tables' traffic unit.
+pub(crate) fn mib(bytes: u64) -> String {
+    format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
+}
+
 /// Formats a float in the `1.23e+09` style used by the paper's Table 1.
 pub fn scientific(value: f64) -> String {
     if value == 0.0 {
@@ -88,8 +141,8 @@ mod tests {
         let mut t = TextTable::new("Demo", &["code", "value"]);
         t.push_row(vec!["pentagon".to_string(), "2.22x".to_string()]);
         t.push_row(vec!["3-rep".to_string(), "3x".to_string()]);
-        assert_eq!(t.title(), "Demo");
         let s = t.to_string();
+        assert!(s.starts_with("Demo\n"));
         assert!(s.contains("pentagon"));
         assert!(s.contains("code"));
         assert!(s.lines().count() >= 5);

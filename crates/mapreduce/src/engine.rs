@@ -200,10 +200,17 @@ struct Liveness {
     /// re-admits the node for task execution (the engine does not model
     /// the storage layer's repairs restoring them mid-job).
     wiped: Vec<bool>,
+    /// The engine built the net itself (no [`JobRun::on`]), so nobody else
+    /// can apply the trace's slowdowns to it.
+    owns_net: bool,
 }
 
 impl Liveness {
-    fn new(cluster: &Cluster, failures: Option<(&FailureTrace, SimDuration)>) -> Self {
+    fn new(
+        cluster: &Cluster,
+        failures: Option<(&FailureTrace, SimDuration)>,
+        owns_net: bool,
+    ) -> Self {
         let timeout = failures.map_or(SimDuration::ZERO, |(_, timeout)| timeout);
         let mut replay = FailureReplay::new(cluster.len(), timeout);
         if let Some((trace, _)) = failures {
@@ -213,6 +220,7 @@ impl Liveness {
             replay,
             view: cluster.clone(),
             wiped: vec![false; cluster.len()],
+            owns_net,
         }
     }
 
@@ -220,15 +228,19 @@ impl Liveness {
     /// in the replay's order (so detection never depends on where the job's
     /// wave boundaries happen to fall). Crossed boundaries mark the
     /// scheduler's `view` down and put each non-zero blind window on the
-    /// timeline as a [`PhaseKind::DetectionLag`] phase.
-    fn advance(&mut self, t: SimTime, timeline: &mut Timeline) {
+    /// timeline as a [`PhaseKind::DetectionLag`] phase. Slowdowns reach
+    /// `net` only when the engine owns it: a shared net's owner applies
+    /// them, so a shared trace is never applied twice.
+    fn advance(&mut self, t: SimTime, net: &ClusterNet, timeline: &mut Timeline) {
         while let Some((at, step)) = self.replay.next_due(t, &self.view) {
             match step {
                 ReplayStep::Down(node) => self.wiped[node.0] = true,
                 ReplayStep::Up(node) => self.view.set_up(node),
-                // Substrate-level: the layer owning the ClusterNet applies
-                // slowdowns; the engine only consumes liveness.
-                ReplayStep::Slowdown(..) => {}
+                ReplayStep::Slowdown(node, factor) => {
+                    if self.owns_net {
+                        net.set_node_slowdown(node, factor);
+                    }
+                }
                 ReplayStep::Detected { node, silent_since } => {
                     self.view.set_down(node);
                     timeline.record_detection_lag(node, silent_since, at);
@@ -341,10 +353,12 @@ impl<'a> JobRun<'a> {
     ///   a [`PhaseKind::DetectionLag`] phase (half-open `[failure,
     ///   boundary)`),
     /// * `NodeUp` events re-admit nodes for scheduling from their instant
-    ///   on, with an empty disk; `Slowdown` events are ignored here — they
-    ///   belong to the layer that owns the shared [`ClusterNet`] (the file
-    ///   system's failure engine), so a shared trace is never applied
-    ///   twice.
+    ///   on, with an empty disk,
+    /// * `Slowdown` events slow the node's disk and NIC from their instant
+    ///   on when the job runs on the private net it builds itself; on a net
+    ///   handed in with [`on`](JobRun::on) they are left to the layer that
+    ///   owns it (the file system's failure engine), so a shared trace is
+    ///   never applied twice.
     ///
     /// An empty trace is byte- and time-identical to no trace at all.
     #[must_use]
@@ -403,7 +417,7 @@ fn execute(
             });
         }
     }
-    let mut liveness = Liveness::new(run.cluster, run.failures);
+    let mut liveness = Liveness::new(run.cluster, run.failures, run.site.is_none());
     let mut m = JobMetrics {
         job: run.job.name().to_string(),
         code: run.placement.code_name().to_string(),
@@ -413,7 +427,7 @@ fn execute(
     let map_end = map_waves(&run, net, start, &mut liveness, &mut m, rng)?;
     // Failures that landed during the final wave (or detection boundaries
     // crossed by its end) are in force before reducers are placed.
-    liveness.advance(map_end, &mut m.timeline);
+    liveness.advance(map_end, net, &mut m.timeline);
     // Reducers land on the nodes the scheduler believes are up at the end
     // of the map phase (identical to the caller's cluster when no trace
     // event fired).
@@ -470,7 +484,7 @@ fn map_waves(
         // Everything that happened up to this wave's start is now in force;
         // boundaries crossed mean the scheduler finally sees those nodes as
         // dead.
-        liveness.advance(wave_start, &mut m.timeline);
+        liveness.advance(wave_start, net, &mut m.timeline);
         graph.rebuild(&pending, run.placement, &liveness.view);
         capacities.clear();
         capacities.resize(graph.nodes().len(), slots);
@@ -1240,6 +1254,61 @@ mod tests {
         );
         // The recovery cancelled detection, so no blind-window phase.
         assert_eq!(m.timeline.of(PhaseClass::DetectionLag).count(), 0);
+    }
+
+    #[test]
+    fn a_private_net_applies_traced_slowdowns_and_a_shared_one_leaves_them_to_its_owner() {
+        use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace, Positive};
+        // Every node runs at a quarter speed from t = 0. On the net the
+        // engine builds for itself nobody else can apply that, so the job
+        // must be strictly slower; on a caller's net the owner applies it.
+        let code = CodeKind::Pentagon.build().unwrap();
+        let cluster = Cluster::new(ClusterSpec::simulation_25(2));
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let placement = PlacementMap::place(
+            code.as_ref(),
+            &cluster,
+            6,
+            PlacementPolicy::Random,
+            &mut rng,
+        )
+        .unwrap();
+        let job = JobSpec::new("slow", placement.data_blocks()).with_reduce_tasks(8);
+        let factor = Positive::new(4.0).unwrap();
+        let slow = FailureTrace::from_events(
+            cluster
+                .up_nodes()
+                .into_iter()
+                .map(|node| FailureEvent::at_secs(0.0, FailureEventKind::Slowdown { node, factor }))
+                .collect(),
+        );
+        let scheduler = DelayScheduler::default();
+        let run = |trace: &FailureTrace, shared: Option<&drc_sim::ClusterNet>| {
+            let mut rng = ChaCha8Rng::seed_from_u64(43);
+            let run = JobRun::new(&job, code.as_ref(), &placement, &cluster, &scheduler);
+            match shared {
+                Some(net) => run.on(net, SimTime::ZERO),
+                None => run,
+            }
+            .failures(trace, SimDuration::from_secs_f64(1.0))
+            .run(&mut rng)
+            .unwrap()
+        };
+        let healthy = run(&FailureTrace::new(), None);
+        let slowed = run(&slow, None);
+        assert!(
+            slowed.job_time_s > healthy.job_time_s,
+            "a private net must run the traced slowdown (healthy {:.4}s, traced {:.4}s)",
+            healthy.job_time_s,
+            slowed.job_time_s
+        );
+        assert_eq!(slowed.network_traffic_bytes, healthy.network_traffic_bytes);
+        let shared = drc_sim::ClusterNet::new(cluster.spec());
+        assert_eq!(
+            run(&slow, Some(&shared)).job_time_s,
+            healthy.job_time_s,
+            "on a shared net the net's owner applies slowdowns"
+        );
     }
 
     #[test]

@@ -35,6 +35,15 @@ fn printed_codes(report: &Value, list: &str) -> Vec<Value> {
         .collect()
 }
 
+/// A printed report's top-level keys, in print order: its configuration
+/// entries, then its rows.
+fn printed_keys(report: &Value) -> Vec<&str> {
+    let Value::Map(fields) = report else {
+        panic!("a report prints as an object");
+    };
+    fields.iter().map(|(k, _)| k.as_str()).collect()
+}
+
 /// `codes` as a report prints them.
 fn codes_json(codes: impl IntoIterator<Item = CodeKind>) -> Vec<Value> {
     codes
@@ -47,6 +56,7 @@ fn codes_json(codes: impl IntoIterator<Item = CodeKind>) -> Vec<Value> {
 fn table1_serialises_and_renders() {
     let table = run_table1(&ReliabilityParams::default()).unwrap();
     let json = serde_json::to_value(&table).unwrap();
+    assert_eq!(printed_keys(&json), ["params", "rows"]);
     assert_eq!(
         printed_codes(&json, "rows"),
         codes_json(table.rows.iter().map(|r| r.code))
@@ -58,6 +68,55 @@ fn table1_serialises_and_renders() {
             "missing {code} in rendering"
         );
     }
+}
+
+/// The full text of the two deterministic tables, as `repro` prints them:
+/// the `Display` path every table shares, pinned cell by cell (column
+/// widths, padding, number formats). Recorded from the renderer this pin
+/// was written against.
+const TABLE1_TEXT: &[&str] = &[
+    "Table 1: storage overhead, code length and MTTDL",
+    "=================================================================================================",
+    "Code             Storage overhead   Code length   Tolerance   MTTDL (years)   Paper MTTDL (years)",
+    "-------------------------------------------------------------------------------------------------",
+    "3-rep            3.00x              3             2           1.11e+09        1.20e+09           ",
+    "pentagon         2.22x              5             2           1.11e+08        1.05e+08           ",
+    "heptagon         2.10x              7             2           3.17e+07        2.68e+07           ",
+    "heptagon-local   2.15x              15            3           7.43e+09        8.34e+09           ",
+    "(10,9) RAID+m    2.22x              20            3           2.09e+09        2.03e+09           ",
+    "(12,11) RAID+m   2.18x              24            3           9.55e+08        6.50e+08           ",
+];
+const REPAIR_BANDWIDTH_TEXT: &[&str] = &[
+    "Repair bandwidth (blocks), per the codes' repair plans (Section 3.1)",
+    "===================================================================================================================================================",
+    "Code             1-node repair   2-node repair (worst)   Degraded read (1 replica down)   Degraded read (all replicas down)   Partial parities used",
+    "---------------------------------------------------------------------------------------------------------------------------------------------------",
+    "2-rep            1.0             -                       1                                unreadable                          0                    ",
+    "3-rep            1.0             2                       1                                unreadable                          0                    ",
+    "pentagon         4.0             10                      1                                3                                   3                    ",
+    "heptagon         6.0             16                      1                                5                                   5                    ",
+    "heptagon-local   6.9             28                      1                                5                                   22                   ",
+    "(10,9) RAID+m    1.0             10                      1                                9                                   0                    ",
+    "(12,11) RAID+m   1.0             12                      1                                11                                  0                    ",
+];
+
+/// `lines` as a table renders them: one `\n` after every line.
+fn rendered(lines: &[&str]) -> String {
+    lines.iter().map(|line| format!("{line}\n")).collect()
+}
+
+#[test]
+fn table1_renders_the_recorded_text() {
+    let table = run_table1(&ReliabilityParams::default()).unwrap();
+    assert_eq!(table.to_string(), rendered(TABLE1_TEXT));
+}
+
+#[test]
+fn repair_bandwidth_renders_the_recorded_text() {
+    assert_eq!(
+        run_repair_bandwidth().unwrap().to_string(),
+        rendered(REPAIR_BANDWIDTH_TEXT)
+    );
 }
 
 #[test]
@@ -84,7 +143,10 @@ fn fig3_data_is_complete_and_serialisable() {
         for code in CodeKind::fig3_set() {
             for load in [25.0, 50.0, 75.0, 100.0] {
                 assert!(
-                    data.point(mu, SchedulerKind::Delay, code, load).is_some(),
+                    data.points.iter().any(|p| p.map_slots == mu
+                        && p.scheduler == SchedulerKind::Delay
+                        && p.code == code
+                        && p.load_percent == load),
                     "missing point mu={mu} {code} load={load}"
                 );
             }
@@ -108,7 +170,7 @@ fn fig4_and_fig5_are_consistent_with_their_setups() {
     assert_eq!(fig4.points.len(), 12);
     assert_eq!(fig5.points.len(), 12);
     // The heptagon is only measured on set-up 1 (like the paper).
-    assert!(fig5.point(CodeKind::Heptagon, 100.0).is_none());
+    assert!(fig5.points.iter().all(|p| p.code != CodeKind::Heptagon));
     let json = serde_json::to_value(&fig4).unwrap();
     assert_eq!(
         printed_codes(&json, "points"),
@@ -125,8 +187,14 @@ fn fig4_and_fig5_are_consistent_with_their_setups() {
                 .filter(|p| p.code == code)
                 .map(|p| p.load_percent)
                 .fold(f64::INFINITY, f64::min);
-            let lo = sweep.point(code, min_load).unwrap();
-            let hi = sweep.point(code, 100.0).unwrap();
+            let point = |load| {
+                sweep
+                    .points
+                    .iter()
+                    .find(|p| p.code == code && p.load_percent == load)
+                    .unwrap()
+            };
+            let (lo, hi) = (point(min_load), point(100.0));
             assert!(hi.network_traffic_gb >= lo.network_traffic_gb);
             assert!(hi.job_time_s >= lo.job_time_s * 0.9);
         }
@@ -146,13 +214,15 @@ fn encoding_report_scales_with_parity_work() {
     // Throughput numbers are positive and the report renders.
     assert!(report.rows.iter().all(|r| r.throughput_mb_per_s > 0.0));
     assert!(report.to_string().contains("Encoding throughput"));
+    let json = serde_json::to_value(&report).unwrap();
+    assert_eq!(printed_keys(&json), ["block_bytes", "stripes", "rows"]);
 }
 
 #[test]
 fn degraded_mr_report_counts_failures_sensibly() {
     let report = run_degraded_mr(Effort::Quick).unwrap();
     // Degraded reads can only appear when nodes have failed.
-    for p in &report.points {
+    for p in &report.rows {
         if p.failed_nodes == 0 {
             assert_eq!(p.degraded_reads, 0.0);
             assert_eq!(p.failed_job_fraction, 0.0);
@@ -162,11 +232,21 @@ fn degraded_mr_report_counts_failures_sensibly() {
     // The report includes every Fig. 4 code at 0, 1 and 2 failures.
     for code in CodeKind::fig4_set() {
         for failed in [0usize, 1, 2] {
-            assert!(report.point(code, failed).is_some());
+            assert!(report
+                .rows
+                .iter()
+                .any(|p| p.code == code && p.failed_nodes == failed));
         }
     }
-    let json = serde_json::to_string(&report).unwrap();
-    assert!(json.contains("failed_nodes"));
+    let json = serde_json::to_value(&report).unwrap();
+    assert_eq!(printed_keys(&json), ["load_percent", "points"]);
+    assert_eq!(
+        printed_codes(&json, "points"),
+        codes_json(report.rows.iter().map(|p| p.code))
+    );
+    assert!(serde_json::to_string(&json)
+        .unwrap()
+        .contains("failed_nodes"));
 }
 
 #[test]
@@ -228,6 +308,11 @@ fn storage_experiments_reject_block_sizes_that_are_not_whole_mib() {
             );
         }
     }
-    // A whole-MiB request reports the block size it simulated.
-    assert_eq!(run_overlap(2 << 20, 1).unwrap().block_bytes, 2 << 20);
+    // A whole-MiB request prints the block size it simulated.
+    let printed = serde_json::to_value(&run_overlap(2 << 20, 1).unwrap()).unwrap();
+    assert_eq!(printed_keys(&printed), ["stripes", "block_bytes", "rows"]);
+    let Value::Map(fields) = printed else {
+        unreachable!("keys were read above");
+    };
+    assert_eq!(fields[1], ("block_bytes".to_string(), Value::UInt(2 << 20)));
 }

@@ -259,14 +259,23 @@ fn raid_m_locality_structure_matches_two_rep() {
 /// to 2-rep even at 75% load.
 #[test]
 fn cluster_experiment_conclusions() {
+    use drc_core::experiments::fig4::TerasortSweep;
+    let point = |sweep: &TerasortSweep, code: CodeKind, load: f64| {
+        sweep
+            .points
+            .iter()
+            .find(|p| p.code == code && p.load_percent == load)
+            .cloned()
+            .unwrap()
+    };
     let fig4 = drc_core::experiments::fig4::run_fig4(Effort::Quick).unwrap();
-    let two = fig4.point(CodeKind::TWO_REP, 50.0).unwrap();
-    let three = fig4.point(CodeKind::THREE_REP, 50.0).unwrap();
+    let two = point(&fig4, CodeKind::TWO_REP, 50.0);
+    let three = point(&fig4, CodeKind::THREE_REP, 50.0);
     assert!((two.job_time_s - three.job_time_s).abs() / three.job_time_s < 0.15);
 
     let fig5 = drc_core::experiments::fig5::run_fig5(Effort::Quick).unwrap();
-    let pent = fig5.point(CodeKind::Pentagon, 75.0).unwrap();
-    let two5 = fig5.point(CodeKind::TWO_REP, 75.0).unwrap();
+    let pent = point(&fig5, CodeKind::Pentagon, 75.0);
+    let two5 = point(&fig5, CodeKind::TWO_REP, 75.0);
     assert!(pent.data_locality_percent > 85.0);
     assert!((pent.job_time_s - two5.job_time_s).abs() / two5.job_time_s < 0.2);
 }
