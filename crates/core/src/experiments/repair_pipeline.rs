@@ -275,6 +275,9 @@ mod tests {
 
     /// The proof above has teeth: a replica holding its stripe neighbour's
     /// bytes — right length, right pattern, wrong window — is reported.
+    /// The file system is left as repaired; the expectation is what is
+    /// wrong: its (1, 3) window holds (1, 4)'s bytes, so every replica of
+    /// (1, 3) mismatches and the first host is the one reported.
     #[test]
     fn a_wrong_block_on_a_replica_fails_the_byte_proof() {
         let (code, block) = (CodeKind::Pentagon, 1024 * 1024);
@@ -282,13 +285,14 @@ mod tests {
         let file = EncodedFile::encode(payload.clone(), code, block).unwrap();
         let (fs, id, _) = repaired_fs(&file, u64::MAX).unwrap();
         let meta = fs.namenode().file(id).unwrap();
-        let (key, neighbour) = (BlockKey::new(id, 1, 3), BlockKey::new(id, 1, 4));
-        let host = fs.datanode(meta.block_locations(1, 3).unwrap()[1]).unwrap();
-        let donor = fs.datanode(meta.block_locations(1, 4).unwrap()[0]).unwrap();
-        host.store(key, donor.peek(&neighbour).unwrap());
+        let k = code.build().unwrap().data_blocks();
+        let (slot, neighbour) = ((k + 3) * block, (k + 4) * block);
+        let mut expected = payload.to_vec();
+        expected.copy_within(neighbour..neighbour + block, slot);
+        let host = meta.block_locations(1, 3).unwrap()[0];
         assert_eq!(
-            first_wrong_replica(&fs, id, &payload, block),
-            Some(format!("{key:?} on {}", host.id()))
+            first_wrong_replica(&fs, id, &Bytes::from(expected), block),
+            Some(format!("{:?} on {host}", BlockKey::new(id, 1, 3)))
         );
     }
 

@@ -1,121 +1,44 @@
-//! A simulated DataNode: stores block replicas and serves reads as timed
-//! events on its node's disk and NIC in the cluster-wide [`ClusterNet`].
+//! A simulated DataNode: the block replicas one cluster node stores, and
+//! the bytes it has served and received.
+//!
+//! A DataNode has one owner, the [`crate::DistributedFileSystem`], which
+//! also owns the cluster's [`drc_sim::ClusterNet`] and issues every timed
+//! store and read against the node's disk and NIC there. The node itself
+//! only keeps the replica map and its two traffic counters, mutated through
+//! `&mut self`: operations that overlap in virtual time are still issued
+//! one after another by that owner, so nothing here is shared between
+//! threads.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use drc_cluster::NodeId;
-use drc_sim::{ClusterNet, NodeIo, Reservation, Resource, SimTime};
 
 use crate::block::{Block, BlockKey};
 
 /// A DataNode holding block replicas in memory — each a [`Block`] handle: a
 /// length, plus shared bytes unless the file was ingested length-only.
-/// Every counter and timed event here is a function of the length alone.
+/// Every counter here is a function of the length alone.
 ///
-/// The node tracks how many bytes it has served and received (lock-free
-/// atomics — reads are concurrent once the event-driven substrate overlaps
-/// them), which the RaidNode and the file-system facade use to account
-/// network traffic. Its I/O resources (disk + NIC) are *handles into the
-/// cluster-wide [`ClusterNet`]*, not private copies: every store/read is a
-/// timed event on the same resources other layers reserve, so repair
-/// traffic, degraded reads and a MapReduce job's shuffle fetches all queue
-/// on the same disks and links. The returned [`Reservation`] says when the
-/// operation starts and finishes in virtual time.
-#[derive(Debug)]
+/// The node counts how many bytes it has served and received, which the
+/// RaidNode and the file-system facade use to account network traffic.
+/// Its mutators are the file system's; the public surface is read-only.
+#[derive(Debug, Default)]
 pub struct DataNode {
-    id: NodeId,
-    net: Arc<ClusterNet>,
-    blocks: RwLock<BTreeMap<BlockKey, Block>>,
-    bytes_served: AtomicU64,
-    bytes_received: AtomicU64,
+    blocks: BTreeMap<BlockKey, Block>,
+    bytes_served: u64,
+    bytes_received: u64,
 }
 
 impl DataNode {
-    /// Creates an empty DataNode whose I/O happens on `net`'s resources for
-    /// this node id.
-    pub fn new(id: NodeId, net: Arc<ClusterNet>) -> Self {
-        DataNode {
-            id,
-            net,
-            blocks: RwLock::new(BTreeMap::new()),
-            bytes_served: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-        }
-    }
-
-    /// The block map for reading. A poisoned lock only says a panic already
-    /// happened on another thread; no operation here leaves the map half
-    /// updated, so the guard is taken regardless.
-    fn blocks(&self) -> RwLockReadGuard<'_, BTreeMap<BlockKey, Block>> {
-        self.blocks.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The block map for writing; poison-transparent like [`Self::blocks`].
-    fn blocks_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<BlockKey, Block>> {
-        self.blocks.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The cluster node this DataNode runs on.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's modeled I/O resources (disk and NIC) in the shared
-    /// [`ClusterNet`].
-    pub fn io(&self) -> &NodeIo {
-        self.net.node(self.id)
-    }
-
     /// Stores (or overwrites) a block replica.
-    pub fn store(&self, key: BlockKey, data: Block) {
-        self.bytes_received
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.blocks_mut().insert(key, data);
-    }
-
-    /// Stores a block replica as a timed event issued at `now`: the incoming
-    /// bytes traverse the shared `fabric` and the node's NIC, then land on
-    /// its disk — the write finishes at the reservation's end. This is the
-    /// store path the file system's write and repair passes use.
-    pub fn store_timed(
-        &self,
-        key: BlockKey,
-        data: Block,
-        now: SimTime,
-        fabric: &Resource,
-    ) -> Reservation {
-        let res = drc_sim::push_to(now, self.io(), fabric, data.len() as u64);
-        self.store(key, data);
-        res
+    pub(crate) fn store(&mut self, key: BlockKey, data: Block) {
+        self.bytes_received += data.len() as u64;
+        self.blocks.insert(key, data);
     }
 
     /// Reads a block replica, if present, counting the bytes as served.
-    pub fn read(&self, key: &BlockKey) -> Option<Block> {
-        let data = self.blocks().get(key).cloned();
-        if let Some(d) = &data {
-            self.bytes_served
-                .fetch_add(d.len() as u64, Ordering::Relaxed);
-        }
-        data
-    }
-
-    /// Reads a block replica as a timed event issued at `now`: the read
-    /// occupies the node's disk and streams out through its NIC and the
-    /// shared `fabric`, queueing behind earlier I/O. This is the read path
-    /// the file system's replica reads and decode fetches use.
-    ///
-    /// Misses cost nothing (the node answers from metadata).
-    pub fn read_timed(
-        &self,
-        key: &BlockKey,
-        now: SimTime,
-        fabric: &Resource,
-    ) -> Option<(Block, Reservation)> {
-        let data = self.read(key)?;
-        let res = drc_sim::pull_from(now, self.io(), fabric, data.len() as u64);
-        Some((data, res))
+    pub(crate) fn read(&mut self, key: &BlockKey) -> Option<Block> {
+        let data = self.peek(key)?;
+        self.bytes_served += data.len() as u64;
+        Some(data)
     }
 
     /// Reads a block replica *without* counting it as served.
@@ -123,21 +46,22 @@ impl DataNode {
     /// The streaming repair path gathers payload handles up front but
     /// accounts traffic per modeled transfer (only what the repair plan
     /// actually moves), so the gather itself must be accounting-neutral;
-    /// pair with [`DataNode::record_served`] for each modeled transfer.
+    /// the file system pairs it with `record_served` for each modeled
+    /// transfer.
     pub fn peek(&self, key: &BlockKey) -> Option<Block> {
-        self.blocks().get(key).cloned()
+        self.blocks.get(key).cloned()
     }
 
-    /// Counts `bytes` as served by this node, for callers that model a
-    /// transfer's traffic separately from fetching the payload handle
-    /// (see [`DataNode::peek`]).
-    pub fn record_served(&self, bytes: u64) {
-        self.bytes_served.fetch_add(bytes, Ordering::Relaxed);
+    /// Counts `bytes` as served by this node, for a transfer whose traffic
+    /// is modeled separately from fetching the payload handle (see
+    /// [`DataNode::peek`]).
+    pub(crate) fn record_served(&mut self, bytes: u64) {
+        self.bytes_served += bytes;
     }
 
     /// Returns `true` if the node holds a replica of the block.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.blocks().contains_key(key)
+        self.blocks.contains_key(key)
     }
 
     /// Removes every block (simulates a disk wipe on permanent failure).
@@ -147,34 +71,33 @@ impl DataNode {
     /// node, a live [`crate::EncodedFile`]) — and zero-copy views of a
     /// caller's buffer, which this node never owned — just drop their
     /// handle here.
-    pub fn wipe(&self) {
-        let blocks = std::mem::take(&mut *self.blocks_mut());
-        recycle_payloads(blocks);
+    pub(crate) fn wipe(&mut self) {
+        recycle_payloads(std::mem::take(&mut self.blocks));
     }
 
     /// Number of block replicas stored.
     pub fn block_count(&self) -> usize {
-        self.blocks().len()
+        self.blocks.len()
     }
 
     /// Total bytes currently stored.
     pub fn used_bytes(&self) -> u64 {
-        self.blocks().values().map(|b| b.len() as u64).sum()
+        self.blocks.values().map(|b| b.len() as u64).sum()
     }
 
     /// Bytes served to readers so far.
     pub fn bytes_served(&self) -> u64 {
-        self.bytes_served.load(Ordering::Relaxed)
+        self.bytes_served
     }
 
     /// Bytes received from writers and repairs so far.
     pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
+        self.bytes_received
     }
 
     /// The keys of every block stored on this node.
     pub fn block_keys(&self) -> Vec<BlockKey> {
-        self.blocks().keys().copied().collect()
+        self.blocks.keys().copied().collect()
     }
 }
 
@@ -183,12 +106,7 @@ impl Drop for DataNode {
     /// simulation cell's file system funds the next cell's writes instead
     /// of handing gigabytes back to the allocator.
     fn drop(&mut self) {
-        let blocks = std::mem::take(
-            self.blocks
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        recycle_payloads(blocks);
+        self.wipe();
     }
 }
 
@@ -216,15 +134,9 @@ mod tests {
         BlockKey::new(FileId(1), stripe, block)
     }
 
-    fn node(id: usize) -> DataNode {
-        let net = Arc::new(ClusterNet::new(&drc_cluster::ClusterSpec::simulation_25(4)));
-        DataNode::new(NodeId(id), net)
-    }
-
     #[test]
     fn store_read_wipe_cycle() {
-        let dn = node(3);
-        assert_eq!(dn.id(), NodeId(3));
+        let mut dn = DataNode::default();
         assert_eq!(dn.block_count(), 0);
         dn.store(key(0, 0), Bytes::from(vec![1u8, 2, 3]).into());
         dn.store(key(0, 1), Bytes::from(vec![4u8; 10]).into());
@@ -240,7 +152,7 @@ mod tests {
 
     #[test]
     fn traffic_counters() {
-        let dn = node(0);
+        let mut dn = DataNode::default();
         dn.store(key(0, 0), Bytes::from(vec![0u8; 100]).into());
         assert_eq!(dn.bytes_received(), 100);
         assert_eq!(dn.bytes_served(), 0);
@@ -262,7 +174,7 @@ mod tests {
         // Capacities no other test uses, so the shelf lookups below cannot
         // be served by (or lose their buffer to) a concurrent test.
         let block = drc_gf::bufpool::MIN_POOLED_CAPACITY + 4099;
-        let dn = node(0);
+        let mut dn = DataNode::default();
         // Two views of a writer's payload, a sole-owner parity buffer, and
         // a replica whose handle a second holder (another node) keeps.
         let payload = Bytes::from(vec![5u8; 2 * block]);
@@ -285,48 +197,5 @@ mod tests {
         // … and the views are gone without the payload having moved: the
         // writer is its sole owner again.
         assert_eq!(payload.try_unwrap().unwrap(), vec![5u8; 2 * block]);
-    }
-
-    #[test]
-    fn timed_io_queues_on_the_node_resources() {
-        let fabric = Resource::new(0.0); // infinitely fast LAN for this test
-        let mib = 1024 * 1024;
-        // Timing and counters are functions of the length: a block with
-        // bytes and a sized one are indistinguishable here.
-        for block in [
-            Block::from(Bytes::from(vec![7u8; 100 * mib])),
-            Block::sized(100 * mib),
-        ] {
-            let dn = node(1);
-            // simulation_25: 100 MiB/s disks, 60 MiB/s NICs — a 100 MiB store
-            // is NIC-bound at 100/60 s.
-            let w = dn.store_timed(key(0, 0), block.clone(), SimTime::ZERO, &fabric);
-            assert!((w.duration().as_secs_f64() - 100.0 / 60.0).abs() < 1e-6);
-            let (data, r) = dn.read_timed(&key(0, 0), SimTime::ZERO, &fabric).unwrap();
-            assert_eq!(data, block);
-            assert_eq!(r.start, w.end, "the read queues behind the write");
-            assert!(dn.read_timed(&key(5, 5), SimTime::ZERO, &fabric).is_none());
-            assert_eq!(
-                (dn.used_bytes(), dn.bytes_received(), dn.bytes_served()),
-                (100 * mib as u64, 100 * mib as u64, 100 * mib as u64)
-            );
-            assert!(dn.contains(&key(0, 0)));
-        }
-    }
-
-    #[test]
-    fn counters_are_safe_under_concurrent_reads() {
-        let dn = node(2);
-        dn.store(key(0, 0), Bytes::from(vec![1u8; 1000]).into());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        let _ = dn.read(&key(0, 0));
-                    }
-                });
-            }
-        });
-        assert_eq!(dn.bytes_served(), 4 * 100 * 1000);
     }
 }

@@ -28,7 +28,9 @@ pub enum HdfsError {
         /// Explanation (e.g. the underlying code error).
         reason: String,
     },
-    /// A DataNode id is unknown or down when it must be up.
+    /// A node id names no DataNode of this cluster
+    /// ([`crate::DistributedFileSystem::repair_nodes`] was handed an unknown
+    /// replacement).
     DataNodeUnavailable {
         /// The node index.
         node: usize,

@@ -34,11 +34,13 @@
 //! concurrently).
 //!
 //! The resources themselves live in one cluster-wide
-//! [`drc_sim::ClusterNet`], shared by every DataNode and exposed through
+//! [`drc_sim::ClusterNet`] that the file system owns, next to its DataNodes:
+//! a DataNode is a plain replica map, and every timed store and read on its
+//! disk and NIC is issued here. The net is lent out through
 //! [`DistributedFileSystem::cluster_net`]: hand it to the MapReduce
 //! engine's `JobRun::on` and a job's shuffle fetches queue on the same NICs
-//! and fabric as a concurrent repair pass (the `shuffle_contention`
-//! experiment measures exactly that).
+//! and fabric as a repair pass overlapping it in virtual time (the
+//! `shuffle_contention` experiment measures exactly that).
 //!
 //! # Trace-driven failures, detection and auto-repair
 //!
@@ -157,14 +159,15 @@ struct PendingStores {
 pub struct DistributedFileSystem {
     cluster: Cluster,
     namenode: NameNode,
-    datanodes: BTreeMap<NodeId, DataNode>,
+    /// One DataNode per cluster node, indexed by [`NodeId`].
+    datanodes: Vec<DataNode>,
     code_cache: BTreeMap<CodeKind, Arc<dyn ErasureCode>>,
     /// The cluster-wide resource model (per-node disks and NICs plus the
-    /// shared LAN fabric). The DataNodes hold clones of this `Arc`, and
-    /// [`DistributedFileSystem::cluster_net`] hands the same model to other
-    /// layers (the MapReduce engine's shuffle), so all traffic queues on the
-    /// same links.
-    net: Arc<ClusterNet>,
+    /// shared LAN fabric). Every DataNode's timed I/O is issued on it here,
+    /// and [`DistributedFileSystem::cluster_net`] lends the same model to
+    /// other layers (the MapReduce engine's shuffle), so all traffic queues
+    /// on the same links.
+    net: ClusterNet,
     clock: VirtualClock,
     timeline: Timeline,
     rng: ChaCha8Rng,
@@ -195,12 +198,11 @@ impl std::fmt::Debug for DistributedFileSystem {
 impl DistributedFileSystem {
     /// Creates a file system over a fresh cluster with the given spec.
     pub fn new(spec: ClusterSpec, seed: u64) -> Self {
-        let net = Arc::new(ClusterNet::new(&spec));
+        let net = ClusterNet::new(&spec);
         let cluster = Cluster::new(spec);
         let replay = FailureReplay::new(cluster.len(), DEFAULT_DETECTION_TIMEOUT);
-        let datanodes = cluster
-            .nodes()
-            .map(|n| (n, DataNode::new(n, Arc::clone(&net))))
+        let datanodes = std::iter::repeat_with(DataNode::default)
+            .take(cluster.len())
             .collect();
         DistributedFileSystem {
             cluster,
@@ -232,16 +234,16 @@ impl DistributedFileSystem {
 
     /// Access to a DataNode (for inspection in tests and experiments).
     pub fn datanode(&self, node: NodeId) -> Option<&DataNode> {
-        self.datanodes.get(&node)
+        self.datanodes.get(node.0)
     }
 
     /// The cluster-wide resource model this file system's traffic runs on.
     ///
-    /// Hand the same `Arc` to other layers (e.g. the MapReduce engine's
-    /// `JobRun::on`) to make their traffic contend with writes, repairs and
-    /// degraded reads for the same per-node disks, NICs and the shared LAN
-    /// fabric — the contention the paper's experiments are about.
-    pub fn cluster_net(&self) -> &Arc<ClusterNet> {
+    /// Lend it to other layers (e.g. the MapReduce engine's `JobRun::on`)
+    /// to make their traffic contend with writes, repairs and degraded
+    /// reads for the same per-node disks, NICs and the shared LAN fabric —
+    /// the contention the paper's experiments are about.
+    pub fn cluster_net(&self) -> &ClusterNet {
         &self.net
     }
 
@@ -395,11 +397,9 @@ impl DistributedFileSystem {
                 for &node in &meta.block_locations(stripe, block_index)? {
                     self.write_network_bytes += content.len() as u64;
                     bytes_moved += content.len() as u64;
-                    let dn = self
-                        .datanodes
-                        .get(&node)
-                        .ok_or(HdfsError::DataNodeUnavailable { node: node.0 })?;
-                    let res = dn.store_timed(key, content.clone(), issued, self.net.fabric());
+                    let (io, fabric) = (self.net.node(node), self.net.fabric());
+                    let res = drc_sim::push_to(issued, io, fabric, content.len() as u64);
+                    self.datanodes[node.0].store(key, content.clone());
                     write_end = write_end.max(res.end);
                 }
             }
@@ -521,11 +521,12 @@ impl DistributedFileSystem {
             if !self.cluster.is_up(node) {
                 continue;
             }
-            if let Some(dn) = self.datanodes.get(&node) {
-                if let Some((data, res)) = dn.read_timed(&key, issued, self.net.fabric()) {
-                    self.read_network_bytes += data.len() as u64;
-                    return Ok((data, res.end, 0));
-                }
+            // A miss costs nothing: the node answers from metadata.
+            if let Some(data) = self.datanodes[node.0].read(&key) {
+                let (io, fabric) = (self.net.node(node), self.net.fabric());
+                let res = drc_sim::pull_from(issued, io, fabric, data.len() as u64);
+                self.read_network_bytes += data.len() as u64;
+                return Ok((data, res.end, 0));
             }
         }
         // Degraded read: plan around every unusable node, then execute the
@@ -579,11 +580,7 @@ impl DistributedFileSystem {
             .iter()
             .enumerate()
             .filter(|&(local, node)| {
-                !self.cluster.is_up(*node)
-                    || self
-                        .datanodes
-                        .get(node)
-                        .is_none_or(|dn| holds_none(local, dn))
+                !self.cluster.is_up(*node) || holds_none(local, &self.datanodes[node.0])
             })
             .map(|(local, _)| local)
             .collect()
@@ -592,8 +589,8 @@ impl DistributedFileSystem {
     /// What the plan executor may read of `stripe`: stripe-local `local`'s
     /// handle to `block`, unless the node is `excluded`. Accounting-neutral
     /// ([`DataNode::peek`]): the senders are charged from the plan
-    /// ([`DataNode::record_served`]), and the handles are shared `Bytes` (or
-    /// bare lengths), never copies.
+    /// (`DataNode::record_served` in [`Self::issue_fetch_trains`]), and the
+    /// handles are shared `Bytes` (or bare lengths), never copies.
     fn stripe_view<'a>(
         &'a self,
         file: FileId,
@@ -605,8 +602,8 @@ impl DistributedFileSystem {
             if excluded.contains(&local) {
                 return None;
             }
-            let dn = self.datanodes.get(hosts.get(local)?)?;
-            dn.peek(&BlockKey::new(file, stripe, block))
+            let node = hosts.get(local)?;
+            self.datanodes[node.0].peek(&BlockKey::new(file, stripe, block))
         }
     }
 
@@ -618,13 +615,18 @@ impl DistributedFileSystem {
     /// Marks a node as permanently failed: it is down and its blocks are gone.
     pub fn fail_node_permanently(&mut self, node: NodeId) {
         self.cluster.set_down(node);
-        if let Some(dn) = self.datanodes.get(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node.0) {
             dn.wipe();
         }
     }
 
-    /// Brings a transiently-failed node back up (its data is intact).
+    /// Brings a transiently-failed node back up (its data is intact). A node
+    /// this cluster does not have is ignored, as by
+    /// [`DistributedFileSystem::fail_node`].
     pub fn restore_node(&mut self, node: NodeId) {
+        if node.0 >= self.datanodes.len() {
+            return;
+        }
         self.cluster.set_up(node);
         self.net.restore_node(self.clock.now(), node);
         self.replay.heard_from(node);
@@ -800,9 +802,15 @@ impl DistributedFileSystem {
     ///
     /// # Errors
     ///
-    /// Returns an error only for internal inconsistencies; unrecoverable
-    /// stripes are *counted* in the report rather than failing the pass.
+    /// Returns [`HdfsError::DataNodeUnavailable`] if `replacements` names a
+    /// node this cluster does not have; the pass then has no effect at all
+    /// (no report, phase, reservation or counter). Otherwise an error means
+    /// an internal inconsistency; unrecoverable stripes are *counted* in the
+    /// report rather than failing the pass.
     pub fn repair_nodes(&mut self, replacements: &[NodeId]) -> Result<RepairReport, HdfsError> {
+        if let Some(node) = replacements.iter().find(|n| n.0 >= self.datanodes.len()) {
+            return Err(HdfsError::DataNodeUnavailable { node: node.0 });
+        }
         self.repair_pass(replacements, self.clock.now())
     }
 
@@ -841,8 +849,7 @@ impl DistributedFileSystem {
                 };
                 let plan_bytes = plan.network_blocks() as u64 * meta.block_size;
                 report.network_bytes += plan_bytes;
-                let slots =
-                    self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref())?;
+                let slots = self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref());
                 if slots.is_empty() {
                     continue;
                 }
@@ -898,11 +905,11 @@ impl DistributedFileSystem {
             if node.0 >= meta.placement.node_universe() {
                 continue; // this file's placement never saw the node
             }
-            let dn = self.datanodes.get(&node);
+            let dn = &self.datanodes[node.0];
             meta.placement
                 .for_each_stripe_on_node(node, |stripe, local| {
                     let key = |block| BlockKey::new(meta.id, stripe, block);
-                    let holds = |&block: &usize| dn.is_some_and(|dn| dn.contains(&key(block)));
+                    let holds = |&block: &usize| dn.contains(&key(block));
                     if !code.node_blocks(local).iter().all(holds) {
                         failed.entry(stripe).or_default().insert(local);
                     }
@@ -923,14 +930,11 @@ impl DistributedFileSystem {
         hosts: &[NodeId],
         failed_local: &BTreeSet<usize>,
         code: &dyn ErasureCode,
-    ) -> Result<Vec<(usize, BlockKey, NodeId)>, HdfsError> {
+    ) -> Vec<(usize, BlockKey, NodeId)> {
         let mut slots = Vec::new();
         for &local in failed_local {
             let node = hosts[local];
-            let dn = self
-                .datanodes
-                .get(&node)
-                .ok_or(HdfsError::DataNodeUnavailable { node: node.0 })?;
+            let dn = &self.datanodes[node.0];
             for &block in code.node_blocks(local) {
                 let key = BlockKey::new(meta.id, stripe, block);
                 if !dn.contains(&key) {
@@ -939,7 +943,7 @@ impl DistributedFileSystem {
             }
         }
         slots.sort_by_key(|&(_, key, _)| key.block);
-        Ok(slots)
+        slots
     }
 
     /// Repair step 3, execute (after [`drc_codes::RepairPlan::execute`] has run the
@@ -947,7 +951,7 @@ impl DistributedFileSystem {
     /// every missing block in its slot — a clone of the handle the plan
     /// delivered or rebuilt at that replacement.
     fn commit_restored(
-        &self,
+        &mut self,
         slots: &[(usize, BlockKey, NodeId)],
         restored: &[(usize, usize, Block)],
     ) {
@@ -956,8 +960,8 @@ impl DistributedFileSystem {
                 .iter()
                 .find(|(l, b, _)| l == local && *b == key.block)
                 .map(|(_, _, handle)| handle);
-            if let (Some(handle), Some(dn)) = (handle, self.datanodes.get(node)) {
-                dn.store(*key, handle.clone());
+            if let Some(handle) = handle {
+                self.datanodes[node.0].store(*key, handle.clone());
             }
         }
     }
@@ -974,7 +978,7 @@ impl DistributedFileSystem {
     /// monolithic schedule: one whole-block fetch, then whole-block stores
     /// — the serial baseline.
     fn issue_fetch_trains(
-        &self,
+        &mut self,
         senders: &[NodeId],
         block_size: u64,
         issued: SimTime,
@@ -983,9 +987,7 @@ impl DistributedFileSystem {
         let sizes: Vec<u64> = chunk_sizes(block_size, self.repair_chunk_bytes).collect();
         let mut fetch_done: Vec<SimTime> = vec![issued; sizes.len()];
         for &sender in senders {
-            if let Some(dn) = self.datanodes.get(&sender) {
-                dn.record_served(block_size);
-            }
+            self.datanodes[sender.0].record_served(block_size);
             let ends = drc_sim::pull_train(issued, self.net.node(sender), fabric, &sizes);
             for (done, end) in fetch_done.iter_mut().zip(ends) {
                 *done = (*done).max(end);
@@ -1048,8 +1050,8 @@ impl DistributedFileSystem {
     pub fn stats(&self) -> FsStats {
         FsStats {
             files: self.namenode.len(),
-            stored_blocks: self.datanodes.values().map(DataNode::block_count).sum(),
-            stored_bytes: self.datanodes.values().map(DataNode::used_bytes).sum(),
+            stored_blocks: self.datanodes.iter().map(DataNode::block_count).sum(),
+            stored_bytes: self.datanodes.iter().map(DataNode::used_bytes).sum(),
             write_network_bytes: self.write_network_bytes,
             read_network_bytes: self.read_network_bytes,
             repair_network_bytes: self.repair_network_bytes,
@@ -1060,6 +1062,7 @@ impl DistributedFileSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use drc_sim::{overlap, PhaseClass};
 
     fn spec() -> ClusterSpec {
@@ -1115,6 +1118,112 @@ mod tests {
         assert_eq!(stats.files, 1);
         assert_eq!(stats.stored_blocks, 20);
         assert_eq!(stats.stored_bytes, 20 * 1024 * 1024);
+    }
+
+    /// Every replica store and replica read is a timed event on the node's
+    /// own disk and NIC: on `simulation_25` (100 MiB/s disks, 60 MiB/s
+    /// NICs) a 100 MiB store is NIC-bound at 100/60 s, and a read issued
+    /// before `sync` queues behind it. Timing and counters are functions of
+    /// the length: a real block and a sized one are indistinguishable.
+    #[test]
+    fn replica_io_queues_on_the_node_resources() {
+        let mib = 1024 * 1024;
+        let mut spec = ClusterSpec::simulation_25(4);
+        spec.block_size_mb = 100;
+        let run = |file: &EncodedFile| {
+            let mut fs = DistributedFileSystem::new(spec.clone(), 3);
+            let id = fs.write_encoded("/f", file).unwrap();
+            let blocks = fs.read_file_blocks(id).unwrap();
+            assert_eq!(
+                blocks.iter().map(Block::len).collect::<Vec<_>>(),
+                [100 * mib]
+            );
+            let hosts = fs
+                .namenode()
+                .file(id)
+                .unwrap()
+                .block_locations(0, 0)
+                .unwrap();
+            let counters: Vec<(u64, u64, u64)> = hosts
+                .iter()
+                .map(|&n| fs.datanode(n).unwrap())
+                .map(|dn| (dn.used_bytes(), dn.bytes_received(), dn.bytes_served()))
+                .collect();
+            (fs.timeline().clone(), fs.stats(), counters)
+        };
+        let code = CodeKind::TWO_REP;
+        let real = EncodedFile::encode(Bytes::from(vec![7u8; 100 * mib]), code, 100 * mib);
+        let sized = EncodedFile::sized(code, 100 * mib, 100 * mib);
+        let (timeline, stats, counters) = run(&real.unwrap());
+        assert_eq!(
+            (timeline.clone(), stats, counters.clone()),
+            run(&sized.unwrap())
+        );
+
+        let [write, read] = timeline.phases[..] else {
+            panic!("one write and one read phase: {timeline:?}");
+        };
+        assert_eq!((write.start, read.start), (SimTime::ZERO, SimTime::ZERO));
+        assert!((write.duration().as_secs_f64() - 100.0 / 60.0).abs() < 1e-6);
+        assert_eq!(
+            read.end.since(write.end),
+            write.duration(),
+            "the read queues behind the write on its replica's disk and NIC"
+        );
+        let mib = mib as u64;
+        assert_eq!(
+            (
+                stats.stored_bytes,
+                stats.write_network_bytes,
+                stats.read_network_bytes
+            ),
+            (200 * mib, 200 * mib, 100 * mib)
+        );
+        // The first replica serves the read; both received their store.
+        assert_eq!(
+            counters,
+            [(100 * mib, 100 * mib, 100 * mib), (100 * mib, 100 * mib, 0)]
+        );
+    }
+
+    /// A node id the cluster does not have is refused by a repair before
+    /// the pass has any effect, and ignored by a restore, as by a failure.
+    #[test]
+    fn unknown_node_ids_are_refused_or_ignored() {
+        let mut fs = DistributedFileSystem::new(tiny_spec(), 9);
+        let data = sample_data(3 * 1024 * 1024);
+        let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
+        let victim = fs
+            .namenode()
+            .file(id)
+            .unwrap()
+            .block_locations(0, 0)
+            .unwrap()[0];
+        fs.fail_node_permanently(victim);
+        let (unknown, io) = (NodeId(999), fs.cluster_net().node(victim));
+        let before = (fs.now(), fs.timeline().clone(), fs.stats());
+        let cursors = (io.disk.next_free(), io.nic.next_free());
+
+        assert_eq!(
+            fs.repair_nodes(&[victim, unknown]),
+            Err(HdfsError::DataNodeUnavailable { node: 999 })
+        );
+        assert_eq!((fs.now(), fs.timeline().clone(), fs.stats()), before);
+        let io = fs.cluster_net().node(victim);
+        assert_eq!((io.disk.next_free(), io.nic.next_free()), cursors);
+        assert!(
+            !fs.cluster().is_up(victim),
+            "the victim is not re-provisioned"
+        );
+        assert_eq!(fs.datanode(victim).unwrap().block_count(), 0);
+
+        fs.fail_node(unknown);
+        fs.restore_node(unknown);
+        fs.fail_node_permanently(unknown);
+        assert!(fs.datanode(unknown).is_none());
+        assert_eq!(fs.repair_nodes(&[victim]).unwrap().unrecoverable_stripes, 0);
+        fs.sync();
+        assert_eq!(fs.read_file(id).unwrap(), data);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! codes. This crate is the reproduction's stand-in for that storage layer:
 //!
 //! * [`NameNode`] — file namespace and block→location metadata,
-//! * [`DataNode`] — in-memory block replica storage with lock-free traffic
-//!   counters and timed, resource-modeled disk I/O,
+//! * [`DataNode`] — one node's in-memory block replicas and traffic
+//!   counters, owned by the file system, which issues its timed,
+//!   resource-modeled disk and NIC I/O,
 //! * [`DistributedFileSystem`] — the client write/read path (striping,
 //!   encoding, degraded reads) and the RaidNode repair pass, all of which
 //!   operate on real block payloads when the file has them, so every

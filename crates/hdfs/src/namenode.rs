@@ -83,9 +83,10 @@ impl FileMetadata {
 /// The file namespace plus block-location bookkeeping.
 #[derive(Debug, Default)]
 pub struct NameNode {
-    files: BTreeMap<FileId, FileMetadata>,
+    /// Every file's metadata, indexed by [`FileId`]: ids are handed out
+    /// 0, 1, 2, … and never removed, so the next id is the length.
+    files: Vec<FileMetadata>,
     by_name: BTreeMap<String, FileId>,
-    next_id: u64,
 }
 
 impl NameNode {
@@ -118,8 +119,7 @@ impl NameNode {
                 name: name.to_string(),
             });
         }
-        let id = FileId(self.next_id);
-        self.next_id += 1;
+        let id = FileId(self.files.len() as u64);
         let meta = FileMetadata {
             id,
             name: name.to_string(),
@@ -132,7 +132,7 @@ impl NameNode {
             has_content,
             placement: Arc::new(placement),
         };
-        self.files.insert(id, meta);
+        self.files.push(meta);
         self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -143,14 +143,15 @@ impl NameNode {
     ///
     /// Returns [`HdfsError::FileNotFound`] if the id is unknown.
     pub fn file(&self, id: FileId) -> Result<&FileMetadata, HdfsError> {
-        self.files
-            .get(&id)
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|index| self.files.get(index))
             .ok_or_else(|| HdfsError::file_not_found(id))
     }
 
-    /// Iterates over every file's metadata.
+    /// Iterates over every file's metadata, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &FileMetadata> {
-        self.files.values()
+        self.files.iter()
     }
 
     /// Number of files in the namespace.

@@ -235,17 +235,17 @@ fn ingest_outcome(
     let mut fs = DistributedFileSystem::new(tiny_spec(), seed);
     let id = ingest(&mut fs);
     let nodes: Vec<_> = (0..fs.cluster().spec().data_nodes)
-        .map(|n| fs.datanode(NodeId(n)).unwrap())
+        .map(|n| (NodeId(n), fs.datanode(NodeId(n)).unwrap()))
         .collect();
     let stored = nodes
         .iter()
-        .flat_map(|dn| {
+        .flat_map(|&(node, dn)| {
             dn.block_keys()
                 .into_iter()
-                .map(move |key| (dn.id(), key, dn.peek(&key).unwrap()))
+                .map(move |key| (node, key, dn.peek(&key).unwrap()))
         })
         .collect();
-    let received = nodes.iter().map(|dn| dn.bytes_received()).collect();
+    let received = nodes.iter().map(|(_, dn)| dn.bytes_received()).collect();
     let stats_after_write = fs.stats();
     fs.sync();
     let healthy_read = fs.read_file(id).unwrap();

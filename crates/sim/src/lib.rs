@@ -15,8 +15,9 @@
 //!   interleaved; the one failure clock the simulated HDFS and the
 //!   MapReduce engine both consume,
 //! * [`Resource`] — a bandwidth server (disk, NIC, shared LAN fabric) whose
-//!   reservations serialise contending transfers; lock-free so shared
-//!   components (DataNodes) can reserve through `&self`,
+//!   reservations serialise contending transfers; lock-free so layers
+//!   sharing one net (the file system lends its net to the MapReduce
+//!   engine) can reserve through `&self`,
 //! * [`ClusterNet`] — per-node disk + NIC resources and the shared fabric,
 //!   built from [`drc_cluster::ClusterSpec`] bandwidth figures;
 //!   [`ClusterNet::restore_node`] blocks a recovered node's outage window,
@@ -77,8 +78,8 @@ mod timeline;
 pub use event::EventQueue;
 pub use failure::{FailureReplay, ReplayStep};
 pub use net::{
-    chunk_sizes, pull_from, pull_train, push_to, push_train, transfer_between, ClusterNet, NodeIo,
-    Transfer, TransferOutcome, MAX_PIPES,
+    chunk_sizes, pull_from, pull_train, push_to, push_train, ClusterNet, NodeIo, Transfer,
+    TransferOutcome, MAX_PIPES,
 };
 pub use resource::{Reservation, Resource};
 pub use time::{SimDuration, SimTime, VirtualClock};

@@ -178,24 +178,6 @@ fn grant(
     }
 }
 
-/// A node-to-node transfer: source disk + NIC, destination NIC + disk, and
-/// the shared fabric (the stages stream concurrently).
-pub fn transfer_between(
-    now: SimTime,
-    src: &NodeIo,
-    dst: &NodeIo,
-    fabric: &Resource,
-    bytes: u64,
-) -> Reservation {
-    Transfer::new(fabric, bytes)
-        .via(&src.disk)
-        .via(&src.nic)
-        .via(&dst.nic)
-        .via(&dst.disk)
-        .issue(now)
-        .reservation
-}
-
 /// An inbound transfer from outside the modeled cluster (a client write, a
 /// decoded block landing on a replacement): destination NIC + disk + fabric.
 pub fn push_to(now: SimTime, dst: &NodeIo, fabric: &Resource, bytes: u64) -> Reservation {
@@ -407,7 +389,14 @@ impl ClusterNet {
     /// saturated by other traffic), and holds source disk + NIC, destination
     /// NIC + disk for its whole duration (the stages stream concurrently).
     pub fn transfer(&self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Reservation {
-        transfer_between(now, self.node(from), self.node(to), &self.fabric, bytes)
+        let (src, dst) = (self.node(from), self.node(to));
+        Transfer::new(&self.fabric, bytes)
+            .via(&src.disk)
+            .via(&src.nic)
+            .via(&dst.nic)
+            .via(&dst.disk)
+            .issue(now)
+            .reservation
     }
 
     /// A fan-in into `dest`: one fetch of `bytes` from each node of

@@ -31,8 +31,9 @@ impl Reservation {
 /// resources overlap, transfers on the *same* resource queue behind each
 /// other.
 ///
-/// The free-time cursor is an `AtomicU64`, so components shared behind
-/// `&self` (DataNodes, the fabric) can reserve without locks.
+/// The free-time cursor is an `AtomicU64`, so layers sharing one net behind
+/// `&` (the file system lends its net to the MapReduce engine) can reserve
+/// without locks.
 ///
 /// A resource can be **slowed down** ([`Resource::set_slowdown`]): a factor
 /// of 2.0 halves the effective bandwidth from that point on, 1.0 restores
