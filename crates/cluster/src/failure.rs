@@ -95,8 +95,9 @@ impl FailureEvent {
     }
 
     /// Pairs an instant (in seconds since the epoch, rounded to the nearest
-    /// nanosecond; negative or non-finite values clamp to the epoch) with an
-    /// event kind.
+    /// nanosecond) with an event kind. An instant past `u64::MAX`
+    /// nanoseconds, +∞ included, saturates there — an event that never
+    /// fires within any horizon — and NaN or a value ≤ 0 is the epoch.
     pub fn at_secs(at_s: f64, kind: FailureEventKind) -> Self {
         FailureEvent {
             at_ns: secs_to_ns(at_s),
@@ -105,10 +106,9 @@ impl FailureEvent {
     }
 }
 
+/// The float-to-integer `as` cast saturates, and maps NaN to 0: the same
+/// conversion as `drc_sim::SimDuration::from_secs_f64`.
 fn secs_to_ns(at_s: f64) -> u64 {
-    if !at_s.is_finite() || at_s <= 0.0 {
-        return 0;
-    }
     (at_s * 1e9).round() as u64
 }
 
@@ -292,15 +292,20 @@ mod tests {
         let at: Vec<u64> = trace.events().iter().map(|e| e.at_ns).collect();
         assert_eq!(at, vec![10, 30, 50]);
         assert!(!trace.is_empty());
-        // Negative / non-finite second stamps clamp to the epoch.
-        assert_eq!(
-            FailureEvent::at_secs(-3.0, FailureEventKind::NodeUp { node: NodeId(0) }).at_ns,
-            0
-        );
-        assert_eq!(
-            FailureEvent::at_secs(f64::NAN, FailureEventKind::NodeUp { node: NodeId(0) }).at_ns,
-            0
-        );
+    }
+
+    #[test]
+    fn second_stamps_saturate_above_and_clamp_to_the_epoch_below() {
+        let at_ns = |at_s: f64| {
+            FailureEvent::at_secs(at_s, FailureEventKind::NodeUp { node: NodeId(0) }).at_ns
+        };
+        // "Never": past every horizon, not at t = 0.
+        assert_eq!(at_ns(f64::INFINITY), u64::MAX);
+        assert_eq!(at_ns(1e300), u64::MAX);
+        for at_s in [f64::NEG_INFINITY, f64::NAN, -0.0, -3.0] {
+            assert_eq!(at_ns(at_s), 0, "{at_s}");
+        }
+        assert_eq!(at_ns(1.5), 1_500_000_000);
     }
 
     #[test]

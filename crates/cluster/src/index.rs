@@ -7,9 +7,9 @@
 //! that is all that is stored: the placement of a whole stripe is a fixed
 //! arity-`n` run of `u32` node ids in one flat arena, and every per-block
 //! answer is derived from that run through the code's (stripe-invariant)
-//! block↔local tables ([`CodeShape`]). The reverse view is a per-node
-//! postings list of `u32` arena offsets, built once when the stripes are
-//! placed.
+//! block↔local tables ([`CodeShape`]). The reverse view is the arena's
+//! `u32` offsets grouped by host in compressed sparse row form
+//! ([`Postings`]), built once when the stripes are placed.
 //!
 //! This module holds the id and answer types ([`GlobalBlockId`],
 //! [`NodeList`]), the code shape, the arena and the argument checks;
@@ -266,10 +266,10 @@ impl CodeShape {
 
     /// Distinct blocks stored on stripe-local node `local`, ascending.
     // `#[inline]` here, on `GlobalBlockId::new`, `StripeArena::cell` /
-    // `row`, `locals_of_block` and `check_node`: `PlacementMap`'s
-    // `impl FnMut` scans are instantiated in the calling crate, where a
-    // non-generic helper without it is an out-of-line call per posting
-    // (INTERNALS.md has the measurement).
+    // `row`, `Postings::of`, `locals_of_block` and `check_node`:
+    // `PlacementMap`'s `impl FnMut` scans are instantiated in the calling
+    // crate, where a non-generic helper without it is an out-of-line call
+    // per posting (INTERNALS.md has the measurement).
     #[inline]
     pub fn blocks_of_local(&self, local: usize) -> &[u16] {
         let start = self.local_block_offsets[local] as usize;
@@ -302,13 +302,13 @@ impl CodeShape {
 
 /// The flat per-stripe host arena: row `s` holds the `arity` cluster-node
 /// ids (as `u32`) hosting stripe `s`'s local nodes. A cell's position,
-/// `stripe * arity + local`, is the *offset* the per-node postings store —
-/// also as `u32`; [`check_arena_bounds`] is what makes both narrowings
-/// lossless. Made by [`StripeArena::cyclic`] or an [`ArenaBuild`], together
-/// with its postings. Both fill `hosts` once, front to back, at its exact
-/// capacity, so it comes from `drc_gf::bufpool::bulk_with_capacity`: an
-/// arena of 2 MiB or more first-touches one huge page per fault where the
-/// host grants them, and a smaller one is an ordinary `Vec`.
+/// `stripe * arity + local`, is the *offset* the [`Postings`] store — also
+/// as `u32`; [`check_arena_bounds`] is what makes both narrowings lossless.
+/// Made by [`StripeArena::cyclic`] or an [`ArenaBuild`], together with its
+/// postings. Both fill `hosts` once, front to back, at its exact capacity,
+/// so it comes from `drc_gf::bufpool::bulk_with_capacity`: an arena of
+/// 2 MiB or more first-touches one huge page per fault where the host
+/// grants them, and a smaller one is an ordinary `Vec`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StripeArena {
     arity: u32,
@@ -316,32 +316,42 @@ pub(crate) struct StripeArena {
 }
 
 impl StripeArena {
-    /// The arena whose cells are the cyclic repetition of `ring` (distinct
-    /// node ids below `node_universe`) — cell `c` is `ring[c % ring.len()]`
-    /// — and its postings, both in closed form: the arena is the ring copied
-    /// lap after lap, and ring position `at` hosts exactly the offsets `at`,
-    /// `at + ring.len()`, … below the cell count, so every list is written
-    /// front to back at its exact size without reading the arena. The
+    /// The arena whose cells are the cyclic repetition of `ring` (node ids
+    /// below `node_universe`, strictly ascending) — cell `c` is
+    /// `ring[c % ring.len()]` — and its postings, both in closed form: the
+    /// arena is the ring copied lap after lap, and ring position `at` hosts
+    /// exactly the offsets `at`, `at + ring.len()`, … below the cell count.
+    /// Because the ring is in id order, those runs are appended to the
+    /// postings front to back in ring order, without reading the arena. The
     /// caller has passed the dimensions through [`check_arena_bounds`].
     pub(crate) fn cyclic(
         arity: usize,
         stripes: usize,
         ring: &[u32],
         node_universe: usize,
-    ) -> (Self, Vec<Vec<u32>>) {
+    ) -> (Self, Postings) {
+        debug_assert!(ring.windows(2).all(|pair| pair[0] < pair[1]));
+        debug_assert!(ring.last().is_some_and(|&n| (n as usize) < node_universe));
         let cells = arity * stripes;
         let mut hosts = bulk_with_capacity(cells);
         for _ in 0..cells / ring.len() {
             hosts.extend_from_slice(ring);
         }
         hosts.extend_from_slice(&ring[..cells % ring.len()]);
-        let mut postings = vec![Vec::new(); node_universe];
+        let mut base = Vec::with_capacity(node_universe + 1);
+        let mut posted = bulk_with_capacity(cells);
         for (at, &host) in ring.iter().enumerate() {
-            let list = &mut postings[host as usize];
-            list.reserve_exact(cells.saturating_sub(at).div_ceil(ring.len()));
-            list.extend((at..cells).step_by(ring.len()).map(|cell| cell as u32));
+            // Opens `host`'s run; the nodes since the previous host are off
+            // the ring (down when placed) and host nothing.
+            base.resize(host as usize + 1, posted.len() as u32);
+            posted.extend((at..cells).step_by(ring.len()).map(|cell| cell as u32));
         }
+        base.resize(node_universe + 1, posted.len() as u32);
         let arity = arity as u32;
+        let postings = Postings {
+            base,
+            cells: posted,
+        };
         (StripeArena { arity, hosts }, postings)
     }
 
@@ -367,14 +377,42 @@ impl StripeArena {
     }
 }
 
-/// A [`StripeArena`] and its postings built row by row, for placements
+/// The reverse view of a [`StripeArena`], in compressed sparse row form:
+/// node `n` hosts the arena offsets `cells[base[n]..base[n + 1]]`,
+/// ascending — i.e. stripes in ascending order. `base` holds
+/// `node_universe + 1` prefix sums; `cells` holds every arena offset
+/// exactly once, so it is as long as the arena and, like it, comes from
+/// `bulk_with_capacity`. Every prefix sum is at most the cell count, which
+/// [`check_arena_bounds`] keeps inside `u32`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Postings {
+    base: Vec<u32>,
+    cells: Vec<u32>,
+}
+
+impl Postings {
+    /// The arena offsets node `node` hosts, ascending; `node` is below the
+    /// node universe the postings were built over.
+    #[inline]
+    pub(crate) fn of(&self, node: usize) -> &[u32] {
+        &self.cells[self.base[node] as usize..self.base[node + 1] as usize]
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.base.capacity() + self.cells.capacity()) * size_of::<u32>()
+    }
+}
+
+/// A [`StripeArena`] and its [`Postings`] built row by row, for placements
 /// with no closed form: *fill* the arena one stripe at a time, *tally* how
 /// many cells each node hosts as they arrive, then *scatter* every offset
-/// into its host's exactly-sized list. The tally is what makes the scatter
-/// the build's only pass over the finished arena.
+/// into its host's run. The tally is what makes the scatter the build's
+/// only pass over the finished arena.
 pub(crate) struct ArenaBuild {
     arena: StripeArena,
-    /// `counts[n]`: cells pushed so far whose host is node `n`.
+    /// `counts[n]`: cells pushed so far whose host is node `n`. One entry
+    /// per node plus a last one that stays 0: `finish` turns the tally into
+    /// the postings' `node_universe + 1` prefix sums in place.
     counts: Vec<u32>,
 }
 
@@ -388,7 +426,7 @@ impl ArenaBuild {
                 arity: arity as u32,
                 hosts: bulk_with_capacity(arity * stripes),
             },
-            counts: vec![0; node_universe],
+            counts: vec![0; node_universe + 1],
         }
     }
 
@@ -401,18 +439,29 @@ impl ArenaBuild {
         self.arena.hosts.extend_from_slice(row);
     }
 
-    /// The finished arena and its reverse view: for each cluster node, the
-    /// offsets it hosts, ascending — i.e. stripes in ascending order.
-    pub(crate) fn finish(self) -> (StripeArena, Vec<Vec<u32>>) {
-        let mut postings: Vec<Vec<u32>> = self
-            .counts
-            .iter()
-            .map(|&cells| Vec::with_capacity(cells as usize))
-            .collect();
-        for (offset, &host) in self.arena.hosts.iter().enumerate() {
-            postings[host as usize].push(offset as u32);
+    /// The finished arena and its postings.
+    pub(crate) fn finish(self) -> (StripeArena, Postings) {
+        let ArenaBuild {
+            arena,
+            counts: mut base,
+        } = self;
+        // Inclusive prefix sums: `base[n]` is where node `n`'s run ends, and
+        // the last entry the cell count.
+        let mut end = 0;
+        for slot in &mut base {
+            end += *slot;
+            *slot = end;
         }
-        (self.arena, postings)
+        // Scatter from the last offset down, so each run comes out ascending
+        // and `base[n]` is walked down to where the run starts.
+        let mut cells = bulk_with_capacity(arena.hosts.len());
+        cells.resize(arena.hosts.len(), 0);
+        for (offset, &host) in arena.hosts.iter().enumerate().rev() {
+            let cursor = &mut base[host as usize];
+            *cursor -= 1;
+            cells[*cursor as usize] = offset as u32;
+        }
+        (arena, Postings { base, cells })
     }
 }
 

@@ -10,8 +10,9 @@
 //! * [`PlacementMap`] — mapping of erasure-code stripes onto cluster nodes,
 //!   preserving the array-code property that all blocks of one stripe-local
 //!   node land on the same cluster node (Fig. 2) — and stored as exactly
-//!   those decisions: one flat arena of `u32` node ids plus per-node
-//!   postings (see `INTERNALS.md`), a few bytes per block, which is what allows
+//!   those decisions: one flat arena of `u32` node ids plus its
+//!   offsets grouped by host (CSR postings, see `INTERNALS.md`), a few
+//!   bytes per block, which is what allows
 //!   1000-node / 10M-block experiments,
 //! * [`FailureTrace`] — timed failure injection: a sorted sequence of
 //!   [`FailureEvent`]s (node down/up, rack bursts, slowdowns) the

@@ -11,12 +11,10 @@
 //!
 //! That same property is the storage layout: a [`PlacementMap`] keeps only
 //! the `stripes × arity` host decisions, as one flat arena of `u32` node ids
-//! plus per-node postings of arena offsets for the reverse direction, and
+//! plus its offsets grouped by host for the reverse direction, and
 //! derives every per-block answer through the code's [`CodeShape`]. A few
 //! bytes per block, which is what lets the `metadata_scale` experiment place
 //! 10M blocks.
-
-use std::mem::size_of;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -25,7 +23,7 @@ use drc_codes::ErasureCode;
 
 use crate::index::{
     check_arena_bounds, check_block, check_node, check_stripe, ArenaBuild, CodeShape, NodeList,
-    StripeArena,
+    Postings, StripeArena,
 };
 use crate::topology::{Cluster, NodeId, RackId};
 use crate::ClusterError;
@@ -75,9 +73,9 @@ pub struct PlacementMap {
     shape: CodeShape,
     arena: StripeArena,
     node_universe: usize,
-    /// `postings[n]` lists the arena offsets (`stripe * arity + local`) whose
-    /// host is node `n`, ascending — i.e. stripes in ascending order.
-    postings: Vec<Vec<u32>>,
+    /// For each node of the universe, the arena offsets
+    /// (`stripe * arity + local`) it hosts, ascending.
+    postings: Postings,
 }
 
 impl PlacementMap {
@@ -111,8 +109,11 @@ impl PlacementMap {
         let node_universe = cluster.len();
         check_arena_bounds(arity, stripes, node_universe)?;
         // The up-node ring in id order, narrowed to the arena's cell type
-        // once (`check_arena_bounds` made that lossless).
-        let up: Vec<u32> = cluster.up_nodes().iter().map(|n| n.0 as u32).collect();
+        // once (`check_arena_bounds` made that lossless), in one allocation
+        // whatever the cluster size.
+        let mut up = Vec::with_capacity(node_universe);
+        let up_ids = cluster.nodes().filter(|&n| cluster.is_up(n));
+        up.extend(up_ids.map(|n| n.0 as u32));
         if arity > up.len() {
             return Err(ClusterError::InsufficientNodes {
                 needed: arity,
@@ -280,7 +281,7 @@ impl PlacementMap {
         mut f: impl FnMut(usize, usize),
     ) -> Result<(), ClusterError> {
         check_node(self.node_universe, node)?;
-        for &offset in &self.postings[node.0] {
+        for &offset in self.postings.of(node.0) {
             let (stripe, local) = self.arena.cell(offset);
             f(stripe, local);
         }
@@ -329,17 +330,10 @@ impl PlacementMap {
     /// Heap bytes resident in the index, by its own accounting: the
     /// capacities of the arena, the postings and the code shape.
     pub fn heap_bytes(&self) -> usize {
-        let posting_headers = self.postings.capacity() * size_of::<Vec<u32>>();
-        let posting_bytes: usize = self
-            .postings
-            .iter()
-            .map(|p| p.capacity() * size_of::<u32>())
-            .sum();
         self.code_name.capacity()
             + self.shape.heap_bytes()
             + self.arena.heap_bytes()
-            + posting_headers
-            + posting_bytes
+            + self.postings.heap_bytes()
     }
 }
 

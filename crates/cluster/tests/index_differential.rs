@@ -155,9 +155,10 @@ proptest! {
         let (oracle, placement) = build_pair(code, &cluster, stripes, policy, seed);
         assert_observationally_equal(&oracle, &placement);
         // No size assertion here: at these deliberately tiny sizes the
-        // arena's fixed per-node posting headers can outweigh the oracle's
-        // (undercounted) `heap_bytes` floor. Size is asserted at non-toy
-        // scale in `arena_undercuts_the_map_oracle_at_scale` below.
+        // postings' fixed offset table (4 B per node) and the code's shape
+        // tables can outweigh the oracle's (undercounted) `heap_bytes`
+        // floor. Size is asserted at non-toy scale in
+        // `arena_undercuts_the_map_oracle_at_scale` below.
     }
 }
 

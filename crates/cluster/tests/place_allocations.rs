@@ -1,10 +1,12 @@
 //! Allocation shape of `PlacementMap::place`, measured with the counting
 //! global allocator: the build makes the same number of allocations for
 //! `10·S` stripes as for `S` (nothing is allocated per stripe — the random
-//! draws reuse one pool, one rack order and one row), and beyond the index
-//! it returns it holds only O(nodes) bytes at its peak (the up ring, the
-//! host counts, the per-rack pools) — no transient cell-sized buffer, which
-//! is why the 10 M-block placements peak at the size of the index itself.
+//! draws reuse one pool, one rack order and one row) and on 1000 nodes as on
+//! 25 (nothing is allocated per node — the postings are one slab of offsets
+//! and one offset table), and beyond the index it returns it holds only
+//! O(nodes) bytes at its peak (the up ring, the per-rack pools) — no
+//! transient cell-sized buffer, which is why the 10 M-block placements peak
+//! at the size of the index itself.
 //!
 //! Lives in its own integration-test binary so the `#[global_allocator]`
 //! does not leak into other tests; only the measured thread's allocations
@@ -74,5 +76,20 @@ fn place_allocates_nothing_per_stripe_and_no_cell_sized_transient() {
                  (bound {transient_bound} B)"
             );
         }
+    }
+    // The same stripes on a 1000-node, 25-rack cluster: as many allocations
+    // as on 25 nodes. (The rack-aware draw is left out: it keeps one up-node
+    // list per rack by design.)
+    let datacenter = Cluster::new(ClusterSpec::datacenter(1000));
+    for (what, policy) in [
+        ("round-robin", PlacementPolicy::RoundRobin),
+        ("flat random", PlacementPolicy::Random),
+    ] {
+        let narrow = place_tally(CodeKind::Pentagon, &cluster, S, policy);
+        let wide = place_tally(CodeKind::Pentagon, &datacenter, S, policy);
+        assert_eq!(
+            narrow.allocs, wide.allocs,
+            "{what}: allocations grew with the node count: {narrow:?} vs {wide:?}"
+        );
     }
 }

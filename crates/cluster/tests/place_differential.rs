@@ -51,10 +51,11 @@ fn pools() -> [(&'static str, Cluster); 3] {
 }
 
 /// The bytes `heap_bytes` counts for the arena and the postings, from the
-/// reference's own buffers.
-fn index_bytes(hosts: &Vec<u32>, postings: &Vec<Vec<u32>>) -> usize {
-    let posted: usize = postings.iter().map(Vec::capacity).sum();
-    (hosts.capacity() + posted) * size_of::<u32>() + postings.capacity() * size_of::<Vec<u32>>()
+/// reference's own buffers: the arena, every posted offset, and the
+/// postings' offset table of one prefix sum per node plus the total.
+fn index_bytes(hosts: &[u32], postings: &[Vec<u32>]) -> usize {
+    let posted: usize = postings.iter().map(Vec::len).sum();
+    (hosts.len() + posted + postings.len() + 1) * size_of::<u32>()
 }
 
 fn gcd(a: usize, b: usize) -> usize {

@@ -30,7 +30,8 @@
 //! # Caller-owned bulk buffers
 //!
 //! A buffer that leaves the product for good — `read_file`'s file-sized
-//! output, a placement index's host arena, an experiment's test payload —
+//! output, a placement index's host arena and its postings slab, an
+//! experiment's test payload —
 //! cannot come from the shelf: the caller owns it and frees it, so every
 //! one is fresh memory whose first touch the kernel must fault in.
 //! [`bulk_with_capacity`] is the constructor for those, for any element
@@ -167,7 +168,7 @@ fn aligned_interior(start: usize, capacity: usize) -> Option<(usize, usize)> {
 
 /// An empty buffer of capacity at least `len` elements for a caller that is
 /// about to fill it front to back and keep it (a whole file's bytes, a
-/// placement arena's host ids).
+/// placement arena's host ids, its postings' arena offsets).
 ///
 /// Exactly `Vec::with_capacity(len)`, plus — on Linux, when the capacity's
 /// bytes (`capacity × size_of::<T>()`) hold at least one whole aligned

@@ -256,11 +256,11 @@ fn metadata_scale_is_the_recorded_structural_table() {
     // here as a changed byte count, a reintroduced clock as a differing
     // second run.
     let recorded: [(CodeKind, usize, usize, usize); 5] = [
-        (CodeKind::TWO_REP, 100, 200_000, 3_202_441),
-        (CodeKind::Pentagon, 100, 200_000, 802_604),
-        (CodeKind::HeptagonLocal, 100, 200_024, 548_626),
-        (CodeKind::TWO_REP, 1000, 10_000_000, 160_024_041),
-        (CodeKind::Pentagon, 1000, 10_000_000, 40_024_204),
+        (CodeKind::TWO_REP, 100, 200_000, 3_200_445),
+        (CodeKind::Pentagon, 100, 200_000, 800_608),
+        (CodeKind::HeptagonLocal, 100, 200_024, 546_630),
+        (CodeKind::TWO_REP, 1000, 10_000_000, 160_004_045),
+        (CodeKind::Pentagon, 1000, 10_000_000, 40_004_208),
     ];
     let table = run_metadata_scale(Effort::Quick).unwrap();
     let got: Vec<_> = table
