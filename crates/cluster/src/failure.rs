@@ -18,15 +18,14 @@
 //! A node taken down by an event at instant `t` and restored at `t'` is
 //! unavailable over the **half-open interval `[t, t')`** — the same
 //! convention as `drc_sim::Timeline` phases: the node is already dark *at*
-//! `t` and serving again *at* `t'`. Trace timestamps are integer nanoseconds
-//! on the same epoch as `drc_sim::SimTime` (this crate sits below `drc_sim`
-//! in the dependency order, so it speaks raw nanoseconds rather than the
-//! typed instant).
+//! `t` and serving again *at* `t'`. Trace timestamps are [`SimTime`]s, the
+//! instants the simulation substrate reserves its resources in.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::spec::Positive;
+use crate::time::{SimDuration, SimTime};
 use crate::topology::{Cluster, NodeId, RackId};
 
 /// Samples `count` distinct nodes of `cluster` uniformly at random, in id
@@ -77,39 +76,34 @@ pub enum FailureEventKind {
 }
 
 /// One timed failure-model event.
-///
-/// `at_ns` is the virtual instant in nanoseconds since the simulation epoch
-/// (the representation of `drc_sim::SimTime`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureEvent {
-    /// Virtual instant, in nanoseconds since the simulation epoch.
-    pub at_ns: u64,
+    /// The virtual instant the event happens at.
+    pub at: SimTime,
     /// What happens at that instant.
     pub kind: FailureEventKind,
 }
 
 impl FailureEvent {
-    /// Pairs an instant (in nanoseconds) with an event kind.
-    pub fn at_ns(at_ns: u64, kind: FailureEventKind) -> Self {
-        FailureEvent { at_ns, kind }
+    /// Pairs an instant (in nanoseconds since the epoch) with an event kind.
+    pub fn at_ns(ns: u64, kind: FailureEventKind) -> Self {
+        FailureEvent {
+            at: SimTime(ns),
+            kind,
+        }
     }
 
     /// Pairs an instant (in seconds since the epoch, rounded to the nearest
-    /// nanosecond) with an event kind. An instant past `u64::MAX`
+    /// nanosecond) with an event kind, through
+    /// [`SimDuration::from_secs_f64`]: an instant past `u64::MAX`
     /// nanoseconds, +∞ included, saturates there — an event that never
     /// fires within any horizon — and NaN or a value ≤ 0 is the epoch.
     pub fn at_secs(at_s: f64, kind: FailureEventKind) -> Self {
         FailureEvent {
-            at_ns: secs_to_ns(at_s),
+            at: SimTime::ZERO + SimDuration::from_secs_f64(at_s),
             kind,
         }
     }
-}
-
-/// The float-to-integer `as` cast saturates, and maps NaN to 0: the same
-/// conversion as `drc_sim::SimDuration::from_secs_f64`.
-fn secs_to_ns(at_s: f64) -> u64 {
-    (at_s * 1e9).round() as u64
 }
 
 /// A sorted sequence of timed [`FailureEvent`]s: the trace a failure engine
@@ -122,14 +116,14 @@ fn secs_to_ns(at_s: f64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace, NodeId};
+/// use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace, NodeId, SimTime};
 ///
 /// let trace = FailureTrace::from_events(vec![
 ///     FailureEvent::at_secs(5.0, FailureEventKind::NodeUp { node: NodeId(3) }),
 ///     FailureEvent::at_secs(1.0, FailureEventKind::NodeDown { node: NodeId(3) }),
 /// ]);
 /// // Sorted on construction: the failure precedes the recovery.
-/// assert_eq!(trace.events()[0].at_ns, 1_000_000_000);
+/// assert_eq!(trace.events()[0].at, SimTime(1_000_000_000));
 /// assert_eq!(trace.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -158,14 +152,14 @@ impl FailureTrace {
 
     /// Builds a trace from events in any order (stable-sorted by instant).
     pub fn from_events(mut events: Vec<FailureEvent>) -> Self {
-        events.sort_by_key(|e| e.at_ns);
+        events.sort_by_key(|e| e.at);
         FailureTrace { events }
     }
 
     /// Adds one event, keeping the trace sorted (an event at an already-used
     /// instant goes after the existing ones — insertion order breaks ties).
     pub fn push(&mut self, event: FailureEvent) {
-        let idx = self.events.partition_point(|e| e.at_ns <= event.at_ns);
+        let idx = self.events.partition_point(|e| e.at <= event.at);
         self.events.insert(idx, event);
     }
 
@@ -272,7 +266,7 @@ mod tests {
         let cluster = Cluster::new(ClusterSpec::setup1());
         let trace = FailureTrace::down_at_t0(&[NodeId(2), NodeId(9)]);
         assert_eq!(trace.len(), 2);
-        assert!(trace.events().iter().all(|e| e.at_ns == 0));
+        assert!(trace.events().iter().all(|e| e.at == SimTime::ZERO));
         assert_eq!(trace.nodes_taken_down(&cluster), vec![NodeId(2), NodeId(9)]);
     }
 
@@ -289,7 +283,7 @@ mod tests {
                 factor: Positive::new(2.0).unwrap(),
             },
         ));
-        let at: Vec<u64> = trace.events().iter().map(|e| e.at_ns).collect();
+        let at: Vec<u64> = trace.events().iter().map(|e| e.at.0).collect();
         assert_eq!(at, vec![10, 30, 50]);
         assert!(!trace.is_empty());
     }
@@ -297,7 +291,9 @@ mod tests {
     #[test]
     fn second_stamps_saturate_above_and_clamp_to_the_epoch_below() {
         let at_ns = |at_s: f64| {
-            FailureEvent::at_secs(at_s, FailureEventKind::NodeUp { node: NodeId(0) }).at_ns
+            FailureEvent::at_secs(at_s, FailureEventKind::NodeUp { node: NodeId(0) })
+                .at
+                .0
         };
         // "Never": past every horizon, not at t = 0.
         assert_eq!(at_ns(f64::INFINITY), u64::MAX);
@@ -322,11 +318,11 @@ mod tests {
         let down = trace.nodes_taken_down(&cluster);
         assert_eq!(down.len(), trace.len(), "victims are distinct");
         // Sorted, within the horizon, and reproducible from the same seed.
-        let mut last = 0;
+        let mut last = SimTime::ZERO;
         for ev in trace.events() {
-            assert!(ev.at_ns >= last);
-            assert!(ev.at_ns < 10_000_000_000);
-            last = ev.at_ns;
+            assert!(ev.at >= last);
+            assert!(ev.at < SimTime(10_000_000_000));
+            last = ev.at;
             assert!(matches!(ev.kind, FailureEventKind::NodeDown { .. }));
         }
         let mut rng2 = rand_chacha::ChaCha8Rng::seed_from_u64(7);

@@ -18,7 +18,10 @@
 //!   [`FailureEvent`]s (node down/up, rack bursts, slowdowns) the
 //!   event-driven layers replay in virtual time; a static failure pattern
 //!   is the trace with every failure at t = 0
-//!   ([`FailureTrace::down_at_t0`] over [`sample_nodes`]).
+//!   ([`FailureTrace::down_at_t0`] over [`sample_nodes`]),
+//! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time, the
+//!   instants a trace is stamped with and the simulation substrate
+//!   (`drc_sim`, which re-exports both) reserves its resources in.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@ mod failure;
 mod index;
 mod placement;
 mod spec;
+mod time;
 mod topology;
 
 pub use error::ClusterError;
@@ -59,4 +63,5 @@ pub use failure::{sample_nodes, FailureEvent, FailureEventKind, FailureTrace};
 pub use index::{CodeShape, GlobalBlockId, NodeList};
 pub use placement::{PlacementMap, PlacementPolicy};
 pub use spec::{ClusterSpec, Positive};
+pub use time::{SimDuration, SimTime};
 pub use topology::{Cluster, NodeId, RackId};

@@ -1,17 +1,16 @@
 //! Virtual time: integer nanoseconds for exact, deterministic ordering.
-
-use serde::Serialize;
-
-/// One mebibyte, the unit the cluster specs quote bandwidth in (MiB/s).
-const MIB: f64 = 1024.0 * 1024.0;
+//!
+//! Defined here, at the bottom of the stack, so that a [`crate::FailureEvent`]
+//! carries the same instant type the simulation substrate (`drc_sim`, which
+//! re-exports both types) reserves resources in, and seconds become
+//! nanoseconds through one cast: [`SimDuration::from_secs_f64`].
 
 /// An instant in virtual time, in nanoseconds since simulation start.
 ///
 /// Integer-backed so comparisons, maxima and accumulation are exact: two
 /// simulations that issue the same operations in the same order produce the
 /// same timelines bit-for-bit, regardless of host or thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -61,51 +60,12 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Time to move `bytes` through a pipe of `bandwidth_mib_s` MiB/s.
-    ///
-    /// A non-positive bandwidth models an infinitely fast resource (zero
-    /// duration); see [`crate::Resource::new`] for who still reaches it.
-    pub(crate) fn for_bytes(bytes: u64, bandwidth_mib_s: f64) -> SimDuration {
-        if bandwidth_mib_s <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_secs_f64(bytes as f64 / (bandwidth_mib_s * MIB))
-    }
 }
 
 impl std::ops::Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
-    }
-}
-
-/// The clock a simulation advances as it executes timed operations.
-///
-/// Operations are *issued* at `now()`; the issuing layer decides when to
-/// advance, which is what lets independently-issued repair and degraded-read
-/// work overlap: both are issued at the same instant and only the shared
-/// [`crate::Resource`]s serialise them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// A clock at the simulation epoch.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Moves the clock forward to `t`; never moves it backwards.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
     }
 }
 
@@ -125,24 +85,14 @@ mod tests {
     }
 
     #[test]
-    fn bytes_to_duration() {
-        // 100 MiB at 100 MiB/s is one second.
-        let d = SimDuration::for_bytes(100 * 1024 * 1024, 100.0);
-        assert_eq!(d, SimDuration(1_000_000_000));
-        assert_eq!(SimDuration::for_bytes(1 << 30, 0.0), SimDuration::ZERO);
+    fn seconds_round_clamp_and_saturate() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         // Overflow saturates, +∞ included: never a free transfer.
-        let never_free = SimDuration(u64::MAX);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), never_free);
-        assert_eq!(SimDuration::for_bytes(1 << 20, 1e-310), never_free);
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut clock = VirtualClock::new();
-        clock.advance_to(SimTime(10));
-        clock.advance_to(SimTime(5));
-        assert_eq!(clock.now(), SimTime(10));
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::INFINITY),
+            SimDuration(u64::MAX)
+        );
+        assert_eq!(SimDuration::from_secs_f64(2.4e-9), SimDuration(2));
     }
 }

@@ -129,9 +129,12 @@ impl Cluster {
         &self.down
     }
 
-    /// The currently-up nodes, in id order.
+    /// The currently-up nodes, in id order, in one allocation of exactly
+    /// their count (`down` only ever holds nodes of the cluster).
     pub fn up_nodes(&self) -> Vec<NodeId> {
-        self.nodes().filter(|n| self.is_up(*n)).collect()
+        let mut up = Vec::with_capacity(self.len() - self.down.len());
+        up.extend(self.nodes().filter(|n| !self.down.contains(n)));
+        up
     }
 }
 

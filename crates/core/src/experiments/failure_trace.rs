@@ -31,7 +31,7 @@ use drc_codes::CodeKind;
 use drc_hdfs::{DistributedFileSystem, EncodedFile};
 use drc_mapreduce::{JobRun, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
-use drc_sim::{overlap, PhaseClass, SimDuration};
+use drc_sim::{overlap, PhaseClass, SimDuration, SimTime};
 
 use crate::experiments::harness;
 use crate::render::{mib, Row, Table};
@@ -253,7 +253,10 @@ fn run_window(
                 zero_based
                     .events()
                     .iter()
-                    .map(|e| FailureEvent::at_ns(e.at_ns.saturating_add(start.0), e.kind))
+                    .map(|e| FailureEvent {
+                        at: start + e.at.since(SimTime::ZERO),
+                        ..*e
+                    })
                     .collect(),
             );
             let timeout = SimDuration::from_secs_f64(config.timeout_s);
@@ -276,7 +279,7 @@ fn run_window(
         &cluster,
         scheduler.as_ref(),
     )
-    .on(fs.cluster_net(), start)
+    .on(fs.cluster_net_mut(), start)
     .failures(&trace, timeout)
     .run(&mut ChaCha8Rng::seed_from_u64(0x5EED ^ code_salt(code)))?;
 

@@ -224,7 +224,7 @@ fn run_window(
         &cluster,
         scheduler.as_ref(),
     )
-    .on(fs.cluster_net(), start)
+    .on(fs.cluster_net_mut(), start)
     .run(&mut rng)?;
 
     // The storage-layer and job timelines share the virtual time base:

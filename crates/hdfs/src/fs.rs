@@ -21,23 +21,24 @@
 //!
 //! # Virtual time and overlap
 //!
-//! Every operation is issued at the file system's [`VirtualClock`] and
-//! executed as timed events against the modeled resources: each DataNode's
-//! disk, each node's NIC and the shared LAN fabric. Operations issued
+//! Every operation is issued at the file system's current virtual instant
+//! ([`DistributedFileSystem::now`]) and executed as timed events against
+//! the modeled resources: each DataNode's disk, each node's NIC and the
+//! shared LAN fabric. Operations issued
 //! without advancing the clock **overlap in virtual time** — a RaidNode
 //! repair pass and a batch of degraded reads issued back-to-back contend for
 //! the same disks and links instead of executing serially, which is exactly
 //! the contention the paper's experiments measure. Call
-//! [`DistributedFileSystem::sync`] to advance the clock past everything in
-//! flight; inspect [`DistributedFileSystem::timeline`] for the per-phase
+//! [`DistributedFileSystem::sync`] to advance that instant past everything
+//! in flight; inspect [`DistributedFileSystem::timeline`] for the per-phase
 //! record (and [`drc_sim::overlap`] for how long two kinds of work ran
 //! concurrently).
 //!
 //! The resources themselves live in one cluster-wide
 //! [`drc_sim::ClusterNet`] that the file system owns, next to its DataNodes:
 //! a DataNode is a plain replica map, and every timed store and read on its
-//! disk and NIC is issued here. The net is lent out through
-//! [`DistributedFileSystem::cluster_net`]: hand it to the MapReduce
+//! disk and NIC is issued here. The net is lent out by `&mut` through
+//! [`DistributedFileSystem::cluster_net_mut`]: hand it to the MapReduce
 //! engine's `JobRun::on` and a job's shuffle fetches queue on the same NICs
 //! and fabric as a repair pass overlapping it in virtual time (the
 //! `shuffle_contention` experiment measures exactly that).
@@ -74,7 +75,7 @@ use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, Plac
 use drc_codes::{CodeError, CodeKind, ErasureCode};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, FailureReplay, PhaseKind, ReplayStep, SimDuration,
-    SimTime, Timeline, VirtualClock,
+    SimTime, Timeline,
 };
 
 use crate::block::{Block, BlockKey};
@@ -164,11 +165,12 @@ pub struct DistributedFileSystem {
     code_cache: BTreeMap<CodeKind, Arc<dyn ErasureCode>>,
     /// The cluster-wide resource model (per-node disks and NICs plus the
     /// shared LAN fabric). Every DataNode's timed I/O is issued on it here,
-    /// and [`DistributedFileSystem::cluster_net`] lends the same model to
-    /// other layers (the MapReduce engine's shuffle), so all traffic queues
-    /// on the same links.
+    /// and [`DistributedFileSystem::cluster_net_mut`] lends the same model
+    /// to other layers (the MapReduce engine's shuffle), so all traffic
+    /// queues on the same links.
     net: ClusterNet,
-    clock: VirtualClock,
+    /// The virtual instant operations are issued at; only moves forward.
+    now: SimTime,
     timeline: Timeline,
     rng: ChaCha8Rng,
     write_network_bytes: u64,
@@ -190,7 +192,7 @@ impl std::fmt::Debug for DistributedFileSystem {
         f.debug_struct("DistributedFileSystem")
             .field("nodes", &self.cluster.len())
             .field("files", &self.namenode.len())
-            .field("now", &self.clock.now())
+            .field("now", &self.now)
             .finish()
     }
 }
@@ -210,7 +212,7 @@ impl DistributedFileSystem {
             datanodes,
             code_cache: BTreeMap::new(),
             net,
-            clock: VirtualClock::new(),
+            now: SimTime::ZERO,
             timeline: Timeline::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             write_network_bytes: 0,
@@ -239,17 +241,17 @@ impl DistributedFileSystem {
 
     /// The cluster-wide resource model this file system's traffic runs on.
     ///
-    /// Lend it to other layers (e.g. the MapReduce engine's `JobRun::on`)
-    /// to make their traffic contend with writes, repairs and degraded
-    /// reads for the same per-node disks, NICs and the shared LAN fabric —
-    /// the contention the paper's experiments are about.
-    pub fn cluster_net(&self) -> &ClusterNet {
-        &self.net
+    /// Lend it by `&mut` to other layers (e.g. the MapReduce engine's
+    /// `JobRun::on`) to make their traffic contend with writes, repairs and
+    /// degraded reads for the same per-node disks, NICs and the shared LAN
+    /// fabric — the contention the paper's experiments are about.
+    pub fn cluster_net_mut(&mut self) -> &mut ClusterNet {
+        &mut self.net
     }
 
     /// The current virtual instant operations are issued at.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
     /// The per-phase virtual-time record of everything executed so far.
@@ -262,8 +264,8 @@ impl DistributedFileSystem {
     /// operations issued *after* start once the earlier ones are done.
     pub fn sync(&mut self) -> SimTime {
         let end = self.timeline.end();
-        self.clock.advance_to(end);
-        self.clock.now()
+        self.now = self.now.max(end);
+        self.now
     }
 
     fn code(&mut self, kind: CodeKind) -> Result<Arc<dyn ErasureCode>, HdfsError> {
@@ -373,7 +375,7 @@ impl DistributedFileSystem {
             PlacementPolicy::Random,
             &mut self.rng,
         )?;
-        let issued = self.clock.now();
+        let issued = self.now;
         let id = self.namenode.register(
             name,
             len as u64,
@@ -471,7 +473,7 @@ impl DistributedFileSystem {
         mut sink: impl FnMut(Block) -> Result<(), HdfsError>,
     ) -> Result<(), HdfsError> {
         let meta = self.namenode.file(id)?.clone();
-        let issued = self.clock.now();
+        let issued = self.now;
         let bytes_before = self.read_network_bytes;
         let mut degraded_bytes = 0u64;
         let mut remaining = meta.size as usize;
@@ -628,7 +630,7 @@ impl DistributedFileSystem {
             return;
         }
         self.cluster.set_up(node);
-        self.net.restore_node(self.clock.now(), node);
+        self.net.restore_node(self.now, node);
         self.replay.heard_from(node);
     }
 
@@ -811,7 +813,7 @@ impl DistributedFileSystem {
         if let Some(node) = replacements.iter().find(|n| n.0 >= self.datanodes.len()) {
             return Err(HdfsError::DataNodeUnavailable { node: node.0 });
         }
-        self.repair_pass(replacements, self.clock.now())
+        self.repair_pass(replacements, self.now)
     }
 
     /// The repair pass shared by [`DistributedFileSystem::repair_nodes`]
@@ -1200,7 +1202,7 @@ mod tests {
             .block_locations(0, 0)
             .unwrap()[0];
         fs.fail_node_permanently(victim);
-        let (unknown, io) = (NodeId(999), fs.cluster_net().node(victim));
+        let (unknown, io) = (NodeId(999), fs.net.node(victim));
         let before = (fs.now(), fs.timeline().clone(), fs.stats());
         let cursors = (io.disk.next_free(), io.nic.next_free());
 
@@ -1209,7 +1211,7 @@ mod tests {
             Err(HdfsError::DataNodeUnavailable { node: 999 })
         );
         assert_eq!((fs.now(), fs.timeline().clone(), fs.stats()), before);
-        let io = fs.cluster_net().node(victim);
+        let io = fs.net.node(victim);
         assert_eq!((io.disk.next_free(), io.nic.next_free()), cursors);
         assert!(
             !fs.cluster().is_up(victim),
@@ -1453,7 +1455,7 @@ mod tests {
         fs.set_detection_timeout(SimDuration::from_secs_f64(2.0));
         let fail_at = fs.now() + SimDuration::from_secs_f64(1.0);
         fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
-            at_ns: fail_at.0,
+            at: fail_at,
             kind: FailureEventKind::NodeDown { node: victim },
         }]));
         assert_eq!(fs.pending_events(), 1);
@@ -1507,7 +1509,7 @@ mod tests {
             fs.set_detection_timeout(SimDuration::from_secs_f64(scheduled_under_s));
             let fail_at = fs.now();
             fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
-                at_ns: fail_at.0,
+                at: fail_at,
                 kind: FailureEventKind::NodeDown { node: victim },
             }]));
             // The node is already silent when the timeout changes.
@@ -1538,7 +1540,7 @@ mod tests {
         let meta = fs.namenode().file(id).unwrap().clone();
         let victim = meta.placement.stripe_hosts(0).unwrap()[1];
         let down = |at: SimTime| FailureEvent {
-            at_ns: at.0,
+            at,
             kind: FailureEventKind::NodeDown { node: victim },
         };
 
@@ -1572,12 +1574,12 @@ mod tests {
         let fail_at = fs.now();
         fs.schedule_trace(&FailureTrace::from_events(vec![
             FailureEvent {
-                at_ns: fail_at.0,
+                at: fail_at,
                 kind: FailureEventKind::NodeDown { node: victim },
             },
             // The node is re-provisioned inside the detection window.
             FailureEvent {
-                at_ns: (fail_at + SimDuration::from_secs_f64(1.0)).0,
+                at: fail_at + SimDuration::from_secs_f64(1.0),
                 kind: FailureEventKind::NodeUp { node: victim },
             },
         ]));
@@ -1650,13 +1652,13 @@ mod tests {
         // that instant and must never be declared dead, whatever the
         // scheduling order.
         fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
-            at_ns: fail_at.0,
+            at: fail_at,
             kind: FailureEventKind::NodeDown { node: victim },
         }]));
         let early = fs.process_events_until(fail_at).unwrap();
         assert!(early.is_empty());
         fs.schedule_trace(&FailureTrace::from_events(vec![FailureEvent {
-            at_ns: boundary.0,
+            at: boundary,
             kind: FailureEventKind::NodeUp { node: victim },
         }]));
         let reports = fs.process_all_events().unwrap();
@@ -1686,18 +1688,18 @@ mod tests {
         let late_up = fail_at + SimDuration::from_secs_f64(60.0);
         fs.schedule_trace(&FailureTrace::from_events(vec![
             FailureEvent {
-                at_ns: fail_at.0,
+                at: fail_at,
                 kind: FailureEventKind::NodeDown { node: victim },
             },
             FailureEvent {
-                at_ns: late_up.0,
+                at: late_up,
                 kind: FailureEventKind::NodeUp { node: victim },
             },
         ]));
         let reports = fs.process_all_events().unwrap();
         assert_eq!(reports.len(), 1, "the repair beat the trace's recovery");
         assert!(fs.cluster().is_up(victim));
-        let io = fs.cluster_net().node(victim);
+        let io = fs.net.node(victim);
         assert!(
             io.disk.next_free() < late_up && io.nic.next_free() < late_up,
             "a stale NodeUp must not occupy the node through its instant"
@@ -1720,8 +1722,8 @@ mod tests {
         let reports = fs.process_all_events().unwrap();
         assert!(reports.is_empty(), "a slowdown is not a failure");
         assert!(fs.cluster().is_up(node), "the node stays up");
-        assert_eq!(fs.cluster_net().node(node).disk.slowdown(), 4.0);
-        assert_eq!(fs.cluster_net().node(node).nic.slowdown(), 4.0);
+        assert_eq!(fs.net.node(node).disk.slowdown(), 4.0);
+        assert_eq!(fs.net.node(node).nic.slowdown(), 4.0);
     }
 
     #[test]

@@ -79,11 +79,12 @@ fn is_dispatch_module(path: &str) -> bool {
 
 /// Functions sanctioned to cast float expressions to integers: the
 /// checked/saturating byte-scaling path introduced after the PR 3 bug, and
-/// the guarded seconds→nanoseconds converters (both reject non-finite input
-/// and round explicitly before casting). Matching is by bare function name —
-/// a same-named helper elsewhere inherits the sanction, so keep these names
-/// specific.
-pub const CAST_ALLOWLIST_FNS: &[&str] = &["scale_bytes", "from_secs_f64", "secs_to_ns"];
+/// the workspace's one seconds→nanoseconds converter,
+/// `drc_cluster::SimDuration::from_secs_f64` (both handle non-finite input
+/// and round explicitly before casting). Matching is by bare function
+/// name — a same-named helper elsewhere inherits the sanction, so keep
+/// these names specific.
+pub const CAST_ALLOWLIST_FNS: &[&str] = &["scale_bytes", "from_secs_f64"];
 
 /// Identifiers whose presence in a determinism-scoped crate is a violation.
 const NONDETERMINISM_IDENTS: &[(&str, &str)] = &[
@@ -1086,10 +1087,7 @@ mod tests {
         let out = check_file("crates/mapreduce/src/engine.rs", &scan(src));
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         let src = "fn from_secs_f64(s: f64) -> u64 { (s * 1e9).round() as u64 }\n";
-        let out = check_file("crates/sim/src/time.rs", &scan(src));
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
-        let src = "fn secs_to_ns(s: f64) -> u64 { (s * 1e9).round() as u64 }\n";
-        let out = check_file("crates/cluster/src/failure.rs", &scan(src));
+        let out = check_file("crates/cluster/src/time.rs", &scan(src));
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 

@@ -20,10 +20,11 @@
 //! Every phase of the job is discrete events on the `drc_sim` substrate —
 //! there is no closed-form time left in the engine:
 //!
-//! * **Map waves** — map slots are unit-capacity [`Resource`]s; every task
-//!   duration the schedulers' placements induce is consumed as a
-//!   virtual-time reservation, and each wave's remote-read bytes queue
-//!   through the shared LAN fabric.
+//! * **Map waves** — each map slot is the [`SimTime`] instant it next comes
+//!   free; a task starts on its node's earliest-free slot no earlier than
+//!   its wave and holds it for the duration the schedulers' placements
+//!   induce (a [`drc_sim::Resource`]'s FIFO grant), and each wave's
+//!   remote-read bytes queue through the shared LAN fabric.
 //! * **Shuffle** — each reducer is placed round-robin over the up nodes and
 //!   issues one fetch event per *source node*, all of them through one
 //!   [`ClusterNet::gather`]: a fetch acquires the source node's NIC, the
@@ -31,16 +32,16 @@
 //!   for the bottleneck service time. The share produced on the reducer's
 //!   own node never touches the network. Per-link queueing delay is
 //!   accumulated into [`JobMetrics::shuffle_contention`].
-//! * **Reduce** — a reducer occupies one of its node's reduce-slot
-//!   [`Resource`]s from fetch start through merge CPU and the output write,
-//!   which reserves the node's *disk* in the same [`ClusterNet`].
+//! * **Reduce** — a reducer occupies one of its node's reduce slots (again
+//!   free instants) from fetch start through merge CPU and the output
+//!   write, which reserves the node's *disk* in the same [`ClusterNet`].
 //!
 //! # One entry point
 //!
 //! [`JobRun`] is the only way in. By default a job executes against a
 //! private, idle [`ClusterNet`] from the virtual epoch with nothing failing;
-//! [`JobRun::on`] puts it on a **shared** net (e.g.
-//! `DistributedFileSystem::cluster_net`), which is where the paper's
+//! [`JobRun::on`] puts it on a **shared** net, lent by `&mut` (e.g.
+//! `DistributedFileSystem::cluster_net_mut`), which is where the paper's
 //! headline contention appears: a repair pass or a batch of degraded reads
 //! issued in the same virtual window reserves the same NICs, disks and
 //! fabric, so shuffle fetches queue behind reconstruction traffic and the
@@ -231,7 +232,7 @@ impl Liveness {
     /// timeline as a [`PhaseKind::DetectionLag`] phase. Slowdowns reach
     /// `net` only when the engine owns it: a shared net's owner applies
     /// them, so a shared trace is never applied twice.
-    fn advance(&mut self, t: SimTime, net: &ClusterNet, timeline: &mut Timeline) {
+    fn advance(&mut self, t: SimTime, net: &mut ClusterNet, timeline: &mut Timeline) {
         while let Some((at, step)) = self.replay.next_due(t, &self.view) {
             match step {
                 ReplayStep::Down(node) => self.wiped[node.0] = true,
@@ -290,14 +291,13 @@ impl Liveness {
 /// reads of blocks whose every replica is unreachable. Left at its defaults
 /// the job executes on a private, idle [`ClusterNet`] built from the
 /// cluster's spec, starting at the virtual epoch, with nothing failing.
-#[derive(Clone, Copy)]
 pub struct JobRun<'a> {
     job: &'a JobSpec,
     code: &'a dyn ErasureCode,
     placement: &'a PlacementMap,
     cluster: &'a Cluster,
     scheduler: &'a dyn TaskScheduler,
-    site: Option<(&'a ClusterNet, SimTime)>,
+    site: Option<(&'a mut ClusterNet, SimTime)>,
     failures: Option<(&'a FailureTrace, SimDuration)>,
 }
 
@@ -325,11 +325,11 @@ impl<'a> JobRun<'a> {
     /// Issues every event against `net` (per-node NICs and disks plus the
     /// shared LAN fabric), starting at `start` — reservations never begin
     /// earlier. This is the entry for contention studies: hand in a file
-    /// system's `cluster_net()` and a repair pass or degraded reads issued
-    /// in the same virtual window compete with the job's map-wave traffic
-    /// and shuffle fetches for the same links.
+    /// system's `cluster_net_mut()` and a repair pass or degraded reads
+    /// issued in the same virtual window compete with the job's map-wave
+    /// traffic and shuffle fetches for the same links.
     #[must_use]
-    pub fn on(mut self, net: &'a ClusterNet, start: SimTime) -> Self {
+    pub fn on(mut self, net: &'a mut ClusterNet, start: SimTime) -> Self {
         self.site = Some((net, start));
         self
     }
@@ -377,7 +377,7 @@ impl<'a> JobRun<'a> {
     /// or [`MapReduceError::UnreadableBlock`] if a block cannot be served
     /// at all (more failures, static or traced, than the code tolerates).
     /// A rejected configuration reserves nothing.
-    pub fn run(self, rng: &mut dyn RngCore) -> Result<JobMetrics, MapReduceError> {
+    pub fn run(mut self, rng: &mut dyn RngCore) -> Result<JobMetrics, MapReduceError> {
         let (spec, reduces) = (self.cluster.spec(), self.job.reduce_tasks() > 0);
         for (what, none) in [
             ("map_slots_per_node", spec.map_slots_per_node == 0),
@@ -391,11 +391,11 @@ impl<'a> JobRun<'a> {
                 return Err(MapReduceError::InvalidConfig { reason });
             }
         }
-        match self.site {
-            Some((net, start)) => execute(self, net, start, rng),
+        match self.site.take() {
+            Some((net, start)) => execute(&self, net, start, false, rng),
             None => {
-                let private_net = ClusterNet::new(self.cluster.spec());
-                execute(self, &private_net, SimTime::ZERO, rng)
+                let mut private_net = ClusterNet::new(self.cluster.spec());
+                execute(&self, &mut private_net, SimTime::ZERO, true, rng)
             }
         }
     }
@@ -403,11 +403,12 @@ impl<'a> JobRun<'a> {
 
 /// Executes `run` against `net` from `start`: the map waves, then the
 /// shuffle and the reduce waves, each adding its counters and phases to
-/// the job's metrics.
+/// the job's metrics. `owns_net`: the engine built `net` itself.
 fn execute(
-    run: JobRun<'_>,
-    net: &ClusterNet,
+    run: &JobRun<'_>,
+    net: &mut ClusterNet,
     start: SimTime,
+    owns_net: bool,
     rng: &mut dyn RngCore,
 ) -> Result<JobMetrics, MapReduceError> {
     for task in run.job.map_tasks() {
@@ -417,14 +418,14 @@ fn execute(
             });
         }
     }
-    let mut liveness = Liveness::new(run.cluster, run.failures, run.site.is_none());
+    let mut liveness = Liveness::new(run.cluster, run.failures, owns_net);
     let mut m = JobMetrics {
         job: run.job.name().to_string(),
         code: run.placement.code_name().to_string(),
         map_tasks: run.job.map_tasks().len(),
         ..JobMetrics::default()
     };
-    let map_end = map_waves(&run, net, start, &mut liveness, &mut m, rng)?;
+    let map_end = map_waves(run, net, start, &mut liveness, &mut m, rng)?;
     // Failures that landed during the final wave (or detection boundaries
     // crossed by its end) are in force before reducers are placed.
     liveness.advance(map_end, net, &mut m.timeline);
@@ -447,7 +448,7 @@ fn execute(
 /// in a later wave. Returns when the last wave finished.
 fn map_waves(
     run: &JobRun<'_>,
-    net: &ClusterNet,
+    net: &mut ClusterNet,
     start: SimTime,
     liveness: &mut Liveness,
     m: &mut JobMetrics,
@@ -472,10 +473,6 @@ fn map_waves(
     let mut graph = TaskNodeGraph::default();
     let mut capacities: Vec<usize> = Vec::new();
     let mut completed: Vec<bool> = Vec::new();
-    // The shared LAN fabric of the execution site: aggregate remote traffic
-    // queues through it at cluster-wide bandwidth, behind whatever other
-    // traffic (repairs, degraded reads) already reserved it.
-    let lan = net.fabric();
     let mut map_end = start;
     let mut wave_start = start;
     let mut wave_index = 0usize;
@@ -601,10 +598,13 @@ fn map_waves(
         // the aggregate network can move while the slots are busy, the map
         // phase is network-bound and stretches accordingly. This is the
         // mechanism behind the paper's observation that lost locality costs
-        // job time, not just traffic. A fully-local wave reserves nothing,
-        // so it cannot queue behind unrelated fabric traffic.
+        // job time, not just traffic. The wave's bytes queue through the
+        // execution site's fabric at cluster-wide bandwidth, behind whatever
+        // other traffic (repairs, degraded reads) already reserved it. A
+        // fully-local wave reserves nothing, so it cannot queue behind
+        // unrelated fabric traffic.
         if wave_network_bytes > 0 {
-            let lan_res = lan.reserve_bytes(wave_start, wave_network_bytes);
+            let lan_res = net.fabric().reserve_bytes(wave_start, wave_network_bytes);
             wave_end = wave_end.max(lan_res.end);
         }
         m.timeline.record(
@@ -653,7 +653,7 @@ fn shuffle_and_reduce(
     job: &JobSpec,
     spec: &ClusterSpec,
     up: &[NodeId],
-    net: &ClusterNet,
+    net: &mut ClusterNet,
     map_end: SimTime,
     m: &mut JobMetrics,
 ) -> SimTime {
@@ -700,7 +700,6 @@ fn shuffle_and_reduce(
         for r in 0..reducers {
             let at = r % up.len();
             let dest = up[at];
-            let dest_io = net.node(dest);
             let slot = earliest(&mut reduce_slots[at * slots_per_node..(at + 1) * slots_per_node]);
             let task_start = map_end.max(*slot);
             let fetch_start = task_start + overhead;
@@ -726,7 +725,8 @@ fn shuffle_and_reduce(
             }
             // Merge CPU after the last fetch lands, then the output write on
             // the node's disk (shared with any storage-layer traffic).
-            let write_res = dest_io
+            let write_res = net
+                .node(dest)
                 .disk
                 .reserve_bytes(fetch_done + merge_cpu, write_bytes);
             *slot = write_res.end;
@@ -970,7 +970,7 @@ mod tests {
             blocks.push(bad);
             let job = JobSpec::new("bogus", blocks).with_reduce_tasks(4);
             // A reservation made before the check would show on this net.
-            let net = ClusterNet::new(cluster.spec());
+            let mut net = ClusterNet::new(cluster.spec());
             let result = JobRun::new(
                 &job,
                 code.as_ref(),
@@ -978,7 +978,7 @@ mod tests {
                 &cluster,
                 &DelayScheduler::default(),
             )
-            .on(&net, SimTime::ZERO)
+            .on(&mut net, SimTime::ZERO)
             .run(&mut rng);
             match result {
                 Err(MapReduceError::InvalidConfig { reason }) => assert_eq!(reason, expected),
@@ -1075,7 +1075,7 @@ mod tests {
         )
         .unwrap();
         let job = JobSpec::new("contend", placement.data_blocks()).with_reduce_tasks(25);
-        let run_at = |net: &drc_sim::ClusterNet, rng: &mut ChaCha8Rng| {
+        let run_at = |net: &mut drc_sim::ClusterNet, rng: &mut ChaCha8Rng| {
             JobRun::new(
                 &job,
                 code.as_ref(),
@@ -1090,20 +1090,20 @@ mod tests {
         // Idle substrate: reducers still compete with *each other* for NICs,
         // so some contention is visible even without storage traffic.
         let mut rng_a = ChaCha8Rng::seed_from_u64(99);
-        let idle_net = drc_sim::ClusterNet::new(cluster.spec());
-        let idle = run_at(&idle_net, &mut rng_a);
+        let mut idle_net = drc_sim::ClusterNet::new(cluster.spec());
+        let idle = run_at(&mut idle_net, &mut rng_a);
         assert!(idle.shuffle_contention.total_s() >= 0.0);
 
         // Busy substrate: every NIC is reserved until well past the idle
         // job's completion — the shuffle must queue behind it, the job is
         // strictly delayed, and the waits are attributed to the NICs.
         let mut rng_b = ChaCha8Rng::seed_from_u64(99);
-        let busy_net = drc_sim::ClusterNet::new(cluster.spec());
+        let mut busy_net = drc_sim::ClusterNet::new(cluster.spec());
         let hold = SimTime::ZERO + SimDuration::from_secs_f64(2.0 * idle.job_time_s + 10.0);
         for n in cluster.up_nodes() {
             busy_net.node(n).nic.occupy_until(hold);
         }
-        let busy = run_at(&busy_net, &mut rng_b);
+        let busy = run_at(&mut busy_net, &mut rng_b);
         assert_eq!(busy.network_traffic_bytes, idle.network_traffic_bytes);
         assert!(busy.job_time_s > idle.job_time_s, "busy links must delay");
         assert!(
@@ -1131,7 +1131,7 @@ mod tests {
         .unwrap();
         let job = JobSpec::new("failing", placement.data_blocks()).with_reduce_tasks(8);
         let run = |trace: &FailureTrace, timeout_s: f64| {
-            let net = drc_sim::ClusterNet::new(cluster.spec());
+            let mut net = drc_sim::ClusterNet::new(cluster.spec());
             let mut rng = ChaCha8Rng::seed_from_u64(43);
             JobRun::new(
                 &job,
@@ -1140,7 +1140,7 @@ mod tests {
                 &cluster,
                 &DelayScheduler::default(),
             )
-            .on(&net, SimTime::ZERO)
+            .on(&mut net, SimTime::ZERO)
             .failures(trace, SimDuration::from_secs_f64(timeout_s))
             .run(&mut rng)
             .unwrap()
@@ -1222,7 +1222,7 @@ mod tests {
         .unwrap();
         let job = JobSpec::new("blip", placement.data_blocks()).with_reduce_tasks(8);
         let run = |trace: &FailureTrace| {
-            let net = drc_sim::ClusterNet::new(cluster.spec());
+            let mut net = drc_sim::ClusterNet::new(cluster.spec());
             let mut rng = ChaCha8Rng::seed_from_u64(43);
             JobRun::new(
                 &job,
@@ -1231,7 +1231,7 @@ mod tests {
                 &cluster,
                 &DelayScheduler::default(),
             )
-            .on(&net, SimTime::ZERO)
+            .on(&mut net, SimTime::ZERO)
             .failures(trace, SimDuration::from_secs_f64(300.0))
             .run(&mut rng)
             .unwrap()
@@ -1283,7 +1283,7 @@ mod tests {
                 .collect(),
         );
         let scheduler = DelayScheduler::default();
-        let run = |trace: &FailureTrace, shared: Option<&drc_sim::ClusterNet>| {
+        let run = |trace: &FailureTrace, shared: Option<&mut drc_sim::ClusterNet>| {
             let mut rng = ChaCha8Rng::seed_from_u64(43);
             let run = JobRun::new(&job, code.as_ref(), &placement, &cluster, &scheduler);
             match shared {
@@ -1303,9 +1303,9 @@ mod tests {
             slowed.job_time_s
         );
         assert_eq!(slowed.network_traffic_bytes, healthy.network_traffic_bytes);
-        let shared = drc_sim::ClusterNet::new(cluster.spec());
+        let mut shared = drc_sim::ClusterNet::new(cluster.spec());
         assert_eq!(
-            run(&slow, Some(&shared)).job_time_s,
+            run(&slow, Some(&mut shared)).job_time_s,
             healthy.job_time_s,
             "on a shared net the net's owner applies slowdowns"
         );
@@ -1338,7 +1338,7 @@ mod tests {
         }
         let trace = FailureTrace::from_events(events);
         let job = JobSpec::new("revived", vec![block]);
-        let net = drc_sim::ClusterNet::new(cluster.spec());
+        let mut net = drc_sim::ClusterNet::new(cluster.spec());
         let metrics = JobRun::new(
             &job,
             code.as_ref(),
@@ -1346,7 +1346,7 @@ mod tests {
             &cluster,
             &DelayScheduler::default(),
         )
-        .on(&net, SimTime::ZERO + SimDuration::from_secs_f64(1.0))
+        .on(&mut net, SimTime::ZERO + SimDuration::from_secs_f64(1.0))
         .failures(&trace, SimDuration::ZERO)
         .run(&mut rng)
         .unwrap();
@@ -1384,7 +1384,7 @@ mod tests {
         // Only the failed block is read, from elsewhere: the job's single
         // task cannot land on a victim or the attempt would just die.
         let job = JobSpec::new("blind-degraded", vec![block]);
-        let net = drc_sim::ClusterNet::new(cluster.spec());
+        let mut net = drc_sim::ClusterNet::new(cluster.spec());
         let metrics = JobRun::new(
             &job,
             code.as_ref(),
@@ -1392,7 +1392,7 @@ mod tests {
             &cluster,
             &DelayScheduler::default(),
         )
-        .on(&net, SimTime::ZERO)
+        .on(&mut net, SimTime::ZERO)
         .failures(&trace, SimDuration::from_secs_f64(1e6))
         .run(&mut rng)
         .unwrap();
@@ -1433,10 +1433,10 @@ mod tests {
             let job = JobSpec::new("slots", placement.data_blocks()).with_reduce_tasks(reduces);
             // A reservation made before the check would show on this
             // well-formed shared net.
-            let net = ClusterNet::new(&ClusterSpec::simulation_25(4));
+            let mut net = ClusterNet::new(&ClusterSpec::simulation_25(4));
             let scheduler = DelayScheduler::default();
             let result = JobRun::new(&job, code.as_ref(), &placement, &cluster, &scheduler)
-                .on(&net, SimTime::ZERO)
+                .on(&mut net, SimTime::ZERO)
                 .run(&mut rng);
             match (result, expected) {
                 (Ok(metrics), None) => assert_eq!(metrics.map_tasks, 4),

@@ -129,7 +129,7 @@ fn datacenter_120_at_400_percent_reproduces_the_recorded_job_metrics() {
 fn run_failing(
     trace: &FailureTrace,
     timeout_s: f64,
-    net: &ClusterNet,
+    net: &mut ClusterNet,
     start: SimTime,
 ) -> JobMetrics {
     let cluster = Cluster::new(ClusterSpec::simulation_25(2));
@@ -169,7 +169,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
     // The healthy first wave ends past t = 5 s: a fail-stop at 1 s is
     // mid-map, and a 12 s timeout puts the boundary (13 s) past the wave, so
     // when a lost attempt resolves decides when the next wave starts.
-    let healthy = run_failing(&FailureTrace::new(), 3.0, &idle(), SimTime::ZERO);
+    let healthy = run_failing(&FailureTrace::new(), 3.0, &mut idle(), SimTime::ZERO);
     assert!(healthy.map_phase_s > 10.0 && healthy.tasks_reexecuted == 0);
 
     // A shared substrate: every NIC busy until t = 30 s, job issued at 5 s.
@@ -189,7 +189,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
             run_failing(
                 &FailureTrace::from_events(vec![down(1.0)]),
                 0.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0xaf84_a929_7ec4_5ece,
@@ -199,7 +199,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
             run_failing(
                 &FailureTrace::from_events(vec![down(1.0)]),
                 3.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0x9c8e_5851_b784_8ed5,
@@ -209,7 +209,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
             run_failing(
                 &FailureTrace::from_events(vec![down(1.0), up(9.0)]),
                 12.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0x590c_c91c_8faf_baa2,
@@ -219,7 +219,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
             run_failing(
                 &FailureTrace::from_events(vec![down(1.0), up(13.0)]),
                 12.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0x4dc2_625c_fb4d_df9b,
@@ -229,7 +229,7 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
             run_failing(
                 &FailureTrace::from_events(vec![down(1.0), up(14.0)]),
                 12.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0x9f85_b388_cce7_96ea,
@@ -242,19 +242,19 @@ fn failure_paths_reproduce_the_recorded_job_metrics() {
                     FailureEventKind::RackDown { rack: RackId(1) },
                 )]),
                 1.0,
-                &idle(),
+                &mut idle(),
                 SimTime::ZERO,
             ),
             0x7339_9a79_0928_0345,
         ),
         (
             "shared net, start 5 s, healthy",
-            run_failing(&FailureTrace::new(), 3.0, &busy(), secs(5.0)),
+            run_failing(&FailureTrace::new(), 3.0, &mut busy(), secs(5.0)),
             0xc163_c043_73f7_7c29,
         ),
         (
             "shared net, start 5 s, NodeDown at 6 s",
-            run_failing(&shifted_down, 3.0, &busy(), secs(5.0)),
+            run_failing(&shifted_down, 3.0, &mut busy(), secs(5.0)),
             0x2141_fce1_c766_bd5e,
         ),
     ];

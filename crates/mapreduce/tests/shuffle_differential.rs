@@ -107,7 +107,7 @@ fn byte_accounting_is_identical_on_idle_and_congested_substrates() {
     )
     .unwrap();
     let job = JobSpec::new("idle-vs-busy", placement.data_blocks()).with_reduce_tasks(12);
-    let run_on = |net: &ClusterNet| {
+    let run_on = |net: &mut ClusterNet| {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         JobRun::new(
             &job,
@@ -120,16 +120,16 @@ fn byte_accounting_is_identical_on_idle_and_congested_substrates() {
         .run(&mut rng)
         .unwrap()
     };
-    let idle_net = ClusterNet::new(cluster.spec());
-    let idle = run_on(&idle_net);
-    let busy_net = ClusterNet::new(cluster.spec());
+    let mut idle_net = ClusterNet::new(cluster.spec());
+    let idle = run_on(&mut idle_net);
+    let mut busy_net = ClusterNet::new(cluster.spec());
     let hold = SimTime::ZERO + SimDuration::from_secs_f64(1000.0);
     busy_net.fabric().occupy_until(hold);
     for n in cluster.up_nodes() {
         busy_net.node(n).nic.occupy_until(hold);
         busy_net.node(n).disk.occupy_until(hold);
     }
-    let busy = run_on(&busy_net);
+    let busy = run_on(&mut busy_net);
     assert_eq!(busy.shuffle_bytes, idle.shuffle_bytes);
     assert_eq!(busy.remote_input_bytes, idle.remote_input_bytes);
     assert_eq!(busy.degraded_read_bytes, idle.degraded_read_bytes);
@@ -155,7 +155,7 @@ fn saturated_lan_strictly_delays_reduce_completion() {
     .unwrap();
     let blocks: Vec<_> = placement.data_blocks().into_iter().take(1).collect();
     let job = JobSpec::new("lan-sat", blocks).with_reduce_tasks(8);
-    let run_on = |net: &ClusterNet| {
+    let run_on = |net: &mut ClusterNet| {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         JobRun::new(
             &job,
@@ -168,14 +168,14 @@ fn saturated_lan_strictly_delays_reduce_completion() {
         .run(&mut rng)
         .unwrap()
     };
-    let idle_net = ClusterNet::new(cluster.spec());
-    let idle = run_on(&idle_net);
+    let mut idle_net = ClusterNet::new(cluster.spec());
+    let idle = run_on(&mut idle_net);
     assert_eq!(idle.local_map_tasks, 1, "the single task must run local");
 
-    let sat_net = ClusterNet::new(cluster.spec());
+    let mut sat_net = ClusterNet::new(cluster.spec());
     let hold = SimTime::ZERO + SimDuration::from_secs_f64(idle.job_time_s + 30.0);
     sat_net.fabric().occupy_until(hold);
-    let sat = run_on(&sat_net);
+    let sat = run_on(&mut sat_net);
 
     // The map phase is untouched (no remote reads, so no fabric use) …
     assert_eq!(sat.map_phase_s, idle.map_phase_s);

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use drc_cluster::SimTime;
 
 /// A scheduled event: ordering is by time, then by schedule order (FIFO for
 /// ties), so queue drains are fully deterministic.

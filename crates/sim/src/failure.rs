@@ -38,9 +38,9 @@
 
 use std::collections::VecDeque;
 
-use drc_cluster::{Cluster, FailureEventKind, FailureTrace, NodeId, Positive};
-
-use crate::time::{SimDuration, SimTime};
+use drc_cluster::{
+    Cluster, FailureEventKind, FailureTrace, NodeId, Positive, SimDuration, SimTime,
+};
 
 /// One step of a replayed failure trace, handed out at its instant by
 /// [`FailureReplay::next_due`].
@@ -107,7 +107,7 @@ impl FailureReplay {
     pub fn schedule(&mut self, trace: &FailureTrace, cluster: &Cluster) {
         let nodes = self.silent_since.len();
         for ev in trace.events() {
-            let at = SimTime(ev.at_ns).max(self.frontier);
+            let at = ev.at.max(self.frontier);
             let mut push = |node: NodeId, step: ReplayStep| {
                 if node.0 < nodes {
                     self.pending.push_back((at, step));

@@ -6,8 +6,9 @@
 //! HDFS and MapReduce layers model that contention in **virtual time**:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time, so
-//!   ordering and accumulation are exactly deterministic,
-//! * [`VirtualClock`] — the per-simulation clock operations advance,
+//!   ordering and accumulation are exactly deterministic (defined in
+//!   `drc_cluster`, whose failure traces are stamped with them, and
+//!   re-exported here),
 //! * [`EventQueue`] — a time-ordered queue with deterministic FIFO
 //!   tie-breaking, for completions a layer drains in virtual-time order,
 //! * [`FailureReplay`] — a [`drc_cluster::FailureTrace`] replayed as timed
@@ -15,14 +16,13 @@
 //!   interleaved; the one failure clock the simulated HDFS and the
 //!   MapReduce engine both consume,
 //! * [`Resource`] — a bandwidth server (disk, NIC, shared LAN fabric) whose
-//!   reservations serialise contending transfers; lock-free so layers
-//!   sharing one net (the file system lends its net to the MapReduce
-//!   engine) can reserve through `&self`,
+//!   reservations serialise contending transfers,
 //! * [`ClusterNet`] — per-node disk + NIC resources and the shared fabric,
-//!   built from [`drc_cluster::ClusterSpec`] bandwidth figures;
-//!   [`ClusterNet::restore_node`] blocks a recovered node's outage window,
-//!   and [`ClusterNet::gather`] issues a node's fan-in of fetches (a
-//!   reducer's shuffle) with one write-back of the shared cursors,
+//!   built from [`drc_cluster::ClusterSpec`] bandwidth figures and owned by
+//!   one layer, which lends it by `&mut` (the file system lends its net to
+//!   the MapReduce engine); [`ClusterNet::restore_node`] blocks a recovered
+//!   node's outage window, and [`ClusterNet::gather`] issues a node's
+//!   fan-in of fetches (a reducer's shuffle),
 //! * [`Transfer`] — sequences one operation's acquisition of several pipes
 //!   plus the fabric and reports per-link wait time, so layers that share
 //!   the fabric (shuffle, repair, degraded reads) can attribute their
@@ -38,6 +38,8 @@
 //! Virtual time is orthogonal to real parallelism. Nothing in this crate
 //! spawns a thread: each experiment cell owns its substrate and runs on one
 //! thread, and the experiment harness runs independent cells side by side.
+//! So a [`Resource`] keeps its cursors in `Cell`s and is not `Sync`, nor is
+//! a [`ClusterNet`]; its owner lends it by `&mut`.
 //! Serial and threaded runs produce byte-identical results; only wall-clock
 //! throughput differs.
 //!
@@ -47,7 +49,7 @@
 //! use drc_sim::{ClusterNet, EventQueue, SimTime};
 //! use drc_cluster::{ClusterSpec, NodeId};
 //!
-//! let net = ClusterNet::new(&ClusterSpec::setup1());
+//! let mut net = ClusterNet::new(&ClusterSpec::setup1());
 //! // Two transfers from different sources overlap; two from the same
 //! // source serialise on its NIC.
 //! let a = net.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 64 << 20);
@@ -72,9 +74,9 @@ mod event;
 mod failure;
 mod net;
 mod resource;
-mod time;
 mod timeline;
 
+pub use drc_cluster::{SimDuration, SimTime};
 pub use event::EventQueue;
 pub use failure::{FailureReplay, ReplayStep};
 pub use net::{
@@ -82,5 +84,4 @@ pub use net::{
     TransferOutcome, MAX_PIPES,
 };
 pub use resource::{Reservation, Resource};
-pub use time::{SimDuration, SimTime, VirtualClock};
 pub use timeline::{overlap, Phase, PhaseClass, PhaseKind, Timeline};

@@ -1,10 +1,9 @@
 //! The modeled cluster I/O fabric: per-node disks and NICs plus the shared
 //! LAN, with bandwidths drawn from [`ClusterSpec`].
 
-use drc_cluster::{ClusterSpec, NodeId, Positive};
+use drc_cluster::{ClusterSpec, NodeId, Positive, SimDuration, SimTime};
 
-use crate::resource::{fifo_grant, Reservation, Resource};
-use crate::time::{SimDuration, SimTime};
+use crate::resource::{Reservation, Resource};
 
 /// The I/O resources of one data node.
 #[derive(Debug)]
@@ -36,12 +35,6 @@ pub const MAX_PIPES: usize = 4;
 /// pipe rather than dropping it. A fan-in of many two-NIC transfers into one
 /// node — a reducer's shuffle fetches — is [`ClusterNet::gather`], which
 /// grants each fetch by the same rule.
-///
-/// Multi-pipe reservation is read-then-occupy, not atomic: it assumes a
-/// single thread issues the virtual-time operations of one simulation (the
-/// `&self` atomics exist so shared components can be held behind `&`
-/// references, not for concurrent issuance). Two threads reserving
-/// overlapping pipe sets concurrently could double-book a window.
 ///
 /// # Example
 ///
@@ -315,6 +308,15 @@ pub fn push_train(
 /// experiments measure. Every layer — HDFS writes, repairs and degraded
 /// reads, the MapReduce engine's map waves and shuffle fetches — queues
 /// through the same fabric when they share a [`ClusterNet`].
+///
+/// A net has one owner, which lends it by `&mut` to the layer whose traffic
+/// runs next (the file system lends its net to the MapReduce engine's
+/// `JobRun::on`). Its resources are `!Sync`, and so is the net:
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<drc_sim::ClusterNet>();
+/// ```
 #[derive(Debug)]
 pub struct ClusterNet {
     nodes: Vec<NodeIo>,
@@ -366,7 +368,7 @@ impl ClusterNet {
     /// was dark. (Nothing stops a caller from reserving a down node's disk
     /// *during* the outage, exactly as nothing stops a packet being sent to
     /// a dead host; who is down is the issuing layer's knowledge.)
-    pub fn restore_node(&self, at: SimTime, node: NodeId) {
+    pub fn restore_node(&mut self, at: SimTime, node: NodeId) {
         let io = self.node(node);
         io.disk.occupy_until(at);
         io.nic.occupy_until(at);
@@ -375,7 +377,7 @@ impl ClusterNet {
     /// Slows a node's disk and NIC down by `factor` (2.0 = half speed,
     /// 1.0 = nominal) for every reservation made from now on — the
     /// substrate half of a `Slowdown` failure-trace event.
-    pub fn set_node_slowdown(&self, node: NodeId, factor: Positive) {
+    pub fn set_node_slowdown(&mut self, node: NodeId, factor: Positive) {
         let io = self.node(node);
         io.disk.set_slowdown(factor);
         io.nic.set_slowdown(factor);
@@ -388,7 +390,7 @@ impl ClusterNet {
     /// bottleneck pipe's service time (or longer if the shared fabric is
     /// saturated by other traffic), and holds source disk + NIC, destination
     /// NIC + disk for its whole duration (the stages stream concurrently).
-    pub fn transfer(&self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Reservation {
+    pub fn transfer(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Reservation {
         let (src, dst) = (self.node(from), self.node(to));
         Transfer::new(&self.fabric, bytes)
             .via(&src.disk)
@@ -406,27 +408,33 @@ impl ClusterNet {
     /// afterwards — and `each(src, &outcome)` sees it as soon as it is
     /// granted.
     ///
-    /// What is cheaper is the bookkeeping. The destination NIC's and the
-    /// fabric's cursors live in locals for the whole call and are written
-    /// back once at the end, so the only atomic read-modify-write per fetch
-    /// is on the source NIC. The fabric's and the destination's service
-    /// times are computed once per call, a source's only when its NIC's
-    /// (bandwidth, slowdown) pair differs from the previous source's.
+    /// What is cheaper is the arithmetic: the fabric's and the
+    /// destination's service times are computed once per call, a source's
+    /// only when its NIC's (bandwidth, slowdown) pair differs from the
+    /// previous source's.
     ///
     /// `sources` may name `dest` (that fetch holds the destination NIC
     /// through both of its pipes, as a `Transfer` through one resource twice
     /// does) and may name a node more than once.
     ///
-    /// Single issuer, as for [`Transfer`], and stricter: while `gather`
-    /// runs, nothing else may reserve this net's resources — `each`
-    /// included, since reservations it made on the destination NIC or the
-    /// fabric would be overwritten by the write-back.
+    /// The net is borrowed mutably for the whole fan-in, so `each` cannot
+    /// reserve on it in between:
+    ///
+    /// ```compile_fail
+    /// use drc_cluster::{ClusterSpec, NodeId};
+    /// use drc_sim::{ClusterNet, SimTime};
+    ///
+    /// let mut net = ClusterNet::new(&ClusterSpec::setup1());
+    /// net.gather(SimTime::ZERO, NodeId(0), &[NodeId(1)], 1 << 20, |_, _| {
+    ///     net.fabric().reserve_bytes(SimTime::ZERO, 1 << 20);
+    /// });
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `dest` or a source is not part of the modeled cluster.
     pub fn gather(
-        &self,
+        &mut self,
         now: SimTime,
         dest: NodeId,
         sources: &[NodeId],
@@ -436,8 +444,6 @@ impl ClusterNet {
         let dest_nic = &self.node(dest).nic;
         let dest_time = dest_nic.service_time(bytes);
         let fabric_time = self.fabric.service_time(bytes);
-        let mut dest_free = dest_nic.next_free();
-        let mut fabric_free = self.fabric.next_free();
         // The previous source NIC's (bandwidth, slowdown) bits and its
         // service time for `bytes`.
         let mut memo: Option<((u64, u64), SimDuration)> = None;
@@ -452,27 +458,19 @@ impl ClusterNet {
                     time
                 }
             };
-            let aliased = src == dest;
-            let src_free = if aliased { dest_free } else { nic.next_free() };
-            let slowest = src_time.max(dest_time);
-            let out = grant(now, &[src_free, dest_free], slowest, |start| {
-                fabric_free = fifo_grant(start, fabric_free, fabric_time).end;
-                fabric_free
+            let frees = [nic.next_free(), dest_nic.next_free()];
+            let out = grant(now, &frees, src_time.max(dest_time), |start| {
+                self.fabric.reserve_for(start, fabric_time).end
             });
-            let end = out.reservation.end;
-            if !aliased {
-                nic.occupy_until(end);
-            }
-            dest_free = dest_free.max(end);
+            nic.occupy_until(out.reservation.end);
+            dest_nic.occupy_until(out.reservation.end);
             each(src, &out);
         }
-        dest_nic.occupy_until(dest_free);
-        self.fabric.occupy_until(fabric_free);
     }
 
     /// Forgets every reservation and slowdown (all resources idle at the
     /// epoch).
-    pub fn reset(&self) {
+    pub fn reset(&mut self) {
         for n in &self.nodes {
             n.disk.reset();
             n.nic.reset();
@@ -504,8 +502,8 @@ mod tests {
 
     #[test]
     fn single_chunk_train_is_bit_identical_to_the_monolithic_path() {
-        let a = net();
-        let b = net();
+        let mut a = net();
+        let mut b = net();
         let bytes = 37 << 20;
         // Pre-load identical traffic so pipes are busy at issuance.
         a.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 8 << 20);
@@ -579,7 +577,7 @@ mod tests {
 
     #[test]
     fn disjoint_transfers_overlap_shared_endpoints_serialise() {
-        let net = net();
+        let mut net = net();
         let block = 128 << 20;
         let a = net.transfer(SimTime::ZERO, NodeId(0), NodeId(1), block);
         let b = net.transfer(SimTime::ZERO, NodeId(2), NodeId(3), block);
@@ -688,7 +686,7 @@ mod tests {
     fn cluster_transfer_holds_source_disk_nic_and_destination_nic_disk() {
         // `ClusterNet::transfer` is the four-pipe Transfer over both
         // endpoints' disk and NIC: identical windows for identical traffic.
-        let a = net();
+        let mut a = net();
         let b = net();
         let block = 128 << 20;
         for i in 0..8usize {
@@ -706,7 +704,7 @@ mod tests {
 
     #[test]
     fn reset_clears_reservations() {
-        let net = net();
+        let mut net = net();
         net.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1 << 30);
         net.set_node_slowdown(NodeId(3), Positive::new(8.0).unwrap());
         net.reset();
@@ -719,7 +717,7 @@ mod tests {
 
     #[test]
     fn restore_blocks_the_outage_window() {
-        let net = net();
+        let mut net = net();
         // Recovery at t=30s: nothing can be granted a window inside the
         // outage, so a transfer issued "at the epoch" afterwards starts at
         // the recovery instant.
@@ -731,7 +729,7 @@ mod tests {
 
     #[test]
     fn node_slowdown_stretches_io() {
-        let net = net();
+        let mut net = net();
         // simulation_25: 100 MiB/s disks. At 4x slowdown, 100 MiB take 4 s.
         net.set_node_slowdown(NodeId(1), Positive::new(4.0).unwrap());
         let r = net

@@ -1,10 +1,11 @@
 //! Bandwidth servers: the contention model for disks, NICs and links.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use drc_cluster::Positive;
+use drc_cluster::{Positive, SimDuration, SimTime};
 
-use crate::time::{SimDuration, SimTime};
+/// One mebibyte, the unit the cluster specs quote bandwidth in (MiB/s).
+const MIB: f64 = 1024.0 * 1024.0;
 
 /// The virtual-time window a resource granted to one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,9 +32,14 @@ impl Reservation {
 /// resources overlap, transfers on the *same* resource queue behind each
 /// other.
 ///
-/// The free-time cursor is an `AtomicU64`, so layers sharing one net behind
-/// `&` (the file system lends its net to the MapReduce engine) can reserve
-/// without locks.
+/// The free-time cursor and the slowdown are plain `Cell`s: a resource
+/// belongs to one simulation, which issues its operations on one thread, so
+/// a resource is `!Sync` and reserving through `&self` needs no lock.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<drc_sim::Resource>();
+/// ```
 ///
 /// A resource can be **slowed down** ([`Resource::set_slowdown`]): a factor
 /// of 2.0 halves the effective bandwidth from that point on, 1.0 restores
@@ -54,9 +60,9 @@ impl Reservation {
 #[derive(Debug)]
 pub struct Resource {
     bandwidth_mib_s: f64,
-    next_free: AtomicU64,
-    /// Bandwidth divisor (f64 bits): 1.0 = nominal, 2.0 = half speed.
-    slowdown: AtomicU64,
+    next_free: Cell<SimTime>,
+    /// Bandwidth divisor: 1.0 = nominal, 2.0 = half speed.
+    slowdown: Cell<f64>,
 }
 
 impl Resource {
@@ -69,8 +75,8 @@ impl Resource {
     pub fn new(bandwidth_mib_s: f64) -> Self {
         Resource {
             bandwidth_mib_s,
-            next_free: AtomicU64::new(0),
-            slowdown: AtomicU64::new(1.0f64.to_bits()),
+            next_free: Cell::new(SimTime::ZERO),
+            slowdown: Cell::new(1.0),
         }
     }
 
@@ -81,41 +87,38 @@ impl Resource {
 
     /// The current slowdown factor (1.0 when running at nominal speed).
     pub fn slowdown(&self) -> f64 {
-        f64::from_bits(self.slowdown.load(Ordering::Acquire))
+        self.slowdown.get()
     }
 
     /// Divides the effective bandwidth by `factor` for every reservation
     /// made from now on (already-granted windows are unchanged). A factor
     /// of 1.0 restores nominal speed.
     pub fn set_slowdown(&self, factor: Positive) {
-        self.slowdown
-            .store(factor.get().to_bits(), Ordering::Release);
+        self.slowdown.set(factor.get());
     }
 
     /// The service time for `bytes` at this resource's effective (slowdown-
-    /// adjusted) bandwidth.
+    /// adjusted) bandwidth; zero on an infinitely fast resource (see
+    /// [`Resource::new`]).
     pub fn service_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::for_bytes(bytes, self.bandwidth_mib_s / self.slowdown())
+        let bandwidth_mib_s = self.bandwidth_mib_s / self.slowdown();
+        if bandwidth_mib_s <= 0.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_secs_f64(bytes as f64 / (bandwidth_mib_s * MIB))
     }
 
     /// When the resource is next idle.
     pub fn next_free(&self) -> SimTime {
-        SimTime(self.next_free.load(Ordering::Acquire))
+        self.next_free.get()
     }
 
     /// Reserves the resource for `duration`, starting no earlier than `now`.
     pub fn reserve_for(&self, now: SimTime, duration: SimDuration) -> Reservation {
-        loop {
-            let free = self.next_free.load(Ordering::Acquire);
-            let granted = fifo_grant(now, SimTime(free), duration);
-            if self
-                .next_free
-                .compare_exchange(free, granted.end.0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return granted;
-            }
-        }
+        let start = now.max(self.next_free.get());
+        let end = start + duration;
+        self.next_free.set(end);
+        Reservation { start, end }
     }
 
     /// Reserves the time to move `bytes` through the resource, starting no
@@ -128,27 +131,14 @@ impl Resource {
     /// reservations finish (used when one operation must hold several
     /// resources over the same window).
     pub fn occupy_until(&self, end: SimTime) {
-        self.next_free.fetch_max(end.0, Ordering::AcqRel);
+        self.next_free.set(self.next_free.get().max(end));
     }
 
     /// Forgets all reservations and any slowdown (a fresh resource at the
     /// epoch, at nominal speed).
     pub fn reset(&self) {
-        self.next_free.store(0, Ordering::Release);
-        self.slowdown.store(1.0f64.to_bits(), Ordering::Release);
-    }
-}
-
-/// The one FIFO rule of a [`Resource`], over a cursor value: an operation
-/// issued at `now` on a resource next free at `free` starts at the later of
-/// the two and holds it for `duration`. The window's end is the resource's
-/// new cursor. [`Resource::reserve_for`] applies it to the atomic cursor;
-/// `ClusterNet::gather` applies it to a fabric cursor held in a local.
-pub(crate) fn fifo_grant(now: SimTime, free: SimTime, duration: SimDuration) -> Reservation {
-    let start = now.max(free);
-    Reservation {
-        start,
-        end: start + duration,
+        self.next_free.set(SimTime::ZERO);
+        self.slowdown.set(1.0);
     }
 }
 
@@ -204,6 +194,16 @@ mod tests {
         r.set_slowdown(factor(4.0));
         r.reset();
         assert_eq!(r.slowdown(), 1.0);
+    }
+
+    #[test]
+    fn bytes_to_duration() {
+        // 100 MiB at 100 MiB/s is one second.
+        let second = Resource::new(100.0).service_time(100 << 20);
+        assert_eq!(second, SimDuration(1_000_000_000));
+        // Overflow saturates: never a free transfer.
+        let never = Resource::new(1e-310).service_time(1 << 20);
+        assert_eq!(never, SimDuration(u64::MAX));
     }
 
     #[test]

@@ -7,9 +7,7 @@ use std::fmt;
 use serde::value::Value;
 use serde::Serialize;
 
-use drc_cluster::NodeId;
-
-use crate::time::{SimDuration, SimTime};
+use drc_cluster::{NodeId, SimDuration, SimTime};
 
 /// What one [`Phase`] was doing. `Copy`, so recording a phase allocates
 /// nothing; its `Display` (and its JSON) is the phase's label, e.g.
@@ -159,8 +157,8 @@ impl<L: Serialize> Serialize for Phase<L> {
     fn serialize(&self) -> Value {
         Value::Map(vec![
             ("label".to_string(), self.label.serialize()),
-            ("start".to_string(), self.start.serialize()),
-            ("end".to_string(), self.end.serialize()),
+            ("start".to_string(), self.start.0.serialize()),
+            ("end".to_string(), self.end.0.serialize()),
             ("bytes".to_string(), self.bytes.serialize()),
         ])
     }

@@ -16,7 +16,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_119_source_gather_allocates_nothing() {
-    let net = ClusterNet::new(&ClusterSpec::datacenter(120));
+    let mut net = ClusterNet::new(&ClusterSpec::datacenter(120));
     let dest = NodeId(17);
     let remote: Vec<NodeId> = (0..120).map(NodeId).filter(|&n| n != dest).collect();
     assert_eq!(remote.len(), 119);

@@ -11,14 +11,14 @@
 //! destination NIC, a busy fabric), per-node slowdowns with adjacent
 //! sources at different factors (and a slowed destination), and source
 //! lists that name the destination or repeat a node. Each case issues two
-//! gathers back to back, so the write-back of the first is what the second
-//! reads.
+//! gathers back to back, so the cursors the first leaves are what the
+//! second reads.
 //!
 //! Mutants made on a copy of `net.rs`, each failing this test:
-//! 1. writing the destination NIC's cursor back before the loop instead of
-//!    after it (the destination is left at its pre-call cursor): fails
-//!    both tests, the first at "simulation_25, 0 B, now 0, loaded, all
-//!    remote, dest 0: cursors differ";
+//! 1. occupying the source NIC but not the destination NIC after each
+//!    fetch (the destination is left at its pre-call cursor): fails both
+//!    tests, the first at "simulation_25, 0 B, now 0, loaded true, slowed
+//!    false, all remote, dest 0: fetches differ";
 //! 2. memoising a source's service time under its bandwidth alone, without
 //!    the slowdown in the key (a slowed source after a nominal one is
 //!    served at nominal speed): fails at "simulation_25, 1 B, now 0,
@@ -67,7 +67,7 @@ fn by_transfers(
 }
 
 fn by_gather(
-    net: &ClusterNet,
+    net: &mut ClusterNet,
     now: SimTime,
     dest: NodeId,
     sources: &[NodeId],
@@ -96,7 +96,7 @@ fn state(net: &ClusterNet) -> Vec<(SimTime, u64)> {
 
 /// Busy cursors around the issue instant: sources free before it, free
 /// after it, a busy destination NIC and a busy fabric.
-fn preload(net: &ClusterNet, now: SimTime) {
+fn preload(net: &mut ClusterNet, now: SimTime) {
     let at = |offset_ns: i64| SimTime(now.0.saturating_add_signed(offset_ns));
     net.node(NodeId(1)).nic.occupy_until(at(-500_000_000));
     net.node(NodeId(2)).nic.occupy_until(at(700_000_003));
@@ -114,7 +114,7 @@ fn preload(net: &ClusterNet, now: SimTime) {
 
 /// Slowdowns at different factors on adjacent sources, the second
 /// gather's destination among them.
-fn slow_down(net: &ClusterNet) {
+fn slow_down(net: &mut ClusterNet) {
     let factor = |f: f64| Positive::new(f).unwrap();
     net.set_node_slowdown(NodeId(3), factor(2.0));
     net.set_node_slowdown(NodeId(4), factor(3.5));
@@ -159,9 +159,9 @@ fn gather_grants_what_the_transfer_loop_grants() {
                                 "{spec_name}, {bytes} B, now {now:?}, loaded {loaded}, \
                                  slowed {slowed}, {list_name}"
                             );
-                            let a = ClusterNet::new(&spec);
-                            let b = ClusterNet::new(&spec);
-                            for net in [&a, &b] {
+                            let mut a = ClusterNet::new(&spec);
+                            let mut b = ClusterNet::new(&spec);
+                            for net in [&mut a, &mut b] {
                                 if loaded {
                                     preload(net, now);
                                 }
@@ -174,7 +174,7 @@ fn gather_grants_what_the_transfer_loop_grants() {
                             // into the slowed node 5.
                             for dest in [NodeId(0), NodeId(5)] {
                                 let want = by_transfers(&a, now, dest, sources, bytes);
-                                let got = by_gather(&b, now, dest, sources, bytes);
+                                let got = by_gather(&mut b, now, dest, sources, bytes);
                                 assert_eq!(got, want, "{what}, dest {dest:?}: fetches differ");
                                 if spec_name == "instant service" {
                                     // Only a pre-loaded fabric can hold a
@@ -211,9 +211,9 @@ fn gather_grants_what_the_transfer_loop_grants() {
 
 #[test]
 fn a_source_naming_dest_holds_the_destination_nic_like_a_transfer_does() {
-    // The aliased fetch reads and writes the destination cursor the
-    // gather holds in a local: the fetch after it queues behind it.
-    let net = ClusterNet::new(&ClusterSpec::simulation_25(4));
+    // The aliased fetch reads and writes the destination cursor through
+    // both of its pipes: the fetch after it queues behind it.
+    let mut net = ClusterNet::new(&ClusterSpec::simulation_25(4));
     let (dest, bytes) = (NodeId(3), 6 << 20); // 0.1 s on a 60 MiB/s NIC
     let mut ends = Vec::new();
     net.gather(SimTime::ZERO, dest, &[dest, NodeId(4)], bytes, |_, out| {

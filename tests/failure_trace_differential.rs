@@ -167,7 +167,7 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
         for &v in &victims {
             down_cluster.set_down(v);
         }
-        let net_a = drc_core::sim::ClusterNet::new(cluster.spec());
+        let mut net_a = drc_core::sim::ClusterNet::new(cluster.spec());
         let mut rng_a = ChaCha8Rng::seed_from_u64(17);
         let static_metrics = JobRun::new(
             &job,
@@ -176,12 +176,12 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
             &down_cluster,
             scheduler.as_ref(),
         )
-        .on(&net_a, SimTime::ZERO)
+        .on(&mut net_a, SimTime::ZERO)
         .run(&mut rng_a)
         .unwrap();
 
         let trace = FailureTrace::down_at_t0(&victims);
-        let net_b = drc_core::sim::ClusterNet::new(cluster.spec());
+        let mut net_b = drc_core::sim::ClusterNet::new(cluster.spec());
         let mut rng_b = ChaCha8Rng::seed_from_u64(17);
         let traced_metrics = JobRun::new(
             &job,
@@ -190,7 +190,7 @@ fn t0_trace_reproduces_static_job_metrics_for_every_code_kind() {
             &cluster,
             scheduler.as_ref(),
         )
-        .on(&net_b, SimTime::ZERO)
+        .on(&mut net_b, SimTime::ZERO)
         .failures(&trace, SimDuration::ZERO)
         .run(&mut rng_b)
         .unwrap();
