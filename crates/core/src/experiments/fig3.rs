@@ -5,7 +5,7 @@
 use serde::Serialize;
 
 use drc_codes::CodeKind;
-use drc_mapreduce::{simulate_locality, LocalityConfig, LocalityResult, SchedulerKind};
+use drc_mapreduce::{simulate_locality_each, LocalityConfig, LocalityResult, SchedulerKind};
 use drc_workloads::fig3_loads;
 
 use crate::experiments::{harness, Effort, DEFAULT_SEED};
@@ -30,45 +30,45 @@ pub struct Fig3Data {
 /// Propagates any simulation configuration error (which does not occur for
 /// the fixed sweep used here).
 pub fn run_fig3(effort: Effort) -> Result<Fig3Data, DrcError> {
+    use SchedulerKind::{Delay, MaxMatching, Peeling};
     let trials = effort.trials();
-    // One cell per (µ, code, scheduler, load) point, in the figure's fixed
-    // panel order; every cell seeds its own rng from the shared base seed.
-    let mut specs: Vec<(CodeKind, SchedulerKind, usize, f64)> = Vec::new();
+    let loads = fig3_loads();
+    // One cell per (µ, code, load) point, µ → code → load: each trial is
+    // placed once and read by every scheduler of the point, each on a copy
+    // of the trial's rng taken right after placement — exactly the state a
+    // cell of its own would hand it. The peeling panel (µ = 4, pentagon and
+    // heptagon, as in the paper) rides in its points' cells.
+    let mut cells = Vec::new();
     for &mu in &[2usize, 4, 8] {
         for code in CodeKind::fig3_set() {
-            for scheduler in [SchedulerKind::Delay, SchedulerKind::MaxMatching] {
-                for load in fig3_loads() {
-                    specs.push((code, scheduler, mu, load.percent));
-                }
+            let peeling = mu == 4 && matches!(code, CodeKind::Pentagon | CodeKind::Heptagon);
+            let schedulers: &[SchedulerKind] = if peeling {
+                &[Delay, MaxMatching, Peeling]
+            } else {
+                &[Delay, MaxMatching]
+            };
+            for load in &loads {
+                let config = LocalityConfig::new(code, Delay, mu, load.percent)
+                    .with_trials(trials)
+                    .with_seed(DEFAULT_SEED);
+                cells.push(move || Ok(simulate_locality_each(&config, schedulers)?));
             }
         }
     }
-    // The peeling panel (µ = 4), pentagon and heptagon as in the paper.
-    for code in [CodeKind::Pentagon, CodeKind::Heptagon] {
-        for load in fig3_loads() {
-            specs.push((code, SchedulerKind::Peeling, 4, load.percent));
+    let results: Vec<Vec<LocalityResult>> = harness::run_cells(cells)?;
+    // The figure's panel order: µ → code → scheduler → load for delay and
+    // max-matching, then the peeling panel, code → load. Each chunk holds
+    // one (µ, code) pair's cells, its loads in order.
+    let mut points = Vec::with_capacity(results.iter().map(Vec::len).sum());
+    for curves in results.chunks(loads.len()) {
+        for at in [0, 1] {
+            points.extend(curves.iter().map(|cell| cell[at].clone()));
         }
     }
-    let cells = specs
-        .into_iter()
-        .map(|(code, scheduler, mu, load)| move || run_point(code, scheduler, mu, load, trials))
-        .collect();
-    Ok(Fig3Data {
-        points: harness::run_cells(cells)?,
-    })
-}
-
-fn run_point(
-    code: CodeKind,
-    scheduler: SchedulerKind,
-    mu: usize,
-    load: f64,
-    trials: usize,
-) -> Result<LocalityResult, DrcError> {
-    let config = LocalityConfig::new(code, scheduler, mu, load)
-        .with_trials(trials)
-        .with_seed(DEFAULT_SEED);
-    Ok(simulate_locality(&config)?)
+    for curves in results.chunks(loads.len()) {
+        points.extend(curves.iter().filter_map(|cell| cell.get(2).cloned()));
+    }
+    Ok(Fig3Data { points })
 }
 
 impl std::fmt::Display for Fig3Data {

@@ -10,7 +10,9 @@
 //! * the three **schedulers** compared in Fig. 3 ([`DelayScheduler`],
 //!   [`MaxMatchingScheduler`], [`PeelingScheduler`]) behind the common
 //!   [`TaskScheduler`] trait,
-//! * the **locality simulation** ([`simulate_locality`], Fig. 3) and the
+//! * the **locality simulation** ([`simulate_locality`]; Fig. 3 compares
+//!   its schedulers on the same placements with
+//!   [`simulate_locality_each`]) and the
 //!   **discrete-event execution engine** ([`JobRun`], Fig. 4/5) that report
 //!   data locality, job time and network traffic. Every phase — map waves,
 //!   shuffle fetches, reduce merges and output writes — is discrete events
@@ -51,7 +53,7 @@ pub use engine::{JobMetrics, JobRun, LinkContention};
 pub use error::MapReduceError;
 pub use graph::TaskNodeGraph;
 pub use job::{JobSpec, MapTask, TaskId};
-pub use locality::{simulate_locality, LocalityConfig, LocalityResult};
+pub use locality::{simulate_locality, simulate_locality_each, LocalityConfig, LocalityResult};
 pub use scheduler::{
     DelayScheduler, MaxMatchingScheduler, PeelingScheduler, SchedulerKind, TaskScheduler,
 };

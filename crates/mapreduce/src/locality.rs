@@ -6,9 +6,11 @@
 //! 1. places enough stripes of the code on the cluster to provide one data
 //!    block per map task,
 //! 2. builds the task–node bipartite graph,
-//! 3. runs the scheduler against the per-node slot capacities, and
-//! 4. records the percentage of tasks that ended up on a node holding their
-//!    block.
+//! 3. runs each scheduler under comparison against the per-node slot
+//!    capacities, each on its own copy of the trial's generator as it
+//!    stands right after placement, and
+//! 4. records, per scheduler, the percentage of tasks that ended up on a
+//!    node holding their block.
 //!
 //! Averaging over many random placements gives the curves of Fig. 3.
 
@@ -16,7 +18,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
+use drc_cluster::{Cluster, ClusterSpec, GlobalBlockId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 
 use crate::graph::TaskNodeGraph;
@@ -94,14 +96,36 @@ pub struct LocalityResult {
     pub std_dev_percent: f64,
 }
 
-/// Runs the locality simulation for one `(code, scheduler, load)` point.
+/// Runs the locality simulation for one `(code, scheduler, load)` point:
+/// [`simulate_locality_each`] with `config.scheduler` as the only scheduler.
 ///
 /// # Errors
 ///
 /// Returns [`MapReduceError::InvalidConfig`] if the trial count or the map
 /// slots per node is zero or the load is not a positive finite number, or a
-/// placement error if the code does not fit the cluster.
+/// placement error if the code does not fit the cluster or the load asks
+/// for more stripes than a placement can index.
 pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapReduceError> {
+    // One scheduler in, one result out.
+    simulate_locality_each(config, &[config.scheduler]).map(|mut results| results.swap_remove(0))
+}
+
+/// Runs the locality simulation for one `(code, load)` point under each of
+/// `schedulers`, returning one result per entry, in order.
+///
+/// Every field of `config` is read except `scheduler`. Each trial places
+/// its stripes and builds its graph once; every scheduler then runs on a
+/// clone of the trial's generator taken right after placement, so each
+/// result is exactly the one [`simulate_locality`] returns for that
+/// scheduler alone.
+///
+/// # Errors
+///
+/// As [`simulate_locality`].
+pub fn simulate_locality_each(
+    config: &LocalityConfig,
+    schedulers: &[SchedulerKind],
+) -> Result<Vec<LocalityResult>, MapReduceError> {
     if config.trials == 0 {
         return Err(MapReduceError::InvalidConfig {
             reason: "at least one trial is required".to_string(),
@@ -123,13 +147,20 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
     }
     let cluster = Cluster::new(config.cluster.clone());
     let code = config.code.build().map_err(MapReduceError::Code)?;
-    let scheduler = config.scheduler.build();
+    let built: Vec<_> = schedulers.iter().map(SchedulerKind::build).collect();
     let tasks_per_trial = config.cluster.tasks_for_load(config.load_percent).max(1);
-    let stripes = tasks_per_trial.div_ceil(code.data_blocks());
+    let k = code.data_blocks();
+    let stripes = tasks_per_trial.div_ceil(k);
 
-    let mut samples = Vec::with_capacity(config.trials);
-    // Reused across trials: the task list, the graph and the capacities.
-    let mut map_tasks: Vec<MapTask> = Vec::with_capacity(tasks_per_trial);
+    let mut samples: Vec<Vec<f64>> = schedulers
+        .iter()
+        .map(|_| Vec::with_capacity(config.trials))
+        .collect();
+    // Shared by every trial: task `i` reads data block `i % k` of stripe
+    // `i / k`. Built after the first placement, which is what rejects a
+    // load too large to index, so nothing is sized from it before.
+    let mut map_tasks: Vec<MapTask> = Vec::new();
+    // Reused across trials: the graph and the capacities.
     let mut graph = TaskNodeGraph::default();
     let mut capacities: Vec<usize> = Vec::new();
     for trial in 0..config.trials {
@@ -142,43 +173,45 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
             &mut rng,
         )
         .map_err(MapReduceError::Cluster)?;
-        map_tasks.clear();
-        map_tasks.extend(
-            placement
-                .data_blocks()
-                .into_iter()
-                .take(tasks_per_trial)
-                .enumerate()
-                .map(|(i, block)| MapTask {
-                    id: TaskId(i),
-                    block,
-                }),
-        );
+        if trial == 0 {
+            map_tasks.extend((0..tasks_per_trial).map(|i| MapTask {
+                id: TaskId(i),
+                block: GlobalBlockId::new(i / k, i % k),
+            }));
+        }
         graph.rebuild(&map_tasks, &placement, &cluster);
         capacities.clear();
         capacities.resize(graph.nodes().len(), config.cluster.map_slots_per_node);
-        let assignment = scheduler.assign(&graph, &capacities, &mut rng);
-        debug_assert!(assignment
-            .validate(&graph, config.cluster.map_slots_per_node)
-            .is_none());
-        samples.push(assignment.locality_percent());
+        for (scheduler, samples) in built.iter().zip(&mut samples) {
+            let assignment = scheduler.assign(&graph, &capacities, &mut rng.clone());
+            debug_assert!(assignment
+                .validate(&graph, config.cluster.map_slots_per_node)
+                .is_none());
+            samples.push(assignment.locality_percent());
+        }
     }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let variance = if samples.len() > 1 {
-        samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Ok(LocalityResult {
-        code: config.code,
-        scheduler: config.scheduler,
-        load_percent: config.load_percent,
-        map_slots: config.cluster.map_slots_per_node,
-        tasks: tasks_per_trial,
-        trials: config.trials,
-        mean_locality_percent: mean,
-        std_dev_percent: variance.sqrt(),
-    })
+    Ok(schedulers
+        .iter()
+        .zip(samples)
+        .map(|(&scheduler, samples)| {
+            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+            let variance = if samples.len() > 1 {
+                samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
+            } else {
+                0.0
+            };
+            LocalityResult {
+                code: config.code,
+                scheduler,
+                load_percent: config.load_percent,
+                map_slots: config.cluster.map_slots_per_node,
+                tasks: tasks_per_trial,
+                trials: config.trials,
+                mean_locality_percent: mean,
+                std_dev_percent: variance.sqrt(),
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -219,6 +252,34 @@ mod tests {
                     simulate_locality(&bad),
                     Err(MapReduceError::InvalidConfig { .. })
                 ),
+                "{load}"
+            );
+        }
+    }
+
+    #[test]
+    fn loads_too_large_to_place_are_errors_not_panics() {
+        // A finite load too large to place used to size the task list
+        // before the placement could reject its stripe count: `f64::MAX`
+        // panicked with "capacity overflow".
+        use drc_cluster::ClusterError;
+        let schedulers = SchedulerKind::all();
+        for load in [f64::MAX, 1e30] {
+            for &scheduler in &schedulers {
+                let config = LocalityConfig::new(CodeKind::Pentagon, scheduler, 2, load);
+                assert!(
+                    matches!(
+                        simulate_locality(&config),
+                        Err(MapReduceError::Cluster(
+                            ClusterError::InvalidPlacement { .. }
+                        ))
+                    ),
+                    "{scheduler} at {load}"
+                );
+            }
+            let config = LocalityConfig::new(CodeKind::Pentagon, SchedulerKind::Delay, 2, load);
+            assert!(
+                simulate_locality_each(&config, &schedulers).is_err(),
                 "{load}"
             );
         }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example locality_study [-- <map_slots>]`
 
 use drc_core::codes::CodeKind;
-use drc_core::mapreduce::{simulate_locality, LocalityConfig, SchedulerKind};
+use drc_core::mapreduce::{simulate_locality_each, LocalityConfig, SchedulerKind};
 use drc_core::workloads::fig3_loads;
 use drc_core::{DrcError, TextTable};
 
@@ -23,24 +23,36 @@ fn main() -> Result<(), DrcError> {
          ({trials} random placements per point)\n"
     );
 
-    for scheduler in [
+    let schedulers = [
         SchedulerKind::Delay,
         SchedulerKind::MaxMatching,
         SchedulerKind::Peeling,
-    ] {
+    ];
+    let codes = [CodeKind::TWO_REP, CodeKind::Pentagon, CodeKind::Heptagon];
+    // One shared call per (code, load): every scheduler reads the same
+    // placements, so each trial is placed once rather than once per table.
+    let mut results = Vec::new();
+    for code in codes {
+        let mut row = Vec::new();
+        for load in fig3_loads() {
+            let config = LocalityConfig::new(code, SchedulerKind::Delay, map_slots, load.percent)
+                .with_trials(trials);
+            row.push(simulate_locality_each(&config, &schedulers)?);
+        }
+        results.push(row);
+    }
+
+    for (at, scheduler) in schedulers.iter().enumerate() {
         let mut table = TextTable::new(
             format!("{scheduler}"),
             &["Code", "25% load", "50% load", "75% load", "100% load"],
         );
-        for code in [CodeKind::TWO_REP, CodeKind::Pentagon, CodeKind::Heptagon] {
+        for (code, row) in codes.iter().zip(&results) {
             let mut cells = vec![code.to_string()];
-            for load in fig3_loads() {
-                let result = simulate_locality(
-                    &LocalityConfig::new(code, scheduler, map_slots, load.percent)
-                        .with_trials(trials),
-                )?;
-                cells.push(format!("{:.1}%", result.mean_locality_percent));
-            }
+            cells.extend(
+                row.iter()
+                    .map(|point| format!("{:.1}%", point[at].mean_locality_percent)),
+            );
             table.push_row(cells);
         }
         println!("{table}");
