@@ -7,7 +7,9 @@
 //! only keeps the replica map and its two traffic counters, mutated through
 //! `&mut self`: operations that overlap in virtual time are still issued
 //! one after another by that owner, so nothing here is shared between
-//! threads.
+//! threads. The counters are the only per-node traffic record; the file
+//! system's totals ([`crate::FsStats`]) are read off its timeline, not
+//! summed from them.
 
 use std::collections::BTreeMap;
 
@@ -17,9 +19,10 @@ use crate::block::{Block, BlockKey};
 /// length, plus shared bytes unless the file was ingested length-only.
 /// Every counter here is a function of the length alone.
 ///
-/// The node counts how many bytes it has served and received, which the
-/// RaidNode and the file-system facade use to account network traffic.
-/// Its mutators are the file system's; the public surface is read-only.
+/// The node counts how many bytes it has served and received: a store
+/// counts itself, and the file system charges every pull it issues from
+/// the node with `record_served`. Its mutators are the file system's; the
+/// public surface is read-only.
 #[derive(Debug, Default)]
 pub struct DataNode {
     blocks: BTreeMap<BlockKey, Block>,
@@ -34,27 +37,16 @@ impl DataNode {
         self.blocks.insert(key, data);
     }
 
-    /// Reads a block replica, if present, counting the bytes as served.
-    pub(crate) fn read(&mut self, key: &BlockKey) -> Option<Block> {
-        let data = self.peek(key)?;
-        self.bytes_served += data.len() as u64;
-        Some(data)
-    }
-
-    /// Reads a block replica *without* counting it as served.
-    ///
-    /// The streaming repair path gathers payload handles up front but
-    /// accounts traffic per modeled transfer (only what the repair plan
-    /// actually moves), so the gather itself must be accounting-neutral;
-    /// the file system pairs it with `record_served` for each modeled
-    /// transfer.
+    /// Reads a block replica *without* counting it as served: a handle is
+    /// not a transfer. The file system charges each pull it issues with
+    /// `record_served` — a replica read its block, a repair or degraded
+    /// read's sender one block per fetch of its plan.
     pub fn peek(&self, key: &BlockKey) -> Option<Block> {
         self.blocks.get(key).cloned()
     }
 
-    /// Counts `bytes` as served by this node, for a transfer whose traffic
-    /// is modeled separately from fetching the payload handle (see
-    /// [`DataNode::peek`]).
+    /// Counts `bytes` as served by this node, for a pull the file system
+    /// issued from it (see [`DataNode::peek`]).
     pub(crate) fn record_served(&mut self, bytes: u64) {
         self.bytes_served += bytes;
     }
@@ -143,8 +135,8 @@ mod tests {
         assert_eq!(dn.block_count(), 2);
         assert_eq!(dn.used_bytes(), 13);
         assert!(dn.contains(&key(0, 0)));
-        assert_eq!(dn.read(&key(0, 0)).unwrap().bytes().unwrap()[..], [1, 2, 3]);
-        assert!(dn.read(&key(9, 9)).is_none());
+        assert_eq!(dn.peek(&key(0, 0)).unwrap().bytes().unwrap()[..], [1, 2, 3]);
+        assert!(dn.peek(&key(9, 9)).is_none());
         assert_eq!(dn.block_keys(), vec![key(0, 0), key(0, 1)]);
         dn.wipe();
         assert_eq!(dn.block_count(), 0);
@@ -155,18 +147,12 @@ mod tests {
         let mut dn = DataNode::default();
         dn.store(key(0, 0), Bytes::from(vec![0u8; 100]).into());
         assert_eq!(dn.bytes_received(), 100);
-        assert_eq!(dn.bytes_served(), 0);
-        let _ = dn.read(&key(0, 0));
-        let _ = dn.read(&key(0, 0));
-        assert_eq!(dn.bytes_served(), 200);
-        // Misses don't count.
-        let _ = dn.read(&key(1, 1));
-        assert_eq!(dn.bytes_served(), 200);
-        // Peeks are accounting-neutral; record_served backfills explicitly.
+        // Peeks are accounting-neutral; record_served charges explicitly.
         assert_eq!(dn.peek(&key(0, 0)).unwrap().len(), 100);
-        assert_eq!(dn.bytes_served(), 200);
+        assert!(dn.peek(&key(1, 1)).is_none());
+        assert_eq!(dn.bytes_served(), 0);
         dn.record_served(50);
-        assert_eq!(dn.bytes_served(), 250);
+        assert_eq!(dn.bytes_served(), 50);
     }
 
     #[test]

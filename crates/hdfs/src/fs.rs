@@ -63,6 +63,9 @@
 //! timeout reproduces the static model (`fail_node_permanently` +
 //! [`DistributedFileSystem::repair_nodes`]) byte-for-byte.
 //!
+//! The [`Timeline`] is the only traffic count: every operation records its
+//! phase as soon as its traffic is reserved, on error paths too, and
+//! [`FsStats`] and [`RepairReport`] read their byte totals off the phases.
 //! Byte accounting is independent of the virtual clock.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,7 +77,7 @@ use rand_chacha::ChaCha8Rng;
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::{CodeError, CodeKind, ErasureCode};
 use drc_sim::{
-    chunk_sizes, ClusterNet, EventQueue, FailureReplay, PhaseKind, ReplayStep, SimDuration,
+    chunk_sizes, ClusterNet, FailureReplay, PhaseClass, PhaseKind, ReplayStep, SimDuration,
     SimTime, Timeline,
 };
 
@@ -93,29 +96,30 @@ pub struct FsStats {
     pub stored_blocks: usize,
     /// Total bytes stored across all DataNodes (including parity and replicas).
     pub stored_bytes: u64,
-    /// Bytes moved over the network by writes.
+    /// Bytes moved over the network by writes: the `Write` phases' bytes.
     pub write_network_bytes: u64,
-    /// Bytes moved over the network by reads (including degraded reads).
+    /// Bytes moved by reads: the `Read` plus `DegradedRead` phases' bytes.
     pub read_network_bytes: u64,
-    /// Bytes moved over the network by repairs.
+    /// Bytes moved over the network by repairs: the `Repair` phases' bytes.
     pub repair_network_bytes: u64,
 }
 
-/// The outcome of one RaidNode repair pass.
+/// The outcome of one RaidNode repair pass, read off the
+/// [`PhaseKind::Repair`] phases it recorded (one per repaired stripe).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairReport {
-    /// Stripes that had at least one replica restored.
+    /// Stripes that had at least one replica restored: the pass's phases.
     pub stripes_repaired: usize,
-    /// Block replicas written back to replacement nodes.
+    /// Block replicas written back to replacement nodes (counted).
     pub blocks_restored: usize,
-    /// Network bytes consumed by the repairs (per the codes' repair plans).
+    /// Network bytes of the pass's phases (per the codes' repair plans).
     pub network_bytes: u64,
-    /// Stripes that could not be repaired (failures beyond code tolerance).
+    /// Stripes that could not be repaired, beyond code tolerance (counted).
     pub unrecoverable_stripes: usize,
     /// The virtual instant the pass was issued.
     pub issued_at: SimTime,
-    /// The virtual instant the last stripe finished repairing (equals
-    /// `issued_at` when there was nothing to do).
+    /// The virtual instant the last stripe finished repairing, its phase's
+    /// end (equals `issued_at` when there was nothing to do).
     pub completed_at: SimTime,
 }
 
@@ -173,9 +177,6 @@ pub struct DistributedFileSystem {
     now: SimTime,
     timeline: Timeline,
     rng: ChaCha8Rng,
-    write_network_bytes: u64,
-    read_network_bytes: u64,
-    repair_network_bytes: u64,
     /// The scheduled failure traces and the detection boundaries they
     /// imply, drained by [`DistributedFileSystem::process_events_until`].
     replay: FailureReplay,
@@ -215,9 +216,6 @@ impl DistributedFileSystem {
             now: SimTime::ZERO,
             timeline: Timeline::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            write_network_bytes: 0,
-            read_network_bytes: 0,
-            repair_network_bytes: 0,
             replay,
             repair_chunk_bytes: DEFAULT_REPAIR_CHUNK_BYTES,
             auto_repairs: Vec::new(),
@@ -389,30 +387,29 @@ impl DistributedFileSystem {
         let meta = self.namenode.file(id)?.clone();
 
         // Distribute. Every pooled payload returns to the pool when its
-        // last holder drops it.
-        let mut bytes_moved = 0u64;
-        let mut write_end = issued;
-        for stripe in 0..stripes {
-            let blocks = stripe_blocks(code.as_ref(), stripe)?;
-            for (block_index, content) in blocks.into_iter().enumerate() {
-                let key = BlockKey::new(id, stripe, block_index);
-                for &node in &meta.block_locations(stripe, block_index)? {
-                    self.write_network_bytes += content.len() as u64;
-                    bytes_moved += content.len() as u64;
-                    let (io, fabric) = (self.net.node(node), self.net.fabric());
-                    let res = drc_sim::push_to(issued, io, fabric, content.len() as u64);
-                    self.datanodes[node.0].store(key, content.clone());
-                    write_end = write_end.max(res.end);
+        // last holder drops it. A stripe that fails leaves the stores issued
+        // before it on the Write phase.
+        let (mut bytes, mut write_end) = (0u64, issued);
+        let mut distribute = || -> Result<(), HdfsError> {
+            for stripe in 0..stripes {
+                let blocks = stripe_blocks(code.as_ref(), stripe)?;
+                for (block_index, content) in blocks.into_iter().enumerate() {
+                    let key = BlockKey::new(id, stripe, block_index);
+                    for &node in &meta.block_locations(stripe, block_index)? {
+                        let (io, fabric) = (self.net.node(node), self.net.fabric());
+                        let res = drc_sim::push_to(issued, io, fabric, content.len() as u64);
+                        bytes += content.len() as u64;
+                        self.datanodes[node.0].store(key, content.clone());
+                        write_end = write_end.max(res.end);
+                    }
                 }
             }
-        }
-        self.timeline.record(
-            PhaseKind::Write { file: id.0 },
-            issued,
-            write_end,
-            bytes_moved,
-        );
-        Ok(id)
+            Ok(())
+        };
+        let written = distribute();
+        let kind = PhaseKind::Write { file: id.0 };
+        self.timeline.record(kind, issued, write_end, bytes);
+        written.map(|()| id)
     }
 
     /// Reads back a whole file, transparently performing degraded reads for
@@ -466,7 +463,8 @@ impl DistributedFileSystem {
 
     /// The one whole-file read loop: hands every content block to `sink` in
     /// file order (the last one truncated to the file's length) and records
-    /// the [`PhaseKind::Read`] phase.
+    /// the [`PhaseKind::Read`] phase, also when a block fails: the reads
+    /// issued before it stay on the record.
     fn read_content_blocks(
         &mut self,
         id: FileId,
@@ -474,15 +472,19 @@ impl DistributedFileSystem {
     ) -> Result<(), HdfsError> {
         let meta = self.namenode.file(id)?.clone();
         let issued = self.now;
-        let bytes_before = self.read_network_bytes;
-        let mut degraded_bytes = 0u64;
+        // Phase bytes are disjoint: a degraded read records its own phase,
+        // so the Read phase carries the replica bytes it issued.
+        let (mut replica_bytes, mut read_end) = (0u64, issued);
         let mut remaining = meta.size as usize;
-        let mut read_end = issued;
-        for key in meta.content_block_keys() {
-            let (block, done, degraded) =
-                self.read_block_at(&meta, key.stripe, key.block, issued)?;
+        let read = meta.content_block_keys().into_iter().try_for_each(|key| {
+            let (block, done) = match self.read_replica(&meta, key, issued)? {
+                Some(replica) => {
+                    replica_bytes += replica.0.len() as u64;
+                    replica
+                }
+                None => self.read_degraded(&meta, key, issued)?,
+            };
             read_end = read_end.max(done);
-            degraded_bytes += degraded;
             let take = remaining.min(block.len());
             remaining -= take;
             if take < block.len() {
@@ -490,77 +492,79 @@ impl DistributedFileSystem {
                 // The sink saw a view; if it kept none, a rebuilt tail
                 // block is this handle's alone again.
                 block.recycle_if_sole();
+                Ok(())
             } else {
-                sink(block)?;
+                sink(block)
             }
-        }
-        // Phase bytes are disjoint: reconstruction traffic is already on the
-        // degraded-read phases this read spawned, so the aggregate phase
-        // carries only the replica-read bytes (the two together equal the
-        // stats counter delta).
-        self.timeline.record(
-            PhaseKind::Read { file: id.0 },
-            issued,
-            read_end,
-            self.read_network_bytes - bytes_before - degraded_bytes,
-        );
-        Ok(())
+        });
+        let kind = PhaseKind::Read { file: id.0 };
+        self.timeline.record(kind, issued, read_end, replica_bytes);
+        read
     }
 
-    /// The timed read path, using a surviving replica when possible and a
-    /// degraded read otherwise: returns the block, its virtual completion
-    /// and the bytes its degraded read moved (zero for a replica read).
-    fn read_block_at(
+    /// The replica read: the first up node holding `key` serves it as a
+    /// timed pull on its disk + NIC and is charged its length. `None` when
+    /// no up node holds it (a miss costs nothing: the node answers from
+    /// metadata).
+    fn read_replica(
         &mut self,
         meta: &FileMetadata,
-        stripe: usize,
-        block: usize,
+        key: BlockKey,
         issued: SimTime,
-    ) -> Result<(Block, SimTime, u64), HdfsError> {
-        let key = BlockKey::new(meta.id, stripe, block);
-        // Fast path: any up replica.
-        for &node in &meta.block_locations(stripe, block)? {
+    ) -> Result<Option<(Block, SimTime)>, HdfsError> {
+        for &node in &meta.block_locations(key.stripe, key.block)? {
             if !self.cluster.is_up(node) {
                 continue;
             }
-            // A miss costs nothing: the node answers from metadata.
-            if let Some(data) = self.datanodes[node.0].read(&key) {
+            let dn = &mut self.datanodes[node.0];
+            if let Some(data) = dn.peek(&key) {
+                dn.record_served(data.len() as u64);
                 let (io, fabric) = (self.net.node(node), self.net.fabric());
                 let res = drc_sim::pull_from(issued, io, fabric, data.len() as u64);
-                self.read_network_bytes += data.len() as u64;
-                return Ok((data, res.end, 0));
+                return Ok(Some((data, res.end)));
             }
         }
-        // Degraded read: plan around every unusable node, then execute the
-        // plan against what the usable ones hold.
+        Ok(None)
+    }
+
+    /// The degraded read: plan around every unusable node, issue the plan's
+    /// fetches, record the [`PhaseKind::DegradedRead`] phase, then execute
+    /// the plan against what the usable nodes hold. Returns the block and
+    /// its virtual completion.
+    fn read_degraded(
+        &mut self,
+        meta: &FileMetadata,
+        key: BlockKey,
+        issued: SimTime,
+    ) -> Result<(Block, SimTime), HdfsError> {
         let code = self.code(meta.code)?;
-        let hosts = meta.placement.stripe_hosts(stripe)?;
-        let unusable = self.unusable_nodes(meta, stripe, &hosts, code.as_ref());
+        let hosts = meta.placement.stripe_hosts(key.stripe)?;
+        let unusable = self.unusable_nodes(meta, key.stripe, &hosts, code.as_ref());
         let unavailable = |e: CodeError| HdfsError::BlockUnavailable {
             block: key,
             reason: e.to_string(),
         };
         let plan = code
-            .degraded_read_plan(block, &unusable)
+            .degraded_read_plan(key.block, &unusable)
             .map_err(unavailable)?;
         let bytes = plan.network_blocks as u64 * meta.block_size;
-        self.read_network_bytes += bytes;
         // The plan's fetches, each as a chunk-streamed train of timed pulls
         // on the sender's disk + NIC + fabric, so modeled and accounted
-        // traffic agree.
+        // traffic agree. The phase goes on the record before the plan runs:
+        // the fetches are reserved whether or not it succeeds.
         let senders: Vec<NodeId> = plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
         let (_, fetch_done) = self.issue_fetch_trains(&senders, meta.block_size, issued);
         let done = fetch_done.last().copied().unwrap_or(issued);
-        let view = self.stripe_view(meta.id, stripe, &hosts, &unusable);
-        let (content, moved) = plan.execute(code.structure(), view).map_err(unavailable)?;
-        debug_assert_eq!(moved, bytes, "executed = charged");
         let kind = PhaseKind::DegradedRead {
             file: meta.id.0,
-            stripe,
-            block,
+            stripe: key.stripe,
+            block: key.block,
         };
         self.timeline.record(kind, issued, done, bytes);
-        Ok((content, done, bytes))
+        let view = self.stripe_view(meta.id, key.stripe, &hosts, &unusable);
+        let (content, moved) = plan.execute(code.structure(), view).map_err(unavailable)?;
+        debug_assert_eq!(moved, bytes, "executed = charged");
+        Ok((content, done))
     }
 
     /// The stripe-local nodes that cannot serve `stripe`: down, or holding
@@ -792,8 +796,8 @@ impl DistributedFileSystem {
     /// reads and replacement writes become timed events that overlap across
     /// stripes (and with any degraded reads issued before the next
     /// [`DistributedFileSystem::sync`]), queueing only where they share a
-    /// disk, a NIC or the fabric. Per-stripe completions are drained through
-    /// an [`EventQueue`] in virtual-time order onto the timeline.
+    /// disk, a NIC or the fabric. Per-stripe completions go onto the
+    /// timeline in virtual-time order.
     ///
     /// Every repaired node in `replacements` is marked up again.
     ///
@@ -820,7 +824,8 @@ impl DistributedFileSystem {
     /// (issued at the current clock) and the failure engine's auto-repair
     /// queue (issued at the detection instant). Every stripe goes through
     /// scan → plan → execute → fetch trains (an unexecutable plan issues
-    /// no traffic); the pass then commits all the deferred stores at once.
+    /// no traffic); the pass then commits all the deferred stores at once,
+    /// also when a file failed to plan (the earlier fetches are reserved).
     fn repair_pass(
         &mut self,
         replacements: &[NodeId],
@@ -828,58 +833,65 @@ impl DistributedFileSystem {
     ) -> Result<RepairReport, HdfsError> {
         let mut report = RepairReport {
             issued_at: issued,
-            completed_at: issued,
             ..RepairReport::default()
         };
         let replaced: BTreeSet<NodeId> = replacements.iter().copied().collect();
         let mut stores: Vec<PendingStores> = Vec::new();
         // Collect the work per file first to avoid borrowing conflicts.
         let files: Vec<FileMetadata> = self.namenode.iter().cloned().collect();
-        for meta in files {
-            let code = self.code(meta.code)?;
-            for (stripe, failed_local) in
-                self.scan_lost_replicas(&meta, &replaced, code.as_ref())?
-            {
-                let hosts = meta.placement.stripe_hosts(stripe)?;
-                let mut excluded = self.unusable_nodes(&meta, stripe, &hosts, code.as_ref());
-                let unusable: BTreeSet<usize> =
-                    excluded.difference(&failed_local).copied().collect();
-                excluded.extend(&failed_local);
-                let Ok(plan) = code.repair_plan_around(&failed_local, &unusable) else {
-                    report.unrecoverable_stripes += 1;
-                    continue;
-                };
-                let plan_bytes = plan.network_blocks() as u64 * meta.block_size;
-                report.network_bytes += plan_bytes;
-                let slots = self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref());
-                if slots.is_empty() {
-                    continue;
+        let plan_files = || -> Result<(), HdfsError> {
+            for meta in files {
+                let code = self.code(meta.code)?;
+                for (stripe, failed_local) in
+                    self.scan_lost_replicas(&meta, &replaced, code.as_ref())?
+                {
+                    let hosts = meta.placement.stripe_hosts(stripe)?;
+                    let mut excluded = self.unusable_nodes(&meta, stripe, &hosts, code.as_ref());
+                    let unusable: BTreeSet<usize> =
+                        excluded.difference(&failed_local).copied().collect();
+                    excluded.extend(&failed_local);
+                    let Ok(plan) = code.repair_plan_around(&failed_local, &unusable) else {
+                        report.unrecoverable_stripes += 1;
+                        continue;
+                    };
+                    let plan_bytes = plan.network_blocks() as u64 * meta.block_size;
+                    let slots =
+                        self.missing_slots(&meta, stripe, &hosts, &failed_local, code.as_ref());
+                    if slots.is_empty() {
+                        continue;
+                    }
+                    let view = self.stripe_view(meta.id, stripe, &hosts, &excluded);
+                    let Ok((restored, moved)) = plan.execute(code.structure(), view) else {
+                        report.unrecoverable_stripes += 1;
+                        continue;
+                    };
+                    debug_assert_eq!(moved, plan_bytes, "executed = charged");
+                    self.commit_restored(&slots, &restored);
+                    report.blocks_restored += slots.len();
+                    let senders: Vec<NodeId> =
+                        plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
+                    let (sizes, fetch_done) =
+                        self.issue_fetch_trains(&senders, meta.block_size, issued);
+                    stores.push(PendingStores {
+                        file: meta.id,
+                        stripe,
+                        plan_bytes,
+                        sizes,
+                        fetch_done,
+                        dests: slots.iter().map(|&(_, _, node)| node).collect(),
+                    });
                 }
-                let view = self.stripe_view(meta.id, stripe, &hosts, &excluded);
-                let Ok((restored, moved)) = plan.execute(code.structure(), view) else {
-                    report.unrecoverable_stripes += 1;
-                    continue;
-                };
-                debug_assert_eq!(moved, plan_bytes, "executed = charged");
-                self.commit_restored(&slots, &restored);
-                report.blocks_restored += slots.len();
-                report.stripes_repaired += 1;
-                let senders: Vec<NodeId> =
-                    plan.transfers.iter().map(|t| hosts[t.from_node]).collect();
-                let (sizes, fetch_done) =
-                    self.issue_fetch_trains(&senders, meta.block_size, issued);
-                stores.push(PendingStores {
-                    file: meta.id,
-                    stripe,
-                    plan_bytes,
-                    sizes,
-                    fetch_done,
-                    dests: slots.iter().map(|&(_, _, node)| node).collect(),
-                });
             }
-        }
-        report.completed_at = self.commit_stores(&stores, issued);
-        self.repair_network_bytes += report.network_bytes;
+            Ok(())
+        };
+        let planned = plan_files();
+        let first = self.timeline.phases.len();
+        self.commit_stores(&stores, issued);
+        let recorded = &self.timeline.phases[first..];
+        report.stripes_repaired = recorded.len();
+        report.network_bytes = recorded.iter().map(|p| p.bytes).sum();
+        report.completed_at = recorded.iter().map(|p| p.end).fold(issued, SimTime::max);
+        planned?;
         for &node in replacements {
             self.cluster.set_up(node);
             // The replacement is re-provisioned and heartbeating again from
@@ -1002,10 +1014,10 @@ impl DistributedFileSystem {
     /// chunk `ci` available at `fetch_done[ci]`, issued in ascending
     /// first-chunk-start order. Resources grant FIFO in issuance order —
     /// this ordering is what makes the grants agree with virtual time
-    /// across stripes. Per-stripe completions are then drained in
-    /// virtual-time order onto the timeline; returns when the last stripe
-    /// completes (`issued` when there was nothing to do).
-    fn commit_stores(&mut self, stores: &[PendingStores], issued: SimTime) -> SimTime {
+    /// across stripes. Per-stripe completions then go onto the timeline as
+    /// [`PhaseKind::Repair`] phases in virtual-time order, stripes that
+    /// complete at the same instant in issue order.
+    fn commit_stores(&mut self, stores: &[PendingStores], issued: SimTime) {
         let mut trains: Vec<(SimTime, usize, NodeId)> = Vec::new();
         for (ji, job) in stores.iter().enumerate() {
             let Some(&first) = job.fetch_done.first() else {
@@ -1032,31 +1044,28 @@ impl DistributedFileSystem {
                 job_done[ji] = job_done[ji].max(end);
             }
         }
-        let mut completions: EventQueue<&PendingStores> = EventQueue::new();
-        for (job, done) in stores.iter().zip(job_done) {
-            completions.schedule_at(done, job);
-        }
-        let mut completed = issued;
-        while let Some((done, job)) = completions.pop() {
+        let mut completions: Vec<(SimTime, &PendingStores)> =
+            job_done.into_iter().zip(stores).collect();
+        completions.sort_by_key(|&(done, _)| done);
+        for (done, job) in completions {
             let kind = PhaseKind::Repair {
                 file: job.file.0,
                 stripe: job.stripe,
             };
             self.timeline.record(kind, issued, done, job.plan_bytes);
-            completed = completed.max(done);
         }
-        completed
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics; the byte totals are folded from the timeline.
     pub fn stats(&self) -> FsStats {
+        let bytes = |class| self.timeline.bytes_of(class);
         FsStats {
             files: self.namenode.len(),
             stored_blocks: self.datanodes.iter().map(DataNode::block_count).sum(),
             stored_bytes: self.datanodes.iter().map(DataNode::used_bytes).sum(),
-            write_network_bytes: self.write_network_bytes,
-            read_network_bytes: self.read_network_bytes,
-            repair_network_bytes: self.repair_network_bytes,
+            write_network_bytes: bytes(PhaseClass::Write),
+            read_network_bytes: bytes(PhaseClass::Read) + bytes(PhaseClass::DegradedRead),
+            repair_network_bytes: bytes(PhaseClass::Repair),
         }
     }
 }
@@ -1065,7 +1074,7 @@ impl DistributedFileSystem {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use drc_sim::{overlap, PhaseClass};
+    use drc_sim::overlap;
 
     fn spec() -> ClusterSpec {
         tiny_spec()

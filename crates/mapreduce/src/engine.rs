@@ -61,12 +61,13 @@
 //!
 //! # Byte accounting
 //!
-//! Byte totals are computed exactly (round-to-nearest, saturating at
+//! The [`Timeline`] is the job's only byte record: [`JobMetrics`]' byte
+//! totals are read off its map wave, degraded wave and shuffle phases once
+//! the job is done, so a map-only job (no shuffle phase) reports no
+//! shuffle bytes. Phase bytes are exact (round-to-nearest, saturating at
 //! `u64::MAX`, from ratios finite and non-negative by construction) and
-//! are **independent of the event model**: the events decide *when* traffic
-//! moves, never *how much*. An event-driven run reports the same
-//! `shuffle_bytes` / `network_traffic_bytes` as the closed-form accounting,
-//! whatever the substrate's congestion state.
+//! **independent of the event model**: the events decide *when* traffic
+//! moves, never *how much*, whatever the substrate's congestion state.
 
 use std::collections::BTreeSet;
 
@@ -75,7 +76,9 @@ use serde::Serialize;
 
 use drc_cluster::{Cluster, ClusterSpec, FailureTrace, NodeId, PlacementMap};
 use drc_codes::ErasureCode;
-use drc_sim::{ClusterNet, FailureReplay, PhaseKind, ReplayStep, SimDuration, SimTime, Timeline};
+use drc_sim::{
+    ClusterNet, FailureReplay, PhaseClass, PhaseKind, ReplayStep, SimDuration, SimTime, Timeline,
+};
 
 use crate::assignment::Assignment;
 use crate::graph::TaskNodeGraph;
@@ -403,7 +406,7 @@ impl<'a> JobRun<'a> {
 
 /// Executes `run` against `net` from `start`: the map waves, then the
 /// shuffle and the reduce waves, each adding its counters and phases to
-/// the job's metrics. `owns_net`: the engine built `net` itself.
+/// the job's metrics, whose byte totals are the phases'. `owns_net`: the engine built `net` itself.
 fn execute(
     run: &JobRun<'_>,
     net: &mut ClusterNet,
@@ -437,7 +440,11 @@ fn execute(
     m.job_time_s = job_end.since(start).as_secs_f64();
     m.map_phase_s = map_end.since(start).as_secs_f64();
     m.reduce_phase_s = job_end.since(map_end).as_secs_f64();
-    m.network_traffic_bytes = m.remote_input_bytes + m.degraded_read_bytes + m.shuffle_bytes;
+    let map_bytes = m.timeline.bytes_of(PhaseClass::Map);
+    m.degraded_read_bytes = m.timeline.bytes_of(PhaseClass::DegradedRead);
+    m.remote_input_bytes = map_bytes - m.degraded_read_bytes;
+    m.shuffle_bytes = m.timeline.bytes_of(PhaseClass::Shuffle);
+    m.network_traffic_bytes = map_bytes + m.shuffle_bytes;
     Ok(m)
 }
 
@@ -587,8 +594,6 @@ fn map_waves(
             if degraded {
                 m.degraded_reads += 1;
             }
-            m.remote_input_bytes += remote_bytes;
-            m.degraded_read_bytes += degraded_bytes;
             wave_network_bytes += remote_bytes + degraded_bytes;
             wave_degraded_bytes += degraded_bytes;
             completed[a.task.0] = true;
@@ -663,7 +668,6 @@ fn shuffle_and_reduce(
     let n_up = up.len().max(1);
     let network_fraction = 1.0 - 1.0 / n_up as f64;
     let shuffle_bytes = scale_bytes(map_output_bytes, network_fraction);
-    m.shuffle_bytes = shuffle_bytes;
     let mut end = map_end;
     if job.reduce_tasks() > 0 && map_output_bytes > 0 && !up.is_empty() {
         // Reducers are placed round-robin over the up nodes and occupy one
@@ -767,7 +771,7 @@ mod tests {
     use crate::scheduler::{DelayScheduler, SchedulerKind};
     use drc_cluster::{ClusterSpec, PlacementPolicy, Positive};
     use drc_codes::CodeKind;
-    use drc_sim::{overlap, PhaseClass};
+    use drc_sim::overlap;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -26,6 +26,10 @@ use crate::job::{MapTask, TaskId};
 use crate::scheduler::SchedulerKind;
 use crate::MapReduceError;
 
+/// The most trials one point runs: far past any figure's effort, and a
+/// bound on what the per-scheduler sample vectors are sized to.
+const MAX_TRIALS: usize = 1 << 20;
+
 /// Configuration of one locality-simulation point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalityConfig {
@@ -37,7 +41,8 @@ pub struct LocalityConfig {
     pub cluster: ClusterSpec,
     /// Load: map tasks as a percentage of total map slots (§3.2).
     pub load_percent: f64,
-    /// Number of independent random placements to average over.
+    /// Number of independent random placements to average over: from 1
+    /// to 2^20 (1 048 576).
     pub trials: usize,
     /// Base RNG seed; trial `i` uses `seed + i`.
     pub seed: u64,
@@ -101,8 +106,9 @@ pub struct LocalityResult {
 ///
 /// # Errors
 ///
-/// Returns [`MapReduceError::InvalidConfig`] if the trial count or the map
-/// slots per node is zero or the load is not a positive finite number, or a
+/// Returns [`MapReduceError::InvalidConfig`] if the trial count is zero or
+/// above 2^20, the map slots per node is zero or the load is not a positive
+/// finite number, or a
 /// placement error if the code does not fit the cluster or the load asks
 /// for more stripes than a placement can index.
 pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapReduceError> {
@@ -126,9 +132,10 @@ pub fn simulate_locality_each(
     config: &LocalityConfig,
     schedulers: &[SchedulerKind],
 ) -> Result<Vec<LocalityResult>, MapReduceError> {
-    if config.trials == 0 {
+    // Checked before anything is sized from the trial count.
+    if !(1..=MAX_TRIALS).contains(&config.trials) {
         return Err(MapReduceError::InvalidConfig {
-            reason: "at least one trial is required".to_string(),
+            reason: format!("{} trials, expected 1 to {MAX_TRIALS}", config.trials),
         });
     }
     // No slot, no assignment: an empty assignment would report 100 %.
@@ -229,30 +236,22 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let bad =
-            LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, 50.0).with_trials(0);
-        assert!(simulate_locality(&bad).is_err());
+        let point = |load| LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, load);
+        // `usize::MAX` used to panic with "capacity overflow" sizing the
+        // samples.
+        let trials = [0, MAX_TRIALS + 1, usize::MAX].map(|t| point(50.0).with_trials(t));
+        // NaN used to pass a `<= 0.0` guard and run as a one-task trial.
+        let loads = [0.0, -25.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(point);
         // No map slot: nothing can be assigned, and an empty assignment
         // used to report 100 % locality.
-        for scheduler in SchedulerKind::all() {
-            let bad = LocalityConfig::new(CodeKind::Pentagon, scheduler, 0, 100.0);
+        let slots = SchedulerKind::all()
+            .into_iter()
+            .map(|scheduler| LocalityConfig::new(CodeKind::Pentagon, scheduler, 0, 100.0));
+        for bad in trials.into_iter().chain(loads).chain(slots) {
+            let result = simulate_locality(&bad);
             assert!(
-                matches!(
-                    simulate_locality(&bad),
-                    Err(MapReduceError::InvalidConfig { .. })
-                ),
-                "{scheduler}"
-            );
-        }
-        // NaN used to pass a `<= 0.0` guard and run as a one-task trial.
-        for load in [0.0, -25.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let bad = LocalityConfig::new(CodeKind::TWO_REP, SchedulerKind::Delay, 2, load);
-            assert!(
-                matches!(
-                    simulate_locality(&bad),
-                    Err(MapReduceError::InvalidConfig { .. })
-                ),
-                "{load}"
+                matches!(result, Err(MapReduceError::InvalidConfig { .. })),
+                "{bad:?}"
             );
         }
     }

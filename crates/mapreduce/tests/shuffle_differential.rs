@@ -6,12 +6,14 @@
 //! round-instead-of-truncate fix): for every code kind, `shuffle_bytes` and
 //! `network_traffic_bytes` must match the formula exactly. The second test
 //! locks the time model: a saturated LAN strictly delays reduce completion
-//! while leaving the byte totals untouched.
+//! while leaving the byte totals untouched. The last test holds the totals
+//! to the timeline they are read off: a job without reducers has no
+//! shuffle phase and no shuffle bytes.
 
 use drc_cluster::{Cluster, ClusterSpec, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 use drc_mapreduce::{DelayScheduler, JobRun, JobSpec};
-use drc_sim::{ClusterNet, SimDuration, SimTime};
+use drc_sim::{ClusterNet, PhaseClass, SimDuration, SimTime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -192,4 +194,39 @@ fn saturated_lan_strictly_delays_reduce_completion() {
     // Bytes are untouched by congestion.
     assert_eq!(sat.network_traffic_bytes, idle.network_traffic_bytes);
     assert_eq!(sat.shuffle_bytes, idle.shuffle_bytes);
+}
+
+#[test]
+fn a_map_only_job_moves_no_shuffle_bytes() {
+    // The engine used to report the closed-form shuffle volume here,
+    // 6 442 450 944 B, for a job with no reducer to fetch it.
+    let code = CodeKind::Pentagon.build().unwrap();
+    let cluster = Cluster::new(ClusterSpec::simulation_25(2));
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let stripes = 50usize.div_ceil(code.data_blocks());
+    let placement = PlacementMap::place(
+        code.as_ref(),
+        &cluster,
+        stripes,
+        PlacementPolicy::Random,
+        &mut rng,
+    )
+    .unwrap();
+    let blocks: Vec<_> = placement.data_blocks().into_iter().take(50).collect();
+    let job = JobSpec::new("map-only", blocks).with_reduce_tasks(0);
+    let m = JobRun::new(
+        &job,
+        code.as_ref(),
+        &placement,
+        &cluster,
+        &DelayScheduler::default(),
+    )
+    .run(&mut rng)
+    .unwrap();
+    assert_eq!(m.timeline.of(PhaseClass::Shuffle).count(), 0);
+    assert_eq!(m.shuffle_bytes, 0);
+    assert_eq!(
+        m.network_traffic_bytes,
+        m.remote_input_bytes + m.degraded_read_bytes
+    );
 }
