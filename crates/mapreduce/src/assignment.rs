@@ -58,10 +58,7 @@ impl Assignment {
     ///
     /// Returns 100% for an empty assignment (no task had to go remote).
     pub fn locality_percent(&self) -> f64 {
-        if self.assignments.is_empty() {
-            return 100.0;
-        }
-        self.local_tasks() as f64 / self.len() as f64 * 100.0
+        locality_percent(self.local_tasks(), self.len())
     }
 
     /// Verifies the assignment against a graph and slot capacities: every
@@ -89,6 +86,16 @@ impl Assignment {
         }
         None
     }
+}
+
+/// `local` of `assigned` tasks in percent, 100 % when nothing is assigned:
+/// [`Assignment::locality_percent`], and the locality loop's max-matching
+/// sample, which counts and never builds the assignment.
+pub(crate) fn locality_percent(local: usize, assigned: usize) -> f64 {
+    if assigned == 0 {
+        return 100.0;
+    }
+    local as f64 / assigned as f64 * 100.0
 }
 
 impl FromIterator<TaskAssignment> for Assignment {

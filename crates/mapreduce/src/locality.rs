@@ -8,7 +8,10 @@
 //! 2. builds the task–node bipartite graph,
 //! 3. runs each scheduler under comparison against the per-node slot
 //!    capacities, each on its own copy of the trial's generator as it
-//!    stands right after placement, and
+//!    stands right after placement — except maximum matching, whose
+//!    locality is the size of a maximum matching, which no draw changes:
+//!    it is counted ([`MaxMatchingScheduler::max_local`]) rather than
+//!    assigned — and
 //! 4. records, per scheduler, the percentage of tasks that ended up on a
 //!    node holding their block.
 //!
@@ -21,9 +24,10 @@ use serde::Serialize;
 use drc_cluster::{Cluster, ClusterSpec, GlobalBlockId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 
+use crate::assignment::locality_percent;
 use crate::graph::TaskNodeGraph;
 use crate::job::{MapTask, TaskId};
-use crate::scheduler::SchedulerKind;
+use crate::scheduler::{MaxMatchingScheduler, SchedulerKind};
 use crate::MapReduceError;
 
 /// The most trials one point runs: far past any figure's effort, and a
@@ -108,7 +112,8 @@ pub struct LocalityResult {
 ///
 /// Returns [`MapReduceError::InvalidConfig`] if the trial count is zero or
 /// above 2^20, the map slots per node is zero or the load is not a positive
-/// finite number, or a
+/// finite number (and, from [`simulate_locality_each`], if no scheduler is
+/// listed), or a
 /// placement error if the code does not fit the cluster or the load asks
 /// for more stripes than a placement can index.
 pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapReduceError> {
@@ -123,7 +128,9 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
 /// its stripes and builds its graph once; every scheduler then runs on a
 /// clone of the trial's generator taken right after placement, so each
 /// result is exactly the one [`simulate_locality`] returns for that
-/// scheduler alone.
+/// scheduler alone. Maximum matching's sample is a count
+/// ([`MaxMatchingScheduler::max_local`]), not an assignment: the same
+/// number, because no draw changes a maximum matching's size.
 ///
 /// # Errors
 ///
@@ -136,6 +143,12 @@ pub fn simulate_locality_each(
     if !(1..=MAX_TRIALS).contains(&config.trials) {
         return Err(MapReduceError::InvalidConfig {
             reason: format!("{} trials, expected 1 to {MAX_TRIALS}", config.trials),
+        });
+    }
+    // Nothing to sample: every trial would be placed for nothing.
+    if schedulers.is_empty() {
+        return Err(MapReduceError::InvalidConfig {
+            reason: "no scheduler to simulate".to_string(),
         });
     }
     // No slot, no assignment: an empty assignment would report 100 %.
@@ -189,12 +202,27 @@ pub fn simulate_locality_each(
         graph.rebuild(&map_tasks, &placement, &cluster);
         capacities.clear();
         capacities.resize(graph.nodes().len(), config.cluster.map_slots_per_node);
-        for (scheduler, samples) in built.iter().zip(&mut samples) {
-            let assignment = scheduler.assign(&graph, &capacities, &mut rng.clone());
-            debug_assert!(assignment
-                .validate(&graph, config.cluster.map_slots_per_node)
-                .is_none());
-            samples.push(assignment.locality_percent());
+        for ((kind, scheduler), samples) in schedulers.iter().zip(&built).zip(&mut samples) {
+            let assign = || {
+                let assignment = scheduler.assign(&graph, &capacities, &mut rng.clone());
+                debug_assert!(assignment
+                    .validate(&graph, config.cluster.map_slots_per_node)
+                    .is_none());
+                assignment
+            };
+            let sample = if *kind == SchedulerKind::MaxMatching {
+                let local = MaxMatchingScheduler::max_local(&graph, &capacities);
+                let assigned = graph.task_count().min(capacities.iter().sum());
+                // Debug builds still run the assignment the count stands for.
+                debug_assert_eq!((local, assigned), {
+                    let assignment = assign();
+                    (assignment.local_tasks(), assignment.len())
+                });
+                locality_percent(local, assigned)
+            } else {
+                assign().locality_percent()
+            };
+            samples.push(sample);
         }
     }
     Ok(schedulers
@@ -254,6 +282,12 @@ mod tests {
                 "{bad:?}"
             );
         }
+        // No scheduler: every trial used to be placed and graphed, only to
+        // return no result.
+        assert!(matches!(
+            simulate_locality_each(&point(50.0), &[]),
+            Err(MapReduceError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! every slot in it is held, by a task whose whole adjacency is in it — so a
 //! later search entering it could only fail there; skipping it changes no
 //! decision. A generation ends at a success, not at a task.
+//!
+//! The locality simulation needs only the matching's size, which no draw
+//! changes: [`MaxMatchingScheduler::max_local`] counts it on the nodes
+//! themselves (greedy, then the same augmenting search over node positions
+//! and their holders), without slots, shuffles or remote fill. See
+//! `INTERNALS.md`, "Max-matching's locality is a count".
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -116,6 +122,60 @@ impl TaskScheduler for MaxMatchingScheduler {
     }
 }
 
+impl MaxMatchingScheduler {
+    /// The number of tasks [`assign`](TaskScheduler::assign) places
+    /// locally on `graph` under `capacities`, whatever generator it is
+    /// given: the size of a maximum task → node matching in which node
+    /// `i` takes at most `capacities[i]` tasks. Nothing is drawn and no
+    /// assignment is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities.len() != graph.nodes().len()`.
+    pub fn max_local(graph: &TaskNodeGraph, capacities: &[usize]) -> usize {
+        let free = free_slots(graph, capacities);
+        let slots: usize = free.iter().sum();
+        let tasks = graph.task_count();
+        let mut search = NodeSearch {
+            graph,
+            visited: vec![0; free.len()],
+            free,
+            node_of: vec![UNMATCHED; tasks],
+            generation: 1,
+        };
+        let mut local = 0;
+        // Greedy: each task takes a free slot on its first local node that
+        // has one.
+        for t in 0..tasks {
+            if local == slots {
+                return local;
+            }
+            let free = &mut search.free;
+            if let Some(&at) = graph
+                .local_positions(TaskId(t))
+                .iter()
+                .find(|&&at| free[at as usize] > 0)
+            {
+                free[at as usize] -= 1;
+                search.node_of[t] = at;
+                local += 1;
+            }
+        }
+        // Then one augmenting search per task still unmatched, until every
+        // slot holds a local task.
+        for t in 0..tasks {
+            if local == slots {
+                break;
+            }
+            if search.node_of[t] == UNMATCHED && search.try_augment(t) {
+                local += 1;
+                search.generation += 1;
+            }
+        }
+        local
+    }
+}
+
 /// `slot_match` / `task_match` entry of a vertex with no partner.
 const UNMATCHED: u32 = u32::MAX;
 
@@ -149,6 +209,48 @@ impl Matching<'_> {
                 self.task_match[t] = slot as u32;
                 return true;
             }
+        }
+        false
+    }
+}
+
+/// The state of [`MaxMatchingScheduler::max_local`]'s augmenting searches
+/// over node positions, each a b-matching vertex with `free` spare slots.
+struct NodeSearch<'a> {
+    graph: &'a TaskNodeGraph,
+    /// `free[at]`: the slots of position `at` no task holds yet.
+    free: Vec<usize>,
+    /// `node_of[t]`: the position task `t` holds a slot on.
+    node_of: Vec<u32>,
+    /// `visited[at] == generation` ⇔ position `at` was tried since the
+    /// last successful search: the same dead-set rule as [`Matching`].
+    visited: Vec<u32>,
+    generation: u32,
+}
+
+impl NodeSearch<'_> {
+    /// Finds a slot for `task` on one of its local nodes, freeing one
+    /// through an alternating path if need be; `true` on success.
+    fn try_augment(&mut self, task: usize) -> bool {
+        let graph = self.graph;
+        for &at in graph.local_positions(TaskId(task)) {
+            let p = at as usize;
+            if self.visited[p] == self.generation {
+                continue;
+            }
+            self.visited[p] = self.generation;
+            if self.free[p] > 0 {
+                self.free[p] -= 1;
+            } else if !graph
+                .tasks_local_at(p)
+                .iter()
+                .any(|&holder| self.node_of[holder.0] == at && self.try_augment(holder.0))
+            {
+                continue;
+            }
+            // Either a spare slot, or the one a holder just moved out of.
+            self.node_of[task] = at;
+            return true;
         }
         false
     }

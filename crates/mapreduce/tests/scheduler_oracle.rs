@@ -5,6 +5,26 @@
 //! `scheduler_proptests.rs` samples between: every instance of a small scope,
 //! and the benchmark's locality shape. Each case requires the same
 //! `Assignment` in the same order and the same `rng.next_u64()` afterwards.
+//!
+//! Every case also holds `MaxMatchingScheduler::max_local`, the count the
+//! locality simulation samples instead of an assignment, to max-matching's
+//! local tasks, and `min(tasks, Σ capacities)` to its assigned tasks.
+//! Mutants of the count made on a copy, and the first case that fails:
+//!
+//! - the generation never advances: `blocks [2, 2, 0, 0]`, caps `[0, 2, 2]`;
+//! - the greedy pass does not decrement `free`: `blocks [0, 0]`, caps
+//!   `[1, 0, 1]`, and heptagon seed 7;
+//! - a holder is taken without checking it sits on the node: `blocks
+//!   [1, 0]`, caps `[0, 2, 0]`;
+//! - the early stop fires one slot short: `blocks [2, 0]`, caps `[0, 1, 1]`.
+//!
+//! Two mutants pass here. Stopping at `local == tasks` instead of at every
+//! slot held, or never stopping early, is equivalent: the stop only saves
+//! searches that cannot succeed. An augmenting search that ends on a spare
+//! slot without decrementing `free` needs two such paths into one node;
+//! this scope and these cases never make them. `locality_differential.rs`
+//! catches it (2-rep, µ 2, 100 %), and so does the debug cross-check in
+//! `simulate_locality_each` under the library's unit tests.
 
 use std::collections::BTreeMap;
 
@@ -31,7 +51,9 @@ const SCHEDULERS: [(&dyn TaskScheduler, Oracle); 2] = [
 ];
 
 /// Runs both schedulers and their oracles from the same generator state and
-/// requires identical output and rng state; returns max-matching's result.
+/// requires identical output and rng state, and max-matching's local and
+/// assigned task counts to be what `max_local` and the capacities say
+/// without an assignment; returns max-matching's result.
 fn assert_matches_oracle(
     graph: &TaskNodeGraph,
     caps: &[usize],
@@ -62,7 +84,20 @@ fn assert_matches_oracle(
             got
         })
         .collect();
-    results.into_iter().next().expect("max-matching runs first")
+    let matching = results.into_iter().next().expect("max-matching runs first");
+    assert_eq!(
+        MaxMatchingScheduler::max_local(graph, caps),
+        matching.local_tasks(),
+        "max_local on {}",
+        case()
+    );
+    assert_eq!(
+        graph.task_count().min(caps.iter().sum()),
+        matching.len(),
+        "assigned tasks on {}",
+        case()
+    );
+    matching
 }
 
 /// Whether each of max-matching's augmenting searches succeeded, in the
