@@ -21,6 +21,15 @@
 //! the virtual seconds the auto-repair traffic overlapped the job on the
 //! shared substrate — the end-to-end cost of a failure that *happens during
 //! the job*, which no static scenario can show.
+//!
+//! Every link grants in *issue* order, so which layer is issued first into
+//! the shared window decides who queues behind whom. Each traced point runs
+//! twice, each time on a fresh file system: the storage layer's events
+//! first, then the job (`slowdown`), and the job first, then the events
+//! (`slowdown_job_first`, `repair_s_job_first`). A substrate that served
+//! each request by when it is made would put the job between the two: the
+//! two orders bound the time-ordered answer, job-first from below and
+//! repair-first from above.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -28,8 +37,8 @@ use serde::Serialize;
 
 use drc_cluster::{Cluster, FailureEvent, FailureTrace};
 use drc_codes::CodeKind;
-use drc_hdfs::{DistributedFileSystem, EncodedFile};
-use drc_mapreduce::{JobRun, JobSpec, SchedulerKind};
+use drc_hdfs::{DistributedFileSystem, EncodedFile, RepairReport};
+use drc_mapreduce::{JobMetrics, JobRun, JobSpec, SchedulerKind};
 use drc_reliability::ReliabilityParams;
 use drc_sim::{overlap, PhaseClass, SimDuration, SimTime};
 
@@ -55,6 +64,9 @@ pub struct FailureTracePoint {
     pub traced_job_s: f64,
     /// `traced_job_s / baseline_job_s` — the headline slowdown.
     pub slowdown: f64,
+    /// The slowdown with the job issued before the storage layer's events:
+    /// the lower bound of the time-ordered answer.
+    pub slowdown_job_first: f64,
     /// Map attempts lost to fail-stops and executed again.
     pub tasks_reexecuted: usize,
     /// Total blind-window seconds (failure → detection), across nodes.
@@ -63,6 +75,9 @@ pub struct FailureTracePoint {
     pub auto_repair_passes: usize,
     /// Network bytes the auto-repairs moved.
     pub repair_network_bytes: u64,
+    /// Virtual seconds the auto-repair passes were in flight, summed over
+    /// passes, with the job issued first.
+    pub repair_s_job_first: f64,
     /// Virtual seconds auto-repair traffic and the job were concurrently in
     /// flight on the shared substrate.
     pub repair_job_overlap_s: f64,
@@ -133,7 +148,13 @@ pub fn run_failure_trace(
     let baseline_cells = files
         .iter()
         .map(|file| {
-            move || -> Result<Baseline, DrcError> { Ok(run_window(file, target_tasks, None)?.0) }
+            move || -> Result<Baseline, DrcError> {
+                let metrics = run_window(file, target_tasks, None, false)?.metrics;
+                Ok(Baseline {
+                    job_s: metrics.job_time_s,
+                    map_phase_s: metrics.map_phase_s,
+                })
+            }
         })
         .collect();
     let baselines: Vec<Baseline> = harness::run_cells(baseline_cells)?;
@@ -146,18 +167,38 @@ pub fn run_failure_trace(
             for &arrivals in &mean_arrivals {
                 let baseline = baseline.clone();
                 cells.push(move || -> Result<FailureTracePoint, DrcError> {
-                    let timeout_s = frac * baseline.map_phase_s;
-                    let (_, point) = run_window(
-                        file,
-                        target_tasks,
-                        Some(TracedConfig {
-                            baseline: &baseline,
-                            timeout_s,
-                            mean_arrivals: arrivals,
-                            params: &ReliabilityParams::default(),
-                        }),
-                    )?;
-                    Ok(point.expect("traced window yields a point"))
+                    let config = TracedConfig {
+                        baseline: &baseline,
+                        timeout_s: frac * baseline.map_phase_s,
+                        mean_arrivals: arrivals,
+                        params: &ReliabilityParams::default(),
+                    };
+                    let traced = run_window(file, target_tasks, Some(&config), false)?;
+                    let job_first = run_window(file, target_tasks, Some(&config), true)?;
+                    Ok(FailureTracePoint {
+                        code: file.code(),
+                        detection_timeout_s: config.timeout_s,
+                        rate_acceleration: traced.acceleration,
+                        failures_injected: traced.failures_injected,
+                        baseline_job_s: baseline.job_s,
+                        traced_job_s: traced.metrics.job_time_s,
+                        slowdown: traced.metrics.job_time_s / baseline.job_s,
+                        slowdown_job_first: job_first.metrics.job_time_s / baseline.job_s,
+                        tasks_reexecuted: traced.metrics.tasks_reexecuted,
+                        detection_lag_s: traced.detection_lag_s,
+                        auto_repair_passes: traced.repair_reports.len(),
+                        repair_network_bytes: traced
+                            .repair_reports
+                            .iter()
+                            .map(|r| r.network_bytes)
+                            .sum(),
+                        repair_s_job_first: job_first
+                            .repair_reports
+                            .iter()
+                            .map(|r| r.completed_at.since(r.issued_at).as_secs_f64())
+                            .sum(),
+                        repair_job_overlap_s: traced.repair_job_overlap_s,
+                    })
                 });
             }
         }
@@ -183,15 +224,31 @@ struct TracedConfig<'a> {
     params: &'a ReliabilityParams,
 }
 
+/// What one window measured.
+struct Window {
+    metrics: JobMetrics,
+    /// The trace's rate acceleration (0 in the failure-free baseline).
+    acceleration: f64,
+    failures_injected: usize,
+    /// The auto-repair passes the storage layer ran.
+    repair_reports: Vec<RepairReport>,
+    /// Blind-window seconds, across nodes.
+    detection_lag_s: f64,
+    /// Seconds auto-repair traffic overlapped any phase of the job.
+    repair_job_overlap_s: f64,
+}
+
 /// Executes one write → (trace? + job) window. Without a config this is the
 /// failure-free baseline; with one, the Poisson trace drives the file
 /// system's detection/auto-repair engine *and* the job's mid-run failure
-/// handling on the same shared `ClusterNet`.
+/// handling on the same shared `ClusterNet`. The storage layer's events
+/// are processed before the job is issued, or after it when `job_first`.
 fn run_window(
     file: &EncodedFile,
     target_tasks: usize,
-    traced: Option<TracedConfig<'_>>,
-) -> Result<(Baseline, Option<FailureTracePoint>), DrcError> {
+    traced: Option<&TracedConfig<'_>>,
+    job_first: bool,
+) -> Result<Window, DrcError> {
     let code = file.code();
     let spec = harness::byte_cluster_spec(file.block_size())?;
     let mut fs = DistributedFileSystem::new(spec, 0xFA11 ^ code_salt(code));
@@ -219,7 +276,7 @@ fn run_window(
     let scheduler = SchedulerKind::Delay.build();
 
     // Build (and schedule) the trace when this is a traced window.
-    let (trace, timeout, config) = match &traced {
+    let (trace, timeout, acceleration) = match traced {
         Some(config) => {
             // Arrivals land inside the job's (baseline) map window, which
             // starts at `start`: generate on a zero-based horizon, then
@@ -262,16 +319,20 @@ fn run_window(
             let timeout = SimDuration::from_secs_f64(config.timeout_s);
             fs.set_detection_timeout(timeout);
             fs.schedule_trace(&trace);
-            (trace, timeout, Some((acceleration, config.timeout_s)))
+            (trace, timeout, acceleration)
         }
-        None => (FailureTrace::new(), SimDuration::ZERO, None),
+        None => (FailureTrace::new(), SimDuration::ZERO, 0.0),
     };
 
-    // Drive the storage layer first (failures, detection, auto-repair on
-    // the shared net), then issue the job into the same virtual window —
-    // the repair-first ordering the contention experiments use.
+    // Drive the storage layer (failures, detection, auto-repair on the
+    // shared net) and issue the job into the same virtual window, in the
+    // order asked for. The job never advances the file system's clock.
     let failures_injected = trace.nodes_taken_down(&cluster).len();
-    let repair_reports = fs.process_all_events()?;
+    let mut repair_reports = if job_first {
+        Vec::new()
+    } else {
+        fs.process_all_events()?
+    };
     let metrics = JobRun::new(
         &job,
         built.as_ref(),
@@ -282,47 +343,28 @@ fn run_window(
     .on(fs.cluster_net_mut(), start)
     .failures(&trace, timeout)
     .run(&mut ChaCha8Rng::seed_from_u64(0x5EED ^ code_salt(code)))?;
+    if job_first {
+        repair_reports = fs.process_all_events()?;
+    }
 
-    let baseline = Baseline {
-        job_s: metrics.job_time_s,
-        map_phase_s: metrics.map_phase_s,
-    };
-    let point = config.map(|(acceleration, timeout_s)| {
-        FailureTracePoint {
-            code,
-            detection_timeout_s: timeout_s,
-            rate_acceleration: acceleration,
-            failures_injected,
-            baseline_job_s: traced
-                .as_ref()
-                .expect("config implies traced")
-                .baseline
-                .job_s,
-            traced_job_s: metrics.job_time_s,
-            slowdown: metrics.job_time_s
-                / traced
-                    .as_ref()
-                    .expect("config implies traced")
-                    .baseline
-                    .job_s,
-            tasks_reexecuted: metrics.tasks_reexecuted,
-            detection_lag_s: fs
-                .timeline()
-                .of(PhaseClass::DetectionLag)
-                .map(|p| p.duration().as_secs_f64())
-                .sum(),
-            auto_repair_passes: repair_reports.len(),
-            repair_network_bytes: repair_reports.iter().map(|r| r.network_bytes).sum(),
-            // The storage and job timelines share the virtual epoch: how
-            // long the auto-repair traffic overlapped any phase of the job.
-            repair_job_overlap_s: overlap(
-                fs.timeline().of(PhaseClass::Repair),
-                &metrics.timeline.phases,
-            )
-            .as_secs_f64(),
-        }
-    });
-    Ok((baseline, point))
+    Ok(Window {
+        acceleration,
+        failures_injected,
+        detection_lag_s: fs
+            .timeline()
+            .of(PhaseClass::DetectionLag)
+            .map(|p| p.duration().as_secs_f64())
+            .sum(),
+        // The storage and job timelines share the virtual epoch: how long
+        // the auto-repair traffic overlapped any phase of the job.
+        repair_job_overlap_s: overlap(
+            fs.timeline().of(PhaseClass::Repair),
+            &metrics.timeline.phases,
+        )
+        .as_secs_f64(),
+        repair_reports,
+        metrics,
+    })
 }
 
 impl Row for FailureTracePoint {
@@ -334,9 +376,11 @@ impl Row for FailureTracePoint {
         "Baseline (s)",
         "Traced (s)",
         "Slowdown",
+        "Job-first",
         "Re-exec",
         "Lag (s)",
         "Repair (MiB)",
+        "Job-first repair (s)",
         "Repair∩job (s)",
     ];
 
@@ -349,9 +393,11 @@ impl Row for FailureTracePoint {
             format!("{:.3}", self.baseline_job_s),
             format!("{:.3}", self.traced_job_s),
             format!("{:.2}x", self.slowdown),
+            format!("{:.2}x", self.slowdown_job_first),
             self.tasks_reexecuted.to_string(),
             format!("{:.3}", self.detection_lag_s),
             mib(self.repair_network_bytes),
+            format!("{:.3}", self.repair_s_job_first),
             format!("{:.3}", self.repair_job_overlap_s),
         ]
     }
@@ -388,6 +434,15 @@ mod tests {
             // even when the victim hosted no blocks of this file) and the
             // blind window is on the record.
             assert!(row.auto_repair_passes >= 1, "{}", row.code);
+            // The two issue orders bound the time-ordered answer: job-first
+            // can only be the lower one.
+            assert!(
+                row.slowdown_job_first <= row.slowdown,
+                "{}: job-first {:.6}x above repair-first {:.6}x",
+                row.code,
+                row.slowdown_job_first,
+                row.slowdown
+            );
             assert!(row.detection_lag_s > 0.0, "{}", row.code);
         }
         // Per code: some point must show real repair traffic overlapping

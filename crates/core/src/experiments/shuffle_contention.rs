@@ -20,6 +20,14 @@
 //! moves. The report shows the per-code job slowdown, the per-link seconds
 //! the shuffle spent queueing, and how long the shuffle and the repair were
 //! concurrently in flight.
+//!
+//! Every link grants in *issue* order, so which layer is issued first at
+//! the shared instant decides who queues behind whom. The contended run
+//! issues the repair pass first (`slowdown`, `repair_s`). A third run, on a
+//! fresh file system, issues the job first (`slowdown_job_first`,
+//! `repair_s_job_first`). A substrate that served each request by when it
+//! is made would put the job between the two: the two orders bound the
+//! time-ordered answer, job-first from below and repair-first from above.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,16 +56,33 @@ pub struct ShuffleContentionRow {
     pub contended_job_s: f64,
     /// `contended_job_s / solo_job_s` — the headline slowdown.
     pub slowdown: f64,
+    /// The slowdown with the job issued before the repair pass: the lower
+    /// bound of the time-ordered answer.
+    pub slowdown_job_first: f64,
     /// Per-link seconds the contended run's shuffle fetches spent queueing.
     pub contention: LinkContention,
     /// Total per-link wait of the solo run (the shuffle's self-contention).
     pub solo_contention_s: f64,
     /// Virtual seconds the repair pass was in flight.
     pub repair_s: f64,
+    /// Virtual seconds the repair pass was in flight when issued after the
+    /// job.
+    pub repair_s_job_first: f64,
     /// Virtual seconds shuffle fetches and repair were both in flight.
     pub shuffle_repair_overlap_s: f64,
     /// The job's network traffic — byte-identical in both runs.
     pub network_traffic_bytes: u64,
+}
+
+/// Which layer a window issues first at the shared instant.
+#[derive(Clone, Copy, PartialEq)]
+enum Order {
+    /// The job alone: no repair pass.
+    Solo,
+    /// The repair pass, then the job: the headline ordering.
+    RepairFirst,
+    /// The job, then the repair pass.
+    JobFirst,
 }
 
 /// One measured execution window.
@@ -124,19 +149,22 @@ fn contention_row(
 ) -> Result<ShuffleContentionRow, DrcError> {
     let code = file.code();
     let failed = code.build()?.fault_tolerance().min(2);
-    let solo = run_window(file, target_tasks, failed, false)?;
-    let contended = run_window(file, target_tasks, failed, true)?;
+    let solo = run_window(file, target_tasks, failed, Order::Solo)?;
+    let contended = run_window(file, target_tasks, failed, Order::RepairFirst)?;
+    let job_first = run_window(file, target_tasks, failed, Order::JobFirst)?;
     // The headline slowdown is only meaningful if contention moved the
     // time axis and nothing else — enforce the byte identity in every
     // build, including the release runs that publish the number.
-    if solo.network_traffic_bytes != contended.network_traffic_bytes {
-        return Err(DrcError::InvalidExperiment {
-            reason: format!(
-                "{code}: contention changed byte accounting \
-                 (solo {} vs contended {} bytes)",
-                solo.network_traffic_bytes, contended.network_traffic_bytes
-            ),
-        });
+    for window in [&contended, &job_first] {
+        if solo.network_traffic_bytes != window.network_traffic_bytes {
+            return Err(DrcError::InvalidExperiment {
+                reason: format!(
+                    "{code}: contention changed byte accounting \
+                     (solo {} vs contended {} bytes)",
+                    solo.network_traffic_bytes, window.network_traffic_bytes
+                ),
+            });
+        }
     }
     Ok(ShuffleContentionRow {
         code,
@@ -144,24 +172,27 @@ fn contention_row(
         solo_job_s: solo.job_s,
         contended_job_s: contended.job_s,
         slowdown: contended.job_s / solo.job_s,
+        slowdown_job_first: job_first.job_s / solo.job_s,
         contention: contended.contention,
         solo_contention_s: solo.contention.total_s(),
         repair_s: contended.repair_s,
+        repair_s_job_first: job_first.repair_s,
         shuffle_repair_overlap_s: contended.overlap_s,
         network_traffic_bytes: contended.network_traffic_bytes,
     })
 }
 
 /// Executes one write → failure → (repair? + job) window and measures the
-/// job. The repair pass, when present, is issued *first* at the shared
-/// virtual instant, so the job's map-wave traffic and shuffle fetches queue
-/// behind the reconstruction traffic on the shared links — the contended
-/// ordering the paper's failure experiments describe.
+/// job. The repair pass, when present, is issued at the same virtual
+/// instant as the job, before it (`RepairFirst`: the job's map-wave traffic
+/// and shuffle fetches queue behind the reconstruction traffic — the
+/// contended ordering the paper's failure experiments describe) or after
+/// it (`JobFirst`: the repair queues behind the job).
 fn run_window(
     file: &EncodedFile,
     target_tasks: usize,
     failed: usize,
-    with_repair: bool,
+    order: Order,
 ) -> Result<Window, DrcError> {
     let code = file.code();
     let spec = harness::byte_cluster_spec(file.block_size())?;
@@ -192,10 +223,9 @@ fn run_window(
     }
 
     let start = fs.now();
-    let repair = if with_repair {
-        Some(fs.repair_nodes(&victims)?)
-    } else {
-        None
+    let mut repair = match order {
+        Order::RepairFirst => Some(fs.repair_nodes(&victims)?),
+        Order::Solo | Order::JobFirst => None,
     };
 
     // A Terasort-like job over a quarter of the file's data blocks (always
@@ -226,6 +256,11 @@ fn run_window(
     )
     .on(fs.cluster_net_mut(), start)
     .run(&mut rng)?;
+    // The job never advances the file system's clock: this pass is issued
+    // at `start` too.
+    if order == Order::JobFirst {
+        repair = Some(fs.repair_nodes(&victims)?);
+    }
 
     // The storage-layer and job timelines share the virtual time base:
     // measure how long the job's shuffle and the repair ran concurrently.
@@ -256,10 +291,12 @@ impl Row for ShuffleContentionRow {
         "Solo job (s)",
         "Contended job (s)",
         "Slowdown",
+        "Job-first",
         "Src-NIC wait (s)",
         "Dst-NIC wait (s)",
         "Fabric wait (s)",
         "Repair (s)",
+        "Job-first repair (s)",
         "Shuffle∩repair (s)",
     ];
 
@@ -270,10 +307,12 @@ impl Row for ShuffleContentionRow {
             format!("{:.3}", self.solo_job_s),
             format!("{:.3}", self.contended_job_s),
             format!("{:.2}x", self.slowdown),
+            format!("{:.2}x", self.slowdown_job_first),
             format!("{:.3}", self.contention.source_nic_wait_s),
             format!("{:.3}", self.contention.dest_nic_wait_s),
             format!("{:.3}", self.contention.fabric_wait_s),
             format!("{:.3}", self.repair_s),
+            format!("{:.3}", self.repair_s_job_first),
             format!("{:.3}", self.shuffle_repair_overlap_s),
         ]
     }
@@ -304,6 +343,15 @@ mod tests {
             assert!(row.contention.total_s() > 0.0, "{}", row.code);
             assert!(row.solo_contention_s > 0.0, "{}", row.code);
             assert!(row.repair_s > 0.0, "{}", row.code);
+            // The two issue orders bound the time-ordered answer: job-first
+            // can only be the lower one.
+            assert!(
+                row.slowdown_job_first <= row.slowdown,
+                "{}: job-first {:.6}x above repair-first {:.6}x",
+                row.code,
+                row.slowdown_job_first,
+                row.slowdown
+            );
             assert!(
                 row.shuffle_repair_overlap_s > 0.0,
                 "{}: shuffle and repair must be concurrently in flight",

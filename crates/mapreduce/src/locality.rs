@@ -8,9 +8,9 @@
 //! 2. builds the task–node bipartite graph,
 //! 3. runs each scheduler under comparison against the per-node slot
 //!    capacities, each on its own copy of the trial's generator as it
-//!    stands right after placement — except maximum matching, whose
-//!    locality is the size of a maximum matching, which no draw changes:
-//!    it is counted ([`MaxMatchingScheduler::max_local`]) rather than
+//!    stands right after placement — except maximum matching, which
+//!    draws nothing and whose locality is the size of its matching: it is
+//!    counted ([`MaxMatchingScheduler::max_local`]) rather than
 //!    assigned — and
 //! 4. records, per scheduler, the percentage of tasks that ended up on a
 //!    node holding their block.
@@ -129,8 +129,8 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
 /// clone of the trial's generator taken right after placement, so each
 /// result is exactly the one [`simulate_locality`] returns for that
 /// scheduler alone. Maximum matching's sample is a count
-/// ([`MaxMatchingScheduler::max_local`]), not an assignment: the same
-/// number, because no draw changes a maximum matching's size.
+/// ([`MaxMatchingScheduler::max_local`]), not an assignment: the size of
+/// the same search its `assign` builds from.
 ///
 /// # Errors
 ///
@@ -203,24 +203,16 @@ pub fn simulate_locality_each(
         capacities.clear();
         capacities.resize(graph.nodes().len(), config.cluster.map_slots_per_node);
         for ((kind, scheduler), samples) in schedulers.iter().zip(&built).zip(&mut samples) {
-            let assign = || {
+            let sample = if *kind == SchedulerKind::MaxMatching {
+                let local = MaxMatchingScheduler::max_local(&graph, &capacities);
+                let assigned = graph.task_count().min(capacities.iter().sum());
+                locality_percent(local, assigned)
+            } else {
                 let assignment = scheduler.assign(&graph, &capacities, &mut rng.clone());
                 debug_assert!(assignment
                     .validate(&graph, config.cluster.map_slots_per_node)
                     .is_none());
-                assignment
-            };
-            let sample = if *kind == SchedulerKind::MaxMatching {
-                let local = MaxMatchingScheduler::max_local(&graph, &capacities);
-                let assigned = graph.task_count().min(capacities.iter().sum());
-                // Debug builds still run the assignment the count stands for.
-                debug_assert_eq!((local, assigned), {
-                    let assignment = assign();
-                    (assignment.local_tasks(), assignment.len())
-                });
-                locality_percent(local, assigned)
-            } else {
-                assign().locality_percent()
+                assignment.locality_percent()
             };
             samples.push(sample);
         }

@@ -1,4 +1,5 @@
-//! Offline maximum bipartite matching between tasks and node slots.
+//! Offline maximum matching between tasks and node slots: the locality
+//! upper bound.
 //!
 //! §3.2 uses maximum matching as the locality benchmark: it is the largest
 //! number of tasks that can possibly be placed on nodes holding their blocks,
@@ -6,22 +7,26 @@
 //! maximum-matching algorithms are computationally intensive", which is why
 //! Hadoop uses delay scheduling instead.
 //!
-//! The implementation is Kuhn with dead-set marks: the classic
-//! augmenting-path algorithm run on the capacity-expanded graph (each node
-//! contributes as many right-hand vertices as it has free slots), where the
-//! slots a failed search visited stay marked until the next search succeeds.
-//! A failed search leaves the matching alone and its visited set is closed —
-//! every slot in it is held, by a task whose whole adjacency is in it — so a
-//! later search entering it could only fail there; skipping it changes no
-//! decision. A generation ends at a success, not at a task.
+//! One search builds the matching on the nodes themselves, each a
+//! b-matching vertex with as many spare slots as its capacity. A greedy
+//! pass gives each task a slot on its first local node that has one. Then
+//! every task still unmatched runs one augmenting search (Kuhn's, over node
+//! positions and the tasks holding them): a full node is entered through
+//! one of its holders, which moves to another of its local nodes. The
+//! positions a failed search visited stay marked until the next search
+//! succeeds. A failed search leaves the matching alone and its visited set
+//! is closed — every position in it is full, held by tasks whose whole
+//! adjacency is in it — so a later search entering it could only fail
+//! there; skipping it changes no decision. A generation ends at a success,
+//! not at a task. The searches stop once every slot holds a local task.
 //!
-//! The locality simulation needs only the matching's size, which no draw
-//! changes: [`MaxMatchingScheduler::max_local`] counts it on the nodes
-//! themselves (greedy, then the same augmenting search over node positions
-//! and their holders), without slots, shuffles or remote fill. See
-//! `INTERNALS.md`, "Max-matching's locality is a count".
+//! [`MaxMatchingScheduler::max_local`] is that search's size, the number
+//! the locality simulation samples. [`assign`](TaskScheduler::assign)
+//! turns the same search into an assignment: each matched task runs
+//! locally on its node, in task order, and the rest are placed remote.
+//! Nothing is drawn. Which maximum matching is built reaches no reported
+//! number; see `INTERNALS.md`, "Max-matching's locality is a count".
 
-use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::assignment::{Assignment, TaskAssignment};
@@ -38,83 +43,29 @@ impl TaskScheduler for MaxMatchingScheduler {
         "max-matching"
     }
 
+    /// Draws nothing from `rng`.
     fn assign(
         &self,
         graph: &TaskNodeGraph,
         capacities: &[usize],
-        rng: &mut dyn RngCore,
+        _rng: &mut dyn RngCore,
     ) -> Assignment {
-        let nodes = graph.nodes();
-        let mut free = free_slots(graph, capacities);
-        let tasks = graph.task_count();
-
-        // The capacity-expanded right-hand side: one vertex per free slot,
-        // numbered node by node, so the slots of `nodes[i]` are the range
-        // `slot_base[i]..slot_base[i + 1]` — no per-node slot lists.
-        let mut slot_base: Vec<usize> = Vec::with_capacity(nodes.len() + 1);
-        let mut slot_owner: Vec<u32> = Vec::new();
-        for (at, &cap) in free.iter().enumerate() {
-            slot_base.push(slot_owner.len());
-            slot_owner.extend(std::iter::repeat_n(at as u32, cap));
-        }
-        slot_base.push(slot_owner.len());
-
-        // Adjacency in one flat vector: task `t`'s candidate slots (all slots
-        // of its local nodes, in replica order) are
-        // `adjacency[adjacency_base[t]..adjacency_base[t + 1]]`.
-        let mut adjacency: Vec<u32> = Vec::new();
-        let mut adjacency_base: Vec<usize> = Vec::with_capacity(tasks + 1);
-        for t in 0..tasks {
-            let start = adjacency.len();
-            adjacency_base.push(start);
-            for &at in graph.local_positions(TaskId(t)) {
-                let at = at as usize;
-                adjacency.extend(slot_base[at] as u32..slot_base[at + 1] as u32);
-            }
-            // Randomising candidate order makes ties unbiased across trials.
-            // One shuffle per task, empty lists included: the draws are part
-            // of the output.
-            adjacency[start..].shuffle(rng);
-        }
-        adjacency_base.push(adjacency.len());
-
-        // Kuhn's algorithm.
-        let mut matching = Matching {
-            adjacency: &adjacency,
-            adjacency_base: &adjacency_base,
-            slot_match: vec![UNMATCHED; slot_owner.len()],
-            task_match: vec![UNMATCHED; tasks],
-            visited: vec![0; slot_owner.len()],
-            generation: 1,
-        };
-        // Processing tasks in random order avoids systematic bias.
-        let mut order: Vec<u32> = (0..tasks as u32).collect();
-        order.shuffle(rng);
-        for &task in &order {
-            // A success changes the matching, so a fresh generation
-            // un-visits every slot without touching them. A failure keeps
-            // its marks: those slots are a dead set (module doc).
-            if matching.try_augment(task) {
-                matching.generation += 1;
-            }
-        }
-
-        // Emit local assignments from the matching.
-        let mut out: Vec<TaskAssignment> = Vec::with_capacity(tasks);
+        let NodeSearch {
+            mut free, node_of, ..
+        } = NodeSearch::run(graph, capacities);
+        let mut out: Vec<TaskAssignment> = Vec::with_capacity(node_of.len());
         let mut unmatched: Vec<TaskId> = Vec::new();
-        for (task_idx, &slot) in matching.task_match.iter().enumerate() {
-            let task = TaskId(task_idx);
-            if slot == UNMATCHED {
+        for (t, &at) in node_of.iter().enumerate() {
+            let task = TaskId(t);
+            if at == UNMATCHED {
                 unmatched.push(task);
-                continue;
+            } else {
+                out.push(TaskAssignment {
+                    task,
+                    node: graph.nodes()[at as usize],
+                    local: true,
+                });
             }
-            let at = slot_owner[slot as usize] as usize;
-            free[at] -= 1;
-            out.push(TaskAssignment {
-                task,
-                node: nodes[at],
-                local: true,
-            });
         }
         // Whatever could not be matched locally is spread over the remaining slots.
         fill_remote(graph, &unmatched, &mut free, &mut out);
@@ -124,15 +75,45 @@ impl TaskScheduler for MaxMatchingScheduler {
 
 impl MaxMatchingScheduler {
     /// The number of tasks [`assign`](TaskScheduler::assign) places
-    /// locally on `graph` under `capacities`, whatever generator it is
-    /// given: the size of a maximum task → node matching in which node
-    /// `i` takes at most `capacities[i]` tasks. Nothing is drawn and no
-    /// assignment is built.
+    /// locally on `graph` under `capacities`: the size of a maximum
+    /// task → node matching in which node `i` takes at most
+    /// `capacities[i]` tasks. Nothing is drawn and no assignment is built.
     ///
     /// # Panics
     ///
     /// Panics if `capacities.len() != graph.nodes().len()`.
     pub fn max_local(graph: &TaskNodeGraph, capacities: &[usize]) -> usize {
+        NodeSearch::run(graph, capacities).local
+    }
+}
+
+/// `node_of` entry of a task with no local slot.
+const UNMATCHED: u32 = u32::MAX;
+
+/// A maximum task → node matching and the state of the search that built
+/// it (module doc).
+struct NodeSearch<'a> {
+    graph: &'a TaskNodeGraph,
+    /// `free[at]`: the slots of position `at` no task holds yet.
+    free: Vec<usize>,
+    /// `node_of[t]`: the position task `t` holds a slot on.
+    node_of: Vec<u32>,
+    /// The tasks holding a slot.
+    local: usize,
+    /// `visited[at] == generation` ⇔ position `at` was tried since the
+    /// last successful search.
+    visited: Vec<u32>,
+    generation: u32,
+}
+
+impl<'a> NodeSearch<'a> {
+    /// The greedy pass, then one augmenting search per task still
+    /// unmatched, until every slot holds a local task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities.len() != graph.nodes().len()`.
+    fn run(graph: &'a TaskNodeGraph, capacities: &[usize]) -> Self {
         let free = free_slots(graph, capacities);
         let slots: usize = free.iter().sum();
         let tasks = graph.task_count();
@@ -141,14 +122,14 @@ impl MaxMatchingScheduler {
             visited: vec![0; free.len()],
             free,
             node_of: vec![UNMATCHED; tasks],
+            local: 0,
             generation: 1,
         };
-        let mut local = 0;
         // Greedy: each task takes a free slot on its first local node that
         // has one.
         for t in 0..tasks {
-            if local == slots {
-                return local;
+            if search.local == slots {
+                return search;
             }
             let free = &mut search.free;
             if let Some(&at) = graph
@@ -158,77 +139,24 @@ impl MaxMatchingScheduler {
             {
                 free[at as usize] -= 1;
                 search.node_of[t] = at;
-                local += 1;
+                search.local += 1;
             }
         }
-        // Then one augmenting search per task still unmatched, until every
-        // slot holds a local task.
         for t in 0..tasks {
-            if local == slots {
+            if search.local == slots {
                 break;
             }
+            // A success changes the matching, so a fresh generation
+            // un-visits every position without touching them. A failure
+            // keeps its marks: those positions are a dead set.
             if search.node_of[t] == UNMATCHED && search.try_augment(t) {
-                local += 1;
+                search.local += 1;
                 search.generation += 1;
             }
         }
-        local
+        search
     }
-}
 
-/// `slot_match` / `task_match` entry of a vertex with no partner.
-const UNMATCHED: u32 = u32::MAX;
-
-/// The state of one augmenting-path search.
-struct Matching<'a> {
-    adjacency: &'a [u32],
-    adjacency_base: &'a [usize],
-    /// `slot_match[s]`: the task holding slot `s`.
-    slot_match: Vec<u32>,
-    /// `task_match[t]`: the slot task `t` holds.
-    task_match: Vec<u32>,
-    /// `visited[s] == generation` ⇔ slot `s` was tried since the last
-    /// successful search.
-    visited: Vec<u32>,
-    generation: u32,
-}
-
-impl Matching<'_> {
-    /// Attempts to find an augmenting path from `task`; returns `true` on success.
-    fn try_augment(&mut self, task: u32) -> bool {
-        let t = task as usize;
-        for i in self.adjacency_base[t]..self.adjacency_base[t + 1] {
-            let slot = self.adjacency[i] as usize;
-            if self.visited[slot] == self.generation {
-                continue;
-            }
-            self.visited[slot] = self.generation;
-            let holder = self.slot_match[slot];
-            if holder == UNMATCHED || self.try_augment(holder) {
-                self.slot_match[slot] = task;
-                self.task_match[t] = slot as u32;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// The state of [`MaxMatchingScheduler::max_local`]'s augmenting searches
-/// over node positions, each a b-matching vertex with `free` spare slots.
-struct NodeSearch<'a> {
-    graph: &'a TaskNodeGraph,
-    /// `free[at]`: the slots of position `at` no task holds yet.
-    free: Vec<usize>,
-    /// `node_of[t]`: the position task `t` holds a slot on.
-    node_of: Vec<u32>,
-    /// `visited[at] == generation` ⇔ position `at` was tried since the
-    /// last successful search: the same dead-set rule as [`Matching`].
-    visited: Vec<u32>,
-    generation: u32,
-}
-
-impl NodeSearch<'_> {
     /// Finds a slot for `task` on one of its local nodes, freeing one
     /// through an alternating path if need be; `true` on success.
     fn try_augment(&mut self, task: usize) -> bool {

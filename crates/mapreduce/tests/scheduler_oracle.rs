@@ -3,38 +3,37 @@
 //! node only out of the windows that hold it — against the map-keyed oracle
 //! (`support/oracle.rs`) at the two ends of the scale the proptest in
 //! `scheduler_proptests.rs` samples between: every instance of a small scope,
-//! and the benchmark's locality shape. Each case requires the same
-//! `Assignment` in the same order and the same `rng.next_u64()` afterwards.
+//! and the benchmark's locality shape. Peeling must return the same
+//! `Assignment` in the same order and leave the same `rng.next_u64()`.
+//! Max-matching is held to `support/matching_contract.rs`: a valid
+//! assignment whose local tasks number the oracle's optimum and
+//! `MaxMatchingScheduler::max_local`, the count the locality simulation
+//! samples, with `min(tasks, Σ capacities)` tasks and no draw.
 //!
-//! Every case also holds `MaxMatchingScheduler::max_local`, the count the
-//! locality simulation samples instead of an assignment, to max-matching's
-//! local tasks, and `min(tasks, Σ capacities)` to its assigned tasks.
-//! Mutants of the count made on a copy, and the first case that fails:
+//! `assign` and `max_local` run one search, so a mutant of it shows in
+//! both. Mutants made on a copy, and the first case that fails here:
 //!
-//! - the generation never advances: `blocks [2, 2, 0, 0]`, caps `[0, 2, 2]`;
+//! - the generation never advances: `blocks [2, 2, 0, 0]`, caps `[0, 2, 2]`
+//!   (3 local tasks, not 4);
 //! - the greedy pass does not decrement `free`: `blocks [0, 0]`, caps
-//!   `[1, 0, 1]`, and heptagon seed 7;
+//!   `[1, 0, 0]` (node over capacity), and 3-rep seed 2014;
 //! - a holder is taken without checking it sits on the node: `blocks
-//!   [1, 0]`, caps `[0, 2, 0]`;
-//! - the early stop fires one slot short: `blocks [2, 0]`, caps `[0, 1, 1]`.
+//!   [1, 0]`, caps `[0, 2, 0]` (over capacity);
+//! - the early stop fires one slot short: `blocks [2, 0]`, caps `[0, 1, 1]`;
+//! - an augmenting search that ends on a spare slot does not decrement
+//!   `free`: `blocks [2, 0, 0]`, caps `[0, 1, 1]` (over capacity). The
+//!   count alone never showed this one here; the assignment does.
 //!
-//! Two mutants pass here. Stopping at `local == tasks` instead of at every
-//! slot held, or never stopping early, is equivalent: the stop only saves
-//! searches that cannot succeed. An augmenting search that ends on a spare
-//! slot without decrementing `free` needs two such paths into one node;
-//! this scope and these cases never make them. `locality_differential.rs`
-//! catches it (2-rep, µ 2, 100 %), and so does the debug cross-check in
-//! `simulate_locality_each` under the library's unit tests.
+//! One mutant passes, and is equivalent: stopping at `local == tasks`
+//! instead of at every slot held. The stop only saves searches that cannot
+//! succeed. `locality_differential.rs` no longer sees a mutant of the
+//! search: both of its loops read this one.
 
 use std::collections::BTreeMap;
 
 use drc_cluster::{Cluster, ClusterSpec, GlobalBlockId, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
-use drc_mapreduce::{
-    Assignment, MapTask, MaxMatchingScheduler, PeelingScheduler, TaskId, TaskNodeGraph,
-    TaskScheduler,
-};
-use rand::seq::SliceRandom;
+use drc_mapreduce::{Assignment, MapTask, PeelingScheduler, TaskId, TaskNodeGraph, TaskScheduler};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -43,17 +42,12 @@ use rand_chacha::ChaCha8Rng;
 #[path = "support/oracle.rs"]
 mod oracle;
 
-type Oracle = fn(&TaskNodeGraph, &BTreeMap<NodeId, usize>, &mut dyn RngCore) -> Assignment;
+#[path = "support/matching_contract.rs"]
+mod matching_contract;
 
-const SCHEDULERS: [(&dyn TaskScheduler, Oracle); 2] = [
-    (&MaxMatchingScheduler, oracle::max_matching),
-    (&PeelingScheduler, oracle::peeling),
-];
-
-/// Runs both schedulers and their oracles from the same generator state and
-/// requires identical output and rng state, and max-matching's local and
-/// assigned task counts to be what `max_local` and the capacities say
-/// without an assignment; returns max-matching's result.
+/// Runs peeling and its oracle from the same generator state and requires
+/// identical output and rng state, then holds max-matching to its contract;
+/// returns max-matching's result.
 fn assert_matches_oracle(
     graph: &TaskNodeGraph,
     caps: &[usize],
@@ -66,67 +60,45 @@ fn assert_matches_oracle(
         .copied()
         .zip(caps.iter().copied())
         .collect();
-    let results: Vec<Assignment> = SCHEDULERS
-        .iter()
-        .map(|&(scheduler, oracle)| {
-            let mut got_rng = rng.clone();
-            let mut want_rng = rng.clone();
-            let got = scheduler.assign(graph, caps, &mut got_rng);
-            let want = oracle(graph, &keyed, &mut want_rng);
-            assert_eq!(got, want, "{} on {}", scheduler.name(), case());
-            assert_eq!(
-                got_rng.next_u64(),
-                want_rng.next_u64(),
-                "{} on {}: rng streams diverged",
-                scheduler.name(),
-                case()
-            );
-            got
-        })
-        .collect();
-    let matching = results.into_iter().next().expect("max-matching runs first");
+    let mut got_rng = rng.clone();
+    let mut want_rng = rng.clone();
+    let got = PeelingScheduler.assign(graph, caps, &mut got_rng);
+    let want = oracle::peeling(graph, &keyed, &mut want_rng);
+    assert_eq!(got, want, "peeling on {}", case());
     assert_eq!(
-        MaxMatchingScheduler::max_local(graph, caps),
-        matching.local_tasks(),
-        "max_local on {}",
+        got_rng.next_u64(),
+        want_rng.next_u64(),
+        "peeling on {}: rng streams diverged",
         case()
     );
-    assert_eq!(
-        graph.task_count().min(caps.iter().sum()),
-        matching.len(),
-        "assigned tasks on {}",
-        case()
-    );
-    matching
+    matching_contract::assert_max_matching_contract(graph, caps, rng, case)
 }
 
 /// Whether each of max-matching's augmenting searches succeeded, in the
-/// order it ran them. A matched task never becomes unmatched again, so a
-/// search failed iff its task ended up remote; the order is the last of the
-/// scheduler's documented draws (one shuffle per task's candidate-slot list,
-/// then one of the task order), replayed on a copy of its generator.
-fn search_outcomes(
-    graph: &TaskNodeGraph,
-    caps: &[usize],
-    rng: &ChaCha8Rng,
-    matching: &Assignment,
-) -> Vec<bool> {
-    let mut rng = rng.clone();
-    for t in (0..graph.task_count()).map(TaskId) {
-        let slots: usize = graph
-            .local_positions(t)
-            .iter()
-            .map(|&at| caps[at as usize])
-            .sum();
-        vec![0u32; slots].shuffle(&mut rng);
-    }
-    let mut order: Vec<usize> = (0..graph.task_count()).collect();
-    order.shuffle(&mut rng);
+/// order it ran them. The searches run in task order over the tasks the
+/// greedy pass (replayed here) left without a slot, until every slot holds
+/// a local task. A matched task never becomes unmatched again, so a search
+/// succeeded iff its task ended up local.
+fn search_outcomes(graph: &TaskNodeGraph, caps: &[usize], matching: &Assignment) -> Vec<bool> {
     let mut local = vec![false; graph.task_count()];
     for a in matching.iter() {
         local[a.task.0] = a.local;
     }
-    order.into_iter().map(|t| local[t]).collect()
+    let mut free = caps.to_vec();
+    let mut outcomes = Vec::new();
+    for t in (0..graph.task_count()).map(TaskId) {
+        let positions = graph.local_positions(t);
+        match positions.iter().find(|&&at| free[at as usize] > 0) {
+            Some(&at) => free[at as usize] -= 1,
+            None => outcomes.push(local[t.0]),
+        }
+    }
+    // The early stop: no search runs after the success that fills the
+    // last slot.
+    if matching.local_tasks() == caps.iter().sum::<usize>() {
+        outcomes.truncate(outcomes.iter().rposition(|&ok| ok).map_or(0, |i| i + 1));
+    }
+    outcomes
 }
 
 /// Every sequence of `len` digits in `0..base`.
@@ -167,7 +139,7 @@ fn every_small_instance_matches_the_map_keyed_oracle() {
     pairs.sort_unstable();
     assert_eq!(pairs, [vec![0, 1], vec![0, 2], vec![1, 2]]);
 
-    let (mut instances, mut success_after_failures, mut success_after_success) = (0, 0, 0);
+    let (mut instances, mut augmented, mut augmented_twice) = (0, 0, 0);
     for down in 0..8usize {
         let mut view = cluster.clone();
         for n in (0..3).filter(|n| down >> n & 1 == 1) {
@@ -193,18 +165,18 @@ fn every_small_instance_matches_the_map_keyed_oracle() {
                             )
                         };
                         let matching = assert_matches_oracle(&graph, &caps, &rng, &case);
-                        let outcomes = search_outcomes(&graph, &caps, &rng, &matching);
+                        let outcomes = search_outcomes(&graph, &caps, &matching);
                         instances += 1;
-                        // A success that ran on the marks of two failures.
-                        if outcomes.windows(3).any(|w| w == [false, false, true]) {
-                            success_after_failures += 1;
+                        // The greedy pass was not maximum: a search moved a
+                        // holder to free a slot.
+                        let successes = outcomes.iter().filter(|&&ok| ok).count();
+                        if successes >= 1 {
+                            augmented += 1;
                         }
-                        // A failure, a success on its marks, then a search
-                        // that must start from fresh marks and succeed.
-                        if let Some(f) = outcomes.iter().position(|&ok| !ok) {
-                            if outcomes[f..].iter().filter(|&&ok| ok).count() >= 2 {
-                                success_after_success += 1;
-                            }
+                        // A success, then a search that must start from
+                        // fresh marks and succeed.
+                        if successes >= 2 {
+                            augmented_twice += 1;
                         }
                     }
                 }
@@ -212,15 +184,17 @@ fn every_small_instance_matches_the_map_keyed_oracle() {
         }
     }
     assert_eq!(instances, 64 * 364 * 2);
-    assert!(success_after_failures > 0 && success_after_success > 0);
+    assert_eq!((augmented, augmented_twice), (2058, 42));
 }
 
 /// The `mr_sweep` locality shape: `datacenter(120)`, 4 slots, 400 % load —
-/// 1 920 tasks on 480 slots, so at least 1 440 of every instance's searches
-/// fail, in long runs that share their marks. 3-rep, pentagon and heptagon
-/// on three seeds each, plus one case with three down nodes and ragged
-/// capacities (zeros included). Placement and assignment draw from one
-/// generator, as in `simulate_locality`.
+/// 1 920 tasks on 480 slots. 3-rep, pentagon and heptagon on three seeds
+/// each, plus one case with three down nodes and ragged capacities (zeros
+/// included). Placement and assignment draw from one generator, as in
+/// `simulate_locality`. The greedy pass fills every slot in eight cases, so
+/// no search runs. In heptagon seeds 7 and `0xD0C5` a node holds fewer
+/// local tasks than it has slots: all 1 444 searches fail, each on the
+/// marks of the ones before.
 #[test]
 fn benchmark_scale_instances_match_the_map_keyed_oracle() {
     let spec = ClusterSpec::datacenter(120);
@@ -234,6 +208,7 @@ fn benchmark_scale_instances_match_the_map_keyed_oracle() {
     }
     cases.push((CodeKind::Pentagon, &[5, 60, 119], true, 11));
 
+    let mut searches = Vec::new();
     for (code, down, ragged, seed) in cases {
         let mut cluster = Cluster::new(spec.clone());
         let built = code.build().unwrap();
@@ -274,18 +249,12 @@ fn benchmark_scale_instances_match_the_map_keyed_oracle() {
             .collect();
         let case = || format!("{code}, seed {seed}, down {down:?}");
         let matching = assert_matches_oracle(&graph, &caps, &rng, &case);
-        let outcomes = search_outcomes(&graph, &caps, &rng, &matching);
-        let failed = outcomes.iter().filter(|&&ok| !ok).count();
-        let longest_failed_run = outcomes
-            .split(|&ok| ok)
-            .map(<[bool]>::len)
-            .max()
-            .unwrap_or(0);
-        assert!(failed >= tasks - caps.iter().sum::<usize>(), "{}", case());
-        assert!(
-            longest_failed_run >= 100,
-            "{}: {longest_failed_run}",
-            case()
-        );
+        let outcomes = search_outcomes(&graph, &caps, &matching);
+        searches.push((outcomes.len(), outcomes.iter().filter(|&&ok| ok).count()));
     }
+    // (searches run, searches that succeeded), case by case.
+    let mut want = [(0, 0); 10];
+    want[7] = (1444, 0);
+    want[8] = (1444, 0);
+    assert_eq!(searches, want);
 }

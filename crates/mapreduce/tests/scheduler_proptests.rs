@@ -1,15 +1,16 @@
 //! Property-based tests on the task schedulers: every scheduler must produce
 //! valid assignments, the three schedulers must respect their known quality
 //! ordering in aggregate, and the dense node-indexed implementations must
-//! reproduce the map-keyed ones they replaced — rng stream included.
+//! reproduce the map-keyed ones they replaced — rng stream included — or,
+//! for max-matching, the oracle's optimum (`support/matching_contract.rs`).
 
 use std::collections::BTreeMap;
 
 use drc_cluster::{Cluster, ClusterSpec, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 use drc_mapreduce::{
-    Assignment, DelayScheduler, MapTask, MaxMatchingScheduler, PeelingScheduler, SchedulerKind,
-    TaskId, TaskNodeGraph, TaskScheduler,
+    Assignment, DelayScheduler, MapTask, PeelingScheduler, SchedulerKind, TaskId, TaskNodeGraph,
+    TaskScheduler,
 };
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -17,6 +18,9 @@ use rand_chacha::ChaCha8Rng;
 
 #[path = "support/oracle.rs"]
 mod oracle;
+
+#[path = "support/matching_contract.rs"]
+mod matching_contract;
 
 fn paper_code() -> impl Strategy<Value = CodeKind> {
     prop_oneof![
@@ -110,7 +114,6 @@ fn scheduler_pairs() -> Vec<Pair> {
         (Box::new(DelayScheduler::new(3)), |g, c, r| {
             oracle::delay(Some(3), g, c, r)
         }),
-        (Box::new(MaxMatchingScheduler), oracle::max_matching),
         (Box::new(PeelingScheduler), oracle::peeling),
     ]
 }
@@ -185,9 +188,9 @@ proptest! {
 
     /// The dense schedulers against the map-keyed bodies they replaced: the
     /// same assignments in the same order, and the generator left in the
-    /// same state — over every code family that fits, under- and over-load,
-    /// down nodes, and capacities that are uniform or ragged (zeros
-    /// included).
+    /// same state; max-matching to the oracle's optimum, with no draw —
+    /// over every code family that fits, under- and over-load, down nodes,
+    /// and capacities that are uniform or ragged (zeros included).
     #[test]
     fn dense_schedulers_match_the_map_keyed_oracle(
         code in any_code(),
@@ -223,5 +226,8 @@ proptest! {
                 code
             );
         }
+        let rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
+        let case = || format!("{code}, down {down:?}, ragged {ragged}, seed {seed}");
+        matching_contract::assert_max_matching_contract(&graph, &caps, &rng, &case);
     }
 }
