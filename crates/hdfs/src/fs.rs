@@ -183,9 +183,6 @@ pub struct DistributedFileSystem {
     /// Streaming granularity for repair and degraded-read transfers (see
     /// [`DEFAULT_REPAIR_CHUNK_BYTES`]).
     repair_chunk_bytes: u64,
-    /// Every auto-repair pass the failure engine has executed, in detection
-    /// order.
-    auto_repairs: Vec<RepairReport>,
 }
 
 impl std::fmt::Debug for DistributedFileSystem {
@@ -218,7 +215,6 @@ impl DistributedFileSystem {
             rng: ChaCha8Rng::seed_from_u64(seed),
             replay,
             repair_chunk_bytes: DEFAULT_REPAIR_CHUNK_BYTES,
-            auto_repairs: Vec::new(),
         }
     }
 
@@ -613,29 +609,22 @@ impl DistributedFileSystem {
         }
     }
 
-    /// Marks a node as down (transient failure: its data stays on disk).
-    pub fn fail_node(&mut self, node: NodeId) {
-        self.cluster.set_down(node);
-    }
-
-    /// Marks a node as permanently failed: it is down and its blocks are gone.
+    /// Fail-stops a node now: it is down and its blocks are gone. This is
+    /// the file system's only failure — what [`ReplayStep::Down`] means when
+    /// [`DistributedFileSystem::process_events_until`] drains a trace, which
+    /// calls this. A node comes back only empty: re-provisioned by
+    /// [`DistributedFileSystem::repair_nodes`], or rejoining through a
+    /// trace's `NodeUp`.
+    ///
+    /// It stays a direct entry for the callers whose victims are already
+    /// down when their measurement starts: through a trace, each would need
+    /// a schedule, a drain, and a detection boundary that `repair_nodes`
+    /// then has to cancel. A node this cluster does not have is ignored.
     pub fn fail_node_permanently(&mut self, node: NodeId) {
         self.cluster.set_down(node);
         if let Some(dn) = self.datanodes.get_mut(node.0) {
             dn.wipe();
         }
-    }
-
-    /// Brings a transiently-failed node back up (its data is intact). A node
-    /// this cluster does not have is ignored, as by
-    /// [`DistributedFileSystem::fail_node`].
-    pub fn restore_node(&mut self, node: NodeId) {
-        if node.0 >= self.datanodes.len() {
-            return;
-        }
-        self.cluster.set_up(node);
-        self.net.restore_node(self.now, node);
-        self.replay.heard_from(node);
     }
 
     /// How long after a node's heartbeats stop it is declared dead and the
@@ -696,12 +685,6 @@ impl DistributedFileSystem {
         self.replay.pending()
     }
 
-    /// Every auto-repair pass the failure engine has executed so far, in
-    /// detection order.
-    pub fn auto_repair_reports(&self) -> &[RepairReport] {
-        &self.auto_repairs
-    }
-
     /// Drives the failure engine up to (and including) `horizon`: drains
     /// the [`FailureReplay`] — which decides *when* nodes fail, rejoin and
     /// are declared dead (expansion, ordering, the half-open same-instant
@@ -722,9 +705,10 @@ impl DistributedFileSystem {
     /// * [`ReplayStep::Slowdown`] — the node's disk and NIC bandwidth are
     ///   divided by the factor from that instant on.
     ///
-    /// Returns the repair passes this call executed (also appended to
-    /// [`DistributedFileSystem::auto_repair_reports`]). The virtual clock is
-    /// *not* advanced: like every other operation, engine work issued here
+    /// Returns the repair passes this call executed, in detection order.
+    /// This is the only record of them: a caller that drains in several
+    /// calls keeps the returned lists. The virtual clock is *not*
+    /// advanced: like every other operation, engine work issued here
     /// overlaps whatever else is issued before the next
     /// [`DistributedFileSystem::sync`].
     ///
@@ -745,9 +729,7 @@ impl DistributedFileSystem {
         let mut detected_at = SimTime::ZERO;
         loop {
             if !detected.is_empty() && self.replay.next_at() != Some(detected_at) {
-                let report = self.repair_pass(&detected, detected_at)?;
-                self.auto_repairs.push(report.clone());
-                new_reports.push(report);
+                new_reports.push(self.repair_pass(&detected, detected_at)?);
                 detected.clear();
             }
             let Some((at, step)) = self.replay.next_due(horizon, &self.cluster) else {
@@ -1198,7 +1180,7 @@ mod tests {
     }
 
     /// A node id the cluster does not have is refused by a repair before
-    /// the pass has any effect, and ignored by a restore, as by a failure.
+    /// the pass has any effect, and ignored by a failure.
     #[test]
     fn unknown_node_ids_are_refused_or_ignored() {
         let mut fs = DistributedFileSystem::new(tiny_spec(), 9);
@@ -1228,8 +1210,6 @@ mod tests {
         );
         assert_eq!(fs.datanode(victim).unwrap().block_count(), 0);
 
-        fs.fail_node(unknown);
-        fs.restore_node(unknown);
         fs.fail_node_permanently(unknown);
         assert!(fs.datanode(unknown).is_none());
         assert_eq!(fs.repair_nodes(&[victim]).unwrap().unrecoverable_stripes, 0);
@@ -1238,13 +1218,13 @@ mod tests {
     }
 
     #[test]
-    fn transient_failure_reads_from_other_replica() {
+    fn a_lost_replica_is_read_from_the_other_one() {
         let mut fs = DistributedFileSystem::new(tiny_spec(), 3);
         let data = sample_data(2 * 1024 * 1024);
         let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
         let meta = fs.namenode().file(id).unwrap().clone();
         let victim = meta.block_locations(0, 0).unwrap()[0];
-        fs.fail_node(victim);
+        fs.fail_node_permanently(victim);
         assert_eq!(fs.read_file(id).unwrap(), data);
     }
 
@@ -1255,7 +1235,7 @@ mod tests {
         let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
         let meta = fs.namenode().file(id).unwrap().clone();
         for &node in &meta.block_locations(0, 0).unwrap() {
-            fs.fail_node(node);
+            fs.fail_node_permanently(node);
         }
         let before = fs.stats().read_network_bytes;
         let back = fs.read_file(id).unwrap();
@@ -1270,7 +1250,7 @@ mod tests {
         let id = fs.write_file("/f", &data, CodeKind::TWO_REP).unwrap();
         let meta = fs.namenode().file(id).unwrap().clone();
         for &node in &meta.block_locations(0, 0).unwrap() {
-            fs.fail_node(node);
+            fs.fail_node_permanently(node);
         }
         assert!(matches!(
             fs.read_file(id),
@@ -1386,7 +1366,7 @@ mod tests {
         let id = fs.write_file("/f", &data, CodeKind::Pentagon).unwrap();
         let meta = fs.namenode().file(id).unwrap().clone();
         for &node in &meta.block_locations(0, 0).unwrap() {
-            fs.fail_node(node);
+            fs.fail_node_permanently(node);
         }
         // Reconstruction bytes live on the degraded-read phase, the read
         // phase carries the replica bytes only, and the two together equal
@@ -1444,7 +1424,6 @@ mod tests {
         assert_eq!(reports[0].blocks_restored, static_report.blocks_restored);
         assert_eq!(reports[0].stripes_repaired, static_report.stripes_repaired);
         assert_eq!(traced_fs.stats(), static_fs.stats());
-        assert_eq!(traced_fs.auto_repair_reports().len(), 1);
         assert_eq!(traced_fs.pending_events(), 0);
         // Zero lag records no phantom detection-lag phase.
         assert_eq!(traced_fs.timeline().of(PhaseClass::DetectionLag).count(), 0);
@@ -1452,7 +1431,7 @@ mod tests {
     }
 
     #[test]
-    fn detection_timeout_delays_the_auto_repair_and_records_the_lag() {
+    fn detection_timeout_delays_the_repair_and_records_the_lag() {
         use drc_cluster::{FailureEvent, FailureEventKind, FailureTrace};
         let mut fs = DistributedFileSystem::new(tiny_spec(), 22);
         let data = sample_data(9 * 1024 * 1024);
@@ -1495,7 +1474,7 @@ mod tests {
         assert_eq!(lag.start, fail_at);
         assert_eq!(lag.end, detect_at);
         assert_eq!(lag.bytes, 0);
-        // The node is re-provisioned and the data intact.
+        // The node is re-provisioned and the file reads back whole.
         assert!(fs.cluster().is_up(victim));
         assert_eq!(fs.pending_events(), 0);
         assert_eq!(fs.read_file(id).unwrap(), data);

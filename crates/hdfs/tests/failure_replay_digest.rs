@@ -147,6 +147,12 @@ fn composed_trace_digest(sized: bool) -> u64 {
     };
 
     let mut d = Digest::new();
+    // Every pass the drains return, in call order.
+    let mut reports: Vec<RepairReport> = Vec::new();
+    let mut drain = |d: &mut Digest, drained: Vec<RepairReport>| {
+        d.reports(&drained);
+        reports.extend(drained);
+    };
     fs.set_detection_timeout(SimDuration::from_secs_f64(2.0));
     fs.schedule_trace(&FailureTrace::from_events(vec![
         down(1.0, 3),
@@ -159,14 +165,14 @@ fn composed_trace_digest(sized: bool) -> u64 {
         slow(3.0, 12, 4.0),
         FailureEvent::at_secs(6.0, FailureEventKind::RackDown { rack: RackId(1) }),
     ]));
-    d.reports(&fs.process_events_until(secs(2.2)).unwrap());
+    drain(&mut d, fs.process_events_until(secs(2.2)).unwrap());
     // Nodes 3, 6 and 9 are dark and undetected: this read goes degraded.
     read_back(&mut fs, &files[0]);
 
     // Raised mid-flight: node 3's boundary moves from 3 s to 4 s, node 9's
     // from 4 s to 5 s — where its rejoin lands.
     fs.set_detection_timeout(SimDuration::from_secs_f64(3.0));
-    d.reports(&fs.process_events_until(secs(6.5)).unwrap());
+    drain(&mut d, fs.process_events_until(secs(6.5)).unwrap());
 
     // A second trace after partial draining. Its first two instants are in
     // the past and fire at the processing frontier (6 s, the rack burst), so
@@ -178,15 +184,15 @@ fn composed_trace_digest(sized: bool) -> u64 {
         down(7.0, 22),
         up(8.0, 13),
     ]));
-    d.reports(&fs.process_events_until(secs(9.0)).unwrap());
+    drain(&mut d, fs.process_events_until(secs(9.0)).unwrap());
     fs.sync();
     read_back(&mut fs, &files[1]);
-    d.reports(&fs.process_all_events().unwrap());
+    drain(&mut d, fs.process_all_events().unwrap());
     assert_eq!(fs.pending_events(), 0);
     fs.sync();
     read_back(&mut fs, &files[2]);
 
-    d.reports(fs.auto_repair_reports());
+    d.reports(&reports);
     d.u64(fs.timeline().phases.len() as u64);
     for phase in &fs.timeline().phases {
         // The digest was recorded when a write phase carried the file's
@@ -231,11 +237,7 @@ fn composed_trace_digest(sized: bool) -> u64 {
             (lag(22), secs(7.0), secs(10.0)),
         ]
     );
-    let issued: Vec<SimTime> = fs
-        .auto_repair_reports()
-        .iter()
-        .map(|r| r.issued_at)
-        .collect();
+    let issued: Vec<SimTime> = reports.iter().map(|r| r.issued_at).collect();
     assert_eq!(issued, [secs(4.0), secs(9.0), secs(10.0)]);
     d.0
 }

@@ -100,7 +100,7 @@ proptest! {
         let victims: Vec<_> =
             meta.placement.stripe_hosts(0).unwrap()[..built.fault_tolerance()].to_vec();
         for &v in &victims {
-            degraded.fail_node(v);
+            degraded.fail_node_permanently(v);
         }
         let _ = degraded.read_file(id).unwrap();
         prop_assert!(degraded.stats().read_network_bytes >= healthy_bytes);
@@ -396,8 +396,7 @@ fn repair_served_bytes_match_the_plan_for_every_code() {
 
 /// `read_file_blocks` is `read_file` without the file-sized copy: for every
 /// code kind, on a file with a short tail, whether its stripe-0 hosts are
-/// healthy, transiently down (data intact, nodes dark) or permanently
-/// failed (degraded reads), the handles concatenate to the bytes
+/// healthy or failed (degraded reads), the handles concatenate to the bytes
 /// `read_file` returns — the last one cut to the file's length — and the
 /// two deployments end with the same timeline, `FsStats` and per-node
 /// served bytes. The same holds at file sizes on both sides of the point
@@ -410,7 +409,6 @@ fn read_file_blocks_is_read_file_without_the_copy() {
     #[derive(Debug, Clone, Copy)]
     enum Stripe0 {
         Healthy,
-        TransientDown,
         Degraded,
     }
     // Returns how many blocks the handle deployments reconstructed.
@@ -420,7 +418,7 @@ fn read_file_blocks_is_read_file_without_the_copy() {
             .map(|i| ((i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56) as u8)
             .collect();
         let mut degraded_reads = 0;
-        for scenario in [Stripe0::Healthy, Stripe0::TransientDown, Stripe0::Degraded] {
+        for scenario in [Stripe0::Healthy, Stripe0::Degraded] {
             let deploy = || {
                 let mut fs = DistributedFileSystem::new(tiny_spec(), 0xB10C);
                 let id = fs.write_file("/read/blocks", &data, code).unwrap();
@@ -431,7 +429,6 @@ fn read_file_blocks_is_read_file_without_the_copy() {
                 for &v in &victims {
                     match scenario {
                         Stripe0::Healthy => {}
-                        Stripe0::TransientDown => fs.fail_node(v),
                         Stripe0::Degraded => fs.fail_node_permanently(v),
                     }
                 }

@@ -6,10 +6,11 @@
 //! For every code kind the fs proptests cover × {whole stripes, a stripe +
 //! a block + a ragged tail} × repair chunking {monolithic, 256 KiB}, the same
 //! script runs on a real and a sized file in two fresh file systems with
-//! the same seed — healthy handle read, transient-down degraded read,
-//! permanent double failure + `repair_nodes`, a detected fail-stop trace
-//! and a beyond-tolerance trace through `process_all_events` — and after
-//! every step the two must agree on the timeline, every `RepairReport`,
+//! the same seed — healthy handle read, a fail-stop degraded read followed
+//! by `repair_nodes`, the same overlapping the repair for a double failure,
+//! a detected fail-stop trace, a beyond-tolerance trace through
+//! `process_all_events` and a read after it — and after every step the two
+//! must agree on the timeline, every `RepairReport` a step returned,
 //! `FsStats`, the clock and each node's served / received bytes, block
 //! count, used bytes and block keys. The handles the reads return must
 //! agree on their lengths, and errors must be the same errors.
@@ -49,7 +50,6 @@ fn tiny_spec() -> ClusterSpec {
 #[derive(Debug, PartialEq)]
 struct Observed {
     timeline: Timeline,
-    auto_repairs: Vec<RepairReport>,
     stats: FsStats,
     now: SimTime,
     pending_events: usize,
@@ -61,7 +61,6 @@ struct Observed {
 fn observe(fs: &DistributedFileSystem) -> Observed {
     Observed {
         timeline: fs.timeline().clone(),
-        auto_repairs: fs.auto_repair_reports().to_vec(),
         stats: fs.stats(),
         now: fs.now(),
         pending_events: fs.pending_events(),
@@ -123,14 +122,15 @@ fn script(code: CodeKind) -> Vec<(&'static str, Step)> {
             }),
         ),
         (
-            "transient-down degraded read",
+            "fail-stop degraded read, then repair_nodes",
             Box::new(move |fs, id| {
                 let victims = stripe0(fs, id, tolerance);
-                victims.iter().for_each(|&v| fs.fail_node(v));
-                let out = lens(fs.read_file_blocks(id));
-                victims.iter().for_each(|&v| fs.restore_node(v));
+                victims.iter().for_each(|&v| fs.fail_node_permanently(v));
+                let read = lens(fs.read_file_blocks(id));
                 fs.sync();
-                out
+                let report = fs.repair_nodes(&victims);
+                fs.sync();
+                read.and_then(|(l, _)| Ok((l, vec![report?])))
             }),
         ),
         (
@@ -166,6 +166,12 @@ fn script(code: CodeKind) -> Vec<(&'static str, Step)> {
                 fs.schedule_trace(&down_at(fs.now(), &victims));
                 let out = reports(fs.process_all_events());
                 fs.sync();
+                out
+            }),
+        ),
+        (
+            "read after the beyond-tolerance trace",
+            Box::new(|fs, id| {
                 // Stripe 0 is gone for good: both kinds must say so with
                 // the same error, and whatever was read before the failing
                 // block must have left the same trail.
@@ -175,7 +181,7 @@ fn script(code: CodeKind) -> Vec<(&'static str, Step)> {
                     "{read:?}"
                 );
                 fs.sync();
-                out.and(read)
+                read
             }),
         ),
     ]
@@ -222,14 +228,18 @@ fn a_sized_file_is_indistinguishable_from_a_real_one() {
                 assert!(real.namenode().file(id).unwrap().has_content);
                 assert!(!sized.namenode().file(id).unwrap().has_content);
 
+                // Every report the steps returned, in call order.
+                let mut reports: Vec<RepairReport> = Vec::new();
                 for (step, run) in script(code) {
                     let from_real = run(&mut real, id);
                     let from_sized = run(&mut sized, id);
                     assert_eq!(from_real, from_sized, "{case}: {step}: results");
                     assert_eq!(observe(&real), observe(&sized), "{case}: {step}: state");
-                    rebuilt_somewhere |= from_real
-                        .is_ok_and(|(_, reports)| reports.iter().any(|r| r.blocks_restored > 0));
+                    if let Ok((_, step_reports)) = from_real {
+                        reports.extend(step_reports);
+                    }
                 }
+                rebuilt_somewhere |= reports.iter().any(|r| r.blocks_restored > 0);
                 // The script must have exercised what it claims to.
                 let timeline = sized.timeline();
                 assert!(
@@ -240,10 +250,7 @@ fn a_sized_file_is_indistinguishable_from_a_real_one() {
                 assert!(timeline.of(PhaseClass::Repair).count() > 0, "{case}");
                 assert!(timeline.of(PhaseClass::DetectionLag).count() > 0, "{case}");
                 assert!(
-                    sized
-                        .auto_repair_reports()
-                        .iter()
-                        .any(|r| r.unrecoverable_stripes > 0),
+                    reports.iter().any(|r| r.unrecoverable_stripes > 0),
                     "{case}: the last trace is beyond tolerance"
                 );
             }

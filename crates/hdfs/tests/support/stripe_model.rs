@@ -1,7 +1,8 @@
 //! The reference model `fs_model.rs` holds the file system to: one stripe
 //! of one file, node by node (stripe-local index), and nothing else. A node
 //! is up or down and holds a set of the stripe's distinct blocks; a node
-//! whose set is not its full share is *wiped*. Reads and repairs follow from
+//! whose set is not its full share is *wiped*. A failure is a fail-stop, so
+//! a down node is always wiped. Reads and repairs follow from
 //! that alone: a block survives on the up nodes that hold it, the stripe is
 //! readable when every content block survives or the survivors determine the
 //! data (`CodeStructure::recoverable_from_blocks`), and a repair of the
@@ -33,15 +34,13 @@ impl<'c> StripeModel<'c> {
         }
     }
 
-    /// The node stops serving; with `wipe`, its disk is gone too.
-    pub fn fail(&mut self, local: usize, wipe: bool) {
-        self.nodes[local].0 = false;
-        if wipe {
-            self.nodes[local].1.clear();
-        }
+    /// The node fail-stops: it is down and its disk is gone.
+    pub fn fail(&mut self, local: usize) {
+        self.nodes[local] = (false, BTreeSet::new());
     }
 
-    /// The node serves again with whatever it holds.
+    /// The node serves again with whatever it holds: nothing, unless a
+    /// repair rebuilt it.
     pub fn rejoin(&mut self, local: usize) {
         self.nodes[local].0 = true;
     }

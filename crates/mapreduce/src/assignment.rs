@@ -1,6 +1,6 @@
 //! Task-to-node assignments and locality statistics.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use drc_cluster::NodeId;
 
@@ -61,26 +61,37 @@ impl Assignment {
         locality_percent(self.local_tasks(), self.len())
     }
 
-    /// Verifies the assignment against a graph and slot capacities: every
-    /// task assigned at most once, capacities respected, and the `local` flag
-    /// consistent with the graph's adjacency. Returns a description of the
-    /// first violation, if any.
-    pub fn validate(&self, graph: &TaskNodeGraph, slots_per_node: usize) -> Option<String> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut per_node: BTreeMap<NodeId, usize> = BTreeMap::new();
+    /// Verifies the assignment against a graph and the capacities it was
+    /// made under, parallel to [`TaskNodeGraph::nodes`] as in
+    /// [`TaskScheduler::assign`](crate::TaskScheduler::assign): every task
+    /// assigned at most once, to a node of the graph, no node over its own
+    /// capacity, and the `local` flag consistent with the graph's
+    /// adjacency. Returns a description of the first violation, if any.
+    pub fn validate(&self, graph: &TaskNodeGraph, capacities: &[usize]) -> Option<String> {
+        if capacities.len() != graph.nodes().len() {
+            return Some(format!(
+                "{} capacities for {} nodes",
+                capacities.len(),
+                graph.nodes().len()
+            ));
+        }
+        let mut seen = BTreeSet::new();
+        let mut held = vec![0usize; capacities.len()];
         for a in &self.assignments {
             if !seen.insert(a.task) {
                 return Some(format!("task {:?} assigned twice", a.task));
             }
-            let count = per_node.entry(a.node).or_insert(0);
-            *count += 1;
-            if *count > slots_per_node {
-                return Some(format!("node {} over capacity", a.node));
+            let Some(at) = graph.position_of(a.node) else {
+                return Some(format!("node {} is not in the graph", a.node));
+            };
+            held[at] += 1;
+            if held[at] > capacities[at] {
+                return Some(format!(
+                    "node {} over its capacity of {}",
+                    a.node, capacities[at]
+                ));
             }
-            let is_local = graph
-                .position_of(a.node)
-                .is_some_and(|at| graph.is_local_at(a.task, at));
-            if is_local != a.local {
+            if graph.is_local_at(a.task, at) != a.local {
                 return Some(format!("task {:?} locality flag mismatch", a.task));
             }
         }

@@ -209,9 +209,7 @@ pub fn simulate_locality_each(
                 locality_percent(local, assigned)
             } else {
                 let assignment = scheduler.assign(&graph, &capacities, &mut rng.clone());
-                debug_assert!(assignment
-                    .validate(&graph, config.cluster.map_slots_per_node)
-                    .is_none());
+                debug_assert!(assignment.validate(&graph, &capacities).is_none());
                 assignment.locality_percent()
             };
             samples.push(sample);

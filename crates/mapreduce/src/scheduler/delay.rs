@@ -184,7 +184,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let assignment = DelayScheduler::default().assign(&graph, &caps, &mut rng);
         assert_eq!(assignment.len(), 80);
-        assert!(assignment.validate(&graph, 4).is_none());
+        assert!(assignment.validate(&graph, &caps).is_none());
     }
 
     #[test]
@@ -195,7 +195,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let assignment = DelayScheduler::default().assign(&graph, &caps, &mut rng);
         assert_eq!(assignment.len(), 50);
-        assert!(assignment.validate(&graph, 2).is_none());
+        assert!(assignment.validate(&graph, &caps).is_none());
     }
 
     #[test]

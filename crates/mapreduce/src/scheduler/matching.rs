@@ -233,7 +233,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let a = MaxMatchingScheduler.assign(&graph, &caps, &mut rng);
         assert_eq!(a.len(), 40);
-        assert!(a.validate(&graph, 8).is_none());
+        assert!(a.validate(&graph, &caps).is_none());
         // 2-rep at 20% load: the optimum is full locality.
         assert_eq!(a.locality_percent(), 100.0);
     }
@@ -258,7 +258,7 @@ mod tests {
                 mm.local_tasks(),
                 ds.local_tasks()
             );
-            assert!(mm.validate(&graph, 4).is_none());
+            assert!(mm.validate(&graph, &caps).is_none());
         }
     }
 
@@ -269,7 +269,7 @@ mod tests {
         let a = MaxMatchingScheduler.assign(&graph, &caps, &mut rng);
         // 25 nodes x 4 slots = 100 assignments max.
         assert_eq!(a.len(), 100);
-        assert!(a.validate(&graph, 4).is_none());
+        assert!(a.validate(&graph, &caps).is_none());
     }
 
     #[test]

@@ -182,7 +182,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let a = PeelingScheduler.assign(&graph, &caps, &mut rng);
             assert_eq!(a.len(), 100, "{kind}");
-            assert!(a.validate(&graph, 4).is_none(), "{kind}");
+            assert!(a.validate(&graph, &caps).is_none(), "{kind}");
         }
     }
 
@@ -227,7 +227,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let a = PeelingScheduler.assign(&graph, &caps, &mut rng);
         assert_eq!(a.len(), 25);
-        assert!(a.validate(&graph, 1).is_none());
+        assert!(a.validate(&graph, &caps).is_none());
     }
 
     #[test]
@@ -236,6 +236,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let a = PeelingScheduler.assign(&graph, &caps, &mut rng);
         assert_eq!(a.len(), 100);
-        assert!(a.validate(&graph, 4).is_none());
+        assert!(a.validate(&graph, &caps).is_none());
     }
 }

@@ -109,8 +109,9 @@ fn words(len: u32, base: usize) -> impl Iterator<Item = Vec<usize>> {
 /// Every instance on 3 nodes with at most 5 tasks: each task reads one of
 /// three 2-rep blocks that sit on the three node pairs (tasks may share a
 /// block), under every set of down nodes (which turns pairs into singletons
-/// or nothing), every capacity vector in {0, 1, 2}³ over the up nodes, and
-/// two rng seeds.
+/// or nothing), and every capacity vector in {0, 1, 2}³ over the up nodes.
+/// One rng seed: no scheduler checked here draws, which both checks hold
+/// on every instance, so a second seed would repeat the first.
 #[test]
 fn every_small_instance_matches_the_map_keyed_oracle() {
     let cluster = Cluster::new(ClusterSpec::custom(3, 1, 2));
@@ -157,34 +158,28 @@ fn every_small_instance_matches_the_map_keyed_oracle() {
                     .collect();
                 let graph = TaskNodeGraph::build(&tasks, &placement, &view);
                 for caps in words(graph.nodes().len() as u32, 3) {
-                    for seed in [3u64, 0x5EED] {
-                        let rng = ChaCha8Rng::seed_from_u64(seed);
-                        let case = || {
-                            format!(
-                                "blocks {blocks:?}, down {down:03b}, caps {caps:?}, seed {seed}"
-                            )
-                        };
-                        let matching = assert_matches_oracle(&graph, &caps, &rng, &case);
-                        let outcomes = search_outcomes(&graph, &caps, &matching);
-                        instances += 1;
-                        // The greedy pass was not maximum: a search moved a
-                        // holder to free a slot.
-                        let successes = outcomes.iter().filter(|&&ok| ok).count();
-                        if successes >= 1 {
-                            augmented += 1;
-                        }
-                        // A success, then a search that must start from
-                        // fresh marks and succeed.
-                        if successes >= 2 {
-                            augmented_twice += 1;
-                        }
+                    let rng = ChaCha8Rng::seed_from_u64(3);
+                    let case = || format!("blocks {blocks:?}, down {down:03b}, caps {caps:?}");
+                    let matching = assert_matches_oracle(&graph, &caps, &rng, &case);
+                    let outcomes = search_outcomes(&graph, &caps, &matching);
+                    instances += 1;
+                    // The greedy pass was not maximum: a search moved a
+                    // holder to free a slot.
+                    let successes = outcomes.iter().filter(|&&ok| ok).count();
+                    if successes >= 1 {
+                        augmented += 1;
+                    }
+                    // A success, then a search that must start from fresh
+                    // marks and succeed.
+                    if successes >= 2 {
+                        augmented_twice += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(instances, 64 * 364 * 2);
-    assert_eq!((augmented, augmented_twice), (2058, 42));
+    assert_eq!(instances, 64 * 364);
+    assert_eq!((augmented, augmented_twice), (1029, 21));
 }
 
 /// The `mr_sweep` locality shape: `datacenter(120)`, 4 slots, 400 % load —

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use drc_cluster::{Cluster, ClusterSpec, NodeId, PlacementMap, PlacementPolicy};
 use drc_codes::CodeKind;
 use drc_mapreduce::{
-    Assignment, DelayScheduler, MapTask, PeelingScheduler, SchedulerKind, TaskId, TaskNodeGraph,
-    TaskScheduler,
+    Assignment, DelayScheduler, MapTask, PeelingScheduler, SchedulerKind, TaskAssignment, TaskId,
+    TaskNodeGraph, TaskScheduler,
 };
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -100,6 +100,28 @@ fn build_instance(
     (graph, caps)
 }
 
+/// `validate` holds each node to its own capacity, parallel to
+/// `graph.nodes()` as `assign` takes it: two tasks on a node with one slot
+/// are a violation even though another node has three.
+#[test]
+fn validate_holds_each_node_to_its_own_capacity() {
+    let graph = build_graph(CodeKind::TWO_REP, 3, 3, 2, &[], 0).expect("2-rep fits");
+    let first = graph.nodes()[0];
+    let two_on_first: Assignment = (0..2)
+        .map(|t| TaskAssignment {
+            task: TaskId(t),
+            node: first,
+            local: graph.is_local_at(TaskId(t), 0),
+        })
+        .collect();
+    assert_eq!(two_on_first.validate(&graph, &[2, 3, 3]), None);
+    assert_eq!(
+        two_on_first.validate(&graph, &[1, 3, 3]),
+        Some(format!("node {first} over its capacity of 1"))
+    );
+    assert!(two_on_first.validate(&graph, &[2, 3]).is_some());
+}
+
 /// One scheduler, both ways: the library's `assign` and the oracle's body.
 type Pair = (
     Box<dyn TaskScheduler>,
@@ -138,7 +160,7 @@ proptest! {
             let scheduler = kind.build();
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
             let assignment = scheduler.assign(&graph, &caps, &mut rng);
-            prop_assert!(assignment.validate(&graph, slots).is_none(), "{kind} invalid");
+            prop_assert!(assignment.validate(&graph, &caps).is_none(), "{kind} invalid");
             prop_assert_eq!(assignment.len(), tasks.min(capacity_total), "{} wrong size", kind);
             prop_assert!(assignment.locality_percent() >= 0.0);
             prop_assert!(assignment.locality_percent() <= 100.0);

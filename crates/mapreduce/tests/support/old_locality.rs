@@ -72,9 +72,7 @@ pub fn simulate_locality(config: &LocalityConfig) -> Result<LocalityResult, MapR
         capacities.clear();
         capacities.resize(graph.nodes().len(), config.cluster.map_slots_per_node);
         let assignment = scheduler.assign(&graph, &capacities, &mut rng);
-        debug_assert!(assignment
-            .validate(&graph, config.cluster.map_slots_per_node)
-            .is_none());
+        debug_assert!(assignment.validate(&graph, &capacities).is_none());
         samples.push(assignment.locality_percent());
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
